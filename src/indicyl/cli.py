@@ -104,10 +104,7 @@ def _cross_section(args) -> spectra.CrossSectionSpec:
     if args.lens:
         p, q1, q2 = _parse_triple(args.lens, int, "--lens")
         group = spectra.GroupAction(p, q1, q2)
-    kwargs = {}
-    if args.killing_dim is not None:
-        kwargs["killing_dim"] = args.killing_dim
-    return spectra.CrossSectionSpec.sphere(group, **kwargs)
+    return spectra.CrossSectionSpec.sphere(group)
 
 
 class SystemExit2(Exception):
@@ -266,6 +263,8 @@ def cmd_ks(args) -> int:
 def cmd_lens(args) -> int:
     if not args.lens:
         raise SystemExit2("lens requires --lens p,q1,q2")
+    if args.jmax < 0:
+        raise SystemExit2("--jmax must be nonnegative")
     p, q1, q2 = _parse_triple(args.lens, int, "--lens")
     group = spectra.GroupAction(p, q1, q2)
     mults = [[j, spectra.lens_scalar_multiplicity(group, j)] for j in range(args.jmax + 1)]
@@ -461,7 +460,6 @@ def _add_geometry_flags(p):
     p.add_argument("--lens", metavar="p,q1,q2", help="cyclic quotient of the 3-sphere")
     p.add_argument("--torus", metavar="L1,L2,L3", help="flat torus side lengths")
     p.add_argument("--hyperbolic", metavar="FILE", help="hyperbolic spectrum file")
-    p.add_argument("--killing-dim", type=int, default=None, help="Killing field dimension override")
     p.add_argument("--jmax", type=int, default=6, help="spectrum truncation index")
     p.add_argument("--out", metavar="FILE", help="write output to FILE instead of stdout")
 
@@ -510,6 +508,9 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.func(args)
+    except indicial.GluingWindowError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 1
     except SystemExit2 as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

@@ -45,6 +45,7 @@ __all__ = [
     "IndicialRoot",
     "RootCatalog",
     "SpectralGap",
+    "GluingWindowError",
     "type3_roots",
     "type2_roots",
     "mixed_a_roots",
@@ -58,6 +59,11 @@ __all__ = [
 ]
 
 _ZERO_TOL = 1e-12
+
+
+class GluingWindowError(Exception):
+    """A spherical catalog whose gluing window is not (0, 2): a verification
+    failure of the catalog, not bad input, so deliberately no ValueError."""
 
 
 class CaseTag(IntEnum):
@@ -311,49 +317,25 @@ def _root(value, case, kind, j, eigenvalue, *, jordan=False, ck=False, mult=1) -
 # ---------------------------------------------------------------------------
 
 
-def _sphere_entries(geo: Sphere, j_max: int) -> tuple[list[SpectrumEntry], list[str]]:
-    caveats: list[str] = []
-    entries: list[SpectrumEntry] = []
+def _sphere_entries(geo: Sphere, j_max: int) -> list[SpectrumEntry]:
+    """Spectrum entries with index j <= j_max: closed forms on the round
+    sphere, character-theoretic descent on a quotient."""
     g = geo.group
-    for j in range(0, j_max + 1):
-        mult = spectra.lens_scalar_multiplicity(g, j)
-        if mult > 0:
-            entries.append(SpectrumEntry(OperatorKind.SCALAR_HODGE, j, float(j * (j + 2)), mult))
-    for j in range(1, j_max + 1):
-        if j == 1:
-            # Killing fields of the quotient.
-            if geo.killing_dim is not None:
-                mult = geo.killing_dim
-            else:
-                mult = 6
-                if not g.trivial:
-                    caveats.append(
-                        "killing_dim not supplied for nontrivial group; defaulting to 6"
-                    )
-        elif g.trivial:
-            mult = spectra.sphere_coclosed_oneform_multiplicity(j)
-        elif geo.oneform_descent is not None:
-            mult = geo.oneform_descent.get(j, 0)
-        else:
-            mult = spectra.sphere_coclosed_oneform_multiplicity(j)
-            caveats.append("oneform descent multiplicities unknown; using full-sphere values")
-        if mult > 0:
-            entries.append(
-                SpectrumEntry(OperatorKind.COCLOSED_ONEFORM_HODGE, j, float((j + 1) ** 2), mult)
-            )
-    for j in range(2, j_max + 1):
-        if g.trivial:
-            mult = spectra.sphere_tt_multiplicity(j)
-        elif geo.tt_descent is not None:
-            mult = geo.tt_descent.get(j, 0)
-        else:
-            mult = spectra.sphere_tt_multiplicity(j)
-            caveats.append("tt descent multiplicities unknown; using full-sphere values")
-        if mult > 0:
-            entries.append(
-                SpectrumEntry(OperatorKind.DIVFREE_TT_ROUGH, j, float(j * j + 2 * j - 2), mult)
-            )
-    return entries, sorted(set(caveats))
+    kinds = (
+        (OperatorKind.SCALAR_HODGE, 0, spectra.sphere_scalar_eigenvalue,
+         spectra.sphere_scalar_multiplicity, spectra.lens_scalar_multiplicity),
+        (OperatorKind.COCLOSED_ONEFORM_HODGE, 1, spectra.sphere_coclosed_oneform_eigenvalue,
+         spectra.sphere_coclosed_oneform_multiplicity, spectra.lens_oneform_multiplicity),
+        (OperatorKind.DIVFREE_TT_ROUGH, 2, spectra.sphere_tt_eigenvalue,
+         spectra.sphere_tt_multiplicity, spectra.lens_tt_multiplicity),
+    )
+    entries: list[SpectrumEntry] = []
+    for kind, j_min, eigenvalue, sphere_mult, descent_mult in kinds:
+        for j in range(j_min, j_max + 1):
+            mult = sphere_mult(j) if g.trivial else descent_mult(g, j)
+            if mult > 0:
+                entries.append(SpectrumEntry(kind, j, eigenvalue(j), mult))
+    return entries
 
 
 def _torus_entries(geo: Torus, max_index: int) -> list[SpectrumEntry]:
@@ -443,7 +425,7 @@ def assemble_catalog(cs: CrossSectionSpec, j_max: int) -> RootCatalog:
     roots: list[IndicialRoot] = []
 
     if isinstance(geo, Sphere):
-        entries, caveats = _sphere_entries(geo, j_max)
+        entries = _sphere_entries(geo, j_max)
         omitted = [
             SpectrumEntry(OperatorKind.SCALAR_HODGE, j_max + 1, float((j_max + 1) * (j_max + 3)), 1),
             SpectrumEntry(
@@ -558,7 +540,8 @@ def h2plus_predicate(cs: CrossSectionSpec) -> tuple[bool, list[str]]:
 def gluing_window(catalog: RootCatalog) -> tuple[float, float]:
     """Exponential weight window (0, g) on which the middle cylinder operator
     is an isomorphism: g is the infimum of |Re| over roots that are not dual
-    to conformal Killing fields, and equals 2 for spherical cross-sections."""
+    to conformal Killing fields, and equals 2 for spherical cross-sections;
+    GluingWindowError is raised when the computed bound is not 2."""
     if not catalog.roots:
         raise ValueError("catalog has no roots")
     if not isinstance(catalog.cross_section.geometry, Sphere):
@@ -572,5 +555,5 @@ def gluing_window(catalog: RootCatalog) -> tuple[float, float]:
         raise ValueError("no non-degenerate roots present; increase j_max")
     g = min(candidates)
     if abs(g - 2.0) > 1e-9:
-        raise AssertionError(f"spherical gluing window should be (0, 2), computed bound {g}")
+        raise GluingWindowError(f"spherical gluing window should be (0, 2), computed bound {g}")
     return (0.0, g)

@@ -1,8 +1,9 @@
 """Eigenvalue catalogs for the three constant-curvature cross-section geometries.
 
 Provides closed-form spectra for the round 3-sphere, dual-lattice enumeration
-for flat tori, invariant-subspace counting for cyclic spherical space forms,
-and a validating loader for externally supplied hyperbolic spectra.
+for flat tori, character-theoretic descent of the scalar, co-closed 1-form and
+TT multiplicities to cyclic spherical space forms, and a validating loader for
+externally supplied hyperbolic spectra.
 
 Eigenvalue conventions: scalar and co-closed 1-form eigenvalues are those of
 the Hodge Laplacian (nonnegative); transverse-traceless 2-tensor eigenvalues
@@ -13,12 +14,9 @@ symmetric 2-tensors.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 from pathlib import Path
-
-import numpy as np
 
 __all__ = [
     "OperatorKind",
@@ -38,6 +36,8 @@ __all__ = [
     "sphere_tt_multiplicity",
     "torus_spectrum",
     "lens_scalar_multiplicity",
+    "lens_oneform_multiplicity",
+    "lens_tt_multiplicity",
     "load_hyperbolic_spectrum",
 ]
 
@@ -104,17 +104,11 @@ class GroupAction:
 class Sphere:
     """Round S^3 or a cyclic quotient S^3/Gamma of curvature +1.
 
-    killing_dim is the dimension of the Killing fields of the quotient; it is
-    6 for the full sphere and must be supplied by the user for quotients
-    (defaults to 6 with a caveat recorded in assembled catalogs).
-    oneform_descent / tt_descent optionally give the multiplicities of the
-    eigenforms/eigentensors that descend to the quotient, keyed by j.
+    The group fixes every multiplicity of the quotient, the Killing-field
+    dimension included (see lens_scalar_multiplicity and its siblings).
     """
 
     group: GroupAction = GroupAction(1, 1, 1)
-    killing_dim: int | None = None
-    oneform_descent: dict[int, int] | None = None
-    tt_descent: dict[int, int] | None = None
 
 
 @dataclass(frozen=True)
@@ -161,8 +155,8 @@ class CrossSectionSpec:
             )
 
     @classmethod
-    def sphere(cls, group: GroupAction | None = None, **kwargs) -> "CrossSectionSpec":
-        return cls(1, Sphere(group=group or GroupAction(1, 1, 1), **kwargs))
+    def sphere(cls, group: GroupAction | None = None) -> "CrossSectionSpec":
+        return cls(1, Sphere(group=group or GroupAction(1, 1, 1)))
 
     @classmethod
     def torus(cls, lengths=(2 * math.pi,) * 3) -> "CrossSectionSpec":
@@ -249,7 +243,9 @@ def torus_spectrum(
 ) -> list[SpectrumEntry]:
     """Spectrum up to `cutoff` on the flat torus with the given side lengths.
 
-    Eigenvalues are sum_i (2 pi k_i / L_i)^2 over integer vectors k.  The
+    Eigenvalues are sum_i (2 pi k_i / L_i)^2 over integer vectors k; an
+    eigenvalue is kept when it is <= cutoff, compared exactly with no
+    tolerance, so the cutoff itself is included.  The
     eigenvalue 0 carries the parallel modes (1 scalar, 3 one-forms, 5 TT
     tensors); every nonzero lattice vector contributes 1 scalar mode and 2
     transverse polarizations for 1-forms and TT tensors.
@@ -264,7 +260,7 @@ def torus_spectrum(
         for k2 in range(-kmax[1], kmax[1] + 1):
             for k3 in range(-kmax[2], kmax[2] + 1):
                 ev = sum((2 * math.pi * k / Li) ** 2 for k, Li in zip((k1, k2, k3), L))
-                if ev > cutoff + _EIG_TOL:
+                if ev > cutoff:
                     continue
                 for known in counts:
                     if abs(known - ev) <= 1e-9 * max(1.0, known):
@@ -284,201 +280,70 @@ def torus_spectrum(
 
 
 # ---------------------------------------------------------------------------
-# Lens space scalar multiplicities via explicit harmonic polynomials
+# Descent to cyclic spherical space forms by characters
 # ---------------------------------------------------------------------------
 
-Mono = tuple[int, int, int, int]
+
+def _character(two_s: int, phi: float) -> float:
+    """SU(2) character chi_s of the spin-s representation at half angle phi:
+    sum_{k=0}^{2s} exp(i (2k - 2s) phi), which is real."""
+    return math.fsum(math.cos((2 * k - two_s) * phi) for k in range(two_s + 1))
 
 
-def _monomials(j: int) -> list[Mono]:
-    out = []
-    for a in range(j + 1):
-        for b in range(j + 1 - a):
-            for c in range(j + 1 - a - b):
-                out.append((a, b, c, j - a - b - c))
-    return out
+def _invariant_dim(g: GroupAction, two_a: int, two_b: int) -> int:
+    """Dimension of the Gamma-invariants of the SO(4) representation V_a x V_b.
 
-
-def _laplace4(p: dict[Mono, Fraction]) -> dict[Mono, Fraction]:
-    out: dict[Mono, Fraction] = {}
-    for mono, coef in p.items():
-        for i in range(4):
-            e = mono[i]
-            if e >= 2:
-                m2 = list(mono)
-                m2[i] = e - 2
-                key = tuple(m2)
-                out[key] = out.get(key, Fraction(0)) + coef * e * (e - 1)
-    return {m: c for m, c in out.items() if c != 0}
-
-
-def _r2_mul(p: dict[Mono, Fraction]) -> dict[Mono, Fraction]:
-    out: dict[Mono, Fraction] = {}
-    for mono, coef in p.items():
-        for i in range(4):
-            m2 = list(mono)
-            m2[i] += 2
-            key = tuple(m2)
-            out[key] = out.get(key, Fraction(0)) + coef
-    return out
-
-
-def _harmonic_projection(p: dict[Mono, Fraction], j: int) -> dict[Mono, Fraction]:
-    """Harmonic component of a degree-j polynomial on R^4.
-
-    Uses h = sum_k a_k r^{2k} Lap^k p with a_0 = 1 and
-    a_{k+1} = -a_k / (4 (k+1) (j-k)); this makes Lap h = 0 identically and
-    fixes harmonic polynomials.
+    Under SO(4) = SU(2) x SU(2) / {+-1} the element m of Gamma rotates the
+    two planes by 2 pi q1 m / p and 2 pi q2 m / p, i.e. acts on the two
+    factors with half angles pi m (q1 +- q2) / p.  The invariant dimension is
+    the average of the product character over the group (Ikeda, Osaka J.
+    Math. 1980), which costs O(p (a + b)).
     """
-    out: dict[Mono, Fraction] = {}
-    a = Fraction(1)
-    q = dict(p)
-    k = 0
-    while q:
-        term = q
-        for _ in range(k):
-            term = _r2_mul(term)
-        for mono, coef in term.items():
-            out[mono] = out.get(mono, Fraction(0)) + a * coef
-        q = _laplace4(q)
-        if not q:
-            break
-        a = -a / (4 * (k + 1) * (j - k))
-        k += 1
-    return {m: c for m, c in out.items() if c != 0}
-
-
-def _harmonic_basis(j: int) -> np.ndarray:
-    """Exact basis of the degree-j harmonic polynomials on R^4.
-
-    Returns a ((j+1)^2, n_monomials) float array whose rows are the harmonic
-    projections of the monomials with exponent of x1 at most 1; these span
-    the full harmonic space.
-    """
-    monos = _monomials(j)
-    index = {m: i for i, m in enumerate(monos)}
-    rows = []
-    for m in monos:
-        if m[0] <= 1:
-            h = _harmonic_projection({m: Fraction(1)}, j)
-            row = np.zeros(len(monos))
-            for mono, coef in h.items():
-                row[index[mono]] = float(coef)
-            rows.append(row)
-    basis = np.array(rows)
-    expected = (j + 1) ** 2
-    if np.linalg.matrix_rank(basis, tol=1e-9) != expected:
-        # Degenerate fallback: project every monomial and keep a maximal
-        # independent subset.
-        rows = []
-        for m in monos:
-            h = _harmonic_projection({m: Fraction(1)}, j)
-            row = np.zeros(len(monos))
-            for mono, coef in h.items():
-                row[index[mono]] = float(coef)
-            rows.append(row)
-        basis = np.array(rows)
-        q, r, piv = _qr_pivot(basis.T)
-        basis = basis[piv[:expected]]
-    return basis
-
-
-def _qr_pivot(a):
-    from scipy.linalg import qr
-
-    q, r, piv = qr(a, pivoting=True)
-    return q, r, piv
-
-
-def _rotation_substitution(j: int, theta1: float, theta2: float) -> np.ndarray:
-    """Matrix of p(x) -> p(R x) on degree-j monomial coefficients, where R
-    rotates the (x1,x2) plane by theta1 and the (x3,x4) plane by theta2."""
-    monos = _monomials(j)
-    index = {m: i for i, m in enumerate(monos)}
-    c1, s1 = math.cos(theta1), math.sin(theta1)
-    c2, s2 = math.cos(theta2), math.sin(theta2)
-
-    # (c x1 + s x2)^a expanded as {(e1,e2): coef}
-    def pair_powers(c, s, n):
-        table = []
-        for a in range(n + 1):
-            terms = {}
-            for i in range(a + 1):
-                coef = math.comb(a, i) * c**i * s ** (a - i)
-                if coef != 0.0:
-                    terms[(i, a - i)] = coef
-            table.append(terms)
-        return table
-
-    plus1 = pair_powers(c1, s1, j)    # image of x1: c1 x1 + s1 x2
-    minus1 = pair_powers(c1, -s1, j)  # image of x2: -s1 x1 + c1 x2 (swapped roles)
-    plus2 = pair_powers(c2, s2, j)
-    minus2 = pair_powers(c2, -s2, j)
-
-    A = np.zeros((len(monos), len(monos)))
-    for col, (a, b, c, d) in enumerate(monos):
-        # x1^a x2^b -> (c1 x1 + s1 x2)^a (c1 x2 - s1 x1)^b, similarly x3,x4
-        part12: dict[tuple[int, int], float] = {}
-        for (e1, e2), ca in plus1[a].items():
-            for (f2, f1), cb in minus1[b].items():
-                key = (e1 + f1, e2 + f2)
-                part12[key] = part12.get(key, 0.0) + ca * cb
-        part34: dict[tuple[int, int], float] = {}
-        for (e3, e4), cc in plus2[c].items():
-            for (f4, f3), cd in minus2[d].items():
-                key = (e3 + f3, e4 + f4)
-                part34[key] = part34.get(key, 0.0) + cc * cd
-        for (e1, e2), c12 in part12.items():
-            for (e3, e4), c34 in part34.items():
-                A[index[(e1, e2, e3, e4)], col] += c12 * c34
-    return A
-
-
-def lens_averaging_projector(g: GroupAction, j: int) -> np.ndarray:
-    """Group-averaging operator restricted to H_j, in the explicit harmonic basis.
-
-    The operator is obtained by averaging the monomial substitution action of
-    the p group elements and solving B^T M = avg B^T in the least-squares
-    sense; rotations preserve H_j, so the residual must be negligible.
-    """
-    basis = _harmonic_basis(j)
-    n = len(_monomials(j))
-    avg = np.zeros((n, n))
-    for m in range(g.p):
-        th1 = 2 * math.pi * g.q1 * m / g.p
-        th2 = 2 * math.pi * g.q2 * m / g.p
-        avg += _rotation_substitution(j, th1, th2)
-    avg /= g.p
-    bt = basis.T
-    target = avg @ bt
-    M, *_ = np.linalg.lstsq(bt, target, rcond=None)
-    resid = np.linalg.norm(bt @ M - target)
-    if resid > 1e-8 * max(1.0, np.linalg.norm(target)):
+    total = math.fsum(
+        _character(two_a, math.pi * m * (g.q1 + g.q2) / g.p)
+        * _character(two_b, math.pi * m * (g.q1 - g.q2) / g.p)
+        for m in range(g.p)
+    )
+    value = total / g.p
+    dim = round(value)
+    if abs(value - dim) > 1e-6:
         raise SpectrumError(
-            f"group averaging did not preserve the harmonic space (residual {resid:.2e})"
+            f"non-integral invariant dimension {value} for V_{two_a}/2 x V_{two_b}/2"
         )
-    return M
+    return dim
 
 
 def lens_scalar_multiplicity(g: GroupAction, j: int) -> int:
     """Multiplicity of the scalar eigenvalue j(j+2) on the quotient S^3/Gamma.
 
-    Computed as the trace of the group-averaging projector on the explicit
-    (j+1)^2-dimensional space of degree-j harmonic polynomials on R^4, with
-    the cyclic generator acting by linear substitution.
+    The degree-j harmonics on S^3 are V_{j/2} x V_{j/2}; the multiplicity is
+    the dimension of their Gamma-invariants.
     """
     if j < 0:
         raise ValueError(f"scalar harmonic index must be >= 0, got {j}")
-    if g.trivial:
-        return (j + 1) ** 2
-    if j == 0:
-        return 1
-    M = lens_averaging_projector(g, j)
-    tr = float(np.trace(M))
-    mult = round(tr)
-    if abs(tr - mult) > 1e-6:
-        raise SpectrumError(f"non-integral invariant dimension {tr} at j={j}")
-    return mult
+    return _invariant_dim(g, j, j)
+
+
+def lens_oneform_multiplicity(g: GroupAction, j: int) -> int:
+    """Multiplicity of the co-closed 1-form eigenvalue (j+1)^2 on S^3/Gamma.
+
+    The co-closed eigenforms are V_{(j+1)/2} x V_{(j-1)/2} plus its swap; at
+    j = 1 they are the Killing fields, so the value is the dimension of the
+    isometry group of the quotient.
+    """
+    if j < 1:
+        raise ValueError(f"co-closed 1-form index must be >= 1, got {j}")
+    return _invariant_dim(g, j + 1, j - 1) + _invariant_dim(g, j - 1, j + 1)
+
+
+def lens_tt_multiplicity(g: GroupAction, j: int) -> int:
+    """Multiplicity of the TT eigenvalue j^2 + 2j - 2 on S^3/Gamma.
+
+    The TT eigentensors are V_{(j+2)/2} x V_{(j-2)/2} plus its swap.
+    """
+    if j < 2:
+        raise ValueError(f"TT tensor index must be >= 2, got {j}")
+    return _invariant_dim(g, j + 2, j - 2) + _invariant_dim(g, j - 2, j + 2)
 
 
 # ---------------------------------------------------------------------------

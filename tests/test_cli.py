@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from indicyl import cli
+from indicyl import cli, indicial, spectra
 
 HYP_WITH_CODAZZI = """\
 b1 0
@@ -117,6 +117,34 @@ def test_lens_table(capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["multiplicities"] == [[0, 1], [1, 0], [2, 9], [3, 0], [4, 25], [5, 0]]
+
+
+def test_lens_rejects_negative_jmax(capsys):
+    code, out = run_cli(["lens", "--lens", "2,1,1", "--jmax", "-3"], capsys)
+    assert code == 2 and out == ""
+
+
+def test_killing_dim_flag_is_gone():
+    with pytest.raises(SystemExit) as info:
+        cli.main(["roots", "--sphere", "--killing-dim", "2"])
+    assert info.value.code == 2
+
+
+def test_gap_wrong_window_exits_1(monkeypatch, capsys):
+    root = indicial.IndicialRoot(
+        value=complex(3.0),
+        case_tag=indicial.CaseTag.CASE2,
+        origin_kind=spectra.OperatorKind.DIVFREE_TT_ROUGH,
+        origin_j=2,
+        origin_eigenvalue=6.0,
+        solution_form=indicial.SolutionForm.Z_ONLY,
+    )
+    bad = indicial.RootCatalog(spectra.CrossSectionSpec.sphere(), (root,), 2, 0, 0, math.inf)
+    monkeypatch.setattr(indicial, "assemble_catalog", lambda cs, j_max: bad)
+    code = cli.main(["gap", "--sphere", "--jmax", "2"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "computed bound 3.0" in err
 
 
 def test_json_deterministic(capsys):

@@ -228,7 +228,16 @@ def test_lens_catalog_case1_absent():
         r.origin_kind is OperatorKind.SCALAR_HODGE and r.origin_j % 2 == 1
         for r in catalog.roots
     )
-    assert catalog.caveats  # descent/killing defaults are flagged
+    # Every descent is computed, so nothing falls back to full-sphere values.
+    assert not catalog.caveats
+
+
+def test_lens_catalog_dims_at_zero():
+    # Constants plus the Killing fields: 1 + 6 on S^3, 1 + 2 on L(5;1,2),
+    # whose isometry group is a 2-torus.
+    assert sphere_catalog(j_max=4).kernel_dim_at_zero == 7
+    lens = sphere_catalog(j_max=4, group=GroupAction(5, 1, 2))
+    assert lens.kernel_dim_at_zero == lens.cokernel_dim_at_zero == 3
 
 
 @settings(max_examples=12, deadline=None)
@@ -282,6 +291,21 @@ def test_gluing_window_requires_sphere():
     catalog = assemble_catalog(CrossSectionSpec.torus(), 3)
     with pytest.raises(ValueError):
         gluing_window(catalog)
+
+
+def test_gluing_window_wrong_bound_is_typed_error():
+    root = indicial.IndicialRoot(
+        value=complex(3.0),
+        case_tag=CaseTag.CASE2,
+        origin_kind=OperatorKind.DIVFREE_TT_ROUGH,
+        origin_j=2,
+        origin_eigenvalue=6.0,
+        solution_form=SolutionForm.Z_ONLY,
+    )
+    catalog = indicial.RootCatalog(CrossSectionSpec.sphere(), (root,), 2, 0, 0, math.inf)
+    with pytest.raises(indicial.GluingWindowError, match="computed bound 3.0") as info:
+        gluing_window(catalog)
+    assert not isinstance(info.value, ValueError)
 
 
 def test_gluing_window_empty():

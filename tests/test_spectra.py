@@ -3,19 +3,23 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from indicyl import spectra
 from indicyl.spectra import (
     GroupAction,
     OperatorKind,
     SpectrumError,
-    lens_averaging_projector,
+    lens_oneform_multiplicity,
     lens_scalar_multiplicity,
+    lens_tt_multiplicity,
     load_hyperbolic_spectrum,
     sphere_coclosed_oneform_eigenvalue,
+    sphere_coclosed_oneform_multiplicity,
     sphere_scalar_eigenvalue,
+    sphere_scalar_multiplicity,
     sphere_tt_eigenvalue,
+    sphere_tt_multiplicity,
     torus_spectrum,
 )
 
@@ -95,6 +99,7 @@ def test_torus_parallel_modes():
 
 @settings(max_examples=20, deadline=None)
 @given(st.floats(min_value=0.5, max_value=30.0))
+@example(cutoff=1.9999999999999964)  # just below the eigenvalue 2
 def test_torus_cubic_matches_brute_force(cutoff):
     counts = brute_force_counts(cutoff)
     for kind, zero_dim, per_vec in [
@@ -147,10 +152,174 @@ def weight_count_multiplicity(g: GroupAction, j: int) -> int:
     return invariant_monomials(j) - invariant_monomials(j - 2)
 
 
+# Second independent oracle: the group-averaging projector on an explicit
+# basis of harmonic polynomials on R^4, in exact rational arithmetic.
+
+Mono = tuple[int, int, int, int]
+
+
+def _monomials(j: int) -> list[Mono]:
+    out = []
+    for a in range(j + 1):
+        for b in range(j + 1 - a):
+            for c in range(j + 1 - a - b):
+                out.append((a, b, c, j - a - b - c))
+    return out
+
+
+def _laplace4(p: dict[Mono, Fraction]) -> dict[Mono, Fraction]:
+    out: dict[Mono, Fraction] = {}
+    for mono, coef in p.items():
+        for i in range(4):
+            e = mono[i]
+            if e >= 2:
+                m2 = list(mono)
+                m2[i] = e - 2
+                key = tuple(m2)
+                out[key] = out.get(key, Fraction(0)) + coef * e * (e - 1)
+    return {m: c for m, c in out.items() if c != 0}
+
+
+def _r2_mul(p: dict[Mono, Fraction]) -> dict[Mono, Fraction]:
+    out: dict[Mono, Fraction] = {}
+    for mono, coef in p.items():
+        for i in range(4):
+            m2 = list(mono)
+            m2[i] += 2
+            key = tuple(m2)
+            out[key] = out.get(key, Fraction(0)) + coef
+    return out
+
+
+def _harmonic_projection(p: dict[Mono, Fraction], j: int) -> dict[Mono, Fraction]:
+    """Harmonic component of a degree-j polynomial on R^4.
+
+    Uses h = sum_k a_k r^{2k} Lap^k p with a_0 = 1 and
+    a_{k+1} = -a_k / (4 (k+1) (j-k)); this makes Lap h = 0 identically and
+    fixes harmonic polynomials.
+    """
+    out: dict[Mono, Fraction] = {}
+    a = Fraction(1)
+    q = dict(p)
+    k = 0
+    while q:
+        term = q
+        for _ in range(k):
+            term = _r2_mul(term)
+        for mono, coef in term.items():
+            out[mono] = out.get(mono, Fraction(0)) + a * coef
+        q = _laplace4(q)
+        if not q:
+            break
+        a = -a / (4 * (k + 1) * (j - k))
+        k += 1
+    return {m: c for m, c in out.items() if c != 0}
+
+
+def _harmonic_basis(j: int) -> np.ndarray:
+    """Basis of the degree-j harmonic polynomials on R^4: the harmonic
+    projections of the monomials with exponent of x1 at most 1, as a
+    ((j+1)^2, n_monomials) array."""
+    monos = _monomials(j)
+    index = {m: i for i, m in enumerate(monos)}
+    rows = []
+    for m in monos:
+        if m[0] <= 1:
+            row = np.zeros(len(monos))
+            for mono, coef in _harmonic_projection({m: Fraction(1)}, j).items():
+                row[index[mono]] = float(coef)
+            rows.append(row)
+    basis = np.array(rows)
+    assert basis.shape[0] == np.linalg.matrix_rank(basis, tol=1e-9) == (j + 1) ** 2
+    return basis
+
+
+def _rotation_substitution(j: int, theta1: float, theta2: float) -> np.ndarray:
+    """Matrix of p(x) -> p(R x) on degree-j monomial coefficients, where R
+    rotates the (x1,x2) plane by theta1 and the (x3,x4) plane by theta2."""
+    monos = _monomials(j)
+    index = {m: i for i, m in enumerate(monos)}
+    c1, s1 = math.cos(theta1), math.sin(theta1)
+    c2, s2 = math.cos(theta2), math.sin(theta2)
+
+    # (c x1 + s x2)^a expanded as {(e1,e2): coef}
+    def pair_powers(c, s, n):
+        table = []
+        for a in range(n + 1):
+            terms = {}
+            for i in range(a + 1):
+                coef = math.comb(a, i) * c**i * s ** (a - i)
+                if coef != 0.0:
+                    terms[(i, a - i)] = coef
+            table.append(terms)
+        return table
+
+    plus1 = pair_powers(c1, s1, j)    # image of x1: c1 x1 + s1 x2
+    minus1 = pair_powers(c1, -s1, j)  # image of x2: -s1 x1 + c1 x2 (swapped roles)
+    plus2 = pair_powers(c2, s2, j)
+    minus2 = pair_powers(c2, -s2, j)
+
+    A = np.zeros((len(monos), len(monos)))
+    for col, (a, b, c, d) in enumerate(monos):
+        # x1^a x2^b -> (c1 x1 + s1 x2)^a (c1 x2 - s1 x1)^b, similarly x3,x4
+        part12: dict[tuple[int, int], float] = {}
+        for (e1, e2), ca in plus1[a].items():
+            for (f2, f1), cb in minus1[b].items():
+                key = (e1 + f1, e2 + f2)
+                part12[key] = part12.get(key, 0.0) + ca * cb
+        part34: dict[tuple[int, int], float] = {}
+        for (e3, e4), cc in plus2[c].items():
+            for (f4, f3), cd in minus2[d].items():
+                key = (e3 + f3, e4 + f4)
+                part34[key] = part34.get(key, 0.0) + cc * cd
+        for (e1, e2), c12 in part12.items():
+            for (e3, e4), c34 in part34.items():
+                A[index[(e1, e2, e3, e4)], col] += c12 * c34
+    return A
+
+
+def lens_averaging_projector(g: GroupAction, j: int) -> np.ndarray:
+    """Group-averaging operator restricted to H_j, in the explicit harmonic basis.
+
+    The operator is obtained by averaging the monomial substitution action of
+    the p group elements and solving B^T M = avg B^T in the least-squares
+    sense; rotations preserve H_j, so the residual must be negligible.
+    """
+    basis = _harmonic_basis(j)
+    n = len(_monomials(j))
+    avg = np.zeros((n, n))
+    for m in range(g.p):
+        th1 = 2 * math.pi * g.q1 * m / g.p
+        th2 = 2 * math.pi * g.q2 * m / g.p
+        avg += _rotation_substitution(j, th1, th2)
+    avg /= g.p
+    bt = basis.T
+    target = avg @ bt
+    M, *_ = np.linalg.lstsq(bt, target, rcond=None)
+    assert np.linalg.norm(bt @ M - target) <= 1e-8 * max(1.0, np.linalg.norm(target))
+    return M
+
+
+def projector_multiplicity(g: GroupAction, j: int) -> int:
+    """Trace of the averaging projector: the invariant dimension of H_j."""
+    tr = float(np.trace(lens_averaging_projector(g, j)))
+    assert abs(tr - round(tr)) <= 1e-6
+    return round(tr)
+
+
+LENS_GROUPS = [(2, 1, 1), (3, 1, 1), (3, 1, 2), (4, 1, 3), (5, 1, 2), (5, 2, 3), (7, 1, 3)]
+
+
 def test_trivial_group_multiplicity():
+    # No trivial-group shortcut: the character sum itself must give the
+    # round-sphere closed forms.
     g = GroupAction(1, 1, 1)
-    for j in range(11):
-        assert lens_scalar_multiplicity(g, j) == (j + 1) ** 2
+    for j in range(30):
+        assert lens_scalar_multiplicity(g, j) == sphere_scalar_multiplicity(j)
+    for j in range(1, 30):
+        assert lens_oneform_multiplicity(g, j) == sphere_coclosed_oneform_multiplicity(j)
+    for j in range(2, 30):
+        assert lens_tt_multiplicity(g, j) == sphere_tt_multiplicity(j)
 
 
 def test_rp3_examples():
@@ -159,25 +328,59 @@ def test_rp3_examples():
     assert lens_scalar_multiplicity(g, 2) == 9
 
 
+def test_rp3_parity_rule():
+    # The antipodal map x -> -x: a degree-j harmonic has parity (-1)^j, a
+    # co-closed 1-form at index j has degree-j coefficients times one dx,
+    # parity (-1)^(j+1), and a TT tensor at index j has degree-(j-2)
+    # coefficients times dx dx, parity (-1)^j.  Survivors keep their full
+    # sphere count.
+    g = GroupAction(2, 1, 1)
+    for j in range(1, 30):
+        assert lens_scalar_multiplicity(g, j) == (0 if j % 2 else (j + 1) ** 2)
+        assert lens_oneform_multiplicity(g, j) == (2 * j * (j + 2) if j % 2 else 0)
+    for j in range(2, 30):
+        assert lens_tt_multiplicity(g, j) == (0 if j % 2 else 2 * (j - 1) * (j + 3))
+
+
+@pytest.mark.parametrize(
+    "p,q1,q2,isometry_dim",
+    [
+        (1, 1, 1, 6),  # SO(4)
+        (2, 1, 1, 6),  # SO(3) x SO(3)
+        (3, 1, 1, 4),  # U(2)
+        (5, 1, 1, 4),
+        (4, 1, 3, 4),
+        (5, 1, 2, 2),  # T^2
+        (7, 1, 3, 2),
+    ],
+)
+def test_killing_dimension_is_isometry_group_dimension(p, q1, q2, isometry_dim):
+    assert lens_oneform_multiplicity(GroupAction(p, q1, q2), 1) == isometry_dim
+
+
 def test_rp3_degree2_explicit_basis():
     # All 9 degree-2 harmonics are even, hence invariant under the antipodal
     # map: x_i x_j (6) minus the trace direction leaves xy, xz, xw, yz, yw,
     # zw, x^2-y^2, y^2-z^2, z^2-w^2.
     g = GroupAction(2, 1, 1)
-    basis = spectra._harmonic_basis(2)
+    basis = _harmonic_basis(2)
     assert basis.shape[0] == 9
     proj = lens_averaging_projector(g, 2)
     assert np.allclose(proj, np.eye(9), atol=1e-9)
 
 
-@pytest.mark.parametrize(
-    "p,q1,q2",
-    [(2, 1, 1), (3, 1, 1), (3, 1, 2), (4, 1, 3), (5, 1, 2), (5, 2, 3), (7, 1, 3)],
-)
+@pytest.mark.parametrize("p,q1,q2", LENS_GROUPS)
 def test_lens_multiplicity_matches_weight_count(p, q1, q2):
     g = GroupAction(p, q1, q2)
-    for j in range(8):
+    for j in range(16):
         assert lens_scalar_multiplicity(g, j) == weight_count_multiplicity(g, j)
+
+
+@pytest.mark.parametrize("p,q1,q2", LENS_GROUPS)
+def test_lens_multiplicity_matches_projector(p, q1, q2):
+    g = GroupAction(p, q1, q2)
+    for j in range(9):
+        assert lens_scalar_multiplicity(g, j) == projector_multiplicity(g, j)
 
 
 @pytest.mark.parametrize("p,q1,q2,j", [(2, 1, 1, 3), (3, 1, 2, 4), (5, 1, 2, 5)])
@@ -205,9 +408,9 @@ def test_group_action_requires_coprime():
 def test_harmonic_projection_is_harmonic_and_idempotent():
     j = 5
     p = {(2, 1, 1, 1): Fraction(3), (0, 5, 0, 0): Fraction(-2)}
-    h = spectra._harmonic_projection(p, j)
-    assert spectra._laplace4(h) == {}
-    assert spectra._harmonic_projection(h, j) == h
+    h = _harmonic_projection(p, j)
+    assert _laplace4(h) == {}
+    assert _harmonic_projection(h, j) == h
 
 
 # ---------------------------------------------------------------------------
