@@ -318,21 +318,21 @@ def _root(value, case, kind, j, eigenvalue, *, jordan=False, ck=False, mult=1) -
 
 
 def _sphere_entries(geo: Sphere, j_max: int) -> list[SpectrumEntry]:
-    """Spectrum entries with index j <= j_max: closed forms on the round
-    sphere, character-theoretic descent on a quotient."""
+    """Spectrum entries with index j <= j_max, multiplicities by
+    character-theoretic descent (the round sphere is the trivial group)."""
     g = geo.group
     kinds = (
         (OperatorKind.SCALAR_HODGE, 0, spectra.sphere_scalar_eigenvalue,
-         spectra.sphere_scalar_multiplicity, spectra.lens_scalar_multiplicity),
+         spectra.lens_scalar_multiplicity),
         (OperatorKind.COCLOSED_ONEFORM_HODGE, 1, spectra.sphere_coclosed_oneform_eigenvalue,
-         spectra.sphere_coclosed_oneform_multiplicity, spectra.lens_oneform_multiplicity),
+         spectra.lens_oneform_multiplicity),
         (OperatorKind.DIVFREE_TT_ROUGH, 2, spectra.sphere_tt_eigenvalue,
-         spectra.sphere_tt_multiplicity, spectra.lens_tt_multiplicity),
+         spectra.lens_tt_multiplicity),
     )
     entries: list[SpectrumEntry] = []
-    for kind, j_min, eigenvalue, sphere_mult, descent_mult in kinds:
+    for kind, j_min, eigenvalue, multiplicity in kinds:
         for j in range(j_min, j_max + 1):
-            mult = sphere_mult(j) if g.trivial else descent_mult(g, j)
+            mult = multiplicity(g, j)
             if mult > 0:
                 entries.append(SpectrumEntry(kind, j, eigenvalue(j), mult))
     return entries

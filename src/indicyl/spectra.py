@@ -95,10 +95,6 @@ class GroupAction:
                         "action would not be free"
                     )
 
-    @property
-    def trivial(self) -> bool:
-        return self.p == 1
-
 
 @dataclass(frozen=True)
 class Sphere:
