@@ -86,7 +86,7 @@ def _emit(doc, args) -> None:
 def _parse_triple(text: str, kind, flag: str):
     parts = text.split(",")
     if len(parts) != 3:
-        raise argparse.ArgumentTypeError(f"{flag} expects three comma-separated values")
+        raise SystemExit2(f"{flag} expects three comma-separated values")
     return tuple(kind(p) for p in parts)
 
 
@@ -175,11 +175,12 @@ def _csv_cell(v) -> str:
 
 
 def cmd_roots(args) -> int:
+    window = _parse_window(args.window) if args.window else None
     cs = _cross_section(args)
     catalog = indicial.assemble_catalog(cs, args.jmax)
     roots = list(catalog.roots)
-    if args.window:
-        lo, hi = _parse_pair(args.window, "--window")
+    if window:
+        lo, hi = window
         roots = [r for r in roots if lo < r.value.real < hi]
     records = [_root_record(r) for r in roots]
     if args.format == "csv":
@@ -208,11 +209,14 @@ def cmd_roots(args) -> int:
     return 0
 
 
-def _parse_pair(text, flag):
+def _parse_window(text):
     parts = text.split(",")
     if len(parts) != 2:
-        raise SystemExit2(f"{flag} expects two comma-separated numbers")
-    return float(parts[0]), float(parts[1])
+        raise SystemExit2("--window expects two comma-separated numbers")
+    lo, hi = float(parts[0]), float(parts[1])
+    if not lo < hi:
+        raise SystemExit2(f"--window a,b needs a < b, got {lo!r},{hi!r}")
+    return lo, hi
 
 
 # ---------------------------------------------------------------------------
@@ -508,7 +512,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.func(args)
-    except indicial.GluingWindowError as e:
+    except (indicial.GluingWindowError, curvature.CurvatureDefectError, oracle.ModeReductionError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
     except SystemExit2 as e:

@@ -1,6 +1,6 @@
 """First-principles curvature on a periodic 4D grid.
 
-Computes Christoffel symbols and the full Riemann tensor of a sampled metric
+Computes Christoffel symbols and the Riemann tensor of a sampled metric
 from the general coordinate formulas with spectral derivatives (exact for
 band-limited samples), assembles the anti-self-dual curvature block as a
 bilinear form on cross-section 2-tensors, and verifies the linearized
@@ -11,18 +11,23 @@ Index conventions: coordinate order (t, y1, y2, y3); Riemann is
 R^r_{smn} = d_m Gam^r_{ns} - d_n Gam^r_{ms} + Gam Gam, lowered on the first
 index, so that a metric of constant sectional curvature c has
 R_{abcd} = c (g_ac g_bd - g_ad g_bc).
+
+Storage: the engine works components-first on contiguous arrays.  A
+symmetric 4x4 field is stored as its 10 components (a <= b), and the
+lowered Riemann tensor as its 21 independent components R_PQ over the
+antisymmetric index pairs P = (r<s), Q = (m<n) with P <= Q.  The full
+(..., 4, 4, 4, 4) tensor is unpacked only on request, for diagnostics.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
-import scipy.fft
 
 from .fields import (
-    _EPSILON,
     CylTensor,
     ModeGrid,
     linearized_weyl,
@@ -32,6 +37,7 @@ from .fields import (
 __all__ = [
     "MetricGrid4D",
     "CurvatureGrid",
+    "CurvatureDefectError",
     "christoffel_riemann",
     "weyl_tensor",
     "asd_form_background",
@@ -41,6 +47,20 @@ __all__ = [
     "fd_linearization_check",
     "riemann_symmetry_residuals",
 ]
+
+
+class CurvatureDefectError(Exception):
+    """The double-epsilon contraction of the spatial curvature block
+    disagrees with its Ricci-contraction rewriting: a verification failure,
+    not bad input, so no ValueError."""
+
+    def __init__(self, defect: float, scale: float):
+        self.defect = defect
+        self.scale = scale
+        super().__init__(
+            f"double-epsilon contraction disagrees with the Ricci-contraction "
+            f"shortcut by {defect:.3e} (curvature scale {scale:.3e})"
+        )
 
 
 @dataclass
@@ -81,14 +101,97 @@ class MetricGrid4D:
         )
 
 
+# Symmetric slots (a <= b) of a 4x4 field and their index table.
+_SYM = tuple((a, b) for a in range(4) for b in range(a, 4))
+_SYM_INDEX = np.empty((4, 4), dtype=int)
+for _c, (_a, _b) in enumerate(_SYM):
+    _SYM_INDEX[_a, _b] = _SYM_INDEX[_b, _a] = _c
+
+# Antisymmetric index pairs, the 21 packed Riemann slots (P <= Q), and the
+# packed slot and sign of every R_abcd (sign 0 when a == b or c == d).
+_PAIRS4 = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
+_PACKED = tuple((P, Q) for P in range(6) for Q in range(P, 6))
+_PACKED_INDEX = np.empty((6, 6), dtype=int)
+for _c, (_P, _Q) in enumerate(_PACKED):
+    _PACKED_INDEX[_P, _Q] = _PACKED_INDEX[_Q, _P] = _c
+_PAIR_INDEX = np.zeros((4, 4), dtype=int)
+_PAIR_SIGN = np.zeros((4, 4), dtype=int)
+for _P, (_a, _b) in enumerate(_PAIRS4):
+    _PAIR_INDEX[_a, _b] = _PAIR_INDEX[_b, _a] = _P
+    _PAIR_SIGN[_a, _b], _PAIR_SIGN[_b, _a] = 1, -1
+_RIEMANN_INDEX = _PACKED_INDEX[_PAIR_INDEX[:, :, None, None], _PAIR_INDEX[None, None, :, :]]
+_RIEMANN_SIGN = _PAIR_SIGN[:, :, None, None] * _PAIR_SIGN[None, None, :, :]
+
+
+def _sym_inverse(g: np.ndarray) -> np.ndarray:
+    """Inverse of a (10, ...) symmetric 4x4 field by 2x2 minors of the
+    upper and lower row pairs (Laplace expansion), as (10, ...)."""
+    a = {(i, j): g[_SYM_INDEX[i, j]] for i in range(4) for j in range(4)}
+    s0 = a[0, 0] * a[1, 1] - a[0, 1] * a[0, 1]
+    s1 = a[0, 0] * a[1, 2] - a[0, 2] * a[0, 1]
+    s2 = a[0, 0] * a[1, 3] - a[0, 3] * a[0, 1]
+    s3 = a[0, 1] * a[1, 2] - a[0, 2] * a[1, 1]
+    s4 = a[0, 1] * a[1, 3] - a[0, 3] * a[1, 1]
+    s5 = a[0, 2] * a[1, 3] - a[0, 3] * a[1, 2]
+    c5 = a[2, 2] * a[3, 3] - a[2, 3] * a[2, 3]
+    c4 = a[1, 2] * a[3, 3] - a[2, 3] * a[1, 3]
+    c3 = a[1, 2] * a[2, 3] - a[2, 2] * a[1, 3]
+    c2 = a[0, 2] * a[3, 3] - a[2, 3] * a[0, 3]
+    c1 = a[0, 2] * a[2, 3] - a[2, 2] * a[0, 3]
+    c0 = a[0, 2] * a[1, 3] - a[1, 2] * a[0, 3]
+    inv_det = 1.0 / (s0 * c5 - s1 * c4 + s2 * c3 + s3 * c2 - s4 * c1 + s5 * c0)
+    cof = {
+        (0, 0): a[1, 1] * c5 - a[1, 2] * c4 + a[1, 3] * c3,
+        (0, 1): -a[0, 1] * c5 + a[0, 2] * c4 - a[0, 3] * c3,
+        (0, 2): a[1, 3] * s5 - a[2, 3] * s4 + a[3, 3] * s3,
+        (0, 3): -a[1, 2] * s5 + a[2, 2] * s4 - a[2, 3] * s3,
+        (1, 1): a[0, 0] * c5 - a[0, 2] * c2 + a[0, 3] * c1,
+        (1, 2): -a[0, 3] * s5 + a[2, 3] * s2 - a[3, 3] * s1,
+        (1, 3): a[0, 2] * s5 - a[2, 2] * s2 + a[2, 3] * s1,
+        (2, 2): a[0, 3] * s4 - a[1, 3] * s2 + a[3, 3] * s0,
+        (2, 3): -a[0, 2] * s4 + a[1, 2] * s2 - a[2, 3] * s0,
+        (3, 3): a[0, 2] * s3 - a[1, 2] * s1 + a[2, 2] * s0,
+    }
+    return np.stack([cof[slot] for slot in _SYM]) * inv_det
+
+
+def _unpack_sym(c10: np.ndarray) -> np.ndarray:
+    """(10, ...) symmetric components to a (..., 4, 4) array."""
+    return np.moveaxis(c10[_SYM_INDEX], (0, 1), (-2, -1))
+
+
 @dataclass
 class CurvatureGrid:
+    """Curvature of a sampled metric in packed components-first storage.
+
+    The full tensors ginv (..., a, b), gamma (..., r, m, n), riemann
+    (..., a, b, c, d) and ricci (..., a, b) are unpacked on first access.
+    """
+
     metric: MetricGrid4D
-    ginv: np.ndarray          # (..., 4, 4)
-    gamma: np.ndarray         # (..., r, m, n)
-    riemann: np.ndarray       # lowered, (..., a, b, c, d)
-    ricci: np.ndarray         # (..., a, b)
-    scalar: np.ndarray        # (...)
+    ginv_sym: np.ndarray       # (10, ...) inverse metric, slots _SYM
+    gamma_sym: np.ndarray      # (4, 10, ...) Gam^r_{mn}, slots (r, _SYM)
+    riemann_packed: np.ndarray  # (21, ...) lowered R_PQ, slots _PACKED
+    ricci_sym: np.ndarray      # (10, ...) slots _SYM
+    scalar: np.ndarray         # (...)
+
+    @cached_property
+    def ginv(self) -> np.ndarray:
+        return _unpack_sym(self.ginv_sym)
+
+    @cached_property
+    def gamma(self) -> np.ndarray:
+        return np.moveaxis(self.gamma_sym[:, _SYM_INDEX], (0, 1, 2), (-3, -2, -1))
+
+    @cached_property
+    def riemann(self) -> np.ndarray:
+        full = np.take(self.riemann_packed, _RIEMANN_INDEX.ravel(), axis=0)
+        full *= _RIEMANN_SIGN.reshape((-1,) + (1,) * self.scalar.ndim)
+        return np.moveaxis(full.reshape((4, 4, 4, 4) + self.scalar.shape), (0, 1, 2, 3), (-4, -3, -2, -1))
+
+    @cached_property
+    def ricci(self) -> np.ndarray:
+        return _unpack_sym(self.ricci_sym)
 
 
 def _ik_factors(periods, grid_shape):
@@ -106,88 +209,73 @@ def _ik_factors(periods, grid_shape):
     return out
 
 
-_PAIRS4 = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
-
-
 def christoffel_riemann(m: MetricGrid4D) -> CurvatureGrid:
     """Christoffel symbols, Riemann, Ricci and scalar curvature from the
     general coordinate formulas, with derivative combinations assembled on
     the half-spectrum (exact for band-limited samples).
 
-    The lowered Riemann tensor is built in its second-derivative form
+    The 21 packed components of the lowered Riemann tensor are built in
+    its second-derivative form
 
         R_rsmn = 1/2 (g_rn,sm + g_sm,rn - g_rm,sn - g_sn,rm)
-                 + g_pq (Gam^p_rn Gam^q_sm - Gam^p_rm Gam^q_sn),
+                 + Gam_{q,rn} Gam^q_sm - Gam_{q,rm} Gam^q_sn,
 
-    in which every pair symmetry holds term by term, so the symmetry
-    residuals stay at rounding error even for rough samples.
+    with Gam_{q,mn} the Christoffel symbols of the first kind.  The pair
+    symmetries hold by construction; the first Bianchi identity does not,
+    and riemann_symmetry_residuals measures it.
     """
-    g = m.g
-    ginv = np.linalg.inv(g)
+    import scipy.fft
+
     grid_shape = m.shape
     ik = _ik_factors(m.periods, grid_shape)
-    axes = (0, 1, 2, 3)
+    S = _SYM_INDEX
+    g_sym = np.stack([m.g[..., a, b] for a, b in _SYM])
+    ginv_sym = _sym_inverse(g_sym)
 
-    gk = scipy.fft.rfftn(g, axes=axes)  # (..spec.., a, b)
-    that = np.empty(gk.shape[:4] + (4, 4, 4), dtype=complex)
+    gk = scipy.fft.rfftn(g_sym, axes=(1, 2, 3, 4))
+    # Twice the first-kind symbols, g_sn,m + g_sm,n - g_mn,s.
+    that = np.empty((4, 10) + gk.shape[1:], dtype=complex)
     for s in range(4):
-        for mu in range(4):
-            for nu in range(4):
-                that[..., s, mu, nu] = (
-                    ik[mu] * gk[..., s, nu]
-                    + ik[nu] * gk[..., s, mu]
-                    - ik[s] * gk[..., mu, nu]
-                )
-    T = scipy.fft.irfftn(that, s=grid_shape, axes=axes)
+        for c, (mm, nn) in enumerate(_SYM):
+            that[s, c] = ik[mm] * gk[S[s, nn]] + ik[nn] * gk[S[s, mm]] - ik[s] * gk[S[mm, nn]]
+    gam_low = scipy.fft.irfftn(that, s=grid_shape, axes=(2, 3, 4, 5))
     del that
-    gamma = 0.5 * np.einsum("...rs,...smn->...rmn", ginv, T)
-    del T
+    gam_low *= 0.5
+    gamma_sym = np.einsum("rs...,sc...->rc...", ginv_sym[S], gam_low)
 
-    # Second-derivative block: 21 independent components over the
-    # antisymmetric pairs P = (r<s), Q = (m<n) with P <= Q.
-    pq_list = [
-        (pi, qi)
-        for pi in range(len(_PAIRS4))
-        for qi in range(pi, len(_PAIRS4))
-    ]
-    shat = np.empty(gk.shape[:4] + (len(pq_list),), dtype=complex)
-    for col, (pi, qi) in enumerate(pq_list):
-        r, s = _PAIRS4[pi]
-        mm, nn = _PAIRS4[qi]
-        shat[..., col] = 0.5 * (
-            ik[s] * ik[mm] * gk[..., r, nn]
-            + ik[r] * ik[nn] * gk[..., s, mm]
-            - ik[s] * ik[nn] * gk[..., r, mm]
-            - ik[r] * ik[mm] * gk[..., s, nn]
+    shat = np.empty((len(_PACKED),) + gk.shape[1:], dtype=complex)
+    for col, (P, Q) in enumerate(_PACKED):
+        r, s = _PAIRS4[P]
+        mm, nn = _PAIRS4[Q]
+        shat[col] = 0.5 * (
+            ik[s] * ik[mm] * gk[S[r, nn]]
+            + ik[r] * ik[nn] * gk[S[s, mm]]
+            - ik[s] * ik[nn] * gk[S[r, mm]]
+            - ik[r] * ik[mm] * gk[S[s, nn]]
         )
     del gk
-    s21 = scipy.fft.irfftn(shat, s=grid_shape, axes=axes)
+    riemann = scipy.fft.irfftn(shat, s=grid_shape, axes=(1, 2, 3, 4))
     del shat
 
-    riemann = np.zeros(grid_shape + (4, 4, 4, 4))
-    for col, (pi, qi) in enumerate(pq_list):
-        r, s = _PAIRS4[pi]
-        mm, nn = _PAIRS4[qi]
-        v = s21[..., col]
-        blocks = [(r, s, mm, nn)] if pi == qi else [(r, s, mm, nn), (mm, nn, r, s)]
-        for a, b, c, d in blocks:
-            riemann[..., a, b, c, d] = v
-            riemann[..., b, a, c, d] = -v
-            riemann[..., a, b, d, c] = -v
-            riemann[..., b, a, d, c] = v
-    del s21
+    def gam_dot(lo, up):
+        return np.einsum("q...,q...->...", gam_low[:, lo], gamma_sym[:, up])
 
-    # Quadratic block g_pq (Gam^p_rn Gam^q_sm - Gam^p_rm Gam^q_sn).
-    gam_low = np.einsum("...pq,...qrn->...prn", g, gamma)
-    e = np.einsum("...prn,...psm->...rsmn", gam_low, gamma, optimize=True)
-    del gam_low
-    riemann += e
-    riemann -= np.einsum("...rsnm->...rsmn", e)
-    del e
+    for col, (P, Q) in enumerate(_PACKED):
+        r, s = _PAIRS4[P]
+        mm, nn = _PAIRS4[Q]
+        riemann[col] += gam_dot(S[r, nn], S[s, mm]) - gam_dot(S[r, mm], S[s, nn])
 
-    ricci = np.einsum("...ab,...asbn->...sn", ginv, riemann)
-    scalar = np.einsum("...ab,...ab->...", ginv, ricci)
-    return CurvatureGrid(m, ginv, gamma, riemann, ricci, scalar)
+    # Ricci R_sn = g^ab R_asbn over the nine (a, b) with a != s, b != n.
+    ricci_sym = np.zeros_like(g_sym)
+    for c, (s, n) in enumerate(_SYM):
+        for a in range(4):
+            for b in range(4):
+                sign = _RIEMANN_SIGN[a, s, b, n]
+                if sign:
+                    ricci_sym[c] += sign * ginv_sym[S[a, b]] * riemann[_RIEMANN_INDEX[a, s, b, n]]
+    weights = np.array([1.0 if a == b else 2.0 for a, b in _SYM])
+    scalar = np.einsum("c,c...,c...->...", weights, ginv_sym, ricci_sym)
+    return CurvatureGrid(m, ginv_sym, gamma_sym, riemann, ricci_sym, scalar)
 
 
 def weyl_tensor(curv: CurvatureGrid) -> np.ndarray:
@@ -236,17 +324,21 @@ def riemann_symmetry_residuals(curv: CurvatureGrid) -> dict[str, float]:
 # Anti-self-dual block as a bilinear form on cross-section tensors
 # ---------------------------------------------------------------------------
 
+# Hodge star of the cross-section on 2-forms: e^i -> sign * e^k ^ e^l, with
+# (k, l) the spatial pair of slot _STAR[i] in _PAIRS4.
+_STAR = np.array([5, 4, 3])
+_HODGE_SIGN = np.array([1.0, -1.0, 1.0])
 
-def _phi_psi_gamma(R: np.ndarray):
-    """The three blocks of the curvature pairing on anti-self-dual 2-forms,
-    from plain component sums of a lowered curvature tensor."""
-    phi = R[..., 0, 1:, 0, 1:]
-    psi_raw = np.einsum("ikl,...jkl->...ij", _EPSILON, R[..., 0, 1:, 1:, 1:])
-    psi = 0.5 * (psi_raw + psi_raw.swapaxes(-1, -2))
-    gam = 0.25 * np.einsum(
-        "ikl,jpq,...klpq->...ij", _EPSILON, _EPSILON, R[..., 1:, 1:, 1:, 1:]
-    )
-    return phi, psi, gam
+# Spatial Ricci contraction c_kl = sum_i R_ikil as coefficients on the pair
+# matrix, from the pair orientations alone.
+_SPATIAL_RICCI = np.zeros((3, 3, 6, 6))
+for _k in range(3):
+    for _l in range(3):
+        for _i in range(3):
+            if _i not in (_k, _l):
+                _SPATIAL_RICCI[_k, _l, _PAIR_INDEX[_i + 1, _k + 1], _PAIR_INDEX[_i + 1, _l + 1]] += (
+                    _PAIR_SIGN[_i + 1, _k + 1] * _PAIR_SIGN[_i + 1, _l + 1]
+                )
 
 
 def _tf3(M: np.ndarray) -> np.ndarray:
@@ -257,38 +349,63 @@ def _tf3(M: np.ndarray) -> np.ndarray:
     return out
 
 
-def _ricci_contraction_shortcut(R: np.ndarray) -> np.ndarray:
+def _ricci_contraction_shortcut(M: np.ndarray) -> np.ndarray:
     """Double epsilon contraction rewritten through the spatial Ricci
-    contraction: 1/4 eps eps R_klpq = -(c R - 1/2 tr(c R) delta)."""
-    spatial = R[..., 1:, 1:, 1:, 1:]
-    c = np.einsum("...ikil->...kl", spatial)
-    tr = np.einsum("...kk->...", c)
-    out = -c.copy()
+    contraction of the (6, 6, ...) pair matrix:
+    1/4 eps eps R_klpq = -(c - 1/2 tr(c) delta)."""
+    c = np.tensordot(_SPATIAL_RICCI, M, axes=2)
+    out = -c
+    tr = np.einsum("kk...->...", c)
     for i in range(3):
-        out[..., i, i] += 0.5 * tr
+        out[i, i] += 0.5 * tr
     return out
 
 
-def asd_form_background(curv: CurvatureGrid) -> np.ndarray:
-    """Anti-self-dual curvature block paired against the background
-    anti-self-dual frame of the flat product metric, as a trace-free 3x3
-    bilinear form per grid point.
+def _pair_frame(frame: np.ndarray) -> np.ndarray:
+    """The (6, 6, ...) action of a spatial frame f[..., i, A] on the index
+    pairs _PAIRS4: f itself on the (0, i) pairs and its 2x2 minors (the
+    second exterior power) on the spatial pairs."""
+    f = np.moveaxis(frame, (-2, -1), (0, 1))
+    T = np.zeros((6, 6) + f.shape[2:])
+    T[:3, :3] = f
+    for P in range(3, 6):
+        k, l = _PAIRS4[P]
+        for Q in range(3, 6):
+            b, c = _PAIRS4[Q]
+            T[P, Q] = f[k - 1, b - 1] * f[l - 1, c - 1] - f[l - 1, b - 1] * f[k - 1, c - 1]
+    return T
 
-    Uses the full curvature tensor; the self-dual and Ricci blocks pair into
-    this slot only at second order around the conformally flat background,
-    and the scalar part is removed by the trace-free projection.
+
+def asd_form_background(curv: CurvatureGrid, frame: np.ndarray | None = None) -> np.ndarray:
+    """Anti-self-dual curvature block as a trace-free 3x3 bilinear form per
+    grid point, read off the 6x6 curvature pair matrix through the Hodge
+    star of the cross-section.
+
+    Without a frame the block is paired against the background anti-self-
+    dual frame of the flat product metric.  A spatial frame[..., i, A]
+    (columns are frame vectors, e_0 = d/dt kept) is applied to the pair
+    matrix first.  The self-dual and Ricci blocks pair into this slot only
+    at second order around the conformally flat background, and the scalar
+    part is removed by the trace-free projection.
+
+    Raises CurvatureDefectError when the double-epsilon block disagrees
+    with its Ricci-contraction rewriting.
     """
-    phi, psi, gam = _phi_psi_gamma(curv.riemann)
-    shortcut = _ricci_contraction_shortcut(curv.riemann)
-    defect = float(np.max(np.abs(gam - shortcut)))
-    scale = max(float(np.max(np.abs(curv.riemann))), 1.0)
+    M = curv.riemann_packed[_PACKED_INDEX]
+    if frame is not None:
+        T = _pair_frame(frame)
+        M = np.einsum("pa...,pq...,qb...->ab...", T, M, T, optimize=True)
+    s = _HODGE_SIGN.reshape((3, 1) + (1,) * curv.scalar.ndim)
+    phi = M[:3, :3]
+    psi_raw = 2 * s * M[_STAR, :3]
+    psi = 0.5 * (psi_raw + psi_raw.swapaxes(0, 1))
+    gam = s * s.swapaxes(0, 1) * M[_STAR][:, _STAR]
+
+    scale = max(float(np.max(np.abs(M))), 1.0)
+    defect = float(np.max(np.abs(gam - _ricci_contraction_shortcut(M))))
     if defect > 1e-10 * scale:
-        raise AssertionError(
-            f"double-epsilon contraction disagrees with the Ricci-contraction "
-            f"shortcut by {defect:.3e}; the metric is probably not band-limited "
-            "on this grid"
-        )
-    return _tf3(phi - psi + gam)
+        raise CurvatureDefectError(defect, scale)
+    return _tf3(np.moveaxis(phi - psi + gam, (0, 1), (-2, -1)))
 
 
 def wminus_bilinear(curv: CurvatureGrid) -> np.ndarray:
@@ -301,42 +418,8 @@ def wminus_bilinear(curv: CurvatureGrid) -> np.ndarray:
     """
     if not curv.metric.is_block(tol=1e-9):
         raise ValueError("bilinear-form extraction requires a block metric dt^2 + g_Y")
-    gy = curv.metric.g[..., 1:, 1:]
-    L = np.linalg.cholesky(gy)
-    frame = np.linalg.inv(L).swapaxes(-1, -2)  # (..., i, A): columns are frame vectors
-
-    R = curv.riemann
-    # Frame components with the time leg fixed (e_0 = d/dt is already unit).
-    r0i0j = np.einsum("...ia,...jb,...ij->...ab", frame, frame, R[..., 0, 1:, 0, 1:])
-    r0jkl = np.einsum(
-        "...ja,...kb,...lc,...jkl->...abc", frame, frame, frame, R[..., 0, 1:, 1:, 1:]
-    )
-    rklpq = np.einsum(
-        "...ka,...lb,...pc,...qd,...klpq->...abcd",
-        frame,
-        frame,
-        frame,
-        frame,
-        R[..., 1:, 1:, 1:, 1:],
-    )
-
-    phi = r0i0j
-    psi_raw = np.einsum("ikl,...jkl->...ij", _EPSILON, r0jkl)
-    psi = 0.5 * (psi_raw + psi_raw.swapaxes(-1, -2))
-    gam = 0.25 * np.einsum("ikl,jpq,...klpq->...ij", _EPSILON, _EPSILON, rklpq)
-
-    c = np.einsum("...ikil->...kl", rklpq)
-    tr = np.einsum("...kk->...", c)
-    shortcut = -c.copy()
-    for i in range(3):
-        shortcut[..., i, i] += 0.5 * tr
-    defect = float(np.max(np.abs(gam - shortcut)))
-    if defect > 1e-10 * max(float(np.max(np.abs(gam))), 1.0):
-        raise AssertionError(
-            f"double-epsilon contraction disagrees with the Ricci-contraction "
-            f"shortcut by {defect:.3e}"
-        )
-    return _tf3(phi - psi + gam)
+    L = np.linalg.cholesky(curv.metric.g[..., 1:, 1:])
+    return asd_form_background(curv, frame=np.linalg.inv(L).swapaxes(-1, -2))
 
 
 # ---------------------------------------------------------------------------

@@ -13,12 +13,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from . import fields
 from .fields import CylOneForm, CylTensor, FourierOneForm, FourierScalar, FourierSymTensor, ModeGrid
 
 __all__ = [
+    "ModeReductionError",
     "OdeSystem",
     "RootSetComparison",
     "companion_roots",
@@ -37,6 +37,11 @@ __all__ = [
 _SYM_PAIRS = ((0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2))
 # Five independent rows of a trace-free symmetric 3x3 tensor.
 _TF_PICK = ((0, 0), (1, 1), (0, 1), (0, 2), (1, 2))
+
+
+class ModeReductionError(Exception):
+    """The field calculus broke the single-mode reduction of the flat
+    pencil: a verification failure, not bad input, so no ValueError."""
 
 
 @dataclass(frozen=True)
@@ -99,6 +104,8 @@ def polynomial_eigenvalues(ode: OdeSystem, finite_bound: float = 1e8) -> np.ndar
     for k in range(r):
         A[n * (r - 1) :, n * k : n * (k + 1)] = -np.asarray(ode.mats[k], dtype=complex)
     B[n * (r - 1) :, n * (r - 1) :] = ode.mats[-1]
+    import scipy.linalg
+
     vals = scipy.linalg.eigvals(A, B)
     vals = vals[np.isfinite(vals)]
     return vals[np.abs(vals) < finite_bound]
@@ -198,7 +205,7 @@ def _mode_matrix(grid: ModeGrid, k, lam: complex) -> np.ndarray:
         rows = np.zeros(9, dtype=complex)
         for (rk, d), slot in dpart.terms.items():
             if d != 0:
-                raise AssertionError("exponential input produced polynomial output")
+                raise ModeReductionError("exponential input produced polynomial output")
             for r, (i, j) in enumerate(_TF_PICK):
                 rows[r] += slot["h"].data[(i, j) + idx]
         for (rk, d), slot in divpart.terms.items():

@@ -114,8 +114,11 @@ class Torus:
     lengths: tuple[float, float, float] = (2 * math.pi, 2 * math.pi, 2 * math.pi)
 
     def __post_init__(self):
-        if len(self.lengths) != 3 or any(L <= 0 for L in self.lengths):
-            raise ValueError(f"lattice side lengths must be positive, got {self.lengths}")
+        if len(self.lengths) != 3:
+            raise ValueError(f"a torus needs three side lengths, got {self.lengths}")
+        for i, L in enumerate(self.lengths):
+            if not (math.isfinite(L) and L > 0):
+                raise ValueError(f"torus side L{i + 1} must be a positive finite number, got {L}")
 
 
 @dataclass(frozen=True)

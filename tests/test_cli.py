@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from indicyl import cli, indicial, spectra
+from indicyl import cli, curvature, fields, indicial, oracle, spectra
 
 HYP_WITH_CODAZZI = """\
 b1 0
@@ -145,6 +145,52 @@ def test_gap_wrong_window_exits_1(monkeypatch, capsys):
     err = capsys.readouterr().err
     assert code == 1
     assert "computed bound 3.0" in err
+
+
+@pytest.mark.parametrize("side", ["inf", "nan", "0"])
+def test_torus_rejects_bad_side_with_exit_2(side, capsys):
+    code = cli.main(["roots", "--torus", f"1,{side},1", "--jmax", "2"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "torus side L2 must be a positive finite number" in captured.err
+
+
+def test_short_triple_exits_2(capsys):
+    code = cli.main(["roots", "--torus", "1,1", "--jmax", "2"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "--torus expects three comma-separated values" in captured.err
+
+
+def test_reversed_window_exits_2(capsys):
+    code = cli.main(["roots", "--sphere", "--jmax", "4", "--window", "2,1"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "needs a < b" in captured.err
+
+
+def test_curvature_defect_exits_1(monkeypatch, capsys):
+    shortcut = curvature._ricci_contraction_shortcut
+    monkeypatch.setattr(curvature, "_ricci_contraction_shortcut", lambda M: shortcut(M) + 1e-3)
+    code = cli.main(["verify", "linearization", "--N", "4"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert "shortcut by 1.000e-03" in captured.err
+
+
+def test_mode_reduction_failure_exits_1(monkeypatch, capsys):
+    forward = fields.f_forward
+
+    def polynomial_output(ht):
+        dpart, divpart = forward(ht)
+        dpart.terms = {(rk, d + 1): slot for (rk, d), slot in dpart.terms.items()}
+        return dpart, divpart
+
+    monkeypatch.setattr(oracle.fields, "f_forward", polynomial_output)
+    code = cli.main(["verify", "oracle"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert "polynomial output" in captured.err
 
 
 def test_json_deterministic(capsys):

@@ -19,6 +19,148 @@ def warped_metric(shape, amp=0.01, profile=np.sin):
     return C.MetricGrid4D(PERIODS, g)
 
 
+def random_metric(shape, seed, amp=0.003):
+    grid = F.ModeGrid(band=2)
+    ht = F.random_real_variation(
+        np.random.default_rng(seed), grid, kt_modes=(0, 1), parts=("h00", "alpha", "h")
+    ) * amp
+    sample = C.sample_cyl_tensor(ht, shape, PERIODS)
+    return C.MetricGrid4D(PERIODS, C.MetricGrid4D.flat_product(shape).g + sample)
+
+
+def curved_block_metric(shape):
+    # dt^2 + g_Y with a non-diagonal, y-dependent, band-limited
+    # cross-section metric.
+    y = 2 * math.pi * np.arange(shape[1]) / shape[1]
+    f = 0.08 * np.sin(y)[None, :, None, None] + 0.05 * np.cos(y)[None, None, None, :]
+    g = np.zeros(tuple(shape) + (4, 4))
+    g[..., 0, 0] = 1.0
+    for i in range(1, 4):
+        g[..., i, i] = 1.0 + f
+    g[..., 1, 2] = g[..., 2, 1] = 0.1 * np.cos(y)[None, None, :, None]
+    return C.MetricGrid4D(PERIODS, g)
+
+
+# ---------------------------------------------------------------------------
+# Full-tensor oracle for the packed engine
+# ---------------------------------------------------------------------------
+#
+# The engine stores the 21 packed Riemann components and reads the
+# anti-self-dual block off the 6x6 pair matrix through the Hodge star.  The
+# oracle below shares no code with it: full complex FFTs, all 64 first-kind
+# Christoffel combinations, the scatter of the second-derivative block into
+# every (a, b, c, d) slot, the quadratic block by einsum over the whole
+# tensor, and the anti-self-dual block by explicit epsilon contractions.
+
+_ORACLE_PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
+
+
+def oracle_curvature(m):
+    g = m.g
+    ginv = np.linalg.inv(g)
+    ik = []
+    for mu in range(4):
+        n = m.shape[mu]
+        freq = 2 * math.pi * np.fft.fftfreq(n, d=1.0 / n) / m.periods[mu]
+        shape = [1] * 4
+        shape[mu] = n
+        ik.append(1j * freq.reshape(shape))
+    gk = np.fft.fftn(g, axes=(0, 1, 2, 3))
+
+    that = np.empty(gk.shape[:4] + (4, 4, 4), dtype=complex)
+    for s in range(4):
+        for mu in range(4):
+            for nu in range(4):
+                that[..., s, mu, nu] = (
+                    ik[mu] * gk[..., s, nu] + ik[nu] * gk[..., s, mu] - ik[s] * gk[..., mu, nu]
+                )
+    T = np.fft.ifftn(that, axes=(0, 1, 2, 3)).real
+    gamma = 0.5 * np.einsum("...rs,...smn->...rmn", ginv, T)
+
+    riemann = np.zeros(m.shape + (4, 4, 4, 4))
+    for pi in range(6):
+        for qi in range(pi, 6):
+            r, s = _ORACLE_PAIRS[pi]
+            mm, nn = _ORACLE_PAIRS[qi]
+            v = np.fft.ifftn(
+                0.5
+                * (
+                    ik[s] * ik[mm] * gk[..., r, nn]
+                    + ik[r] * ik[nn] * gk[..., s, mm]
+                    - ik[s] * ik[nn] * gk[..., r, mm]
+                    - ik[r] * ik[mm] * gk[..., s, nn]
+                ),
+                axes=(0, 1, 2, 3),
+            ).real
+            blocks = [(r, s, mm, nn)] if pi == qi else [(r, s, mm, nn), (mm, nn, r, s)]
+            for a, b, c, d in blocks:
+                riemann[..., a, b, c, d] = v
+                riemann[..., b, a, c, d] = -v
+                riemann[..., a, b, d, c] = -v
+                riemann[..., b, a, d, c] = v
+
+    gam_low = np.einsum("...pq,...qrn->...prn", g, gamma)
+    e = np.einsum("...prn,...psm->...rsmn", gam_low, gamma)
+    riemann += e - np.einsum("...rsnm->...rsmn", e)
+    ricci = np.einsum("...ab,...asbn->...sn", ginv, riemann)
+    scalar = np.einsum("...ab,...ab->...", ginv, ricci)
+    return {"ginv": ginv, "gamma": gamma, "riemann": riemann, "ricci": ricci, "scalar": scalar}
+
+
+def oracle_asd(R, frame=None):
+    """phi - psi + gamma, trace-free, from epsilon contractions of the full
+    tensor, optionally in a spatial frame[..., i, A]."""
+    r0i0j = R[..., 0, 1:, 0, 1:]
+    r0jkl = R[..., 0, 1:, 1:, 1:]
+    rklpq = R[..., 1:, 1:, 1:, 1:]
+    if frame is not None:
+        f = frame
+        r0i0j = np.einsum("...ia,...jb,...ij->...ab", f, f, r0i0j)
+        r0jkl = np.einsum("...ja,...kb,...lc,...jkl->...abc", f, f, f, r0jkl)
+        rklpq = np.einsum("...ka,...lb,...pc,...qd,...klpq->...abcd", f, f, f, f, rklpq)
+    eps = F._EPSILON
+    psi_raw = np.einsum("ikl,...jkl->...ij", eps, r0jkl)
+    psi = 0.5 * (psi_raw + psi_raw.swapaxes(-1, -2))
+    gam = 0.25 * np.einsum("ikl,jpq,...klpq->...ij", eps, eps, rklpq)
+    form = r0i0j - psi + gam
+    tr = np.einsum("...ii->...", form)
+    return form - tr[..., None, None] * np.eye(3) / 3.0
+
+
+def _rel(a, b):
+    return float(np.max(np.abs(a - b))) / max(float(np.max(np.abs(b))), 1e-300)
+
+
+def test_packed_engine_matches_full_tensor_oracle():
+    m = random_metric((8, 8, 8, 8), seed=21)
+    curv = C.christoffel_riemann(m)
+    ref = oracle_curvature(m)
+    assert np.max(np.abs(ref["riemann"])) > 1e-2  # genuinely curved sample
+    for name, want in ref.items():
+        got = getattr(curv, name)
+        assert got.shape == want.shape, name
+        assert _rel(got, want) < 1e-12, (name, _rel(got, want))
+    assert _rel(C.asd_form_background(curv), oracle_asd(ref["riemann"])) < 1e-12
+
+
+def test_framed_extractor_matches_full_tensor_oracle():
+    m = curved_block_metric((4, 8, 8, 8))
+    curv = C.christoffel_riemann(m)
+    frame = np.linalg.inv(np.linalg.cholesky(m.g[..., 1:, 1:])).swapaxes(-1, -2)
+    want = oracle_asd(oracle_curvature(m)["riemann"], frame)
+    assert np.max(np.abs(want)) > 1e-3
+    assert _rel(C.wminus_bilinear(curv), want) < 1e-12
+
+
+def test_shortcut_defect_is_a_typed_error(monkeypatch):
+    curv = C.christoffel_riemann(random_metric((8, 8, 8, 8), seed=21))
+    shortcut = C._ricci_contraction_shortcut
+    monkeypatch.setattr(C, "_ricci_contraction_shortcut", lambda M: shortcut(M) + 1e-3)
+    with pytest.raises(C.CurvatureDefectError) as info:
+        C.asd_form_background(curv)
+    assert abs(info.value.defect - 1e-3) < 1e-6
+
+
 # ---------------------------------------------------------------------------
 # Curvature from the metric
 # ---------------------------------------------------------------------------
@@ -191,7 +333,7 @@ def test_wminus_omega_equals_traceless_ricci():
         e_frame[..., i, i] -= tr / 3.0
 
     gam = 0.25 * np.einsum(
-        "ikl,jpq,...klpq->...ij", C._EPSILON, C._EPSILON, spatial
+        "ikl,jpq,...klpq->...ij", F._EPSILON, F._EPSILON, spatial
     )
     gam_tf = C._tf3(gam)
     assert np.max(np.abs(gam_tf + e_frame)) < 1e-9 * max(1.0, np.max(np.abs(e_frame)))
