@@ -512,7 +512,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.func(args)
-    except (indicial.GluingWindowError, curvature.CurvatureDefectError, oracle.ModeReductionError) as e:
+    except (indicial.GluingWindowError, curvature.CurvatureDefectError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
     except SystemExit2 as e:

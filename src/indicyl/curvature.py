@@ -28,6 +28,7 @@ from functools import cached_property
 import numpy as np
 
 from .fields import (
+    _SYM_PAIRS,
     CylTensor,
     ModeGrid,
     linearized_weyl,
@@ -439,32 +440,23 @@ def _term_time_index(rate: complex, nt: int, t_period: float) -> int:
     return kint % nt
 
 
-def _spectral_box(grid: ModeGrid, shape, coeffs: np.ndarray, kt_index: int) -> np.ndarray:
-    nt, n1, n2, n3 = shape
-    box = np.zeros(shape, dtype=complex)
-    b = grid.band
-    for i1 in range(grid.size):
-        for i2 in range(grid.size):
-            for i3 in range(grid.size):
-                c = coeffs[i1, i2, i3]
-                if c == 0:
-                    continue
-                box[kt_index, (i1 - b) % n1, (i2 - b) % n2, (i3 - b) % n3] += c
-    return box
-
-
-def _evaluate_terms(field, part: str, comp_index, shape, periods) -> np.ndarray:
-    """Evaluate one tensor component of a cylinder field on the grid."""
+def _evaluate_terms(field, picks, shape, periods) -> np.ndarray:
+    """Evaluate the components picks = ((part, index), ...) of a cylinder
+    field on the grid, as (len(picks), Nt, N1, N2, N3) real values."""
     nt = shape[0]
-    box = np.zeros(shape, dtype=complex)
+    box = np.zeros((len(picks),) + tuple(shape), dtype=complex)
+    # Spatial mode -band..band sits at index (mode mod n) on each axis.
+    modes = np.arange(field.grid.size) - field.grid.band
+    where = (slice(None),) + np.ix_(*[modes % n for n in shape[1:]])
     for (rk, d), slot in field.terms.items():
         if d != 0:
             raise ValueError("grid sampling supports exponential terms only (degree 0)")
         kt = _term_time_index(slot["rate"], nt, periods[0])
-        coeffs = slot[part].data[comp_index] if comp_index is not None else slot[part].data
-        box += _spectral_box(field.grid, shape, coeffs, kt)
-    values = np.fft.ifftn(box) * np.prod(shape)
-    if np.max(np.abs(values.imag)) > 1e-9 * max(1.0, np.max(np.abs(values.real))):
+        box[:, kt][where] += np.stack([slot[part].data[index] for part, index in picks])
+    axes = (1, 2, 3, 4)
+    values = np.fft.ifftn(box, axes=axes) * np.prod(shape)
+    imag = np.max(np.abs(values.imag), axis=axes)
+    if np.any(imag > 1e-9 * np.maximum(1.0, np.max(np.abs(values.real), axis=axes))):
         raise ValueError("field is not real on the grid; reality-symmetrize the input")
     return values.real
 
@@ -472,29 +464,24 @@ def _evaluate_terms(field, part: str, comp_index, shape, periods) -> np.ndarray:
 def sample_cyl_tensor(ht: CylTensor, shape, periods) -> np.ndarray:
     """Sample a t-periodic cylinder 2-tensor as (Nt,N1,N2,N3,4,4) values."""
     _check_sampling(ht.grid, shape, periods)
+    picks = [("h00", ())] + [("alpha", (i,)) for i in range(3)] + [("h", ij) for ij in _SYM_PAIRS]
+    values = _evaluate_terms(ht, picks, shape, periods)
     out = np.zeros(tuple(shape) + (4, 4))
-    out[..., 0, 0] = _evaluate_terms(ht, "h00", None, shape, periods)
+    out[..., 0, 0] = values[0]
     for i in range(3):
-        a = _evaluate_terms(ht, "alpha", (i,), shape, periods)
-        out[..., 0, i + 1] = a
-        out[..., i + 1, 0] = a
-    for i in range(3):
-        for j in range(i, 3):
-            v = _evaluate_terms(ht, "h", (i, j), shape, periods)
-            out[..., i + 1, j + 1] = v
-            out[..., j + 1, i + 1] = v
+        out[..., 0, i + 1] = out[..., i + 1, 0] = values[1 + i]
+    for c, (i, j) in enumerate(_SYM_PAIRS):
+        out[..., i + 1, j + 1] = out[..., j + 1, i + 1] = values[4 + c]
     return out
 
 
 def sample_cross_section_tensor(ct: CylTensor, shape, periods) -> np.ndarray:
     """Sample a cross-section-valued cylinder tensor as (Nt,N1,N2,N3,3,3)."""
     _check_sampling(ct.grid, shape, periods)
+    values = _evaluate_terms(ct, [("h", ij) for ij in _SYM_PAIRS], shape, periods)
     out = np.zeros(tuple(shape) + (3, 3))
-    for i in range(3):
-        for j in range(i, 3):
-            v = _evaluate_terms(ct, "h", (i, j), shape, periods)
-            out[..., i, j] = v
-            out[..., j, i] = v
+    for c, (i, j) in enumerate(_SYM_PAIRS):
+        out[..., i, j] = out[..., j, i] = values[c]
     return out
 
 

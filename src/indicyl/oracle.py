@@ -15,10 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fields
-from .fields import CylOneForm, CylTensor, FourierOneForm, FourierScalar, FourierSymTensor, ModeGrid
 
 __all__ = [
-    "ModeReductionError",
     "OdeSystem",
     "RootSetComparison",
     "companion_roots",
@@ -34,14 +32,8 @@ __all__ = [
     "compare_root_sets",
 ]
 
-_SYM_PAIRS = ((0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2))
 # Five independent rows of a trace-free symmetric 3x3 tensor.
 _TF_PICK = ((0, 0), (1, 1), (0, 1), (0, 2), (1, 2))
-
-
-class ModeReductionError(Exception):
-    """The field calculus broke the single-mode reduction of the flat
-    pencil: a verification failure, not bad input, so no ValueError."""
 
 
 @dataclass(frozen=True)
@@ -174,46 +166,16 @@ def ode_mixed_b(nu: float, kappa: int) -> OdeSystem:
 # ---------------------------------------------------------------------------
 
 
-def _mode_basis(grid: ModeGrid, k: tuple[int, int, int]):
-    """Single-mode basis tensors of the 9-dimensional reduced space
-    (alpha: 3, h: 6 with h00 = -tr h)."""
-    idx = tuple(grid.band + ki for ki in k)
-    out = []
+def _reduced_basis() -> dict[str, np.ndarray]:
+    """The 9 columns of the reduced space (alpha: 3, h: 6 with h00 = -tr h)
+    as component arrays with a trailing column axis."""
+    alpha = np.zeros((3, 9), dtype=complex)
+    h = np.zeros((3, 3, 9), dtype=complex)
     for i in range(3):
-        alpha = FourierOneForm.zero(grid)
-        alpha.data[(i,) + idx] = 1.0
-        out.append({"alpha": alpha})
-    for i, j in _SYM_PAIRS:
-        h = FourierSymTensor.zero(grid)
-        h.data[(i, j) + idx] = 1.0
-        h.data[(j, i) + idx] = 1.0
-        h00 = FourierScalar.zero(grid)
-        h00.data[idx] = -np.einsum("ii", h.data[(slice(None), slice(None)) + idx])
-        out.append({"h00": h00, "h": h})
-    return out, idx
-
-
-def _mode_matrix(grid: ModeGrid, k, lam: complex) -> np.ndarray:
-    """The 9x9 action of (linearized curvature, 2 divergence) on exponential
-    solutions of one Fourier mode, at rate lam."""
-    basis, idx = _mode_basis(grid, k)
-    M = np.zeros((9, 9), dtype=complex)
-    for col, parts in enumerate(basis):
-        ht = CylTensor(grid)
-        ht.add_term(lam, 0, **parts)
-        dpart, divpart = fields.f_forward(ht)
-        rows = np.zeros(9, dtype=complex)
-        for (rk, d), slot in dpart.terms.items():
-            if d != 0:
-                raise ModeReductionError("exponential input produced polynomial output")
-            for r, (i, j) in enumerate(_TF_PICK):
-                rows[r] += slot["h"].data[(i, j) + idx]
-        for (rk, d), slot in divpart.terms.items():
-            rows[5] += slot["f"].data[idx]
-            for i in range(3):
-                rows[6 + i] += slot["omega"].data[(i,) + idx]
-        M[:, col] = rows
-    return M
+        alpha[i, i] = 1.0
+    for col, (i, j) in enumerate(fields._SYM_PAIRS, start=3):
+        h[i, j, col] = h[j, i, col] = 1.0
+    return {"h00": -np.einsum("ii...->...", h), "alpha": alpha, "h": h}
 
 
 def flat_mode_pencil(
@@ -225,16 +187,19 @@ def flat_mode_pencil(
     The 10 tensor components reduce to 9 after eliminating h00 = -tr h; the
     rows are the 5 trace-free curvature equations plus the 4 divergence
     equations.  Rate lam is an indicial root exactly when the pencil is
-    singular at lam.
+    singular at lam.  The coefficient matrices are the d/dt-coefficients of
+    the curvature and of 2 * divergence, read at xi = 2 pi k / L.
     """
-    k = tuple(int(x) for x in k)
-    grid = ModeGrid(lengths, band=max(1, max(abs(x) for x in k)))
-    m0 = _mode_matrix(grid, k, 0.0)
-    mp = _mode_matrix(grid, k, 1.0)
-    mm = _mode_matrix(grid, k, -1.0)
-    m1 = 0.5 * (mp - mm)
-    m2 = 0.5 * (mp + mm) - m0
-    return OdeSystem((m0, m1, m2))
+    if any(not L > 0 for L in lengths):
+        raise ValueError(f"lattice side lengths must be positive, got {lengths}")
+    xi = np.array([2 * math.pi * int(ki) / L for ki, L in zip(k, lengths)])[:, None]
+    x = _reduced_basis()
+    div = fields.div_coefficients(xi, x) + ({"f": np.zeros(9), "omega": np.zeros((3, 9))},)
+    mats = []
+    for weyl, dv in zip(fields.weyl_coefficients(xi, x), div):
+        rows = [weyl["h"][i, j] for i, j in _TF_PICK] + [2.0 * dv["f"], *(2.0 * dv["omega"])]
+        mats.append(np.array(rows, dtype=complex))
+    return OdeSystem(tuple(mats))
 
 
 @dataclass(frozen=True)

@@ -413,3 +413,32 @@ def test_sampling_rejects_unresolved_rates():
     ht2.add_term(0.0, 1, h00=s)  # polynomial factor cannot be sampled
     with pytest.raises(ValueError, match="degree 0"):
         C.sample_cyl_tensor(ht2, (8, 8, 8, 8), PERIODS)
+
+
+def test_sampling_matches_pointwise_mode_sum():
+    # Direct evaluation of sum c e^{i (w t + xi . x)} at every grid point,
+    # on an anisotropic lattice with all three blocks and kt in {0, 1, 2}.
+    lengths = (2 * math.pi, 3.0, 5.0)
+    grid = F.ModeGrid(lengths, band=2)
+    rng = np.random.default_rng(23)
+    ht = F.random_real_variation(rng, grid, kt_modes=(0, 1, 2), parts=("h00", "alpha", "h"))
+    n = 8
+    periods = (2 * math.pi,) + lengths
+    got = C.sample_cyl_tensor(ht, (n,) * 4, periods)
+
+    t = np.arange(n) * periods[0] / n
+    modes = np.arange(-grid.band, grid.band + 1)
+    # e^{i xi x} at xi = 2 pi k / L and x = m L / n, for every side L.
+    wave = np.exp(2j * math.pi * np.outer(modes, np.arange(n)) / n)
+    want = np.zeros((n,) * 4 + (4, 4), dtype=complex)
+    for slot in ht.terms.values():
+        et = np.exp(slot["rate"] * t)
+        comps = {(0, 0): slot["h00"].data}
+        for i in range(3):
+            comps[(0, i + 1)] = comps[(i + 1, 0)] = slot["alpha"].data[i]
+            for j in range(3):
+                comps[(i + 1, j + 1)] = slot["h"].data[i, j]
+        for (a, b), c in comps.items():
+            want[..., a, b] += np.einsum("pqr,px,qy,rz,t->txyz", c, wave, wave, wave, et)
+    assert np.abs(want.imag).max() < 1e-12 * np.abs(want).max()
+    assert np.abs(got - want.real).max() < 1e-12 * np.abs(want).max()

@@ -265,6 +265,48 @@ def test_cyl_div_formula():
     assert slot["omega"].norm() == 0.0
 
 
+def _leibniz_input(name, r):
+    if name == "adjoint_D":
+        return CylTensor, {"h": F.random_symtensor(r, GRID, traceless=True)}
+    if name in ("cyl_killing", "cyl_box_k"):
+        return CylOneForm, {"f": F.random_scalar(r, GRID), "omega": F.random_oneform(r, GRID)}
+    return CylTensor, {
+        "h00": F.random_scalar(r, GRID),
+        "alpha": F.random_oneform(r, GRID),
+        "h": F.random_symtensor(r, GRID),
+    }
+
+
+@pytest.mark.parametrize("name", ["linearized_weyl", "adjoint_D", "cyl_killing", "cyl_div", "cyl_box_k"])
+def test_cylinder_operator_on_t_squared_term(name):
+    # P(d/dt)(t^2 e^{lam t} X) = (t^2 P(lam) + 2 t P'(lam) + P''(lam)) X e^{lam t}.
+    # P is at most quadratic in lam, so central differences of exponential
+    # applications at lam and lam +- step give P' and P'' up to rounding.
+    op = getattr(F, name)
+    r = np.random.default_rng(5)
+    cls, parts = _leibniz_input(name, r)
+    lam, step = complex(r.standard_normal(), r.standard_normal()), 0.5
+
+    def apply(rate, degree):
+        field = cls(GRID)
+        field.add_term(rate, degree, **parts)
+        out = op(field)
+        # Re-key every output degree as one rate-0 field so outputs at
+        # different rates can be combined.
+        return {
+            d: type(out).from_parts(GRID, 0.0, 0, **{n: slot[n] for n in out._parts})
+            for (_, d), slot in out.terms.items()
+        }
+
+    p0, pp, pm = (apply(rate, 0)[0] for rate in (lam, lam + step, lam - step))
+    expected = {2: p0, 1: (pp - pm) * (1.0 / step), 0: (pp - p0 * 2.0 + pm) * (1.0 / step**2)}
+    got = apply(lam, 2)
+    scale = max(p0.norm(), pp.norm(), pm.norm())
+    for d, want in expected.items():
+        have = got.get(d, want * 0.0)
+        assert (have - want).norm() <= 1e-12 * scale, (name, d)
+
+
 def _random_real_cross_section(r, kt_modes):
     """Real t-periodic trace-free cross-section-valued tensor."""
     Z = CylTensor(GRID)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from indicyl import indicial, oracle
+from indicyl import fields, indicial, oracle
 from indicyl.oracle import (
     OdeSystem,
     companion_roots,
@@ -109,6 +109,70 @@ def test_matrix_a_grid_vs_closed_form(kappa):
 # ---------------------------------------------------------------------------
 # Flat mode pencil
 # ---------------------------------------------------------------------------
+
+
+_SYM_PAIRS = ((0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2))
+_TF_PICK = ((0, 0), (1, 1), (0, 1), (0, 2), (1, 2))
+
+
+def _grid_mode_matrix(grid, k, lam):
+    """Oracle for one pencil evaluation: embed the 9 reduced basis tensors
+    of mode k in a mode box, push each through the field calculus at rate
+    lam, and read the 5 trace-free curvature rows and 4 divergence rows."""
+    idx = tuple(grid.band + ki for ki in k)
+    M = np.zeros((9, 9), dtype=complex)
+    columns = []
+    for i in range(3):
+        alpha = fields.FourierOneForm.zero(grid)
+        alpha.data[(i,) + idx] = 1.0
+        columns.append({"alpha": alpha})
+    for i, j in _SYM_PAIRS:
+        h = fields.FourierSymTensor.zero(grid)
+        h.data[(i, j) + idx] = h.data[(j, i) + idx] = 1.0
+        h00 = fields.FourierScalar.zero(grid)
+        h00.data[idx] = -np.trace(h.data[(slice(None), slice(None)) + idx])
+        columns.append({"h00": h00, "h": h})
+    for col, parts in enumerate(columns):
+        ht = fields.CylTensor(grid)
+        ht.add_term(lam, 0, **parts)
+        dpart, divpart = fields.f_forward(ht)
+        for (_, d), slot in dpart.terms.items():
+            assert d == 0, "exponential input produced polynomial output"
+            for r, (i, j) in enumerate(_TF_PICK):
+                M[r, col] += slot["h"].data[(i, j) + idx]
+        for slot in divpart.terms.values():
+            M[5, col] += slot["f"].data[idx]
+            M[6:, col] += slot["omega"].data[(slice(None),) + idx]
+    return M
+
+
+def _grid_mode_pencil(k, lengths=(2 * math.pi,) * 3):
+    """The pencil coefficients (m0, m1, m2) from evaluations at lam = 0, +-1
+    on a (2|k|+1)^3 mode box."""
+    grid = fields.ModeGrid(lengths, band=max(1, max(abs(x) for x in k)))
+    m0, mp, mm = (_grid_mode_matrix(grid, k, lam) for lam in (0.0, 1.0, -1.0))
+    return m0, 0.5 * (mp - mm), 0.5 * (mp + mm) - m0
+
+
+@pytest.mark.parametrize(
+    "k, lengths",
+    [(k, (2 * math.pi,) * 3) for k in [(0, 0, 0), (1, 0, 0), (1, 1, 1), (3, 2, 1), (7, 0, 0), (5, 4, 3)]]
+    + [((0, 1, 0), (6.0, 7.5, 9.1)), ((5, 4, 3), (6.0, 7.5, 9.1))],
+)
+def test_pencil_matches_grid_mode_reduction(k, lengths):
+    got = flat_mode_pencil(k, lengths).mats
+    want = _grid_mode_pencil(k, lengths)
+    assert len(got) == 3
+    scale = max(np.abs(m).max() for m in want)
+    for g, w in zip(got, want):
+        assert g.shape == (9, 9)
+        assert np.abs(g - w).max() <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("lengths", [(0.0, 1.0, 1.0), (1.0, -2.0, 1.0)])
+def test_pencil_rejects_nonpositive_lengths(lengths):
+    with pytest.raises(ValueError, match="positive"):
+        flat_mode_pencil((1, 0, 0), lengths)
 
 
 def test_pencil_zero_mode_dimension():
