@@ -436,6 +436,8 @@ def cmd_verify(args) -> int:
         args.N & (args.N - 1) or not 2 <= args.N <= 32
     ):
         raise SystemExit2("--N must be a power of two <= 32")
+    if args.suite == "oracle" and args.jmax < 0:
+        raise SystemExit2("--jmax must be nonnegative")
     if args.suite == "identities":
         report, ok = run_identities(n=args.N, seed=args.seed)
     elif args.suite == "linearization":

@@ -339,17 +339,25 @@ def _sphere_entries(geo: Sphere, j_max: int) -> list[SpectrumEntry]:
 
 
 def _torus_entries(geo: Torus, max_index: int) -> list[SpectrumEntry]:
-    """Spectrum entries with index j <= max_index for every operator kind."""
-    entries: list[SpectrumEntry] = []
-    for kind in OperatorKind:
-        cutoff = 1.0
-        while True:
-            got = spectra.torus_spectrum(geo.lengths, kind, cutoff)
-            if len(got) > max_index:
-                entries.extend(e for e in got if e.j <= max_index)
-                break
-            cutoff *= 2
-    return entries
+    """Spectrum entries with index j <= max_index for every operator kind.
+
+    The levels do not depend on the kind, so one doubling loop finds them
+    in the scalar spectrum, whose multiplicity is the number of lattice
+    vectors.  It starts at the lowest nonzero eigenvalue (2 pi / max L)^2,
+    so the lattice box grows with the number of levels asked for, not with
+    the side lengths.
+    """
+    cutoff = (2 * math.pi / max(geo.lengths)) ** 2
+    while True:
+        levels = spectra.torus_spectrum(geo.lengths, OperatorKind.SCALAR_HODGE, cutoff)
+        if len(levels) > max_index:
+            break
+        cutoff *= 2
+    return [
+        spectra.torus_level_entry(kind, e.j, e.eigenvalue, e.multiplicity)
+        for kind in OperatorKind
+        for e in levels[: max_index + 1]
+    ]
 
 
 def _family_roots(entry: SpectrumEntry, kappa: int) -> list[IndicialRoot]:
@@ -375,22 +383,23 @@ def _family_roots(entry: SpectrumEntry, kappa: int) -> list[IndicialRoot]:
 
 
 def _dedupe(roots: list[IndicialRoot]) -> list[IndicialRoot]:
-    """Merge duplicate (value, case, origin) entries, summing multiplicities."""
-    merged: list[IndicialRoot] = []
+    """Merge duplicate (value, case, origin) entries, summing multiplicities.
+
+    Only roots with equal (case, origin kind, origin j) can merge, so the
+    first-match merge within 1e-9 runs inside each such bucket, which holds
+    a few roots at most.
+    """
+    buckets: dict[tuple, list[IndicialRoot]] = {}
     for r in roots:
-        for i, existing in enumerate(merged):
-            if (
-                abs(r.value - existing.value) < 1e-9 * max(1.0, abs(r.value))
-                and r.case_tag == existing.case_tag
-                and r.origin_kind == existing.origin_kind
-                and r.origin_j == existing.origin_j
-            ):
-                merged[i] = replace(existing, multiplicity=existing.multiplicity + r.multiplicity)
+        bucket = buckets.setdefault((r.case_tag, r.origin_kind, r.origin_j), [])
+        for i, existing in enumerate(bucket):
+            if abs(r.value - existing.value) < 1e-9 * max(1.0, abs(r.value)):
+                bucket[i] = replace(existing, multiplicity=existing.multiplicity + r.multiplicity)
                 break
         else:
-            merged.append(r)
+            bucket.append(r)
     return sorted(
-        merged,
+        (r for bucket in buckets.values() for r in bucket),
         key=lambda r: (
             r.value.real,
             r.value.imag,

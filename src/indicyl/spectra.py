@@ -18,6 +18,8 @@ from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 
+import numpy as np
+
 __all__ = [
     "OperatorKind",
     "SpectrumEntry",
@@ -35,6 +37,7 @@ __all__ = [
     "sphere_coclosed_oneform_multiplicity",
     "sphere_tt_multiplicity",
     "torus_spectrum",
+    "torus_level_entry",
     "lens_scalar_multiplicity",
     "lens_oneform_multiplicity",
     "lens_tt_multiplicity",
@@ -47,6 +50,10 @@ TT_LOWER_BOUND = {1: 6.0, 0: 0.0, -1: 3.0}
 
 # Codazzi / parallel borderline eigenvalue tolerance.
 _EIG_TOL = 1e-12
+
+# Torus eigenvalues within this relative distance (absolute below 1) of each
+# other form one level.
+_LEVEL_TOL = 1e-9
 
 
 class SpectrumError(ValueError):
@@ -109,7 +116,12 @@ class Sphere:
 
 @dataclass(frozen=True)
 class Torus:
-    """Flat torus R^3 / (L1 Z x L2 Z x L3 Z)."""
+    """Flat torus R^3 / (L1 Z x L2 Z x L3 Z).
+
+    Each side needs (2 pi / L)^2 > 1e-9, i.e. L below about 1.987e5: the
+    lowest eigenvalue along a longer side would fall inside the absolute
+    floor of the level grouping and merge distinct levels.
+    """
 
     lengths: tuple[float, float, float] = (2 * math.pi, 2 * math.pi, 2 * math.pi)
 
@@ -119,6 +131,12 @@ class Torus:
         for i, L in enumerate(self.lengths):
             if not (math.isfinite(L) and L > 0):
                 raise ValueError(f"torus side L{i + 1} must be a positive finite number, got {L}")
+            step = 2 * math.pi / L
+            if step * step <= _LEVEL_TOL:
+                raise ValueError(
+                    f"torus side L{i + 1} = {L} is too long: (2 pi / L)^2 must exceed "
+                    f"{_LEVEL_TOL:g}, i.e. L < {2 * math.pi / math.sqrt(_LEVEL_TOL):.4g}"
+                )
 
 
 @dataclass(frozen=True)
@@ -235,6 +253,18 @@ _MODES_PER_VECTOR = {
 }
 
 
+def torus_level_entry(kind: OperatorKind, j: int, eigenvalue: float, nvec: int) -> SpectrumEntry:
+    """Entry of the torus level j of the given kind carried by nvec lattice
+    vectors: the parallel modes at eigenvalue 0, otherwise the modes per
+    vector times nvec."""
+    kind = OperatorKind(kind)
+    if eigenvalue <= _EIG_TOL:
+        mult = _PARALLEL_DIM[kind]
+    else:
+        mult = _MODES_PER_VECTOR[kind] * nvec
+    return SpectrumEntry(kind, j, eigenvalue, mult)
+
+
 def torus_spectrum(
     lengths: tuple[float, float, float],
     kind: OperatorKind,
@@ -242,40 +272,46 @@ def torus_spectrum(
 ) -> list[SpectrumEntry]:
     """Spectrum up to `cutoff` on the flat torus with the given side lengths.
 
-    Eigenvalues are sum_i (2 pi k_i / L_i)^2 over integer vectors k; an
-    eigenvalue is kept when it is <= cutoff, compared exactly with no
-    tolerance, so the cutoff itself is included.  The
-    eigenvalue 0 carries the parallel modes (1 scalar, 3 one-forms, 5 TT
+    Eigenvalues are (2 pi k1 / L1)^2 + (2 pi k2 / L2)^2 + (2 pi k3 / L3)^2
+    over integer vectors k, summed in that order.  Sorted
+    eigenvalues that lie within 1e-9 * max(1, ev) of their neighbour form
+    one level, so the grouping is transitive and members of one level may
+    differ by a few ulps.  A level is kept whole when its smallest member is
+    <= cutoff (the cutoff itself is included), and dropped whole otherwise;
+    levels are assumed narrower than 1e-6 relative.  Each level is reported
+    at the value of its member that comes first in the enumeration order
+    k1, k2, k3 = -K..K (k1 outermost), and its multiplicity follows
+    torus_level_entry.  The sides must satisfy the bound documented on
+    Torus: 0 < L < about 1.987e5.
+
+    The eigenvalue 0 carries the parallel modes (1 scalar, 3 one-forms, 5 TT
     tensors); every nonzero lattice vector contributes 1 scalar mode and 2
     transverse polarizations for 1-forms and TT tensors.
     """
-    if cutoff <= 0:
-        raise ValueError(f"cutoff must be positive, got {cutoff}")
+    if not (cutoff > 0 and math.isfinite(cutoff)):
+        raise ValueError(f"cutoff must be a positive finite number, got {cutoff}")
     kind = OperatorKind(kind)
-    L = [float(x) for x in lengths]
-    kmax = [int(math.floor(Li * math.sqrt(cutoff) / (2 * math.pi))) for Li in L]
-    counts: dict[float, int] = {}
-    for k1 in range(-kmax[0], kmax[0] + 1):
-        for k2 in range(-kmax[1], kmax[1] + 1):
-            for k3 in range(-kmax[2], kmax[2] + 1):
-                ev = sum((2 * math.pi * k / Li) ** 2 for k, Li in zip((k1, k2, k3), L))
-                if ev > cutoff:
-                    continue
-                for known in counts:
-                    if abs(known - ev) <= 1e-9 * max(1.0, known):
-                        counts[known] += 1
-                        break
-                else:
-                    counts[ev] = 1
-    entries = []
-    for j, ev in enumerate(sorted(counts)):
-        nvec = counts[ev]
-        if ev <= _EIG_TOL:
-            mult = _PARALLEL_DIM[kind]
-        else:
-            mult = _MODES_PER_VECTOR[kind] * nvec
-        entries.append(SpectrumEntry(kind, j, ev, mult))
-    return entries
+    L = Torus(tuple(float(x) for x in lengths)).lengths
+    # The box reaches past the cutoff so that a level straddling it is whole.
+    reach = cutoff * (1 + 1e-6)
+    axes = []
+    for Li in L:
+        kmax = int(math.floor(Li * math.sqrt(reach) / (2 * math.pi)))
+        axes.append(np.array([(2 * math.pi * k / Li) ** 2 for k in range(-kmax, kmax + 1)]))
+    ev = (axes[0][:, None, None] + axes[1][None, :, None] + axes[2][None, None, :]).ravel()
+    ev = ev[ev <= reach]  # still in enumeration order
+    order = np.argsort(ev, kind="stable")
+    s = ev[order]
+    starts = np.flatnonzero(
+        np.concatenate(([True], np.diff(s) > _LEVEL_TOL * np.maximum(1.0, s[:-1])))
+    )
+    nvec = np.diff(np.append(starts, len(s)))
+    first = np.minimum.reduceat(order, starts)
+    kept = int(np.searchsorted(s[starts], cutoff, side="right"))
+    return [
+        torus_level_entry(kind, j, float(ev[i]), int(n))
+        for j, (i, n) in enumerate(zip(first[:kept], nvec[:kept]))
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -156,6 +156,24 @@ def test_torus_rejects_bad_side_with_exit_2(side, capsys):
     assert "torus side L2 must be a positive finite number" in captured.err
 
 
+@pytest.mark.parametrize("torus,side", [("2e5,1,1", "L1"), ("1,1,1e300", "L3")])
+def test_torus_rejects_too_long_side_with_exit_2(torus, side, capsys):
+    code = cli.main(["roots", "--torus", torus, "--jmax", "2"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert f"torus side {side} = " in captured.err and "too long" in captured.err
+
+
+def test_long_torus_box_grows_with_levels(capsys):
+    # The cutoff starts at the lowest eigenvalue (2 pi / 1e5)^2, so the box
+    # holds a handful of lattice points, not the ~3e13 of a cutoff of 1.
+    code, out = run_cli(["roots", "--torus", "1e5,1e5,1e5", "--jmax", "2"], capsys)
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["kernel_dim_at_zero"] == 14
+    assert sorted({r["j"] for r in doc["roots"]}) == [0, 1, 2]
+
+
 def test_short_triple_exits_2(capsys):
     code = cli.main(["roots", "--torus", "1,1", "--jmax", "2"])
     captured = capsys.readouterr()
@@ -218,6 +236,13 @@ def test_verify_oracle(capsys):
     assert doc["pass"] is True
     names = {r["check"] for r in doc["results"]}
     assert "flat_pencil_zero_mode_dimension_14" in names
+
+
+def test_verify_oracle_rejects_negative_jmax(capsys):
+    code = cli.main(["verify", "oracle", "--jmax", "-5"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "--jmax must be nonnegative" in captured.err
 
 
 def test_out_flag_writes_file(tmp_path, capsys):

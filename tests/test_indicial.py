@@ -1,11 +1,17 @@
 import cmath
+import contextlib
+import dataclasses
+import io
 import math
+import tempfile
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from indicyl import indicial, spectra
+from indicyl import cli, indicial, spectra
 from indicyl.indicial import (
     CaseTag,
     SolutionForm,
@@ -251,6 +257,119 @@ def test_sign_symmetry(j_max):
         for (v, case), mult in table.items():
             if abs(v) > 1e-12:
                 assert table.get((-v, case)) == mult
+
+
+# ---------------------------------------------------------------------------
+# Root merge against the first-match oracle
+# ---------------------------------------------------------------------------
+
+
+def first_match_merge(roots):
+    """Independent merge: each root joins the first earlier kept root with the
+    same case and origin whose value lies within 1e-9 * max(1, |value|),
+    summing multiplicities; the result is sorted by value, case and origin."""
+    merged = []
+    for r in roots:
+        for i, existing in enumerate(merged):
+            if (
+                abs(r.value - existing.value) < 1e-9 * max(1.0, abs(r.value))
+                and r.case_tag == existing.case_tag
+                and r.origin_kind == existing.origin_kind
+                and r.origin_j == existing.origin_j
+            ):
+                merged[i] = dataclasses.replace(
+                    existing, multiplicity=existing.multiplicity + r.multiplicity
+                )
+                break
+        else:
+            merged.append(r)
+    return sorted(
+        merged,
+        key=lambda r: (r.value.real, r.value.imag, int(r.case_tag), r.origin_kind.value, r.origin_j),
+    )
+
+
+_VALUES = (0.0, 1.0, -1.0, 2.5, complex(1.5, 2.0), complex(0.0, -1.0), 1e6)
+_CASES = (
+    (CaseTag.CASE0, OperatorKind.SCALAR_HODGE),
+    (CaseTag.CASE2, OperatorKind.DIVFREE_TT_ROUGH),
+    (CaseTag.CASE3, OperatorKind.COCLOSED_ONEFORM_HODGE),
+    (CaseTag.CASE4, OperatorKind.SCALAR_HODGE),
+    (CaseTag.CASE5, OperatorKind.COCLOSED_ONEFORM_HODGE),
+)
+# Relative offsets on both sides of the 1e-9 merge tolerance.
+_JITTERS = (0.0, 1e-13, 4e-10, 9e-10, 3e-9)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.sampled_from(_VALUES),
+            st.sampled_from(_JITTERS),
+            st.sampled_from(_CASES),
+            st.integers(min_value=0, max_value=2),
+            st.integers(min_value=1, max_value=4),
+        ),
+        max_size=40,
+    )
+)
+def test_merge_matches_first_match_oracle(draws):
+    roots = [
+        indicial._root(
+            v + jitter * max(1.0, abs(v)), case, kind, j, 1.0, ck=case is CaseTag.CASE0, mult=mult
+        )
+        for v, jitter, (case, kind), j, mult in draws
+    ]
+    assert indicial._dedupe(roots) == first_match_merge(roots)
+
+
+_GROUPS = ("2,1,1", "3,1,1", "5,1,2", "7,1,3")
+_SIDES = st.floats(min_value=3.0, max_value=9.0).map(lambda x: round(x, 4))
+
+
+def _hyperbolic_text(rows):
+    lines = ["b1 1", "codazzi 0", "oneform 0 0.0 1"]
+    for kind, start in (("scalar", 0.5), ("oneform", 0.5), ("tt", 3.5)):
+        ev = start
+        for j, (step, mult) in enumerate(rows, start=1):
+            ev = round(ev + step, 6)
+            lines.append(f"{kind} {j} {ev!r} {mult}")
+    return "\n".join(lines) + "\n"
+
+
+def _stdout(argv):
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = cli.main(argv)
+    return code, buf.getvalue()
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.one_of(
+        st.just(["--sphere"]),
+        st.sampled_from(_GROUPS).map(lambda g: ["--lens", g]),
+        st.tuples(_SIDES, _SIDES, _SIDES).map(lambda t: ["--torus", ",".join(map(repr, t))]),
+        st.lists(st.tuples(st.floats(0.05, 1.0), st.integers(1, 4)), min_size=1, max_size=30).map(
+            lambda rows: ["--hyperbolic", _hyperbolic_text(rows)]
+        ),
+    ),
+    st.integers(min_value=0, max_value=40),
+    st.sampled_from(("json", "csv")),
+)
+def test_catalog_stdout_matches_oracle_merge(geometry, j_max, fmt):
+    with tempfile.TemporaryDirectory() as tmp:
+        if geometry[0] == "--hyperbolic":
+            path = Path(tmp) / "spectrum.txt"
+            path.write_text(geometry[1])
+            geometry = ["--hyperbolic", str(path)]
+        argv = ["roots", *geometry, "--jmax", str(j_max), "--format", fmt]
+        got = _stdout(argv)
+        with mock.patch.object(indicial, "_dedupe", first_match_merge):
+            expected = _stdout(argv)
+    assert got[0] == 0
+    assert got == expected
 
 
 def test_case4_case5_bounds():

@@ -98,8 +98,10 @@ def test_torus_parallel_modes():
 
 
 @settings(max_examples=20, deadline=None)
-@given(st.floats(min_value=0.5, max_value=30.0))
+@given(st.floats(min_value=0.5, max_value=300.0))
 @example(cutoff=1.9999999999999964)  # just below the eigenvalue 2
+@example(cutoff=225.0)  # level 225 has members an ulp above and below 225
+@example(cutoff=234.0)  # likewise at 234
 def test_torus_cubic_matches_brute_force(cutoff):
     counts = brute_force_counts(cutoff)
     for kind, zero_dim, per_vec in [
@@ -113,6 +115,61 @@ def test_torus_cubic_matches_brute_force(cutoff):
             q = round(e.eigenvalue)
             expected = zero_dim if q == 0 else per_vec * counts[q]
             assert e.multiplicity == expected
+
+
+def triple_loop_torus_spectrum(lengths, kind, cutoff):
+    """Independent enumeration: every lattice vector in the cutoff box, in
+    k1, k2, k3 order, clustered first-match within 1e-9 * max(1, ev) of the
+    first member seen, and kept when its own eigenvalue is <= cutoff.
+
+    Returns (j, eigenvalue, multiplicity) triples; kind is the operator name.
+    """
+    parallel_dim = {"scalar": 1, "oneform": 3, "tt": 5}[kind]
+    per_vector = {"scalar": 1, "oneform": 2, "tt": 2}[kind]
+    L = [float(x) for x in lengths]
+    kmax = [int(math.floor(Li * math.sqrt(cutoff) / (2 * math.pi))) for Li in L]
+    counts = {}
+    for k1 in range(-kmax[0], kmax[0] + 1):
+        for k2 in range(-kmax[1], kmax[1] + 1):
+            for k3 in range(-kmax[2], kmax[2] + 1):
+                ev = sum((2 * math.pi * k / Li) ** 2 for k, Li in zip((k1, k2, k3), L))
+                if ev > cutoff:
+                    continue
+                for known in counts:
+                    if abs(known - ev) <= 1e-9 * max(1.0, known):
+                        counts[known] += 1
+                        break
+                else:
+                    counts[ev] = 1
+    return [
+        (j, ev, parallel_dim if ev <= 1e-12 else per_vector * counts[ev])
+        for j, ev in enumerate(sorted(counts))
+    ]
+
+
+_SIDE = st.floats(min_value=3.0, max_value=9.0)
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.tuples(_SIDE, _SIDE, _SIDE), st.floats(min_value=0.5, max_value=20.0))
+# Cubic levels spread over ulps; away from the cutoff both paths must still
+# report each at its first member in enumeration order.
+@example(lengths=CUBIC, cutoff=160.5)
+@example(lengths=(9.0, 9.0, 9.0), cutoff=13.5)
+def test_torus_anisotropic_matches_triple_loop(lengths, cutoff):
+    # Sign flips give bit-equal eigenvalues, so on generic anisotropic
+    # lattices no level straddles the cutoff and both rules agree exactly.
+    for kind in OperatorKind:
+        got = [(e.j, e.eigenvalue, e.multiplicity) for e in torus_spectrum(lengths, kind, cutoff)]
+        assert got == triple_loop_torus_spectrum(lengths, kind.value, cutoff)
+
+
+@pytest.mark.parametrize("lengths", [(2e5, 1.0, 1.0), (1.0, 1.0, 1e300)])
+def test_torus_rejects_sides_past_the_grouping_floor(lengths):
+    with pytest.raises(ValueError, match="too long"):
+        spectra.Torus(lengths)
+    with pytest.raises(ValueError, match="too long"):
+        torus_spectrum(lengths, OperatorKind.SCALAR_HODGE, 1.0)
 
 
 def test_torus_anisotropic_eigenvalues():
