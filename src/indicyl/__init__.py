@@ -2,7 +2,9 @@
 R x Y^3 over constant-curvature cross-sections, with independent numeric
 verification of every closed form."""
 
-from . import curvature, fields, indicial, oracle, spectra
+import importlib as _importlib
+
+from . import indicial, spectra
 from .indicial import (
     IndicialRoot,
     RootCatalog,
@@ -31,3 +33,17 @@ __all__ = [
     "spectral_gap",
     "load_hyperbolic_spectrum",
 ]
+
+# The numeric verification modules import numpy, which the closed-form
+# catalogs never need; they load on first attribute access (PEP 562).
+_LAZY = ("curvature", "fields", "oracle")
+
+
+def __getattr__(name):
+    if name in _LAZY:
+        return _importlib.import_module(f".{name}", __name__)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_LAZY))

@@ -34,6 +34,7 @@ from .fields import (
     linearized_weyl,
     random_real_variation,
 )
+from .indicial import VerificationError
 
 __all__ = [
     "MetricGrid4D",
@@ -50,10 +51,9 @@ __all__ = [
 ]
 
 
-class CurvatureDefectError(Exception):
+class CurvatureDefectError(VerificationError):
     """The double-epsilon contraction of the spatial curvature block
-    disagrees with its Ricci-contraction rewriting: a verification failure,
-    not bad input, so no ValueError."""
+    disagrees with its Ricci-contraction rewriting."""
 
     def __init__(self, defect: float, scale: float):
         self.defect = defect

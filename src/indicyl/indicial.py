@@ -45,6 +45,7 @@ __all__ = [
     "IndicialRoot",
     "RootCatalog",
     "SpectralGap",
+    "VerificationError",
     "GluingWindowError",
     "type3_roots",
     "type2_roots",
@@ -61,9 +62,13 @@ __all__ = [
 _ZERO_TOL = 1e-12
 
 
-class GluingWindowError(Exception):
-    """A spherical catalog whose gluing window is not (0, 2): a verification
-    failure of the catalog, not bad input, so deliberately no ValueError."""
+class VerificationError(Exception):
+    """A computed result failed one of the package's own checks: exit 1 in
+    the CLI.  Deliberately no ValueError, which means bad input."""
+
+
+class GluingWindowError(VerificationError):
+    """A spherical catalog whose gluing window is not (0, 2)."""
 
 
 class CaseTag(IntEnum):

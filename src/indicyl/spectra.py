@@ -1,7 +1,7 @@
 """Eigenvalue catalogs for the three constant-curvature cross-section geometries.
 
-Provides closed-form spectra for the round 3-sphere, dual-lattice enumeration
-for flat tori, character-theoretic descent of the scalar, co-closed 1-form and
+Provides closed-form spectra for the round 3-sphere, one-octant dual-lattice
+enumeration for flat tori, character-theoretic descent of the scalar, co-closed 1-form and
 TT multiplicities to cyclic spherical space forms, and a validating loader for
 externally supplied hyperbolic spectra.
 
@@ -18,8 +18,6 @@ from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 
-import numpy as np
-
 __all__ = [
     "OperatorKind",
     "SpectrumEntry",
@@ -33,9 +31,6 @@ __all__ = [
     "sphere_scalar_eigenvalue",
     "sphere_coclosed_oneform_eigenvalue",
     "sphere_tt_eigenvalue",
-    "sphere_scalar_multiplicity",
-    "sphere_coclosed_oneform_multiplicity",
-    "sphere_tt_multiplicity",
     "torus_spectrum",
     "torus_level_entry",
     "lens_scalar_multiplicity",
@@ -196,12 +191,6 @@ def sphere_scalar_eigenvalue(j: int) -> float:
     return float(j * (j + 2))
 
 
-def sphere_scalar_multiplicity(j: int) -> int:
-    if j < 0:
-        raise ValueError(f"scalar harmonic index must be >= 0, got {j}")
-    return (j + 1) ** 2
-
-
 def sphere_coclosed_oneform_eigenvalue(j: int) -> float:
     """Hodge eigenvalue (j+1)^2 on co-closed 1-forms on round S^3, j >= 1."""
     if j < 1:
@@ -211,12 +200,6 @@ def sphere_coclosed_oneform_eigenvalue(j: int) -> float:
     return float((j + 1) ** 2)
 
 
-def sphere_coclosed_oneform_multiplicity(j: int) -> int:
-    if j < 1:
-        raise ValueError(f"co-closed 1-form index must be >= 1, got {j}")
-    return 2 * j * (j + 2)
-
-
 def sphere_tt_eigenvalue(j: int) -> float:
     """Rough-Laplacian eigenvalue j^2 + 2j - 2 on TT tensors on round S^3, j >= 2."""
     if j < 2:
@@ -224,12 +207,6 @@ def sphere_tt_eigenvalue(j: int) -> float:
             f"TT tensor index must be >= 2 (eigenvalues below 6 cannot occur), got {j}"
         )
     return float(j * j + 2 * j - 2)
-
-
-def sphere_tt_multiplicity(j: int) -> int:
-    if j < 2:
-        raise ValueError(f"TT tensor index must be >= 2, got {j}")
-    return 2 * (j - 1) * (j + 3)
 
 
 # ---------------------------------------------------------------------------
@@ -284,6 +261,11 @@ def torus_spectrum(
     torus_level_entry.  The sides must satisfy the bound documented on
     Torus: 0 < L < about 1.987e5.
 
+    Only the octant k_i >= 0 is enumerated: a sign flip leaves
+    (2 pi k / L)^2 bit-equal, so each octant vector stands for its
+    2^(number of nonzero k_i) sign copies, and the copy (-k1, -k2, -k3)
+    is the one that comes first in the enumeration order.
+
     The eigenvalue 0 carries the parallel modes (1 scalar, 3 one-forms, 5 TT
     tensors); every nonzero lattice vector contributes 1 scalar mode and 2
     transverse polarizations for 1-forms and TT tensors.
@@ -294,23 +276,41 @@ def torus_spectrum(
     L = Torus(tuple(float(x) for x in lengths)).lengths
     # The box reaches past the cutoff so that a level straddling it is whole.
     reach = cutoff * (1 + 1e-6)
-    axes = []
-    for Li in L:
-        kmax = int(math.floor(Li * math.sqrt(reach) / (2 * math.pi)))
-        axes.append(np.array([(2 * math.pi * k / Li) ** 2 for k in range(-kmax, kmax + 1)]))
-    ev = (axes[0][:, None, None] + axes[1][None, :, None] + axes[2][None, None, :]).ravel()
-    ev = ev[ev <= reach]  # still in enumeration order
-    order = np.argsort(ev, kind="stable")
-    s = ev[order]
-    starts = np.flatnonzero(
-        np.concatenate(([True], np.diff(s) > _LEVEL_TOL * np.maximum(1.0, s[:-1])))
+    a1, a2, a3 = (
+        [(2 * math.pi * k / Li) ** 2 for k in range(int(Li * math.sqrt(reach) / (2 * math.pi)) + 1)]
+        for Li in L
     )
-    nvec = np.diff(np.append(starts, len(s)))
-    first = np.minimum.reduceat(order, starts)
-    kept = int(np.searchsorted(s[starts], cutoff, side="right"))
+    # Per distinct eigenvalue: its number of lattice vectors, and the visit
+    # number of its last octant vector.  Visiting k1, k2, k3 upwards meets
+    # the copies (-k1, -k2, -k3) in reverse enumeration order, so the last
+    # visit is the member that comes first.
+    count: dict[float, int] = {}
+    last: dict[float, int] = {}
+    visit = 0
+    for k1, x1 in enumerate(a1):
+        for k2, x2 in enumerate(a2):
+            x12 = x1 + x2
+            if x12 > reach:
+                break
+            copies = (2 if k1 else 1) * (2 if k2 else 1)
+            for k3, x3 in enumerate(a3):
+                ev = x12 + x3
+                if ev > reach:
+                    break
+                count[ev] = count.get(ev, 0) + (2 * copies if k3 else copies)
+                last[ev] = visit
+                visit += 1
+    levels: list[list[float]] = []
+    for ev in sorted(count):
+        if levels and ev - levels[-1][-1] <= _LEVEL_TOL * max(1.0, levels[-1][-1]):
+            levels[-1].append(ev)
+        elif ev > cutoff:
+            break
+        else:
+            levels.append([ev])
     return [
-        torus_level_entry(kind, j, float(ev[i]), int(n))
-        for j, (i, n) in enumerate(zip(first[:kept], nvec[:kept]))
+        torus_level_entry(kind, j, max(level, key=last.get), sum(count[ev] for ev in level))
+        for j, level in enumerate(levels)
     ]
 
 

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from indicyl import cli, curvature, indicial, spectra
@@ -253,18 +254,95 @@ def test_out_flag_writes_file(tmp_path, capsys):
     assert doc["command"] == "roots"
 
 
-def test_console_script_entrypoint():
-    # Run the package under test, also when only pytest's pythonpath finds it.
+def run_python(*args):
+    """A fresh interpreter on the package under test, also when only
+    pytest's pythonpath finds it."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "indicyl.cli", "gap", "--sphere", "--jmax", "3"],
+    return subprocess.run(
+        [sys.executable, *args],
         capture_output=True,
         text=True,
         env=dict(os.environ, PYTHONPATH=path),
     )
+
+
+def test_console_script_entrypoint():
+    proc = run_python("-m", "indicyl.cli", "gap", "--sphere", "--jmax", "3")
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["window"] == [0.0, 2.0]
+
+
+_NUMPY_PROBE = """
+import sys
+from indicyl import cli
+code = cli.main(sys.argv[1:])
+print(code, "numpy" in sys.modules)
+"""
+
+# Stands for the spectrum file that each test writes.
+HYP_FILE = "{hyperbolic}"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["roots", "--sphere", "--jmax", "6"],
+        ["roots", "--lens", "5,1,2", "--jmax", "6"],
+        ["roots", "--torus", "3.1,4.7,5.9", "--jmax", "40"],
+        ["roots", "--hyperbolic", HYP_FILE, "--jmax", "9"],
+        ["gap", "--sphere", "--jmax", "6"],
+        ["ks", "--hyperbolic", HYP_FILE],
+        ["lens", "--lens", "7,2,3", "--jmax", "10"],
+    ],
+    ids=["roots-sphere", "roots-lens", "roots-torus", "roots-hyperbolic", "gap", "ks", "lens"],
+)
+def test_closed_form_commands_load_no_numpy(argv, tmp_path):
+    spectrum = tmp_path / "spec.txt"
+    spectrum.write_text(HYP_WITH_CODAZZI)
+    argv = [str(spectrum) if a == HYP_FILE else a for a in argv]
+    proc = run_python("-c", _NUMPY_PROBE, *argv, "--out", str(tmp_path / "out.json"))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "0 False\n"
+    assert json.loads((tmp_path / "out.json").read_text())["command"] == argv[0]
+
+
+def test_verification_modules_load_on_access():
+    proc = run_python(
+        "-c",
+        """
+import sys
+import indicyl
+assert "numpy" not in sys.modules
+assert {"curvature", "fields", "oracle"} <= set(dir(indicyl))
+error = indicyl.curvature.CurvatureDefectError
+from indicyl import oracle
+assert oracle is sys.modules["indicyl.oracle"] and "numpy" in sys.modules
+assert issubclass(error, indicyl.indicial.VerificationError)
+try:
+    indicyl.no_such_module
+except AttributeError:
+    print("ok")
+""",
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "ok\n"
+
+
+@pytest.mark.parametrize(
+    "value,text",
+    [
+        (np.int64(3), "3"),
+        (np.float64(-0.0), "0.0"),
+        (np.float32(0.5), "0.5"),
+        (np.float64("nan"), '"nan"'),
+        (np.float64("inf"), '"inf"'),
+        (np.float64("-inf"), '"-inf"'),
+    ],
+)
+def test_json_numpy_scalars(value, text):
+    assert cli._json(value) == text
+    assert cli._json([value, {"x": value}]) == f'[{text},{{"x":{text}}}]'
 
 
 def test_root_record_roundtrip(capsys):

@@ -246,6 +246,26 @@ def test_lens_catalog_dims_at_zero():
     assert lens.kernel_dim_at_zero == lens.cokernel_dim_at_zero == 3
 
 
+@pytest.mark.parametrize("q1,q2", [(9, -4), (-5, 10), (-2, 3), (3, 2)])
+def test_lens_parameters_matter_mod_p_and_up_to_sign(q1, q2):
+    # q -> q + p multiplies the character of V_a x V_b at the m-th element
+    # by (-1)^(m (2a + 2b)) = 1, since 2a + 2b is even for every kind; a
+    # sign flip or a swap of q1, q2 swaps the two factors' half angles up to
+    # sign, and the characters are even.
+    base, other = GroupAction(7, 2, 3), GroupAction(7, q1, q2)
+    for multiplicity, j_min in [
+        (spectra.lens_scalar_multiplicity, 0),
+        (spectra.lens_oneform_multiplicity, 1),
+        (spectra.lens_tt_multiplicity, 2),
+    ]:
+        for j in range(j_min, 20):
+            assert multiplicity(other, j) == multiplicity(base, j)
+    a, b = sphere_catalog(j_max=12, group=base), sphere_catalog(j_max=12, group=other)
+    assert b.roots == a.roots
+    assert b.kernel_dim_at_zero == a.kernel_dim_at_zero
+    assert b.cokernel_dim_at_zero == a.cokernel_dim_at_zero
+
+
 @settings(max_examples=12, deadline=None)
 @given(st.integers(min_value=2, max_value=8))
 def test_sign_symmetry(j_max):

@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -15,11 +16,8 @@ from indicyl.spectra import (
     lens_tt_multiplicity,
     load_hyperbolic_spectrum,
     sphere_coclosed_oneform_eigenvalue,
-    sphere_coclosed_oneform_multiplicity,
     sphere_scalar_eigenvalue,
-    sphere_scalar_multiplicity,
     sphere_tt_eigenvalue,
-    sphere_tt_multiplicity,
     torus_spectrum,
 )
 
@@ -60,6 +58,22 @@ def test_sphere_tt_rejects_below_bound():
 def test_tt_eigenvalue_plus_three_is_square(j):
     lam = sphere_tt_eigenvalue(j)
     assert lam + 3 == (j + 1) ** 2
+
+
+# Round-sphere multiplicities in closed form: the p = 1 witnesses for the
+# character sum, which has no trivial-group shortcut.
+
+
+def sphere_scalar_multiplicity(j: int) -> int:
+    return (j + 1) ** 2
+
+
+def sphere_coclosed_oneform_multiplicity(j: int) -> int:
+    return 2 * j * (j + 2)
+
+
+def sphere_tt_multiplicity(j: int) -> int:
+    return 2 * (j - 1) * (j + 3)
 
 
 # ---------------------------------------------------------------------------
@@ -147,7 +161,8 @@ def triple_loop_torus_spectrum(lengths, kind, cutoff):
     ]
 
 
-_SIDE = st.floats(min_value=3.0, max_value=9.0)
+# Sides below 2 pi / sqrt(cutoff) have no nonzero vector along their axis.
+_SIDE = st.floats(min_value=0.5, max_value=9.0)
 
 
 @settings(max_examples=15, deadline=None)
@@ -156,12 +171,89 @@ _SIDE = st.floats(min_value=3.0, max_value=9.0)
 # report each at its first member in enumeration order.
 @example(lengths=CUBIC, cutoff=160.5)
 @example(lengths=(9.0, 9.0, 9.0), cutoff=13.5)
+# Two equal sides: swapping k1 and k2 keeps the eigenvalue bit-equal.
+@example(lengths=(4.0, 4.0, 7.3), cutoff=15.0)
+@example(lengths=(6.0, 0.5, 6.0), cutoff=19.0)
+@example(lengths=(0.7, 8.2, 8.2), cutoff=11.0)
 def test_torus_anisotropic_matches_triple_loop(lengths, cutoff):
     # Sign flips give bit-equal eigenvalues, so on generic anisotropic
     # lattices no level straddles the cutoff and both rules agree exactly.
     for kind in OperatorKind:
         got = [(e.j, e.eigenvalue, e.multiplicity) for e in torus_spectrum(lengths, kind, cutoff)]
         assert got == triple_loop_torus_spectrum(lengths, kind.value, cutoff)
+
+
+def box_torus_spectrum(lengths, kind, cutoff):
+    """Independent enumeration of the whole box -K..K on every axis with
+    numpy: eigenvalues summed k1 + k2 + k3, stably sorted, grouped with
+    sorted neighbours within 1e-9 * max(1, ev) (transitive), a level kept
+    whole when its smallest member is <= cutoff (the box reaches 1e-6 past
+    it), and reported at its first member in k1, k2, k3 order.
+
+    Returns (j, eigenvalue, multiplicity) triples; kind is the operator name.
+    """
+    parallel_dim = {"scalar": 1, "oneform": 3, "tt": 5}[kind]
+    per_vector = {"scalar": 1, "oneform": 2, "tt": 2}[kind]
+    reach = cutoff * (1 + 1e-6)
+    axes = []
+    for Li in (float(x) for x in lengths):
+        kmax = int(math.floor(Li * math.sqrt(reach) / (2 * math.pi)))
+        axes.append(np.array([(2 * math.pi * k / Li) ** 2 for k in range(-kmax, kmax + 1)]))
+    ev = (axes[0][:, None, None] + axes[1][None, :, None] + axes[2][None, None, :]).ravel()
+    ev = ev[ev <= reach]  # still in enumeration order
+    order = np.argsort(ev, kind="stable")
+    s = ev[order]
+    starts = np.flatnonzero(np.concatenate(([True], np.diff(s) > 1e-9 * np.maximum(1.0, s[:-1]))))
+    nvec = np.diff(np.append(starts, len(s)))
+    first = np.minimum.reduceat(order, starts)
+    kept = int(np.searchsorted(s[starts], cutoff, side="right"))
+    return [
+        (j, float(ev[i]), parallel_dim if ev[i] <= 1e-12 else per_vector * int(n))
+        for j, (i, n) in enumerate(zip(first[:kept], nvec[:kept]))
+    ]
+
+
+def _doubling_cutoffs(lengths, levels):
+    """The cutoffs a catalog's doubling loop visits until the scalar
+    spectrum has more than `levels` levels, largest last."""
+    cutoffs = [(2 * math.pi / max(lengths)) ** 2]
+    while len(box_torus_spectrum(lengths, "scalar", cutoffs[-1])) <= levels:
+        cutoffs.append(2 * cutoffs[-1])
+    return cutoffs
+
+
+def _seeded_lengths(seed):
+    rng = random.Random(seed)
+    return tuple(round(rng.uniform(3.0, 9.0), 4) for _ in range(3))
+
+
+@pytest.mark.parametrize(
+    "lengths,levels",
+    [
+        (CUBIC, 1000),
+        (_seeded_lengths(1), 3000),
+    ],
+    ids=["cube", "seeded"],
+)
+def test_torus_octant_walk_matches_box(lengths, levels):
+    # Far past the triple loop's reach: the cube's levels spread over ulps
+    # and straddle cutoffs, the seeded torus has ~3000 levels.
+    cutoffs = _doubling_cutoffs(lengths, levels)
+    checks = [(cutoff, OperatorKind.SCALAR_HODGE) for cutoff in cutoffs[:-1] + [599.0]]
+    checks += [(cutoffs[-1], kind) for kind in OperatorKind]
+    for cutoff, kind in checks:
+        got = [(e.j, e.eigenvalue, e.multiplicity) for e in torus_spectrum(lengths, kind, cutoff)]
+        assert got == box_torus_spectrum(lengths, kind.value, cutoff)
+
+
+def test_torus_level_grouping_is_transitive():
+    # Lowest eigenvalues 1, 1 + 0.9e-9 and 1 + 1.8e-9 along the three axes:
+    # neighbours are within 1e-9, the ends are not, and all six vectors
+    # form one level.
+    lengths = tuple(2 * math.pi / math.sqrt(1 + d) for d in (0.0, 0.9e-9, 1.8e-9))
+    got = [(e.j, e.eigenvalue, e.multiplicity) for e in torus_spectrum(lengths, "scalar", 1.5)]
+    assert got == box_torus_spectrum(lengths, "scalar", 1.5)
+    assert [m for _, _, m in got] == [1, 6]
 
 
 @pytest.mark.parametrize("lengths", [(2e5, 1.0, 1.0), (1.0, 1.0, 1e300)])
