@@ -120,10 +120,37 @@ def _parse_triple(text: str, kind, flag: str):
     return tuple(kind(p) for p in parts)
 
 
+# Input ceilings, far above every documented use, so that no flag value
+# can ask for an unbounded run.  A lens catalog costs about
+# p * (j_max + 1)^2 character evaluations, hence the third ceiling; at it a
+# catalog takes a few seconds.
+JMAX_CEILING = 1000
+LENS_ORDER_CEILING = 10_000
+LENS_WORK_CEILING = 10_000_000
+
+
+def _check_jmax(jmax: int) -> None:
+    if jmax > JMAX_CEILING:
+        raise SystemExit2(f"--jmax must be at most {JMAX_CEILING}, got {jmax}")
+
+
+def _lens_group(text: str, jmax: int) -> spectra.GroupAction:
+    p, q1, q2 = _parse_triple(text, int, "--lens")
+    if p > LENS_ORDER_CEILING:
+        raise SystemExit2(f"--lens order p must be at most {LENS_ORDER_CEILING}, got {p}")
+    work = p * (max(jmax, 0) + 1) ** 2
+    if work > LENS_WORK_CEILING:
+        raise SystemExit2(
+            f"--lens order p times (--jmax + 1)^2 must be at most {LENS_WORK_CEILING}, got {work}"
+        )
+    return spectra.GroupAction(p, q1, q2)
+
+
 def _cross_section(args) -> spectra.CrossSectionSpec:
     chosen = [bool(args.sphere or args.lens), args.torus is not None, args.hyperbolic is not None]
     if sum(chosen) != 1:
         raise SystemExit2("choose exactly one of --sphere/--lens, --torus, --hyperbolic")
+    _check_jmax(args.jmax)
     if args.torus is not None:
         lengths = _parse_triple(args.torus, float, "--torus")
         return spectra.CrossSectionSpec.torus(lengths)
@@ -132,8 +159,7 @@ def _cross_section(args) -> spectra.CrossSectionSpec:
         return spectra.CrossSectionSpec.hyperbolic(hs, source=args.hyperbolic)
     group = spectra.GroupAction(1, 1, 1)
     if args.lens:
-        p, q1, q2 = _parse_triple(args.lens, int, "--lens")
-        group = spectra.GroupAction(p, q1, q2)
+        group = _lens_group(args.lens, args.jmax)
     return spectra.CrossSectionSpec.sphere(group)
 
 
@@ -299,13 +325,13 @@ def cmd_lens(args) -> int:
         raise SystemExit2("lens requires --lens p,q1,q2")
     if args.jmax < 0:
         raise SystemExit2("--jmax must be nonnegative")
-    p, q1, q2 = _parse_triple(args.lens, int, "--lens")
-    group = spectra.GroupAction(p, q1, q2)
+    _check_jmax(args.jmax)
+    group = _lens_group(args.lens, args.jmax)
     mults = [[j, spectra.lens_scalar_multiplicity(group, j)] for j in range(args.jmax + 1)]
     doc = {
         "schema": _SCHEMA,
         "command": "lens",
-        "group": {"p": p, "q1": q1, "q2": q2},
+        "group": {"p": group.p, "q1": group.q1, "q2": group.q2},
         "j_max": args.jmax,
         "multiplicities": mults,
     }
@@ -501,10 +527,16 @@ def cmd_verify(args) -> int:
 
 def _add_geometry_flags(p):
     p.add_argument("--sphere", action="store_true", help="round 3-sphere cross-section")
-    p.add_argument("--lens", metavar="p,q1,q2", help="cyclic quotient of the 3-sphere")
+    p.add_argument(
+        "--lens",
+        metavar="p,q1,q2",
+        help=f"cyclic quotient of the 3-sphere, of order p at most {LENS_ORDER_CEILING}",
+    )
     p.add_argument("--torus", metavar="L1,L2,L3", help="flat torus side lengths")
     p.add_argument("--hyperbolic", metavar="FILE", help="hyperbolic spectrum file")
-    p.add_argument("--jmax", type=int, default=6, help="spectrum truncation index")
+    p.add_argument(
+        "--jmax", type=int, default=6, help=f"spectrum truncation index, at most {JMAX_CEILING}"
+    )
     p.add_argument("--out", metavar="FILE", help="write output to FILE instead of stdout")
 
 
@@ -530,8 +562,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_ks)
 
     p = sub.add_parser("lens", help="scalar multiplicities on a cyclic quotient")
-    p.add_argument("--lens", metavar="p,q1,q2", required=True)
-    p.add_argument("--jmax", type=int, default=10)
+    p.add_argument(
+        "--lens", metavar="p,q1,q2", required=True, help=f"order p at most {LENS_ORDER_CEILING}"
+    )
+    p.add_argument("--jmax", type=int, default=10, help=f"at most {JMAX_CEILING}")
     p.add_argument("--out", metavar="FILE")
     p.set_defaults(func=cmd_lens)
 

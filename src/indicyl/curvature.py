@@ -15,13 +15,17 @@ R_{abcd} = c (g_ac g_bd - g_ad g_bc).
 Storage: the engine works components-first on contiguous arrays.  A
 symmetric 4x4 field is stored as its 10 components (a <= b), and the
 lowered Riemann tensor as its 21 independent components R_PQ over the
-antisymmetric index pairs P = (r<s), Q = (m<n) with P <= Q.  The full
-(..., 4, 4, 4, 4) tensor is unpacked only on request, for diagnostics.
+antisymmetric index pairs P = (r<s), Q = (m<n) with P <= Q.  Ricci and
+scalar curvature are computed from the packed components on first access,
+and the full (..., 4, 4, 4, 4) tensor is unpacked only on request, for
+diagnostics; the anti-self-dual block is read straight off the packed
+components.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -75,14 +79,19 @@ class MetricGrid4D:
         self.g = np.asarray(self.g, dtype=float)
         if self.g.ndim != 6 or self.g.shape[-2:] != (4, 4):
             raise ValueError("metric samples must have shape (Nt,N1,N2,N3,4,4)")
-        if len(self.periods) != 4 or any(p <= 0 for p in self.periods):
-            raise ValueError(f"periods must be four positive numbers, got {self.periods}")
-        if np.max(np.abs(self.g - self.g.swapaxes(-1, -2))) > 1e-12:
+        # The comparisons are written so that NaN fails them.
+        if len(self.periods) != 4 or not all(0 < p < math.inf for p in self.periods):
+            raise ValueError(f"periods must be four positive finite numbers, got {self.periods}")
+        g = self.g
+        if not np.all(np.isfinite(g)):
+            raise ValueError("metric samples must be finite")
+        if any(np.max(np.abs(g[..., a, b] - g[..., b, a])) > 1e-12 for a, b in _PAIRS4):
             raise ValueError("metric samples are not symmetric")
-        try:
-            np.linalg.cholesky(self.g)
-        except np.linalg.LinAlgError:
-            raise ValueError("metric is not positive definite at some grid point") from None
+        # Sylvester's criterion on the upper triangle, the part the engine
+        # reads, copied components-first for contiguous arithmetic.
+        a = dict(zip(_SYM, np.stack([g[..., i, j] for i, j in _SYM])))
+        if not all(np.all(d > 0) for d in _leading_minors(a)):
+            raise ValueError("metric is not positive definite at some grid point")
 
     @property
     def shape(self) -> tuple[int, int, int, int]:
@@ -124,23 +133,53 @@ _RIEMANN_INDEX = _PACKED_INDEX[_PAIR_INDEX[:, :, None, None], _PAIR_INDEX[None, 
 _RIEMANN_SIGN = _PAIR_SIGN[:, :, None, None] * _PAIR_SIGN[None, None, :, :]
 
 
+def _row_pair_minors(a) -> tuple[tuple, tuple]:
+    """2x2 minors of a symmetric 4x4 field a[i, j] (i <= j) on the upper
+    rows (0, 1) and on the lower rows (2, 3), each over the column pairs
+    _PAIRS4 in order."""
+    s = (
+        a[0, 0] * a[1, 1] - a[0, 1] * a[0, 1],
+        a[0, 0] * a[1, 2] - a[0, 2] * a[0, 1],
+        a[0, 0] * a[1, 3] - a[0, 3] * a[0, 1],
+        a[0, 1] * a[1, 2] - a[0, 2] * a[1, 1],
+        a[0, 1] * a[1, 3] - a[0, 3] * a[1, 1],
+        a[0, 2] * a[1, 3] - a[0, 3] * a[1, 2],
+    )
+    c = (
+        a[0, 2] * a[1, 3] - a[1, 2] * a[0, 3],
+        a[0, 2] * a[2, 3] - a[2, 2] * a[0, 3],
+        a[0, 2] * a[3, 3] - a[2, 3] * a[0, 3],
+        a[1, 2] * a[2, 3] - a[2, 2] * a[1, 3],
+        a[1, 2] * a[3, 3] - a[2, 3] * a[1, 3],
+        a[2, 2] * a[3, 3] - a[2, 3] * a[2, 3],
+    )
+    return s, c
+
+
+def _det(s, c):
+    """Determinant by Laplace expansion in the row pair minors."""
+    return s[0] * c[5] - s[1] * c[4] + s[2] * c[3] + s[3] * c[2] - s[4] * c[1] + s[5] * c[0]
+
+
+def _minor3(a, s):
+    """Leading 3x3 principal minor, expanded along row 2."""
+    return a[0, 2] * s[3] - a[1, 2] * s[1] + a[2, 2] * s[0]
+
+
+def _leading_minors(a) -> tuple:
+    """The four leading principal minors of a symmetric 4x4 field a[i, j]."""
+    s, c = _row_pair_minors(a)
+    return a[0, 0], s[0], _minor3(a, s), _det(s, c)
+
+
 def _sym_inverse(g: np.ndarray) -> np.ndarray:
     """Inverse of a (10, ...) symmetric 4x4 field by 2x2 minors of the
     upper and lower row pairs (Laplace expansion), as (10, ...)."""
-    a = {(i, j): g[_SYM_INDEX[i, j]] for i in range(4) for j in range(4)}
-    s0 = a[0, 0] * a[1, 1] - a[0, 1] * a[0, 1]
-    s1 = a[0, 0] * a[1, 2] - a[0, 2] * a[0, 1]
-    s2 = a[0, 0] * a[1, 3] - a[0, 3] * a[0, 1]
-    s3 = a[0, 1] * a[1, 2] - a[0, 2] * a[1, 1]
-    s4 = a[0, 1] * a[1, 3] - a[0, 3] * a[1, 1]
-    s5 = a[0, 2] * a[1, 3] - a[0, 3] * a[1, 2]
-    c5 = a[2, 2] * a[3, 3] - a[2, 3] * a[2, 3]
-    c4 = a[1, 2] * a[3, 3] - a[2, 3] * a[1, 3]
-    c3 = a[1, 2] * a[2, 3] - a[2, 2] * a[1, 3]
-    c2 = a[0, 2] * a[3, 3] - a[2, 3] * a[0, 3]
-    c1 = a[0, 2] * a[2, 3] - a[2, 2] * a[0, 3]
-    c0 = a[0, 2] * a[1, 3] - a[1, 2] * a[0, 3]
-    inv_det = 1.0 / (s0 * c5 - s1 * c4 + s2 * c3 + s3 * c2 - s4 * c1 + s5 * c0)
+    a = {(i, j): g[c] for c, (i, j) in enumerate(_SYM)}
+    s, c = _row_pair_minors(a)
+    s0, s1, s2, s3, s4, s5 = s
+    c0, c1, c2, c3, c4, c5 = c
+    inv_det = 1.0 / _det(s, c)
     cof = {
         (0, 0): a[1, 1] * c5 - a[1, 2] * c4 + a[1, 3] * c3,
         (0, 1): -a[0, 1] * c5 + a[0, 2] * c4 - a[0, 3] * c3,
@@ -151,7 +190,7 @@ def _sym_inverse(g: np.ndarray) -> np.ndarray:
         (1, 3): a[0, 2] * s5 - a[2, 2] * s2 + a[2, 3] * s1,
         (2, 2): a[0, 3] * s4 - a[1, 3] * s2 + a[3, 3] * s0,
         (2, 3): -a[0, 2] * s4 + a[1, 2] * s2 - a[2, 3] * s0,
-        (3, 3): a[0, 2] * s3 - a[1, 2] * s1 + a[2, 2] * s0,
+        (3, 3): _minor3(a, s),
     }
     return np.stack([cof[slot] for slot in _SYM]) * inv_det
 
@@ -165,16 +204,36 @@ def _unpack_sym(c10: np.ndarray) -> np.ndarray:
 class CurvatureGrid:
     """Curvature of a sampled metric in packed components-first storage.
 
-    The full tensors ginv (..., a, b), gamma (..., r, m, n), riemann
-    (..., a, b, c, d) and ricci (..., a, b) are unpacked on first access.
+    The Ricci components ricci_sym (10, ...) and the scalar curvature are
+    computed on first access.  The full tensors ginv (..., a, b), gamma
+    (..., r, m, n), riemann (..., a, b, c, d) and ricci (..., a, b) are
+    unpacked on first access.
     """
 
     metric: MetricGrid4D
     ginv_sym: np.ndarray       # (10, ...) inverse metric, slots _SYM
     gamma_sym: np.ndarray      # (4, 10, ...) Gam^r_{mn}, slots (r, _SYM)
     riemann_packed: np.ndarray  # (21, ...) lowered R_PQ, slots _PACKED
-    ricci_sym: np.ndarray      # (10, ...) slots _SYM
-    scalar: np.ndarray         # (...)
+
+    @cached_property
+    def ricci_sym(self) -> np.ndarray:
+        """Ricci R_sn = g^ab R_asbn over the nine (a, b) with a != s, b != n."""
+        S = _SYM_INDEX
+        ricci_sym = np.zeros_like(self.ginv_sym)
+        for c, (s, n) in enumerate(_SYM):
+            for a in range(4):
+                for b in range(4):
+                    sign = _RIEMANN_SIGN[a, s, b, n]
+                    if sign:
+                        ricci_sym[c] += (
+                            sign * self.ginv_sym[S[a, b]] * self.riemann_packed[_RIEMANN_INDEX[a, s, b, n]]
+                        )
+        return ricci_sym
+
+    @cached_property
+    def scalar(self) -> np.ndarray:
+        weights = np.array([1.0 if a == b else 2.0 for a, b in _SYM])
+        return np.einsum("c,c...,c...->...", weights, self.ginv_sym, self.ricci_sym)
 
     @cached_property
     def ginv(self) -> np.ndarray:
@@ -187,8 +246,9 @@ class CurvatureGrid:
     @cached_property
     def riemann(self) -> np.ndarray:
         full = np.take(self.riemann_packed, _RIEMANN_INDEX.ravel(), axis=0)
-        full *= _RIEMANN_SIGN.reshape((-1,) + (1,) * self.scalar.ndim)
-        return np.moveaxis(full.reshape((4, 4, 4, 4) + self.scalar.shape), (0, 1, 2, 3), (-4, -3, -2, -1))
+        grid_shape = self.riemann_packed.shape[1:]
+        full *= _RIEMANN_SIGN.reshape((-1,) + (1,) * len(grid_shape))
+        return np.moveaxis(full.reshape((4, 4, 4, 4) + grid_shape), (0, 1, 2, 3), (-4, -3, -2, -1))
 
     @cached_property
     def ricci(self) -> np.ndarray:
@@ -210,10 +270,19 @@ def _ik_factors(periods, grid_shape):
     return out
 
 
+def _fft_workers() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
 def christoffel_riemann(m: MetricGrid4D) -> CurvatureGrid:
-    """Christoffel symbols, Riemann, Ricci and scalar curvature from the
-    general coordinate formulas, with derivative combinations assembled on
-    the half-spectrum (exact for band-limited samples).
+    """Christoffel symbols and the Riemann tensor from the general coordinate
+    formulas, with derivative combinations assembled on the half-spectrum
+    (exact for band-limited samples).  Ricci and scalar curvature follow on
+    first access.
 
     The 21 packed components of the lowered Riemann tensor are built in
     its second-derivative form
@@ -224,26 +293,22 @@ def christoffel_riemann(m: MetricGrid4D) -> CurvatureGrid:
     with Gam_{q,mn} the Christoffel symbols of the first kind.  The pair
     symmetries hold by construction; the first Bianchi identity does not,
     and riemann_symmetry_residuals measures it.
+
+    The FFTs run on every CPU the process may use; pocketfft splits whole
+    lines between threads, so the result does not depend on their number.
     """
     import scipy.fft
 
+    workers = _fft_workers()
     grid_shape = m.shape
     ik = _ik_factors(m.periods, grid_shape)
     S = _SYM_INDEX
     g_sym = np.stack([m.g[..., a, b] for a, b in _SYM])
     ginv_sym = _sym_inverse(g_sym)
+    gk = scipy.fft.rfftn(g_sym, axes=(1, 2, 3, 4), workers=workers)
+    del g_sym
 
-    gk = scipy.fft.rfftn(g_sym, axes=(1, 2, 3, 4))
-    # Twice the first-kind symbols, g_sn,m + g_sm,n - g_mn,s.
-    that = np.empty((4, 10) + gk.shape[1:], dtype=complex)
-    for s in range(4):
-        for c, (mm, nn) in enumerate(_SYM):
-            that[s, c] = ik[mm] * gk[S[s, nn]] + ik[nn] * gk[S[s, mm]] - ik[s] * gk[S[mm, nn]]
-    gam_low = scipy.fft.irfftn(that, s=grid_shape, axes=(2, 3, 4, 5))
-    del that
-    gam_low *= 0.5
-    gamma_sym = np.einsum("rs...,sc...->rc...", ginv_sym[S], gam_low)
-
+    # The second-derivative block first, while no Christoffel array exists.
     shat = np.empty((len(_PACKED),) + gk.shape[1:], dtype=complex)
     for col, (P, Q) in enumerate(_PACKED):
         r, s = _PAIRS4[P]
@@ -254,9 +319,20 @@ def christoffel_riemann(m: MetricGrid4D) -> CurvatureGrid:
             - ik[s] * ik[nn] * gk[S[r, mm]]
             - ik[r] * ik[mm] * gk[S[s, nn]]
         )
-    del gk
-    riemann = scipy.fft.irfftn(shat, s=grid_shape, axes=(1, 2, 3, 4))
+    riemann = scipy.fft.irfftn(shat, s=grid_shape, axes=(1, 2, 3, 4), workers=workers)
     del shat
+
+    # Twice the first-kind symbols, g_sn,m + g_sm,n - g_mn,s, one
+    # derivative index s at a time.
+    gam_low = np.empty((4, 10) + grid_shape)
+    that = np.empty((10,) + gk.shape[1:], dtype=complex)
+    for s in range(4):
+        for c, (mm, nn) in enumerate(_SYM):
+            that[c] = ik[mm] * gk[S[s, nn]] + ik[nn] * gk[S[s, mm]] - ik[s] * gk[S[mm, nn]]
+        gam_low[s] = scipy.fft.irfftn(that, s=grid_shape, axes=(1, 2, 3, 4), workers=workers)
+    del that, gk
+    gam_low *= 0.5
+    gamma_sym = np.einsum("rs...,sc...->rc...", ginv_sym[S], gam_low)
 
     def gam_dot(lo, up):
         return np.einsum("q...,q...->...", gam_low[:, lo], gamma_sym[:, up])
@@ -265,18 +341,7 @@ def christoffel_riemann(m: MetricGrid4D) -> CurvatureGrid:
         r, s = _PAIRS4[P]
         mm, nn = _PAIRS4[Q]
         riemann[col] += gam_dot(S[r, nn], S[s, mm]) - gam_dot(S[r, mm], S[s, nn])
-
-    # Ricci R_sn = g^ab R_asbn over the nine (a, b) with a != s, b != n.
-    ricci_sym = np.zeros_like(g_sym)
-    for c, (s, n) in enumerate(_SYM):
-        for a in range(4):
-            for b in range(4):
-                sign = _RIEMANN_SIGN[a, s, b, n]
-                if sign:
-                    ricci_sym[c] += sign * ginv_sym[S[a, b]] * riemann[_RIEMANN_INDEX[a, s, b, n]]
-    weights = np.array([1.0 if a == b else 2.0 for a, b in _SYM])
-    scalar = np.einsum("c,c...,c...->...", weights, ginv_sym, ricci_sym)
-    return CurvatureGrid(m, ginv_sym, gamma_sym, riemann, ricci_sym, scalar)
+    return CurvatureGrid(m, ginv_sym, gamma_sym, riemann)
 
 
 def weyl_tensor(curv: CurvatureGrid) -> np.ndarray:
@@ -330,16 +395,26 @@ def riemann_symmetry_residuals(curv: CurvatureGrid) -> dict[str, float]:
 _STAR = np.array([5, 4, 3])
 _HODGE_SIGN = np.array([1.0, -1.0, 1.0])
 
-# Spatial Ricci contraction c_kl = sum_i R_ikil as coefficients on the pair
-# matrix, from the pair orientations alone.
-_SPATIAL_RICCI = np.zeros((3, 3, 6, 6))
-for _k in range(3):
-    for _l in range(3):
-        for _i in range(3):
-            if _i not in (_k, _l):
-                _SPATIAL_RICCI[_k, _l, _PAIR_INDEX[_i + 1, _k + 1], _PAIR_INDEX[_i + 1, _l + 1]] += (
-                    _PAIR_SIGN[_i + 1, _k + 1] * _PAIR_SIGN[_i + 1, _l + 1]
-                )
+# Time pairs (0, i) and spatial pairs (k, l) among _PAIRS4.
+_TIME_PAIRS = np.arange(3)
+_SPATIAL_PAIRS = np.arange(3, 6)
+
+# Spatial Ricci contraction c_kl = sum_i R_ikil as its 12 signed terms
+# (k, l, P, Q, sign) on the spatial pair block, from the pair orientations
+# alone.
+_SPATIAL_RICCI = tuple(
+    (
+        k,
+        l,
+        _PAIR_INDEX[i + 1, k + 1] - 3,
+        _PAIR_INDEX[i + 1, l + 1] - 3,
+        int(_PAIR_SIGN[i + 1, k + 1] * _PAIR_SIGN[i + 1, l + 1]),
+    )
+    for k in range(3)
+    for l in range(3)
+    for i in range(3)
+    if i not in (k, l)
+)
 
 
 def _tf3(M: np.ndarray) -> np.ndarray:
@@ -350,11 +425,13 @@ def _tf3(M: np.ndarray) -> np.ndarray:
     return out
 
 
-def _ricci_contraction_shortcut(M: np.ndarray) -> np.ndarray:
+def _ricci_contraction_shortcut(B: np.ndarray) -> np.ndarray:
     """Double epsilon contraction rewritten through the spatial Ricci
-    contraction of the (6, 6, ...) pair matrix:
+    contraction of the (3, 3, ...) spatial pair block:
     1/4 eps eps R_klpq = -(c - 1/2 tr(c) delta)."""
-    c = np.tensordot(_SPATIAL_RICCI, M, axes=2)
+    c = np.zeros_like(B)
+    for k, l, P, Q, sign in _SPATIAL_RICCI:
+        c[k, l] += sign * B[P, Q]
     out = -c
     tr = np.einsum("kk...->...", c)
     for i in range(3):
@@ -392,18 +469,27 @@ def asd_form_background(curv: CurvatureGrid, frame: np.ndarray | None = None) ->
     Raises CurvatureDefectError when the double-epsilon block disagrees
     with its Ricci-contraction rewriting.
     """
-    M = curv.riemann_packed[_PACKED_INDEX]
-    if frame is not None:
-        T = _pair_frame(frame)
-        M = np.einsum("pa...,pq...,qb...->ab...", T, M, T, optimize=True)
-    s = _HODGE_SIGN.reshape((3, 1) + (1,) * curv.scalar.ndim)
-    phi = M[:3, :3]
-    psi_raw = 2 * s * M[_STAR, :3]
-    psi = 0.5 * (psi_raw + psi_raw.swapaxes(0, 1))
-    gam = s * s.swapaxes(0, 1) * M[_STAR][:, _STAR]
+    R = curv.riemann_packed
+    if frame is None:
+        # Read the blocks straight off the 21 packed components.
+        def block(rows, cols):
+            return R[_PACKED_INDEX[np.ix_(rows, cols)]]
 
-    scale = max(float(np.max(np.abs(M))), 1.0)
-    defect = float(np.max(np.abs(gam - _ricci_contraction_shortcut(M))))
+    else:
+        T = _pair_frame(frame)
+        R = np.einsum("pa...,pq...,qb...->ab...", T, R[_PACKED_INDEX], T, optimize=True)
+
+        def block(rows, cols):
+            return R[np.ix_(rows, cols)]
+
+    phi = block(_TIME_PAIRS, _TIME_PAIRS)
+    s = _HODGE_SIGN.reshape((3,) + (1,) * (phi.ndim - 1))
+    psi_raw = 2 * s * block(_STAR, _TIME_PAIRS)
+    psi = 0.5 * (psi_raw + psi_raw.swapaxes(0, 1))
+    gam = s * s.swapaxes(0, 1) * block(_STAR, _STAR)
+
+    scale = max(float(np.max(np.abs(R))), 1.0)
+    defect = float(np.max(np.abs(gam - _ricci_contraction_shortcut(block(_SPATIAL_PAIRS, _SPATIAL_PAIRS)))))
     if defect > 1e-10 * scale:
         raise CurvatureDefectError(defect, scale)
     return _tf3(np.moveaxis(phi - psi + gam, (0, 1), (-2, -1)))
@@ -516,20 +602,27 @@ def fd_linearization_errors(
     """
     periods = (t_period,) + ht.grid.lengths
     sample = sample_cyl_tensor(ht, shape, periods)
-    base = MetricGrid4D.flat_product(shape, periods)
     exact = sample_cross_section_tensor(linearized_weyl(ht), shape, periods)
-    den = float(np.linalg.norm(exact))
-    out = []
+    identity = np.eye(4)
+    deviations = []
     for eps in eps_values:
         if not 0 < eps < 0.1:
             raise ValueError("finite-difference step must be small and positive")
-        plus = MetricGrid4D(periods, base.g + eps * sample)
-        minus = MetricGrid4D(periods, base.g - eps * sample)
+        plus = MetricGrid4D(periods, identity + eps * sample)
+        minus = MetricGrid4D(periods, identity - eps * sample)
         m_plus = asd_form_background(christoffel_riemann(plus))
         m_minus = asd_form_background(christoffel_riemann(minus))
-        diff = (m_plus - m_minus) / (2 * eps)
-        num = float(np.linalg.norm(diff - exact))
-        if den < 1e-12 * max(1.0, float(np.linalg.norm(sample))):
+        deviations.append((m_plus - m_minus) / (2 * eps) - exact)
+
+    # The norms run after all curvature evaluations: their BLAS dot product
+    # leaves a thread spinning for a while, which would hold the second CPU
+    # that the FFTs use.
+    den = float(np.linalg.norm(exact))
+    degenerate = den < 1e-12 * max(1.0, float(np.linalg.norm(sample)))
+    out = []
+    for deviation in deviations:
+        num = float(np.linalg.norm(deviation))
+        if degenerate:
             # Degenerate direction (exactly annihilated): the absolute
             # finite-difference defect should be of size eps^2.
             out.append(

@@ -126,6 +126,43 @@ def test_lens_rejects_negative_jmax(capsys):
     assert code == 2 and out == ""
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["roots", "--torus", "6,6,6", "--jmax", str(cli.JMAX_CEILING)],
+        ["lens", "--lens", "2,1,1", "--jmax", str(cli.JMAX_CEILING)],
+        ["lens", "--lens", f"{cli.LENS_ORDER_CEILING},1,3", "--jmax", "0"],
+        ["roots", "--lens", f"{cli.LENS_ORDER_CEILING},1,3", "--jmax", "0"],
+        # p * (jmax + 1)^2 equal to the work ceiling.
+        ["lens", "--lens", "1000,1,3", "--jmax", "99"],
+    ],
+    ids=["roots-jmax", "lens-jmax", "lens-order", "roots-lens-order", "lens-work"],
+)
+def test_inputs_at_the_ceilings_run(argv, capsys):
+    assert cli.LENS_WORK_CEILING == 1000 * 100**2
+    code, out = run_cli(argv, capsys)
+    assert code == 0 and json.loads(out)["j_max"] == int(argv[-1])
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["roots", "--sphere", "--jmax", "1001"], "--jmax must be at most 1000, got 1001"),
+        (["gap", "--sphere", "--jmax", "100000000"], "--jmax must be at most 1000, got 100000000"),
+        (["lens", "--lens", "2,1,1", "--jmax", "1001"], "--jmax must be at most 1000, got 1001"),
+        (["roots", "--lens", "100003,1,2", "--jmax", "10"], "--lens order p must be at most 10000, got 100003"),
+        (["lens", "--lens", "10001,1,3", "--jmax", "0"], "--lens order p must be at most 10000, got 10001"),
+        (["lens", "--lens", "1001,1,3", "--jmax", "99"], "--lens order p times (--jmax + 1)^2 must be at most"),
+        (["gap", "--lens", "1000,1,3", "--jmax", "100"], "--lens order p times (--jmax + 1)^2 must be at most"),
+    ],
+)
+def test_inputs_above_the_ceilings_exit_2(argv, message, capsys):
+    code = cli.main(argv)
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert message in captured.err
+
+
 def test_killing_dim_flag_is_gone():
     with pytest.raises(SystemExit) as info:
         cli.main(["roots", "--sphere", "--killing-dim", "2"])

@@ -162,6 +162,222 @@ def test_shortcut_defect_is_a_typed_error(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# Bitwise oracle: the eager engine
+# ---------------------------------------------------------------------------
+#
+# The packed engine as it was before Ricci and scalar curvature became lazy,
+# kept verbatim in arithmetic so that production must match it bit for bit:
+# eager Ricci and scalar, all 40 Christoffel components in one FFT, the
+# 36-slot pair matrix with the spatial Ricci contraction by tensordot,
+# single-threaded FFTs, and the battery loop on a validated flat product
+# with its norms taken inside the loop.  Its index tables and helpers are
+# its own; only the sampling of the variation is shared with production.
+
+_E_SYM = tuple((a, b) for a in range(4) for b in range(a, 4))
+_E_SYM_INDEX = np.empty((4, 4), dtype=int)
+for _c, (_a, _b) in enumerate(_E_SYM):
+    _E_SYM_INDEX[_a, _b] = _E_SYM_INDEX[_b, _a] = _c
+_E_PACKED = tuple((P, Q) for P in range(6) for Q in range(P, 6))
+_E_PACKED_INDEX = np.empty((6, 6), dtype=int)
+for _c, (_P, _Q) in enumerate(_E_PACKED):
+    _E_PACKED_INDEX[_P, _Q] = _E_PACKED_INDEX[_Q, _P] = _c
+_E_PAIR_INDEX = np.zeros((4, 4), dtype=int)
+_E_PAIR_SIGN = np.zeros((4, 4), dtype=int)
+for _P, (_a, _b) in enumerate(_ORACLE_PAIRS):
+    _E_PAIR_INDEX[_a, _b] = _E_PAIR_INDEX[_b, _a] = _P
+    _E_PAIR_SIGN[_a, _b], _E_PAIR_SIGN[_b, _a] = 1, -1
+_E_RIEMANN_INDEX = _E_PACKED_INDEX[_E_PAIR_INDEX[:, :, None, None], _E_PAIR_INDEX[None, None, :, :]]
+_E_RIEMANN_SIGN = _E_PAIR_SIGN[:, :, None, None] * _E_PAIR_SIGN[None, None, :, :]
+_E_STAR = np.array([5, 4, 3])
+_E_HODGE_SIGN = np.array([1.0, -1.0, 1.0])
+_E_SPATIAL_RICCI = np.zeros((3, 3, 6, 6))
+for _k in range(3):
+    for _l in range(3):
+        for _i in range(3):
+            if _i not in (_k, _l):
+                _E_SPATIAL_RICCI[_k, _l, _E_PAIR_INDEX[_i + 1, _k + 1], _E_PAIR_INDEX[_i + 1, _l + 1]] += (
+                    _E_PAIR_SIGN[_i + 1, _k + 1] * _E_PAIR_SIGN[_i + 1, _l + 1]
+                )
+
+
+def eager_sym_inverse(g):
+    a = {(i, j): g[_E_SYM_INDEX[i, j]] for i in range(4) for j in range(4)}
+    s0 = a[0, 0] * a[1, 1] - a[0, 1] * a[0, 1]
+    s1 = a[0, 0] * a[1, 2] - a[0, 2] * a[0, 1]
+    s2 = a[0, 0] * a[1, 3] - a[0, 3] * a[0, 1]
+    s3 = a[0, 1] * a[1, 2] - a[0, 2] * a[1, 1]
+    s4 = a[0, 1] * a[1, 3] - a[0, 3] * a[1, 1]
+    s5 = a[0, 2] * a[1, 3] - a[0, 3] * a[1, 2]
+    c5 = a[2, 2] * a[3, 3] - a[2, 3] * a[2, 3]
+    c4 = a[1, 2] * a[3, 3] - a[2, 3] * a[1, 3]
+    c3 = a[1, 2] * a[2, 3] - a[2, 2] * a[1, 3]
+    c2 = a[0, 2] * a[3, 3] - a[2, 3] * a[0, 3]
+    c1 = a[0, 2] * a[2, 3] - a[2, 2] * a[0, 3]
+    c0 = a[0, 2] * a[1, 3] - a[1, 2] * a[0, 3]
+    inv_det = 1.0 / (s0 * c5 - s1 * c4 + s2 * c3 + s3 * c2 - s4 * c1 + s5 * c0)
+    cof = {
+        (0, 0): a[1, 1] * c5 - a[1, 2] * c4 + a[1, 3] * c3,
+        (0, 1): -a[0, 1] * c5 + a[0, 2] * c4 - a[0, 3] * c3,
+        (0, 2): a[1, 3] * s5 - a[2, 3] * s4 + a[3, 3] * s3,
+        (0, 3): -a[1, 2] * s5 + a[2, 2] * s4 - a[2, 3] * s3,
+        (1, 1): a[0, 0] * c5 - a[0, 2] * c2 + a[0, 3] * c1,
+        (1, 2): -a[0, 3] * s5 + a[2, 3] * s2 - a[3, 3] * s1,
+        (1, 3): a[0, 2] * s5 - a[2, 2] * s2 + a[2, 3] * s1,
+        (2, 2): a[0, 3] * s4 - a[1, 3] * s2 + a[3, 3] * s0,
+        (2, 3): -a[0, 2] * s4 + a[1, 2] * s2 - a[2, 3] * s0,
+        (3, 3): a[0, 2] * s3 - a[1, 2] * s1 + a[2, 2] * s0,
+    }
+    return np.stack([cof[slot] for slot in _E_SYM]) * inv_det
+
+
+def eager_curvature(g, periods):
+    """(ginv_sym, gamma_sym, riemann_packed, ricci_sym, scalar) of the
+    (..., 4, 4) metric samples g."""
+    import scipy.fft
+
+    grid_shape = g.shape[:4]
+    ik = []
+    for mu in range(4):
+        n = grid_shape[mu]
+        if mu < 3:
+            freq = 2 * math.pi * np.fft.fftfreq(n, d=1.0 / n) / periods[mu]
+        else:
+            freq = 2 * math.pi * np.fft.rfftfreq(n, d=1.0 / n) / periods[mu]
+        shape = [1] * 4
+        shape[mu] = len(freq)
+        ik.append(1j * freq.reshape(shape))
+    S = _E_SYM_INDEX
+    g_sym = np.stack([g[..., a, b] for a, b in _E_SYM])
+    ginv_sym = eager_sym_inverse(g_sym)
+
+    gk = scipy.fft.rfftn(g_sym, axes=(1, 2, 3, 4), workers=1)
+    that = np.empty((4, 10) + gk.shape[1:], dtype=complex)
+    for s in range(4):
+        for c, (mm, nn) in enumerate(_E_SYM):
+            that[s, c] = ik[mm] * gk[S[s, nn]] + ik[nn] * gk[S[s, mm]] - ik[s] * gk[S[mm, nn]]
+    gam_low = scipy.fft.irfftn(that, s=grid_shape, axes=(2, 3, 4, 5), workers=1)
+    gam_low *= 0.5
+    gamma_sym = np.einsum("rs...,sc...->rc...", ginv_sym[S], gam_low)
+
+    shat = np.empty((len(_E_PACKED),) + gk.shape[1:], dtype=complex)
+    for col, (P, Q) in enumerate(_E_PACKED):
+        r, s = _ORACLE_PAIRS[P]
+        mm, nn = _ORACLE_PAIRS[Q]
+        shat[col] = 0.5 * (
+            ik[s] * ik[mm] * gk[S[r, nn]]
+            + ik[r] * ik[nn] * gk[S[s, mm]]
+            - ik[s] * ik[nn] * gk[S[r, mm]]
+            - ik[r] * ik[mm] * gk[S[s, nn]]
+        )
+    riemann = scipy.fft.irfftn(shat, s=grid_shape, axes=(1, 2, 3, 4), workers=1)
+
+    def gam_dot(lo, up):
+        return np.einsum("q...,q...->...", gam_low[:, lo], gamma_sym[:, up])
+
+    for col, (P, Q) in enumerate(_E_PACKED):
+        r, s = _ORACLE_PAIRS[P]
+        mm, nn = _ORACLE_PAIRS[Q]
+        riemann[col] += gam_dot(S[r, nn], S[s, mm]) - gam_dot(S[r, mm], S[s, nn])
+
+    ricci_sym = np.zeros_like(g_sym)
+    for c, (s, n) in enumerate(_E_SYM):
+        for a in range(4):
+            for b in range(4):
+                sign = _E_RIEMANN_SIGN[a, s, b, n]
+                if sign:
+                    ricci_sym[c] += sign * ginv_sym[S[a, b]] * riemann[_E_RIEMANN_INDEX[a, s, b, n]]
+    weights = np.array([1.0 if a == b else 2.0 for a, b in _E_SYM])
+    scalar = np.einsum("c,c...,c...->...", weights, ginv_sym, ricci_sym)
+    return ginv_sym, gamma_sym, riemann, ricci_sym, scalar
+
+
+def eager_shortcut(M):
+    c = np.tensordot(_E_SPATIAL_RICCI, M, axes=2)
+    out = -c
+    tr = np.einsum("kk...->...", c)
+    for i in range(3):
+        out[i, i] += 0.5 * tr
+    return out
+
+
+def eager_asd(riemann_packed):
+    M = riemann_packed[_E_PACKED_INDEX]
+    s = _E_HODGE_SIGN.reshape((3, 1) + (1,) * (M.ndim - 2))
+    phi = M[:3, :3]
+    psi_raw = 2 * s * M[_E_STAR, :3]
+    psi = 0.5 * (psi_raw + psi_raw.swapaxes(0, 1))
+    gam = s * s.swapaxes(0, 1) * M[_E_STAR][:, _E_STAR]
+    scale = max(float(np.max(np.abs(M))), 1.0)
+    assert float(np.max(np.abs(gam - eager_shortcut(M)))) <= 1e-10 * scale
+    out = np.moveaxis(phi - psi + gam, (0, 1), (-2, -1))
+    tr = np.einsum("...ii->...", out)
+    out = out.copy()
+    for i in range(3):
+        out[..., i, i] -= tr / 3.0
+    return out
+
+
+def eager_fd_errors(ht, eps_values, shape):
+    periods = (2 * math.pi,) + ht.grid.lengths
+    sample = C.sample_cyl_tensor(ht, shape, periods)
+    base = np.zeros(tuple(shape) + (4, 4))
+    base[..., range(4), range(4)] = 1.0
+    np.linalg.cholesky(base)
+    exact = C.sample_cross_section_tensor(F.linearized_weyl(ht), shape, periods)
+    den = float(np.linalg.norm(exact))
+    out = []
+    for eps in eps_values:
+        plus, minus = base + eps * sample, base - eps * sample
+        np.linalg.cholesky(plus)
+        np.linalg.cholesky(minus)
+        m_plus = eager_asd(eager_curvature(plus, periods)[2])
+        m_minus = eager_asd(eager_curvature(minus, periods)[2])
+        num = float(np.linalg.norm((m_plus - m_minus) / (2 * eps) - exact))
+        assert den >= 1e-12 * max(1.0, float(np.linalg.norm(sample)))
+        out.append({"relative_error": num / den, "absolute_error": num, "reference_norm": den})
+    return out
+
+
+def test_engine_matches_eager_engine_bitwise():
+    m = random_metric((8, 8, 8, 8), seed=21)
+    curv = C.christoffel_riemann(m)
+    want = eager_curvature(m.g, m.periods)
+    names = ("ginv_sym", "gamma_sym", "riemann_packed", "ricci_sym", "scalar")
+    for name, value in zip(names, want):
+        assert np.array_equal(getattr(curv, name), value), name
+    assert np.array_equal(C.asd_form_background(curv), eager_asd(want[2]))
+
+
+def test_fd_battery_matches_eager_loop_bitwise():
+    ht = C.linearization_battery(seed=11, band=1)[5]
+    eps_values = [1e-4, 5e-5]
+    got = C.fd_linearization_errors(ht, eps_values, shape=(8, 8, 8, 8))
+    assert got == eager_fd_errors(ht, eps_values, (8, 8, 8, 8))
+
+
+def test_shortcut_matches_tensordot_form():
+    M = np.random.default_rng(4).standard_normal((6, 6, 5, 7))
+    M = M + M.swapaxes(0, 1)
+    got = C._ricci_contraction_shortcut(M[3:, 3:])
+    assert np.max(np.abs(got - eager_shortcut(M))) <= 1e-14 * np.max(np.abs(M))
+
+
+def test_fd_battery_makes_no_blas_calls(monkeypatch):
+    # A threaded BLAS call leaves its threads spinning after it returns,
+    # holding the CPUs the FFT workers need, so the curvature evaluations
+    # must make none.  (The closing np.linalg.norm calls use the ndarray
+    # dot method, which this does not patch; they run after the FFTs.)
+    def refuse(*args, **kwargs):
+        raise AssertionError("BLAS-backed call in the curvature hot path")
+
+    for name in ("tensordot", "dot", "matmul"):
+        monkeypatch.setattr(np, name, refuse)
+    ht = C.linearization_battery(seed=11, band=1)[7]
+    (err,) = C.fd_linearization_errors(ht, [1e-4], shape=(8, 8, 8, 8))
+    assert err["relative_error"] < 1e-4
+
+
+# ---------------------------------------------------------------------------
 # Curvature from the metric
 # ---------------------------------------------------------------------------
 
@@ -234,6 +450,49 @@ def test_metric_validation():
     bad[..., 0, 1] = 0.5
     with pytest.raises(ValueError, match="symmetric"):
         C.MetricGrid4D(PERIODS, bad + np.triu(np.ones((4, 4)), 1) * 0.1)
+
+
+def _flat_with(point_value):
+    g = C.MetricGrid4D.flat_product((2, 2, 2, 2)).g.copy()
+    g[1, 0, 1, 1] = point_value
+    return g
+
+
+@pytest.mark.parametrize(
+    "periods,g,message",
+    [
+        (PERIODS, _flat_with(np.full((4, 4), np.nan)), "finite"),
+        (PERIODS, _flat_with(np.diag([1.0, 1.0, np.inf, 1.0])), "finite"),
+        ((2 * math.pi, math.inf, 1.0, 1.0), _flat_with(np.eye(4)), "periods"),
+        ((2 * math.pi, 1.0, math.nan, 1.0), _flat_with(np.eye(4)), "periods"),
+        # Symmetric with a positive diagonal, but indefinite.
+        (PERIODS, _flat_with(np.eye(4) + np.diag([1.5, 1.5], 2) + np.diag([1.5, 1.5], -2)), "positive definite"),
+        # Singular: positive semidefinite of rank 3.
+        (PERIODS, _flat_with(np.diag([1.0, 1.0, 1.0, 0.0])), "positive definite"),
+        (PERIODS, _flat_with(np.ones((4, 4))), "positive definite"),
+    ],
+    ids=["nan-sample", "inf-sample", "inf-period", "nan-period", "indefinite", "singular", "rank-1"],
+)
+def test_metric_validation_rejects_bad_values(periods, g, message):
+    with pytest.raises(ValueError, match=message):
+        C.MetricGrid4D(periods, g)
+
+
+def test_metric_validation_matches_cholesky():
+    # Sylvester's criterion accepts exactly the samples that have a
+    # Cholesky factor, on a mix of definite and indefinite points.
+    rng = np.random.default_rng(3)
+    a = rng.standard_normal((400, 4, 4))
+    samples = np.einsum("nij,nkj->nik", a, a) - rng.uniform(0.0, 1.5, 400)[:, None, None] * np.eye(4)
+    for sample in samples:
+        g = _flat_with(sample)
+        try:
+            np.linalg.cholesky(sample)
+        except np.linalg.LinAlgError:
+            with pytest.raises(ValueError, match="positive definite"):
+                C.MetricGrid4D(PERIODS, g)
+        else:
+            C.MetricGrid4D(PERIODS, g)
 
 
 # ---------------------------------------------------------------------------
