@@ -99,13 +99,16 @@ def _json_other(obj) -> str:
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
-def _emit(doc, args) -> None:
-    text = _json(doc) + "\n"
+def _write(text: str, args) -> None:
     if getattr(args, "out", None):
         with open(args.out, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
+
+
+def _emit(doc, args) -> None:
+    _write(_json(doc) + "\n", args)
 
 
 # ---------------------------------------------------------------------------
@@ -191,23 +194,8 @@ def _geometry_doc(cs: spectra.CrossSectionSpec) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _root_record(r: indicial.IndicialRoot) -> dict:
-    return {
-        "re": r.value.real,
-        "im": r.value.imag,
-        "case": int(r.case_tag),
-        "origin_kind": r.origin_kind.value,
-        "j": r.origin_j,
-        "eigenvalue": r.origin_eigenvalue,
-        "side": r.side.value,
-        "solution_form": r.solution_form.value,
-        "jordan": r.jordan,
-        "conformal_killing": r.conformal_killing,
-        "multiplicity": r.multiplicity,
-    }
-
-
-_CSV_FIELDS = (
+# Column order of a root record, shared by the JSON objects and the CSV rows.
+_ROOT_FIELDS = (
     "re",
     "im",
     "case",
@@ -220,6 +208,23 @@ _CSV_FIELDS = (
     "conformal_killing",
     "multiplicity",
 )
+
+
+def _root_row(r: indicial.IndicialRoot) -> tuple:
+    """The values of one root record, in _ROOT_FIELDS order."""
+    return (
+        r.value.real,
+        r.value.imag,
+        int(r.case_tag),
+        r.origin_kind.value,
+        r.origin_j,
+        r.origin_eigenvalue,
+        r.side.value,
+        r.solution_form.value,
+        r.jordan,
+        r.conformal_killing,
+        r.multiplicity,
+    )
 
 
 def _csv_cell(v) -> str:
@@ -238,16 +243,10 @@ def cmd_roots(args) -> int:
     if window:
         lo, hi = window
         roots = [r for r in roots if lo < r.value.real < hi]
-    records = [_root_record(r) for r in roots]
+    rows = [_root_row(r) for r in roots]
     if args.format == "csv":
-        lines = [",".join(_CSV_FIELDS)]
-        lines += [",".join(_csv_cell(rec[f]) for f in _CSV_FIELDS) for rec in records]
-        text = "\n".join(lines) + "\n"
-        if args.out:
-            with open(args.out, "w") as fh:
-                fh.write(text)
-        else:
-            sys.stdout.write(text)
+        lines = [",".join(_ROOT_FIELDS)] + [",".join(map(_csv_cell, row)) for row in rows]
+        _write("\n".join(lines) + "\n", args)
         return 0
     doc = {
         "schema": _SCHEMA,
@@ -259,7 +258,7 @@ def cmd_roots(args) -> int:
         "complete_below_re": catalog.complete_below_re,
         "caveats": list(catalog.caveats),
         "notes": [_RATE_NOTE],
-        "roots": records,
+        "roots": [dict(zip(_ROOT_FIELDS, row)) for row in rows],
     }
     _emit(doc, args)
     return 0
@@ -500,6 +499,9 @@ def cmd_verify(args) -> int:
         args.N & (args.N - 1) or not 2 <= args.N <= 32
     ):
         raise SystemExit2("--N must be a power of two <= 32")
+    if args.suite == "linearization" and args.N < 8:
+        # The battery's time frequencies go up to 3, which 4 samples cannot hold.
+        raise SystemExit2(f"--N must be at least 8 for the linearization suite, got {args.N}")
     if args.suite == "oracle" and args.jmax < 0:
         raise SystemExit2("--jmax must be nonnegative")
     if args.suite == "identities":
@@ -571,7 +573,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="verification suites")
     p.add_argument("suite", choices=("identities", "linearization", "oracle"))
-    p.add_argument("--N", type=int, default=8, help="grid size / band control")
+    p.add_argument(
+        "--N",
+        type=int,
+        default=8,
+        help="grid size, a power of two: 2..32 for identities, 8..32 for linearization",
+    )
     p.add_argument("--seed", type=int, default=7)
     p.add_argument("--eps", type=float, default=1e-4)
     p.add_argument(

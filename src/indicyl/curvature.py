@@ -604,7 +604,9 @@ def fd_linearization_errors(
     sample = sample_cyl_tensor(ht, shape, periods)
     exact = sample_cross_section_tensor(linearized_weyl(ht), shape, periods)
     identity = np.eye(4)
-    deviations = []
+    den = _norm(exact)
+    degenerate = den < 1e-12 * max(1.0, _norm(sample))
+    out = []
     for eps in eps_values:
         if not 0 < eps < 0.1:
             raise ValueError("finite-difference step must be small and positive")
@@ -612,16 +614,7 @@ def fd_linearization_errors(
         minus = MetricGrid4D(periods, identity - eps * sample)
         m_plus = asd_form_background(christoffel_riemann(plus))
         m_minus = asd_form_background(christoffel_riemann(minus))
-        deviations.append((m_plus - m_minus) / (2 * eps) - exact)
-
-    # The norms run after all curvature evaluations: their BLAS dot product
-    # leaves a thread spinning for a while, which would hold the second CPU
-    # that the FFTs use.
-    den = float(np.linalg.norm(exact))
-    degenerate = den < 1e-12 * max(1.0, float(np.linalg.norm(sample)))
-    out = []
-    for deviation in deviations:
-        num = float(np.linalg.norm(deviation))
+        num = _norm((m_plus - m_minus) / (2 * eps) - exact)
         if degenerate:
             # Degenerate direction (exactly annihilated): the absolute
             # finite-difference defect should be of size eps^2.
@@ -633,6 +626,13 @@ def fd_linearization_errors(
                 {"relative_error": num / den, "absolute_error": num, "reference_norm": den}
             )
     return out
+
+
+def _norm(x: np.ndarray) -> float:
+    """Frobenius norm of a real array by numpy's pairwise sum, whose order,
+    unlike the BLAS dot inside np.linalg.norm, does not depend on the
+    number of BLAS threads."""
+    return math.sqrt(float(np.sum(np.square(x))))
 
 
 def fd_linearization_check(

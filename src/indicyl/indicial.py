@@ -52,7 +52,7 @@ __all__ = [
     "mixed_a_roots",
     "mixed_b_roots",
     "alpha_pm",
-    "apply_exclusions",
+    "family_roots",
     "assemble_catalog",
     "spectral_gap",
     "h2plus_predicate",
@@ -81,8 +81,6 @@ class CaseTag(IntEnum):
 
 
 class Side(str, Enum):
-    KERNEL = "kernel"
-    COKERNEL = "cokernel"
     BOTH = "both"
 
 
@@ -104,25 +102,29 @@ _FORM_FOR_CASE = {
 
 @dataclass(frozen=True)
 class IndicialRoot:
+    """One catalog root; the case fixes its solution form, and cases 0 and
+    1 are exactly the roots dual to conformal Killing fields."""
+
     value: complex
     case_tag: CaseTag
     origin_kind: OperatorKind
     origin_j: int
     origin_eigenvalue: float
-    side: Side = Side.BOTH
-    solution_form: SolutionForm = SolutionForm.MIXED
     jordan: bool = False
-    conformal_killing: bool = False
     multiplicity: int = 1
 
-    def __post_init__(self):
-        if self.case_tag in (CaseTag.CASE0, CaseTag.CASE1) and not self.conformal_killing:
-            raise ValueError("case 0/1 roots must be conformal Killing")
-        if self.solution_form is not _FORM_FOR_CASE[self.case_tag]:
-            raise ValueError(
-                f"case {int(self.case_tag)} root cannot have solution form "
-                f"{self.solution_form.value}"
-            )
+    @property
+    def solution_form(self) -> SolutionForm:
+        return _FORM_FOR_CASE[self.case_tag]
+
+    @property
+    def conformal_killing(self) -> bool:
+        return self.case_tag <= CaseTag.CASE1
+
+    @property
+    def side(self) -> Side:
+        # The kernel and cokernel sides carry the same complex root set.
+        return Side.BOTH
 
 
 @dataclass(frozen=True)
@@ -134,9 +136,6 @@ class RootCatalog:
     cokernel_dim_at_zero: int
     complete_below_re: float
     caveats: tuple[str, ...] = ()
-
-    def values(self) -> list[complex]:
-        return sorted({r.value for r in self.roots}, key=lambda z: (z.real, z.imag))
 
 
 @dataclass(frozen=True)
@@ -249,22 +248,31 @@ def mixed_b_roots(nu: float, kappa: int) -> list[complex]:
 
 
 # ---------------------------------------------------------------------------
-# Conformal Killing exclusions
+# Tagged roots of one spectrum entry
 # ---------------------------------------------------------------------------
 
 
-def apply_exclusions(
-    kappa: int,
-    kind: OperatorKind,
-    eigenvalue: float,
-    j: int,
-    roots: list[tuple[complex, bool]],
-    multiplicity: int,
-) -> list[IndicialRoot]:
-    """Convert raw mixed-family roots into tagged catalog entries.
+def _root(value, case, kind, j, eigenvalue, *, jordan=False, mult=1) -> IndicialRoot:
+    value = complex(value)
+    return IndicialRoot(
+        value=complex(value.real + 0.0, value.imag + 0.0),  # drop negative zeros
+        case_tag=case,
+        origin_kind=kind,
+        origin_j=j,
+        origin_eigenvalue=float(eigenvalue),
+        jordan=jordan,
+        multiplicity=mult,
+    )
 
-    Degenerate eigenvalues whose 1-forms are dual to conformal Killing fields
-    of the cylinder are collapsed to their surviving roots:
+
+def family_roots(entry: SpectrumEntry, kappa: int) -> list[IndicialRoot]:
+    """All tagged catalog roots produced by one spectrum entry.
+
+    TT eigentensors give type 3 roots (case 2), scalar eigenfunctions the
+    mixed type (a) roots (case 4), and co-closed eigenforms the type 2
+    roots (case 3) plus the mixed type (b) roots (case 5).  Degenerate
+    eigenvalues whose 1-forms are dual to conformal Killing fields of the
+    cylinder collapse to their surviving roots:
 
     * scalar eigenvalue 0 (constants, every kappa): only the root 0 with the
       1-form dt remains; the other formal characteristic roots of the
@@ -273,48 +281,28 @@ def apply_exclusions(
     * co-closed eigenvalue 4 at kappa=+1 and eigenvalue 0 at kappa=0
       (Killing/parallel forms): root 0, case 0.
     """
+    kind, j, ev = entry.kind, entry.j, entry.eigenvalue
+
+    def tagged(case, pairs):
+        return [
+            _root(v, case, kind, j, ev, jordan=jd, mult=entry.multiplicity) for v, jd in pairs
+        ]
+
+    if kind is OperatorKind.DIVFREE_TT_ROUGH:
+        if kappa == 0 and abs(ev) <= _ZERO_TOL:
+            # Parallel TT tensors: constant and t-linear solutions at 0.
+            return tagged(CaseTag.CASE2, [(0.0, True)])
+        return tagged(CaseTag.CASE2, type3_roots(ev, kappa))
     if kind is OperatorKind.SCALAR_HODGE:
-        if abs(eigenvalue) <= _ZERO_TOL:
-            return [
-                _root(0.0, CaseTag.CASE0, kind, j, eigenvalue, ck=True, mult=multiplicity)
-            ]
-        if kappa == 1 and abs(eigenvalue - 3.0) <= _ZERO_TOL:
-            return [
-                _root(s, CaseTag.CASE1, kind, j, eigenvalue, ck=True, mult=multiplicity)
-                for s in (-1.0, 1.0)
-            ]
-        return [
-            _root(v, CaseTag.CASE4, kind, j, eigenvalue, jordan=jd, mult=multiplicity)
-            for v, jd in roots
-        ]
-    if kind is OperatorKind.COCLOSED_ONEFORM_HODGE:
-        if (kappa == 1 and abs(eigenvalue - 4.0) <= _ZERO_TOL) or (
-            kappa == 0 and abs(eigenvalue) <= _ZERO_TOL
-        ):
-            return [
-                _root(0.0, CaseTag.CASE0, kind, j, eigenvalue, ck=True, mult=multiplicity)
-            ]
-        return [
-            _root(v, CaseTag.CASE5, kind, j, eigenvalue, jordan=jd, mult=multiplicity)
-            for v, jd in roots
-        ]
-    raise ValueError(f"mixed-family exclusions apply to scalar/oneform origins, not {kind}")
-
-
-def _root(value, case, kind, j, eigenvalue, *, jordan=False, ck=False, mult=1) -> IndicialRoot:
-    value = complex(value)
-    return IndicialRoot(
-        value=complex(value.real + 0.0, value.imag + 0.0),  # drop negative zeros
-        case_tag=case,
-        origin_kind=kind,
-        origin_j=j,
-        origin_eigenvalue=float(eigenvalue),
-        side=Side.BOTH,
-        solution_form=_FORM_FOR_CASE[case],
-        jordan=jordan,
-        conformal_killing=ck,
-        multiplicity=mult,
-    )
+        if abs(ev) <= _ZERO_TOL:
+            return tagged(CaseTag.CASE0, [(0.0, False)])
+        if kappa == 1 and abs(ev - 3.0) <= _ZERO_TOL:
+            return tagged(CaseTag.CASE1, [(-1.0, False), (1.0, False)])
+        return tagged(CaseTag.CASE4, mixed_a_roots(ev, kappa))
+    if (kappa == 1 and abs(ev - 4.0) <= _ZERO_TOL) or (kappa == 0 and abs(ev) <= _ZERO_TOL):
+        return tagged(CaseTag.CASE0, [(0.0, False)])
+    out = tagged(CaseTag.CASE3, ((v, False) for v in type2_roots(ev, kappa)))
+    return out + tagged(CaseTag.CASE5, ((v, False) for v in mixed_b_roots(ev, kappa)))
 
 
 # ---------------------------------------------------------------------------
@@ -322,9 +310,11 @@ def _root(value, case, kind, j, eigenvalue, *, jordan=False, ck=False, mult=1) -
 # ---------------------------------------------------------------------------
 
 
-def _sphere_entries(geo: Sphere, j_max: int) -> list[SpectrumEntry]:
+def _sphere_entries(geo: Sphere, j_max: int) -> tuple[list[SpectrumEntry], list[SpectrumEntry]]:
     """Spectrum entries with index j <= j_max, multiplicities by
-    character-theoretic descent (the round sphere is the trivial group)."""
+    character-theoretic descent (the round sphere is the trivial group),
+    and the first omitted entry of each kind (multiplicity 1: only its
+    roots are read)."""
     g = geo.group
     kinds = (
         (OperatorKind.SCALAR_HODGE, 0, spectra.sphere_scalar_eigenvalue,
@@ -335,12 +325,15 @@ def _sphere_entries(geo: Sphere, j_max: int) -> list[SpectrumEntry]:
          spectra.lens_tt_multiplicity),
     )
     entries: list[SpectrumEntry] = []
+    omitted: list[SpectrumEntry] = []
     for kind, j_min, eigenvalue, multiplicity in kinds:
         for j in range(j_min, j_max + 1):
             mult = multiplicity(g, j)
             if mult > 0:
                 entries.append(SpectrumEntry(kind, j, eigenvalue(j), mult))
-    return entries
+        j = max(j_max + 1, j_min)
+        omitted.append(SpectrumEntry(kind, j, eigenvalue(j), 1))
+    return entries, omitted
 
 
 def _torus_entries(geo: Torus, max_index: int) -> list[SpectrumEntry]:
@@ -363,28 +356,6 @@ def _torus_entries(geo: Torus, max_index: int) -> list[SpectrumEntry]:
         for kind in OperatorKind
         for e in levels[: max_index + 1]
     ]
-
-
-def _family_roots(entry: SpectrumEntry, kappa: int) -> list[IndicialRoot]:
-    """All catalog entries produced by one spectrum entry."""
-    kind, j, ev, mult = entry.kind, entry.j, entry.eigenvalue, entry.multiplicity
-    if kind is OperatorKind.DIVFREE_TT_ROUGH:
-        if kappa == 0 and abs(ev) <= _ZERO_TOL:
-            # Parallel TT tensors: constant and t-linear solutions at 0.
-            return [_root(0.0, CaseTag.CASE2, kind, j, ev, jordan=True, mult=mult)]
-        return [
-            _root(v, CaseTag.CASE2, kind, j, ev, jordan=jd, mult=mult)
-            for v, jd in type3_roots(ev, kappa)
-        ]
-    if kind is OperatorKind.SCALAR_HODGE:
-        return apply_exclusions(kappa, kind, ev, j, mixed_a_roots(ev, kappa), mult)
-    # Co-closed 1-forms: conformal Killing degenerations first, otherwise the
-    # vanishing-1-form family (type 2) plus the mixed family (type b).
-    if (kappa == 1 and abs(ev - 4.0) <= _ZERO_TOL) or (kappa == 0 and abs(ev) <= _ZERO_TOL):
-        return apply_exclusions(kappa, kind, ev, j, [], mult)
-    out = [_root(v, CaseTag.CASE3, kind, j, ev, mult=mult) for v in type2_roots(ev, kappa)]
-    out.extend(_root(v, CaseTag.CASE5, kind, j, ev, mult=mult) for v in mixed_b_roots(ev, kappa))
-    return out
 
 
 def _dedupe(roots: list[IndicialRoot]) -> list[IndicialRoot]:
@@ -439,17 +410,7 @@ def assemble_catalog(cs: CrossSectionSpec, j_max: int) -> RootCatalog:
     roots: list[IndicialRoot] = []
 
     if isinstance(geo, Sphere):
-        entries = _sphere_entries(geo, j_max)
-        omitted = [
-            SpectrumEntry(OperatorKind.SCALAR_HODGE, j_max + 1, float((j_max + 1) * (j_max + 3)), 1),
-            SpectrumEntry(
-                OperatorKind.COCLOSED_ONEFORM_HODGE, j_max + 1, float((j_max + 2) ** 2), 1
-            ),
-        ]
-        jtt = max(j_max + 1, 2)
-        omitted.append(
-            SpectrumEntry(OperatorKind.DIVFREE_TT_ROUGH, jtt, float(jtt * jtt + 2 * jtt - 2), 1)
-        )
+        entries, omitted = _sphere_entries(geo, j_max)
     elif isinstance(geo, Torus):
         all_entries = _torus_entries(geo, j_max + 1)
         entries = [e for e in all_entries if e.j <= j_max]
@@ -459,22 +420,12 @@ def assemble_catalog(cs: CrossSectionSpec, j_max: int) -> RootCatalog:
         entries = [e for e in hspec.entries if e.j <= j_max]
         # The constant scalar mode and the harmonic 1-forms are always
         # present even when the file lists only positive eigenvalues.
-        if not any(
-            e.kind is OperatorKind.SCALAR_HODGE and abs(e.eigenvalue) <= _ZERO_TOL
-            for e in entries
-        ):
-            roots.append(
-                _root(0.0, CaseTag.CASE0, OperatorKind.SCALAR_HODGE, 0, 0.0, ck=True, mult=1)
-            )
-        if hspec.b1 > 0 and not any(
-            e.kind is OperatorKind.COCLOSED_ONEFORM_HODGE and abs(e.eigenvalue) <= _ZERO_TOL
-            for e in entries
-        ):
-            roots.extend(
-                _family_roots(
-                    SpectrumEntry(OperatorKind.COCLOSED_ONEFORM_HODGE, 0, 0.0, hspec.b1), kappa
-                )
-            )
+        always = ((OperatorKind.SCALAR_HODGE, 1), (OperatorKind.COCLOSED_ONEFORM_HODGE, hspec.b1))
+        for kind, mult in always:
+            if mult > 0 and not any(
+                e.kind is kind and abs(e.eigenvalue) <= _ZERO_TOL for e in entries
+            ):
+                roots.extend(family_roots(SpectrumEntry(kind, 0, 0.0, mult), kappa))
         last = {
             kind: max((e.eigenvalue for e in hspec.entries if e.kind is kind), default=0.0)
             for kind in OperatorKind
@@ -483,15 +434,17 @@ def assemble_catalog(cs: CrossSectionSpec, j_max: int) -> RootCatalog:
         caveats = ["spectrum truncation taken from the supplied file"]
 
     for entry in entries:
-        roots.extend(_family_roots(entry, kappa))
+        roots.extend(family_roots(entry, kappa))
     roots = _dedupe(roots)
 
     dim0 = _dim_at_zero(roots)
+    # The first omitted entry of each kind bounds the real parts that the
+    # truncation can have missed.
     omitted_res = [
-        abs(v.real)
+        abs(r.value.real)
         for e in omitted
-        for v in _omitted_root_values(e, kappa)
-        if abs(v.real) > _ZERO_TOL
+        for r in family_roots(e, kappa)
+        if abs(r.value.real) > _ZERO_TOL
     ]
     complete_below = min(omitted_res) if omitted_res else math.inf
 
@@ -504,17 +457,6 @@ def assemble_catalog(cs: CrossSectionSpec, j_max: int) -> RootCatalog:
         complete_below_re=complete_below,
         caveats=tuple(caveats),
     )
-
-
-def _omitted_root_values(entry: SpectrumEntry, kappa: int) -> list[complex]:
-    ev = entry.eigenvalue
-    if entry.kind is OperatorKind.DIVFREE_TT_ROUGH:
-        if ev < TT_LOWER_BOUND[kappa]:
-            return []
-        return [v for v, _ in type3_roots(ev, kappa)]
-    if entry.kind is OperatorKind.SCALAR_HODGE:
-        return list(alpha_pm(ev, kappa))
-    return type2_roots(ev, kappa) + mixed_b_roots(ev, kappa)
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -176,7 +177,6 @@ def test_gap_wrong_window_exits_1(monkeypatch, capsys):
         origin_kind=spectra.OperatorKind.DIVFREE_TT_ROUGH,
         origin_j=2,
         origin_eigenvalue=6.0,
-        solution_form=indicial.SolutionForm.Z_ONLY,
     )
     bad = indicial.RootCatalog(spectra.CrossSectionSpec.sphere(), (root,), 2, 0, 0, math.inf)
     monkeypatch.setattr(indicial, "assemble_catalog", lambda cs, j_max: bad)
@@ -229,10 +229,19 @@ def test_reversed_window_exits_2(capsys):
 def test_curvature_defect_exits_1(monkeypatch, capsys):
     shortcut = curvature._ricci_contraction_shortcut
     monkeypatch.setattr(curvature, "_ricci_contraction_shortcut", lambda M: shortcut(M) + 1e-3)
-    code = cli.main(["verify", "linearization", "--N", "4"])
+    code = cli.main(["verify", "linearization", "--N", "8"])
     captured = capsys.readouterr()
     assert code == 1 and captured.out == ""
     assert "shortcut by 1.000e-03" in captured.err
+
+
+@pytest.mark.parametrize("n", ["2", "4"])
+def test_verify_linearization_rejects_coarse_grid(n, capsys):
+    # The battery's time frequencies go up to 3, beyond what 2 or 4 samples hold.
+    code = cli.main(["verify", "linearization", "--N", n])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == f"error: --N must be at least 8 for the linearization suite, got {n}\n"
 
 
 def test_json_deterministic(capsys):
@@ -291,17 +300,13 @@ def test_out_flag_writes_file(tmp_path, capsys):
     assert doc["command"] == "roots"
 
 
-def run_python(*args):
+def run_python(*args, env=None):
     """A fresh interpreter on the package under test, also when only
-    pytest's pythonpath finds it."""
+    pytest's pythonpath finds it; env, if given, replaces os.environ."""
+    env = dict(os.environ if env is None else env)
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    return subprocess.run(
-        [sys.executable, *args],
-        capture_output=True,
-        text=True,
-        env=dict(os.environ, PYTHONPATH=path),
-    )
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
 
 
 def test_console_script_entrypoint():
@@ -390,3 +395,71 @@ def test_root_record_roundtrip(capsys):
     for rec in doc["roots"]:
         assert isinstance(rec["re"], float) and isinstance(rec["im"], float)
         assert rec["case"] in range(6)
+
+
+def test_linearization_stdout_independent_of_blas_threads():
+    argv = ("-m", "indicyl.cli", "verify", "linearization", "--N", "8")
+    free = {k: v for k, v in os.environ.items() if not k.endswith("_NUM_THREADS")}
+    default = run_python(*argv, env=free)
+    single = run_python(*argv, env=dict(free, OPENBLAS_NUM_THREADS="1"))
+    assert default.returncode == single.returncode == 0, default.stderr + single.stderr
+    assert default.stdout == single.stdout
+
+
+# sha256 of the stdout of closed-form commands: a refactor that changes a
+# printed byte fails here.  The LAPACK-backed verify suites are left out:
+# their last bits can vary by CPU.
+PINNED_SPECTRUM = """\
+b1 2
+codazzi 1
+scalar 1 0.7 2
+scalar 2 2.5 4
+oneform 1 0.9 3
+oneform 2 5.5 1
+tt 1 3.0 1
+tt 2 4.1 6
+tt 3 7.25 2
+"""
+
+
+@pytest.mark.parametrize(
+    "argv,digest",
+    [
+        (
+            "roots --sphere --jmax 30",
+            "8c68e72fd8e03830c70a7a04edcef517b9ba480ed1deb150a06006a2b4c7baa0",
+        ),
+        (
+            "roots --lens 7,2,3 --jmax 20 --format csv",
+            "312764dad17de6e67d63a8d77fcdfefa9732eb61148a075e73c03f51ddc47b08",
+        ),
+        (
+            "gap --lens 5,1,2 --jmax 12",
+            "425d4f24770f1a59ef27e9b7749035b5bdceeb0a779c6d7daf0c790b6acdb443",
+        ),
+        (
+            "roots --torus 3.1,4.7,5.9 --jmax 60",
+            "0624f2761a35da1d8214afebad2f3cb39bb98e027f5ccc94c943e193ad2c8928",
+        ),
+        (
+            "lens --lens 12,1,5 --jmax 40",
+            "49b52cdba7a231bc9dd6ccc490e24ad8c04a9081042694d14e6d04080bd2af48",
+        ),
+        (
+            "roots --hyperbolic spectrum.txt --jmax 2",
+            "a8103c7eabd81fd2b49f38b1d53f8c7598aa6135b527f77021dec56e875976e9",
+        ),
+        (
+            "ks --hyperbolic spectrum.txt",
+            "202de77b4505e99eb2590f659e237df0b4e876598f0300eb825bf0a1873d61d3",
+        ),
+    ],
+)
+def test_closed_form_stdout_is_pinned(argv, digest, tmp_path, monkeypatch, capsys):
+    # The file name is printed, so the spectrum sits at a fixed relative path.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "spectrum.txt").write_text(PINNED_SPECTRUM)
+    code = cli.main(argv.split())
+    captured = capsys.readouterr()
+    assert code == 0 and captured.err == ""
+    assert hashlib.sha256(captured.out.encode()).hexdigest() == digest

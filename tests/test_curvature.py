@@ -170,8 +170,9 @@ def test_shortcut_defect_is_a_typed_error(monkeypatch):
 # eager Ricci and scalar, all 40 Christoffel components in one FFT, the
 # 36-slot pair matrix with the spatial Ricci contraction by tensordot,
 # single-threaded FFTs, and the battery loop on a validated flat product
-# with its norms taken inside the loop.  Its index tables and helpers are
-# its own; only the sampling of the variation is shared with production.
+# with its norms taken inside the loop, each as the square root of numpy's
+# pairwise sum of squares.  Its index tables and helpers are its own; only
+# the sampling of the variation is shared with production.
 
 _E_SYM = tuple((a, b) for a in range(4) for b in range(a, 4))
 _E_SYM_INDEX = np.empty((4, 4), dtype=int)
@@ -317,6 +318,10 @@ def eager_asd(riemann_packed):
     return out
 
 
+def eager_norm(x):
+    return math.sqrt(float(np.sum(np.square(x))))
+
+
 def eager_fd_errors(ht, eps_values, shape):
     periods = (2 * math.pi,) + ht.grid.lengths
     sample = C.sample_cyl_tensor(ht, shape, periods)
@@ -324,7 +329,7 @@ def eager_fd_errors(ht, eps_values, shape):
     base[..., range(4), range(4)] = 1.0
     np.linalg.cholesky(base)
     exact = C.sample_cross_section_tensor(F.linearized_weyl(ht), shape, periods)
-    den = float(np.linalg.norm(exact))
+    den = eager_norm(exact)
     out = []
     for eps in eps_values:
         plus, minus = base + eps * sample, base - eps * sample
@@ -332,8 +337,8 @@ def eager_fd_errors(ht, eps_values, shape):
         np.linalg.cholesky(minus)
         m_plus = eager_asd(eager_curvature(plus, periods)[2])
         m_minus = eager_asd(eager_curvature(minus, periods)[2])
-        num = float(np.linalg.norm((m_plus - m_minus) / (2 * eps) - exact))
-        assert den >= 1e-12 * max(1.0, float(np.linalg.norm(sample)))
+        num = eager_norm((m_plus - m_minus) / (2 * eps) - exact)
+        assert den >= 1e-12 * max(1.0, eager_norm(sample))
         out.append({"relative_error": num / den, "absolute_error": num, "reference_norm": den})
     return out
 
@@ -362,16 +367,21 @@ def test_shortcut_matches_tensordot_form():
     assert np.max(np.abs(got - eager_shortcut(M))) <= 1e-14 * np.max(np.abs(M))
 
 
+def test_fd_norm_matches_linalg_norm():
+    x = np.random.default_rng(5).standard_normal((16, 16, 16, 16, 3, 3))
+    assert abs(C._norm(x) - np.linalg.norm(x)) <= 1e-14 * np.linalg.norm(x)
+
+
 def test_fd_battery_makes_no_blas_calls(monkeypatch):
     # A threaded BLAS call leaves its threads spinning after it returns,
-    # holding the CPUs the FFT workers need, so the curvature evaluations
-    # must make none.  (The closing np.linalg.norm calls use the ndarray
-    # dot method, which this does not patch; they run after the FFTs.)
+    # holding the CPUs the FFT workers need, and its split of a reduction
+    # depends on the thread count, so the battery must make none.
     def refuse(*args, **kwargs):
-        raise AssertionError("BLAS-backed call in the curvature hot path")
+        raise AssertionError("BLAS-backed call in the FD battery")
 
     for name in ("tensordot", "dot", "matmul"):
         monkeypatch.setattr(np, name, refuse)
+    monkeypatch.setattr(np.linalg, "norm", refuse)
     ht = C.linearization_battery(seed=11, band=1)[7]
     (err,) = C.fd_linearization_errors(ht, [1e-4], shape=(8, 8, 8, 8))
     assert err["relative_error"] < 1e-4

@@ -14,10 +14,11 @@ from hypothesis import given, settings, strategies as st
 from indicyl import cli, indicial, spectra
 from indicyl.indicial import (
     CaseTag,
+    Side,
     SolutionForm,
     alpha_pm,
-    apply_exclusions,
     assemble_catalog,
+    family_roots,
     gluing_window,
     h2plus_predicate,
     mixed_a_roots,
@@ -129,31 +130,40 @@ def test_alpha_pm_imaginary_normalization():
 
 
 def test_exclusion_constant_scalar():
-    roots = mixed_a_roots(0.0, 1)
-    out = apply_exclusions(1, OperatorKind.SCALAR_HODGE, 0.0, 0, roots, 1)
-    assert len(out) == 1
-    r = out[0]
-    assert r.value == 0 and r.case_tag is CaseTag.CASE0 and r.conformal_killing
-    assert r.solution_form is SolutionForm.OMEGA_ONLY
+    for kappa in (-1, 0, 1):
+        out = family_roots(SpectrumEntry(OperatorKind.SCALAR_HODGE, 0, 0.0, 1), kappa)
+        assert len(out) == 1
+        r = out[0]
+        assert r.value == 0 and r.case_tag is CaseTag.CASE0 and r.conformal_killing
+        assert r.solution_form is SolutionForm.OMEGA_ONLY
 
 
 def test_exclusion_lowest_scalar():
-    out = apply_exclusions(1, OperatorKind.SCALAR_HODGE, 3.0, 1, mixed_a_roots(3.0, 1), 4)
+    out = family_roots(SpectrumEntry(OperatorKind.SCALAR_HODGE, 1, 3.0, 4), 1)
     assert sorted(r.value.real for r in out) == [-1.0, 1.0]
     assert all(r.case_tag is CaseTag.CASE1 and r.conformal_killing for r in out)
+    assert all(r.multiplicity == 4 for r in out)
 
 
 def test_exclusion_killing_oneform():
-    out = apply_exclusions(1, OperatorKind.COCLOSED_ONEFORM_HODGE, 4.0, 1, [], 6)
-    assert len(out) == 1 and out[0].value == 0
-    assert out[0].case_tag is CaseTag.CASE0 and out[0].conformal_killing
+    for entry, kappa in [
+        (SpectrumEntry(OperatorKind.COCLOSED_ONEFORM_HODGE, 1, 4.0, 6), 1),
+        (SpectrumEntry(OperatorKind.COCLOSED_ONEFORM_HODGE, 0, 0.0, 3), 0),
+    ]:
+        out = family_roots(entry, kappa)
+        assert len(out) == 1 and out[0].value == 0
+        assert out[0].case_tag is CaseTag.CASE0 and out[0].conformal_killing
+        assert out[0].multiplicity == entry.multiplicity
 
 
 def test_generic_mixed_tags():
-    out = apply_exclusions(1, OperatorKind.SCALAR_HODGE, 8.0, 2, mixed_a_roots(8.0, 1), 9)
+    out = family_roots(SpectrumEntry(OperatorKind.SCALAR_HODGE, 2, 8.0, 9), 1)
+    assert [r.value for r in out] == [v for v, _ in mixed_a_roots(8.0, 1)]
     assert all(r.case_tag is CaseTag.CASE4 and not r.conformal_killing for r in out)
-    out = apply_exclusions(1, OperatorKind.COCLOSED_ONEFORM_HODGE, 9.0, 2, [(v, False) for v in mixed_b_roots(9.0, 1)], 16)
-    assert all(r.case_tag is CaseTag.CASE5 for r in out)
+    out = family_roots(SpectrumEntry(OperatorKind.COCLOSED_ONEFORM_HODGE, 2, 9.0, 16), 1)
+    assert [r.value for r in out if r.case_tag is CaseTag.CASE5] == mixed_b_roots(9.0, 1)
+    assert [r.value for r in out if r.case_tag is CaseTag.CASE3] == type2_roots(9.0, 1)
+    assert not any(r.conformal_killing for r in out)
 
 
 # ---------------------------------------------------------------------------
@@ -337,7 +347,7 @@ _JITTERS = (0.0, 1e-13, 4e-10, 9e-10, 3e-9)
 def test_merge_matches_first_match_oracle(draws):
     roots = [
         indicial._root(
-            v + jitter * max(1.0, abs(v)), case, kind, j, 1.0, ck=case is CaseTag.CASE0, mult=mult
+            v + jitter * max(1.0, abs(v)), case, kind, j, 1.0, mult=mult
         )
         for v, jitter, (case, kind), j, mult in draws
     ]
@@ -408,6 +418,74 @@ def test_truncation_bound():
     assert catalog.complete_below_re == pytest.approx(4.0)
 
 
+# The truncation bound against the per-kind dispatch it was computed by
+# before it went through family_roots: the roots of each first omitted
+# entry without the conformal Killing collapse, and the sphere's omitted
+# eigenvalues by their closed forms.
+
+
+def omitted_root_values(kind, ev, kappa):
+    if kind is OperatorKind.DIVFREE_TT_ROUGH:
+        if ev < spectra.TT_LOWER_BOUND[kappa]:
+            return []
+        return [v for v, _ in type3_roots(ev, kappa)]
+    if kind is OperatorKind.SCALAR_HODGE:
+        return list(alpha_pm(ev, kappa))
+    return type2_roots(ev, kappa) + mixed_b_roots(ev, kappa)
+
+
+def dispatch_complete_below_re(cs, j_max):
+    geo = cs.geometry
+    if isinstance(geo, spectra.Sphere):
+        jtt = max(j_max + 1, 2)
+        omitted = [
+            (OperatorKind.SCALAR_HODGE, float((j_max + 1) * (j_max + 3))),
+            (OperatorKind.COCLOSED_ONEFORM_HODGE, float((j_max + 2) ** 2)),
+            (OperatorKind.DIVFREE_TT_ROUGH, float(jtt * jtt + 2 * jtt - 2)),
+        ]
+    elif isinstance(geo, spectra.Torus):
+        levels = indicial._torus_entries(geo, j_max + 1)
+        omitted = [(e.kind, e.eigenvalue) for e in levels if e.j == j_max + 1]
+    else:
+        last = [
+            (kind, max((e.eigenvalue for e in geo.spectrum.entries if e.kind is kind), default=0.0))
+            for kind in OperatorKind
+        ]
+        omitted = [(kind, ev) for kind, ev in last if ev > 1e-12]
+    res = [
+        abs(v.real)
+        for kind, ev in omitted
+        for v in omitted_root_values(kind, ev, cs.kappa)
+        if abs(v.real) > 1e-12
+    ]
+    return min(res) if res else math.inf
+
+
+@pytest.mark.parametrize("group", [(1, 1, 1), (2, 1, 1), (5, 1, 2), (7, 2, 3), (12, 1, 5)])
+def test_truncation_bound_matches_dispatch_sphere_and_lens(group):
+    cs = CrossSectionSpec.sphere(GroupAction(*group))
+    for j_max in range(41):
+        bound = assemble_catalog(cs, j_max).complete_below_re
+        assert bound == dispatch_complete_below_re(cs, j_max), j_max
+
+
+@pytest.mark.parametrize("lengths", [(2 * math.pi,) * 3, (3.1, 4.7, 5.9), (3.0, 9.0, 8.0)])
+def test_truncation_bound_matches_dispatch_torus(lengths):
+    cs = CrossSectionSpec.torus(lengths)
+    for j_max in (0, 1, 2, 3, 7, 20, 40):
+        bound = assemble_catalog(cs, j_max).complete_below_re
+        assert bound == dispatch_complete_below_re(cs, j_max), j_max
+
+
+def test_truncation_bound_matches_dispatch_hyperbolic(tmp_path):
+    path = tmp_path / "spectrum.txt"
+    path.write_text(_hyperbolic_text([(0.1 + 0.03 * (i % 7), 1 + i % 3) for i in range(25)]))
+    cs = CrossSectionSpec.hyperbolic(spectra.load_hyperbolic_spectrum(path))
+    for j_max in range(41):
+        bound = assemble_catalog(cs, j_max).complete_below_re
+        assert bound == dispatch_complete_below_re(cs, j_max), j_max
+
+
 # ---------------------------------------------------------------------------
 # Predicates
 # ---------------------------------------------------------------------------
@@ -439,7 +517,6 @@ def test_gluing_window_wrong_bound_is_typed_error():
         origin_kind=OperatorKind.DIVFREE_TT_ROUGH,
         origin_j=2,
         origin_eigenvalue=6.0,
-        solution_form=SolutionForm.Z_ONLY,
     )
     catalog = indicial.RootCatalog(CrossSectionSpec.sphere(), (root,), 2, 0, 0, math.inf)
     with pytest.raises(indicial.GluingWindowError, match="computed bound 3.0") as info:
@@ -472,23 +549,24 @@ def test_h2plus_predicate():
         h2plus_predicate(CrossSectionSpec.torus())
 
 
-def test_root_invariant_validation():
-    with pytest.raises(ValueError):
-        indicial.IndicialRoot(
-            value=0j,
-            case_tag=CaseTag.CASE0,
-            origin_kind=OperatorKind.SCALAR_HODGE,
-            origin_j=0,
-            origin_eigenvalue=0.0,
-            solution_form=SolutionForm.OMEGA_ONLY,
-            conformal_killing=False,
-        )
-    with pytest.raises(ValueError):
-        indicial.IndicialRoot(
-            value=2 + 0j,
-            case_tag=CaseTag.CASE2,
-            origin_kind=OperatorKind.DIVFREE_TT_ROUGH,
-            origin_j=2,
-            origin_eigenvalue=6.0,
-            solution_form=SolutionForm.MIXED,
-        )
+def test_root_tags_derive_from_case():
+    # Only the case is stored: the solution form, the conformal Killing flag
+    # and the side follow from it, so no root can contradict its case.
+    table = {
+        CaseTag.CASE0: (SolutionForm.OMEGA_ONLY, True),
+        CaseTag.CASE1: (SolutionForm.OMEGA_ONLY, True),
+        CaseTag.CASE2: (SolutionForm.Z_ONLY, False),
+        CaseTag.CASE3: (SolutionForm.Z_ONLY, False),
+        CaseTag.CASE4: (SolutionForm.MIXED, False),
+        CaseTag.CASE5: (SolutionForm.MIXED, False),
+    }
+    assert set(table) == set(CaseTag)
+    for case, (form, killing) in table.items():
+        root = indicial.IndicialRoot(2 + 0j, case, OperatorKind.SCALAR_HODGE, 1, 3.0)
+        assert root.solution_form is form
+        assert root.conformal_killing is killing
+        assert root.side is Side.BOTH
+    stored = [f.name for f in dataclasses.fields(indicial.IndicialRoot)]
+    assert stored == [
+        "value", "case_tag", "origin_kind", "origin_j", "origin_eigenvalue", "jordan", "multiplicity"
+    ]
