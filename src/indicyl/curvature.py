@@ -20,6 +20,13 @@ scalar curvature are computed from the packed components on first access,
 and the full (..., 4, 4, 4, 4) tensor is unpacked only on request, for
 diagnostics; the anti-self-dual block is read straight off the packed
 components.
+
+Threads: the engine's FFTs, and its pointwise stages together with the
+metric validation and the frameless anti-self-dual block, run on every CPU
+the process may use (the pointwise stages on slabs of the leading grid
+axis, see _on_slabs).  Each grid point's values come from the same
+expressions in the same order however the work is split, so every result
+is bitwise the same for any number of CPUs.
 """
 
 from __future__ import annotations
@@ -27,7 +34,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property, partial
 
 import numpy as np
 
@@ -35,6 +42,7 @@ from .fields import (
     _SYM_PAIRS,
     CylTensor,
     ModeGrid,
+    _norm,
     linearized_weyl,
     random_real_variation,
 )
@@ -89,8 +97,11 @@ class MetricGrid4D:
             raise ValueError("metric samples are not symmetric")
         # Sylvester's criterion on the upper triangle, the part the engine
         # reads, copied components-first for contiguous arithmetic.
-        a = dict(zip(_SYM, np.stack([g[..., i, j] for i, j in _SYM])))
-        if not all(np.all(d > 0) for d in _leading_minors(a)):
+        def positive(sl):
+            a = dict(zip(_SYM, np.stack([g[sl, ..., i, j] for i, j in _SYM])))
+            return all(np.all(d > 0) for d in _leading_minors(a))
+
+        if not all(_on_slabs(positive, g.shape[:4])):
             raise ValueError("metric is not positive definite at some grid point")
 
     @property
@@ -172,9 +183,9 @@ def _leading_minors(a) -> tuple:
     return a[0, 0], s[0], _minor3(a, s), _det(s, c)
 
 
-def _sym_inverse(g: np.ndarray) -> np.ndarray:
+def _sym_inverse(g: np.ndarray, out: np.ndarray) -> None:
     """Inverse of a (10, ...) symmetric 4x4 field by 2x2 minors of the
-    upper and lower row pairs (Laplace expansion), as (10, ...)."""
+    upper and lower row pairs (Laplace expansion), written to out (10, ...)."""
     a = {(i, j): g[c] for c, (i, j) in enumerate(_SYM)}
     s, c = _row_pair_minors(a)
     s0, s1, s2, s3, s4, s5 = s
@@ -192,7 +203,8 @@ def _sym_inverse(g: np.ndarray) -> np.ndarray:
         (2, 3): -a[0, 2] * s4 + a[1, 2] * s2 - a[2, 3] * s0,
         (3, 3): _minor3(a, s),
     }
-    return np.stack([cof[slot] for slot in _SYM]) * inv_det
+    for k, slot in enumerate(_SYM):
+        np.multiply(cof[slot], inv_det, out=out[k])
 
 
 def _unpack_sym(c10: np.ndarray) -> np.ndarray:
@@ -278,6 +290,46 @@ def _fft_workers() -> int:
         return os.cpu_count() or 1
 
 
+@cache
+def _slab_pool():
+    """The threads that run the slabs of _on_slabs, started on first use."""
+    from concurrent.futures import ThreadPoolExecutor
+
+    return ThreadPoolExecutor(max_workers=_fft_workers(), thread_name_prefix="indicyl-slab")
+
+
+# Fewest grid points per slab.  Each slab repeats every NumPy call of a
+# stage, so small slabs cost more in call overhead than the second CPU
+# saves: on 2 CPUs one 8^4 curvature evaluation took about 15 ms inline and
+# 25-35 ms on 4 slabs, one 16^4 evaluation about 220 ms inline and 150 ms
+# on 4 slabs.
+_SLAB_POINTS = 8192
+
+
+def _on_slabs(fn, shape) -> list:
+    """fn(slice) on slabs that split the leading axis of an array of the
+    given shape, run on every CPU the process may use; returns the results
+    in slab order.
+
+    NumPy releases the GIL in the pointwise loops, so the slabs run in
+    parallel on threads.  Twice as many slabs as CPUs balances the load
+    while keeping the temporaries in flight well below full size.  With
+    one CPU, or fewer than 2 * _SLAB_POINTS points, fn runs inline on the
+    whole axis.  Every future is waited for before an exception from any
+    slab is raised.
+    """
+    n, workers = shape[0], _fft_workers()
+    count = min(n, 2 * workers, math.prod(shape) // _SLAB_POINTS) if workers > 1 else 1
+    if count < 2:
+        return [fn(slice(0, n))]
+    from concurrent.futures import wait
+
+    bounds = [n * i // count for i in range(count + 1)]
+    futures = [_slab_pool().submit(fn, slice(lo, hi)) for lo, hi in zip(bounds, bounds[1:])]
+    wait(futures)
+    return [f.result() for f in futures]
+
+
 def christoffel_riemann(m: MetricGrid4D) -> CurvatureGrid:
     """Christoffel symbols and the Riemann tensor from the general coordinate
     formulas, with derivative combinations assembled on the half-spectrum
@@ -294,8 +346,14 @@ def christoffel_riemann(m: MetricGrid4D) -> CurvatureGrid:
     symmetries hold by construction; the first Bianchi identity does not,
     and riemann_symmetry_residuals measures it.
 
-    The FFTs run on every CPU the process may use; pocketfft splits whole
-    lines between threads, so the result does not depend on their number.
+    Everything runs on every CPU the process may use.  The FFTs are split
+    by pocketfft into whole lines per thread.  The pointwise stages (the
+    closed-form inverse, the derivative spectra, the second-kind symbols
+    and the quadratic term) run on slabs of the leading grid axis, or of
+    the spectrum's first axis, each slab writing its part of preallocated
+    arrays.  Every value is computed by the same expressions in the same
+    order whatever the split, so the result does not depend on the number
+    of CPUs.
     """
     import scipy.fft
 
@@ -303,22 +361,34 @@ def christoffel_riemann(m: MetricGrid4D) -> CurvatureGrid:
     grid_shape = m.shape
     ik = _ik_factors(m.periods, grid_shape)
     S = _SYM_INDEX
-    g_sym = np.stack([m.g[..., a, b] for a, b in _SYM])
-    ginv_sym = _sym_inverse(g_sym)
+    g_sym = np.empty((10,) + grid_shape)
+    ginv_sym = np.empty_like(g_sym)
+
+    def inverse(sl):
+        for c, (a, b) in enumerate(_SYM):
+            g_sym[c, sl] = m.g[sl, ..., a, b]
+        _sym_inverse(g_sym[:, sl], ginv_sym[:, sl])
+
+    _on_slabs(inverse, grid_shape)
     gk = scipy.fft.rfftn(g_sym, axes=(1, 2, 3, 4), workers=workers)
     del g_sym
 
     # The second-derivative block first, while no Christoffel array exists.
     shat = np.empty((len(_PACKED),) + gk.shape[1:], dtype=complex)
-    for col, (P, Q) in enumerate(_PACKED):
-        r, s = _PAIRS4[P]
-        mm, nn = _PAIRS4[Q]
-        shat[col] = 0.5 * (
-            ik[s] * ik[mm] * gk[S[r, nn]]
-            + ik[r] * ik[nn] * gk[S[s, mm]]
-            - ik[s] * ik[nn] * gk[S[r, mm]]
-            - ik[r] * ik[mm] * gk[S[s, nn]]
-        )
+
+    def second_derivatives(sl):
+        k, g = [ik[0][sl]] + ik[1:], gk[:, sl]
+        for col, (P, Q) in enumerate(_PACKED):
+            r, s = _PAIRS4[P]
+            mm, nn = _PAIRS4[Q]
+            shat[col, sl] = 0.5 * (
+                k[s] * k[mm] * g[S[r, nn]]
+                + k[r] * k[nn] * g[S[s, mm]]
+                - k[s] * k[nn] * g[S[r, mm]]
+                - k[r] * k[mm] * g[S[s, nn]]
+            )
+
+    _on_slabs(second_derivatives, gk.shape[1:])
     riemann = scipy.fft.irfftn(shat, s=grid_shape, axes=(1, 2, 3, 4), workers=workers)
     del shat
 
@@ -326,21 +396,32 @@ def christoffel_riemann(m: MetricGrid4D) -> CurvatureGrid:
     # derivative index s at a time.
     gam_low = np.empty((4, 10) + grid_shape)
     that = np.empty((10,) + gk.shape[1:], dtype=complex)
-    for s in range(4):
+
+    def first_kind(s, sl):
+        k, g = [ik[0][sl]] + ik[1:], gk[:, sl]
         for c, (mm, nn) in enumerate(_SYM):
-            that[c] = ik[mm] * gk[S[s, nn]] + ik[nn] * gk[S[s, mm]] - ik[s] * gk[S[mm, nn]]
+            that[c, sl] = k[mm] * g[S[s, nn]] + k[nn] * g[S[s, mm]] - k[s] * g[S[mm, nn]]
+
+    for s in range(4):
+        _on_slabs(partial(first_kind, s), gk.shape[1:])
         gam_low[s] = scipy.fft.irfftn(that, s=grid_shape, axes=(1, 2, 3, 4), workers=workers)
     del that, gk
-    gam_low *= 0.5
-    gamma_sym = np.einsum("rs...,sc...->rc...", ginv_sym[S], gam_low)
+    gamma_sym = np.empty_like(gam_low)
 
-    def gam_dot(lo, up):
-        return np.einsum("q...,q...->...", gam_low[:, lo], gamma_sym[:, up])
+    def second_kind_and_quadratic(sl):
+        low, up = gam_low[:, :, sl], gamma_sym[:, :, sl]
+        low *= 0.5
+        np.einsum("rs...,sc...->rc...", ginv_sym[S, sl], low, out=up)
 
-    for col, (P, Q) in enumerate(_PACKED):
-        r, s = _PAIRS4[P]
-        mm, nn = _PAIRS4[Q]
-        riemann[col] += gam_dot(S[r, nn], S[s, mm]) - gam_dot(S[r, mm], S[s, nn])
+        def gam_dot(i, j):
+            return np.einsum("q...,q...->...", low[:, i], up[:, j])
+
+        for col, (P, Q) in enumerate(_PACKED):
+            r, s = _PAIRS4[P]
+            mm, nn = _PAIRS4[Q]
+            riemann[col, sl] += gam_dot(S[r, nn], S[s, mm]) - gam_dot(S[r, mm], S[s, nn])
+
+    _on_slabs(second_kind_and_quadratic, grid_shape)
     return CurvatureGrid(m, ginv_sym, gamma_sym, riemann)
 
 
@@ -466,33 +547,47 @@ def asd_form_background(curv: CurvatureGrid, frame: np.ndarray | None = None) ->
     at second order around the conformally flat background, and the scalar
     part is removed by the trace-free projection.
 
+    Without a frame the block is computed on slabs of the leading grid
+    axis (see _on_slabs); the defect and the curvature scale are maxima
+    over the slabs, so neither depends on the split.
+
     Raises CurvatureDefectError when the double-epsilon block disagrees
     with its Ricci-contraction rewriting.
     """
     R = curv.riemann_packed
     if frame is None:
-        # Read the blocks straight off the 21 packed components.
-        def block(rows, cols):
-            return R[_PACKED_INDEX[np.ix_(rows, cols)]]
+        out = np.empty(R.shape[1:] + (3, 3))
 
+        def slab(sl):
+            # Read the blocks straight off the 21 packed components.
+            Rs = R[:, sl]
+            out[sl], defect = _asd_block(lambda rows, cols: Rs[_PACKED_INDEX[np.ix_(rows, cols)]])
+            return float(np.max(np.abs(Rs))), defect
+
+        peaks, defects = zip(*_on_slabs(slab, R.shape[1:]))
+        peak, defect = float(np.max(peaks)), float(np.max(defects))
     else:
         T = _pair_frame(frame)
         R = np.einsum("pa...,pq...,qb...->ab...", T, R[_PACKED_INDEX], T, optimize=True)
+        out, defect = _asd_block(lambda rows, cols: R[np.ix_(rows, cols)])
+        peak = float(np.max(np.abs(R)))
+    scale = max(peak, 1.0)
+    if defect > 1e-10 * scale:
+        raise CurvatureDefectError(defect, scale)
+    return out
 
-        def block(rows, cols):
-            return R[np.ix_(rows, cols)]
 
+def _asd_block(block) -> tuple[np.ndarray, float]:
+    """The trace-free block phi - psi + gam (..., 3, 3) from the pair-matrix
+    blocks block(rows, cols), and the largest disagreement of gam with its
+    Ricci-contraction rewriting."""
     phi = block(_TIME_PAIRS, _TIME_PAIRS)
     s = _HODGE_SIGN.reshape((3,) + (1,) * (phi.ndim - 1))
     psi_raw = 2 * s * block(_STAR, _TIME_PAIRS)
     psi = 0.5 * (psi_raw + psi_raw.swapaxes(0, 1))
     gam = s * s.swapaxes(0, 1) * block(_STAR, _STAR)
-
-    scale = max(float(np.max(np.abs(R))), 1.0)
     defect = float(np.max(np.abs(gam - _ricci_contraction_shortcut(block(_SPATIAL_PAIRS, _SPATIAL_PAIRS)))))
-    if defect > 1e-10 * scale:
-        raise CurvatureDefectError(defect, scale)
-    return _tf3(np.moveaxis(phi - psi + gam, (0, 1), (-2, -1)))
+    return _tf3(np.moveaxis(phi - psi + gam, (0, 1), (-2, -1))), defect
 
 
 def wminus_bilinear(curv: CurvatureGrid) -> np.ndarray:
@@ -529,6 +624,8 @@ def _term_time_index(rate: complex, nt: int, t_period: float) -> int:
 def _evaluate_terms(field, picks, shape, periods) -> np.ndarray:
     """Evaluate the components picks = ((part, index), ...) of a cylinder
     field on the grid, as (len(picks), Nt, N1, N2, N3) real values."""
+    import scipy.fft
+
     nt = shape[0]
     box = np.zeros((len(picks),) + tuple(shape), dtype=complex)
     # Spatial mode -band..band sits at index (mode mod n) on each axis.
@@ -539,8 +636,14 @@ def _evaluate_terms(field, picks, shape, periods) -> np.ndarray:
             raise ValueError("grid sampling supports exponential terms only (degree 0)")
         kt = _term_time_index(slot["rate"], nt, periods[0])
         box[:, kt][where] += np.stack([slot[part].data[index] for part, index in picks])
+    # One axis at a time, last axis first, as np.fft.ifftn does, so the
+    # values are bitwise those of np.fft.ifftn; the lines of each axis are
+    # split between the CPUs.
+    workers = _fft_workers()
+    for axis in (4, 3, 2, 1):
+        box = scipy.fft.ifft(box, axis=axis, overwrite_x=True, workers=workers)
     axes = (1, 2, 3, 4)
-    values = np.fft.ifftn(box, axes=axes) * np.prod(shape)
+    values = box * np.prod(shape)
     imag = np.max(np.abs(values.imag), axis=axes)
     if np.any(imag > 1e-9 * np.maximum(1.0, np.max(np.abs(values.real), axis=axes))):
         raise ValueError("field is not real on the grid; reality-symmetrize the input")
@@ -610,10 +713,10 @@ def fd_linearization_errors(
     for eps in eps_values:
         if not 0 < eps < 0.1:
             raise ValueError("finite-difference step must be small and positive")
-        plus = MetricGrid4D(periods, identity + eps * sample)
-        minus = MetricGrid4D(periods, identity - eps * sample)
-        m_plus = asd_form_background(christoffel_riemann(plus))
-        m_minus = asd_form_background(christoffel_riemann(minus))
+        # Each metric is built right before its own evaluation, so that
+        # only one is alive at a time.
+        m_plus = asd_form_background(christoffel_riemann(MetricGrid4D(periods, identity + eps * sample)))
+        m_minus = asd_form_background(christoffel_riemann(MetricGrid4D(periods, identity - eps * sample)))
         num = _norm((m_plus - m_minus) / (2 * eps) - exact)
         if degenerate:
             # Degenerate direction (exactly annihilated): the absolute
@@ -626,13 +729,6 @@ def fd_linearization_errors(
                 {"relative_error": num / den, "absolute_error": num, "reference_norm": den}
             )
     return out
-
-
-def _norm(x: np.ndarray) -> float:
-    """Frobenius norm of a real array by numpy's pairwise sum, whose order,
-    unlike the BLAS dot inside np.linalg.norm, does not depend on the
-    number of BLAS threads."""
-    return math.sqrt(float(np.sum(np.square(x))))
 
 
 def fd_linearization_check(

@@ -71,6 +71,16 @@ for _i, _j, _k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
 _SYM_PAIRS = ((0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2))
 
 
+def _norm(x: np.ndarray) -> float:
+    """Frobenius norm of a real or complex array by numpy's pairwise sums,
+    whose order, unlike the BLAS dot inside np.linalg.norm, does not depend
+    on the number of BLAS threads."""
+    total = np.sum(np.square(x.real))
+    if np.iscomplexobj(x):
+        total += np.sum(np.square(x.imag))
+    return math.sqrt(float(total))
+
+
 class ModeGrid:
     """Fourier mode box |k_i| <= band on a rectangular lattice."""
 
@@ -133,7 +143,7 @@ class _Field:
         return type(self)(self.grid, -self.data)
 
     def norm(self) -> float:
-        return float(np.linalg.norm(self.data))
+        return _norm(self.data)
 
     def conjugate_flip(self):
         """c(k) -> conj(c(-k)); fixed points of this map are real fields."""

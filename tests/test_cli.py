@@ -300,13 +300,16 @@ def test_out_flag_writes_file(tmp_path, capsys):
     assert doc["command"] == "roots"
 
 
-def run_python(*args, env=None):
+def run_python(*args, env=None, preexec_fn=None):
     """A fresh interpreter on the package under test, also when only
-    pytest's pythonpath finds it; env, if given, replaces os.environ."""
+    pytest's pythonpath finds it; env, if given, replaces os.environ, and
+    preexec_fn runs in the child before it starts."""
     env = dict(os.environ if env is None else env)
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, env=env, preexec_fn=preexec_fn
+    )
 
 
 def test_console_script_entrypoint():
@@ -404,6 +407,40 @@ def test_linearization_stdout_independent_of_blas_threads():
     single = run_python(*argv, env=dict(free, OPENBLAS_NUM_THREADS="1"))
     assert default.returncode == single.returncode == 0, default.stderr + single.stderr
     assert default.stdout == single.stdout
+
+
+def test_identities_stdout_independent_of_blas_threads():
+    argv = ("-m", "indicyl.cli", "verify", "identities", "--N", "16")
+    free = {k: v for k, v in os.environ.items() if not k.endswith("_NUM_THREADS")}
+    default = run_python(*argv, env=free)
+    single = run_python(*argv, env=dict(free, OPENBLAS_NUM_THREADS="1"))
+    assert default.returncode == single.returncode == 0, default.stderr + single.stderr
+    assert default.stdout == single.stdout
+
+
+# verify linearization --N 8 runs the curvature engine's pointwise stages
+# inline (the grid is below the slab size) and only its FFTs on several
+# CPUs; the 16^4 battery case runs the stages on slabs too.
+ENGINE_16 = (
+    "from indicyl import curvature as C\n"
+    "ht = C.linearization_battery()[0]\n"
+    "print(repr(C.fd_linearization_errors(ht, [1e-4], shape=(16,) * 4)))\n"
+)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("-m", "indicyl.cli", "verify", "linearization", "--N", "8"), ("-c", ENGINE_16)],
+    ids=["cli-N8", "battery-16"],
+)
+def test_linearization_stdout_independent_of_cpu_count(argv):
+    def one_cpu():
+        os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+
+    default = run_python(*argv)
+    pinned = run_python(*argv, preexec_fn=one_cpu)
+    assert default.returncode == pinned.returncode == 0, default.stderr + pinned.stderr
+    assert default.stdout == pinned.stdout
 
 
 # sha256 of the stdout of closed-form commands: a refactor that changes a

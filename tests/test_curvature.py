@@ -161,6 +161,28 @@ def test_shortcut_defect_is_a_typed_error(monkeypatch):
     assert abs(info.value.defect - 1e-3) < 1e-6
 
 
+def test_slab_errors_reach_the_caller(monkeypatch):
+    monkeypatch.setattr(C, "_fft_workers", lambda: 2)
+    monkeypatch.setattr(C, "_SLAB_POINTS", 1)
+    done = []
+
+    def fail_last(sl):
+        if sl.stop == 8:
+            raise RuntimeError("last slab")
+        done.append(sl)
+
+    with pytest.raises(RuntimeError, match="last slab"):
+        C._on_slabs(fail_last, (8, 8, 8, 8))
+    assert sorted(sl.start for sl in done) == [0, 2, 4]  # the other slabs finished first
+
+    curv = C.christoffel_riemann(random_metric((8, 8, 8, 8), seed=21))
+    shortcut = C._ricci_contraction_shortcut
+    monkeypatch.setattr(C, "_ricci_contraction_shortcut", lambda M: shortcut(M) + 1e-3)
+    with pytest.raises(C.CurvatureDefectError) as info:
+        C.asd_form_background(curv)
+    assert abs(info.value.defect - 1e-3) < 1e-6
+
+
 # ---------------------------------------------------------------------------
 # Bitwise oracle: the eager engine
 # ---------------------------------------------------------------------------
@@ -360,6 +382,48 @@ def test_fd_battery_matches_eager_loop_bitwise():
     assert got == eager_fd_errors(ht, eps_values, (8, 8, 8, 8))
 
 
+@pytest.mark.parametrize("shape", [(8, 8, 8, 8), (6, 8, 8, 8)], ids=["even", "uneven"])
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_engine_matches_eager_engine_for_any_cpu_count(monkeypatch, shape, workers):
+    # One CPU runs every pointwise stage inline; n CPUs split the leading
+    # axis into 2n slabs, which 6 grid points do not fill evenly.  These
+    # grids are below the slab size, which is lowered to split them.
+    monkeypatch.setattr(C, "_fft_workers", lambda: workers)
+    monkeypatch.setattr(C, "_SLAB_POINTS", 1)
+    m = random_metric(shape, seed=21)
+    curv = C.christoffel_riemann(m)
+    want = eager_curvature(m.g, m.periods)
+    for name, value in zip(("ginv_sym", "gamma_sym", "riemann_packed"), want):
+        assert np.array_equal(getattr(curv, name), value), name
+    assert np.array_equal(C.asd_form_background(curv), eager_asd(want[2]))
+
+
+def ifftn_evaluate_terms(field, picks, shape, periods):
+    """The grid values of field components by one np.fft.ifftn of the
+    whole mode box, as sampling computed them before its transforms were
+    split by axis."""
+    nt = shape[0]
+    box = np.zeros((len(picks),) + tuple(shape), dtype=complex)
+    modes = np.arange(field.grid.size) - field.grid.band
+    where = (slice(None),) + np.ix_(*[modes % n for n in shape[1:]])
+    for slot in field.terms.values():
+        kt = round(slot["rate"].imag * periods[0] / (2 * math.pi)) % nt
+        box[:, kt][where] += np.stack([slot[part].data[index] for part, index in picks])
+    return (np.fft.ifftn(box, axes=(1, 2, 3, 4)) * np.prod(shape)).real
+
+
+@pytest.mark.parametrize("n,band", [(8, 1), (16, 2)])
+@pytest.mark.parametrize("workers", [1, 2])
+def test_sampling_matches_ifftn_bitwise(monkeypatch, n, band, workers):
+    monkeypatch.setattr(C, "_fft_workers", lambda: workers)
+    ht = C.linearization_battery(seed=11, band=band)[8]
+    periods = (2 * math.pi,) + ht.grid.lengths
+    picks = [("h00", ())] + [("alpha", (i,)) for i in range(3)] + [("h", ij) for ij in F._SYM_PAIRS]
+    shape = (n,) * 4
+    want = ifftn_evaluate_terms(ht, picks, shape, periods)
+    assert np.array_equal(C._evaluate_terms(ht, picks, shape, periods), want)
+
+
 def test_shortcut_matches_tensordot_form():
     M = np.random.default_rng(4).standard_normal((6, 6, 5, 7))
     M = M + M.swapaxes(0, 1)
@@ -486,6 +550,17 @@ def _flat_with(point_value):
 def test_metric_validation_rejects_bad_values(periods, g, message):
     with pytest.raises(ValueError, match=message):
         C.MetricGrid4D(periods, g)
+
+
+@pytest.mark.parametrize("t", range(6))
+def test_metric_validation_checks_every_slab(monkeypatch, t):
+    # Three CPUs split the 6 leading grid points into six slabs.
+    monkeypatch.setattr(C, "_fft_workers", lambda: 3)
+    monkeypatch.setattr(C, "_SLAB_POINTS", 1)
+    g = C.MetricGrid4D.flat_product((6, 2, 2, 2)).g.copy()
+    g[t, 1, 0, 1] = np.diag([1.0, 1.0, 1.0, -1.0])
+    with pytest.raises(ValueError, match="positive definite"):
+        C.MetricGrid4D(PERIODS, g)
 
 
 def test_metric_validation_matches_cholesky():
