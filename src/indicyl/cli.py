@@ -605,7 +605,7 @@ def main(argv=None) -> int:
     except SystemExit2 as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except (FileNotFoundError, spectra.SpectrumError) as e:
+    except (OSError, spectra.SpectrumError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 3
     except ValueError as e:

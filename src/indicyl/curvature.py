@@ -13,18 +13,17 @@ index, so that a metric of constant sectional curvature c has
 R_{abcd} = c (g_ac g_bd - g_ad g_bc).
 
 Storage: the engine works components-first on contiguous arrays.  A
-symmetric 4x4 field is stored as its 10 components (a <= b), and the
-lowered Riemann tensor as its 21 independent components R_PQ over the
-antisymmetric index pairs P = (r<s), Q = (m<n) with P <= Q.  Ricci and
-scalar curvature are computed from the packed components on first access,
-and the full (..., 4, 4, 4, 4) tensor is unpacked only on request, for
-diagnostics; the anti-self-dual block is read straight off the packed
-components.
+symmetric 4x4 field, the sampled metric included, is stored as its 10
+components (a <= b), and the lowered Riemann tensor as its 21 independent
+components R_PQ over the antisymmetric index pairs P = (r<s), Q = (m<n)
+with P <= Q.  The anti-self-dual block is read straight off the packed
+components.  Ricci and scalar curvature, and the unpacked (..., 4, 4) and
+(..., 4, 4, 4, 4) tensors, are computed only on request.
 
 Threads: the engine's FFTs, and its pointwise stages together with the
-metric validation and the frameless anti-self-dual block, run on every CPU
-the process may use (the pointwise stages on slabs of the leading grid
-axis, see _on_slabs).  Each grid point's values come from the same
+metric validation and the anti-self-dual block, run on every CPU the
+process may use (the pointwise stages on slabs of the leading grid axis,
+see _on_slabs).  Each grid point's values come from the same
 expressions in the same order however the work is split, so every result
 is bitwise the same for any number of CPUs.
 """
@@ -53,13 +52,9 @@ __all__ = [
     "CurvatureGrid",
     "CurvatureDefectError",
     "christoffel_riemann",
-    "weyl_tensor",
     "asd_form_background",
-    "wminus_bilinear",
     "sample_cyl_tensor",
     "sample_cross_section_tensor",
-    "fd_linearization_check",
-    "riemann_symmetry_residuals",
 ]
 
 
@@ -78,48 +73,40 @@ class CurvatureDefectError(VerificationError):
 
 @dataclass
 class MetricGrid4D:
-    """Sampled 4-metric on a periodic grid, point-indexed (t, y1, y2, y3)."""
+    """Sampled 4-metric on a periodic grid, point-indexed (t, y1, y2, y3),
+    as its 10 components g_ab (a <= b, in _SYM order) components-first."""
 
     periods: tuple[float, float, float, float]
-    g: np.ndarray  # (Nt, N1, N2, N3, 4, 4)
+    g: np.ndarray  # (10, Nt, N1, N2, N3)
 
     def __post_init__(self):
-        self.g = np.asarray(self.g, dtype=float)
-        if self.g.ndim != 6 or self.g.shape[-2:] != (4, 4):
-            raise ValueError("metric samples must have shape (Nt,N1,N2,N3,4,4)")
+        self.g = np.ascontiguousarray(self.g, dtype=float)
+        if self.g.ndim != 5 or self.g.shape[0] != 10:
+            raise ValueError(
+                "metric samples must have shape (10, Nt, N1, N2, N3), the components "
+                f"g_ab with a <= b; got {self.g.shape}"
+            )
         # The comparisons are written so that NaN fails them.
         if len(self.periods) != 4 or not all(0 < p < math.inf for p in self.periods):
             raise ValueError(f"periods must be four positive finite numbers, got {self.periods}")
-        g = self.g
-        if not np.all(np.isfinite(g)):
-            raise ValueError("metric samples must be finite")
-        if any(np.max(np.abs(g[..., a, b] - g[..., b, a])) > 1e-12 for a, b in _PAIRS4):
-            raise ValueError("metric samples are not symmetric")
-        # Sylvester's criterion on the upper triangle, the part the engine
-        # reads, copied components-first for contiguous arithmetic.
-        def positive(sl):
-            a = dict(zip(_SYM, np.stack([g[sl, ..., i, j] for i, j in _SYM])))
-            return all(np.all(d > 0) for d in _leading_minors(a))
+        a = dict(zip(_SYM, self.g))
 
-        if not all(_on_slabs(positive, g.shape[:4])):
+        def check(sl):
+            # Finiteness, then Sylvester's criterion on the finite samples.
+            if not np.all(np.isfinite(self.g[:, sl])):
+                return False, False
+            minors = _leading_minors({slot: c[sl] for slot, c in a.items()})
+            return True, all(np.all(d > 0) for d in minors)
+
+        finite, positive = zip(*_on_slabs(check, self.shape))
+        if not all(finite):
+            raise ValueError("metric samples must be finite")
+        if not all(positive):
             raise ValueError("metric is not positive definite at some grid point")
 
     @property
     def shape(self) -> tuple[int, int, int, int]:
-        return self.g.shape[:4]
-
-    @classmethod
-    def flat_product(cls, shape, periods=(2 * math.pi,) * 4) -> "MetricGrid4D":
-        g = np.zeros(tuple(shape) + (4, 4))
-        g[..., range(4), range(4)] = 1.0
-        return cls(tuple(float(p) for p in periods), g)
-
-    def is_block(self, tol=1e-12) -> bool:
-        """Whether the metric has the product-like form dt^2 + g_Y(t, y)."""
-        return (
-            np.max(np.abs(self.g[..., 0, 0] - 1.0)) <= tol
-            and np.max(np.abs(self.g[..., 0, 1:])) <= tol
-        )
+        return self.g.shape[1:]
 
 
 # Symmetric slots (a <= b) of a 4x4 field and their index table.
@@ -343,8 +330,8 @@ def christoffel_riemann(m: MetricGrid4D) -> CurvatureGrid:
                  + Gam_{q,rn} Gam^q_sm - Gam_{q,rm} Gam^q_sn,
 
     with Gam_{q,mn} the Christoffel symbols of the first kind.  The pair
-    symmetries hold by construction; the first Bianchi identity does not,
-    and riemann_symmetry_residuals measures it.
+    symmetries hold by construction; the first Bianchi identity holds only
+    to rounding error.
 
     Everything runs on every CPU the process may use.  The FFTs are split
     by pocketfft into whole lines per thread.  The pointwise stages (the
@@ -361,17 +348,9 @@ def christoffel_riemann(m: MetricGrid4D) -> CurvatureGrid:
     grid_shape = m.shape
     ik = _ik_factors(m.periods, grid_shape)
     S = _SYM_INDEX
-    g_sym = np.empty((10,) + grid_shape)
-    ginv_sym = np.empty_like(g_sym)
-
-    def inverse(sl):
-        for c, (a, b) in enumerate(_SYM):
-            g_sym[c, sl] = m.g[sl, ..., a, b]
-        _sym_inverse(g_sym[:, sl], ginv_sym[:, sl])
-
-    _on_slabs(inverse, grid_shape)
-    gk = scipy.fft.rfftn(g_sym, axes=(1, 2, 3, 4), workers=workers)
-    del g_sym
+    ginv_sym = np.empty_like(m.g)
+    _on_slabs(lambda sl: _sym_inverse(m.g[:, sl], ginv_sym[:, sl]), grid_shape)
+    gk = scipy.fft.rfftn(m.g, axes=(1, 2, 3, 4), workers=workers)
 
     # The second-derivative block first, while no Christoffel array exists.
     shat = np.empty((len(_PACKED),) + gk.shape[1:], dtype=complex)
@@ -423,48 +402,6 @@ def christoffel_riemann(m: MetricGrid4D) -> CurvatureGrid:
 
     _on_slabs(second_kind_and_quadratic, grid_shape)
     return CurvatureGrid(m, ginv_sym, gamma_sym, riemann)
-
-
-def weyl_tensor(curv: CurvatureGrid) -> np.ndarray:
-    """Fully lowered Weyl tensor: Riemann minus the Kulkarni-Nomizu parts of
-    the traceless Ricci tensor and of the scalar curvature."""
-    g = curv.metric.g
-    e = curv.ricci - 0.25 * curv.scalar[..., None, None] * g
-
-    def kn(a, b):
-        return (
-            np.einsum("...ac,...bd->...abcd", a, b)
-            + np.einsum("...bd,...ac->...abcd", a, b)
-            - np.einsum("...ad,...bc->...abcd", a, b)
-            - np.einsum("...bc,...ad->...abcd", a, b)
-        )
-
-    return curv.riemann - 0.5 * kn(e, g) - (curv.scalar / 24.0)[..., None, None, None, None] * kn(g, g)
-
-
-def riemann_symmetry_residuals(curv: CurvatureGrid) -> dict[str, float]:
-    """Relative residuals of the Riemann symmetries and the first Bianchi
-    identity (diagnostics for the discretization)."""
-    R = curv.riemann
-    scale = max(float(np.max(np.abs(R))), 1e-300)
-    return {
-        "antisymmetry_first_pair": float(np.max(np.abs(R + R.swapaxes(-4, -3)))) / scale,
-        "antisymmetry_second_pair": float(np.max(np.abs(R + R.swapaxes(-2, -1)))) / scale,
-        "pair_exchange": float(
-            np.max(np.abs(R - np.einsum("...abcd->...cdab", R)))
-        )
-        / scale,
-        "first_bianchi": float(
-            np.max(
-                np.abs(
-                    R
-                    + np.einsum("...acdb->...abcd", R)
-                    + np.einsum("...adbc->...abcd", R)
-                )
-            )
-        )
-        / scale,
-    }
 
 
 # ---------------------------------------------------------------------------
@@ -520,88 +457,46 @@ def _ricci_contraction_shortcut(B: np.ndarray) -> np.ndarray:
     return out
 
 
-def _pair_frame(frame: np.ndarray) -> np.ndarray:
-    """The (6, 6, ...) action of a spatial frame f[..., i, A] on the index
-    pairs _PAIRS4: f itself on the (0, i) pairs and its 2x2 minors (the
-    second exterior power) on the spatial pairs."""
-    f = np.moveaxis(frame, (-2, -1), (0, 1))
-    T = np.zeros((6, 6) + f.shape[2:])
-    T[:3, :3] = f
-    for P in range(3, 6):
-        k, l = _PAIRS4[P]
-        for Q in range(3, 6):
-            b, c = _PAIRS4[Q]
-            T[P, Q] = f[k - 1, b - 1] * f[l - 1, c - 1] - f[l - 1, b - 1] * f[k - 1, c - 1]
-    return T
-
-
-def asd_form_background(curv: CurvatureGrid, frame: np.ndarray | None = None) -> np.ndarray:
+def asd_form_background(curv: CurvatureGrid) -> np.ndarray:
     """Anti-self-dual curvature block as a trace-free 3x3 bilinear form per
     grid point, read off the 6x6 curvature pair matrix through the Hodge
-    star of the cross-section.
+    star of the cross-section and paired against the background anti-self-
+    dual frame of the flat product metric.  The self-dual and Ricci blocks
+    pair into this slot only at second order around the conformally flat
+    background, and the scalar part is removed by the trace-free projection.
 
-    Without a frame the block is paired against the background anti-self-
-    dual frame of the flat product metric.  A spatial frame[..., i, A]
-    (columns are frame vectors, e_0 = d/dt kept) is applied to the pair
-    matrix first.  The self-dual and Ricci blocks pair into this slot only
-    at second order around the conformally flat background, and the scalar
-    part is removed by the trace-free projection.
-
-    Without a frame the block is computed on slabs of the leading grid
-    axis (see _on_slabs); the defect and the curvature scale are maxima
-    over the slabs, so neither depends on the split.
+    The block is computed on slabs of the leading grid axis (see
+    _on_slabs); the defect and the curvature scale are maxima over the
+    slabs, so neither depends on the split.
 
     Raises CurvatureDefectError when the double-epsilon block disagrees
     with its Ricci-contraction rewriting.
     """
     R = curv.riemann_packed
-    if frame is None:
-        out = np.empty(R.shape[1:] + (3, 3))
+    out = np.empty(R.shape[1:] + (3, 3))
 
-        def slab(sl):
-            # Read the blocks straight off the 21 packed components.
-            Rs = R[:, sl]
-            out[sl], defect = _asd_block(lambda rows, cols: Rs[_PACKED_INDEX[np.ix_(rows, cols)]])
-            return float(np.max(np.abs(Rs))), defect
+    def slab(sl):
+        Rs = R[:, sl]
 
-        peaks, defects = zip(*_on_slabs(slab, R.shape[1:]))
-        peak, defect = float(np.max(peaks)), float(np.max(defects))
-    else:
-        T = _pair_frame(frame)
-        R = np.einsum("pa...,pq...,qb...->ab...", T, R[_PACKED_INDEX], T, optimize=True)
-        out, defect = _asd_block(lambda rows, cols: R[np.ix_(rows, cols)])
-        peak = float(np.max(np.abs(R)))
-    scale = max(peak, 1.0)
+        def block(rows, cols):
+            # A block of the pair matrix, read straight off the 21 packed
+            # components.
+            return Rs[_PACKED_INDEX[np.ix_(rows, cols)]]
+
+        phi = block(_TIME_PAIRS, _TIME_PAIRS)
+        s = _HODGE_SIGN.reshape((3,) + (1,) * (phi.ndim - 1))
+        psi_raw = 2 * s * block(_STAR, _TIME_PAIRS)
+        psi = 0.5 * (psi_raw + psi_raw.swapaxes(0, 1))
+        gam = s * s.swapaxes(0, 1) * block(_STAR, _STAR)
+        shortcut = _ricci_contraction_shortcut(block(_SPATIAL_PAIRS, _SPATIAL_PAIRS))
+        out[sl] = _tf3(np.moveaxis(phi - psi + gam, (0, 1), (-2, -1)))
+        return float(np.max(np.abs(Rs))), float(np.max(np.abs(gam - shortcut)))
+
+    peaks, defects = zip(*_on_slabs(slab, R.shape[1:]))
+    scale, defect = max(float(np.max(peaks)), 1.0), float(np.max(defects))
     if defect > 1e-10 * scale:
         raise CurvatureDefectError(defect, scale)
     return out
-
-
-def _asd_block(block) -> tuple[np.ndarray, float]:
-    """The trace-free block phi - psi + gam (..., 3, 3) from the pair-matrix
-    blocks block(rows, cols), and the largest disagreement of gam with its
-    Ricci-contraction rewriting."""
-    phi = block(_TIME_PAIRS, _TIME_PAIRS)
-    s = _HODGE_SIGN.reshape((3,) + (1,) * (phi.ndim - 1))
-    psi_raw = 2 * s * block(_STAR, _TIME_PAIRS)
-    psi = 0.5 * (psi_raw + psi_raw.swapaxes(0, 1))
-    gam = s * s.swapaxes(0, 1) * block(_STAR, _STAR)
-    defect = float(np.max(np.abs(gam - _ricci_contraction_shortcut(block(_SPATIAL_PAIRS, _SPATIAL_PAIRS)))))
-    return _tf3(np.moveaxis(phi - psi + gam, (0, 1), (-2, -1))), defect
-
-
-def wminus_bilinear(curv: CurvatureGrid) -> np.ndarray:
-    """Anti-self-dual Weyl curvature of a block metric dt^2 + g_Y(t,y) as a
-    trace-free bilinear form in a g_Y-orthonormal frame.
-
-    The frame is the inverse-transpose Cholesky factor of the spatial block,
-    so this is exact for curved cross-section samples, not only for
-    perturbations of the flat product.
-    """
-    if not curv.metric.is_block(tol=1e-9):
-        raise ValueError("bilinear-form extraction requires a block metric dt^2 + g_Y")
-    L = np.linalg.cholesky(curv.metric.g[..., 1:, 1:])
-    return asd_form_background(curv, frame=np.linalg.inv(L).swapaxes(-1, -2))
 
 
 # ---------------------------------------------------------------------------
@@ -651,17 +546,14 @@ def _evaluate_terms(field, picks, shape, periods) -> np.ndarray:
 
 
 def sample_cyl_tensor(ht: CylTensor, shape, periods) -> np.ndarray:
-    """Sample a t-periodic cylinder 2-tensor as (Nt,N1,N2,N3,4,4) values."""
+    """Sample a t-periodic cylinder 2-tensor as its 10 components (a <= b,
+    in _SYM order) on the grid, (10, Nt, N1, N2, N3)."""
     _check_sampling(ht.grid, shape, periods)
-    picks = [("h00", ())] + [("alpha", (i,)) for i in range(3)] + [("h", ij) for ij in _SYM_PAIRS]
-    values = _evaluate_terms(ht, picks, shape, periods)
-    out = np.zeros(tuple(shape) + (4, 4))
-    out[..., 0, 0] = values[0]
-    for i in range(3):
-        out[..., 0, i + 1] = out[..., i + 1, 0] = values[1 + i]
-    for c, (i, j) in enumerate(_SYM_PAIRS):
-        out[..., i + 1, j + 1] = out[..., j + 1, i + 1] = values[4 + c]
-    return out
+    picks = [
+        ("h00", ()) if b == 0 else ("alpha", (b - 1,)) if a == 0 else ("h", (a - 1, b - 1))
+        for a, b in _SYM
+    ]
+    return _evaluate_terms(ht, picks, shape, periods)
 
 
 def sample_cross_section_tensor(ct: CylTensor, shape, periods) -> np.ndarray:
@@ -706,7 +598,7 @@ def fd_linearization_errors(
     periods = (t_period,) + ht.grid.lengths
     sample = sample_cyl_tensor(ht, shape, periods)
     exact = sample_cross_section_tensor(linearized_weyl(ht), shape, periods)
-    identity = np.eye(4)
+    identity = np.array([float(a == b) for a, b in _SYM]).reshape((10, 1, 1, 1, 1))
     den = _norm(exact)
     degenerate = den < 1e-12 * max(1.0, _norm(sample))
     out = []
@@ -729,16 +621,6 @@ def fd_linearization_errors(
                 {"relative_error": num / den, "absolute_error": num, "reference_norm": den}
             )
     return out
-
-
-def fd_linearization_check(
-    ht: CylTensor,
-    eps: float = 1e-4,
-    shape=(16, 16, 16, 16),
-    t_period: float = 2 * math.pi,
-) -> dict[str, float]:
-    """Single-step variant of fd_linearization_errors."""
-    return fd_linearization_errors(ht, [eps], shape, t_period)[0]
 
 
 # Component mixes and time frequencies of the fixed-seed validation battery.

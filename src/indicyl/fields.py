@@ -44,8 +44,6 @@ __all__ = [
     "trace",
     "e_prime",
     "inner",
-    "cyl_inner",
-    "box_k_3d",
     "linearized_weyl",
     "adjoint_D",
     "cyl_killing",
@@ -174,18 +172,6 @@ class FourierSymTensor(_Field):
         asym = np.max([np.max(np.abs(d[i, j] - d[j, i])) for i, j in ((0, 1), (0, 2), (1, 2))])
         if asym > 1e-12 * max(1.0, float(np.max(np.abs(d)))):
             raise ValueError("symmetric tensor data is not symmetric")
-
-    def six(self) -> np.ndarray:
-        """The 6 independent components, order xx, yy, zz, xy, xz, yz."""
-        return np.stack([self.data[i, j] for i, j in _SYM_PAIRS])
-
-    @classmethod
-    def from_six(cls, grid, six):
-        data = np.zeros((3, 3) + (grid.size,) * 3, dtype=complex)
-        for comp, (i, j) in zip(six, _SYM_PAIRS):
-            data[i, j] = comp
-            data[j, i] = comp
-        return cls(grid, data)
 
 
 # ---------------------------------------------------------------------------
@@ -320,15 +306,6 @@ def inner(a, b) -> complex:
     return complex(np.sum(np.conj(a.data) * b.data))
 
 
-def box_k_3d(eta: FourierOneForm) -> FourierOneForm:
-    """Divergence of the conformal Killing operator on a cross-section
-    1-form: (delta d + 4/3 d delta) eta at curvature 0."""
-    xi = eta.grid.xi
-    xs = np.einsum("i...,i...->...", xi, eta.data)
-    data = -eta.grid.xi_sq * eta.data + xi * xs[None] - (4.0 / 3.0) * xi * xs[None]
-    return FourierOneForm(eta.grid, data)
-
-
 # ---------------------------------------------------------------------------
 # Cylinder fields: sums of t^d exp(lambda t) envelopes
 # ---------------------------------------------------------------------------
@@ -372,9 +349,6 @@ class _CylField:
                 if f is not None:
                     slot[name] = slot[name] + f
         return self
-
-    def t_derivative(self):
-        return _apply_cylinder(self, type(self), lambda xi, x: ({}, x))
 
     def __add__(self, other):
         out = type(self)(self.grid)
@@ -598,29 +572,6 @@ def random_symtensor(rng, grid, traceless=False) -> FourierSymTensor:
     raw = 0.5 * (raw + raw.swapaxes(0, 1))
     h = FourierSymTensor(grid, raw).reality_symmetrize()
     return tf(h) if traceless else h
-
-
-def cyl_inner(a: _CylField, b: _CylField) -> complex:
-    """Pairing of two t-periodic cylinder fields over one period.
-
-    Buckets with equal (rate, degree) pair as conj(a) . b; for real fields
-    built from conjugate rate pairs this equals the t- and Y-integral of the
-    pointwise contraction up to one overall positive constant.  Cylinder
-    2-tensors contract with the full 4-dimensional index sum, so the mixed
-    dt block enters with weight 2.
-    """
-    if type(a) is not type(b) or a.grid != b.grid:
-        raise ValueError("field mismatch")
-    # Symmetric 2-tensors carry the dt-mixed block twice; 1-forms do not.
-    weights = {"h00": 1.0, "alpha": 2.0, "h": 1.0, "f": 1.0, "omega": 1.0}
-    total = 0.0 + 0.0j
-    for key, slot in a.terms.items():
-        other = b.terms.get(key)
-        if other is None:
-            continue
-        for name in a._parts:
-            total += weights[name] * np.sum(np.conj(slot[name].data) * other[name].data)
-    return complex(total)
 
 
 def add_real_mode(ht: CylTensor, kt: int, t_period: float = 2 * math.pi, **parts) -> CylTensor:

@@ -391,31 +391,49 @@ def load_hyperbolic_spectrum(path: str | Path) -> HyperbolicSpectrum:
 
     Line-oriented format: `b1 <n>`, `codazzi <n>` headers plus data lines
     `kind j eigenvalue multiplicity` with kind in {scalar, oneform, tt};
-    `#` starts a comment.  TT eigenvalues must be >= 3, with the recorded
+    `#` starts a comment.  j is a nonnegative integer and every eigenvalue
+    a finite number.  TT eigenvalues must be >= 3, with the recorded
     Codazzi dimension equal to the multiplicity at eigenvalue exactly 3.
+    Every malformed line raises SpectrumError naming path:lineno.
     """
     path = Path(path)
-    b1: int | None = None
-    codazzi: int | None = None
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as e:
+        raise SpectrumError(f"{path}: not UTF-8 text (byte {e.start})") from None
+    header: dict[str, int] = {}
     raw: list[tuple[OperatorKind, int, float, int]] = []
-    for lineno, line in enumerate(path.read_text().splitlines(), start=1):
+    for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.split("#", 1)[0].strip()
         if not line:
             continue
+        where = f"{path}:{lineno}"
         parts = line.split()
-        if parts[0] == "b1":
-            b1 = int(parts[1])
-            continue
-        if parts[0] == "codazzi":
-            codazzi = int(parts[1])
+        if parts[0] in ("b1", "codazzi"):
+            try:
+                (value,) = parts[1:]
+                header[parts[0]] = int(value)
+            except ValueError:
+                raise SpectrumError(f"{where}: expected '{parts[0]} <integer>', got {line!r}") from None
             continue
         if len(parts) != 4:
-            raise SpectrumError(f"{path}:{lineno}: expected 'kind j eigenvalue mult', got {line!r}")
+            raise SpectrumError(f"{where}: expected 'kind j eigenvalue mult', got {line!r}")
         try:
             kind = OperatorKind(parts[0])
         except ValueError:
-            raise SpectrumError(f"{path}:{lineno}: unknown operator kind {parts[0]!r}") from None
-        raw.append((kind, int(parts[1]), float(parts[2]), int(parts[3])))
+            raise SpectrumError(f"{where}: unknown operator kind {parts[0]!r}") from None
+        try:
+            j, ev, mult = int(parts[1]), float(parts[2]), int(parts[3])
+        except ValueError:
+            raise SpectrumError(
+                f"{where}: expected an integer j, a number eigenvalue and an integer mult, got {line!r}"
+            ) from None
+        if not math.isfinite(ev):
+            raise SpectrumError(f"{where}: eigenvalue {parts[2]!r} is not a finite number")
+        if j < 0:
+            raise SpectrumError(f"{where}: negative j={j}")
+        raw.append((kind, j, ev, mult))
+    b1, codazzi = header.get("b1"), header.get("codazzi")
     if b1 is None or codazzi is None:
         raise SpectrumError(f"{path}: missing 'b1' or 'codazzi' header")
     if b1 < 0 or codazzi < 0:

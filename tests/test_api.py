@@ -1,0 +1,41 @@
+import ast
+import importlib
+from pathlib import Path
+
+import pytest
+
+TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+
+
+def tracer_constant(name):
+    """A literal module-level constant of perfbench/tracer.py, read from its
+    source without importing it."""
+    for node in ast.parse(TRACER.read_text()).body:
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == name for t in node.targets):
+            return ast.literal_eval(node.value)
+    raise AssertionError(f"{name} not found in {TRACER}")
+
+
+@pytest.mark.parametrize("module", ["spectra", "indicial", "oracle", "fields", "curvature"])
+def test_public_names_resolve(module):
+    mod = importlib.import_module(f"indicyl.{module}")
+    missing = [name for name in mod.__all__ if not hasattr(mod, name)]
+    assert missing == []
+
+
+def test_tracer_targets_exist():
+    # A traced benchmark run wraps these functions and reads these arrays
+    # of every CurvatureGrid; removing one breaks the run.
+    targets = tracer_constant("TARGETS")
+    assert targets
+    missing = [
+        f"{module}.{attr}"
+        for module, attr, _ in targets
+        if not callable(getattr(importlib.import_module(f"indicyl.{module}"), attr, None))
+    ]
+    assert missing == []
+    from indicyl.curvature import CurvatureGrid
+
+    arrays = tracer_constant("_CURVATURE_ARRAYS")
+    assert arrays
+    assert [a for a in arrays if not hasattr(CurvatureGrid, a)] == []

@@ -83,6 +83,47 @@ def test_exit_code_3_on_bad_file(tmp_path, capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize(
+    "content,lineno",
+    [
+        (b"b1\ncodazzi 0\n", 1),
+        (b"b1 x\ncodazzi 0\n", 1),
+        (b"b1 0 7\ncodazzi 0\n", 1),
+        (b"b1 0\ncodazzi 0\nscalar 0 1.0 1.5\n", 3),
+        (b"b1 0\ncodazzi 0\nscalar 1 nan 1\n", 3),
+        (b"b1 0\ncodazzi 0\nscalar 1 1e400 1\n", 3),
+        (b"b1 0\ncodazzi 0\noneform -5 2.0 1\n", 3),
+        (b"b1 0\ncodazzi 0\nscalar 1 2.0 1 \xff\n", None),
+        (None, None),
+    ],
+    ids=[
+        "header-without-value",
+        "header-not-integer",
+        "header-extra-token",
+        "fractional-multiplicity",
+        "nan-eigenvalue",
+        "overflowing-eigenvalue",
+        "negative-j",
+        "not-utf8",
+        "directory",
+    ],
+)
+def test_exit_code_3_on_malformed_file(tmp_path, capsys, content, lineno):
+    # Every parse failure is one error line and exit 3, never a traceback.
+    path = tmp_path / "spec.txt"
+    if content is None:
+        path.mkdir()
+    else:
+        path.write_bytes(content)
+    code = cli.main(["roots", "--hyperbolic", str(path)])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    if lineno is not None:
+        assert f"{path}:{lineno}: " in captured.err
+
+
 def test_gap_sphere(capsys):
     code, out = run_cli(["gap", "--sphere", "--jmax", "4"], capsys)
     assert code == 0

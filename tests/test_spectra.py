@@ -627,6 +627,23 @@ def test_decreasing_eigenvalues_rejected(tmp_path):
         load_hyperbolic_spectrum(path)
 
 
+@pytest.mark.parametrize(
+    "entry,message",
+    [
+        ("scalar 1 nan 1", "not a finite number"),
+        ("scalar 1 inf 1", "not a finite number"),
+        ("tt 1 1e400 1", "not a finite number"),
+        ("oneform -5 2.0 1", "negative j=-5"),
+    ],
+    ids=["nan", "inf", "overflow", "negative-j"],
+)
+def test_nonfinite_eigenvalue_and_negative_j_rejected(tmp_path, entry, message):
+    path = tmp_path / "bad.txt"
+    path.write_text(f"b1 0\ncodazzi 0\n{entry}\n")
+    with pytest.raises(SpectrumError, match=f"bad.txt:3: .*{message}"):
+        load_hyperbolic_spectrum(path)
+
+
 def test_cross_section_spec_validation():
     with pytest.raises(ValueError):
         spectra.CrossSectionSpec(0, spectra.Sphere())
