@@ -116,11 +116,20 @@ def _emit(doc, args) -> None:
 # ---------------------------------------------------------------------------
 
 
+def _parse_part(part: str, kind, flag: str):
+    """One comma-separated part of a flag value, as kind (int or float)."""
+    try:
+        return kind(part)
+    except ValueError:
+        what = "an integer" if kind is int else "a number"
+        raise SystemExit2(f"{flag} part {part!r} is not {what}") from None
+
+
 def _parse_triple(text: str, kind, flag: str):
     parts = text.split(",")
     if len(parts) != 3:
         raise SystemExit2(f"{flag} expects three comma-separated values")
-    return tuple(kind(p) for p in parts)
+    return tuple(_parse_part(p, kind, flag) for p in parts)
 
 
 # Input ceilings, far above every documented use, so that no flag value
@@ -268,7 +277,7 @@ def _parse_window(text):
     parts = text.split(",")
     if len(parts) != 2:
         raise SystemExit2("--window expects two comma-separated numbers")
-    lo, hi = float(parts[0]), float(parts[1])
+    lo, hi = (_parse_part(p, float, "--window") for p in parts)
     if not lo < hi:
         raise SystemExit2(f"--window a,b needs a < b, got {lo!r},{hi!r}")
     return lo, hi
@@ -504,6 +513,12 @@ def cmd_verify(args) -> int:
         raise SystemExit2(f"--N must be at least 8 for the linearization suite, got {args.N}")
     if args.suite == "oracle" and args.jmax < 0:
         raise SystemExit2("--jmax must be nonnegative")
+    if args.suite in ("identities", "linearization") and args.seed < 0:
+        raise SystemExit2(f"--seed must be nonnegative, got {args.seed}")
+    # The battery also steps by eps / 2, which must not underflow to 0; the
+    # comparison is written so that NaN fails it.
+    if args.suite == "linearization" and not 0 < args.eps / 2 < 0.05:
+        raise SystemExit2(f"--eps must satisfy 0 < eps < 0.1, got {args.eps!r}")
     if args.suite == "identities":
         report, ok = run_identities(n=args.N, seed=args.seed)
     elif args.suite == "linearization":
@@ -551,7 +566,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("roots", help="root catalog table")
     _add_geometry_flags(p)
-    p.add_argument("--window", metavar="a,b", help="keep roots with a < Re < b")
+    p.add_argument(
+        "--window",
+        metavar="a,b",
+        help="keep roots with a < Re < b; write a negative a as --window=-2,2",
+    )
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.set_defaults(func=cmd_roots)
 
@@ -579,8 +598,18 @@ def build_parser() -> argparse.ArgumentParser:
         default=8,
         help="grid size, a power of two: 2..32 for identities, 8..32 for linearization",
     )
-    p.add_argument("--seed", type=int, default=7)
-    p.add_argument("--eps", type=float, default=1e-4)
+    p.add_argument(
+        "--seed",
+        type=int,
+        default=7,
+        help="seed of the identities and linearization suites, nonnegative",
+    )
+    p.add_argument(
+        "--eps",
+        type=float,
+        default=1e-4,
+        help="finite-difference step of the linearization suite, 0 < eps < 0.1",
+    )
     p.add_argument(
         "--jmax",
         type=int,

@@ -16,8 +16,11 @@ Storage: the engine works components-first on contiguous arrays.  A
 symmetric 4x4 field, the sampled metric included, is stored as its 10
 components (a <= b), and the lowered Riemann tensor as its 21 independent
 components R_PQ over the antisymmetric index pairs P = (r<s), Q = (m<n)
-with P <= Q.  The anti-self-dual block is read straight off the packed
-components.  Ricci and scalar curvature, and the unpacked (..., 4, 4) and
+with P <= Q.  The first-kind Christoffel symbols are kept as four
+(10, ...) arrays, one per lowered index; the second-kind symbols enter the
+Riemann tensor chunk by chunk and are not stored.  The anti-self-dual
+block is read straight off the packed components.  The second-kind
+symbols, Ricci and scalar curvature, and the unpacked (..., 4, 4) and
 (..., 4, 4, 4, 4) tensors, are computed only on request.
 
 Threads: the engine's FFTs, and its pointwise stages together with the
@@ -203,16 +206,24 @@ def _unpack_sym(c10: np.ndarray) -> np.ndarray:
 class CurvatureGrid:
     """Curvature of a sampled metric in packed components-first storage.
 
-    The Ricci components ricci_sym (10, ...) and the scalar curvature are
-    computed on first access.  The full tensors ginv (..., a, b), gamma
-    (..., r, m, n), riemann (..., a, b, c, d) and ricci (..., a, b) are
-    unpacked on first access.
+    The second-kind symbols gamma_sym (4, 10, ...), the Ricci components
+    ricci_sym (10, ...) and the scalar curvature are computed on first
+    access.  The full tensors ginv (..., a, b), gamma (..., r, m, n),
+    riemann (..., a, b, c, d) and ricci (..., a, b) are unpacked on first
+    access.
     """
 
     metric: MetricGrid4D
-    ginv_sym: np.ndarray       # (10, ...) inverse metric, slots _SYM
-    gamma_sym: np.ndarray      # (4, 10, ...) Gam^r_{mn}, slots (r, _SYM)
-    riemann_packed: np.ndarray  # (21, ...) lowered R_PQ, slots _PACKED
+    ginv_sym: np.ndarray                # (10, ...) inverse metric, slots _SYM
+    first_kind: tuple[np.ndarray, ...]  # 4 x (10, ...) 2 Gam_{s,mn}, slots _SYM
+    riemann_packed: np.ndarray          # (21, ...) lowered R_PQ, slots _PACKED
+
+    @cached_property
+    def gamma_sym(self) -> np.ndarray:
+        """Gam^r_mn = g^rs Gam_{s,mn}, slots (r, _SYM)."""
+        low = np.stack(self.first_kind)
+        low *= 0.5
+        return np.einsum("rs...,sc...->rc...", self.ginv_sym[_SYM_INDEX], low)
 
     @cached_property
     def ricci_sym(self) -> np.ndarray:
@@ -285,9 +296,9 @@ def _slab_pool():
     return ThreadPoolExecutor(max_workers=_fft_workers(), thread_name_prefix="indicyl-slab")
 
 
-# Fewest grid points per slab.  Each slab repeats every NumPy call of a
-# stage, so small slabs cost more in call overhead than the second CPU
-# saves: on 2 CPUs one 8^4 curvature evaluation took about 15 ms inline and
+# Fewest grid points per slab, and most per chunk of the quadratic stage
+# in christoffel_riemann.  Each slab repeats every NumPy call of a stage,
+# so small slabs cost more in call overhead than the second CPU saves: on 2 CPUs one 8^4 curvature evaluation took about 15 ms inline and
 # 25-35 ms on 4 slabs, one 16^4 evaluation about 220 ms inline and 150 ms
 # on 4 slabs.
 _SLAB_POINTS = 8192
@@ -320,8 +331,8 @@ def _on_slabs(fn, shape) -> list:
 def christoffel_riemann(m: MetricGrid4D) -> CurvatureGrid:
     """Christoffel symbols and the Riemann tensor from the general coordinate
     formulas, with derivative combinations assembled on the half-spectrum
-    (exact for band-limited samples).  Ricci and scalar curvature follow on
-    first access.
+    (exact for band-limited samples).  The second-kind symbols, Ricci and
+    scalar curvature follow on first access.
 
     The 21 packed components of the lowered Riemann tensor are built in
     its second-derivative form
@@ -335,12 +346,14 @@ def christoffel_riemann(m: MetricGrid4D) -> CurvatureGrid:
 
     Everything runs on every CPU the process may use.  The FFTs are split
     by pocketfft into whole lines per thread.  The pointwise stages (the
-    closed-form inverse, the derivative spectra, the second-kind symbols
-    and the quadratic term) run on slabs of the leading grid axis, or of
-    the spectrum's first axis, each slab writing its part of preallocated
-    arrays.  Every value is computed by the same expressions in the same
-    order whatever the split, so the result does not depend on the number
-    of CPUs.
+    closed-form inverse, the derivative spectra and the quadratic term) run
+    on slabs of the leading grid axis, or of the spectrum's first axis,
+    each slab writing its part of preallocated arrays.  The quadratic term
+    forms the second-kind symbols Gam^q_mn in chunks of at most
+    _SLAB_POINTS points (or one plane of the last two grid axes, if that
+    is larger) and keeps none of them.  Every value is computed by
+    the same expressions in the same order whatever the split, so the
+    result does not depend on the number of CPUs.
     """
     import scipy.fft
 
@@ -351,57 +364,80 @@ def christoffel_riemann(m: MetricGrid4D) -> CurvatureGrid:
     ginv_sym = np.empty_like(m.g)
     _on_slabs(lambda sl: _sym_inverse(m.g[:, sl], ginv_sym[:, sl]), grid_shape)
     gk = scipy.fft.rfftn(m.g, axes=(1, 2, 3, 4), workers=workers)
+    spectrum_shape = gk.shape[1:]
 
     # The second-derivative block first, while no Christoffel array exists.
-    shat = np.empty((len(_PACKED),) + gk.shape[1:], dtype=complex)
+    # Each component is summed term by term in its slot of shat.
+    shat = np.empty((len(_PACKED),) + spectrum_shape, dtype=complex)
 
     def second_derivatives(sl):
         k, g = [ik[0][sl]] + ik[1:], gk[:, sl]
+        term = np.empty(g.shape[1:], dtype=complex)
         for col, (P, Q) in enumerate(_PACKED):
             r, s = _PAIRS4[P]
             mm, nn = _PAIRS4[Q]
-            shat[col, sl] = 0.5 * (
-                k[s] * k[mm] * g[S[r, nn]]
-                + k[r] * k[nn] * g[S[s, mm]]
-                - k[s] * k[nn] * g[S[r, mm]]
-                - k[r] * k[mm] * g[S[s, nn]]
-            )
+            acc = shat[col, sl]
+            np.multiply(k[s] * k[mm], g[S[r, nn]], out=acc)
+            acc += np.multiply(k[r] * k[nn], g[S[s, mm]], out=term)
+            acc -= np.multiply(k[s] * k[nn], g[S[r, mm]], out=term)
+            acc -= np.multiply(k[r] * k[mm], g[S[s, nn]], out=term)
+            acc *= 0.5
 
-    _on_slabs(second_derivatives, gk.shape[1:])
+    _on_slabs(second_derivatives, spectrum_shape)
     riemann = scipy.fft.irfftn(shat, s=grid_shape, axes=(1, 2, 3, 4), workers=workers)
     del shat
 
     # Twice the first-kind symbols, g_sn,m + g_sm,n - g_mn,s, one
-    # derivative index s at a time.
-    gam_low = np.empty((4, 10) + grid_shape)
-    that = np.empty((10,) + gk.shape[1:], dtype=complex)
+    # derivative index s at a time, kept as the four transforms return them.
+    that = np.empty((10,) + spectrum_shape, dtype=complex)
 
-    def first_kind(s, sl):
+    def first_kind_spectra(s, sl):
         k, g = [ik[0][sl]] + ik[1:], gk[:, sl]
+        term = np.empty(g.shape[1:], dtype=complex)
         for c, (mm, nn) in enumerate(_SYM):
-            that[c, sl] = k[mm] * g[S[s, nn]] + k[nn] * g[S[s, mm]] - k[s] * g[S[mm, nn]]
+            acc = that[c, sl]
+            np.multiply(k[mm], g[S[s, nn]], out=acc)
+            acc += np.multiply(k[nn], g[S[s, mm]], out=term)
+            acc -= np.multiply(k[s], g[S[mm, nn]], out=term)
 
+    first_kind = []
     for s in range(4):
-        _on_slabs(partial(first_kind, s), gk.shape[1:])
-        gam_low[s] = scipy.fft.irfftn(that, s=grid_shape, axes=(1, 2, 3, 4), workers=workers)
-    del that, gk
-    gamma_sym = np.empty_like(gam_low)
+        _on_slabs(partial(first_kind_spectra, s), spectrum_shape)
+        if s == 3:
+            del gk  # read for the last time; gone before the last transform
+        first_kind.append(scipy.fft.irfftn(that, s=grid_shape, axes=(1, 2, 3, 4), workers=workers))
+    del that
 
-    def second_kind_and_quadratic(sl):
-        low, up = gam_low[:, :, sl], gamma_sym[:, :, sl]
-        low *= 0.5
-        np.einsum("rs...,sc...->rc...", ginv_sym[S, sl], low, out=up)
+    # Chunks of at most _SLAB_POINTS points, but never less than one plane
+    # of the last two axes, which bounds their number by the slab's planes.
+    chunk_points = max(_SLAB_POINTS, grid_shape[2] * grid_shape[3])
 
-        def gam_dot(i, j):
-            return np.einsum("q...,q...->...", low[:, i], up[:, j])
+    def quadratic(sl):
+        # Flat views of the slab's points.  Each chunk of them is gathered
+        # into buffers of the stacked layout that the einsums read.
+        kind = [f[:, sl].reshape(10, -1) for f in first_kind]
+        inv, rie = ginv_sym[:, sl].reshape(10, -1), riemann[:, sl].reshape(len(_PACKED), -1)
+        n = rie.shape[1]
+        size = min(n, chunk_points)
+        low_buf, up_buf = np.empty((2, 4, 10, size))
+        inv_buf, dot_buf = np.empty((4, 4, size)), np.empty((2, size))
+        for lo in range(0, n, size):
+            chunk = slice(lo, min(lo + size, n))
+            w = chunk.stop - lo
+            low, up, ginv, (dot, dot2) = (b[..., :w] for b in (low_buf, up_buf, inv_buf, dot_buf))
+            for q, f in enumerate(kind):
+                np.multiply(f[:, chunk], 0.5, out=low[q])
+            np.take(inv[:, chunk], S, axis=0, out=ginv, mode="clip")  # unbuffered
+            np.einsum("rs...,sc...->rc...", ginv, low, out=up)
+            for col, (P, Q) in enumerate(_PACKED):
+                r, s = _PAIRS4[P]
+                mm, nn = _PAIRS4[Q]
+                np.einsum("q...,q...->...", low[:, S[r, nn]], up[:, S[s, mm]], out=dot)
+                np.einsum("q...,q...->...", low[:, S[r, mm]], up[:, S[s, nn]], out=dot2)
+                rie[col, chunk] += np.subtract(dot, dot2, out=dot)
 
-        for col, (P, Q) in enumerate(_PACKED):
-            r, s = _PAIRS4[P]
-            mm, nn = _PAIRS4[Q]
-            riemann[col, sl] += gam_dot(S[r, nn], S[s, mm]) - gam_dot(S[r, mm], S[s, nn])
-
-    _on_slabs(second_kind_and_quadratic, grid_shape)
-    return CurvatureGrid(m, ginv_sym, gamma_sym, riemann)
+    _on_slabs(quadratic, grid_shape)
+    return CurvatureGrid(m, ginv_sym, tuple(first_kind), riemann)
 
 
 # ---------------------------------------------------------------------------
@@ -413,9 +449,8 @@ def christoffel_riemann(m: MetricGrid4D) -> CurvatureGrid:
 _STAR = np.array([5, 4, 3])
 _HODGE_SIGN = np.array([1.0, -1.0, 1.0])
 
-# Time pairs (0, i) and spatial pairs (k, l) among _PAIRS4.
-_TIME_PAIRS = np.arange(3)
-_SPATIAL_PAIRS = np.arange(3, 6)
+# The six distinct entries (i, j) of a symmetric 3x3 block, diagonal first.
+_UPPER3 = ((0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2))
 
 # Spatial Ricci contraction c_kl = sum_i R_ikil as its 12 signed terms
 # (k, l, P, Q, sign) on the spatial pair block, from the pair orientations
@@ -435,12 +470,9 @@ _SPATIAL_RICCI = tuple(
 )
 
 
-def _tf3(M: np.ndarray) -> np.ndarray:
-    tr = np.einsum("...ii->...", M)
-    out = M.copy()
-    for i in range(3):
-        out[..., i, i] -= tr / 3.0
-    return out
+def _max_abs(x, axis=None):
+    """max |x| over axis, without the temporary |x|."""
+    return np.maximum(np.max(x, axis=axis), -np.min(x, axis=axis))
 
 
 def _ricci_contraction_shortcut(B: np.ndarray) -> np.ndarray:
@@ -450,8 +482,8 @@ def _ricci_contraction_shortcut(B: np.ndarray) -> np.ndarray:
     c = np.zeros_like(B)
     for k, l, P, Q, sign in _SPATIAL_RICCI:
         c[k, l] += sign * B[P, Q]
-    out = -c
     tr = np.einsum("kk...->...", c)
+    out = np.negative(c, out=c)
     for i in range(3):
         out[i, i] += 0.5 * tr
     return out
@@ -465,32 +497,39 @@ def asd_form_background(curv: CurvatureGrid) -> np.ndarray:
     pair into this slot only at second order around the conformally flat
     background, and the scalar part is removed by the trace-free projection.
 
-    The block is computed on slabs of the leading grid axis (see
-    _on_slabs); the defect and the curvature scale are maxima over the
-    slabs, so neither depends on the split.
+    The block is symmetric, and each of its six distinct entries is read
+    straight off the 21 packed components.  It is computed on slabs of the
+    leading grid axis (see _on_slabs); the defect and the curvature scale
+    are maxima over the slabs, so neither depends on the split.
 
     Raises CurvatureDefectError when the double-epsilon block disagrees
     with its Ricci-contraction rewriting.
     """
     R = curv.riemann_packed
     out = np.empty(R.shape[1:] + (3, 3))
+    P, star, sign = _PACKED_INDEX, _STAR, _HODGE_SIGN
 
     def slab(sl):
-        Rs = R[:, sl]
-
-        def block(rows, cols):
-            # A block of the pair matrix, read straight off the 21 packed
-            # components.
-            return Rs[_PACKED_INDEX[np.ix_(rows, cols)]]
-
-        phi = block(_TIME_PAIRS, _TIME_PAIRS)
-        s = _HODGE_SIGN.reshape((3,) + (1,) * (phi.ndim - 1))
-        psi_raw = 2 * s * block(_STAR, _TIME_PAIRS)
-        psi = 0.5 * (psi_raw + psi_raw.swapaxes(0, 1))
-        gam = s * s.swapaxes(0, 1) * block(_STAR, _STAR)
-        shortcut = _ricci_contraction_shortcut(block(_SPATIAL_PAIRS, _SPATIAL_PAIRS))
-        out[sl] = _tf3(np.moveaxis(phi - psi + gam, (0, 1), (-2, -1)))
-        return float(np.max(np.abs(Rs))), float(np.max(np.abs(gam - shortcut)))
+        Rs, o = R[:, sl], out[sl]
+        shortcut = _ricci_contraction_shortcut(Rs[P[3:, 3:]])  # the spatial pair block
+        defects, diagonal = [], []
+        for i, j in _UPPER3:
+            # phi - psi + gam: the time pair block, the symmetrized time-star
+            # block and the star-star block of the pair matrix.
+            psi = 0.5 * (2 * sign[i] * Rs[P[star[i], j]] + 2 * sign[j] * Rs[P[star[j], i]])
+            gam = sign[i] * sign[j] * Rs[P[star[i], star[j]]]
+            entry = Rs[P[i, j]] - psi + gam
+            defects += [_max_abs(gam - shortcut[i, j]), _max_abs(gam - shortcut[j, i])]
+            if i == j:
+                diagonal.append(entry)
+            else:
+                o[..., i, j] = o[..., j, i] = entry
+        tr = 0.0 + diagonal[0]
+        tr += diagonal[1]
+        tr += diagonal[2]
+        for i, entry in enumerate(diagonal):
+            np.subtract(entry, tr / 3.0, out=o[..., i, i])
+        return float(_max_abs(Rs)), float(np.max(defects))
 
     peaks, defects = zip(*_on_slabs(slab, R.shape[1:]))
     scale, defect = max(float(np.max(peaks)), 1.0), float(np.max(defects))
@@ -518,31 +557,41 @@ def _term_time_index(rate: complex, nt: int, t_period: float) -> int:
 
 def _evaluate_terms(field, picks, shape, periods) -> np.ndarray:
     """Evaluate the components picks = ((part, index), ...) of a cylinder
-    field on the grid, as (len(picks), Nt, N1, N2, N3) real values."""
+    field on the grid, as contiguous (len(picks), Nt, N1, N2, N3) real
+    values."""
     import scipy.fft
 
     nt = shape[0]
-    box = np.zeros((len(picks),) + tuple(shape), dtype=complex)
-    # Spatial mode -band..band sits at index (mode mod n) on each axis.
-    modes = np.arange(field.grid.size) - field.grid.band
-    where = (slice(None),) + np.ix_(*[modes % n for n in shape[1:]])
+    # The coefficients, gathered into a compact box of the time frequencies
+    # that occur (in order of first occurrence) and spatial modes -band..band.
+    terms = []
     for (rk, d), slot in field.terms.items():
         if d != 0:
             raise ValueError("grid sampling supports exponential terms only (degree 0)")
-        kt = _term_time_index(slot["rate"], nt, periods[0])
-        box[:, kt][where] += np.stack([slot[part].data[index] for part, index in picks])
-    # One axis at a time, last axis first, as np.fft.ifftn does, so the
-    # values are bitwise those of np.fft.ifftn; the lines of each axis are
-    # split between the CPUs.
+        terms.append((_term_time_index(slot["rate"], nt, periods[0]), slot))
+    times = list(dict.fromkeys(kt for kt, _ in terms))
+    box = np.zeros((len(picks), len(times)) + (field.grid.size,) * 3, dtype=complex)
+    for kt, slot in terms:
+        box[:, times.index(kt)] += np.stack([slot[part].data[index] for part, index in picks])
+    # One axis at a time, last axis first, as np.fft.ifftn does, each axis
+    # widened to its grid size (mode -band..band sits at index mode mod n)
+    # right before its transform.  So only lines that hold a nonzero
+    # coefficient are transformed, the FFT of an all-zero line is zero, and
+    # the values are bitwise those of np.fft.ifftn of the whole box.  The
+    # lines of each axis are split between the CPUs.
+    modes = np.arange(field.grid.size) - field.grid.band
     workers = _fft_workers()
-    for axis in (4, 3, 2, 1):
-        box = scipy.fft.ifft(box, axis=axis, overwrite_x=True, workers=workers)
+    for axis, index in ((4, modes), (3, modes), (2, modes), (1, times)):
+        n = shape[axis - 1]
+        wide = np.zeros(box.shape[:axis] + (n,) + box.shape[axis + 1 :], dtype=complex)
+        wide[(slice(None),) * axis + (np.mod(index, n),)] = box
+        box = scipy.fft.ifft(wide, axis=axis, overwrite_x=True, workers=workers)
+    box *= np.prod(shape)
     axes = (1, 2, 3, 4)
-    values = box * np.prod(shape)
-    imag = np.max(np.abs(values.imag), axis=axes)
-    if np.any(imag > 1e-9 * np.maximum(1.0, np.max(np.abs(values.real), axis=axes))):
+    imag = _max_abs(box.imag, axis=axes)
+    if np.any(imag > 1e-9 * np.maximum(1.0, _max_abs(box.real, axis=axes))):
         raise ValueError("field is not real on the grid; reality-symmetrize the input")
-    return values.real
+    return np.ascontiguousarray(box.real)
 
 
 def sample_cyl_tensor(ht: CylTensor, shape, periods) -> np.ndarray:

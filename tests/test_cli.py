@@ -260,6 +260,48 @@ def test_short_triple_exits_2(capsys):
     assert "--torus expects three comma-separated values" in captured.err
 
 
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["roots", "--lens", "3,1,1.5"], "--lens part '1.5' is not an integer"),
+        (["gap", "--lens", "3,,1"], "--lens part '' is not an integer"),
+        (["roots", "--torus", "1,x,1"], "--torus part 'x' is not a number"),
+        (["roots", "--sphere", "--window", "a,2"], "--window part 'a' is not a number"),
+    ],
+)
+def test_unparsable_part_exits_2_naming_the_flag(argv, message, capsys):
+    code = cli.main(argv + ["--jmax", "2"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["linearization", "--eps", "0.5"], "--eps must satisfy 0 < eps < 0.1, got 0.5"),
+        (["linearization", "--eps", "0.1"], "--eps must satisfy 0 < eps < 0.1, got 0.1"),
+        (["linearization", "--eps", "0"], "--eps must satisfy 0 < eps < 0.1, got 0.0"),
+        (["linearization", "--eps", "5e-324"], "--eps must satisfy 0 < eps < 0.1, got 5e-324"),
+        (["linearization", "--eps=-1e-4"], "--eps must satisfy 0 < eps < 0.1, got -0.0001"),
+        (["linearization", "--eps", "nan"], "--eps must satisfy 0 < eps < 0.1, got nan"),
+        (["linearization", "--eps", "inf"], "--eps must satisfy 0 < eps < 0.1, got inf"),
+        (["linearization", "--seed", "-3"], "--seed must be nonnegative, got -3"),
+        (["identities", "--seed", "-1"], "--seed must be nonnegative, got -1"),
+    ],
+)
+def test_verify_rejects_bad_eps_and_seed_before_any_work(argv, message, monkeypatch, capsys):
+    def refuse(**kwargs):
+        raise AssertionError("suite started on a bad flag")
+
+    monkeypatch.setattr(cli, "run_linearization", refuse)
+    monkeypatch.setattr(cli, "run_identities", refuse)
+    code = cli.main(["verify"] + argv)
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 def test_reversed_window_exits_2(capsys):
     code = cli.main(["roots", "--sphere", "--jmax", "4", "--window", "2,1"])
     captured = capsys.readouterr()

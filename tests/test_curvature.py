@@ -399,6 +399,42 @@ def test_engine_matches_eager_engine_for_any_cpu_count(monkeypatch, shape, worke
     assert np.array_equal(C.asd_form_background(curv), eager_asd(want[2]))
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_quadratic_chunks_match_eager_engine_bitwise(monkeypatch, workers):
+    # 100-point chunks split the slabs of an 8^4 grid unevenly, the last
+    # chunk of each slab short.
+    monkeypatch.setattr(C, "_fft_workers", lambda: workers)
+    monkeypatch.setattr(C, "_SLAB_POINTS", 100)
+    m = random_metric((8, 8, 8, 8), seed=21)
+    want = eager_curvature(unpack(m.g), m.periods)
+    assert np.array_equal(C.christoffel_riemann(m).riemann_packed, want[2])
+
+
+def test_curvature_working_set_is_bounded():
+    # One 16^4 evaluation with its anti-self-dual block allocates at most
+    # this many times its metric in traced arrays.  With one CPU every
+    # stage runs inline, so the count does not depend on the machine.  The
+    # engine stores 36 components (inverse metric, first-kind symbols and
+    # the packed Riemann tensor), 3.6 metrics; at 16^4 the peak is 10.0.
+    import tracemalloc
+
+    ht = C.linearization_battery(seed=11, band=2)[8]
+    periods = (2 * math.pi,) + ht.grid.lengths
+    sample = C.sample_cyl_tensor(ht, (16,) * 4, periods)
+    m = C.MetricGrid4D(periods, pack(flat((16,) * 4)) + 1e-4 * sample)
+    del sample
+    tracemalloc.start()
+    try:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(C, "_fft_workers", lambda: 1)
+            base, _ = tracemalloc.get_traced_memory()
+            C.asd_form_background(C.christoffel_riemann(m))
+            _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - base < 10.5 * m.g.nbytes
+
+
 def ifftn_evaluate_terms(field, picks, shape, periods):
     """The grid values of field components by one np.fft.ifftn of the
     whole mode box, as sampling computed them before its transforms were
@@ -413,16 +449,21 @@ def ifftn_evaluate_terms(field, picks, shape, periods):
     return (np.fft.ifftn(box, axes=(1, 2, 3, 4)) * np.prod(shape)).real
 
 
-@pytest.mark.parametrize("n,band", [(8, 1), (16, 2)])
+# The pruned transform skips lines that hold no coefficient; at n = 2 band + 2
+# (band 3 on 8 points) almost every line holds one.
+@pytest.mark.parametrize("n,band", [(8, 1), (16, 2), (8, 3)])
 @pytest.mark.parametrize("workers", [1, 2])
 def test_sampling_matches_ifftn_bitwise(monkeypatch, n, band, workers):
     monkeypatch.setattr(C, "_fft_workers", lambda: workers)
-    ht = C.linearization_battery(seed=11, band=band)[8]
-    periods = (2 * math.pi,) + ht.grid.lengths
     picks = [("h00", ())] + [("alpha", (i,)) for i in range(3)] + [("h", ij) for ij in F._SYM_PAIRS]
     shape = (n,) * 4
-    want = ifftn_evaluate_terms(ht, picks, shape, periods)
-    assert np.array_equal(C._evaluate_terms(ht, picks, shape, periods), want)
+    # Case 8 mixes time frequencies 0, 1 and 2; case 9 has frequency 3.
+    for ht in C.linearization_battery(seed=11, band=band)[8:]:
+        periods = (2 * math.pi,) + ht.grid.lengths
+        want = ifftn_evaluate_terms(ht, picks, shape, periods)
+        got = C._evaluate_terms(ht, picks, shape, periods)
+        assert got.flags.c_contiguous
+        assert np.array_equal(got, want)
 
 
 def test_shortcut_matches_tensordot_form():
@@ -443,7 +484,7 @@ def test_fd_battery_reads_no_lazy_or_unpacked_array(monkeypatch):
     def refuse(self):
         raise AssertionError("lazy or unpacked curvature array read by the FD battery")
 
-    for name in ("ginv", "gamma", "riemann", "ricci", "ricci_sym", "scalar"):
+    for name in ("ginv", "gamma", "gamma_sym", "riemann", "ricci", "ricci_sym", "scalar"):
         monkeypatch.setattr(C.CurvatureGrid, name, property(refuse))
     ht = C.linearization_battery(seed=11, band=1)[7]
     (err,) = C.fd_linearization_errors(ht, [1e-4], shape=(8, 8, 8, 8))
@@ -729,7 +770,7 @@ def test_wminus_omega_equals_traceless_ricci():
     gam = 0.25 * np.einsum(
         "ikl,jpq,...klpq->...ij", F._EPSILON, F._EPSILON, spatial
     )
-    gam_tf = C._tf3(gam)
+    gam_tf = gam - np.einsum("...kk->...", gam)[..., None, None] * np.eye(3) / 3.0
     assert np.max(np.abs(gam_tf + e_frame)) < 1e-9 * max(1.0, np.max(np.abs(e_frame)))
     assert np.max(np.abs(e_frame)) > 1e-4  # genuinely non-Einstein sample
 
