@@ -311,8 +311,8 @@ def family_roots(entry: SpectrumEntry, kappa: int) -> list[IndicialRoot]:
 
 
 def _sphere_entries(geo: Sphere, j_max: int) -> tuple[list[SpectrumEntry], list[SpectrumEntry]]:
-    """Spectrum entries with index j <= j_max, multiplicities by
-    character-theoretic descent (the round sphere is the trivial group),
+    """Spectrum entries with index j <= j_max, multiplicities by descent
+    to the quotient (the round sphere is the trivial group),
     and the first omitted entry of each kind (multiplicity 1: only its
     roots are read)."""
     g = geo.group

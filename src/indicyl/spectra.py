@@ -1,9 +1,10 @@
 """Eigenvalue catalogs for the three constant-curvature cross-section geometries.
 
 Provides closed-form spectra for the round 3-sphere, one-octant dual-lattice
-enumeration for flat tori, character-theoretic descent of the scalar, co-closed 1-form and
-TT multiplicities to cyclic spherical space forms, and a validating loader for
-externally supplied hyperbolic spectra.
+enumeration for flat tori, descent of the scalar, co-closed 1-form and TT
+multiplicities to cyclic spherical space forms by an exact count of the
+invariant weight vectors, and a validating loader for externally supplied
+hyperbolic spectra.
 
 Eigenvalue conventions: scalar and co-closed 1-form eigenvalues are those of
 the Hodge Laplacian (nonnegative); transverse-traceless 2-tensor eigenvalues
@@ -315,37 +316,35 @@ def torus_spectrum(
 
 
 # ---------------------------------------------------------------------------
-# Descent to cyclic spherical space forms by characters
+# Descent to cyclic spherical space forms by an exact residue count
 # ---------------------------------------------------------------------------
-
-
-def _character(two_s: int, phi: float) -> float:
-    """SU(2) character chi_s of the spin-s representation at half angle phi:
-    sum_{k=0}^{2s} exp(i (2k - 2s) phi), which is real."""
-    return math.fsum(math.cos((2 * k - two_s) * phi) for k in range(two_s + 1))
 
 
 def _invariant_dim(g: GroupAction, two_a: int, two_b: int) -> int:
     """Dimension of the Gamma-invariants of the SO(4) representation V_a x V_b.
 
-    Under SO(4) = SU(2) x SU(2) / {+-1} the element m of Gamma rotates the
-    two planes by 2 pi q1 m / p and 2 pi q2 m / p, i.e. acts on the two
-    factors with half angles pi m (q1 +- q2) / p.  The invariant dimension is
-    the average of the product character over the group (Ikeda, Osaka J.
-    Math. 1980), which costs O(p (a + b)).
+    Under SO(4) = SU(2) x SU(2) / {+-1} the element m of Gamma acts on the
+    two factors with half angles pi m (q1 +- q2) / p.  With s = a + b and
+    d = a - b (integers: 2a + 2b is even for every caller) the weight vector
+    (k, l), k = 0..2a and l = 0..2b, is then fixed exactly when
+    l (q1 - q2) = (s - k) q1 + (d - k) q2 (mod p).  For each k that needs
+    h = gcd(q1 - q2, p) to divide the right side, and then l runs through
+    one residue class mod p / h.  Exact, and O(a) whatever p is.
     """
-    total = math.fsum(
-        _character(two_a, math.pi * m * (g.q1 + g.q2) / g.p)
-        * _character(two_b, math.pi * m * (g.q1 - g.q2) / g.p)
-        for m in range(g.p)
-    )
-    value = total / g.p
-    dim = round(value)
-    if abs(value - dim) > 1e-6:
-        raise SpectrumError(
-            f"non-integral invariant dimension {value} for V_{two_a}/2 x V_{two_b}/2"
-        )
-    return dim
+    p = g.p
+    q1, q2 = g.q1 % p, g.q2 % p
+    h = math.gcd(q1 - q2, p)
+    n = p // h
+    inverse = pow((q1 - q2) // h, -1, n)
+    rhs = (two_a + two_b) // 2 * q1 + (two_a - two_b) // 2 * q2  # at k = 0
+    count = 0
+    for _ in range(two_a + 1):
+        if rhs % h == 0:
+            l0 = rhs // h * inverse % n
+            if l0 <= two_b:
+                count += (two_b - l0) // n + 1
+        rhs -= q1 + q2
+    return count
 
 
 def lens_scalar_multiplicity(g: GroupAction, j: int) -> int:

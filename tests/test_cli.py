@@ -175,13 +175,12 @@ def test_lens_rejects_negative_jmax(capsys):
         ["lens", "--lens", "2,1,1", "--jmax", str(cli.JMAX_CEILING)],
         ["lens", "--lens", f"{cli.LENS_ORDER_CEILING},1,3", "--jmax", "0"],
         ["roots", "--lens", f"{cli.LENS_ORDER_CEILING},1,3", "--jmax", "0"],
-        # p * (jmax + 1)^2 equal to the work ceiling.
-        ["lens", "--lens", "1000,1,3", "--jmax", "99"],
+        # Both ceilings at once: the most work a lens table can ask for.
+        ["lens", "--lens", f"{cli.LENS_ORDER_CEILING},1,3", "--jmax", str(cli.JMAX_CEILING)],
     ],
     ids=["roots-jmax", "lens-jmax", "lens-order", "roots-lens-order", "lens-work"],
 )
 def test_inputs_at_the_ceilings_run(argv, capsys):
-    assert cli.LENS_WORK_CEILING == 1000 * 100**2
     code, out = run_cli(argv, capsys)
     assert code == 0 and json.loads(out)["j_max"] == int(argv[-1])
 
@@ -192,10 +191,22 @@ def test_inputs_at_the_ceilings_run(argv, capsys):
         (["roots", "--sphere", "--jmax", "1001"], "--jmax must be at most 1000, got 1001"),
         (["gap", "--sphere", "--jmax", "100000000"], "--jmax must be at most 1000, got 100000000"),
         (["lens", "--lens", "2,1,1", "--jmax", "1001"], "--jmax must be at most 1000, got 1001"),
-        (["roots", "--lens", "100003,1,2", "--jmax", "10"], "--lens order p must be at most 10000, got 100003"),
-        (["lens", "--lens", "10001,1,3", "--jmax", "0"], "--lens order p must be at most 10000, got 10001"),
-        (["lens", "--lens", "1001,1,3", "--jmax", "99"], "--lens order p times (--jmax + 1)^2 must be at most"),
-        (["gap", "--lens", "1000,1,3", "--jmax", "100"], "--lens order p times (--jmax + 1)^2 must be at most"),
+        (
+            ["roots", "--lens", "1000000007,1,2", "--jmax", "10"],
+            "--lens order p must be at most 1000000000, got 1000000007",
+        ),
+        (
+            ["lens", "--lens", "1000000001,1,3", "--jmax", "0"],
+            "--lens order p must be at most 1000000000, got 1000000001",
+        ),
+        (
+            ["gap", "--lens", "1000000001,1,3", "--jmax", "1000"],
+            "--lens order p must be at most 1000000000, got 1000000001",
+        ),
+        (
+            ["roots", "--lens", f"{10**19 + 1},1,3", "--jmax", "0"],
+            "--lens order p must be at most 1000000000, got 10000000000000000001",
+        ),
     ],
 )
 def test_inputs_above_the_ceilings_exit_2(argv, message, capsys):
@@ -564,6 +575,14 @@ tt 3 7.25 2
         (
             "lens --lens 12,1,5 --jmax 40",
             "49b52cdba7a231bc9dd6ccc490e24ad8c04a9081042694d14e6d04080bd2af48",
+        ),
+        (
+            "roots --lens 9973,1,3 --jmax 30",
+            "1016d72cd673b360f407788c8fb125e163fd1c28c6588062d8fcc692fc54641a",
+        ),
+        (
+            "roots --lens 97,5,41 --jmax 300",
+            "a29bf7fd8b7a7e02d6789b50fb6869d3c313b93489a890d44aded5663270320c",
         ),
         (
             "roots --hyperbolic spectrum.txt --jmax 2",

@@ -256,13 +256,18 @@ def test_lens_catalog_dims_at_zero():
     assert lens.kernel_dim_at_zero == lens.cokernel_dim_at_zero == 3
 
 
-@pytest.mark.parametrize("q1,q2", [(9, -4), (-5, 10), (-2, 3), (3, 2)])
-def test_lens_parameters_matter_mod_p_and_up_to_sign(q1, q2):
-    # q -> q + p multiplies the character of V_a x V_b at the m-th element
-    # by (-1)^(m (2a + 2b)) = 1, since 2a + 2b is even for every kind; a
-    # sign flip or a swap of q1, q2 swaps the two factors' half angles up to
-    # sign, and the characters are even.
-    base, other = GroupAction(7, 2, 3), GroupAction(7, q1, q2)
+@pytest.mark.parametrize(
+    "p,q1,q2",
+    [(7, 9, -4), (7, -5, 10), (7, -2, 3), (7, 3, 2), (9973, -9971, 19949), (9973, -9970, -2)],
+    ids=["9--4", "-5-10", "-2-3", "3-2", "9973--9971-19949", "9973--9970--2"],
+)
+def test_lens_parameters_matter_mod_p_and_up_to_sign(p, q1, q2):
+    # A weight vector (k, l) of V_a x V_b is invariant when
+    # l (q1 - q2) = (s - k) q1 + (d - k) q2 (mod p), so q enters only mod p.
+    # Negating both q negates the congruence; swapping q1 and q2 maps l to
+    # 2b - l; negating one q swaps the roles of the two factors, which every
+    # kind's pairing (V_a x V_a, or V_a x V_b plus its swap) absorbs.
+    base, other = GroupAction(p, 2, 3), GroupAction(p, q1, q2)
     for multiplicity, j_min in [
         (spectra.lens_scalar_multiplicity, 0),
         (spectra.lens_oneform_multiplicity, 1),

@@ -61,7 +61,7 @@ def test_tt_eigenvalue_plus_three_is_square(j):
 
 
 # Round-sphere multiplicities in closed form: the p = 1 witnesses for the
-# character sum, which has no trivial-group shortcut.
+# residue count, which has no trivial-group shortcut.
 
 
 def sphere_scalar_multiplicity(j: int) -> int:
@@ -459,8 +459,55 @@ def projector_multiplicity(g: GroupAction, j: int) -> int:
 LENS_GROUPS = [(2, 1, 1), (3, 1, 1), (3, 1, 2), (4, 1, 3), (5, 1, 2), (5, 2, 3), (7, 1, 3)]
 
 
+# Third independent oracle: Ikeda's character formula (Osaka J. Math. 1980),
+# the group average of the product of SU(2) characters, in floating point.
+# Unlike the two polynomial oracles it reaches every V_a x V_b, including
+# the asymmetric pairs that the 1-form and TT multiplicities use.
+
+
+def su2_character(two_s: int, phi: float) -> float:
+    """chi_s(phi) = sum_{k=0}^{2s} exp(i (2k - 2s) phi), which is real."""
+    return math.fsum(math.cos((2 * k - two_s) * phi) for k in range(two_s + 1))
+
+
+def character_sum_invariant_dims(g: GroupAction, two_max: int) -> dict[tuple[int, int], int]:
+    """(1/p) sum_m chi_a(phi+_m) chi_b(phi-_m) with half angles
+    phi+-_m = pi m (q1 +- q2) / p, for every pair 2a, 2b <= two_max with
+    2a + 2b even."""
+    plus, minus = (
+        [
+            [su2_character(two_s, math.pi * m * q / g.p) for m in range(g.p)]
+            for two_s in range(two_max + 1)
+        ]
+        for q in (g.q1 + g.q2, g.q1 - g.q2)
+    )
+    dims = {}
+    for two_a in range(two_max + 1):
+        for two_b in range(two_a % 2, two_max + 1, 2):
+            value = math.fsum(x * y for x, y in zip(plus[two_a], minus[two_b])) / g.p
+            assert abs(value - round(value)) <= 1e-6, (g, two_a, two_b, value)
+            dims[two_a, two_b] = round(value)
+    return dims
+
+
+# Every p of the grid, with negative and unreduced q, and groups with
+# q1 = q2 or q1 = -q2 mod p.
+CHARACTER_GROUPS = [
+    (1, 1, 1), (1, -4, 9), (2, 1, -1), (3, 1, 2), (3, -1, 4), (5, 2, -13), (5, 1, 6),
+    (7, 1, 3), (7, 3, -3), (8, 3, -5), (8, 3, 11), (12, 5, 7), (12, -1, 13), (13, -4, 20),
+    (30, 7, -11), (97, 5, 41), (100, -3, 143), (9973, -2, 10000),
+]
+
+
+@pytest.mark.parametrize("p,q1,q2", CHARACTER_GROUPS)
+def test_invariant_dim_matches_character_sum(p, q1, q2):
+    g = GroupAction(p, q1, q2)
+    for (two_a, two_b), dim in character_sum_invariant_dims(g, 15).items():
+        assert spectra._invariant_dim(g, two_a, two_b) == dim, (two_a, two_b)
+
+
 def test_trivial_group_multiplicity():
-    # No trivial-group shortcut: the character sum itself must give the
+    # No trivial-group shortcut: the residue count itself must give the
     # round-sphere closed forms.
     g = GroupAction(1, 1, 1)
     for j in range(30):
