@@ -592,6 +592,18 @@ tt 3 7.25 2
             "ks --hyperbolic spectrum.txt",
             "202de77b4505e99eb2590f659e237df0b4e876598f0300eb825bf0a1873d61d3",
         ),
+        (
+            "gap --torus 3.1,4.7,5.9 --jmax 60",
+            "e9c7ee77f1e589b6a6b35b9206276ba23c1dac114360bb79dadf29985333f035",
+        ),
+        (
+            "gap --hyperbolic spectrum.txt --jmax 2",
+            "41e8b66a839541ee60dbd6a23a8a08e6020a04e8449f16c25c7d6cd317e84985",
+        ),
+        (
+            "roots --hyperbolic spectrum.txt --jmax 2 --format csv",
+            "574ea5099609d0b1afeabe9ba47c3e91799c93207b5c25f1a2a1b3fa2c885a75",
+        ),
     ],
 )
 def test_closed_form_stdout_is_pinned(argv, digest, tmp_path, monkeypatch, capsys):
