@@ -13,7 +13,7 @@ from .indicial import (
     h2plus_predicate,
     spectral_gap,
 )
-from .spectra import CrossSectionSpec, GroupAction, load_hyperbolic_spectrum
+from .spectra import GroupAction, Hyperbolic, Sphere, Torus, load_hyperbolic_spectrum
 
 __version__ = "0.1.0"
 
@@ -23,8 +23,10 @@ __all__ = [
     "indicial",
     "oracle",
     "spectra",
-    "CrossSectionSpec",
     "GroupAction",
+    "Hyperbolic",
+    "Sphere",
+    "Torus",
     "IndicialRoot",
     "RootCatalog",
     "assemble_catalog",

@@ -142,6 +142,8 @@ LENS_ORDER_CEILING = 10**9
 
 
 def _check_jmax(jmax: int) -> None:
+    if jmax < 0:
+        raise SystemExit2(f"--jmax must be nonnegative, got {jmax}")
     if jmax > JMAX_CEILING:
         raise SystemExit2(f"--jmax must be at most {JMAX_CEILING}, got {jmax}")
 
@@ -153,43 +155,38 @@ def _lens_group(text: str) -> spectra.GroupAction:
     return spectra.GroupAction(p, q1, q2)
 
 
-def _cross_section(args) -> spectra.CrossSectionSpec:
+def _cross_section(args) -> spectra.Sphere | spectra.Torus | spectra.Hyperbolic:
     chosen = [bool(args.sphere or args.lens), args.torus is not None, args.hyperbolic is not None]
     if sum(chosen) != 1:
         raise SystemExit2("choose exactly one of --sphere/--lens, --torus, --hyperbolic")
-    _check_jmax(args.jmax)
     if args.torus is not None:
-        lengths = _parse_triple(args.torus, float, "--torus")
-        return spectra.CrossSectionSpec.torus(lengths)
+        return spectra.Torus(_parse_triple(args.torus, float, "--torus"))
     if args.hyperbolic is not None:
-        hs = spectra.load_hyperbolic_spectrum(args.hyperbolic)
-        return spectra.CrossSectionSpec.hyperbolic(hs, source=args.hyperbolic)
-    group = spectra.GroupAction(1, 1, 1)
+        return spectra.load_hyperbolic_spectrum(args.hyperbolic)
     if args.lens:
-        group = _lens_group(args.lens)
-    return spectra.CrossSectionSpec.sphere(group)
+        return spectra.Sphere(_lens_group(args.lens))
+    return spectra.Sphere()
 
 
 class SystemExit2(Exception):
     """Bad arguments (exit code 2)."""
 
 
-def _geometry_doc(cs: spectra.CrossSectionSpec) -> dict:
-    geo = cs.geometry
+def _geometry_doc(geo: spectra.Sphere | spectra.Torus | spectra.Hyperbolic) -> dict:
     if isinstance(geo, spectra.Sphere):
         return {
             "kind": "sphere",
-            "kappa": 1,
+            "kappa": geo.kappa,
             "group": {"p": geo.group.p, "q1": geo.group.q1, "q2": geo.group.q2},
         }
     if isinstance(geo, spectra.Torus):
-        return {"kind": "torus", "kappa": 0, "lengths": list(geo.lengths)}
+        return {"kind": "torus", "kappa": geo.kappa, "lengths": list(geo.lengths)}
     return {
         "kind": "hyperbolic",
-        "kappa": -1,
+        "kappa": geo.kappa,
         "source": geo.source,
-        "b1": geo.spectrum.b1,
-        "dim_codazzi": geo.spectrum.dim_codazzi,
+        "b1": geo.b1,
+        "dim_codazzi": geo.dim_codazzi,
     }
 
 
@@ -223,7 +220,7 @@ def _root_row(r: indicial.IndicialRoot) -> tuple:
         r.origin_kind.value,
         r.origin_j,
         r.origin_eigenvalue,
-        r.side.value,
+        "both",  # the kernel and cokernel sides carry the same roots
         r.solution_form.value,
         r.jordan,
         r.conformal_killing,
@@ -241,8 +238,8 @@ def _csv_cell(v) -> str:
 
 def cmd_roots(args) -> int:
     window = _parse_window(args.window) if args.window else None
-    cs = _cross_section(args)
-    catalog = indicial.assemble_catalog(cs, args.jmax)
+    geo = _cross_section(args)
+    catalog = indicial.assemble_catalog(geo, args.jmax)
     roots = list(catalog.roots)
     if window:
         lo, hi = window
@@ -255,10 +252,10 @@ def cmd_roots(args) -> int:
     doc = {
         "schema": _SCHEMA,
         "command": "roots",
-        "cross_section": _geometry_doc(cs),
+        "cross_section": _geometry_doc(geo),
         "j_max": catalog.j_max,
-        "kernel_dim_at_zero": catalog.kernel_dim_at_zero,
-        "cokernel_dim_at_zero": catalog.cokernel_dim_at_zero,
+        "kernel_dim_at_zero": catalog.dim_at_zero,
+        "cokernel_dim_at_zero": catalog.dim_at_zero,
         "complete_below_re": catalog.complete_below_re,
         "caveats": list(catalog.caveats),
         "notes": [_RATE_NOTE],
@@ -284,18 +281,18 @@ def _parse_window(text):
 
 
 def cmd_gap(args) -> int:
-    cs = _cross_section(args)
-    catalog = indicial.assemble_catalog(cs, args.jmax)
+    geo = _cross_section(args)
+    catalog = indicial.assemble_catalog(geo, args.jmax)
     g = indicial.spectral_gap(catalog)
     doc = {
         "schema": _SCHEMA,
         "command": "gap",
-        "cross_section": _geometry_doc(cs),
+        "cross_section": _geometry_doc(geo),
         "j_max": catalog.j_max,
         "gap": g.gap,
         "gap_above_conformal_killing": g.gap_above_exceptional,
     }
-    if isinstance(cs.geometry, spectra.Sphere):
+    if isinstance(geo, spectra.Sphere):
         doc["window"] = list(indicial.gluing_window(catalog))
         doc["caveats"] = list(catalog.caveats)
     _emit(doc, args)
@@ -303,20 +300,19 @@ def cmd_gap(args) -> int:
 
 
 def cmd_ks(args) -> int:
-    cs = _cross_section(args)
-    if not isinstance(cs.geometry, spectra.Hyperbolic):
+    geo = _cross_section(args)
+    if not isinstance(geo, spectra.Hyperbolic):
         raise SystemExit2("ks requires --hyperbolic FILE")
-    vanishes, notes = indicial.h2plus_predicate(cs)
-    hs = cs.geometry.spectrum
+    vanishes, notes = indicial.h2plus_predicate(geo)
     doc = {
         "schema": _SCHEMA,
         "command": "ks",
-        "cross_section": _geometry_doc(cs),
+        "cross_section": _geometry_doc(geo),
         "h2plus_vanishes": vanishes,
         "summary": "H2+ = 0" if vanishes else "H2+ nonzero",
-        "b1": hs.b1,
-        "dim_codazzi": hs.dim_codazzi,
-        "cokernel_dim_at_zero": 1 + hs.b1 + 2 * hs.dim_codazzi,
+        "b1": geo.b1,
+        "dim_codazzi": geo.dim_codazzi,
+        "cokernel_dim_at_zero": 1 + geo.b1 + 2 * geo.dim_codazzi,
         "notes": notes,
     }
     _emit(doc, args)
@@ -326,9 +322,6 @@ def cmd_ks(args) -> int:
 def cmd_lens(args) -> int:
     if not args.lens:
         raise SystemExit2("lens requires --lens p,q1,q2")
-    if args.jmax < 0:
-        raise SystemExit2("--jmax must be nonnegative")
-    _check_jmax(args.jmax)
     group = _lens_group(args.lens)
     mults = [[j, spectra.lens_scalar_multiplicity(group, j)] for j in range(args.jmax + 1)]
     doc = {
@@ -407,10 +400,9 @@ def run_linearization(n: int = 16, seed: int = 11, eps: float = 1e-4, tol: float
     return report, ok
 
 
-def run_oracle(j_max: int = 10, tol: float = 1e-9):
+def run_oracle(tol: float = 1e-9):
     """Closed-form roots against companion/pencil eigenvalues, on fixed
-    sweeps (eigenvalues 0..48, flat lattice vectors with |k|^2 <= 9);
-    j_max is not used."""
+    sweeps (eigenvalues 0..48, flat lattice vectors with |k|^2 <= 9)."""
     from . import oracle
 
     report = []
@@ -506,8 +498,6 @@ def cmd_verify(args) -> int:
     if args.suite == "linearization" and args.N < 8:
         # The battery's time frequencies go up to 3, which 4 samples cannot hold.
         raise SystemExit2(f"--N must be at least 8 for the linearization suite, got {args.N}")
-    if args.suite == "oracle" and args.jmax < 0:
-        raise SystemExit2("--jmax must be nonnegative")
     if args.suite in ("identities", "linearization") and args.seed < 0:
         raise SystemExit2(f"--seed must be nonnegative, got {args.seed}")
     # The battery also steps by eps / 2, which must not underflow to 0; the
@@ -519,7 +509,7 @@ def cmd_verify(args) -> int:
     elif args.suite == "linearization":
         report, ok = run_linearization(n=args.N, seed=args.seed, eps=args.eps)
     else:
-        report, ok = run_oracle(j_max=args.jmax)
+        report, ok = run_oracle()
     doc = {
         "schema": _SCHEMA,
         "command": "verify",
@@ -609,8 +599,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--jmax",
         type=int,
         default=10,
-        help="must be nonnegative; the oracle suite runs fixed sweeps "
-        "(eigenvalues 0..48, flat lattice vectors with |k|^2 <= 9) and does not use it",
+        help=f"0..{JMAX_CEILING}, checked but read by no suite; the oracle suite runs fixed "
+        "sweeps (eigenvalues 0..48, flat lattice vectors with |k|^2 <= 9)",
     )
     p.add_argument("--out", metavar="FILE")
     p.set_defaults(func=cmd_verify)
@@ -622,6 +612,7 @@ def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
     try:
+        _check_jmax(args.jmax)
         return args.func(args)
     except indicial.VerificationError as e:
         print(f"error: {e}", file=sys.stderr)

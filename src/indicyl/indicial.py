@@ -29,7 +29,6 @@ from enum import Enum, IntEnum
 
 from . import spectra
 from .spectra import (
-    CrossSectionSpec,
     Hyperbolic,
     OperatorKind,
     Sphere,
@@ -40,7 +39,6 @@ from .spectra import (
 
 __all__ = [
     "CaseTag",
-    "Side",
     "SolutionForm",
     "IndicialRoot",
     "RootCatalog",
@@ -80,10 +78,6 @@ class CaseTag(IntEnum):
     CASE5 = 5  # mixed solutions driven by a co-closed eigenform
 
 
-class Side(str, Enum):
-    BOTH = "both"
-
-
 class SolutionForm(str, Enum):
     Z_ONLY = "z_only"
     OMEGA_ONLY = "omega_only"
@@ -102,8 +96,9 @@ _FORM_FOR_CASE = {
 
 @dataclass(frozen=True)
 class IndicialRoot:
-    """One catalog root; the case fixes its solution form, and cases 0 and
-    1 are exactly the roots dual to conformal Killing fields."""
+    """One catalog root, on the kernel and the cokernel side alike (the two
+    carry the same complex root set); the case fixes its solution form, and
+    cases 0 and 1 are exactly the roots dual to conformal Killing fields."""
 
     value: complex
     case_tag: CaseTag
@@ -121,19 +116,16 @@ class IndicialRoot:
     def conformal_killing(self) -> bool:
         return self.case_tag <= CaseTag.CASE1
 
-    @property
-    def side(self) -> Side:
-        # The kernel and cokernel sides carry the same complex root set.
-        return Side.BOTH
-
 
 @dataclass(frozen=True)
 class RootCatalog:
-    cross_section: CrossSectionSpec
+    """Roots of one cross-section up to j_max.  dim_at_zero counts the
+    solutions at real part 0, the same on the kernel and cokernel sides."""
+
+    geometry: Sphere | Torus | Hyperbolic
     roots: tuple[IndicialRoot, ...]
     j_max: int
-    kernel_dim_at_zero: int
-    cokernel_dim_at_zero: int
+    dim_at_zero: int
     complete_below_re: float
     caveats: tuple[str, ...] = ()
 
@@ -347,7 +339,7 @@ def _torus_entries(geo: Torus, max_index: int) -> list[SpectrumEntry]:
     """
     cutoff = (2 * math.pi / max(geo.lengths)) ** 2
     while True:
-        levels = spectra.torus_spectrum(geo.lengths, OperatorKind.SCALAR_HODGE, cutoff)
+        levels = spectra.torus_spectrum(geo.lengths, cutoff)
         if len(levels) > max_index:
             break
         cutoff *= 2
@@ -394,19 +386,16 @@ def _dim_at_zero(roots: list[IndicialRoot]) -> int:
     return dim
 
 
-def assemble_catalog(cs: CrossSectionSpec, j_max: int) -> RootCatalog:
+def assemble_catalog(geo: Sphere | Torus | Hyperbolic, j_max: int) -> RootCatalog:
     """Full indicial-root catalog for one cross-section, truncated at j_max.
 
-    The kernel and cokernel sides carry the same complex root set, so roots
-    are tagged `both`; the kernel/cokernel dimensions at real part 0 are
-    computed from the multiplicities, with Jordan roots counting twice for
-    their t-linear solutions.
+    The dimension at real part 0 is computed from the multiplicities, with
+    Jordan roots counting twice for their t-linear solutions.
     """
     if j_max < 0:
         raise ValueError("j_max must be nonnegative")
     caveats: list[str] = []
-    geo = cs.geometry
-    kappa = cs.kappa
+    kappa = geo.kappa
     roots: list[IndicialRoot] = []
 
     if isinstance(geo, Sphere):
@@ -416,18 +405,17 @@ def assemble_catalog(cs: CrossSectionSpec, j_max: int) -> RootCatalog:
         entries = [e for e in all_entries if e.j <= j_max]
         omitted = [e for e in all_entries if e.j == j_max + 1]
     else:
-        hspec = geo.spectrum
-        entries = [e for e in hspec.entries if e.j <= j_max]
+        entries = [e for e in geo.entries if e.j <= j_max]
         # The constant scalar mode and the harmonic 1-forms are always
         # present even when the file lists only positive eigenvalues.
-        always = ((OperatorKind.SCALAR_HODGE, 1), (OperatorKind.COCLOSED_ONEFORM_HODGE, hspec.b1))
+        always = ((OperatorKind.SCALAR_HODGE, 1), (OperatorKind.COCLOSED_ONEFORM_HODGE, geo.b1))
         for kind, mult in always:
             if mult > 0 and not any(
                 e.kind is kind and abs(e.eigenvalue) <= _ZERO_TOL for e in entries
             ):
                 roots.extend(family_roots(SpectrumEntry(kind, 0, 0.0, mult), kappa))
         last = {
-            kind: max((e.eigenvalue for e in hspec.entries if e.kind is kind), default=0.0)
+            kind: max((e.eigenvalue for e in geo.entries if e.kind is kind), default=0.0)
             for kind in OperatorKind
         }
         omitted = [SpectrumEntry(kind, 0, ev, 1) for kind, ev in last.items() if ev > _ZERO_TOL]
@@ -437,7 +425,6 @@ def assemble_catalog(cs: CrossSectionSpec, j_max: int) -> RootCatalog:
         roots.extend(family_roots(entry, kappa))
     roots = _dedupe(roots)
 
-    dim0 = _dim_at_zero(roots)
     # The first omitted entry of each kind bounds the real parts that the
     # truncation can have missed.
     omitted_res = [
@@ -449,11 +436,10 @@ def assemble_catalog(cs: CrossSectionSpec, j_max: int) -> RootCatalog:
     complete_below = min(omitted_res) if omitted_res else math.inf
 
     return RootCatalog(
-        cross_section=cs,
+        geometry=geo,
         roots=tuple(roots),
         j_max=j_max,
-        kernel_dim_at_zero=dim0,
-        cokernel_dim_at_zero=dim0,
+        dim_at_zero=_dim_at_zero(roots),
         complete_below_re=complete_below,
         caveats=tuple(caveats),
     )
@@ -480,17 +466,16 @@ def spectral_gap(catalog: RootCatalog) -> SpectralGap:
     return SpectralGap(gap=min(nonzero), gap_above_exceptional=min(plain) if plain else math.inf)
 
 
-def h2plus_predicate(cs: CrossSectionSpec) -> tuple[bool, list[str]]:
+def h2plus_predicate(geo: Sphere | Torus | Hyperbolic) -> tuple[bool, list[str]]:
     """Whether the space of subexponential trace-free cokernel 2-tensors on
     the cylinder vanishes: true exactly when the cross-section admits no
     nontrivial traceless Codazzi tensor field."""
-    if not isinstance(cs.geometry, Hyperbolic):
+    if not isinstance(geo, Hyperbolic):
         raise ValueError("the vanishing predicate applies to hyperbolic cross-sections")
-    hspec = cs.geometry.spectrum
     notes = []
-    if hspec.b1 > 0:
+    if geo.b1 > 0:
         notes.append("b1 > 0: not a rational homology sphere")
-    return hspec.dim_codazzi == 0, notes
+    return geo.dim_codazzi == 0, notes
 
 
 def gluing_window(catalog: RootCatalog) -> tuple[float, float]:
@@ -500,7 +485,7 @@ def gluing_window(catalog: RootCatalog) -> tuple[float, float]:
     GluingWindowError is raised when the computed bound is not 2."""
     if not catalog.roots:
         raise ValueError("catalog has no roots")
-    if not isinstance(catalog.cross_section.geometry, Sphere):
+    if not isinstance(catalog.geometry, Sphere):
         raise ValueError("the gluing window is stated for spherical cross-sections")
     candidates = [
         abs(r.value.real)

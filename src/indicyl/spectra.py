@@ -1,5 +1,8 @@
 """Eigenvalue catalogs for the three constant-curvature cross-section geometries.
 
+A cross-section is its geometry value, Sphere, Torus or Hyperbolic, and
+each geometry class states its curvature sign as the class attribute kappa.
+
 Provides closed-form spectra for the round 3-sphere, one-octant dual-lattice
 enumeration for flat tori, descent of the scalar, co-closed 1-form and TT
 multiplicities to cyclic spherical space forms by an exact count of the
@@ -18,6 +21,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
+from typing import ClassVar
 
 __all__ = [
     "OperatorKind",
@@ -26,8 +30,6 @@ __all__ = [
     "Sphere",
     "Torus",
     "Hyperbolic",
-    "HyperbolicSpectrum",
-    "CrossSectionSpec",
     "SpectrumError",
     "sphere_scalar_eigenvalue",
     "sphere_coclosed_oneform_eigenvalue",
@@ -71,7 +73,7 @@ class SpectrumEntry:
 
 
 # ---------------------------------------------------------------------------
-# Cross-section descriptions
+# Cross-sections: each geometry carries its curvature sign kappa
 # ---------------------------------------------------------------------------
 
 
@@ -107,6 +109,7 @@ class Sphere:
     dimension included (see lens_scalar_multiplicity and its siblings).
     """
 
+    kappa: ClassVar[int] = 1
     group: GroupAction = GroupAction(1, 1, 1)
 
 
@@ -119,9 +122,11 @@ class Torus:
     floor of the level grouping and merge distinct levels.
     """
 
+    kappa: ClassVar[int] = 0
     lengths: tuple[float, float, float] = (2 * math.pi, 2 * math.pi, 2 * math.pi)
 
     def __post_init__(self):
+        object.__setattr__(self, "lengths", tuple(float(L) for L in self.lengths))
         if len(self.lengths) != 3:
             raise ValueError(f"a torus needs three side lengths, got {self.lengths}")
         for i, L in enumerate(self.lengths):
@@ -136,48 +141,16 @@ class Torus:
 
 
 @dataclass(frozen=True)
-class HyperbolicSpectrum:
+class Hyperbolic:
+    """Compact hyperbolic cross-section with an externally supplied spectrum:
+    its entries, first Betti number and traceless Codazzi dimension, and the
+    file it was read from."""
+
+    kappa: ClassVar[int] = -1
     entries: tuple[SpectrumEntry, ...]
     b1: int
     dim_codazzi: int
-
-
-@dataclass(frozen=True)
-class Hyperbolic:
-    """Compact hyperbolic cross-section with externally supplied spectrum."""
-
-    spectrum: HyperbolicSpectrum
     source: str = "<memory>"
-
-
-@dataclass(frozen=True)
-class CrossSectionSpec:
-    """Curvature sign plus the spectral data source for one cross-section."""
-
-    kappa: int
-    geometry: Sphere | Torus | Hyperbolic
-
-    _EXPECTED = {Sphere: 1, Torus: 0, Hyperbolic: -1}
-
-    def __post_init__(self):
-        expected = self._EXPECTED[type(self.geometry)]
-        if self.kappa != expected:
-            raise ValueError(
-                f"kappa={self.kappa} inconsistent with {type(self.geometry).__name__} "
-                f"(expected {expected})"
-            )
-
-    @classmethod
-    def sphere(cls, group: GroupAction | None = None) -> "CrossSectionSpec":
-        return cls(1, Sphere(group=group or GroupAction(1, 1, 1)))
-
-    @classmethod
-    def torus(cls, lengths=(2 * math.pi,) * 3) -> "CrossSectionSpec":
-        return cls(0, Torus(tuple(float(L) for L in lengths)))
-
-    @classmethod
-    def hyperbolic(cls, spectrum: HyperbolicSpectrum, source="<memory>") -> "CrossSectionSpec":
-        return cls(-1, Hyperbolic(spectrum, source))
 
 
 # ---------------------------------------------------------------------------
@@ -243,12 +216,8 @@ def torus_level_entry(kind: OperatorKind, j: int, eigenvalue: float, nvec: int) 
     return SpectrumEntry(kind, j, eigenvalue, mult)
 
 
-def torus_spectrum(
-    lengths: tuple[float, float, float],
-    kind: OperatorKind,
-    cutoff: float,
-) -> list[SpectrumEntry]:
-    """Spectrum up to `cutoff` on the flat torus with the given side lengths.
+def torus_spectrum(lengths: tuple[float, float, float], cutoff: float) -> list[SpectrumEntry]:
+    """Scalar spectrum up to `cutoff` on the flat torus with the given side lengths.
 
     Eigenvalues are (2 pi k1 / L1)^2 + (2 pi k2 / L2)^2 + (2 pi k3 / L3)^2
     over integer vectors k, summed in that order.  Sorted
@@ -258,23 +227,19 @@ def torus_spectrum(
     <= cutoff (the cutoff itself is included), and dropped whole otherwise;
     levels are assumed narrower than 1e-6 relative.  Each level is reported
     at the value of its member that comes first in the enumeration order
-    k1, k2, k3 = -K..K (k1 outermost), and its multiplicity follows
-    torus_level_entry.  The sides must satisfy the bound documented on
-    Torus: 0 < L < about 1.987e5.
+    k1, k2, k3 = -K..K (k1 outermost), and its multiplicity is its number
+    of lattice vectors; torus_level_entry derives every operator kind from
+    these levels.  The sides must satisfy the bound documented on Torus:
+    0 < L < about 1.987e5.
 
     Only the octant k_i >= 0 is enumerated: a sign flip leaves
     (2 pi k / L)^2 bit-equal, so each octant vector stands for its
     2^(number of nonzero k_i) sign copies, and the copy (-k1, -k2, -k3)
     is the one that comes first in the enumeration order.
-
-    The eigenvalue 0 carries the parallel modes (1 scalar, 3 one-forms, 5 TT
-    tensors); every nonzero lattice vector contributes 1 scalar mode and 2
-    transverse polarizations for 1-forms and TT tensors.
     """
     if not (cutoff > 0 and math.isfinite(cutoff)):
         raise ValueError(f"cutoff must be a positive finite number, got {cutoff}")
-    kind = OperatorKind(kind)
-    L = Torus(tuple(float(x) for x in lengths)).lengths
+    L = Torus(lengths).lengths
     # The box reaches past the cutoff so that a level straddling it is whole.
     reach = cutoff * (1 + 1e-6)
     a1, a2, a3 = (
@@ -310,7 +275,9 @@ def torus_spectrum(
         else:
             levels.append([ev])
     return [
-        torus_level_entry(kind, j, max(level, key=last.get), sum(count[ev] for ev in level))
+        SpectrumEntry(
+            OperatorKind.SCALAR_HODGE, j, max(level, key=last.get), sum(count[ev] for ev in level)
+        )
         for j, level in enumerate(levels)
     ]
 
@@ -385,16 +352,20 @@ def lens_tt_multiplicity(g: GroupAction, j: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-def load_hyperbolic_spectrum(path: str | Path) -> HyperbolicSpectrum:
-    """Parse and validate a hyperbolic spectrum file.
+def load_hyperbolic_spectrum(path: str | Path) -> Hyperbolic:
+    """Parse and validate a hyperbolic spectrum file; the result records
+    str(path) as its source.
 
     Line-oriented format: `b1 <n>`, `codazzi <n>` headers plus data lines
     `kind j eigenvalue multiplicity` with kind in {scalar, oneform, tt};
     `#` starts a comment.  j is a nonnegative integer and every eigenvalue
-    a finite number.  TT eigenvalues must be >= 3, with the recorded
-    Codazzi dimension equal to the multiplicity at eigenvalue exactly 3.
-    Every malformed line raises SpectrumError naming path:lineno.
+    a finite number.  A scalar entry at eigenvalue 0 has multiplicity 1,
+    the constants of a connected cross-section.  TT eigenvalues must be
+    >= 3, with the recorded Codazzi dimension equal to the multiplicity at
+    eigenvalue exactly 3.  Every malformed line raises SpectrumError naming
+    path:lineno.
     """
+    source = str(path)
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")
@@ -431,6 +402,11 @@ def load_hyperbolic_spectrum(path: str | Path) -> HyperbolicSpectrum:
             raise SpectrumError(f"{where}: eigenvalue {parts[2]!r} is not a finite number")
         if j < 0:
             raise SpectrumError(f"{where}: negative j={j}")
+        if kind is OperatorKind.SCALAR_HODGE and abs(ev) <= _EIG_TOL and mult != 1:
+            raise SpectrumError(
+                f"{where}: scalar eigenvalue 0 has multiplicity {mult}; "
+                "the constants of a connected cross-section have multiplicity 1"
+            )
         raw.append((kind, j, ev, mult))
     b1, codazzi = header.get("b1"), header.get("codazzi")
     if b1 is None or codazzi is None:
@@ -468,4 +444,4 @@ def load_hyperbolic_spectrum(path: str | Path) -> HyperbolicSpectrum:
             f"{path}: codazzi={codazzi} inconsistent with TT multiplicity "
             f"{tt_mult_at_3} at eigenvalue 3"
         )
-    return HyperbolicSpectrum(tuple(entries), b1, codazzi)
+    return Hyperbolic(tuple(entries), b1, codazzi, source)

@@ -156,6 +156,17 @@ def test_ks_both_ways(tmp_path, capsys):
     assert doc["cokernel_dim_at_zero"] == 1
 
 
+@pytest.mark.parametrize("mult", [0, 5])
+@pytest.mark.parametrize("command", ["roots", "ks"])
+def test_scalar_constants_multiplicity_other_than_one_exits_3(command, mult, tmp_path, capsys):
+    path = tmp_path / "const.txt"
+    path.write_text(f"b1 0\ncodazzi 0\nscalar 0 0.0 {mult}\n")
+    code = cli.main([command, "--hyperbolic", str(path)])
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert captured.err.startswith(f"error: {path}:3: scalar eigenvalue 0 has multiplicity {mult}")
+
+
 def test_lens_table(capsys):
     code, out = run_cli(["lens", "--lens", "2,1,1", "--jmax", "5"], capsys)
     assert code == 0
@@ -163,9 +174,26 @@ def test_lens_table(capsys):
     assert doc["multiplicities"] == [[0, 1], [1, 0], [2, 9], [3, 0], [4, 25], [5, 0]]
 
 
-def test_lens_rejects_negative_jmax(capsys):
-    code, out = run_cli(["lens", "--lens", "2,1,1", "--jmax", "-3"], capsys)
-    assert code == 2 and out == ""
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["roots", "--sphere", "--jmax", "-2"],
+        ["gap", "--torus", "6,6,6", "--jmax", "-2"],
+        ["ks", "--hyperbolic", "spectrum.txt", "--jmax", "-1"],
+        ["lens", "--lens", "2,1,1", "--jmax", "-3"],
+        ["verify", "identities", "--jmax", "-5"],
+        ["verify", "linearization", "--N", "8", "--jmax", "-5"],
+        ["verify", "oracle", "--jmax", "-5"],
+    ],
+    ids=["roots", "gap", "ks", "lens", "identities", "linearization", "oracle"],
+)
+def test_negative_jmax_exits_2_naming_the_flag(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "spectrum.txt").write_text(HYP_RHS)
+    code = cli.main(argv)
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == f"error: --jmax must be nonnegative, got {argv[-1]}\n"
 
 
 @pytest.mark.parametrize(
@@ -230,7 +258,7 @@ def test_gap_wrong_window_exits_1(monkeypatch, capsys):
         origin_j=2,
         origin_eigenvalue=6.0,
     )
-    bad = indicial.RootCatalog(spectra.CrossSectionSpec.sphere(), (root,), 2, 0, 0, math.inf)
+    bad = indicial.RootCatalog(spectra.Sphere(), (root,), 2, 0, math.inf)
     monkeypatch.setattr(indicial, "assemble_catalog", lambda cs, j_max: bad)
     code = cli.main(["gap", "--sphere", "--jmax", "2"])
     err = capsys.readouterr().err
@@ -377,13 +405,6 @@ def test_verify_oracle(capsys):
     assert doc["pass"] is True
     names = {r["check"] for r in doc["results"]}
     assert "flat_pencil_zero_mode_dimension_14" in names
-
-
-def test_verify_oracle_rejects_negative_jmax(capsys):
-    code = cli.main(["verify", "oracle", "--jmax", "-5"])
-    captured = capsys.readouterr()
-    assert code == 2 and captured.out == ""
-    assert "--jmax must be nonnegative" in captured.err
 
 
 def test_out_flag_writes_file(tmp_path, capsys):

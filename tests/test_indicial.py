@@ -14,7 +14,6 @@ from hypothesis import given, settings, strategies as st
 from indicyl import cli, indicial, spectra
 from indicyl.indicial import (
     CaseTag,
-    Side,
     SolutionForm,
     alpha_pm,
     assemble_catalog,
@@ -27,7 +26,7 @@ from indicyl.indicial import (
     type2_roots,
     type3_roots,
 )
-from indicyl.spectra import CrossSectionSpec, GroupAction, HyperbolicSpectrum, OperatorKind, SpectrumEntry
+from indicyl.spectra import GroupAction, Hyperbolic, OperatorKind, Sphere, SpectrumEntry, Torus
 
 
 def values(pairs):
@@ -172,7 +171,7 @@ def test_generic_mixed_tags():
 
 
 def sphere_catalog(j_max=10, **kwargs):
-    return assemble_catalog(CrossSectionSpec.sphere(**kwargs), j_max)
+    return assemble_catalog(Sphere(**kwargs), j_max)
 
 
 def test_sphere_low_roots():
@@ -186,19 +185,17 @@ def test_sphere_low_roots():
 
 def test_sphere_dims_at_zero():
     catalog = sphere_catalog(j_max=4)
-    assert catalog.kernel_dim_at_zero == 7  # constants + six Killing fields
-    assert catalog.cokernel_dim_at_zero == 7
+    assert catalog.dim_at_zero == 7  # constants + six Killing fields
 
 
 def test_torus_dimension_14():
     for lengths in [(2 * math.pi,) * 3, (3.0, 4.0, 5.5)]:
-        catalog = assemble_catalog(CrossSectionSpec.torus(lengths), 3)
-        assert catalog.kernel_dim_at_zero == 14
-        assert catalog.cokernel_dim_at_zero == 14
+        catalog = assemble_catalog(Torus(lengths), 3)
+        assert catalog.dim_at_zero == 14
 
 
 def test_torus_gap_is_one():
-    catalog = assemble_catalog(CrossSectionSpec.torus(), 4)
+    catalog = assemble_catalog(Torus(), 4)
     g = spectral_gap(catalog)
     assert abs(g.gap - 1.0) < 1e-12
 
@@ -209,13 +206,11 @@ def test_hyperbolic_catalog_dimensions():
         SpectrumEntry(OperatorKind.COCLOSED_ONEFORM_HODGE, 1, 1.5, 4),
         SpectrumEntry(OperatorKind.DIVFREE_TT_ROUGH, 1, 3.0, 2),
     )
-    hs = HyperbolicSpectrum(entries, b1=0, dim_codazzi=2)
-    catalog = assemble_catalog(CrossSectionSpec.hyperbolic(hs), 5)
-    assert catalog.cokernel_dim_at_zero == 1 + 0 + 2 * 2
+    catalog = assemble_catalog(Hyperbolic(entries, b1=0, dim_codazzi=2), 5)
+    assert catalog.dim_at_zero == 1 + 0 + 2 * 2
 
-    hs2 = HyperbolicSpectrum(entries[:2], b1=3, dim_codazzi=0)
-    catalog2 = assemble_catalog(CrossSectionSpec.hyperbolic(hs2), 5)
-    assert catalog2.cokernel_dim_at_zero == 1 + 3
+    catalog2 = assemble_catalog(Hyperbolic(entries[:2], b1=3, dim_codazzi=0), 5)
+    assert catalog2.dim_at_zero == 1 + 3
     # Harmonic 1-forms also give mixed roots at +-2.
     assert any(abs(r.value - 2) < 1e-12 and r.case_tag is CaseTag.CASE5 for r in catalog2.roots)
 
@@ -226,8 +221,7 @@ def test_hyperbolic_sigma_tau_rates():
         SpectrumEntry(OperatorKind.SCALAR_HODGE, 1, mu, 1),
         SpectrumEntry(OperatorKind.COCLOSED_ONEFORM_HODGE, 1, nu, 1),
     )
-    hs = HyperbolicSpectrum(entries, b1=0, dim_codazzi=0)
-    catalog = assemble_catalog(CrossSectionSpec.hyperbolic(hs), 5)
+    catalog = assemble_catalog(Hyperbolic(entries, b1=0, dim_codazzi=0), 5)
     vals = {round(v.real, 9) for v in (r.value for r in catalog.roots) if v.real > 0}
     sig_p = math.sqrt(mu + 2 + 2 * math.sqrt(1 + mu / 3))
     sig_m = math.sqrt(mu + 2 - 2 * math.sqrt(1 + mu / 3))
@@ -251,9 +245,9 @@ def test_lens_catalog_case1_absent():
 def test_lens_catalog_dims_at_zero():
     # Constants plus the Killing fields: 1 + 6 on S^3, 1 + 2 on L(5;1,2),
     # whose isometry group is a 2-torus.
-    assert sphere_catalog(j_max=4).kernel_dim_at_zero == 7
+    assert sphere_catalog(j_max=4).dim_at_zero == 7
     lens = sphere_catalog(j_max=4, group=GroupAction(5, 1, 2))
-    assert lens.kernel_dim_at_zero == lens.cokernel_dim_at_zero == 3
+    assert lens.dim_at_zero == 3
 
 
 @pytest.mark.parametrize(
@@ -277,15 +271,14 @@ def test_lens_parameters_matter_mod_p_and_up_to_sign(p, q1, q2):
             assert multiplicity(other, j) == multiplicity(base, j)
     a, b = sphere_catalog(j_max=12, group=base), sphere_catalog(j_max=12, group=other)
     assert b.roots == a.roots
-    assert b.kernel_dim_at_zero == a.kernel_dim_at_zero
-    assert b.cokernel_dim_at_zero == a.cokernel_dim_at_zero
+    assert b.dim_at_zero == a.dim_at_zero
 
 
 @settings(max_examples=12, deadline=None)
 @given(st.integers(min_value=2, max_value=8))
 def test_sign_symmetry(j_max):
-    for cs in (CrossSectionSpec.sphere(), CrossSectionSpec.torus()):
-        catalog = assemble_catalog(cs, j_max)
+    for geo in (Sphere(), Torus()):
+        catalog = assemble_catalog(geo, j_max)
         table = {}
         for r in catalog.roots:
             table[(r.value, r.case_tag)] = r.multiplicity
@@ -439,8 +432,7 @@ def omitted_root_values(kind, ev, kappa):
     return type2_roots(ev, kappa) + mixed_b_roots(ev, kappa)
 
 
-def dispatch_complete_below_re(cs, j_max):
-    geo = cs.geometry
+def dispatch_complete_below_re(geo, j_max):
     if isinstance(geo, spectra.Sphere):
         jtt = max(j_max + 1, 2)
         omitted = [
@@ -453,14 +445,14 @@ def dispatch_complete_below_re(cs, j_max):
         omitted = [(e.kind, e.eigenvalue) for e in levels if e.j == j_max + 1]
     else:
         last = [
-            (kind, max((e.eigenvalue for e in geo.spectrum.entries if e.kind is kind), default=0.0))
+            (kind, max((e.eigenvalue for e in geo.entries if e.kind is kind), default=0.0))
             for kind in OperatorKind
         ]
         omitted = [(kind, ev) for kind, ev in last if ev > 1e-12]
     res = [
         abs(v.real)
         for kind, ev in omitted
-        for v in omitted_root_values(kind, ev, cs.kappa)
+        for v in omitted_root_values(kind, ev, geo.kappa)
         if abs(v.real) > 1e-12
     ]
     return min(res) if res else math.inf
@@ -468,27 +460,27 @@ def dispatch_complete_below_re(cs, j_max):
 
 @pytest.mark.parametrize("group", [(1, 1, 1), (2, 1, 1), (5, 1, 2), (7, 2, 3), (12, 1, 5)])
 def test_truncation_bound_matches_dispatch_sphere_and_lens(group):
-    cs = CrossSectionSpec.sphere(GroupAction(*group))
+    geo = Sphere(GroupAction(*group))
     for j_max in range(41):
-        bound = assemble_catalog(cs, j_max).complete_below_re
-        assert bound == dispatch_complete_below_re(cs, j_max), j_max
+        bound = assemble_catalog(geo, j_max).complete_below_re
+        assert bound == dispatch_complete_below_re(geo, j_max), j_max
 
 
 @pytest.mark.parametrize("lengths", [(2 * math.pi,) * 3, (3.1, 4.7, 5.9), (3.0, 9.0, 8.0)])
 def test_truncation_bound_matches_dispatch_torus(lengths):
-    cs = CrossSectionSpec.torus(lengths)
+    geo = Torus(lengths)
     for j_max in (0, 1, 2, 3, 7, 20, 40):
-        bound = assemble_catalog(cs, j_max).complete_below_re
-        assert bound == dispatch_complete_below_re(cs, j_max), j_max
+        bound = assemble_catalog(geo, j_max).complete_below_re
+        assert bound == dispatch_complete_below_re(geo, j_max), j_max
 
 
 def test_truncation_bound_matches_dispatch_hyperbolic(tmp_path):
     path = tmp_path / "spectrum.txt"
     path.write_text(_hyperbolic_text([(0.1 + 0.03 * (i % 7), 1 + i % 3) for i in range(25)]))
-    cs = CrossSectionSpec.hyperbolic(spectra.load_hyperbolic_spectrum(path))
+    geo = spectra.load_hyperbolic_spectrum(path)
     for j_max in range(41):
-        bound = assemble_catalog(cs, j_max).complete_below_re
-        assert bound == dispatch_complete_below_re(cs, j_max), j_max
+        bound = assemble_catalog(geo, j_max).complete_below_re
+        assert bound == dispatch_complete_below_re(geo, j_max), j_max
 
 
 # ---------------------------------------------------------------------------
@@ -510,7 +502,7 @@ def test_gluing_window_sphere_and_lens():
 
 
 def test_gluing_window_requires_sphere():
-    catalog = assemble_catalog(CrossSectionSpec.torus(), 3)
+    catalog = assemble_catalog(Torus(), 3)
     with pytest.raises(ValueError):
         gluing_window(catalog)
 
@@ -523,7 +515,7 @@ def test_gluing_window_wrong_bound_is_typed_error():
         origin_j=2,
         origin_eigenvalue=6.0,
     )
-    catalog = indicial.RootCatalog(CrossSectionSpec.sphere(), (root,), 2, 0, 0, math.inf)
+    catalog = indicial.RootCatalog(Sphere(), (root,), 2, 0, math.inf)
     with pytest.raises(indicial.GluingWindowError, match="computed bound 3.0") as info:
         gluing_window(catalog)
     assert not isinstance(info.value, ValueError)
@@ -536,27 +528,25 @@ def test_gluing_window_empty():
 
 
 def test_h2plus_predicate():
-    hs = HyperbolicSpectrum(
+    geo = Hyperbolic(
         (SpectrumEntry(OperatorKind.DIVFREE_TT_ROUGH, 1, 3.0, 2),), b1=0, dim_codazzi=2
     )
-    vanishes, notes = h2plus_predicate(CrossSectionSpec.hyperbolic(hs))
+    vanishes, notes = h2plus_predicate(geo)
     assert not vanishes and notes == []
 
-    hs2 = HyperbolicSpectrum((), b1=0, dim_codazzi=0)
-    vanishes, _ = h2plus_predicate(CrossSectionSpec.hyperbolic(hs2))
+    vanishes, _ = h2plus_predicate(Hyperbolic((), b1=0, dim_codazzi=0))
     assert vanishes
 
-    hs3 = HyperbolicSpectrum((), b1=2, dim_codazzi=0)
-    vanishes, notes = h2plus_predicate(CrossSectionSpec.hyperbolic(hs3))
+    vanishes, notes = h2plus_predicate(Hyperbolic((), b1=2, dim_codazzi=0))
     assert vanishes and any("rational homology" in n for n in notes)
 
     with pytest.raises(ValueError):
-        h2plus_predicate(CrossSectionSpec.torus())
+        h2plus_predicate(Torus())
 
 
 def test_root_tags_derive_from_case():
-    # Only the case is stored: the solution form, the conformal Killing flag
-    # and the side follow from it, so no root can contradict its case.
+    # Only the case is stored: the solution form and the conformal Killing
+    # flag follow from it, so no root can contradict its case.
     table = {
         CaseTag.CASE0: (SolutionForm.OMEGA_ONLY, True),
         CaseTag.CASE1: (SolutionForm.OMEGA_ONLY, True),
@@ -570,7 +560,6 @@ def test_root_tags_derive_from_case():
         root = indicial.IndicialRoot(2 + 0j, case, OperatorKind.SCALAR_HODGE, 1, 3.0)
         assert root.solution_form is form
         assert root.conformal_killing is killing
-        assert root.side is Side.BOTH
     stored = [f.name for f in dataclasses.fields(indicial.IndicialRoot)]
     assert stored == [
         "value", "case_tag", "origin_kind", "origin_j", "origin_eigenvalue", "jordan", "multiplicity"

@@ -18,10 +18,20 @@ from indicyl.spectra import (
     sphere_coclosed_oneform_eigenvalue,
     sphere_scalar_eigenvalue,
     sphere_tt_eigenvalue,
+    torus_level_entry,
     torus_spectrum,
 )
 
 CUBIC = (2 * math.pi,) * 3
+
+
+def torus_kind_levels(lengths, kind, cutoff):
+    """(j, eigenvalue, multiplicity) of one operator kind: the scalar levels
+    mapped through torus_level_entry."""
+    return [
+        (e.j, e.eigenvalue, torus_level_entry(kind, e.j, e.eigenvalue, e.multiplicity).multiplicity)
+        for e in torus_spectrum(lengths, cutoff)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -95,7 +105,8 @@ def brute_force_counts(cutoff):
 
 
 def test_torus_scalar_cubic_example():
-    entries = torus_spectrum(CUBIC, OperatorKind.SCALAR_HODGE, 4.5)
+    entries = torus_spectrum(CUBIC, 4.5)
+    assert {e.kind for e in entries} == {OperatorKind.SCALAR_HODGE}
     got = {round(e.eigenvalue): e.multiplicity for e in entries}
     assert got == {0: 1, 1: 6, 2: 12, 3: 8, 4: 6}
 
@@ -106,9 +117,8 @@ def test_torus_parallel_modes():
         (OperatorKind.COCLOSED_ONEFORM_HODGE, 3),
         (OperatorKind.SCALAR_HODGE, 1),
     ]:
-        entries = torus_spectrum((3.0, 4.0, 5.5), kind, 0.5)
-        assert entries[0].eigenvalue == 0.0
-        assert entries[0].multiplicity == dim
+        levels = torus_kind_levels((3.0, 4.0, 5.5), kind, 0.5)
+        assert levels[0][1:] == (0.0, dim)
 
 
 @settings(max_examples=20, deadline=None)
@@ -123,12 +133,12 @@ def test_torus_cubic_matches_brute_force(cutoff):
         (OperatorKind.COCLOSED_ONEFORM_HODGE, 3, 2),
         (OperatorKind.DIVFREE_TT_ROUGH, 5, 2),
     ]:
-        entries = torus_spectrum(CUBIC, kind, cutoff)
-        assert len(entries) == len(counts)
-        for e in entries:
-            q = round(e.eigenvalue)
+        levels = torus_kind_levels(CUBIC, kind, cutoff)
+        assert len(levels) == len(counts)
+        for _, ev, mult in levels:
+            q = round(ev)
             expected = zero_dim if q == 0 else per_vec * counts[q]
-            assert e.multiplicity == expected
+            assert mult == expected
 
 
 def triple_loop_torus_spectrum(lengths, kind, cutoff):
@@ -179,7 +189,7 @@ def test_torus_anisotropic_matches_triple_loop(lengths, cutoff):
     # Sign flips give bit-equal eigenvalues, so on generic anisotropic
     # lattices no level straddles the cutoff and both rules agree exactly.
     for kind in OperatorKind:
-        got = [(e.j, e.eigenvalue, e.multiplicity) for e in torus_spectrum(lengths, kind, cutoff)]
+        got = torus_kind_levels(lengths, kind, cutoff)
         assert got == triple_loop_torus_spectrum(lengths, kind.value, cutoff)
 
 
@@ -242,7 +252,7 @@ def test_torus_octant_walk_matches_box(lengths, levels):
     checks = [(cutoff, OperatorKind.SCALAR_HODGE) for cutoff in cutoffs[:-1] + [599.0]]
     checks += [(cutoffs[-1], kind) for kind in OperatorKind]
     for cutoff, kind in checks:
-        got = [(e.j, e.eigenvalue, e.multiplicity) for e in torus_spectrum(lengths, kind, cutoff)]
+        got = torus_kind_levels(lengths, kind, cutoff)
         assert got == box_torus_spectrum(lengths, kind.value, cutoff)
 
 
@@ -251,7 +261,7 @@ def test_torus_level_grouping_is_transitive():
     # neighbours are within 1e-9, the ends are not, and all six vectors
     # form one level.
     lengths = tuple(2 * math.pi / math.sqrt(1 + d) for d in (0.0, 0.9e-9, 1.8e-9))
-    got = [(e.j, e.eigenvalue, e.multiplicity) for e in torus_spectrum(lengths, "scalar", 1.5)]
+    got = [(e.j, e.eigenvalue, e.multiplicity) for e in torus_spectrum(lengths, 1.5)]
     assert got == box_torus_spectrum(lengths, "scalar", 1.5)
     assert [m for _, _, m in got] == [1, 6]
 
@@ -261,11 +271,11 @@ def test_torus_rejects_sides_past_the_grouping_floor(lengths):
     with pytest.raises(ValueError, match="too long"):
         spectra.Torus(lengths)
     with pytest.raises(ValueError, match="too long"):
-        torus_spectrum(lengths, OperatorKind.SCALAR_HODGE, 1.0)
+        torus_spectrum(lengths, 1.0)
 
 
 def test_torus_anisotropic_eigenvalues():
-    entries = torus_spectrum((2 * math.pi, math.pi, 2 * math.pi), OperatorKind.SCALAR_HODGE, 4.5)
+    entries = torus_spectrum((2 * math.pi, math.pi, 2 * math.pi), 4.5)
     got = {round(e.eigenvalue): e.multiplicity for e in entries}
     # Eigenvalues k1^2 + 4 k2^2 + k3^2: the short direction contributes 4 k^2.
     assert got == {0: 1, 1: 4, 2: 4, 4: 6}
@@ -628,10 +638,11 @@ tt 2 5.2 8
 def test_load_good_file(tmp_path):
     path = tmp_path / "spec.txt"
     path.write_text(GOOD_FILE)
-    hs = load_hyperbolic_spectrum(path)
-    assert hs.b1 == 0
-    assert hs.dim_codazzi == 2
-    assert len(hs.entries) == 4
+    geo = load_hyperbolic_spectrum(path)
+    assert geo.b1 == 0
+    assert geo.dim_codazzi == 2
+    assert len(geo.entries) == 4
+    assert geo.source == str(path)
 
 
 def test_tt_bound_violation_rejected(tmp_path):
@@ -644,8 +655,7 @@ def test_tt_bound_violation_rejected(tmp_path):
 def test_codazzi_consistency(tmp_path):
     path = tmp_path / "ok.txt"
     path.write_text("b1 0\ncodazzi 2\ntt 1 3.0 2\n")
-    hs = load_hyperbolic_spectrum(path)
-    assert hs.dim_codazzi == 2
+    assert load_hyperbolic_spectrum(path).dim_codazzi == 2
 
     bad = tmp_path / "bad.txt"
     bad.write_text("b1 0\ncodazzi 1\ntt 1 3.0 2\n")
@@ -656,8 +666,7 @@ def test_codazzi_consistency(tmp_path):
 def test_rational_homology_sphere_without_codazzi(tmp_path):
     path = tmp_path / "rhs.txt"
     path.write_text("b1 0\ncodazzi 0\nscalar 1 2.5 4\ntt 1 4.1 6\n")
-    hs = load_hyperbolic_spectrum(path)
-    assert hs.dim_codazzi == 0
+    assert load_hyperbolic_spectrum(path).dim_codazzi == 0
 
 
 def test_harmonic_oneform_b1_mismatch(tmp_path):
@@ -665,6 +674,16 @@ def test_harmonic_oneform_b1_mismatch(tmp_path):
     path.write_text("b1 2\ncodazzi 0\noneform 0 0.0 1\n")
     with pytest.raises(SpectrumError, match="b1"):
         load_hyperbolic_spectrum(path)
+
+
+@pytest.mark.parametrize("mult", [0, 2, 5])
+def test_scalar_constants_multiplicity_must_be_one(tmp_path, mult):
+    path = tmp_path / "const.txt"
+    path.write_text(f"b1 0\ncodazzi 0\nscalar 0 0.0 {mult}\n")
+    with pytest.raises(SpectrumError, match=f"const.txt:3: scalar eigenvalue 0 has multiplicity {mult}"):
+        load_hyperbolic_spectrum(path)
+    path.write_text("b1 0\ncodazzi 0\nscalar 0 0.0 1\n")
+    assert load_hyperbolic_spectrum(path).entries[0].multiplicity == 1
 
 
 def test_decreasing_eigenvalues_rejected(tmp_path):
@@ -691,8 +710,8 @@ def test_nonfinite_eigenvalue_and_negative_j_rejected(tmp_path, entry, message):
         load_hyperbolic_spectrum(path)
 
 
-def test_cross_section_spec_validation():
-    with pytest.raises(ValueError):
-        spectra.CrossSectionSpec(0, spectra.Sphere())
+def test_geometry_kappa_and_validation():
+    assert (spectra.Sphere.kappa, spectra.Torus.kappa, spectra.Hyperbolic.kappa) == (1, 0, -1)
+    assert [type(L) for L in spectra.Torus((6, 6, 6)).lengths] == [float] * 3
     with pytest.raises(ValueError):
         spectra.Torus((1.0, -2.0, 3.0))
