@@ -259,7 +259,7 @@ def test_gap_wrong_window_exits_1(monkeypatch, capsys):
         origin_eigenvalue=6.0,
     )
     bad = indicial.RootCatalog(spectra.Sphere(), (root,), 2, 0, math.inf)
-    monkeypatch.setattr(indicial, "assemble_catalog", lambda cs, j_max: bad)
+    monkeypatch.setattr(indicial, "assemble_catalog", lambda geo, j_max: bad)
     code = cli.main(["gap", "--sphere", "--jmax", "2"])
     err = capsys.readouterr().err
     assert code == 1
