@@ -18,7 +18,6 @@ import argparse
 import functools
 import json
 import math
-import numbers
 import sys
 
 from . import indicial, spectra
@@ -64,8 +63,8 @@ def _json_dict(obj) -> str:
     return "{" + ",".join(f"{_json_str(str(k))}:{_json(v)}" for k, v in obj.items()) + "}"
 
 
-# Exact types that documents are built of; everything else, numpy scalars
-# and subclasses included, goes through _json_other.
+# The exact types that documents are built of; any other type, a numpy
+# scalar or a subclass included, is refused.
 _ENCODERS = {
     float: _json_float,
     str: _json_str,
@@ -80,23 +79,9 @@ _ENCODERS = {
 
 def _json(obj) -> str:
     encode = _ENCODERS.get(type(obj))
-    if encode is not None:
-        return encode(obj)
-    return _json_other(obj)
-
-
-def _json_other(obj) -> str:
-    if isinstance(obj, str):
-        return json.dumps(obj)
-    if isinstance(obj, numbers.Integral):
-        return str(int(obj))
-    if isinstance(obj, numbers.Real):
-        return _json_float(float(obj))
-    if isinstance(obj, (list, tuple)):
-        return _json_list(obj)
-    if isinstance(obj, dict):
-        return _json_dict(obj)
-    raise TypeError(f"cannot serialize {type(obj).__name__}")
+    if encode is None:
+        raise TypeError(f"cannot serialize {type(obj).__name__}")
+    return encode(obj)
 
 
 def _write(text: str, args) -> None:
@@ -152,7 +137,10 @@ def _lens_group(text: str) -> spectra.GroupAction:
     p, q1, q2 = _parse_triple(text, int, "--lens")
     if p > LENS_ORDER_CEILING:
         raise SystemExit2(f"--lens order p must be at most {LENS_ORDER_CEILING}, got {p}")
-    return spectra.GroupAction(p, q1, q2)
+    try:
+        return spectra.GroupAction(p, q1, q2)
+    except ValueError as e:
+        raise SystemExit2(f"--lens {text}: {e}") from None
 
 
 def _cross_section(args) -> spectra.Sphere | spectra.Torus | spectra.Hyperbolic:
@@ -369,35 +357,28 @@ def run_linearization(n: int = 16, seed: int = 11, eps: float = 1e-4, tol: float
     shape = (n,) * 4
     battery = curvature.linearization_battery(seed=seed, band=2 if n >= 16 else 1)
     report = []
-    ok = True
     for i, ht in enumerate(battery):
+        errs = curvature.fd_linearization_errors(ht, [eps, eps / 2] if i == 0 else [eps], shape=shape)
+        row = {"case": i, "relative_error": errs[0]}
+        case_ok = errs[0] <= tol
         if i == 0:
-            errs = curvature.fd_linearization_errors(ht, [eps, eps / 2], shape=shape)
-            ratio = errs[0]["relative_error"] / errs[1]["relative_error"]
-            case_ok = errs[0]["relative_error"] <= tol and ratio >= 3.5
-            report.append(
-                {
-                    "case": i,
-                    "relative_error": errs[0]["relative_error"],
-                    "halved_step_error": errs[1]["relative_error"],
-                    "convergence_ratio": ratio,
-                    "tolerance": tol,
-                    "pass": case_ok,
-                }
-            )
-        else:
-            err = curvature.fd_linearization_errors(ht, [eps], shape=shape)[0]
-            case_ok = err["relative_error"] <= tol
-            report.append(
-                {
-                    "case": i,
-                    "relative_error": err["relative_error"],
-                    "tolerance": tol,
-                    "pass": case_ok,
-                }
-            )
-        ok = ok and case_ok
-    return report, ok
+            row["halved_step_error"] = errs[1]
+            row["convergence_ratio"] = ratio = errs[0] / errs[1]
+            case_ok = case_ok and ratio >= 3.5
+        row["tolerance"] = tol
+        row["pass"] = case_ok
+        report.append(row)
+    return report, all(row["pass"] for row in report)
+
+
+def _tt_closed_form(lam: float, kappa: int) -> list:
+    """The type-3 roots as a multiset; a Jordan root counts twice."""
+    return [v for v, jordan in indicial.type3_roots(lam, kappa) for _ in range(1 + jordan)]
+
+
+def _coclosed_closed_form(nu: float, kappa: int) -> list:
+    roots = indicial.mixed_b_roots(nu, kappa)
+    return roots * 2 if len(roots) == 1 else roots  # double root of m'' = (nu - 4 kappa) m
 
 
 def run_oracle(tol: float = 1e-9):
@@ -405,65 +386,50 @@ def run_oracle(tol: float = 1e-9):
     sweeps (eigenvalues 0..48, flat lattice vectors with |k|^2 <= 9)."""
     from . import oracle
 
+    def check(name, matched, mismatch):
+        return {"check": name, "pass": bool(matched), "max_mismatch": float(mismatch)}
+
+    # Each companion sweep: its check, its first eigenvalue for kappa = -1,
+    # 0, 1, the closed-form roots as a multiset, and the ODE systems whose
+    # companion roots together must reproduce them.  At beta = 0 the two TT
+    # branch ODEs coincide, so only one of them runs.
+    sweeps = (
+        (
+            "mixed_system_matrix_vs_closed_form",
+            (0, 0, 0),
+            lambda mu, kappa: [z for a in indicial.alpha_pm(mu, kappa) for z in (a, -a)],
+            lambda mu, kappa: [oracle.matrixA_system(mu, kappa)],
+        ),
+        (
+            "tt_branch_ode_vs_closed_form",
+            (3, 0, 6),
+            _tt_closed_form,
+            lambda lam, kappa: [
+                oracle.ode_tt_branch(lam, kappa, sign)
+                for sign in ((+1,) if lam + 3 * kappa <= 1e-12 else (+1, -1))
+            ],
+        ),
+        (
+            "coclosed_mixed_ode_vs_closed_form",
+            (0, 0, 0),
+            _coclosed_closed_form,
+            lambda nu, kappa: [oracle.ode_mixed_b(nu, kappa)],
+        ),
+    )
     report = []
-    ok = True
-
-    def add(name, matched, mismatch):
-        nonlocal ok
-        report.append(
-            {"check": name, "pass": bool(matched), "max_mismatch": float(mismatch)}
-        )
-        ok = ok and matched
-
-    worst = 0.0
-    good = True
-    for kappa in (-1, 0, 1):
-        for mu in range(49):
-            ap, am = indicial.alpha_pm(float(mu), kappa)
-            expected = oracle.clustered_multiset([ap, -ap, am, -am])
-            actual = oracle.clustered_multiset(
-                oracle.companion_roots(oracle.matrixA_system(float(mu), kappa))
-            )
-            cmp = oracle.compare_root_sets(expected, actual, tol)
-            good = good and cmp.matched
-            worst = max(worst, cmp.max_mismatch)
-    add("mixed_system_matrix_vs_closed_form", good, worst)
-
-    worst, good = 0.0, True
-    bounds = {1: 6, 0: 0, -1: 3}
-    for kappa in (-1, 0, 1):
-        for lam in range(bounds[kappa], 49):
-            expected_pairs = indicial.type3_roots(float(lam), kappa)
-            expected = []
-            for v, jordan in expected_pairs:
-                expected.append(v)
-                if jordan:
-                    expected.append(v)
-            # At beta = 0 the two branch ODEs coincide; run one of them.
-            signs = (+1,) if lam + 3 * kappa <= 1e-12 else (+1, -1)
-            actual = []
-            for sign in signs:
-                actual.extend(oracle.companion_roots(oracle.ode_tt_branch(float(lam), kappa, sign)))
-            cmp = oracle.compare_root_sets(
-                oracle.clustered_multiset(expected), oracle.clustered_multiset(actual), tol
-            )
-            good = good and cmp.matched
-            worst = max(worst, cmp.max_mismatch)
-    add("tt_branch_ode_vs_closed_form", good, worst)
-
-    worst, good = 0.0, True
-    for kappa in (-1, 0, 1):
-        for nu in range(49):
-            expected = indicial.mixed_b_roots(float(nu), kappa)
-            if len(expected) == 1:
-                expected = expected * 2  # double root of m'' = (nu - 4 kappa) m
-            actual = oracle.clustered_multiset(
-                oracle.companion_roots(oracle.ode_mixed_b(float(nu), kappa))
-            )
-            cmp = oracle.compare_root_sets(oracle.clustered_multiset(expected), actual, tol)
-            good = good and cmp.matched
-            worst = max(worst, cmp.max_mismatch)
-    add("coclosed_mixed_ode_vs_closed_form", good, worst)
+    for name, starts, closed_form, systems in sweeps:
+        worst, good = 0.0, True
+        for kappa, start in zip((-1, 0, 1), starts):
+            for ev in map(float, range(start, 49)):
+                actual = [z for ode in systems(ev, kappa) for z in oracle.companion_roots(ode)]
+                cmp = oracle.compare_root_sets(
+                    oracle.clustered_multiset(closed_form(ev, kappa)),
+                    oracle.clustered_multiset(actual),
+                    tol,
+                )
+                good = good and cmp.matched
+                worst = max(worst, cmp.max_mismatch)
+        report.append(check(name, good, worst))
 
     # Flat-torus pencil against the closed-form catalog values, mode by mode.
     worst, good = 0.0, True
@@ -481,20 +447,20 @@ def run_oracle(tol: float = 1e-9):
                 good = good and cmp.matched
                 worst = max(worst, cmp.max_mismatch)
                 jordan_ok = jordan_ok and all(c.jordan for c in clusters)
-    add("flat_pencil_vs_closed_form", good and jordan_ok, worst)
+    report.append(check("flat_pencil_vs_closed_form", good and jordan_ok, worst))
 
     clusters = oracle.pencil_roots(oracle.flat_mode_pencil((0, 0, 0)))
     zero_dim = sum(c.algebraic for c in clusters if abs(c.value) < 1e-6)
-    add("flat_pencil_zero_mode_dimension_14", zero_dim == 14, float(abs(zero_dim - 14)))
+    report.append(check("flat_pencil_zero_mode_dimension_14", zero_dim == 14, abs(zero_dim - 14)))
 
-    return report, ok
+    return report, all(row["pass"] for row in report)
 
 
 def cmd_verify(args) -> int:
     if args.suite in ("identities", "linearization") and (
         args.N & (args.N - 1) or not 2 <= args.N <= 32
     ):
-        raise SystemExit2("--N must be a power of two <= 32")
+        raise SystemExit2(f"--N must be a power of two from 2 to 32, got {args.N}")
     if args.suite == "linearization" and args.N < 8:
         # The battery's time frequencies go up to 3, which 4 samples cannot hold.
         raise SystemExit2(f"--N must be at least 8 for the linearization suite, got {args.N}")

@@ -262,32 +262,23 @@ def pencil_roots(ode: OdeSystem, cluster_tol: float = 1e-6, null_tol: float = 1e
 
 @dataclass(frozen=True)
 class RootSetComparison:
-    expected: tuple[complex, ...]
-    actual: tuple[complex, ...]
     max_mismatch: float
     matched: bool
 
 
-def compare_root_sets(
-    expected,
-    actual,
-    tol: float,
-    truncation_bound: float = math.inf,
-) -> RootSetComparison:
+def compare_root_sets(expected, actual, tol: float) -> RootSetComparison:
     """Match two root multisets within tol.
 
     Matched means every expected root pairs with a distinct actual root at
-    distance < tol, and no unmatched actual root of magnitude below the
-    truncation bound remains.  The pairing is greedy with an exact bipartite
-    fallback.
+    distance < tol and no actual root is left over.  The pairing is greedy
+    with an exact bipartite fallback.
     """
     if tol <= 0:
         raise ValueError("tolerance must be positive")
     exp = [complex(z) for z in expected]
     act = [complex(z) for z in actual]
     if not exp:
-        leftovers = [z for z in act if abs(z) < truncation_bound]
-        return RootSetComparison((), tuple(act), 0.0, not leftovers)
+        return RootSetComparison(0.0, not act)
 
     used = [False] * len(act)
     pairing: list[int | None] = [None] * len(exp)
@@ -315,14 +306,6 @@ def compare_root_sets(
                     used[c] = True
 
     mismatch = 0.0
-    ok = True
     for i, p in enumerate(pairing):
-        if p is None:
-            ok = False
-            mismatch = math.inf
-        else:
-            mismatch = max(mismatch, abs(exp[i] - act[p]))
-    for j, w in enumerate(act):
-        if not used[j] and abs(w) < truncation_bound:
-            ok = False
-    return RootSetComparison(tuple(exp), tuple(act), mismatch, ok)
+        mismatch = math.inf if p is None else max(mismatch, abs(exp[i] - act[p]))
+    return RootSetComparison(mismatch, None not in pairing and all(used))

@@ -372,7 +372,7 @@ def load_hyperbolic_spectrum(path: str | Path) -> Hyperbolic:
     except UnicodeDecodeError as e:
         raise SpectrumError(f"{path}: not UTF-8 text (byte {e.start})") from None
     header: dict[str, int] = {}
-    raw: list[tuple[OperatorKind, int, float, int]] = []
+    raw: list[tuple[int, OperatorKind, int, float, int]] = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.split("#", 1)[0].strip()
         if not line:
@@ -407,7 +407,7 @@ def load_hyperbolic_spectrum(path: str | Path) -> Hyperbolic:
                 f"{where}: scalar eigenvalue 0 has multiplicity {mult}; "
                 "the constants of a connected cross-section have multiplicity 1"
             )
-        raw.append((kind, j, ev, mult))
+        raw.append((lineno, kind, j, ev, mult))
     b1, codazzi = header.get("b1"), header.get("codazzi")
     if b1 is None or codazzi is None:
         raise SpectrumError(f"{path}: missing 'b1' or 'codazzi' header")
@@ -417,26 +417,27 @@ def load_hyperbolic_spectrum(path: str | Path) -> Hyperbolic:
     entries = []
     last_by_kind: dict[OperatorKind, float] = {}
     tt_mult_at_3 = 0
-    for kind, j, ev, mult in raw:
+    for lineno, kind, j, ev, mult in raw:
+        where = f"{path}:{lineno}"
         if mult < 0:
-            raise SpectrumError(f"{path}: negative multiplicity in entry {kind.value} j={j}")
+            raise SpectrumError(f"{where}: negative multiplicity in entry {kind.value} j={j}")
         if ev < -_EIG_TOL:
-            raise SpectrumError(f"{path}: negative eigenvalue {ev} in {kind.value} entry j={j}")
+            raise SpectrumError(f"{where}: negative eigenvalue {ev} in {kind.value} entry j={j}")
         if kind is OperatorKind.DIVFREE_TT_ROUGH and ev < TT_LOWER_BOUND[-1] - _EIG_TOL:
             raise SpectrumError(
-                f"{path}: TT eigenvalue {ev} at j={j} violates the lower bound 3 "
+                f"{where}: TT eigenvalue {ev} at j={j} violates the lower bound 3 "
                 "for hyperbolic cross-sections"
             )
         if kind in last_by_kind and ev <= last_by_kind[kind]:
             raise SpectrumError(
-                f"{path}: eigenvalues must be strictly increasing within {kind.value}"
+                f"{where}: eigenvalues must be strictly increasing within {kind.value}"
             )
         last_by_kind[kind] = ev
         if kind is OperatorKind.DIVFREE_TT_ROUGH and abs(ev - 3.0) <= _EIG_TOL:
             tt_mult_at_3 = mult
         if kind is OperatorKind.COCLOSED_ONEFORM_HODGE and abs(ev) <= _EIG_TOL and mult != b1:
             raise SpectrumError(
-                f"{path}: harmonic 1-form multiplicity {mult} inconsistent with b1={b1}"
+                f"{where}: harmonic 1-form multiplicity {mult} inconsistent with b1={b1}"
             )
         entries.append(SpectrumEntry(kind, j, ev, mult))
     if tt_mult_at_3 != codazzi:

@@ -95,6 +95,11 @@ def test_exit_code_3_on_bad_file(tmp_path, capsys):
         (b"b1 0\ncodazzi 0\noneform -5 2.0 1\n", 3),
         (b"b1 0\ncodazzi 0\nscalar 1 2.0 1 \xff\n", None),
         (None, None),
+        (b"b1 2\ncodazzi 0\noneform 0 0.0 1\n", 3),
+        (b"b1 0\ncodazzi 0\ntt 1 2.5 1\n", 3),
+        (b"b1 0\ncodazzi 0\nscalar 1 2.0 -1\n", 3),
+        (b"b1 0\ncodazzi 0\nscalar 1 -1.0 1\n", 3),
+        (b"b1 0\ncodazzi 0\nscalar 1 2.0 1\nscalar 2 2.0 1\n", 4),
     ],
     ids=[
         "header-without-value",
@@ -106,6 +111,11 @@ def test_exit_code_3_on_bad_file(tmp_path, capsys):
         "negative-j",
         "not-utf8",
         "directory",
+        "harmonic-oneforms-against-b1",
+        "tt-below-3",
+        "negative-multiplicity",
+        "negative-eigenvalue",
+        "eigenvalues-not-increasing",
     ],
 )
 def test_exit_code_3_on_malformed_file(tmp_path, capsys, content, lineno):
@@ -244,6 +254,22 @@ def test_inputs_above_the_ceilings_exit_2(argv, message, capsys):
     assert message in captured.err
 
 
+@pytest.mark.parametrize("command", ["roots", "lens"])
+@pytest.mark.parametrize(
+    "lens,message",
+    [
+        ("0,1,1", "--lens 0,1,1: group order must be >= 1, got 0"),
+        ("6,2,1", "--lens 6,2,1: rotation parameter 2 not coprime to order 6; action would not be free"),
+    ],
+    ids=["order-0", "not-coprime"],
+)
+def test_bad_lens_group_exits_2_naming_the_flag(command, lens, message, capsys):
+    code = cli.main([command, "--lens", lens, "--jmax", "2"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 def test_killing_dim_flag_is_gone():
     with pytest.raises(SystemExit) as info:
         cli.main(["roots", "--sphere", "--killing-dim", "2"])
@@ -327,6 +353,8 @@ def test_unparsable_part_exits_2_naming_the_flag(argv, message, capsys):
         (["linearization", "--eps", "inf"], "--eps must satisfy 0 < eps < 0.1, got inf"),
         (["linearization", "--seed", "-3"], "--seed must be nonnegative, got -3"),
         (["identities", "--seed", "-1"], "--seed must be nonnegative, got -1"),
+        (["identities", "--N", "1"], "--N must be a power of two from 2 to 32, got 1"),
+        (["identities", "--N", "12"], "--N must be a power of two from 2 to 32, got 12"),
     ],
 )
 def test_verify_rejects_bad_eps_and_seed_before_any_work(argv, message, monkeypatch, capsys):
@@ -405,6 +433,31 @@ def test_verify_oracle(capsys):
     assert doc["pass"] is True
     names = {r["check"] for r in doc["results"]}
     assert "flat_pencil_zero_mode_dimension_14" in names
+
+
+def test_oracle_runs_every_sweep_point(monkeypatch):
+    # An empty sweep would pass with mismatch 0, so count the solves: 147
+    # mixed-system and 147 co-closed points, and 274 TT branch ODEs (two per
+    # eigenvalue, one where beta = 0), then 9 nonzero lattice vectors and k = 0.
+    from indicyl import oracle
+
+    calls = {"companion_roots": 0, "flat_mode_pencil": 0}
+    for name in calls:
+        def counted(*args, _fn=getattr(oracle, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(oracle, name, counted)
+    report, ok = cli.run_oracle()
+    assert ok
+    assert [row["check"] for row in report] == [
+        "mixed_system_matrix_vs_closed_form",
+        "tt_branch_ode_vs_closed_form",
+        "coclosed_mixed_ode_vs_closed_form",
+        "flat_pencil_vs_closed_form",
+        "flat_pencil_zero_mode_dimension_14",
+    ]
+    assert calls == {"companion_roots": 568, "flat_mode_pencil": 10}
 
 
 def test_out_flag_writes_file(tmp_path, capsys):
@@ -489,20 +542,10 @@ except AttributeError:
     assert proc.stdout == "ok\n"
 
 
-@pytest.mark.parametrize(
-    "value,text",
-    [
-        (np.int64(3), "3"),
-        (np.float64(-0.0), "0.0"),
-        (np.float32(0.5), "0.5"),
-        (np.float64("nan"), '"nan"'),
-        (np.float64("inf"), '"inf"'),
-        (np.float64("-inf"), '"-inf"'),
-    ],
-)
-def test_json_numpy_scalars(value, text):
-    assert cli._json(value) == text
-    assert cli._json([value, {"x": value}]) == f'[{text},{{"x":{text}}}]'
+@pytest.mark.parametrize("value", [np.int64(3), np.float64(0.5), np.bool_(True), {1, 2}])
+def test_json_refuses_unlisted_types(value):
+    with pytest.raises(TypeError, match="cannot serialize"):
+        cli._json([{"x": value}])
 
 
 def test_root_record_roundtrip(capsys):

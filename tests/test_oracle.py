@@ -217,11 +217,6 @@ def test_compare_detects_spurious():
     assert not cmp.matched
 
 
-def test_compare_ignores_roots_beyond_truncation():
-    cmp = compare_root_sets([2], [2, 50], 1e-9, truncation_bound=10.0)
-    assert cmp.matched
-
-
 def test_compare_mixed_b_against_companion():
     r5 = math.sqrt(5)
     cmp = compare_root_sets(
