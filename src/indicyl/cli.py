@@ -148,7 +148,11 @@ def _cross_section(args) -> spectra.Sphere | spectra.Torus | spectra.Hyperbolic:
     if sum(chosen) != 1:
         raise SystemExit2("choose exactly one of --sphere/--lens, --torus, --hyperbolic")
     if args.torus is not None:
-        return spectra.Torus(_parse_triple(args.torus, float, "--torus"))
+        lengths = _parse_triple(args.torus, float, "--torus")
+        try:
+            return spectra.Torus(lengths)
+        except ValueError as e:
+            raise SystemExit2(f"--torus {args.torus}: {e}") from None
     if args.hyperbolic is not None:
         return spectra.load_hyperbolic_spectrum(args.hyperbolic)
     if args.lens:
@@ -457,13 +461,11 @@ def run_oracle(tol: float = 1e-9):
 
 
 def cmd_verify(args) -> int:
-    if args.suite in ("identities", "linearization") and (
-        args.N & (args.N - 1) or not 2 <= args.N <= 32
-    ):
-        raise SystemExit2(f"--N must be a power of two from 2 to 32, got {args.N}")
-    if args.suite == "linearization" and args.N < 8:
-        # The battery's time frequencies go up to 3, which 4 samples cannot hold.
-        raise SystemExit2(f"--N must be at least 8 for the linearization suite, got {args.N}")
+    # The smallest grid of each suite; the linearization battery's time
+    # frequencies go up to 3, which 4 samples cannot hold.
+    lowest_n = {"identities": 2, "linearization": 8}.get(args.suite)
+    if lowest_n and (args.N & (args.N - 1) or not lowest_n <= args.N <= 32):
+        raise SystemExit2(f"--N must be a power of two from {lowest_n} to 32, got {args.N}")
     if args.suite in ("identities", "linearization") and args.seed < 0:
         raise SystemExit2(f"--seed must be nonnegative, got {args.seed}")
     # The battery also steps by eps / 2, which must not underflow to 0; the

@@ -42,6 +42,7 @@ import numpy as np
 
 from .fields import (
     _SYM_PAIRS,
+    _T_PERIOD,
     CylTensor,
     ModeGrid,
     _norm,
@@ -449,9 +450,6 @@ def christoffel_riemann(m: MetricGrid4D) -> CurvatureGrid:
 _STAR = np.array([5, 4, 3])
 _HODGE_SIGN = np.array([1.0, -1.0, 1.0])
 
-# The six distinct entries (i, j) of a symmetric 3x3 block, diagonal first.
-_UPPER3 = ((0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2))
-
 # Spatial Ricci contraction c_kl = sum_i R_ikil as its 12 signed terms
 # (k, l, P, Q, sign) on the spatial pair block, from the pair orientations
 # alone.
@@ -513,7 +511,7 @@ def asd_form_background(curv: CurvatureGrid) -> np.ndarray:
         Rs, o = R[:, sl], out[sl]
         shortcut = _ricci_contraction_shortcut(Rs[P[3:, 3:]])  # the spatial pair block
         defects, diagonal = [], []
-        for i, j in _UPPER3:
+        for i, j in _SYM_PAIRS:
             # phi - psi + gam: the time pair block, the symmetrized time-star
             # block and the star-star block of the pair matrix.
             psi = 0.5 * (2 * sign[i] * Rs[P[star[i], j]] + 2 * sign[j] * Rs[P[star[j], i]])
@@ -635,7 +633,6 @@ def fd_linearization_errors(
     ht: CylTensor,
     eps_values,
     shape=(16, 16, 16, 16),
-    t_period: float = 2 * math.pi,
 ) -> list[float]:
     """Relative central-difference errors of the anti-self-dual curvature
     block at the flat product metric against the exact linearized operator,
@@ -645,7 +642,7 @@ def fd_linearization_errors(
     factors) and real on the grid.  A degenerate direction, one the exact
     operator annihilates, has no relative error and gives math.nan.
     """
-    periods = (t_period,) + ht.grid.lengths
+    periods = (_T_PERIOD,) + ht.grid.lengths
     sample = sample_cyl_tensor(ht, shape, periods)
     exact = sample_cross_section_tensor(linearized_weyl(ht), shape, periods)
     identity = np.array([float(a == b) for a, b in _SYM]).reshape((10, 1, 1, 1, 1))
@@ -677,14 +674,17 @@ _BATTERY_CASES = (
     (("h00", "alpha", "h"), (0, 1, 2)),
     (("h", "alpha"), (3,)),
 )
+# Scale of every battery variation, inside the linear regime of the
+# finite differences.
+_BATTERY_AMPLITUDE = 0.02
 
 
-def linearization_battery(seed: int = 11, band: int = 2, amplitude: float = 0.02):
+def linearization_battery(seed: int = 11, band: int = 2):
     """The ten fixed-seed t-periodic variations used to validate the
     linearized curvature operator, mixing all three component blocks."""
     rng = np.random.default_rng(seed)
     grid = ModeGrid(band=band)
     return [
-        random_real_variation(rng, grid, kt_modes=kts, parts=parts) * amplitude
+        random_real_variation(rng, grid, kt_modes=kts, parts=parts) * _BATTERY_AMPLITUDE
         for parts, kts in _BATTERY_CASES
     ]

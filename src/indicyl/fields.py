@@ -68,6 +68,9 @@ for _i, _j, _k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
 
 _SYM_PAIRS = ((0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2))
 
+# Period in t of every t-periodic cylinder field.
+_T_PERIOD = 2 * math.pi
+
 
 def _norm(x: np.ndarray) -> float:
     """Frobenius norm of a real or complex array by numpy's pairwise sums,
@@ -574,12 +577,12 @@ def random_symtensor(rng, grid, traceless=False) -> FourierSymTensor:
     return tf(h) if traceless else h
 
 
-def add_real_mode(ht: CylTensor, kt: int, t_period: float = 2 * math.pi, **parts) -> CylTensor:
+def add_real_mode(ht: CylTensor, kt: int, **parts) -> CylTensor:
     """Add a real t-periodic envelope cos/sin combination: the term
     e^{i w t} X plus its conjugate reflection e^{-i w t} conj(X(-k)), with
-    w = 2 pi kt / t_period.  For kt = 0 the fields are reality-symmetrized
+    w = 2 pi kt / _T_PERIOD.  For kt = 0 the fields are reality-symmetrized
     in place."""
-    w = 2 * math.pi * kt / t_period
+    w = 2 * math.pi * kt / _T_PERIOD
     if kt == 0:
         ht.add_term(0.0, 0, **{n: f.reality_symmetrize() for n, f in parts.items()})
         return ht
@@ -589,7 +592,7 @@ def add_real_mode(ht: CylTensor, kt: int, t_period: float = 2 * math.pi, **parts
 
 
 def random_real_variation(
-    rng, grid: ModeGrid, kt_modes=(0, 1), parts=("h00", "alpha", "h"), t_period: float = 2 * math.pi
+    rng, grid: ModeGrid, kt_modes=(0, 1), parts=("h00", "alpha", "h")
 ) -> CylTensor:
     """Random real t-periodic cylinder 2-tensor supported on the given
     integer time frequencies, with the requested component blocks."""
@@ -601,7 +604,7 @@ def random_real_variation(
     }
     for kt in kt_modes:
         fresh = {name: makers[name]() for name in parts}
-        add_real_mode(ht, kt, t_period=t_period, **fresh)
+        add_real_mode(ht, kt, **fresh)
     return ht
 
 
@@ -643,14 +646,15 @@ def _rel_residual_scaled(value: float, scale: float) -> float:
     return value / max(scale, 1e-300)
 
 
-def identity_suite(band: int = 3, seed: int = 7, lengths=(2 * math.pi,) * 3, tol: float = 1e-10):
-    """Run the 11 operator identities on fixed-seed random band-limited fields.
+def identity_suite(band: int = 3, seed: int = 7, tol: float = 1e-10):
+    """Run the 11 operator identities on fixed-seed random band-limited fields
+    over the cube torus of side 2 pi.
 
     Returns a list of IdentityResult; every identity is checked with the
     relative residual (norm of the defect over the largest term norm).
     """
     rng = np.random.default_rng(seed)
-    grid = ModeGrid(lengths, band)
+    grid = ModeGrid(band=band)
     h = random_symtensor(rng, grid)
     hp = random_symtensor(rng, grid)
     om = random_oneform(rng, grid)

@@ -27,7 +27,6 @@ import math
 from dataclasses import dataclass, replace
 from enum import Enum, IntEnum
 
-from . import spectra
 from .spectra import (
     Hyperbolic,
     OperatorKind,
@@ -302,54 +301,6 @@ def family_roots(entry: SpectrumEntry, kappa: int) -> list[IndicialRoot]:
 # ---------------------------------------------------------------------------
 
 
-def _sphere_entries(geo: Sphere, j_max: int) -> tuple[list[SpectrumEntry], list[SpectrumEntry]]:
-    """Spectrum entries with index j <= j_max, multiplicities by descent
-    to the quotient (the round sphere is the trivial group),
-    and the first omitted entry of each kind (multiplicity 1: only its
-    roots are read)."""
-    g = geo.group
-    kinds = (
-        (OperatorKind.SCALAR_HODGE, 0, spectra.sphere_scalar_eigenvalue,
-         spectra.lens_scalar_multiplicity),
-        (OperatorKind.COCLOSED_ONEFORM_HODGE, 1, spectra.sphere_coclosed_oneform_eigenvalue,
-         spectra.lens_oneform_multiplicity),
-        (OperatorKind.DIVFREE_TT_ROUGH, 2, spectra.sphere_tt_eigenvalue,
-         spectra.lens_tt_multiplicity),
-    )
-    entries: list[SpectrumEntry] = []
-    omitted: list[SpectrumEntry] = []
-    for kind, j_min, eigenvalue, multiplicity in kinds:
-        for j in range(j_min, j_max + 1):
-            mult = multiplicity(g, j)
-            if mult > 0:
-                entries.append(SpectrumEntry(kind, j, eigenvalue(j), mult))
-        j = max(j_max + 1, j_min)
-        omitted.append(SpectrumEntry(kind, j, eigenvalue(j), 1))
-    return entries, omitted
-
-
-def _torus_entries(geo: Torus, max_index: int) -> list[SpectrumEntry]:
-    """Spectrum entries with index j <= max_index for every operator kind.
-
-    The levels do not depend on the kind, so one doubling loop finds them
-    in the scalar spectrum, whose multiplicity is the number of lattice
-    vectors.  It starts at the lowest nonzero eigenvalue (2 pi / max L)^2,
-    so the lattice box grows with the number of levels asked for, not with
-    the side lengths.
-    """
-    cutoff = (2 * math.pi / max(geo.lengths)) ** 2
-    while True:
-        levels = spectra.torus_spectrum(geo.lengths, cutoff)
-        if len(levels) > max_index:
-            break
-        cutoff *= 2
-    return [
-        spectra.torus_level_entry(kind, e.j, e.eigenvalue, e.multiplicity)
-        for kind in OperatorKind
-        for e in levels[: max_index + 1]
-    ]
-
-
 def _dedupe(roots: list[IndicialRoot]) -> list[IndicialRoot]:
     """Merge duplicate (value, case, origin) entries, summing multiplicities.
 
@@ -387,61 +338,31 @@ def _dim_at_zero(roots: list[IndicialRoot]) -> int:
 
 
 def assemble_catalog(geo: Sphere | Torus | Hyperbolic, j_max: int) -> RootCatalog:
-    """Full indicial-root catalog for one cross-section, truncated at j_max.
+    """Full indicial-root catalog for one cross-section, truncated at j_max:
+    the family roots of every entry of geo.spectrum(j_max), merged.
 
     The dimension at real part 0 is computed from the multiplicities, with
     Jordan roots counting twice for their t-linear solutions.
     """
     if j_max < 0:
         raise ValueError("j_max must be nonnegative")
-    caveats: list[str] = []
-    kappa = geo.kappa
-    roots: list[IndicialRoot] = []
-
-    if isinstance(geo, Sphere):
-        entries, omitted = _sphere_entries(geo, j_max)
-    elif isinstance(geo, Torus):
-        all_entries = _torus_entries(geo, j_max + 1)
-        entries = [e for e in all_entries if e.j <= j_max]
-        omitted = [e for e in all_entries if e.j == j_max + 1]
-    else:
-        entries = [e for e in geo.entries if e.j <= j_max]
-        # The constant scalar mode and the harmonic 1-forms are always
-        # present even when the file lists only positive eigenvalues.
-        always = ((OperatorKind.SCALAR_HODGE, 1), (OperatorKind.COCLOSED_ONEFORM_HODGE, geo.b1))
-        for kind, mult in always:
-            if mult > 0 and not any(
-                e.kind is kind and abs(e.eigenvalue) <= _ZERO_TOL for e in entries
-            ):
-                roots.extend(family_roots(SpectrumEntry(kind, 0, 0.0, mult), kappa))
-        last = {
-            kind: max((e.eigenvalue for e in geo.entries if e.kind is kind), default=0.0)
-            for kind in OperatorKind
-        }
-        omitted = [SpectrumEntry(kind, 0, ev, 1) for kind, ev in last.items() if ev > _ZERO_TOL]
-        caveats = ["spectrum truncation taken from the supplied file"]
-
-    for entry in entries:
-        roots.extend(family_roots(entry, kappa))
-    roots = _dedupe(roots)
-
-    # The first omitted entry of each kind bounds the real parts that the
-    # truncation can have missed.
+    entries, omitted = geo.spectrum(j_max)
+    roots = _dedupe([r for entry in entries for r in family_roots(entry, geo.kappa)])
+    # The omitted entries bound the real parts that the truncation can have
+    # missed.
     omitted_res = [
         abs(r.value.real)
         for e in omitted
-        for r in family_roots(e, kappa)
+        for r in family_roots(e, geo.kappa)
         if abs(r.value.real) > _ZERO_TOL
     ]
-    complete_below = min(omitted_res) if omitted_res else math.inf
-
     return RootCatalog(
         geometry=geo,
         roots=tuple(roots),
         j_max=j_max,
         dim_at_zero=_dim_at_zero(roots),
-        complete_below_re=complete_below,
-        caveats=tuple(caveats),
+        complete_below_re=min(omitted_res, default=math.inf),
+        caveats=geo.caveats,
     )
 
 
@@ -452,18 +373,15 @@ def assemble_catalog(geo: Sphere | Torus | Hyperbolic, j_max: int) -> RootCatalo
 
 def spectral_gap(catalog: RootCatalog) -> SpectralGap:
     """Smallest nonzero |Re| over all roots, and over the roots that are not
-    conformal Killing (the gap above the exceptional set {0, +-1})."""
-    if not catalog.roots:
-        raise ValueError("catalog has no roots")
-    nonzero = [abs(r.value.real) for r in catalog.roots if abs(r.value.real) > _ZERO_TOL]
-    plain = [
-        abs(r.value.real)
-        for r in catalog.roots
-        if abs(r.value.real) > _ZERO_TOL and not r.conformal_killing
-    ]
-    if not nonzero:
-        raise ValueError("catalog contains no roots with nonzero real part")
-    return SpectralGap(gap=min(nonzero), gap_above_exceptional=min(plain) if plain else math.inf)
+    conformal Killing (the gap above the exceptional set {0, +-1}); each is
+    inf when no such root is listed."""
+    nonzero = [r for r in catalog.roots if abs(r.value.real) > _ZERO_TOL]
+    return SpectralGap(
+        gap=min((abs(r.value.real) for r in nonzero), default=math.inf),
+        gap_above_exceptional=min(
+            (abs(r.value.real) for r in nonzero if not r.conformal_killing), default=math.inf
+        ),
+    )
 
 
 def h2plus_predicate(geo: Sphere | Torus | Hyperbolic) -> tuple[bool, list[str]]:
@@ -483,8 +401,6 @@ def gluing_window(catalog: RootCatalog) -> tuple[float, float]:
     is an isomorphism: g is the infimum of |Re| over roots that are not dual
     to conformal Killing fields, and equals 2 for spherical cross-sections;
     GluingWindowError is raised when the computed bound is not 2."""
-    if not catalog.roots:
-        raise ValueError("catalog has no roots")
     if not isinstance(catalog.geometry, Sphere):
         raise ValueError("the gluing window is stated for spherical cross-sections")
     candidates = [

@@ -35,6 +35,13 @@ __all__ = [
 # Five independent rows of a trace-free symmetric 3x3 tensor.
 _TF_PICK = ((0, 0), (1, 1), (0, 1), (0, 2), (1, 2))
 
+# Generalized eigenvalues this large in modulus stand for infinite ones.
+_FINITE_BOUND = 1e8
+# Roots within this relative distance of a cluster's first root join it.
+_CLUSTER_TOL = 1e-6
+# Singular values below this fraction of the largest count toward a nullity.
+_NULL_TOL = 1e-7
+
 
 @dataclass(frozen=True)
 class OdeSystem:
@@ -84,7 +91,7 @@ def companion_roots(ode: OdeSystem) -> np.ndarray:
     return np.linalg.eigvals(comp)
 
 
-def polynomial_eigenvalues(ode: OdeSystem, finite_bound: float = 1e8) -> np.ndarray:
+def polynomial_eigenvalues(ode: OdeSystem) -> np.ndarray:
     """Finite eigenvalues of the matrix polynomial via the generalized
     companion pencil; infinite eigenvalues from a singular leading block are
     discarded."""
@@ -100,7 +107,7 @@ def polynomial_eigenvalues(ode: OdeSystem, finite_bound: float = 1e8) -> np.ndar
 
     vals = scipy.linalg.eigvals(A, B)
     vals = vals[np.isfinite(vals)]
-    return vals[np.abs(vals) < finite_bound]
+    return vals[np.abs(vals) < _FINITE_BOUND]
 
 
 # ---------------------------------------------------------------------------
@@ -213,12 +220,12 @@ class RootCluster:
         return self.algebraic > self.geometric
 
 
-def cluster_roots(values: np.ndarray, tol: float = 1e-6) -> list[tuple[complex, int]]:
+def cluster_roots(values: np.ndarray) -> list[tuple[complex, int]]:
     """Greedy clustering of near-coincident roots; returns (center, count)."""
     clusters: list[list[complex]] = []
     for v in sorted(values, key=lambda z: (z.real, z.imag)):
         for c in clusters:
-            if abs(v - c[0]) <= tol * max(1.0, abs(c[0])):
+            if abs(v - c[0]) <= _CLUSTER_TOL * max(1.0, abs(c[0])):
                 c.append(v)
                 break
         else:
@@ -226,18 +233,18 @@ def cluster_roots(values: np.ndarray, tol: float = 1e-6) -> list[tuple[complex, 
     return [(complex(np.mean(c)), len(c)) for c in clusters]
 
 
-def clustered_multiset(values, tol: float = 1e-6) -> list[complex]:
+def clustered_multiset(values) -> list[complex]:
     """Replace near-coincident roots by their cluster mean, replicated by
     cluster size.  Means of defective (Jordan) eigenvalue pairs are accurate
     to rounding error even though the individual eigenvalues split by the
     square root of machine precision."""
     out: list[complex] = []
-    for center, count in cluster_roots(np.asarray(values, dtype=complex), tol):
+    for center, count in cluster_roots(np.asarray(values, dtype=complex)):
         out.extend([center] * count)
     return out
 
 
-def pencil_roots(ode: OdeSystem, cluster_tol: float = 1e-6, null_tol: float = 1e-7):
+def pencil_roots(ode: OdeSystem):
     """Indicial roots of a mode pencil with multiplicities and Jordan flags.
 
     A cluster is Jordan when its algebraic multiplicity (cluster size among
@@ -246,11 +253,11 @@ def pencil_roots(ode: OdeSystem, cluster_tol: float = 1e-6, null_tol: float = 1e
     """
     vals = polynomial_eigenvalues(ode)
     out = []
-    for center, count in cluster_roots(vals, cluster_tol):
+    for center, count in cluster_roots(vals):
         mat = ode.eval(center)
         svals = np.linalg.svd(mat, compute_uv=False)
         smax = svals[0] if svals[0] > 0 else 1.0
-        geometric = int(np.sum(svals < null_tol * smax))
+        geometric = int(np.sum(svals < _NULL_TOL * smax))
         out.append(RootCluster(center, count, geometric))
     return out
 

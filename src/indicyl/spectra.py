@@ -1,7 +1,10 @@
 """Eigenvalue catalogs for the three constant-curvature cross-section geometries.
 
-A cross-section is its geometry value, Sphere, Torus or Hyperbolic, and
-each geometry class states its curvature sign as the class attribute kappa.
+A cross-section is its geometry value, Sphere, Torus or Hyperbolic.  Each
+geometry class states its curvature sign kappa and its catalog caveats as
+class attributes, and lists its spectrum: spectrum(j_max) returns the
+entries with index j <= j_max and, per operator kind, the omitted entries
+whose roots bound the real parts that the truncation can have missed.
 
 Provides closed-form spectra for the round 3-sphere, one-octant dual-lattice
 enumeration for flat tori, descent of the scalar, co-closed 1-form and TT
@@ -110,7 +113,28 @@ class Sphere:
     """
 
     kappa: ClassVar[int] = 1
+    caveats: ClassVar[tuple[str, ...]] = ()
     group: GroupAction = GroupAction(1, 1, 1)
+
+    def spectrum(self, j_max: int) -> tuple[list[SpectrumEntry], list[SpectrumEntry]]:
+        """Entries with j <= j_max, multiplicities by descent to the quotient
+        (the round sphere is the trivial group), and the first omitted entry
+        of each kind, at multiplicity 1."""
+        kinds = (
+            (OperatorKind.SCALAR_HODGE, 0, sphere_scalar_eigenvalue, lens_scalar_multiplicity),
+            (OperatorKind.COCLOSED_ONEFORM_HODGE, 1, sphere_coclosed_oneform_eigenvalue,
+             lens_oneform_multiplicity),
+            (OperatorKind.DIVFREE_TT_ROUGH, 2, sphere_tt_eigenvalue, lens_tt_multiplicity),
+        )
+        entries, omitted = [], []
+        for kind, j_min, eigenvalue, multiplicity in kinds:
+            for j in range(j_min, j_max + 1):
+                mult = multiplicity(self.group, j)
+                if mult > 0:
+                    entries.append(SpectrumEntry(kind, j, eigenvalue(j), mult))
+            j = max(j_max + 1, j_min)
+            omitted.append(SpectrumEntry(kind, j, eigenvalue(j), 1))
+        return entries, omitted
 
 
 @dataclass(frozen=True)
@@ -123,6 +147,7 @@ class Torus:
     """
 
     kappa: ClassVar[int] = 0
+    caveats: ClassVar[tuple[str, ...]] = ()
     lengths: tuple[float, float, float] = (2 * math.pi, 2 * math.pi, 2 * math.pi)
 
     def __post_init__(self):
@@ -139,6 +164,23 @@ class Torus:
                     f"{_LEVEL_TOL:g}, i.e. L < {2 * math.pi / math.sqrt(_LEVEL_TOL):.4g}"
                 )
 
+    def spectrum(self, j_max: int) -> tuple[list[SpectrumEntry], list[SpectrumEntry]]:
+        """Levels j <= j_max of every operator kind, and level j_max + 1
+        of each kind as the omitted entries.  The levels do not depend on the
+        kind, so one doubling loop finds them in the scalar spectrum, starting
+        at the lowest nonzero eigenvalue (2 pi / max L)^2: the lattice box
+        grows with the number of levels asked for, not with the sides.
+        """
+        cutoff = (2 * math.pi / max(self.lengths)) ** 2
+        while len(levels := torus_spectrum(self.lengths, cutoff)) <= j_max + 1:
+            cutoff *= 2
+        entries, omitted = [], []
+        for kind in OperatorKind:
+            for e in levels[: j_max + 2]:
+                entry = torus_level_entry(kind, e.j, e.eigenvalue, e.multiplicity)
+                (entries if e.j <= j_max else omitted).append(entry)
+        return entries, omitted
+
 
 @dataclass(frozen=True)
 class Hyperbolic:
@@ -147,10 +189,36 @@ class Hyperbolic:
     file it was read from."""
 
     kappa: ClassVar[int] = -1
+    caveats: ClassVar[tuple[str, ...]] = ("spectrum truncation taken from the supplied file",)
     entries: tuple[SpectrumEntry, ...]
     b1: int
     dim_codazzi: int
     source: str = "<memory>"
+
+    def spectrum(self, j_max: int) -> tuple[list[SpectrumEntry], list[SpectrumEntry]]:
+        """The file's entries with j <= j_max, after the constant scalar mode
+        and the b1 harmonic 1-forms whenever those are not among them: both
+        are present even when the file lists only positive eigenvalues.
+
+        For each kind, omitted holds the lowest nonzero eigenvalue among the
+        entries with j > j_max, which the catalog leaves out, and the largest
+        eigenvalue of the file, past which the spectrum is unknown; both at
+        multiplicity 1.  Every root family's real parts grow with the
+        eigenvalue, so these two bound what is missing.
+        """
+        nonzero = [e for e in self.entries if e.eigenvalue > _EIG_TOL]
+        omitted = []
+        for kind in OperatorKind:
+            evs = sorted(e.eigenvalue for e in nonzero if e.kind is kind)
+            cut = sorted(e.eigenvalue for e in nonzero if e.kind is kind and e.j > j_max)
+            omitted += [SpectrumEntry(kind, 0, ev, 1) for ev in cut[:1] + evs[-1:]]
+        listed = [e for e in self.entries if e.j <= j_max]
+        zero = {e.kind for e in listed if abs(e.eigenvalue) <= _EIG_TOL}
+        always = (
+            SpectrumEntry(OperatorKind.SCALAR_HODGE, 0, 0.0, 1),
+            SpectrumEntry(OperatorKind.COCLOSED_ONEFORM_HODGE, 0, 0.0, self.b1),
+        )
+        return [e for e in always if e.multiplicity > 0 and e.kind not in zero] + listed, omitted
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,8 @@
 import ast
 import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -39,3 +42,17 @@ def test_tracer_targets_exist():
     arrays = tracer_constant("_CURVATURE_ARRAYS")
     assert arrays
     assert [a for a in arrays if not hasattr(CurvatureGrid, a)] == []
+
+
+def test_perfbench_selftest_passes():
+    # The benchmark's own self-test: its output checks catch corrupted
+    # output, and its traced run still sees one catalog, five lens calls
+    # and seven spans.
+    root = TRACER.parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, str(root / "perfbench" / "selftest.py")],
+        cwd=root, capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr

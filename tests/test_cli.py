@@ -276,6 +276,25 @@ def test_killing_dim_flag_is_gone():
     assert info.value.code == 2
 
 
+def test_gap_without_nonzero_roots_is_inf(tmp_path, capsys):
+    # Only the constant scalar mode: every root sits at real part 0.
+    path = tmp_path / "constants.txt"
+    path.write_text("b1 0\ncodazzi 0\nscalar 0 0.0 1\n")
+    code, out = run_cli(["gap", "--hyperbolic", str(path)], capsys)
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["gap"] == doc["gap_above_conformal_killing"] == "inf"
+    assert '"gap":"inf"' in out
+
+
+@pytest.mark.parametrize("jmax", ["0", "1"])
+def test_gap_sphere_below_the_window_exits_2(jmax, capsys):
+    code = cli.main(["gap", "--sphere", "--jmax", jmax])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == "error: no non-degenerate roots present; increase j_max\n"
+
+
 def test_gap_wrong_window_exits_1(monkeypatch, capsys):
     root = indicial.IndicialRoot(
         value=complex(3.0),
@@ -298,6 +317,16 @@ def test_torus_rejects_bad_side_with_exit_2(side, capsys):
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
     assert "torus side L2 must be a positive finite number" in captured.err
+
+
+@pytest.mark.parametrize("command", ["roots", "gap"])
+def test_bad_torus_exits_2_naming_the_flag(command, capsys):
+    code = cli.main([command, "--torus", "1,1,inf", "--jmax", "2"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == (
+        "error: --torus 1,1,inf: torus side L3 must be a positive finite number, got inf\n"
+    )
 
 
 @pytest.mark.parametrize("torus,side", [("2e5,1,1", "L1"), ("1,1,1e300", "L3")])
@@ -355,6 +384,8 @@ def test_unparsable_part_exits_2_naming_the_flag(argv, message, capsys):
         (["identities", "--seed", "-1"], "--seed must be nonnegative, got -1"),
         (["identities", "--N", "1"], "--N must be a power of two from 2 to 32, got 1"),
         (["identities", "--N", "12"], "--N must be a power of two from 2 to 32, got 12"),
+        (["linearization", "--N", "64"], "--N must be a power of two from 8 to 32, got 64"),
+        (["linearization", "--N", "12"], "--N must be a power of two from 8 to 32, got 12"),
     ],
 )
 def test_verify_rejects_bad_eps_and_seed_before_any_work(argv, message, monkeypatch, capsys):
@@ -391,7 +422,7 @@ def test_verify_linearization_rejects_coarse_grid(n, capsys):
     code = cli.main(["verify", "linearization", "--N", n])
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
-    assert captured.err == f"error: --N must be at least 8 for the linearization suite, got {n}\n"
+    assert captured.err == f"error: --N must be a power of two from 8 to 32, got {n}\n"
 
 
 def test_json_deterministic(capsys):

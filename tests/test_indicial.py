@@ -2,6 +2,7 @@ import cmath
 import contextlib
 import dataclasses
 import io
+import json
 import math
 import tempfile
 from pathlib import Path
@@ -416,10 +417,12 @@ def test_truncation_bound():
     assert catalog.complete_below_re == pytest.approx(4.0)
 
 
-# The truncation bound against the per-kind dispatch it was computed by
-# before it went through family_roots: the roots of each first omitted
-# entry without the conformal Killing collapse, and the sphere's omitted
-# eigenvalues by their closed forms.
+# The truncation bound against a per-kind dispatch: the roots of each
+# omitted eigenvalue without the conformal Killing collapse.  The sphere's
+# omitted eigenvalues come from their closed forms, the torus's from level
+# j_max + 1 of one generous lattice enumeration, and a hyperbolic file's
+# from the lowest nonzero eigenvalue of each kind that j_max cuts off and
+# the largest eigenvalue the file lists.
 
 
 def omitted_root_values(kind, ev, kappa):
@@ -441,14 +444,16 @@ def dispatch_complete_below_re(geo, j_max):
             (OperatorKind.DIVFREE_TT_ROUGH, float(jtt * jtt + 2 * jtt - 2)),
         ]
     elif isinstance(geo, spectra.Torus):
-        levels = indicial._torus_entries(geo, j_max + 1)
-        omitted = [(e.kind, e.eigenvalue) for e in levels if e.j == j_max + 1]
+        levels = spectra.torus_spectrum(geo.lengths, 200.0)
+        assert len(levels) > j_max + 1
+        omitted = [(kind, levels[j_max + 1].eigenvalue) for kind in OperatorKind]
     else:
-        last = [
-            (kind, max((e.eigenvalue for e in geo.entries if e.kind is kind), default=0.0))
-            for kind in OperatorKind
-        ]
-        omitted = [(kind, ev) for kind, ev in last if ev > 1e-12]
+        omitted = []
+        for kind in OperatorKind:
+            evs = [e.eigenvalue for e in geo.entries if e.kind is kind]
+            cut = [e.eigenvalue for e in geo.entries if e.kind is kind and e.j > j_max]
+            candidates = [min((ev for ev in cut if ev > 1e-12), default=0.0), max(evs, default=0.0)]
+            omitted += [(kind, ev) for ev in candidates if ev > 1e-12]
     res = [
         abs(v.real)
         for kind, ev in omitted
@@ -481,6 +486,23 @@ def test_truncation_bound_matches_dispatch_hyperbolic(tmp_path):
     for j_max in range(41):
         bound = assemble_catalog(geo, j_max).complete_below_re
         assert bound == dispatch_complete_below_re(geo, j_max), j_max
+
+
+def test_hyperbolic_bound_counts_entries_cut_by_jmax(tmp_path):
+    path = tmp_path / "spectrum.txt"
+    path.write_text("b1 0\ncodazzi 0\ntt 0 3.5 1\ntt 1 4.0 1\ntt 2 100.0 1\n")
+    bounds = []
+    for j_max in (0, 1, 2):
+        code, out = _stdout(["roots", "--hyperbolic", str(path), "--jmax", str(j_max)])
+        assert code == 0
+        doc = json.loads(out)
+        assert sorted({r["j"] for r in doc["roots"] if r["origin_kind"] == "tt"}) == list(
+            range(j_max + 1)
+        )
+        bounds.append(doc["complete_below_re"])
+    # At j_max 0 the roots +-1 +- i of the cut tt 1 entry are missing; past
+    # that, the file's last eigenvalue 100 bounds the rest.
+    assert bounds == [1.0, math.sqrt(97.0), math.sqrt(97.0)]
 
 
 # ---------------------------------------------------------------------------
