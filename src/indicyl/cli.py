@@ -249,7 +249,7 @@ def cmd_roots(args) -> int:
         "kernel_dim_at_zero": catalog.dim_at_zero,
         "cokernel_dim_at_zero": catalog.dim_at_zero,
         "complete_below_re": catalog.complete_below_re,
-        "caveats": list(catalog.caveats),
+        "caveats": list(geo.caveats),
         "notes": [_RATE_NOTE],
         "roots": [dict(zip(_ROOT_FIELDS, row)) for row in rows],
     }
@@ -286,7 +286,7 @@ def cmd_gap(args) -> int:
     }
     if isinstance(geo, spectra.Sphere):
         doc["window"] = list(indicial.gluing_window(catalog))
-        doc["caveats"] = list(catalog.caveats)
+        doc["caveats"] = list(geo.caveats)
     _emit(doc, args)
     return 0
 
@@ -296,6 +296,7 @@ def cmd_ks(args) -> int:
     if not isinstance(geo, spectra.Hyperbolic):
         raise SystemExit2("ks requires --hyperbolic FILE")
     vanishes, notes = indicial.h2plus_predicate(geo)
+    catalog = indicial.assemble_catalog(geo, args.jmax)
     doc = {
         "schema": _SCHEMA,
         "command": "ks",
@@ -304,7 +305,7 @@ def cmd_ks(args) -> int:
         "summary": "H2+ = 0" if vanishes else "H2+ nonzero",
         "b1": geo.b1,
         "dim_codazzi": geo.dim_codazzi,
-        "cokernel_dim_at_zero": 1 + geo.b1 + 2 * geo.dim_codazzi,
+        "cokernel_dim_at_zero": catalog.dim_at_zero,
         "notes": notes,
     }
     _emit(doc, args)
@@ -312,8 +313,6 @@ def cmd_ks(args) -> int:
 
 
 def cmd_lens(args) -> int:
-    if not args.lens:
-        raise SystemExit2("lens requires --lens p,q1,q2")
     group = _lens_group(args.lens)
     mults = [[j, spectra.lens_scalar_multiplicity(group, j)] for j in range(args.jmax + 1)]
     doc = {

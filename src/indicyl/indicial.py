@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum, IntEnum
 
 from .spectra import (
@@ -126,7 +126,6 @@ class RootCatalog:
     j_max: int
     dim_at_zero: int
     complete_below_re: float
-    caveats: tuple[str, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -250,7 +249,7 @@ def _root(value, case, kind, j, eigenvalue, *, jordan=False, mult=1) -> Indicial
         case_tag=case,
         origin_kind=kind,
         origin_j=j,
-        origin_eigenvalue=float(eigenvalue),
+        origin_eigenvalue=float(eigenvalue) + 0.0,
         jordan=jordan,
         multiplicity=mult,
     )
@@ -301,34 +300,6 @@ def family_roots(entry: SpectrumEntry, kappa: int) -> list[IndicialRoot]:
 # ---------------------------------------------------------------------------
 
 
-def _dedupe(roots: list[IndicialRoot]) -> list[IndicialRoot]:
-    """Merge duplicate (value, case, origin) entries, summing multiplicities.
-
-    Only roots with equal (case, origin kind, origin j) can merge, so the
-    first-match merge within 1e-9 runs inside each such bucket, which holds
-    a few roots at most.
-    """
-    buckets: dict[tuple, list[IndicialRoot]] = {}
-    for r in roots:
-        bucket = buckets.setdefault((r.case_tag, r.origin_kind, r.origin_j), [])
-        for i, existing in enumerate(bucket):
-            if abs(r.value - existing.value) < 1e-9 * max(1.0, abs(r.value)):
-                bucket[i] = replace(existing, multiplicity=existing.multiplicity + r.multiplicity)
-                break
-        else:
-            bucket.append(r)
-    return sorted(
-        (r for bucket in buckets.values() for r in bucket),
-        key=lambda r: (
-            r.value.real,
-            r.value.imag,
-            int(r.case_tag),
-            r.origin_kind.value,
-            r.origin_j,
-        ),
-    )
-
-
 def _dim_at_zero(roots: list[IndicialRoot]) -> int:
     dim = 0
     for r in roots:
@@ -339,7 +310,10 @@ def _dim_at_zero(roots: list[IndicialRoot]) -> int:
 
 def assemble_catalog(geo: Sphere | Torus | Hyperbolic, j_max: int) -> RootCatalog:
     """Full indicial-root catalog for one cross-section, truncated at j_max:
-    the family roots of every entry of geo.spectrum(j_max), merged.
+    the family roots of every entry of geo.spectrum(j_max), sorted by value,
+    case and origin.  Nothing is merged: an entry gives each of its roots
+    once, and two entries of one kind never share an eigenvalue, so nearly
+    equal roots of two entries are listed each under its own eigenvalue.
 
     The dimension at real part 0 is computed from the multiplicities, with
     Jordan roots counting twice for their t-linear solutions.
@@ -347,7 +321,10 @@ def assemble_catalog(geo: Sphere | Torus | Hyperbolic, j_max: int) -> RootCatalo
     if j_max < 0:
         raise ValueError("j_max must be nonnegative")
     entries, omitted = geo.spectrum(j_max)
-    roots = _dedupe([r for entry in entries for r in family_roots(entry, geo.kappa)])
+    roots = sorted(
+        (r for entry in entries for r in family_roots(entry, geo.kappa)),
+        key=lambda r: (r.value.real, r.value.imag, int(r.case_tag), r.origin_kind.value, r.origin_j),
+    )
     # The omitted entries bound the real parts that the truncation can have
     # missed.
     omitted_res = [
@@ -362,7 +339,6 @@ def assemble_catalog(geo: Sphere | Torus | Hyperbolic, j_max: int) -> RootCatalo
         j_max=j_max,
         dim_at_zero=_dim_at_zero(roots),
         complete_below_re=min(omitted_res, default=math.inf),
-        caveats=geo.caveats,
     )
 
 
@@ -398,19 +374,14 @@ def h2plus_predicate(geo: Sphere | Torus | Hyperbolic) -> tuple[bool, list[str]]
 
 def gluing_window(catalog: RootCatalog) -> tuple[float, float]:
     """Exponential weight window (0, g) on which the middle cylinder operator
-    is an isomorphism: g is the infimum of |Re| over roots that are not dual
-    to conformal Killing fields, and equals 2 for spherical cross-sections;
-    GluingWindowError is raised when the computed bound is not 2."""
+    is an isomorphism: g is the spectral gap above the conformal Killing
+    roots, and equals 2 for spherical cross-sections; GluingWindowError is
+    raised when the computed bound is not 2."""
     if not isinstance(catalog.geometry, Sphere):
         raise ValueError("the gluing window is stated for spherical cross-sections")
-    candidates = [
-        abs(r.value.real)
-        for r in catalog.roots
-        if not r.conformal_killing and abs(r.value.real) > _ZERO_TOL
-    ]
-    if not candidates:
+    g = spectral_gap(catalog).gap_above_exceptional
+    if g == math.inf:
         raise ValueError("no non-degenerate roots present; increase j_max")
-    g = min(candidates)
     if abs(g - 2.0) > 1e-9:
         raise GluingWindowError(f"spherical gluing window should be (0, 2), computed bound {g}")
     return (0.0, g)

@@ -3,8 +3,9 @@
 A cross-section is its geometry value, Sphere, Torus or Hyperbolic.  Each
 geometry class states its curvature sign kappa and its catalog caveats as
 class attributes, and lists its spectrum: spectrum(j_max) returns the
-entries with index j <= j_max and, per operator kind, the omitted entries
-whose roots bound the real parts that the truncation can have missed.
+entries with index j <= j_max (a hyperbolic file's lowest-eigenvalue lines
+whatever their j) and, per operator kind, the omitted entries whose roots
+bound the real parts that the truncation can have missed.
 
 Provides closed-form spectra for the round 3-sphere, one-octant dual-lattice
 enumeration for flat tori, descent of the scalar, co-closed 1-form and TT
@@ -65,6 +66,16 @@ class OperatorKind(str, Enum):
     SCALAR_HODGE = "scalar"
     COCLOSED_ONEFORM_HODGE = "oneform"
     DIVFREE_TT_ROUGH = "tt"
+
+
+# The lowest eigenvalue of each kind on a hyperbolic cross-section: the
+# constants, the harmonic 1-forms and the Codazzi tensors, whose roots lie
+# at real part 0.
+_HYPERBOLIC_LOWEST = {
+    OperatorKind.SCALAR_HODGE: 0.0,
+    OperatorKind.COCLOSED_ONEFORM_HODGE: 0.0,
+    OperatorKind.DIVFREE_TT_ROUGH: TT_LOWER_BOUND[-1],
+}
 
 
 @dataclass(frozen=True)
@@ -196,29 +207,34 @@ class Hyperbolic:
     source: str = "<memory>"
 
     def spectrum(self, j_max: int) -> tuple[list[SpectrumEntry], list[SpectrumEntry]]:
-        """The file's entries with j <= j_max, after the constant scalar mode
-        and the b1 harmonic 1-forms whenever those are not among them: both
-        are present even when the file lists only positive eigenvalues.
+        """The file's entries with j <= j_max, and whatever its j every entry
+        at the lowest eigenvalue of its kind (scalar 0, co-closed 0, TT 3),
+        whose roots are the ones at real part 0.  The constant scalar mode and
+        the b1 harmonic 1-forms come first when the file has no such line:
+        both are present even when the file lists only positive eigenvalues.
 
-        For each kind, omitted holds the lowest nonzero eigenvalue among the
+        For each kind, omitted holds the lowest eigenvalue among the other
         entries with j > j_max, which the catalog leaves out, and the largest
-        eigenvalue of the file, past which the spectrum is unknown; both at
-        multiplicity 1.  Every root family's real parts grow with the
+        eigenvalue of the other entries, past which the spectrum is unknown;
+        both at multiplicity 1.  Every root family's real parts grow with the
         eigenvalue, so these two bound what is missing.
         """
-        nonzero = [e for e in self.entries if e.eigenvalue > _EIG_TOL]
+        def lowest(e: SpectrumEntry) -> bool:
+            return abs(e.eigenvalue - _HYPERBOLIC_LOWEST[e.kind]) <= _EIG_TOL
+
+        rest = [e for e in self.entries if not lowest(e)]
         omitted = []
         for kind in OperatorKind:
-            evs = sorted(e.eigenvalue for e in nonzero if e.kind is kind)
-            cut = sorted(e.eigenvalue for e in nonzero if e.kind is kind and e.j > j_max)
+            evs = sorted(e.eigenvalue for e in rest if e.kind is kind)
+            cut = sorted(e.eigenvalue for e in rest if e.kind is kind and e.j > j_max)
             omitted += [SpectrumEntry(kind, 0, ev, 1) for ev in cut[:1] + evs[-1:]]
-        listed = [e for e in self.entries if e.j <= j_max]
-        zero = {e.kind for e in listed if abs(e.eigenvalue) <= _EIG_TOL}
+        listed = [e for e in self.entries if e.j <= j_max or lowest(e)]
+        present = {e.kind for e in self.entries if lowest(e)}
         always = (
             SpectrumEntry(OperatorKind.SCALAR_HODGE, 0, 0.0, 1),
             SpectrumEntry(OperatorKind.COCLOSED_ONEFORM_HODGE, 0, 0.0, self.b1),
         )
-        return [e for e in always if e.multiplicity > 0 and e.kind not in zero] + listed, omitted
+        return [e for e in always if e.multiplicity > 0 and e.kind not in present] + listed, omitted
 
 
 # ---------------------------------------------------------------------------

@@ -56,3 +56,39 @@ def test_perfbench_selftest_passes():
         cwd=root, capture_output=True, text=True, env=env, timeout=300,
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
+def _unused_imports(source: str) -> list[str]:
+    """Names a module imports but never references and does not export."""
+    tree = ast.parse(source)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    exported = set()
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
+            exported = set(ast.literal_eval(node.value))
+    return [f"{name} (line {line})" for name, line in imported.items() if name not in used | exported]
+
+
+def test_unused_import_finder_sees_a_leftover():
+    assert _unused_imports("from dataclasses import dataclass, replace\n@dataclass\nclass A: pass\n") == [
+        "replace (line 1)"
+    ]
+    assert _unused_imports("from __future__ import annotations\nimport os.path\nos.path.join\n") == []
+
+
+def test_no_unused_imports():
+    package = TRACER.parent.parent / "src" / "indicyl"
+    unused = {
+        path.name: names
+        for path in sorted(package.glob("*.py"))
+        if (names := _unused_imports(path.read_text()))
+    }
+    assert unused == {}

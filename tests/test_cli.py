@@ -64,6 +64,49 @@ def test_roots_hyperbolic(tmp_path, capsys):
     assert round(math.sqrt(nu), 9) in res
 
 
+# Codazzi tensors listed at a j above the --jmax of the runs below: their
+# roots +-i still count at real part 0, and F2's tt 4.0 line is the first one
+# cut, with roots +-1 +-i.
+CODAZZI_LATE = {
+    "F1": ("b1 0\ncodazzi 2\ntt 5 3.0 2\ntt 6 4.0 1\n", 1 + 2 * 2),
+    "F2": ("b1 0\ncodazzi 1\ntt 5 3.0 1\ntt 6 4.0 1\ntt 7 100.0 1\n", 1 + 2 * 1),
+}
+
+
+@pytest.mark.parametrize("jmax", range(8))
+@pytest.mark.parametrize("name", sorted(CODAZZI_LATE))
+def test_roots_and_ks_agree_on_the_dimension_at_zero(name, jmax, tmp_path, capsys):
+    text, dim = CODAZZI_LATE[name]
+    path = tmp_path / "spec.txt"
+    path.write_text(text)
+    flags = ["--hyperbolic", str(path), "--jmax", str(jmax)]
+    code, out = run_cli(["roots", *flags], capsys)
+    assert code == 0
+    roots = json.loads(out)
+    code, out = run_cli(["ks", *flags], capsys)
+    assert code == 0
+    assert roots["kernel_dim_at_zero"] == json.loads(out)["cokernel_dim_at_zero"] == dim
+    assert {(r["re"], r["im"], r["j"]) for r in roots["roots"] if r["re"] == 0.0} == {
+        (0.0, -1.0, 5), (0.0, 0.0, 0), (0.0, 1.0, 5)
+    }
+    if name == "F2":
+        # Up to j_max 5 the tt 4.0 line is cut; from 6 on only the largest
+        # eigenvalue 100 bounds what the file leaves out.
+        expected = 1.0 if jmax <= 5 else math.sqrt(100.0 - 3.0)
+        assert roots["complete_below_re"] == pytest.approx(expected, abs=1e-12)
+
+
+def test_negative_zero_eigenvalue_prints_as_zero(tmp_path, capsys):
+    path = tmp_path / "spec.txt"
+    path.write_text("b1 0\ncodazzi 0\nscalar 0 -0.0 1\n")
+    code, out = run_cli(["roots", "--hyperbolic", str(path), "--format", "csv"], capsys)
+    assert code == 0
+    assert out.splitlines()[1] == "0,0,0,scalar,0,0,both,omega_only,false,true,1"
+    code, out = run_cli(["roots", "--hyperbolic", str(path)], capsys)
+    assert code == 0
+    assert '"eigenvalue":0.0,' in out and "-0" not in out
+
+
 def test_exit_code_2_on_bad_spec(capsys):
     code, _ = run_cli(["roots", "--sphere", "--torus", "1,1,1"], capsys)
     assert code == 2
@@ -100,6 +143,10 @@ def test_exit_code_3_on_bad_file(tmp_path, capsys):
         (b"b1 0\ncodazzi 0\nscalar 1 2.0 -1\n", 3),
         (b"b1 0\ncodazzi 0\nscalar 1 -1.0 1\n", 3),
         (b"b1 0\ncodazzi 0\nscalar 1 2.0 1\nscalar 2 2.0 1\n", 4),
+        (b"b1 0\ncodazzi 0\nvector 1 1.0 1\n", 3),
+        (b"b1 0\ncodazzi 0\nscalar 1 1.0\n", 3),
+        (b"codazzi 0\nscalar 1 1.0 1\n", None),
+        (b"b1 -1\ncodazzi 0\n", None),
     ],
     ids=[
         "header-without-value",
@@ -116,6 +163,10 @@ def test_exit_code_3_on_bad_file(tmp_path, capsys):
         "negative-multiplicity",
         "negative-eigenvalue",
         "eigenvalues-not-increasing",
+        "unknown-kind",
+        "three-fields",
+        "without-b1",
+        "negative-b1",
     ],
 )
 def test_exit_code_3_on_malformed_file(tmp_path, capsys, content, lineno):
@@ -254,14 +305,16 @@ def test_inputs_above_the_ceilings_exit_2(argv, message, capsys):
     assert message in captured.err
 
 
-@pytest.mark.parametrize("command", ["roots", "lens"])
 @pytest.mark.parametrize(
-    "lens,message",
+    "command,lens,message",
     [
-        ("0,1,1", "--lens 0,1,1: group order must be >= 1, got 0"),
-        ("6,2,1", "--lens 6,2,1: rotation parameter 2 not coprime to order 6; action would not be free"),
+        ("roots", "0,1,1", "--lens 0,1,1: group order must be >= 1, got 0"),
+        ("lens", "0,1,1", "--lens 0,1,1: group order must be >= 1, got 0"),
+        ("roots", "6,2,1", "--lens 6,2,1: rotation parameter 2 not coprime to order 6; action would not be free"),
+        ("lens", "6,2,1", "--lens 6,2,1: rotation parameter 2 not coprime to order 6; action would not be free"),
+        ("lens", "", "--lens expects three comma-separated values"),
     ],
-    ids=["order-0", "not-coprime"],
+    ids=["order-0-roots", "order-0-lens", "not-coprime-roots", "not-coprime-lens", "empty-lens"],
 )
 def test_bad_lens_group_exits_2_naming_the_flag(command, lens, message, capsys):
     code = cli.main([command, "--lens", lens, "--jmax", "2"])
@@ -405,6 +458,20 @@ def test_reversed_window_exits_2(capsys):
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
     assert "needs a < b" in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["ks", "--sphere"], "ks requires --hyperbolic FILE"),
+        (["roots", "--sphere", "--window", "1,2,3"], "--window expects two comma-separated numbers"),
+    ],
+)
+def test_bad_command_flags_exit_2(argv, message, capsys):
+    code = cli.main(argv)
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == f"error: {message}\n"
 
 
 def test_curvature_defect_exits_1(monkeypatch, capsys):

@@ -225,6 +225,18 @@ def test_compare_mixed_b_against_companion():
     assert cmp.matched
 
 
+def test_compare_falls_back_to_exact_assignment():
+    # Greedy pairs 0.5 with 0.3 and leaves 0.0 at distance 1; the exact
+    # assignment pairs 0.5 with 1.0 and 0.0 with 0.3, both within 0.6.
+    cmp = compare_root_sets([0.5, 0.0], [0.3, 1.0], 0.6)
+    assert cmp.matched and cmp.max_mismatch == pytest.approx(0.5)
+
+
+def test_compare_exact_assignment_keeps_a_genuine_mismatch():
+    cmp = compare_root_sets([0.0, 0.1], [0.05, 5.0], 0.6)
+    assert not cmp.matched and cmp.max_mismatch == math.inf
+
+
 def test_compare_duplicates_require_multiplicity():
     cmp = compare_root_sets([1, 1], [1], 1e-9)
     assert not cmp.matched
