@@ -144,7 +144,7 @@ def _lens_group(text: str) -> spectra.GroupAction:
 
 
 def _cross_section(args) -> spectra.Sphere | spectra.Torus | spectra.Hyperbolic:
-    chosen = [bool(args.sphere or args.lens), args.torus is not None, args.hyperbolic is not None]
+    chosen = [args.sphere or args.lens is not None, args.torus is not None, args.hyperbolic is not None]
     if sum(chosen) != 1:
         raise SystemExit2("choose exactly one of --sphere/--lens, --torus, --hyperbolic")
     if args.torus is not None:
@@ -155,7 +155,7 @@ def _cross_section(args) -> spectra.Sphere | spectra.Torus | spectra.Hyperbolic:
             raise SystemExit2(f"--torus {args.torus}: {e}") from None
     if args.hyperbolic is not None:
         return spectra.load_hyperbolic_spectrum(args.hyperbolic)
-    if args.lens:
+    if args.lens is not None:
         return spectra.Sphere(_lens_group(args.lens))
     return spectra.Sphere()
 
@@ -285,6 +285,8 @@ def cmd_gap(args) -> int:
         "gap_above_conformal_killing": g.gap_above_exceptional,
     }
     if isinstance(geo, spectra.Sphere):
+        if g.gap_above_exceptional == math.inf:
+            raise SystemExit2(f"--jmax {args.jmax} lists no root outside {{0, +-1}}; increase --jmax")
         doc["window"] = list(indicial.gluing_window(catalog))
         doc["caveats"] = list(geo.caveats)
     _emit(doc, args)
@@ -590,9 +592,6 @@ def main(argv=None) -> int:
     except (OSError, spectra.SpectrumError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 3
-    except ValueError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
 
 
 if __name__ == "__main__":

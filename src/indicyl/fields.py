@@ -321,8 +321,9 @@ def _rate_key(rate: complex) -> tuple[float, float]:
 class _CylField:
     """Shared machinery for t-dependent field collections.
 
-    Terms are keyed by (rate, degree) and hold a tuple of component fields;
-    d/dt maps the (rate, d) term into (rate, d) and (rate, d-1) exactly.
+    Terms are keyed by (rate, degree) and hold a dict: "rate", the complex
+    rate, plus one component field per part name; d/dt maps the (rate, d)
+    term into (rate, d) and (rate, d-1) exactly.
     """
 
     _parts: tuple[str, ...] = ()

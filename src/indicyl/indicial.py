@@ -179,7 +179,7 @@ def type3_roots(lam: float, kappa: int) -> list[tuple[complex, bool]]:
         }
         return [(v, False) for v in sorted(vals, key=lambda z: (z.real, z.imag))]
     # kappa == 0: each branch ODE is (d/dt -+ beta)^2, a genuine double root.
-    if beta <= _ZERO_TOL:
+    if beta <= _ZERO_TOL:  # parallel TT tensors: constant and t-linear solutions
         return [(complex(0.0), True)]
     return [(complex(-beta), True), (complex(beta), True)]
 
@@ -279,9 +279,6 @@ def family_roots(entry: SpectrumEntry, kappa: int) -> list[IndicialRoot]:
         ]
 
     if kind is OperatorKind.DIVFREE_TT_ROUGH:
-        if kappa == 0 and abs(ev) <= _ZERO_TOL:
-            # Parallel TT tensors: constant and t-linear solutions at 0.
-            return tagged(CaseTag.CASE2, [(0.0, True)])
         return tagged(CaseTag.CASE2, type3_roots(ev, kappa))
     if kind is OperatorKind.SCALAR_HODGE:
         if abs(ev) <= _ZERO_TOL:

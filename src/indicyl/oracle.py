@@ -1,10 +1,11 @@
 """Numeric ground truth for the closed-form indicial roots.
 
 Characteristic roots of the mode ODE systems are recomputed here by
-general-purpose eigenvalue methods (block companion linearization plus a
-QR-type iteration), and the full flat-torus mode reduction of the wrapped
-deformation operator is solved as a quadratic matrix pencil.  Nothing in
-this module uses the closed-form root expressions.
+general-purpose eigenvalue methods (block companion linearization plus QR
+iteration, or QZ iteration when the leading block is singular), and the full
+flat-torus mode reduction of the wrapped deformation operator is solved as a
+quadratic matrix pencil.  Nothing in this module uses the closed-form root
+expressions.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ __all__ = [
     "OdeSystem",
     "RootSetComparison",
     "companion_roots",
-    "polynomial_eigenvalues",
     "matrix_a",
     "matrixA_system",
     "ode_tt_branch",
@@ -29,6 +29,7 @@ __all__ = [
     "pencil_roots",
     "RootCluster",
     "cluster_roots",
+    "clustered_multiset",
     "compare_root_sets",
 ]
 
@@ -73,39 +74,27 @@ class OdeSystem:
 
 
 def companion_roots(ode: OdeSystem) -> np.ndarray:
-    """Eigenvalues of the block companion linearization (QR iteration).
-
-    Requires the leading coefficient to be invertible; use
-    polynomial_eigenvalues for pencils with singular leading blocks.
-    """
+    """Finite roots of the matrix polynomial sum_k M_k lam^k from its block
+    companion linearization: QR iteration on the companion matrix when the
+    leading block is invertible, otherwise QZ iteration on the companion
+    pencil, discarding the infinite eigenvalues of the singular block."""
     n, r = ode.dim, ode.order
     lead = np.asarray(ode.mats[-1], dtype=complex)
-    if abs(np.linalg.det(lead)) < 1e-12 * max(1.0, np.linalg.norm(lead) ** n):
-        raise ValueError("singular leading block; the companion form does not exist")
-    inv = np.linalg.inv(lead)
     comp = np.zeros((n * r, n * r), dtype=complex)
     for k in range(r - 1):
         comp[n * k : n * (k + 1), n * (k + 1) : n * (k + 2)] = np.eye(n)
+    if not abs(np.linalg.det(lead)) < 1e-12 * max(1.0, np.linalg.norm(lead) ** n):
+        inv = np.linalg.inv(lead)
+        for k in range(r):
+            comp[n * (r - 1) :, n * k : n * (k + 1)] = -inv @ ode.mats[k]
+        return np.linalg.eigvals(comp)
     for k in range(r):
-        comp[n * (r - 1) :, n * k : n * (k + 1)] = -inv @ ode.mats[k]
-    return np.linalg.eigvals(comp)
-
-
-def polynomial_eigenvalues(ode: OdeSystem) -> np.ndarray:
-    """Finite eigenvalues of the matrix polynomial via the generalized
-    companion pencil; infinite eigenvalues from a singular leading block are
-    discarded."""
-    n, r = ode.dim, ode.order
-    A = np.zeros((n * r, n * r), dtype=complex)
+        comp[n * (r - 1) :, n * k : n * (k + 1)] = -np.asarray(ode.mats[k], dtype=complex)
     B = np.eye(n * r, dtype=complex)
-    for k in range(r - 1):
-        A[n * k : n * (k + 1), n * (k + 1) : n * (k + 2)] = np.eye(n)
-    for k in range(r):
-        A[n * (r - 1) :, n * k : n * (k + 1)] = -np.asarray(ode.mats[k], dtype=complex)
-    B[n * (r - 1) :, n * (r - 1) :] = ode.mats[-1]
+    B[n * (r - 1) :, n * (r - 1) :] = lead
     import scipy.linalg
 
-    vals = scipy.linalg.eigvals(A, B)
+    vals = scipy.linalg.eigvals(comp, B)
     vals = vals[np.isfinite(vals)]
     return vals[np.abs(vals) < _FINITE_BOUND]
 
@@ -251,7 +240,7 @@ def pencil_roots(ode: OdeSystem):
     the generalized eigenvalues) exceeds the nullity of the pencil at the
     cluster center, i.e. when genuine t-polynomial solutions occur.
     """
-    vals = polynomial_eigenvalues(ode)
+    vals = companion_roots(ode)
     out = []
     for center, count in cluster_roots(vals):
         mat = ode.eval(center)

@@ -56,6 +56,8 @@ _EIG_TOL = 1e-12
 # Torus eigenvalues within this relative distance (absolute below 1) of each
 # other form one level.
 _LEVEL_TOL = 1e-9
+# Largest (2 pi / L)^2 of a torus side: every catalog's levels stay finite.
+_LEVEL_MAX = 1e200
 
 
 class SpectrumError(ValueError):
@@ -154,7 +156,9 @@ class Torus:
 
     Each side needs (2 pi / L)^2 > 1e-9, i.e. L below about 1.987e5: the
     lowest eigenvalue along a longer side would fall inside the absolute
-    floor of the level grouping and merge distinct levels.
+    floor of the level grouping and merge distinct levels.  Each side also
+    needs (2 pi / L)^2 <= 1e200, i.e. L at least about 6.283e-100, so that
+    the eigenvalues cannot overflow.
     """
 
     kappa: ClassVar[int] = 0
@@ -173,6 +177,11 @@ class Torus:
                 raise ValueError(
                     f"torus side L{i + 1} = {L} is too long: (2 pi / L)^2 must exceed "
                     f"{_LEVEL_TOL:g}, i.e. L < {2 * math.pi / math.sqrt(_LEVEL_TOL):.4g}"
+                )
+            if step * step > _LEVEL_MAX:
+                raise ValueError(
+                    f"torus side L{i + 1} = {L} is too short: (2 pi / L)^2 must be at most "
+                    f"{_LEVEL_MAX:g}, i.e. L >= {2 * math.pi / math.sqrt(_LEVEL_MAX):.4g}"
                 )
 
     def spectrum(self, j_max: int) -> tuple[list[SpectrumEntry], list[SpectrumEntry]]:
@@ -313,8 +322,8 @@ def torus_spectrum(lengths: tuple[float, float, float], cutoff: float) -> list[S
     at the value of its member that comes first in the enumeration order
     k1, k2, k3 = -K..K (k1 outermost), and its multiplicity is its number
     of lattice vectors; torus_level_entry derives every operator kind from
-    these levels.  The sides must satisfy the bound documented on Torus:
-    0 < L < about 1.987e5.
+    these levels.  The sides must satisfy the bounds documented on Torus:
+    about 6.283e-100 <= L < about 1.987e5.
 
     Only the octant k_i >= 0 is enumerated: a sign flip leaves
     (2 pi k / L)^2 bit-equal, so each octant vector stands for its

@@ -313,14 +313,44 @@ def test_inputs_above_the_ceilings_exit_2(argv, message, capsys):
         ("roots", "6,2,1", "--lens 6,2,1: rotation parameter 2 not coprime to order 6; action would not be free"),
         ("lens", "6,2,1", "--lens 6,2,1: rotation parameter 2 not coprime to order 6; action would not be free"),
         ("lens", "", "--lens expects three comma-separated values"),
+        ("roots", "", "--lens expects three comma-separated values"),
+        ("gap", "", "--lens expects three comma-separated values"),
     ],
-    ids=["order-0-roots", "order-0-lens", "not-coprime-roots", "not-coprime-lens", "empty-lens"],
+    ids=[
+        "order-0-roots",
+        "order-0-lens",
+        "not-coprime-roots",
+        "not-coprime-lens",
+        "empty-lens",
+        "empty-roots",
+        "empty-gap",
+    ],
 )
 def test_bad_lens_group_exits_2_naming_the_flag(command, lens, message, capsys):
     code = cli.main([command, "--lens", lens, "--jmax", "2"])
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
     assert captured.err == f"error: {message}\n"
+
+
+def test_empty_lens_next_to_sphere_is_not_ignored(capsys):
+    # An empty --lens is still a given --lens, so it is parsed, not dropped
+    # in favour of the round sphere.
+    code = cli.main(["roots", "--sphere", "--lens", "", "--jmax", "2"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == "error: --lens expects three comma-separated values\n"
+
+
+def test_stray_value_error_is_not_a_usage_error(monkeypatch):
+    # Every bad input is reported by its own check; a ValueError that gets
+    # past them is a bug and must surface, not become exit 2.
+    def broken(args):
+        raise ValueError("internal")
+
+    monkeypatch.setattr(cli, "cmd_roots", broken)
+    with pytest.raises(ValueError, match="internal"):
+        cli.main(["roots", "--sphere", "--jmax", "2"])
 
 
 def test_killing_dim_flag_is_gone():
@@ -345,7 +375,7 @@ def test_gap_sphere_below_the_window_exits_2(jmax, capsys):
     code = cli.main(["gap", "--sphere", "--jmax", jmax])
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
-    assert captured.err == "error: no non-degenerate roots present; increase j_max\n"
+    assert captured.err == f"error: --jmax {jmax} lists no root outside {{0, +-1}}; increase --jmax\n"
 
 
 def test_gap_wrong_window_exits_1(monkeypatch, capsys):
@@ -388,6 +418,15 @@ def test_torus_rejects_too_long_side_with_exit_2(torus, side, capsys):
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
     assert f"torus side {side} = " in captured.err and "too long" in captured.err
+
+
+@pytest.mark.parametrize("torus,side", [("1e-300,1e-300,1e-300", "L1"), ("1,1,5e-324", "L3")])
+def test_torus_rejects_too_short_side_with_exit_2(torus, side, capsys):
+    # (2 pi / L)^2 would overflow the float range: a traceback before.
+    code = cli.main(["gap", "--torus", torus, "--jmax", "2"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert f"torus side {side} = " in captured.err and "too short" in captured.err
 
 
 def test_long_torus_box_grows_with_levels(capsys):
@@ -536,7 +575,8 @@ def test_verify_oracle(capsys):
 def test_oracle_runs_every_sweep_point(monkeypatch):
     # An empty sweep would pass with mismatch 0, so count the solves: 147
     # mixed-system and 147 co-closed points, and 274 TT branch ODEs (two per
-    # eigenvalue, one where beta = 0), then 9 nonzero lattice vectors and k = 0.
+    # eigenvalue, one where beta = 0), then 9 nonzero lattice vectors and
+    # k = 0, whose pencils companion_roots solves too: 568 + 10 in all.
     from indicyl import oracle
 
     calls = {"companion_roots": 0, "flat_mode_pencil": 0}
@@ -555,7 +595,7 @@ def test_oracle_runs_every_sweep_point(monkeypatch):
         "flat_pencil_vs_closed_form",
         "flat_pencil_zero_mode_dimension_14",
     ]
-    assert calls == {"companion_roots": 568, "flat_mode_pencil": 10}
+    assert calls == {"companion_roots": 578, "flat_mode_pencil": 10}
 
 
 def test_out_flag_writes_file(tmp_path, capsys):

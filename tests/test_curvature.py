@@ -881,3 +881,58 @@ def test_sampling_matches_pointwise_mode_sum():
             want[..., a, b] += np.einsum("pqr,px,qy,rz,t->txyz", c, wave, wave, wave, et)
     assert np.abs(want.imag).max() < 1e-12 * np.abs(want).max()
     assert np.abs(got - want.real).max() < 1e-12 * np.abs(want).max()
+
+
+def _unit_h00(grid, value=1.0):
+    """A cylinder tensor whose only part is h00 = value at the zero mode."""
+    s = F.FourierScalar.zero(grid)
+    s.data[(grid.band,) * 3] = value
+    return s
+
+
+def _sample_with_term(rate, value):
+    grid = F.ModeGrid(band=1)
+    ht = F.CylTensor(grid).add_term(rate, 0, h00=_unit_h00(grid, value))
+    return lambda: C.sample_cyl_tensor(ht, (8, 8, 8, 8), PERIODS)
+
+
+def _fd_with_step(eps):
+    ht = F.random_real_variation(np.random.default_rng(3), F.ModeGrid(band=1), kt_modes=(1,))
+    return lambda: C.fd_linearization_errors(ht, [eps], shape=(8, 8, 8, 8))
+
+
+@pytest.mark.parametrize(
+    "call,message",
+    [
+        (_sample_with_term(0.5j, 1.0), "rate 0.5j is not resolved by the period"),
+        (_sample_with_term(5j, 1.0), "time frequency 5 not representable on 8 samples"),
+        (_sample_with_term(0.0, 1j), "field is not real on the grid"),
+        (
+            lambda: C.sample_cyl_tensor(F.CylTensor(F.ModeGrid(band=1)), (8, 8, 8), PERIODS),
+            "need four grid sizes and four periods",
+        ),
+        (
+            lambda: C.sample_cyl_tensor(F.CylTensor(F.ModeGrid(band=1)), (8,) * 4, (2 * math.pi, 1.0, 1.0, 1.0)),
+            "spatial periods must match the mode lattice",
+        ),
+        (
+            lambda: C.sample_cyl_tensor(F.CylTensor(F.ModeGrid(band=3)), (4,) * 4, PERIODS),
+            "grid size 4 cannot resolve band limit 3",
+        ),
+        (_fd_with_step(0.2), "finite-difference step must be small and positive"),
+        (_fd_with_step(0.0), "finite-difference step must be small and positive"),
+    ],
+    ids=[
+        "unresolved-rate",
+        "time-frequency-above-nyquist",
+        "not-real",
+        "three-sizes",
+        "periods-off-lattice",
+        "grid-below-band",
+        "step-too-large",
+        "step-zero",
+    ],
+)
+def test_sampling_and_battery_reject_bad_input(call, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -403,3 +404,46 @@ def test_identity_suite_deterministic():
     a = identity_suite(band=2, seed=9)
     b = identity_suite(band=2, seed=9)
     assert [(r.name, r.residual) for r in a] == [(r.name, r.residual) for r in b]
+
+
+_GRID = ModeGrid(band=1)
+
+
+@pytest.mark.parametrize(
+    "call,error,message",
+    [
+        (lambda: ModeGrid(band=0), ValueError, "band limit must be >= 1"),
+        (lambda: ModeGrid(lengths=(1.0, 0.0, 1.0)), ValueError, "lattice side lengths must be positive"),
+        (
+            lambda: FourierScalar(_GRID, np.zeros((2, 2, 2))),
+            ValueError,
+            "FourierScalar data must have shape (3, 3, 3), got (2, 2, 2)",
+        ),
+        (lambda: FourierScalar.zero(_GRID) + FourierOneForm.zero(_GRID), ValueError, "field mismatch"),
+        (
+            lambda: FourierScalar.zero(_GRID) - FourierScalar.zero(ModeGrid(band=2)),
+            ValueError,
+            "field mismatch",
+        ),
+        (lambda: inner(FourierScalar.zero(_GRID), FourierOneForm.zero(_GRID)), ValueError, "field mismatch"),
+        (
+            lambda: inner(FourierScalar.zero(_GRID), FourierScalar.zero(ModeGrid((1.0, 1.0, 1.0), band=1))),
+            ValueError,
+            "field mismatch",
+        ),
+        (lambda: div(FourierScalar.zero(_GRID)), TypeError, "no divergence for FourierScalar"),
+    ],
+    ids=[
+        "band-0",
+        "zero-side",
+        "wrong-shape",
+        "add-other-type",
+        "subtract-other-grid",
+        "inner-other-type",
+        "inner-other-grid",
+        "div-of-scalar",
+    ],
+)
+def test_fields_reject_bad_input(call, error, message):
+    with pytest.raises(error, match=re.escape(message)):
+        call()

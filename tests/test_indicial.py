@@ -4,6 +4,7 @@ import dataclasses
 import io
 import json
 import math
+import re
 import tempfile
 from pathlib import Path
 
@@ -549,3 +550,17 @@ def test_root_tags_derive_from_case():
     assert stored == [
         "value", "case_tag", "origin_kind", "origin_j", "origin_eigenvalue", "jordan", "multiplicity"
     ]
+
+
+@pytest.mark.parametrize(
+    "call,message",
+    [
+        (lambda: mixed_a_roots(-1.0, 1), "scalar Hodge eigenvalue must be >= 0, got -1.0"),
+        (lambda: mixed_b_roots(-1.0, 1), "co-closed Hodge eigenvalue must be >= 0, got -1.0"),
+        (lambda: assemble_catalog(Sphere(), -1), "j_max must be nonnegative"),
+    ],
+    ids=["mixed-a-negative", "mixed-b-negative", "negative-jmax"],
+)
+def test_indicial_rejects_bad_input(call, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()

@@ -1,5 +1,6 @@
 import cmath
 import math
+import re
 
 import numpy as np
 import pytest
@@ -17,7 +18,6 @@ from indicyl.oracle import (
     ode_mixed_b,
     ode_tt_branch,
     pencil_roots,
-    polynomial_eigenvalues,
 )
 
 
@@ -43,13 +43,15 @@ def test_companion_tt_branch_example():
     assert abs(got[0] - 2) < 1e-12 and abs(got[1] - 4) < 1e-12
 
 
-def test_companion_rejects_singular_leading():
+def test_companion_drops_infinite_roots_of_singular_leading():
+    # det(I + lam I + lam^2 diag(1, 0)) = (1 + lam + lam^2)(1 + lam): the
+    # singular leading block leaves three finite roots and one infinite one.
     ode = OdeSystem((np.eye(2), np.eye(2), np.diag([1.0, 0.0])))
-    with pytest.raises(ValueError, match="singular"):
-        companion_roots(ode)
-    # The generalized path still returns the finite spectrum.
-    vals = polynomial_eigenvalues(ode)
-    assert len(vals) == 3
+    got = as_sorted(companion_roots(ode))
+    w = cmath.exp(2j * math.pi / 3)
+    expected = as_sorted([-1.0, w, w.conjugate()])
+    assert len(got) == 3
+    assert all(abs(g - e) < 1e-12 for g, e in zip(got, expected))
 
 
 def test_mixed_b_companion():
@@ -262,3 +264,24 @@ def test_ode_system_validation():
         OdeSystem((np.eye(2),))
     with pytest.raises(ValueError):
         OdeSystem((np.eye(2), np.eye(3)))
+
+
+@pytest.mark.parametrize(
+    "call,message",
+    [
+        (lambda: matrix_a(-1.0, 1), "scalar eigenvalue must be >= 0, got -1.0"),
+        (lambda: ode_tt_branch(-10.0, 1, +1), "no real branch rate for eigenvalue -10.0 at kappa=1"),
+        (lambda: ode_mixed_b(-1.0, 1), "co-closed eigenvalue must be >= 0, got -1.0"),
+        (lambda: compare_root_sets([1.0], [1.0], 0.0), "tolerance must be positive"),
+    ],
+    ids=["matrix-a-negative", "tt-branch-no-rate", "mixed-b-negative", "zero-tolerance"],
+)
+def test_oracle_rejects_bad_input(call, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()
+
+
+def test_compare_root_sets_with_nothing_expected():
+    # Nothing expected matches only when nothing was found.
+    assert compare_root_sets([], [], 1e-9) == oracle.RootSetComparison(0.0, True)
+    assert compare_root_sets([], [1.0], 1e-9) == oracle.RootSetComparison(0.0, False)

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -715,3 +716,39 @@ def test_geometry_kappa_and_validation():
     assert [type(L) for L in spectra.Torus((6, 6, 6)).lengths] == [float] * 3
     with pytest.raises(ValueError):
         spectra.Torus((1.0, -2.0, 3.0))
+
+
+_P7 = GroupAction(7, 1, 3)
+
+
+@pytest.mark.parametrize(
+    "call,message",
+    [
+        (lambda: spectra.Torus((1.0, 2.0)), "a torus needs three side lengths, got (1.0, 2.0)"),
+        (
+            lambda: spectra.Torus((1.0, 1e-100, 1.0)),
+            "torus side L2 = 1e-100 is too short: (2 pi / L)^2 must be at most 1e+200, i.e. L >= 6.283e-100",
+        ),
+        (lambda: torus_spectrum(CUBIC, 0.0), "cutoff must be a positive finite number, got 0.0"),
+        (lambda: torus_spectrum(CUBIC, math.inf), "cutoff must be a positive finite number, got inf"),
+        (lambda: torus_spectrum(CUBIC, math.nan), "cutoff must be a positive finite number, got nan"),
+        (lambda: sphere_scalar_eigenvalue(-1), "scalar harmonic index must be >= 0, got -1"),
+        (lambda: lens_scalar_multiplicity(_P7, -1), "scalar harmonic index must be >= 0, got -1"),
+        (lambda: lens_oneform_multiplicity(_P7, 0), "co-closed 1-form index must be >= 1, got 0"),
+        (lambda: lens_tt_multiplicity(_P7, 1), "TT tensor index must be >= 2, got 1"),
+    ],
+    ids=[
+        "torus-two-sides",
+        "torus-side-too-short",
+        "cutoff-zero",
+        "cutoff-inf",
+        "cutoff-nan",
+        "sphere-scalar-negative",
+        "lens-scalar-below-0",
+        "lens-oneform-below-1",
+        "lens-tt-below-2",
+    ],
+)
+def test_spectra_reject_bad_input(call, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()
