@@ -154,6 +154,8 @@ def _cross_section(args) -> spectra.Sphere | spectra.Torus | spectra.Hyperbolic:
         except ValueError as e:
             raise SystemExit2(f"--torus {args.torus}: {e}") from None
     if args.hyperbolic is not None:
+        if not args.hyperbolic:
+            raise SystemExit2("--hyperbolic needs a file path, got an empty string")
         return spectra.load_hyperbolic_spectrum(args.hyperbolic)
     if args.lens is not None:
         return spectra.Sphere(_lens_group(args.lens))

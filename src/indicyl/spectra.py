@@ -22,6 +22,8 @@ symmetric 2-tensors.
 from __future__ import annotations
 
 import math
+import os
+import stat
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -58,6 +60,10 @@ _EIG_TOL = 1e-12
 _LEVEL_TOL = 1e-9
 # Largest (2 pi / L)^2 of a torus side: every catalog's levels stay finite.
 _LEVEL_MAX = 1e200
+
+# Largest hyperbolic spectrum file read, in bytes; the 900-entry benchmark
+# file takes about 20 kB.
+SPECTRUM_FILE_CEILING = 64 * 2**20
 
 
 class SpectrumError(ValueError):
@@ -457,11 +463,29 @@ def load_hyperbolic_spectrum(path: str | Path) -> Hyperbolic:
     >= 3, with the recorded Codazzi dimension equal to the multiplicity at
     eigenvalue exactly 3.  Every malformed line raises SpectrumError naming
     path:lineno.
+
+    The path must name a regular file of at most SPECTRUM_FILE_CEILING
+    bytes; both are checked with stat before anything is read, and the read
+    stops one byte past the ceiling.
     """
     source = str(path)
     path = Path(path)
+    info = os.stat(path)
+    if not stat.S_ISREG(info.st_mode):
+        raise SpectrumError(f"{path}: not a regular file")
+    # A file that grows after stat, or misreports its size, is caught by
+    # the bounded read.
+    size = info.st_size
+    if size <= SPECTRUM_FILE_CEILING:
+        with open(path, "rb") as f:
+            data = f.read(SPECTRUM_FILE_CEILING + 1)
+        size = len(data)
+    if size > SPECTRUM_FILE_CEILING:
+        raise SpectrumError(
+            f"{path}: {size} bytes or more, above the spectrum file ceiling of {SPECTRUM_FILE_CEILING} bytes"
+        )
     try:
-        text = path.read_text(encoding="utf-8")
+        text = data.decode("utf-8")
     except UnicodeDecodeError as e:
         raise SpectrumError(f"{path}: not UTF-8 text (byte {e.start})") from None
     header: dict[str, int] = {}

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import types
 
 import numpy as np
 import pytest
@@ -183,6 +184,56 @@ def test_exit_code_3_on_malformed_file(tmp_path, capsys, content, lineno):
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
     if lineno is not None:
         assert f"{path}:{lineno}: " in captured.err
+
+
+@pytest.mark.parametrize("command", ["roots", "gap", "ks"])
+def test_empty_hyperbolic_path_exits_2_naming_the_flag(command, capsys):
+    code = cli.main([command, "--hyperbolic", ""])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == "error: --hyperbolic needs a file path, got an empty string\n"
+
+
+def _refuse_open(*args, **kwargs):
+    raise AssertionError("spectrum file opened")
+
+
+@pytest.mark.parametrize("kind", ["directory", "device"])
+def test_hyperbolic_path_not_a_regular_file_exits_3_before_any_read(kind, tmp_path, monkeypatch, capsys):
+    # stat alone refuses the path: the loader never opens it.
+    path = str(tmp_path) if kind == "directory" else os.devnull
+    monkeypatch.setattr(spectra, "open", _refuse_open, raising=False)
+    code = cli.main(["roots", "--hyperbolic", path])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.err == f"error: {path}: not a regular file\n"
+
+
+def test_hyperbolic_file_above_the_ceiling_exits_3(tmp_path, monkeypatch, capsys):
+    path = tmp_path / "spectrum.txt"
+    path.write_text(HYP_WITH_CODAZZI)
+    size = path.stat().st_size
+    monkeypatch.setattr(spectra, "SPECTRUM_FILE_CEILING", size)
+    assert cli.main(["roots", "--hyperbolic", str(path)]) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(spectra, "SPECTRUM_FILE_CEILING", size - 1)
+    monkeypatch.setattr(spectra, "open", _refuse_open, raising=False)
+    assert cli.main(["roots", "--hyperbolic", str(path)]) == 3
+    want = f"error: {path}: {size} bytes or more, above the spectrum file ceiling of {size - 1} bytes\n"
+    assert capsys.readouterr().err == want
+
+
+def test_hyperbolic_file_longer_than_its_stat_size_is_read_bounded(tmp_path, monkeypatch, capsys):
+    # A file that stat reports as empty, as some kernel files do, is still
+    # read at most one byte past the ceiling.
+    path = tmp_path / "spectrum.txt"
+    path.write_text(HYP_WITH_CODAZZI)
+    empty = os.stat_result((0o100644,) + (0,) * 9)
+    monkeypatch.setattr(spectra, "os", types.SimpleNamespace(stat=lambda p: empty))
+    monkeypatch.setattr(spectra, "SPECTRUM_FILE_CEILING", 10)
+    assert cli.main(["roots", "--hyperbolic", str(path)]) == 3
+    want = f"error: {path}: 11 bytes or more, above the spectrum file ceiling of 10 bytes\n"
+    assert capsys.readouterr().err == want
 
 
 def test_gap_sphere(capsys):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 
@@ -194,8 +195,11 @@ def test_slab_errors_reach_the_caller(monkeypatch):
 # 36-slot pair matrix with the spatial Ricci contraction by tensordot,
 # single-threaded FFTs, and the battery loop on a validated flat product
 # with its norms taken inside the loop, each as the square root of numpy's
-# pairwise sum of squares.  Its index tables and helpers are its own; only
-# the sampling of the variation is shared with production.
+# pairwise sum of squares.  The battery differentiates each variation s
+# once and feeds I +- eps s the derivatives scaled by +-eps; a general
+# metric is its own variation at factor 1.  Its index tables and helpers
+# are its own; only the sampling of the variation is shared with
+# production.
 
 _E_SYM = tuple((a, b) for a in range(4) for b in range(a, 4))
 _E_SYM_INDEX = np.empty((4, 4), dtype=int)
@@ -254,12 +258,13 @@ def eager_sym_inverse(g):
     return np.stack([cof[slot] for slot in _E_SYM]) * inv_det
 
 
-def eager_curvature(g, periods):
-    """(ginv_sym, gamma_sym, riemann_packed, ricci_sym, scalar) of the
-    (..., 4, 4) metric samples g."""
+def eager_derivatives(g_sym, periods):
+    """(twice the first-kind symbols (4, 10, ...), the second-derivative
+    block of the packed Riemann components (21, ...)) of the (10, ...)
+    components g_sym: the part of the curvature linear in the metric."""
     import scipy.fft
 
-    grid_shape = g.shape[:4]
+    grid_shape = g_sym.shape[1:]
     ik = []
     for mu in range(4):
         n = grid_shape[mu]
@@ -271,17 +276,13 @@ def eager_curvature(g, periods):
         shape[mu] = len(freq)
         ik.append(1j * freq.reshape(shape))
     S = _E_SYM_INDEX
-    g_sym = np.stack([g[..., a, b] for a, b in _E_SYM])
-    ginv_sym = eager_sym_inverse(g_sym)
 
     gk = scipy.fft.rfftn(g_sym, axes=(1, 2, 3, 4), workers=1)
     that = np.empty((4, 10) + gk.shape[1:], dtype=complex)
     for s in range(4):
         for c, (mm, nn) in enumerate(_E_SYM):
             that[s, c] = ik[mm] * gk[S[s, nn]] + ik[nn] * gk[S[s, mm]] - ik[s] * gk[S[mm, nn]]
-    gam_low = scipy.fft.irfftn(that, s=grid_shape, axes=(2, 3, 4, 5), workers=1)
-    gam_low *= 0.5
-    gamma_sym = np.einsum("rs...,sc...->rc...", ginv_sym[S], gam_low)
+    first_kind = scipy.fft.irfftn(that, s=grid_shape, axes=(2, 3, 4, 5), workers=1)
 
     shat = np.empty((len(_E_PACKED),) + gk.shape[1:], dtype=complex)
     for col, (P, Q) in enumerate(_E_PACKED):
@@ -293,7 +294,18 @@ def eager_curvature(g, periods):
             - ik[s] * ik[nn] * gk[S[r, mm]]
             - ik[r] * ik[mm] * gk[S[s, nn]]
         )
-    riemann = scipy.fft.irfftn(shat, s=grid_shape, axes=(1, 2, 3, 4), workers=1)
+    return first_kind, scipy.fft.irfftn(shat, s=grid_shape, axes=(1, 2, 3, 4), workers=1)
+
+
+def eager_pointwise(g_sym, derivatives, c):
+    """(ginv_sym, gamma_sym, riemann_packed) of the metric components g_sym
+    whose derivative stage is c times derivatives."""
+    S = _E_SYM_INDEX
+    first_kind, linear = derivatives
+    ginv_sym = eager_sym_inverse(g_sym)
+    gam_low = first_kind * (0.5 * c)
+    gamma_sym = np.einsum("rs...,sc...->rc...", ginv_sym[S], gam_low)
+    riemann = c * linear
 
     def gam_dot(lo, up):
         return np.einsum("q...,q...->...", gam_low[:, lo], gamma_sym[:, up])
@@ -302,7 +314,15 @@ def eager_curvature(g, periods):
         r, s = _ORACLE_PAIRS[P]
         mm, nn = _ORACLE_PAIRS[Q]
         riemann[col] += gam_dot(S[r, nn], S[s, mm]) - gam_dot(S[r, mm], S[s, nn])
+    return ginv_sym, gamma_sym, riemann
 
+
+def eager_curvature(g, periods):
+    """(ginv_sym, gamma_sym, riemann_packed, ricci_sym, scalar) of the
+    (..., 4, 4) metric samples g, differentiated themselves (c = 1)."""
+    S = _E_SYM_INDEX
+    g_sym = np.stack([g[..., a, b] for a, b in _E_SYM])
+    ginv_sym, gamma_sym, riemann = eager_pointwise(g_sym, eager_derivatives(g_sym, periods), 1.0)
     ricci_sym = np.zeros_like(g_sym)
     for c, (s, n) in enumerate(_E_SYM):
         for a in range(4):
@@ -347,19 +367,23 @@ def eager_norm(x):
 
 def eager_fd_errors(ht, eps_values, shape):
     periods = (2 * math.pi,) + ht.grid.lengths
-    sample = unpack(C.sample_cyl_tensor(ht, shape, periods))
+    sample_sym = C.sample_cyl_tensor(ht, shape, periods)
+    sample = unpack(sample_sym)
     base = np.zeros(tuple(shape) + (4, 4))
     base[..., range(4), range(4)] = 1.0
     np.linalg.cholesky(base)
     exact = C.sample_cross_section_tensor(F.linearized_weyl(ht), shape, periods)
     den = eager_norm(exact)
+    # The identity has zero derivatives: I +- eps s takes +-eps times the
+    # derivative stage of s.
+    derivatives = eager_derivatives(sample_sym, periods)
     out = []
     for eps in eps_values:
         plus, minus = base + eps * sample, base - eps * sample
         np.linalg.cholesky(plus)
         np.linalg.cholesky(minus)
-        m_plus = eager_asd(eager_curvature(plus, periods)[2])
-        m_minus = eager_asd(eager_curvature(minus, periods)[2])
+        m_plus = eager_asd(eager_pointwise(pack(plus), derivatives, eps)[2])
+        m_minus = eager_asd(eager_pointwise(pack(minus), derivatives, -eps)[2])
         num = eager_norm((m_plus - m_minus) / (2 * eps) - exact)
         assert den >= 1e-12 * max(1.0, eager_norm(sample))
         out.append(num / den)
@@ -381,6 +405,35 @@ def test_fd_battery_matches_eager_loop_bitwise():
     eps_values = [1e-4, 5e-5]
     got = C.fd_linearization_errors(ht, eps_values, shape=(8, 8, 8, 8))
     assert got == eager_fd_errors(ht, eps_values, (8, 8, 8, 8))
+
+
+@pytest.mark.parametrize("eps", [1e-4, -1e-4, 5e-5])
+def test_shared_derivatives_match_full_engine_to_rounding(eps):
+    # I + eps s built by identity_plus takes eps times the derivative stage
+    # of s; a general metric transforms I + eps s itself, whose rounding
+    # error is relative to the identity's unit entries, about 2e-15 at 8^4
+    # against an anti-self-dual block of order 1e-4.
+    ht = C.linearization_battery(seed=11, band=1)[5]
+    periods = (2 * math.pi,) + ht.grid.lengths
+    shape = (8, 8, 8, 8)
+    derivatives = C.derivative_stage(periods, C.sample_cyl_tensor(ht, shape, periods))
+    shared = C.asd_form_background(C.christoffel_riemann(C.MetricGrid4D.identity_plus(derivatives, eps)))
+    full_metric = C.MetricGrid4D(periods, pack(flat(shape)) + eps * derivatives.sample)
+    full = C.asd_form_background(C.christoffel_riemann(full_metric))
+    assert np.max(np.abs(full)) > 1e-5
+    assert np.max(np.abs(shared - full)) <= 1e-14
+    # Only identity_plus attaches a derivative stage.
+    with pytest.raises(TypeError):
+        C.MetricGrid4D(periods, full_metric.g, derivatives=derivatives)
+
+
+def test_curvature_grid_holds_no_inverse_until_asked():
+    m = random_metric((8, 8, 8, 8), seed=21)
+    curv = C.christoffel_riemann(m)
+    assert [f.name for f in dataclasses.fields(curv)] == ["metric", "riemann_packed", "first_kind", "scale"]
+    assert "ginv_sym" not in vars(curv)
+    assert np.array_equal(curv.ginv_sym, eager_sym_inverse(m.g))
+    assert "ginv_sym" in vars(curv)
 
 
 @pytest.mark.parametrize("shape", [(8, 8, 8, 8), (6, 8, 8, 8)], ids=["even", "uneven"])
@@ -414,8 +467,9 @@ def test_curvature_working_set_is_bounded():
     # One 16^4 evaluation with its anti-self-dual block allocates at most
     # this many times its metric in traced arrays.  With one CPU every
     # stage runs inline, so the count does not depend on the machine.  The
-    # engine stores 36 components (inverse metric, first-kind symbols and
-    # the packed Riemann tensor), 3.6 metrics; at 16^4 the peak is 10.0.
+    # engine keeps 61 components (the first-kind symbols and the packed
+    # Riemann tensor), 6.1 metrics, and no inverse metric; at 16^4 the
+    # peak is 7.77.
     import tracemalloc
 
     ht = C.linearization_battery(seed=11, band=2)[8]
@@ -432,7 +486,7 @@ def test_curvature_working_set_is_bounded():
             _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak - base < 10.5 * m.g.nbytes
+    assert peak - base < 8.0 * m.g.nbytes
 
 
 def ifftn_evaluate_terms(field, picks, shape, periods):
