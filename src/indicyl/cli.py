@@ -85,7 +85,7 @@ def _json(obj) -> str:
 
 
 def _write(text: str, args) -> None:
-    if getattr(args, "out", None):
+    if args.out is not None:
         with open(args.out, "w") as fh:
             fh.write(text)
     else:
@@ -124,6 +124,11 @@ def _parse_triple(text: str, kind, flag: str):
 # catalog takes 1-2 s.
 JMAX_CEILING = 1000
 LENS_ORDER_CEILING = 10**9
+
+
+def _check_out(out: str | None) -> None:
+    if out == "":
+        raise SystemExit2("--out needs a file path, got an empty string")
 
 
 def _check_jmax(jmax: int) -> None:
@@ -583,6 +588,7 @@ def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
     try:
+        _check_out(args.out)
         _check_jmax(args.jmax)
         return args.func(args)
     except indicial.VerificationError as e:

@@ -30,7 +30,12 @@ is linear in the metric; the pointwise stage (the inverse metric and the
 term quadratic in the first-kind symbols) is not.  The identity has zero
 derivatives, so the derivative stage of I + c s is exactly c times that of
 s: the finite-difference battery differentiates each variation s once and
-shares the result across its evaluations at c = +-eps.
+shares the result across its evaluations at c = +-eps.  A sampled variation
+is differentiated on its coefficient box, the few Fourier modes it holds:
+its derivative spectra are formed on the box without a forward FFT, and
+each group of them is inverted by a pruned transform that skips the grid
+lines holding no coefficient, as sampling does.  Any other metric is
+differentiated through its full rfftn.
 
 Threads: the engine's FFTs, and its pointwise stages together with the
 metric validation and the anti-self-dual block, run on every CPU the
@@ -69,6 +74,8 @@ __all__ = [
     "derivative_stage",
     "asd_form_background",
     "sample_cyl_tensor",
+    "cyl_tensor_spectrum",
+    "Spectrum",
     "sample_cross_section_tensor",
 ]
 
@@ -111,14 +118,20 @@ class MetricGrid4D:
         # The comparisons are written so that NaN fails them.
         if len(self.periods) != 4 or not all(0 < p < math.inf for p in self.periods):
             raise ValueError(f"periods must be four positive finite numbers, got {self.periods}")
-        a = dict(zip(_SYM, self.g))
+        chunk_points = _chunk_points(self.shape)
 
         def check(sl):
-            # Finiteness, then Sylvester's criterion on the finite samples.
-            if not np.all(np.isfinite(self.g[:, sl])):
-                return False, False
-            minors = _leading_minors({slot: c[sl] for slot, c in a.items()})
-            return True, all(np.all(d > 0) for d in minors)
+            # Finiteness, then Sylvester's criterion on the finite samples,
+            # on chunks of the slab's points, so that the minors' temporaries
+            # stay small whatever the grid.
+            g = self.g[:, sl].reshape(10, -1)
+            positive = True
+            for lo in range(0, g.shape[1], chunk_points):
+                chunk = g[:, lo : lo + chunk_points]
+                if not np.all(np.isfinite(chunk)):
+                    return False, False
+                positive = positive and all(np.all(d > 0) for d in _leading_minors(dict(zip(_SYM, chunk))))
+            return True, positive
 
         finite, positive = zip(*_on_slabs(check, self.shape))
         if not all(finite):
@@ -303,8 +316,9 @@ class CurvatureGrid:
         return _unpack_sym(self.ricci_sym)
 
 
-def _ik_factors(periods, grid_shape):
-    """Broadcastable i*k multipliers for each coordinate on the half-spectrum."""
+def _ik_factors(periods, grid_shape, positions):
+    """Broadcastable i*k multipliers for each coordinate at the given grid
+    positions, the last axis on the half-spectrum."""
     out = []
     for mu in range(4):
         n = grid_shape[mu]
@@ -313,8 +327,8 @@ def _ik_factors(periods, grid_shape):
         else:
             freq = 2 * math.pi * np.fft.rfftfreq(n, d=1.0 / n) / periods[mu]
         shape = [1] * 4
-        shape[mu] = len(freq)
-        out.append(1j * freq.reshape(shape))
+        shape[mu] = len(positions[mu])
+        out.append(1j * freq[positions[mu]].reshape(shape))
     return out
 
 
@@ -374,6 +388,78 @@ def _chunk_points(grid_shape) -> int:
 
 
 @dataclass(frozen=True, eq=False)
+class Spectrum:
+    """Fourier coefficients of a real sampled field on a box of grid modes.
+
+    coefficients[:, i, j, k, l] is the field's rfftn over its four grid
+    axes at the grid position (positions[0][i], positions[1][j],
+    positions[2][k], positions[3][l]); every position outside the box holds
+    zero.  The last axis is rfftn's half spectrum and its positions run
+    0, 1, ... up; an axis with as many positions as grid points holds them
+    in order.
+    """
+
+    coefficients: np.ndarray           # (C, m0, m1, m2, m3), complex
+    positions: tuple[np.ndarray, ...]  # 4 integer arrays of grid positions
+
+
+def _widen(x: np.ndarray, axis: int, positions, n: int, last: int | None = None) -> np.ndarray:
+    """A new zero array holding x's entries at positions along the given
+    axis, which it widens to n grid points.  Every other axis keeps x's
+    length, except that a given last widens the last axis to last points,
+    with x's entries first."""
+    shape = list(x.shape)
+    shape[axis] = n
+    where = [slice(None)] * x.ndim
+    if last is not None:
+        shape[-1], where[-1] = last, slice(0, x.shape[-1])
+    where[axis] = positions
+    wide = np.zeros(shape, dtype=complex)
+    wide[tuple(where)] = x
+    return wide
+
+
+def _pruned_irfftn(coefficients: np.ndarray, positions, grid_shape, workers: int) -> np.ndarray:
+    """scipy.fft.irfftn over axes 1-4, to grid_shape, of a box of
+    coefficients at the given positions of the half spectrum, zeros
+    elsewhere, bit for bit.
+
+    irfftn transforms the complex axes 1, 2 and 3 in that order, then runs
+    the c2r on axis 4 and scales by 1/N in that pass.  Here the leading
+    axes up to the last one narrower than the grid are transformed one at a
+    time, each widened to its grid size right before its own transform, so
+    that only lines that hold a nonzero coefficient are transformed (the
+    transform of an all-zero line is zero).  The last of them is also
+    padded to the half spectrum on axis 4 and transformed in place on its
+    leading entries there, so that the remaining axes go to one irfftn
+    that copies nothing.  These transforms are unscaled, and the 1/N
+    follows as the same single product.  A box as wide as the grid on the
+    leading axes is one irfftn.
+    """
+    import scipy.fft
+
+    axes = (1, 2, 3, 4)
+    lead = max((axis for axis in axes[:3] if coefficients.shape[axis] < grid_shape[axis - 1]), default=0)
+    if not lead:
+        return scipy.fft.irfftn(coefficients, s=grid_shape, axes=axes, workers=workers)
+    x = coefficients
+    for axis in axes[: lead - 1]:
+        n = grid_shape[axis - 1]
+        fresh = x.shape[axis] < n
+        if fresh:
+            x = _widen(x, axis, positions[axis - 1], n)
+        x = scipy.fft.ifft(x, axis=axis, norm="forward", overwrite_x=fresh, workers=workers)
+    padded = _widen(x, lead, positions[lead - 1], grid_shape[lead - 1], last=grid_shape[3] // 2 + 1)
+    view = padded[..., : x.shape[-1]]
+    done = scipy.fft.ifft(view, axis=lead, norm="forward", overwrite_x=True, workers=workers)
+    if not np.may_share_memory(done, padded):  # transformed out of place after all
+        view[...] = done
+    out = scipy.fft.irfftn(padded, s=grid_shape[lead:], axes=axes[lead:], norm="forward", workers=workers)
+    out *= 1.0 / math.prod(grid_shape)
+    return out
+
+
+@dataclass(frozen=True, eq=False)
 class Derivatives:
     """The derivative stage of a sampled symmetric field s (10, ...): the
     second-derivative block of its 21 packed Riemann components and twice
@@ -385,13 +471,22 @@ class Derivatives:
     first_kind: tuple[np.ndarray, ...]  # 4 x (10, ...) 2 Gam_{s,mn}, slots _SYM
 
 
-def derivative_stage(periods, sample: np.ndarray) -> Derivatives:
+def derivative_stage(periods, sample: np.ndarray, spectrum: Spectrum | None = None) -> Derivatives:
     """The part of the curvature engine that is linear in the metric, from
-    spectral derivatives assembled on the half-spectrum (exact for
-    band-limited samples):
+    spectral derivatives (exact for band-limited samples):
 
         L_rsmn = 1/2 (s_rn,sm + s_sm,rn - s_rm,sn - s_sn,rm)
         2 Gam_{s,mn} = s_sn,m + s_sm,n - s_mn,s.
+
+    The derivative spectra are the products of the sample's spectrum with
+    the i*k factors at its grid positions.  A sampled variation passes the
+    spectrum of the coefficient box it was sampled from (see
+    cyl_tensor_spectrum): its derivative spectra are formed on the box
+    alone, with no forward FFT, and each group of them (the 21 Riemann
+    components, then the 10 first-kind symbols of each derivative index)
+    is inverted by one pruned transform (see _pruned_irfftn).  Without a
+    spectrum the sample's full rfftn serves, every position in it, and
+    each inverse is one irfftn.
 
     The FFTs are split by pocketfft into whole lines per thread, and the
     derivative spectra are formed on slabs of the spectrum's first axis
@@ -401,10 +496,15 @@ def derivative_stage(periods, sample: np.ndarray) -> Derivatives:
 
     workers = _fft_workers()
     grid_shape = sample.shape[1:]
-    ik = _ik_factors(periods, grid_shape)
+    if spectrum is None:
+        gk = scipy.fft.rfftn(sample, axes=(1, 2, 3, 4), workers=workers)
+        positions = tuple(np.arange(m) for m in gk.shape[1:])
+    else:
+        gk, positions = spectrum.coefficients, spectrum.positions
+    ik = _ik_factors(periods, grid_shape, positions)
     S = _SYM_INDEX
-    gk = scipy.fft.rfftn(sample, axes=(1, 2, 3, 4), workers=workers)
     spectrum_shape = gk.shape[1:]
+    inverse = partial(_pruned_irfftn, positions=positions, grid_shape=grid_shape, workers=workers)
 
     # The second-derivative block first, while no Christoffel array exists.
     # Each component is summed term by term in its slot of shat.
@@ -424,7 +524,7 @@ def derivative_stage(periods, sample: np.ndarray) -> Derivatives:
             acc *= 0.5
 
     _on_slabs(second_derivatives, spectrum_shape)
-    riemann = scipy.fft.irfftn(shat, s=grid_shape, axes=(1, 2, 3, 4), workers=workers)
+    riemann = inverse(shat)
     del shat
 
     # Twice the first-kind symbols, one derivative index s at a time, kept
@@ -445,7 +545,7 @@ def derivative_stage(periods, sample: np.ndarray) -> Derivatives:
         _on_slabs(partial(first_kind_spectra, s), spectrum_shape)
         if s == 3:
             del gk  # read for the last time; gone before the last transform
-        first_kind.append(scipy.fft.irfftn(that, s=grid_shape, axes=(1, 2, 3, 4), workers=workers))
+        first_kind.append(inverse(that))
     return Derivatives(tuple(periods), sample, riemann, tuple(first_kind))
 
 
@@ -643,15 +743,13 @@ def _term_time_index(rate: complex, nt: int, t_period: float) -> int:
     return kint % nt
 
 
-def _evaluate_terms(field, picks, shape, periods) -> np.ndarray:
-    """Evaluate the components picks = ((part, index), ...) of a cylinder
-    field on the grid, as contiguous (len(picks), Nt, N1, N2, N3) real
-    values."""
-    import scipy.fft
-
+def _coefficient_box(field, picks, shape, periods) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+    """The coefficients of the components picks = ((part, index), ...) of a
+    cylinder field, gathered into a compact box (len(picks), times, size,
+    size, size), and the grid position of each box index along each axis:
+    the time frequencies that occur (in order of first occurrence) and the
+    spatial modes -band..band (mode m at position m mod n)."""
     nt = shape[0]
-    # The coefficients, gathered into a compact box of the time frequencies
-    # that occur (in order of first occurrence) and spatial modes -band..band.
     terms = []
     for (rk, d), slot in field.terms.items():
         if d != 0:
@@ -661,18 +759,26 @@ def _evaluate_terms(field, picks, shape, periods) -> np.ndarray:
     box = np.zeros((len(picks), len(times)) + (field.grid.size,) * 3, dtype=complex)
     for kt, slot in terms:
         box[:, times.index(kt)] += np.stack([slot[part].data[index] for part, index in picks])
-    # One axis at a time, last axis first, as np.fft.ifftn does, each axis
-    # widened to its grid size (mode -band..band sits at index mode mod n)
-    # right before its transform.  So only lines that hold a nonzero
-    # coefficient are transformed, the FFT of an all-zero line is zero, and
-    # the values are bitwise those of np.fft.ifftn of the whole box.  The
-    # lines of each axis are split between the CPUs.
     modes = np.arange(field.grid.size) - field.grid.band
+    return box, (np.array(times, dtype=int),) + tuple(np.mod(modes, n) for n in shape[1:])
+
+
+def _evaluate_terms(field, picks, shape, periods) -> np.ndarray:
+    """Evaluate the components picks = ((part, index), ...) of a cylinder
+    field on the grid, as contiguous (len(picks), Nt, N1, N2, N3) real
+    values."""
+    import scipy.fft
+
+    box, positions = _coefficient_box(field, picks, shape, periods)
+    # One axis at a time, last axis first, as np.fft.ifftn does, each axis
+    # widened to its grid size right before its transform.  So only lines
+    # that hold a nonzero coefficient are transformed, the FFT of an
+    # all-zero line is zero, and the values are bitwise those of
+    # np.fft.ifftn of the whole box.  The lines of each axis are split
+    # between the CPUs.
     workers = _fft_workers()
-    for axis, index in ((4, modes), (3, modes), (2, modes), (1, times)):
-        n = shape[axis - 1]
-        wide = np.zeros(box.shape[:axis] + (n,) + box.shape[axis + 1 :], dtype=complex)
-        wide[(slice(None),) * axis + (np.mod(index, n),)] = box
+    for axis in (4, 3, 2, 1):
+        wide = _widen(box, axis, positions[axis - 1], shape[axis - 1])
         box = scipy.fft.ifft(wide, axis=axis, overwrite_x=True, workers=workers)
     box *= np.prod(shape)
     axes = (1, 2, 3, 4)
@@ -682,15 +788,43 @@ def _evaluate_terms(field, picks, shape, periods) -> np.ndarray:
     return np.ascontiguousarray(box.real)
 
 
+def _real_part_spectrum(box: np.ndarray, positions, shape) -> Spectrum:
+    """The spectrum of the values _evaluate_terms makes from a coefficient
+    box: the real part of the field with grid spectrum F = N box, whose
+    rfftn is the Hermitian part 1/2 (F(k) + conj F(-k)) on k3 >= 0.
+
+    It is formed on the box alone.  The time positions are joined by their
+    negatives; the spatial modes -band..band are their own negatives,
+    reversed.
+    """
+    nt = shape[0]
+    times = np.union1d(positions[0], -positions[0] % nt)
+    full = _widen(box, 1, np.searchsorted(times, positions[0]), len(times))
+    band = box.shape[-1] // 2
+    mirror = full[:, np.searchsorted(times, -times % nt), ::-1, ::-1, band::-1]
+    half = full[..., band:] + np.conj(mirror)
+    half *= 0.5 * math.prod(shape)
+    return Spectrum(half, (times,) + positions[1:3] + (np.arange(band + 1),))
+
+
+_CYL_PICKS = tuple(
+    ("h00", ()) if b == 0 else ("alpha", (b - 1,)) if a == 0 else ("h", (a - 1, b - 1)) for a, b in _SYM
+)
+
+
 def sample_cyl_tensor(ht: CylTensor, shape, periods) -> np.ndarray:
     """Sample a t-periodic cylinder 2-tensor as its 10 components (a <= b,
     in _SYM order) on the grid, (10, Nt, N1, N2, N3)."""
     _check_sampling(ht.grid, shape, periods)
-    picks = [
-        ("h00", ()) if b == 0 else ("alpha", (b - 1,)) if a == 0 else ("h", (a - 1, b - 1))
-        for a, b in _SYM
-    ]
-    return _evaluate_terms(ht, picks, shape, periods)
+    return _evaluate_terms(ht, _CYL_PICKS, shape, periods)
+
+
+def cyl_tensor_spectrum(ht: CylTensor, shape, periods) -> Spectrum:
+    """The spectrum of sample_cyl_tensor(ht, shape, periods) on the box of
+    ht's modes: the rfftn of those values up to their rounding, formed from
+    ht's coefficients without a transform."""
+    _check_sampling(ht.grid, shape, periods)
+    return _real_part_spectrum(*_coefficient_box(ht, _CYL_PICKS, shape, periods), shape)
 
 
 def sample_cross_section_tensor(ct: CylTensor, shape, periods) -> np.ndarray:
@@ -740,7 +874,9 @@ def fd_linearization_errors(
     # One derivative stage of the variation serves every evaluation, and
     # each metric is built right before its own evaluation, so that only
     # one is alive at a time.  Each step keeps only m_+ - m_-.
-    derivatives = derivative_stage(periods, sample_cyl_tensor(ht, shape, periods))
+    derivatives = derivative_stage(
+        periods, sample_cyl_tensor(ht, shape, periods), cyl_tensor_spectrum(ht, shape, periods)
+    )
     differences = []
     for eps in eps_values:
         diff = asd_form_background(christoffel_riemann(MetricGrid4D.identity_plus(derivatives, eps)))

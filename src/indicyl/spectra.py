@@ -465,21 +465,27 @@ def load_hyperbolic_spectrum(path: str | Path) -> Hyperbolic:
     path:lineno.
 
     The path must name a regular file of at most SPECTRUM_FILE_CEILING
-    bytes; both are checked with stat before anything is read, and the read
-    stops one byte past the ceiling.
+    bytes.  It is opened without blocking, and both are checked on the open
+    descriptor before anything is read, so the file checked is the file
+    read: a FIFO swapped in for the path is refused, not waited on.  The
+    read stops one byte past the ceiling.
     """
     source = str(path)
     path = Path(path)
-    info = os.stat(path)
-    if not stat.S_ISREG(info.st_mode):
-        raise SpectrumError(f"{path}: not a regular file")
-    # A file that grows after stat, or misreports its size, is caught by
-    # the bounded read.
-    size = info.st_size
-    if size <= SPECTRUM_FILE_CEILING:
-        with open(path, "rb") as f:
-            data = f.read(SPECTRUM_FILE_CEILING + 1)
-        size = len(data)
+    fd = os.open(path, os.O_RDONLY | os.O_NONBLOCK)
+    try:
+        info = os.fstat(fd)
+        if not stat.S_ISREG(info.st_mode):
+            raise SpectrumError(f"{path}: not a regular file")
+        # A file that grows after fstat, or misreports its size, is caught
+        # by the bounded read.
+        size = info.st_size
+        if size <= SPECTRUM_FILE_CEILING:
+            with os.fdopen(fd, "rb", closefd=False) as f:
+                data = f.read(SPECTRUM_FILE_CEILING + 1)
+            size = len(data)
+    finally:
+        os.close(fd)
     if size > SPECTRUM_FILE_CEILING:
         raise SpectrumError(
             f"{path}: {size} bytes or more, above the spectrum file ceiling of {SPECTRUM_FILE_CEILING} bytes"

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 import types
 
 import numpy as np
@@ -223,17 +224,52 @@ def test_hyperbolic_file_above_the_ceiling_exits_3(tmp_path, monkeypatch, capsys
     assert capsys.readouterr().err == want
 
 
+class _OsWith(types.SimpleNamespace):
+    """The os module with the given functions replaced."""
+
+    def __getattr__(self, name):
+        return getattr(os, name)
+
+
 def test_hyperbolic_file_longer_than_its_stat_size_is_read_bounded(tmp_path, monkeypatch, capsys):
-    # A file that stat reports as empty, as some kernel files do, is still
+    # A file that fstat reports as empty, as some kernel files do, is still
     # read at most one byte past the ceiling.
     path = tmp_path / "spectrum.txt"
     path.write_text(HYP_WITH_CODAZZI)
     empty = os.stat_result((0o100644,) + (0,) * 9)
-    monkeypatch.setattr(spectra, "os", types.SimpleNamespace(stat=lambda p: empty))
+    monkeypatch.setattr(spectra, "os", _OsWith(fstat=lambda fd: empty))
     monkeypatch.setattr(spectra, "SPECTRUM_FILE_CEILING", 10)
     assert cli.main(["roots", "--hyperbolic", str(path)]) == 3
     want = f"error: {path}: 11 bytes or more, above the spectrum file ceiling of 10 bytes\n"
     assert capsys.readouterr().err == want
+
+
+def test_hyperbolic_fifo_swapped_in_after_a_path_check_exits_3_without_blocking(tmp_path, monkeypatch):
+    # A check by path name would still see the regular file that was there
+    # a moment before; the loader must check what it opened, and opening a
+    # FIFO must not wait for a writer.  The call runs on a daemon thread, so
+    # that a loader that blocks fails this test instead of hanging it.
+    fifo = tmp_path / "spectrum.txt"
+    os.mkfifo(fifo)
+    regular = os.stat_result((0o100644, 0, 0, 0, 0, 0, len(HYP_WITH_CODAZZI), 0, 0, 0))
+    monkeypatch.setattr(spectra, "os", _OsWith(stat=lambda *args, **kwargs: regular))
+    outcome = []
+
+    def load():
+        try:
+            spectra.load_hyperbolic_spectrum(fifo)
+        except spectra.SpectrumError as e:
+            outcome.append(str(e))
+
+    thread = threading.Thread(target=load, daemon=True)
+    thread.start()
+    thread.join(5)
+    try:
+        assert not thread.is_alive(), "the loader blocked on a FIFO"
+    finally:
+        if thread.is_alive():  # release it: a writer end lets the open return
+            os.close(os.open(fifo, os.O_WRONLY | os.O_NONBLOCK))
+    assert outcome == [f"{fifo}: not a regular file"]
 
 
 def test_gap_sphere(capsys):
@@ -655,6 +691,31 @@ def test_out_flag_writes_file(tmp_path, capsys):
     assert code == 0 and out == ""
     doc = json.loads(target.read_text())
     assert doc["command"] == "roots"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["roots", "--sphere", "--jmax", "1"],
+        ["gap", "--sphere"],
+        ["ks", "--sphere"],
+        ["lens", "--lens", "5,1,2"],
+        ["verify", "oracle"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_empty_out_exits_2_naming_the_flag(argv, monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("work started on an empty --out")
+
+    monkeypatch.setattr(cli, "run_oracle", refuse)
+    monkeypatch.setattr(indicial, "assemble_catalog", refuse)
+    monkeypatch.setattr(spectra, "lens_scalar_multiplicity", refuse)
+    for flags in (["--out", ""], ["--out="]):
+        code = cli.main(argv + flags)
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == "error: --out needs a file path, got an empty string\n"
 
 
 def run_python(*args, env=None, preexec_fn=None):

@@ -197,9 +197,10 @@ def test_slab_errors_reach_the_caller(monkeypatch):
 # with its norms taken inside the loop, each as the square root of numpy's
 # pairwise sum of squares.  The battery differentiates each variation s
 # once and feeds I +- eps s the derivatives scaled by +-eps; a general
-# metric is its own variation at factor 1.  Its index tables and helpers
-# are its own; only the sampling of the variation is shared with
-# production.
+# metric is its own variation at factor 1; the variation's derivatives
+# come from its coefficients, scattered into the zero-padded half spectrum
+# and inverted by whole irfftn calls.  Its index tables and helpers are its
+# own; only the sampling of the variation is shared with production.
 
 _E_SYM = tuple((a, b) for a in range(4) for b in range(a, 4))
 _E_SYM_INDEX = np.empty((4, 4), dtype=int)
@@ -264,7 +265,32 @@ def eager_derivatives(g_sym, periods):
     components g_sym: the part of the curvature linear in the metric."""
     import scipy.fft
 
-    grid_shape = g_sym.shape[1:]
+    gk = scipy.fft.rfftn(g_sym, axes=(1, 2, 3, 4), workers=1)
+    return eager_spectrum_derivatives(gk, g_sym.shape[1:], periods)
+
+
+def eager_half_spectrum(ht, shape, periods):
+    """The rfftn of the sampled variation ht, from its coefficients alone:
+    every term scattered into the zero-padded grid spectrum F of the complex
+    field, then the Hermitian part 1/2 (F(k) + conj F(-k)), times the
+    number of grid points, on the half spectrum."""
+    picks = [("h00", ()) if b == 0 else ("alpha", (b - 1,)) if a == 0 else ("h", (a - 1, b - 1)) for a, b in _E_SYM]
+    F = np.zeros((len(picks),) + tuple(shape), dtype=complex)
+    modes = np.arange(ht.grid.size) - ht.grid.band
+    where = (slice(None),) + np.ix_(*[modes % n for n in shape[1:]])
+    for slot in ht.terms.values():
+        kt = round(slot["rate"].imag * periods[0] / (2 * math.pi)) % shape[0]
+        F[:, kt][where] += np.stack([slot[part].data[index] for part, index in picks])
+    mirror = F[(slice(None),) + np.ix_(*[-np.arange(n) % n for n in shape])]
+    half = (F + np.conj(mirror))[..., : shape[3] // 2 + 1]
+    half *= 0.5 * math.prod(shape)
+    return half
+
+
+def eager_spectrum_derivatives(gk, grid_shape, periods):
+    """eager_derivatives of the field whose rfftn is gk."""
+    import scipy.fft
+
     ik = []
     for mu in range(4):
         n = grid_shape[mu]
@@ -277,7 +303,6 @@ def eager_derivatives(g_sym, periods):
         ik.append(1j * freq.reshape(shape))
     S = _E_SYM_INDEX
 
-    gk = scipy.fft.rfftn(g_sym, axes=(1, 2, 3, 4), workers=1)
     that = np.empty((4, 10) + gk.shape[1:], dtype=complex)
     for s in range(4):
         for c, (mm, nn) in enumerate(_E_SYM):
@@ -375,8 +400,8 @@ def eager_fd_errors(ht, eps_values, shape):
     exact = C.sample_cross_section_tensor(F.linearized_weyl(ht), shape, periods)
     den = eager_norm(exact)
     # The identity has zero derivatives: I +- eps s takes +-eps times the
-    # derivative stage of s.
-    derivatives = eager_derivatives(sample_sym, periods)
+    # derivative stage of s, formed from the coefficients of s.
+    derivatives = eager_spectrum_derivatives(eager_half_spectrum(ht, shape, periods), tuple(shape), periods)
     out = []
     for eps in eps_values:
         plus, minus = base + eps * sample, base - eps * sample
@@ -518,6 +543,57 @@ def test_sampling_matches_ifftn_bitwise(monkeypatch, n, band, workers):
         got = C._evaluate_terms(ht, picks, shape, periods)
         assert got.flags.c_contiguous
         assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize(
+    "shape,band",
+    [((16,) * 4, 2), ((8,) * 4, 1), ((8,) * 4, 3), ((6, 8, 8, 8), 2)],
+    ids=["16^4-band2", "8^4-band1", "8^4-band3", "6x8^3-band2"],
+)
+@pytest.mark.parametrize("workers", [1, 2])
+def test_pruned_inverse_matches_irfftn_bitwise(shape, band, workers):
+    # Only an uneven grid tells a 1/N scaling from one split between the
+    # axes; on 6 time points the two round differently.
+    import scipy.fft
+
+    rng = np.random.default_rng(17)
+    modes = np.arange(-band, band + 1)
+    nt = shape[0]
+    # One to five time frequencies, the Nyquist one included, and all of
+    # them, which leaves the time axis as wide as the grid.
+    sets = [(nt // 2,), (1, nt - 1), (0, 1, nt - 1), (1, 2, nt - 2, nt - 1), (0, 1, 2, nt - 2, nt - 1)]
+    for times in sets + [tuple(range(nt))]:
+        positions = (np.array(times),) + tuple(modes % n for n in shape[1:3]) + (np.arange(band + 1),)
+        size = (3, len(times), 2 * band + 1, 2 * band + 1, band + 1)
+        box = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+        half = np.zeros((3,) + shape[:3] + (shape[3] // 2 + 1,), dtype=complex)
+        half[(slice(None),) + np.ix_(*positions)] = box
+        want = scipy.fft.irfftn(half, s=shape, axes=(1, 2, 3, 4), workers=workers)
+        got = C._pruned_irfftn(box, positions, shape, workers)
+        assert np.array_equal(got, want), times
+
+
+@pytest.mark.parametrize("n,band", [(8, 1), (16, 2)])
+def test_box_derivatives_match_rfftn_derivatives(n, band):
+    # The box holds the spectrum of the field the sample holds, so its
+    # derivative stage agrees with the one transformed from the sample up
+    # to the sample's rounding.
+    import scipy.fft
+
+    shape = (n,) * 4
+    for ht in C.linearization_battery(seed=11, band=band):
+        periods = (2 * math.pi,) + ht.grid.lengths
+        sample = C.sample_cyl_tensor(ht, shape, periods)
+        spectrum = C.cyl_tensor_spectrum(ht, shape, periods)
+        full = scipy.fft.rfftn(sample, axes=(1, 2, 3, 4))
+        box = (slice(None),) + np.ix_(*spectrum.positions)
+        assert _rel(spectrum.coefficients, full[box]) <= 1e-13
+        full[box] = 0.0
+        assert np.max(np.abs(full)) <= 1e-13 * np.max(np.abs(spectrum.coefficients))
+        got = C.derivative_stage(periods, sample, spectrum)
+        want = C.derivative_stage(periods, sample)
+        for a, b in zip((got.riemann,) + got.first_kind, (want.riemann,) + want.first_kind):
+            assert _rel(a, b) <= 1e-13
 
 
 def test_shortcut_matches_tensordot_form():
