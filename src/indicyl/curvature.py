@@ -30,12 +30,15 @@ is linear in the metric; the pointwise stage (the inverse metric and the
 term quadratic in the first-kind symbols) is not.  The identity has zero
 derivatives, so the derivative stage of I + c s is exactly c times that of
 s: the finite-difference battery differentiates each variation s once and
-shares the result across its evaluations at c = +-eps.  A sampled variation
-is differentiated on its coefficient box, the few Fourier modes it holds:
-its derivative spectra are formed on the box without a forward FFT, and
-each group of them is inverted by a pruned transform that skips the grid
-lines holding no coefficient, as sampling does.  Any other metric is
-differentiated through its full rfftn.
+shares the result across its evaluations at c = +-eps.
+
+Sampling: a cylinder field is held as a Spectrum, the half spectrum of its
+grid values on the box of the few Fourier modes it holds.  Its grid values
+are the box's pruned inverse FFT, which skips the grid lines holding no
+coefficient (_pruned_irfftn, the one routine from coefficients to grid
+values).  A variation is differentiated on its box, without a forward FFT,
+and each group of derivative spectra is inverted by the same pruned
+transform; any other metric is differentiated through its full rfftn.
 
 Threads: the engine's FFTs, and its pointwise stages together with the
 metric validation and the anti-self-dual block, run on every CPU the
@@ -389,7 +392,9 @@ def _chunk_points(grid_shape) -> int:
 
 @dataclass(frozen=True, eq=False)
 class Spectrum:
-    """Fourier coefficients of a real sampled field on a box of grid modes.
+    """A real field on a periodic grid of the given shape, as the Fourier
+    coefficients on a box of grid modes whose pruned inverse (see
+    _pruned_irfftn) is its grid values.
 
     coefficients[:, i, j, k, l] is the field's rfftn over its four grid
     axes at the grid position (positions[0][i], positions[1][j],
@@ -401,6 +406,7 @@ class Spectrum:
 
     coefficients: np.ndarray           # (C, m0, m1, m2, m3), complex
     positions: tuple[np.ndarray, ...]  # 4 integer arrays of grid positions
+    shape: tuple[int, int, int, int]   # the grid, (Nt, N1, N2, N3)
 
 
 def _widen(x: np.ndarray, axis: int, positions, n: int, last: int | None = None) -> np.ndarray:
@@ -471,22 +477,22 @@ class Derivatives:
     first_kind: tuple[np.ndarray, ...]  # 4 x (10, ...) 2 Gam_{s,mn}, slots _SYM
 
 
-def derivative_stage(periods, sample: np.ndarray, spectrum: Spectrum | None = None) -> Derivatives:
+def derivative_stage(periods, field: np.ndarray | Spectrum) -> Derivatives:
     """The part of the curvature engine that is linear in the metric, from
-    spectral derivatives (exact for band-limited samples):
+    spectral derivatives (exact for band-limited samples) of a symmetric
+    field s, given as its grid values (10, Nt, N1, N2, N3) or a Spectrum:
 
         L_rsmn = 1/2 (s_rn,sm + s_sm,rn - s_rm,sn - s_sn,rm)
         2 Gam_{s,mn} = s_sn,m + s_sm,n - s_mn,s.
 
-    The derivative spectra are the products of the sample's spectrum with
-    the i*k factors at its grid positions.  A sampled variation passes the
-    spectrum of the coefficient box it was sampled from (see
-    cyl_tensor_spectrum): its derivative spectra are formed on the box
-    alone, with no forward FFT, and each group of them (the 21 Riemann
+    The derivative spectra are the products of the field's spectrum with
+    the i*k factors at its grid positions.  Grid values are transformed by
+    one full rfftn.  A Spectrum (see cyl_tensor_spectrum) is differentiated
+    on its box alone, with no forward FFT, and its grid values are the
+    box's pruned inverse.  Each group of derivative spectra (the 21 Riemann
     components, then the 10 first-kind symbols of each derivative index)
-    is inverted by one pruned transform (see _pruned_irfftn).  Without a
-    spectrum the sample's full rfftn serves, every position in it, and
-    each inverse is one irfftn.
+    is inverted by one pruned transform (see _pruned_irfftn), which is one
+    irfftn for a full spectrum.
 
     The FFTs are split by pocketfft into whole lines per thread, and the
     derivative spectra are formed on slabs of the spectrum's first axis
@@ -495,12 +501,13 @@ def derivative_stage(periods, sample: np.ndarray, spectrum: Spectrum | None = No
     import scipy.fft
 
     workers = _fft_workers()
-    grid_shape = sample.shape[1:]
-    if spectrum is None:
+    if isinstance(field, Spectrum):
+        gk, positions, grid_shape = field.coefficients, field.positions, field.shape
+        sample = _pruned_irfftn(gk, positions, grid_shape, workers)
+    else:
+        sample, grid_shape = field, field.shape[1:]
         gk = scipy.fft.rfftn(sample, axes=(1, 2, 3, 4), workers=workers)
         positions = tuple(np.arange(m) for m in gk.shape[1:])
-    else:
-        gk, positions = spectrum.coefficients, spectrum.positions
     ik = _ik_factors(periods, grid_shape, positions)
     S = _SYM_INDEX
     spectrum_shape = gk.shape[1:]
@@ -763,48 +770,39 @@ def _coefficient_box(field, picks, shape, periods) -> tuple[np.ndarray, tuple[np
     return box, (np.array(times, dtype=int),) + tuple(np.mod(modes, n) for n in shape[1:])
 
 
-def _evaluate_terms(field, picks, shape, periods) -> np.ndarray:
-    """Evaluate the components picks = ((part, index), ...) of a cylinder
-    field on the grid, as contiguous (len(picks), Nt, N1, N2, N3) real
-    values."""
-    import scipy.fft
+def _real_part_spectrum(field, picks, shape, periods) -> Spectrum:
+    """The Spectrum of the components picks of a t-periodic cylinder field,
+    formed on their coefficient box (see _coefficient_box), F = N box being
+    the field's grid spectrum: the real part of the field, whose rfftn is
+    the Hermitian part 1/2 (F(k) + conj F(-k)) on k3 >= 0.  The time
+    positions are joined by their negatives; the spatial modes -band..band
+    are their own negatives, reversed.
 
-    box, positions = _coefficient_box(field, picks, shape, periods)
-    # One axis at a time, last axis first, as np.fft.ifftn does, each axis
-    # widened to its grid size right before its transform.  So only lines
-    # that hold a nonzero coefficient are transformed, the FFT of an
-    # all-zero line is zero, and the values are bitwise those of
-    # np.fft.ifftn of the whole box.  The lines of each axis are split
-    # between the CPUs.
-    workers = _fft_workers()
-    for axis in (4, 3, 2, 1):
-        wide = _widen(box, axis, positions[axis - 1], shape[axis - 1])
-        box = scipy.fft.ifft(wide, axis=axis, overwrite_x=True, workers=workers)
-    box *= np.prod(shape)
-    axes = (1, 2, 3, 4)
-    imag = _max_abs(box.imag, axis=axes)
-    if np.any(imag > 1e-9 * np.maximum(1.0, _max_abs(box.real, axis=axes))):
-        raise ValueError("field is not real on the grid; reality-symmetrize the input")
-    return np.ascontiguousarray(box.real)
-
-
-def _real_part_spectrum(box: np.ndarray, positions, shape) -> Spectrum:
-    """The spectrum of the values _evaluate_terms makes from a coefficient
-    box: the real part of the field with grid spectrum F = N box, whose
-    rfftn is the Hermitian part 1/2 (F(k) + conj F(-k)) on k3 >= 0.
-
-    It is formed on the box alone.  The time positions are joined by their
-    negatives; the spatial modes -band..band are their own negatives,
-    reversed.
+    ValueError unless the field is real on the grid: per component,
+    max |Im| <= 1e-9 max(1, max |Re|), Im being the inverse of -i N times
+    the anti-Hermitian part 1/2 (F(k) - conj F(-k)).  That part is exactly
+    zero for a reality-symmetrized field, which is then not transformed.
     """
-    nt = shape[0]
+    _check_sampling(field.grid, shape, periods)
+    box, positions = _coefficient_box(field, picks, shape, periods)
+    nt, n = shape[0], math.prod(shape)
     times = np.union1d(positions[0], -positions[0] % nt)
     full = _widen(box, 1, np.searchsorted(times, positions[0]), len(times))
     band = box.shape[-1] // 2
-    mirror = full[:, np.searchsorted(times, -times % nt), ::-1, ::-1, band::-1]
-    half = full[..., band:] + np.conj(mirror)
-    half *= 0.5 * math.prod(shape)
-    return Spectrum(half, (times,) + positions[1:3] + (np.arange(band + 1),))
+    mirror = np.conj(full[:, np.searchsorted(times, -times % nt), ::-1, ::-1, band::-1])
+    half = full[..., band:] + mirror
+    half *= 0.5 * n
+    spectrum = Spectrum(half, (times,) + positions[1:3] + (np.arange(band + 1),), tuple(shape))
+    anti = np.subtract(full[..., band:], mirror, out=mirror)
+    if np.any(anti):
+        anti *= -0.5j * n
+        imag, real = (
+            _max_abs(_pruned_irfftn(c, spectrum.positions, spectrum.shape, _fft_workers()), axis=(1, 2, 3, 4))
+            for c in (anti, half)
+        )
+        if np.any(imag > 1e-9 * np.maximum(1.0, real)):
+            raise ValueError("field is not real on the grid; reality-symmetrize the input")
+    return spectrum
 
 
 _CYL_PICKS = tuple(
@@ -814,23 +812,23 @@ _CYL_PICKS = tuple(
 
 def sample_cyl_tensor(ht: CylTensor, shape, periods) -> np.ndarray:
     """Sample a t-periodic cylinder 2-tensor as its 10 components (a <= b,
-    in _SYM order) on the grid, (10, Nt, N1, N2, N3)."""
-    _check_sampling(ht.grid, shape, periods)
-    return _evaluate_terms(ht, _CYL_PICKS, shape, periods)
+    in _SYM order) on the grid, (10, Nt, N1, N2, N3): the pruned inverse of
+    cyl_tensor_spectrum(ht, shape, periods)."""
+    s = cyl_tensor_spectrum(ht, shape, periods)
+    return _pruned_irfftn(s.coefficients, s.positions, s.shape, _fft_workers())
 
 
 def cyl_tensor_spectrum(ht: CylTensor, shape, periods) -> Spectrum:
-    """The spectrum of sample_cyl_tensor(ht, shape, periods) on the box of
-    ht's modes: the rfftn of those values up to their rounding, formed from
-    ht's coefficients without a transform."""
-    _check_sampling(ht.grid, shape, periods)
-    return _real_part_spectrum(*_coefficient_box(ht, _CYL_PICKS, shape, periods), shape)
+    """The Spectrum of sample_cyl_tensor(ht, shape, periods) on the box of
+    ht's modes, formed from ht's coefficients without a transform; its
+    pruned inverse is that sample."""
+    return _real_part_spectrum(ht, _CYL_PICKS, shape, periods)
 
 
 def sample_cross_section_tensor(ct: CylTensor, shape, periods) -> np.ndarray:
     """Sample a cross-section-valued cylinder tensor as (Nt,N1,N2,N3,3,3)."""
-    _check_sampling(ct.grid, shape, periods)
-    values = _evaluate_terms(ct, [("h", ij) for ij in _SYM_PAIRS], shape, periods)
+    s = _real_part_spectrum(ct, [("h", ij) for ij in _SYM_PAIRS], shape, periods)
+    values = _pruned_irfftn(s.coefficients, s.positions, s.shape, _fft_workers())
     out = np.zeros(tuple(shape) + (3, 3))
     for c, (i, j) in enumerate(_SYM_PAIRS):
         out[..., i, j] = out[..., j, i] = values[c]
@@ -874,9 +872,7 @@ def fd_linearization_errors(
     # One derivative stage of the variation serves every evaluation, and
     # each metric is built right before its own evaluation, so that only
     # one is alive at a time.  Each step keeps only m_+ - m_-.
-    derivatives = derivative_stage(
-        periods, sample_cyl_tensor(ht, shape, periods), cyl_tensor_spectrum(ht, shape, periods)
-    )
+    derivatives = derivative_stage(periods, cyl_tensor_spectrum(ht, shape, periods))
     differences = []
     for eps in eps_values:
         diff = asd_form_background(christoffel_riemann(MetricGrid4D.identity_plus(derivatives, eps)))

@@ -92,3 +92,45 @@ def test_no_unused_imports():
         if (names := _unused_imports(path.read_text()))
     }
     assert unused == {}
+
+
+def _unreferenced_private_names(sources: dict[str, str]) -> list[str]:
+    """Module-level _name functions, classes and constants of the given
+    modules (file name -> source) that no module references, by name or as
+    an attribute, outside their own definition.  Dunder names, such as the
+    PEP 562 __getattr__ and __dir__ hooks, are not private names."""
+    defined, used = [], set()
+    for file, source in sources.items():
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            else:
+                continue
+            defined += [(file, name, node.lineno) for name in names if name.startswith("_") and not name.endswith("__")]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                used.update(alias.name for alias in node.names)
+    return [f"{file}: {name} (line {line})" for file, name, line in defined if name not in used]
+
+
+def test_unreferenced_private_name_finder_sees_a_leftover():
+    sources = {
+        "a.py": "def _used(): pass\ndef _dead(): pass\n_X, _Y = 1, 2\nclass _K: pass\n"
+        "def __getattr__(name): return _used\n",
+        "b.py": "from .a import _K\nimport a\na._Y\n",
+    }
+    assert _unreferenced_private_names(sources) == ["a.py: _dead (line 2)", "a.py: _X (line 3)"]
+
+
+def test_no_unreferenced_private_names():
+    package = TRACER.parent.parent / "src" / "indicyl"
+    sources = {path.name: path.read_text() for path in sorted(package.glob("*.py"))}
+    assert _unreferenced_private_names(sources) == []

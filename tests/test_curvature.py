@@ -269,16 +269,21 @@ def eager_derivatives(g_sym, periods):
     return eager_spectrum_derivatives(gk, g_sym.shape[1:], periods)
 
 
-def eager_half_spectrum(ht, shape, periods):
-    """The rfftn of the sampled variation ht, from its coefficients alone:
-    every term scattered into the zero-padded grid spectrum F of the complex
-    field, then the Hermitian part 1/2 (F(k) + conj F(-k)), times the
-    number of grid points, on the half spectrum."""
-    picks = [("h00", ()) if b == 0 else ("alpha", (b - 1,)) if a == 0 else ("h", (a - 1, b - 1)) for a, b in _E_SYM]
+_E_CYL_PICKS = tuple(
+    ("h00", ()) if b == 0 else ("alpha", (b - 1,)) if a == 0 else ("h", (a - 1, b - 1)) for a, b in _E_SYM
+)
+
+
+def eager_half_spectrum(field, picks, shape, periods):
+    """The rfftn of the components picks = ((part, index), ...) of a sampled
+    cylinder field, from its coefficients alone: every term scattered into
+    the zero-padded grid spectrum F of the complex field, then the
+    Hermitian part 1/2 (F(k) + conj F(-k)), times the number of grid
+    points, on the half spectrum."""
     F = np.zeros((len(picks),) + tuple(shape), dtype=complex)
-    modes = np.arange(ht.grid.size) - ht.grid.band
+    modes = np.arange(field.grid.size) - field.grid.band
     where = (slice(None),) + np.ix_(*[modes % n for n in shape[1:]])
-    for slot in ht.terms.values():
+    for slot in field.terms.values():
         kt = round(slot["rate"].imag * periods[0] / (2 * math.pi)) % shape[0]
         F[:, kt][where] += np.stack([slot[part].data[index] for part, index in picks])
     mirror = F[(slice(None),) + np.ix_(*[-np.arange(n) % n for n in shape])]
@@ -401,7 +406,9 @@ def eager_fd_errors(ht, eps_values, shape):
     den = eager_norm(exact)
     # The identity has zero derivatives: I +- eps s takes +-eps times the
     # derivative stage of s, formed from the coefficients of s.
-    derivatives = eager_spectrum_derivatives(eager_half_spectrum(ht, shape, periods), tuple(shape), periods)
+    derivatives = eager_spectrum_derivatives(
+        eager_half_spectrum(ht, _E_CYL_PICKS, shape, periods), tuple(shape), periods
+    )
     out = []
     for eps in eps_values:
         plus, minus = base + eps * sample, base - eps * sample
@@ -516,8 +523,8 @@ def test_curvature_working_set_is_bounded():
 
 def ifftn_evaluate_terms(field, picks, shape, periods):
     """The grid values of field components by one np.fft.ifftn of the
-    whole mode box, as sampling computed them before its transforms were
-    split by axis."""
+    whole complex mode box, real part kept: a witness for sampling at
+    rounding level."""
     nt = shape[0]
     box = np.zeros((len(picks),) + tuple(shape), dtype=complex)
     modes = np.arange(field.grid.size) - field.grid.band
@@ -533,16 +540,33 @@ def ifftn_evaluate_terms(field, picks, shape, periods):
 @pytest.mark.parametrize("n,band", [(8, 1), (16, 2), (8, 3)])
 @pytest.mark.parametrize("workers", [1, 2])
 def test_sampling_matches_ifftn_bitwise(monkeypatch, n, band, workers):
+    # A sampled field is bit for bit scipy's irfftn of its zero-padded half
+    # spectrum, built here from the coefficients alone, and the derivative
+    # stage of its Spectrum holds the same sample.  One np.fft.ifftn of the
+    # whole complex mode box agrees to rounding.
+    import scipy.fft
+
     monkeypatch.setattr(C, "_fft_workers", lambda: workers)
-    picks = [("h00", ())] + [("alpha", (i,)) for i in range(3)] + [("h", ij) for ij in F._SYM_PAIRS]
     shape = (n,) * 4
+    h_picks = [("h", ij) for ij in F._SYM_PAIRS]
+
+    def irfftn(field, picks, periods):
+        half = eager_half_spectrum(field, picks, shape, periods)
+        return scipy.fft.irfftn(half, s=shape, axes=(1, 2, 3, 4), workers=workers)
+
     # Case 8 mixes time frequencies 0, 1 and 2; case 9 has frequency 3.
     for ht in C.linearization_battery(seed=11, band=band)[8:]:
         periods = (2 * math.pi,) + ht.grid.lengths
-        want = ifftn_evaluate_terms(ht, picks, shape, periods)
-        got = C._evaluate_terms(ht, picks, shape, periods)
+        want = irfftn(ht, _E_CYL_PICKS, periods)
+        got = C.sample_cyl_tensor(ht, shape, periods)
         assert got.flags.c_contiguous
         assert np.array_equal(got, want)
+        assert np.array_equal(C.derivative_stage(periods, C.cyl_tensor_spectrum(ht, shape, periods)).sample, want)
+        witness = ifftn_evaluate_terms(ht, _E_CYL_PICKS, shape, periods)
+        assert np.max(np.abs(got - witness)) <= 4 * np.finfo(float).eps * np.max(np.abs(witness))
+        cross, want = C.sample_cross_section_tensor(ht, shape, periods), irfftn(ht, h_picks, periods)
+        for c, (i, j) in enumerate(F._SYM_PAIRS):
+            assert np.array_equal(cross[..., i, j], want[c]) and np.array_equal(cross[..., j, i], want[c])
 
 
 @pytest.mark.parametrize(
@@ -590,7 +614,7 @@ def test_box_derivatives_match_rfftn_derivatives(n, band):
         assert _rel(spectrum.coefficients, full[box]) <= 1e-13
         full[box] = 0.0
         assert np.max(np.abs(full)) <= 1e-13 * np.max(np.abs(spectrum.coefficients))
-        got = C.derivative_stage(periods, sample, spectrum)
+        got = C.derivative_stage(periods, spectrum)
         want = C.derivative_stage(periods, sample)
         for a, b in zip((got.riemann,) + got.first_kind, (want.riemann,) + want.first_kind):
             assert _rel(a, b) <= 1e-13
@@ -1066,3 +1090,40 @@ def _fd_with_step(eps):
 def test_sampling_and_battery_reject_bad_input(call, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         call()
+
+
+@pytest.mark.parametrize(
+    "h00,alpha,real",
+    [
+        (1 + 0.9e-9j, 0.0, True),
+        (1 + 1.1e-9j, 0.0, False),
+        (4 + 3.9e-9j, 0.0, True),
+        (4 + 4.1e-9j, 0.0, False),
+        (100.0, 0.9e-9j, True),
+        (100.0, 1.1e-9j, False),  # each component against its own real part
+    ],
+    ids=["unit-below", "unit-above", "scaled-below", "scaled-above", "other-component-below", "other-component-above"],
+)
+def test_reality_check_threshold(h00, alpha, real):
+    # A constant field whose imaginary part lies just below or just above
+    # 1e-9 max(1, max |Re|), per component.
+    grid = F.ModeGrid(band=1)
+    a = F.FourierOneForm.zero(grid)
+    a.data[(0,) + (grid.band,) * 3] = alpha
+    ht = F.CylTensor(grid).add_term(0.0, 0, h00=_unit_h00(grid, h00), alpha=a)
+    if real:
+        assert C.sample_cyl_tensor(ht, (8,) * 4, PERIODS)[0, 0, 0, 0, 0] == pytest.approx(h00.real)
+    else:
+        with pytest.raises(ValueError, match=re.escape("field is not real on the grid; reality-symmetrize the input")):
+            C.sample_cyl_tensor(ht, (8,) * 4, PERIODS)
+
+
+def test_reality_symmetrized_field_is_checked_without_a_transform(monkeypatch):
+    # Its anti-Hermitian part is exactly zero, so the one pruned inverse
+    # that sampling runs is the sample's own.
+    calls = []
+    pruned = C._pruned_irfftn
+    monkeypatch.setattr(C, "_pruned_irfftn", lambda *args: calls.append(args) or pruned(*args))
+    ht = C.linearization_battery(seed=11, band=1)[8]
+    C.sample_cyl_tensor(ht, (8,) * 4, (2 * math.pi,) + ht.grid.lengths)
+    assert len(calls) == 1

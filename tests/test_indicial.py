@@ -125,6 +125,59 @@ def test_alpha_pm_imaginary_normalization():
 
 
 # ---------------------------------------------------------------------------
+# Which side of indicial._ZERO_TOL counts as zero
+# ---------------------------------------------------------------------------
+
+
+def _last_inside(center, direction):
+    """The float farthest from center on the given side (+1 above, -1
+    below) with |x - center| <= indicial._ZERO_TOL."""
+    x = center + direction * indicial._ZERO_TOL
+    while abs(x - center) > indicial._ZERO_TOL:
+        x = math.nextafter(x, center)
+    return x
+
+
+def _cases(kind, ev, kappa):
+    return {r.case_tag for r in family_roots(SpectrumEntry(kind, 1, ev, 1), kappa)}
+
+
+def test_type2_zero_tolerance_is_inclusive():
+    assert _last_inside(0.0, 1) == 1e-12
+    assert type2_roots(1e-12, 1) == [0j]
+    above = math.nextafter(1e-12, 1)
+    r = math.sqrt(above)
+    assert type2_roots(above, 1) == [complex(-r), complex(r)]
+    assert r == pytest.approx(1e-6, rel=1e-15)
+
+
+@pytest.mark.parametrize("kappa", [-1, 0, 1])
+def test_scalar_collapse_to_case0_is_inclusive(kappa):
+    assert _cases(OperatorKind.SCALAR_HODGE, 1e-12, kappa) == {CaseTag.CASE0}
+    assert _cases(OperatorKind.SCALAR_HODGE, -1e-12, kappa) == {CaseTag.CASE0}
+    assert _cases(OperatorKind.SCALAR_HODGE, math.nextafter(1e-12, 1), kappa) == {CaseTag.CASE4}
+
+
+@pytest.mark.parametrize(
+    "kappa,center,direction", [(1, 4.0, 1), (1, 4.0, -1), (0, 0.0, 1)], ids=["k1-above", "k1-below", "k0-above"]
+)
+def test_coclosed_collapse_to_case0_is_inclusive(kappa, center, direction):
+    # Near 4 no difference of floats equals 1e-12, so there only the edge
+    # is pinned; at 0 the edge float is 1e-12 itself.
+    inside = _last_inside(center, direction)
+    outside = math.nextafter(inside, direction * math.inf)
+    assert abs(outside - center) > indicial._ZERO_TOL
+    assert _cases(OperatorKind.COCLOSED_ONEFORM_HODGE, inside, kappa) == {CaseTag.CASE0}
+    assert _cases(OperatorKind.COCLOSED_ONEFORM_HODGE, outside, kappa) == {CaseTag.CASE3, CaseTag.CASE5}
+
+
+def test_flat_mixed_a_zero_branch():
+    # Only a direct call reaches it: family_roots collapses the scalar
+    # eigenvalue 0 to case 0 first.
+    assert mixed_a_roots(0.0, 0) == [(0j, True)]
+
+
+# ---------------------------------------------------------------------------
 # Exclusions
 # ---------------------------------------------------------------------------
 
