@@ -37,15 +37,16 @@ grid values on the box of the few Fourier modes it holds.  Its grid values
 are the box's pruned inverse FFT, which skips the grid lines holding no
 coefficient (_pruned_irfftn, the one routine from coefficients to grid
 values).  A variation is differentiated on its box, without a forward FFT,
-and each group of derivative spectra is inverted by the same pruned
-transform; any other metric is differentiated through its full rfftn.
+and each derivative spectrum is inverted by the same pruned transform;
+any other metric is differentiated through its full rfftn.  Every
+transform is numpy.fft's, one component at a time.
 
-Threads: the engine's FFTs, and its pointwise stages together with the
-metric validation and the anti-self-dual block, run on every CPU the
-process may use (the pointwise stages on slabs of the leading grid axis,
-see _on_slabs).  Each grid point's values come from the same
-expressions in the same order however the work is split, so every result
-is bitwise the same for any number of CPUs.
+Threads: everything runs on every CPU the process may use, on one pool of
+threads (see _on_slabs): the transforms split the components between
+them, the pointwise stages, the metric validation and the anti-self-dual
+block split the leading grid axis.  Each grid point's values come from
+the same expressions in the same order however the work is split, so
+every result is bitwise the same for any number of CPUs.
 """
 
 from __future__ import annotations
@@ -53,7 +54,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass, field
-from functools import cache, cached_property, partial
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -409,59 +410,54 @@ class Spectrum:
     shape: tuple[int, int, int, int]   # the grid, (Nt, N1, N2, N3)
 
 
-def _widen(x: np.ndarray, axis: int, positions, n: int, last: int | None = None) -> np.ndarray:
+def _widen(x: np.ndarray, axis: int, positions, n: int) -> np.ndarray:
     """A new zero array holding x's entries at positions along the given
-    axis, which it widens to n grid points.  Every other axis keeps x's
-    length, except that a given last widens the last axis to last points,
-    with x's entries first."""
+    axis, which it widens to n grid points; every other axis keeps x's
+    length."""
     shape = list(x.shape)
     shape[axis] = n
     where = [slice(None)] * x.ndim
-    if last is not None:
-        shape[-1], where[-1] = last, slice(0, x.shape[-1])
     where[axis] = positions
     wide = np.zeros(shape, dtype=complex)
     wide[tuple(where)] = x
     return wide
 
 
-def _pruned_irfftn(coefficients: np.ndarray, positions, grid_shape, workers: int) -> np.ndarray:
+def _invert_component(box: np.ndarray, positions, grid_shape, out: np.ndarray) -> None:
+    """The pruned inverse of one component's box of coefficients (see
+    _pruned_irfftn), written to out (Nt, N1, N2, N3)."""
+    x = box
+    for axis in range(3):
+        n = grid_shape[axis]
+        if x.shape[axis] < n:
+            x = _widen(x, axis, positions[axis], n)
+        x = np.fft.ifft(x, axis=axis, norm="forward")
+    np.fft.irfft(x, n=grid_shape[3], norm="forward", out=out)
+    out *= 1.0 / math.prod(grid_shape)
+
+
+def _pruned_irfftn(coefficients: np.ndarray, positions, grid_shape) -> np.ndarray:
     """scipy.fft.irfftn over axes 1-4, to grid_shape, of a box of
     coefficients at the given positions of the half spectrum, zeros
     elsewhere, bit for bit.
 
-    irfftn transforms the complex axes 1, 2 and 3 in that order, then runs
-    the c2r on axis 4 and scales by 1/N in that pass.  Here the leading
-    axes up to the last one narrower than the grid are transformed one at a
-    time, each widened to its grid size right before its own transform, so
-    that only lines that hold a nonzero coefficient are transformed (the
-    transform of an all-zero line is zero).  The last of them is also
-    padded to the half spectrum on axis 4 and transformed in place on its
-    leading entries there, so that the remaining axes go to one irfftn
-    that copies nothing.  These transforms are unscaled, and the 1/N
-    follows as the same single product.  A box as wide as the grid on the
-    leading axes is one irfftn.
+    irfftn transforms the complex axes 1, 2 and 3 in that order, unscaled,
+    then runs the c2r on axis 4 and scales by 1/N in that pass.  Here each
+    component goes through the same 1-D transforms of numpy.fft, which
+    runs the same pocketfft: each complex axis is widened to its grid size
+    right before its own transform, so that only lines that hold a nonzero
+    coefficient are transformed (the transform of an all-zero line is
+    zero), and the c2r pads the half spectrum itself.  The 1/N follows as
+    the same single product.  The components are split between the CPUs
+    (see _on_slabs).
     """
-    import scipy.fft
+    out = np.empty((len(coefficients),) + tuple(grid_shape))
 
-    axes = (1, 2, 3, 4)
-    lead = max((axis for axis in axes[:3] if coefficients.shape[axis] < grid_shape[axis - 1]), default=0)
-    if not lead:
-        return scipy.fft.irfftn(coefficients, s=grid_shape, axes=axes, workers=workers)
-    x = coefficients
-    for axis in axes[: lead - 1]:
-        n = grid_shape[axis - 1]
-        fresh = x.shape[axis] < n
-        if fresh:
-            x = _widen(x, axis, positions[axis - 1], n)
-        x = scipy.fft.ifft(x, axis=axis, norm="forward", overwrite_x=fresh, workers=workers)
-    padded = _widen(x, lead, positions[lead - 1], grid_shape[lead - 1], last=grid_shape[3] // 2 + 1)
-    view = padded[..., : x.shape[-1]]
-    done = scipy.fft.ifft(view, axis=lead, norm="forward", overwrite_x=True, workers=workers)
-    if not np.may_share_memory(done, padded):  # transformed out of place after all
-        view[...] = done
-    out = scipy.fft.irfftn(padded, s=grid_shape[lead:], axes=axes[lead:], norm="forward", workers=workers)
-    out *= 1.0 / math.prod(grid_shape)
+    def slab(sl):
+        for c in range(sl.start, sl.stop):
+            _invert_component(coefficients[c], positions, grid_shape, out[c])
+
+    _on_slabs(slab, out.shape)
     return out
 
 
@@ -487,73 +483,63 @@ def derivative_stage(periods, field: np.ndarray | Spectrum) -> Derivatives:
 
     The derivative spectra are the products of the field's spectrum with
     the i*k factors at its grid positions.  Grid values are transformed by
-    one full rfftn.  A Spectrum (see cyl_tensor_spectrum) is differentiated
-    on its box alone, with no forward FFT, and its grid values are the
-    box's pruned inverse.  Each group of derivative spectra (the 21 Riemann
+    rfftn's 1-D transforms in its order (the r2c on axis 4, then axes 1, 2
+    and 3).  A Spectrum (see cyl_tensor_spectrum) is differentiated on its
+    box alone, with no forward FFT, and its grid values are the box's
+    pruned inverse.  Each of the 61 output components (the 21 Riemann
     components, then the 10 first-kind symbols of each derivative index)
-    is inverted by one pruned transform (see _pruned_irfftn), which is one
-    irfftn for a full spectrum.
+    has its spectrum formed and pruned-inverted (see _invert_component)
+    straight into its slot of one (61, Nt, N1, N2, N3) array, whose slices
+    are the results.
 
-    The FFTs are split by pocketfft into whole lines per thread, and the
-    derivative spectra are formed on slabs of the spectrum's first axis
-    (see _on_slabs), each slab writing its part of preallocated arrays.
+    Every transform runs one component at a time, and the components are
+    split between the CPUs (see _on_slabs), so that the temporaries in
+    flight are a few components' spectra.
     """
-    import scipy.fft
-
-    workers = _fft_workers()
     if isinstance(field, Spectrum):
         gk, positions, grid_shape = field.coefficients, field.positions, field.shape
-        sample = _pruned_irfftn(gk, positions, grid_shape, workers)
+        sample = _pruned_irfftn(gk, positions, grid_shape)
     else:
         sample, grid_shape = field, field.shape[1:]
-        gk = scipy.fft.rfftn(sample, axes=(1, 2, 3, 4), workers=workers)
+        gk = np.empty((10,) + grid_shape[:3] + (grid_shape[3] // 2 + 1,), dtype=complex)
+
+        def forward(sl):
+            for c in range(sl.start, sl.stop):
+                x = np.fft.rfft(sample[c])
+                for axis in range(2):
+                    x = np.fft.fft(x, axis=axis)
+                np.fft.fft(x, axis=2, out=gk[c])
+
+        _on_slabs(forward, sample.shape)
         positions = tuple(np.arange(m) for m in gk.shape[1:])
-    ik = _ik_factors(periods, grid_shape, positions)
+    k = _ik_factors(periods, grid_shape, positions)
     S = _SYM_INDEX
-    spectrum_shape = gk.shape[1:]
-    inverse = partial(_pruned_irfftn, positions=positions, grid_shape=grid_shape, workers=workers)
+    out = np.empty((len(_PACKED) + 4 * len(_SYM),) + tuple(grid_shape))
 
-    # The second-derivative block first, while no Christoffel array exists.
-    # Each component is summed term by term in its slot of shat.
-    shat = np.empty((len(_PACKED),) + spectrum_shape, dtype=complex)
-
-    def second_derivatives(sl):
-        k, g = [ik[0][sl]] + ik[1:], gk[:, sl]
-        term = np.empty(g.shape[1:], dtype=complex)
-        for col, (P, Q) in enumerate(_PACKED):
-            r, s = _PAIRS4[P]
-            mm, nn = _PAIRS4[Q]
-            acc = shat[col, sl]
-            np.multiply(k[s] * k[mm], g[S[r, nn]], out=acc)
-            acc += np.multiply(k[r] * k[nn], g[S[s, mm]], out=term)
-            acc -= np.multiply(k[s] * k[nn], g[S[r, mm]], out=term)
-            acc -= np.multiply(k[r] * k[mm], g[S[s, nn]], out=term)
+    def spectrum(j, term):
+        # Output component j's derivative spectrum, summed term by term.
+        if j < len(_PACKED):
+            (r, s), (mm, nn) = (_PAIRS4[P] for P in _PACKED[j])
+            acc = np.multiply(k[s] * k[mm], gk[S[r, nn]])
+            acc += np.multiply(k[r] * k[nn], gk[S[s, mm]], out=term)
+            acc -= np.multiply(k[s] * k[nn], gk[S[r, mm]], out=term)
+            acc -= np.multiply(k[r] * k[mm], gk[S[s, nn]], out=term)
             acc *= 0.5
+        else:
+            s, c = divmod(j - len(_PACKED), len(_SYM))
+            mm, nn = _SYM[c]
+            acc = np.multiply(k[mm], gk[S[s, nn]])
+            acc += np.multiply(k[nn], gk[S[s, mm]], out=term)
+            acc -= np.multiply(k[s], gk[S[mm, nn]], out=term)
+        return acc
 
-    _on_slabs(second_derivatives, spectrum_shape)
-    riemann = inverse(shat)
-    del shat
+    def slab(sl):
+        term = np.empty(gk.shape[1:], dtype=complex)
+        for j in range(sl.start, sl.stop):
+            _invert_component(spectrum(j, term), positions, grid_shape, out[j])
 
-    # Twice the first-kind symbols, one derivative index s at a time, kept
-    # as the four transforms return them.
-    that = np.empty((10,) + spectrum_shape, dtype=complex)
-
-    def first_kind_spectra(s, sl):
-        k, g = [ik[0][sl]] + ik[1:], gk[:, sl]
-        term = np.empty(g.shape[1:], dtype=complex)
-        for c, (mm, nn) in enumerate(_SYM):
-            acc = that[c, sl]
-            np.multiply(k[mm], g[S[s, nn]], out=acc)
-            acc += np.multiply(k[nn], g[S[s, mm]], out=term)
-            acc -= np.multiply(k[s], g[S[mm, nn]], out=term)
-
-    first_kind = []
-    for s in range(4):
-        _on_slabs(partial(first_kind_spectra, s), spectrum_shape)
-        if s == 3:
-            del gk  # read for the last time; gone before the last transform
-        first_kind.append(inverse(that))
-    return Derivatives(tuple(periods), sample, riemann, tuple(first_kind))
+    _on_slabs(slab, out.shape)
+    return Derivatives(tuple(periods), sample, out[: len(_PACKED)], tuple(np.split(out[len(_PACKED) :], 4)))
 
 
 def christoffel_riemann(m: MetricGrid4D) -> CurvatureGrid:
@@ -797,7 +783,7 @@ def _real_part_spectrum(field, picks, shape, periods) -> Spectrum:
     if np.any(anti):
         anti *= -0.5j * n
         imag, real = (
-            _max_abs(_pruned_irfftn(c, spectrum.positions, spectrum.shape, _fft_workers()), axis=(1, 2, 3, 4))
+            _max_abs(_pruned_irfftn(c, spectrum.positions, spectrum.shape), axis=(1, 2, 3, 4))
             for c in (anti, half)
         )
         if np.any(imag > 1e-9 * np.maximum(1.0, real)):
@@ -815,7 +801,7 @@ def sample_cyl_tensor(ht: CylTensor, shape, periods) -> np.ndarray:
     in _SYM order) on the grid, (10, Nt, N1, N2, N3): the pruned inverse of
     cyl_tensor_spectrum(ht, shape, periods)."""
     s = cyl_tensor_spectrum(ht, shape, periods)
-    return _pruned_irfftn(s.coefficients, s.positions, s.shape, _fft_workers())
+    return _pruned_irfftn(s.coefficients, s.positions, s.shape)
 
 
 def cyl_tensor_spectrum(ht: CylTensor, shape, periods) -> Spectrum:
@@ -828,7 +814,7 @@ def cyl_tensor_spectrum(ht: CylTensor, shape, periods) -> Spectrum:
 def sample_cross_section_tensor(ct: CylTensor, shape, periods) -> np.ndarray:
     """Sample a cross-section-valued cylinder tensor as (Nt,N1,N2,N3,3,3)."""
     s = _real_part_spectrum(ct, [("h", ij) for ij in _SYM_PAIRS], shape, periods)
-    values = _pruned_irfftn(s.coefficients, s.positions, s.shape, _fft_workers())
+    values = _pruned_irfftn(s.coefficients, s.positions, s.shape)
     out = np.zeros(tuple(shape) + (3, 3))
     for c, (i, j) in enumerate(_SYM_PAIRS):
         out[..., i, j] = out[..., j, i] = values[c]
@@ -838,8 +824,11 @@ def sample_cross_section_tensor(ct: CylTensor, shape, periods) -> np.ndarray:
 def _check_sampling(grid: ModeGrid, shape, periods):
     if len(shape) != 4 or len(periods) != 4:
         raise ValueError("need four grid sizes and four periods")
+    # The comparisons are written so that NaN fails them.
+    if not all(0 < p < math.inf for p in periods):
+        raise ValueError(f"periods must be four positive finite numbers, got {tuple(periods)}")
     for L, P in zip(grid.lengths, periods[1:]):
-        if abs(L - P) > 1e-12 * max(1.0, L):
+        if not abs(L - P) <= 1e-12 * max(1.0, L):
             raise ValueError("spatial periods must match the mode lattice")
     for n in shape:
         if n < 2 * grid.band + 2:

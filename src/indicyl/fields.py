@@ -89,8 +89,8 @@ class ModeGrid:
         if band < 1:
             raise ValueError("band limit must be >= 1")
         self.lengths = tuple(float(L) for L in lengths)
-        if any(L <= 0 for L in self.lengths):
-            raise ValueError(f"lattice side lengths must be positive, got {lengths}")
+        if not all(0 < L < math.inf for L in self.lengths):  # NaN fails too
+            raise ValueError(f"lattice side lengths must be positive and finite, got {lengths}")
         self.band = band
         self.size = 2 * band + 1
         k = np.arange(-band, band + 1)

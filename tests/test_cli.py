@@ -770,6 +770,23 @@ def test_closed_form_commands_load_no_numpy(argv, tmp_path):
     assert json.loads((tmp_path / "out.json").read_text())["command"] == argv[0]
 
 
+_SCIPY_PROBE = """
+import sys
+from indicyl import cli
+code = cli.main(sys.argv[1:])
+print(code, "scipy" in sys.modules)
+"""
+
+
+@pytest.mark.parametrize("suite", ["linearization", "identities"])
+def test_engine_suites_load_no_scipy(suite, tmp_path):
+    # The curvature engine and the field calculus transform with numpy.fft;
+    # scipy serves only the root oracle.
+    proc = run_python("-c", _SCIPY_PROBE, "verify", suite, "--N", "8", "--out", str(tmp_path / "out.json"))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "0 False\n"
+
+
 def test_verification_modules_load_on_access():
     proc = run_python(
         "-c",

@@ -521,6 +521,29 @@ def test_curvature_working_set_is_bounded():
     assert peak - base < 8.0 * m.g.nbytes
 
 
+def test_battery_derivative_stage_working_set_is_bounded():
+    # The derivative stage of a 16^4 battery Spectrum allocates at most this
+    # many times its sample in traced arrays, with one CPU for the same
+    # reason as above.  Its results, the sample and 61 components in one
+    # array, are 7.1 samples; each component's spectrum is formed and
+    # inverted on its own, so the peak is 7.20.
+    import tracemalloc
+
+    ht = C.linearization_battery(seed=11, band=2)[8]
+    periods = (2 * math.pi,) + ht.grid.lengths
+    spectrum = C.cyl_tensor_spectrum(ht, (16,) * 4, periods)
+    tracemalloc.start()
+    try:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(C, "_fft_workers", lambda: 1)
+            base, _ = tracemalloc.get_traced_memory()
+            d = C.derivative_stage(periods, spectrum)
+            _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - base < 7.5 * d.sample.nbytes
+
+
 def ifftn_evaluate_terms(field, picks, shape, periods):
     """The grid values of field components by one np.fft.ifftn of the
     whole complex mode box, real part kept: a witness for sampling at
@@ -575,11 +598,12 @@ def test_sampling_matches_ifftn_bitwise(monkeypatch, n, band, workers):
     ids=["16^4-band2", "8^4-band1", "8^4-band3", "6x8^3-band2"],
 )
 @pytest.mark.parametrize("workers", [1, 2])
-def test_pruned_inverse_matches_irfftn_bitwise(shape, band, workers):
+def test_pruned_inverse_matches_irfftn_bitwise(monkeypatch, shape, band, workers):
     # Only an uneven grid tells a 1/N scaling from one split between the
     # axes; on 6 time points the two round differently.
     import scipy.fft
 
+    monkeypatch.setattr(C, "_fft_workers", lambda: workers)
     rng = np.random.default_rng(17)
     modes = np.arange(-band, band + 1)
     nt = shape[0]
@@ -593,7 +617,7 @@ def test_pruned_inverse_matches_irfftn_bitwise(shape, band, workers):
         half = np.zeros((3,) + shape[:3] + (shape[3] // 2 + 1,), dtype=complex)
         half[(slice(None),) + np.ix_(*positions)] = box
         want = scipy.fft.irfftn(half, s=shape, axes=(1, 2, 3, 4), workers=workers)
-        got = C._pruned_irfftn(box, positions, shape, workers)
+        got = C._pruned_irfftn(box, positions, shape)
         assert np.array_equal(got, want), times
 
 
@@ -1044,10 +1068,10 @@ def _unit_h00(grid, value=1.0):
     return s
 
 
-def _sample_with_term(rate, value):
+def _sample_with_term(rate, value, periods=PERIODS):
     grid = F.ModeGrid(band=1)
     ht = F.CylTensor(grid).add_term(rate, 0, h00=_unit_h00(grid, value))
-    return lambda: C.sample_cyl_tensor(ht, (8, 8, 8, 8), PERIODS)
+    return lambda: C.sample_cyl_tensor(ht, (8, 8, 8, 8), periods)
 
 
 def _fd_with_step(eps):
@@ -1073,6 +1097,12 @@ def _fd_with_step(eps):
             lambda: C.sample_cyl_tensor(F.CylTensor(F.ModeGrid(band=3)), (4,) * 4, PERIODS),
             "grid size 4 cannot resolve band limit 3",
         ),
+        (
+            lambda: C.sample_cyl_tensor(F.CylTensor(F.ModeGrid(band=1)), (8,) * 4, PERIODS[:3] + (math.nan,)),
+            f"periods must be four positive finite numbers, got {PERIODS[:3] + (math.nan,)}",
+        ),
+        (_sample_with_term(1j, 1.0, periods=(math.nan,) + PERIODS[1:]), "periods must be four positive finite numbers"),
+        (_sample_with_term(1j, 1.0, periods=(-PERIODS[0],) + PERIODS[1:]), "periods must be four positive finite numbers"),
         (_fd_with_step(0.2), "finite-difference step must be small and positive"),
         (_fd_with_step(0.0), "finite-difference step must be small and positive"),
     ],
@@ -1083,6 +1113,9 @@ def _fd_with_step(eps):
         "three-sizes",
         "periods-off-lattice",
         "grid-below-band",
+        "nan-spatial-period",
+        "nan-time-period",
+        "negative-time-period",
         "step-too-large",
         "step-zero",
     ],

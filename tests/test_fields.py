@@ -414,6 +414,8 @@ _GRID = ModeGrid(band=1)
     [
         (lambda: ModeGrid(band=0), ValueError, "band limit must be >= 1"),
         (lambda: ModeGrid(lengths=(1.0, 0.0, 1.0)), ValueError, "lattice side lengths must be positive"),
+        (lambda: ModeGrid(lengths=(math.nan, 1.0, 1.0)), ValueError, "lattice side lengths must be positive and finite"),
+        (lambda: ModeGrid(lengths=(1.0, 1.0, math.inf)), ValueError, "lattice side lengths must be positive and finite"),
         (
             lambda: FourierScalar(_GRID, np.zeros((2, 2, 2))),
             ValueError,
@@ -436,6 +438,8 @@ _GRID = ModeGrid(band=1)
     ids=[
         "band-0",
         "zero-side",
+        "nan-side",
+        "infinite-side",
         "wrong-shape",
         "add-other-type",
         "subtract-other-grid",
