@@ -868,8 +868,9 @@ def test_linearization_stdout_independent_of_cpu_count(argv):
     assert default.stdout == pinned.stdout
 
 
-# sha256 of the stdout of closed-form commands: a refactor that changes a
-# printed byte fails here.  The LAPACK-backed verify suites are left out:
+# sha256 of the stdout of closed-form commands and of the identity suite: a
+# refactor that changes a printed byte fails here.  The identity suite calls
+# no LAPACK routine; the LAPACK-backed verify suites are left out, since
 # their last bits can vary by CPU.
 PINNED_SPECTRUM = """\
 b1 2
@@ -934,6 +935,18 @@ tt 3 7.25 2
         (
             "roots --hyperbolic spectrum.txt --jmax 2 --format csv",
             "574ea5099609d0b1afeabe9ba47c3e91799c93207b5c25f1a2a1b3fa2c885a75",
+        ),
+        (
+            "verify identities --N 32 --seed 5",
+            "21e9fd1fb6e14ff0e1e51ca4b3a0c53253861b8e027b608d94f5a83ec3db70bd",
+        ),
+        (
+            "verify identities --N 16 --seed 77",
+            "2805ffbd4e6ba51a0923df549dc3e920c91fe81bdfc8f9468a47120ca5c44473",
+        ),
+        (
+            "verify identities --N 8",
+            "a6c647df0fd3bd0102684786b09efc0c6e6c11f07a0a166c25146a2de9f31777",
         ),
     ],
 )
