@@ -61,11 +61,6 @@ __all__ = [
     "IdentityResult",
 ]
 
-_EPSILON = np.zeros((3, 3, 3))
-for _i, _j, _k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
-    _EPSILON[_i, _j, _k] = 1.0
-    _EPSILON[_i, _k, _j] = -1.0
-
 _SYM_PAIRS = ((0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2))
 
 # Period in t of every t-periodic cylinder field.
@@ -96,7 +91,7 @@ class ModeGrid:
         k = np.arange(-band, band + 1)
         axes = [2 * math.pi * k / L for L in self.lengths]
         self.xi = np.array(np.meshgrid(*axes, indexing="ij"))  # (3, M, M, M)
-        self.xi_sq = np.einsum("i...,i...->...", self.xi, self.xi)
+        self.xi_sq = _dot(self.xi, self.xi)
 
     def __eq__(self, other):
         return (
@@ -172,7 +167,10 @@ class FourierSymTensor(_Field):
     def __init__(self, grid, data):
         super().__init__(grid, data)
         d = self.data
-        asym = np.max([np.max(np.abs(d[i, j] - d[j, i])) for i, j in ((0, 1), (0, 2), (1, 2))])
+        pairs = ((0, 1), (0, 2), (1, 2))
+        if all(np.array_equal(d[i, j], d[j, i]) for i, j in pairs):
+            return  # exactly symmetric: the asymmetry below would read 0
+        asym = np.max([np.max(np.abs(d[i, j] - d[j, i])) for i, j in pairs])
         if asym > 1e-12 * max(1.0, float(np.max(np.abs(d)))):
             raise ValueError("symmetric tensor data is not symmetric")
 
@@ -183,7 +181,22 @@ class FourierSymTensor(_Field):
 # Each kernel (xi, x) -> y is linear in the components-first array x; xi has
 # shape (3, ...) and both broadcast over their trailing axes, which hold a
 # mode box for fields and basis columns for the single-mode pencil.  Every
-# derivative d_j is the multiplication by i xi_j.
+# derivative d_j is the multiplication by i xi_j.  Index sums run in a fixed
+# component order, 0 then 1 then 2, so each kernel's bits do not depend on
+# the shapes it is given.
+
+
+def _dot(a, b):
+    """sum_i a_i b_i over the leading axis, added in index order."""
+    out = a[0] * b[0]
+    out += a[1] * b[1]
+    out += a[2] * b[2]
+    return out
+
+
+def _cross(a, b):
+    """eps_{ikl} a_k b_l over the leading axes: the cyclic differences."""
+    return np.stack([a[k] * b[l] - a[l] * b[k] for k, l in ((1, 2), (2, 0), (0, 1))])
 
 
 def _grad(xi, u):
@@ -192,29 +205,31 @@ def _grad(xi, u):
 
 def _div(xi, x):
     """Contraction of d with the first index: 1-forms and symmetric tensors."""
-    return 1j * np.einsum("i...,i...->...", xi, x)
+    return 1j * _dot(xi, x)
 
 
 def _lap(xi, x):
-    return -np.einsum("i...,i...->...", xi, xi) * x
+    return -_dot(xi, xi) * x
 
 
 def _star_d(xi, w):
-    return 1j * np.einsum("ijk,j...,k...->i...", _EPSILON, xi, w)
+    return 1j * _cross(xi, w)
 
 
 def _lie(xi, w):
-    a = 1j * np.einsum("i...,j...->ij...", xi, w)
+    a = 1j * (xi[:, None] * w[None])
     return a + a.swapaxes(0, 1)
 
 
 def _trace(h):
-    return np.einsum("ii...->...", h)
+    return h[0, 0] + h[1, 1] + h[2, 2]
 
 
 def _g(u):
     """The pure-trace tensor u delta_ij."""
-    return np.einsum("ij,...->ij...", np.eye(3), u)
+    out = np.zeros((3, 3) + np.shape(u), dtype=np.result_type(u, 1.0))
+    out[0, 0] = out[1, 1] = out[2, 2] = u
+    return out
 
 
 def _tf(h):
@@ -226,7 +241,7 @@ def _conf_killing(xi, w):
 
 
 def _slash_d(xi, h):
-    a = 1j * np.einsum("ikl,k...,lj...->ij...", _EPSILON, xi, h)
+    a = 1j * _cross(xi, h)
     return a + a.swapaxes(0, 1)
 
 
@@ -278,7 +293,8 @@ def slash_d(h: FourierSymTensor) -> FourierSymTensor:
 
 
 def hessian(u: FourierScalar) -> FourierSymTensor:
-    return FourierSymTensor(u.grid, -np.einsum("i...,j...->ij...", u.grid.xi, u.grid.xi) * u.data)
+    xi = u.grid.xi
+    return FourierSymTensor(u.grid, -(xi[:, None] * xi[None]) * u.data)
 
 
 def trace(h: FourierSymTensor) -> FourierScalar:
@@ -612,7 +628,7 @@ def random_real_variation(
 def coclosed_projection(omega: FourierOneForm) -> FourierOneForm:
     """Remove the exact part: on each nonzero mode project out xi (xi . c)/|xi|^2."""
     xi = omega.grid.xi
-    xs = np.einsum("i...,i...->...", xi, omega.data)
+    xs = _dot(xi, omega.data)
     denom = omega.grid.xi_sq.copy()
     center = (omega.grid.band,) * 3
     denom[center] = 1.0

@@ -171,7 +171,7 @@ def _reduced_basis() -> dict[str, np.ndarray]:
         alpha[i, i] = 1.0
     for col, (i, j) in enumerate(fields._SYM_PAIRS, start=3):
         h[i, j, col] = h[j, i, col] = 1.0
-    return {"h00": -np.einsum("ii...->...", h), "alpha": alpha, "h": h}
+    return {"h00": -fields._trace(h), "alpha": alpha, "h": h}
 
 
 def flat_mode_pencil(
@@ -186,8 +186,8 @@ def flat_mode_pencil(
     singular at lam.  The coefficient matrices are the d/dt-coefficients of
     the curvature and of 2 * divergence, read at xi = 2 pi k / L.
     """
-    if any(not L > 0 for L in lengths):
-        raise ValueError(f"lattice side lengths must be positive, got {lengths}")
+    if not all(0 < L < math.inf for L in lengths):  # NaN fails too
+        raise ValueError(f"lattice side lengths must be positive and finite, got {lengths}")
     xi = np.array([2 * math.pi * int(ki) / L for ki, L in zip(k, lengths)])[:, None]
     x = _reduced_basis()
     div = fields.div_coefficients(xi, x) + ({"f": np.zeros(9), "omega": np.zeros((3, 9))},)

@@ -14,6 +14,12 @@ PERIODS = (2 * math.pi,) * 4
 # components that MetricGrid4D stores.
 _UPPER = tuple((a, b) for a in range(4) for b in range(a, 4))
 
+# The Levi-Civita symbol eps_{ijk} of the cross-section, eps_123 = +1.
+EPSILON = np.zeros((3, 3, 3))
+for _i, _j, _k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+    EPSILON[_i, _j, _k] = 1.0
+    EPSILON[_i, _k, _j] = -1.0
+
 
 def pack(g):
     """(..., 4, 4) metric samples as the (10, ...) components g_ab, a <= b."""
@@ -129,7 +135,7 @@ def oracle_asd(R, frame=None):
         r0i0j = np.einsum("...ia,...jb,...ij->...ab", f, f, r0i0j)
         r0jkl = np.einsum("...ja,...kb,...lc,...jkl->...abc", f, f, f, r0jkl)
         rklpq = np.einsum("...ka,...lb,...pc,...qd,...klpq->...abcd", f, f, f, f, rklpq)
-    eps = F._EPSILON
+    eps = EPSILON
     psi_raw = np.einsum("ikl,...jkl->...ij", eps, r0jkl)
     psi = 0.5 * (psi_raw + psi_raw.swapaxes(-1, -2))
     gam = 0.25 * np.einsum("ikl,jpq,...klpq->...ij", eps, eps, rklpq)
@@ -946,7 +952,7 @@ def test_wminus_omega_equals_traceless_ricci():
         e_frame[..., i, i] -= tr / 3.0
 
     gam = 0.25 * np.einsum(
-        "ikl,jpq,...klpq->...ij", F._EPSILON, F._EPSILON, spatial
+        "ikl,jpq,...klpq->...ij", EPSILON, EPSILON, spatial
     )
     gam_tf = gam - np.einsum("...kk->...", gam)[..., None, None] * np.eye(3) / 3.0
     assert np.max(np.abs(gam_tf + e_frame)) < 1e-9 * max(1.0, np.max(np.abs(e_frame)))

@@ -192,6 +192,35 @@ def test_symtensor_rejects_asymmetric_data():
         FourierSymTensor(GRID, np.ones((3, 3) + (GRID.size,) * 3) * np.arange(9).reshape(3, 3, 1, 1, 1))
 
 
+@pytest.mark.parametrize("scale", [0.5, 8.0])
+def test_symtensor_tolerance_boundary(scale, monkeypatch):
+    """Exactly symmetric data is accepted without computing an asymmetry;
+    otherwise the asymmetry may reach 1e-12 max(1, max|d|) and no further."""
+    absolute = np.abs
+    calls = []
+
+    def counting_abs(x):
+        calls.append(1)
+        return absolute(x)
+
+    monkeypatch.setattr(np, "abs", counting_abs)
+    data = np.zeros((3, 3) + (GRID.size,) * 3, dtype=complex)
+    data[2, 2] = scale
+    data[0, 1] = data[1, 0] = 0.25 * scale
+    FourierSymTensor(GRID, data)
+    assert calls == []
+
+    limit = 1e-12 * max(1.0, scale)
+    data[1, 0, 0, 0, 0] = 0.0
+    for asym in (np.nextafter(limit, 0.0), limit):
+        data[0, 1, 0, 0, 0] = asym
+        FourierSymTensor(GRID, data)
+    assert calls
+    data[0, 1, 0, 0, 0] = np.nextafter(limit, 1.0)
+    with pytest.raises(ValueError, match="symmetric tensor data is not symmetric"):
+        FourierSymTensor(GRID, data)
+
+
 # ---------------------------------------------------------------------------
 # Cylinder operators
 # ---------------------------------------------------------------------------
@@ -385,6 +414,96 @@ def test_divergence_killing_duality_pairing():
     lhs = cyl_inner(cyl_div(tracefree) * 2.0, omt)
     rhs = -1.0 * cyl_inner(tracefree, cyl_killing(omt))
     assert abs(lhs - rhs) < 1e-12 * max(abs(lhs), abs(rhs))
+
+
+# ---------------------------------------------------------------------------
+# Kernels against their index formulas
+# ---------------------------------------------------------------------------
+
+EPSILON = np.zeros((3, 3, 3))
+for _i, _j, _k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+    EPSILON[_i, _j, _k] = 1.0
+    EPSILON[_i, _k, _j] = -1.0
+
+LENGTHS = (3.1, 4.7, 5.9)
+
+
+def index_formulas(xi, u, w, h):
+    """(kernel name, arguments, value) for each flat kernel, the value
+    written as np.einsum over the kernel's index formula."""
+
+    def dot(a, b):
+        return np.einsum("i...,i...->...", a, b)
+
+    def g(v):
+        return np.einsum("ij,...->ij...", np.eye(3), v)
+
+    def sym(a):
+        return a + a.swapaxes(0, 1)
+
+    trace = np.einsum("ii...->...", h)
+    lie = sym(1j * np.einsum("i...,j...->ij...", xi, w))
+    return [
+        ("_grad", (xi, u), 1j * np.einsum("i...,...->i...", xi, u)),
+        ("_div", (xi, w), 1j * dot(xi, w)),
+        ("_div", (xi, h), 1j * dot(xi, h)),
+        ("_lap", (xi, u), -dot(xi, xi) * u),
+        ("_lap", (xi, w), -dot(xi, xi) * w),
+        ("_lap", (xi, h), -dot(xi, xi) * h),
+        ("_star_d", (xi, w), 1j * np.einsum("ijk,j...,k...->i...", EPSILON, xi, w)),
+        ("_lie", (xi, w), lie),
+        ("_conf_killing", (xi, w), lie - g((2.0 / 3.0) * (1j * dot(xi, w)))),
+        ("_trace", (h,), trace),
+        ("_g", (u,), g(u)),
+        ("_tf", (h,), h - g(trace / 3.0)),
+        ("_slash_d", (xi, h), sym(1j * np.einsum("ikl,k...,lj...->ij...", EPSILON, xi, h))),
+    ]
+
+
+def random_components(r, tail):
+    def c(*shape):
+        return r.standard_normal(shape + tail) + 1j * r.standard_normal(shape + tail)
+
+    h = c(3, 3)
+    return c(), c(3), 0.5 * (h + h.swapaxes(0, 1))
+
+
+@pytest.mark.parametrize("band", [1, 3, 15])
+def test_kernels_match_index_formulas_on_mode_boxes(band):
+    grid = ModeGrid(LENGTHS, band=band)
+    xi = grid.xi
+    u, w, h = random_components(np.random.default_rng(band), (grid.size,) * 3)
+    for name, args, want in index_formulas(xi, u, w, h):
+        got = getattr(F, name)(*args)
+        assert got.shape == want.shape and np.array_equal(got, want), name
+    assert np.array_equal(grid.xi_sq, np.einsum("i...,i...->...", xi, xi))
+    want = -np.einsum("i...,j...->ij...", xi, xi) * u
+    assert np.array_equal(hessian(FourierScalar(grid, u)).data, want)
+    xs = np.einsum("i...,i...->...", xi, w)
+    denom = grid.xi_sq.copy()
+    denom[(band,) * 3] = 1.0
+    want = w - xi * (xs / denom)
+    want[(slice(None),) + (band,) * 3] = w[(slice(None),) + (band,) * 3]
+    assert np.array_equal(coclosed_projection(FourierOneForm(grid, w)).data, want)
+
+
+@pytest.mark.parametrize("k", [(0, 0, 0), (1, 0, 0), (0, 1, -1), (1, 2, 3), (3, -2, 5)])
+def test_kernels_match_index_formulas_on_pencil_columns(k):
+    """The pencil's single lattice vector xi has shape (3, 1).  einsum sums
+    that contiguous length-3 axis in another order, (x0^2 + x2^2) + x1^2, so
+    |xi|^2 may move by one ulp, and the Laplacian by that ulp times |x| plus
+    the rounding of its own product."""
+    xi = np.array([2 * math.pi * ki / L for ki, L in zip(k, LENGTHS)])[:, None]
+    u, w, h = random_components(np.random.default_rng(sum(k) + 20), (9,))
+    xi_sq = np.einsum("i...,i...->...", xi, xi)
+    for name, args, want in index_formulas(xi, u, w, h):
+        got = getattr(F, name)(*args)
+        assert got.shape == want.shape, name
+        if name == "_lap":
+            x = args[1]
+            assert np.all(np.abs(got - want) <= 2 * np.spacing(xi_sq) * np.abs(x)), name
+        else:
+            assert np.array_equal(got, want), name
 
 
 # ---------------------------------------------------------------------------

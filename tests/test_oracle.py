@@ -171,9 +171,12 @@ def test_pencil_matches_grid_mode_reduction(k, lengths):
         assert np.abs(g - w).max() <= 1e-12 * scale
 
 
-@pytest.mark.parametrize("lengths", [(0.0, 1.0, 1.0), (1.0, -2.0, 1.0)])
+@pytest.mark.parametrize(
+    "lengths",
+    [(0.0, 1.0, 1.0), (1.0, -2.0, 1.0), (math.inf, 2 * math.pi, 2 * math.pi), (1.0, math.nan, 1.0)],
+)
 def test_pencil_rejects_nonpositive_lengths(lengths):
-    with pytest.raises(ValueError, match="positive"):
+    with pytest.raises(ValueError, match="lattice side lengths must be positive and finite"):
         flat_mode_pencil((1, 0, 0), lengths)
 
 
