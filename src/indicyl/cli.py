@@ -393,7 +393,12 @@ def _coclosed_closed_form(nu: float, kappa: int) -> list:
     return roots * 2 if len(roots) == 1 else roots  # double root of m'' = (nu - 4 kappa) m
 
 
-def run_oracle(tol: float = 1e-9):
+_ORACLE_TOL = 1e-9  # closed-form roots against companion roots
+_PENCIL_TOL = 1e-8  # flat pencil roots against +-|xi|
+_ZERO_ROOT_TOL = 1e-6  # a pencil root this near 0 is zero
+
+
+def run_oracle():
     """Closed-form roots against companion/pencil eigenvalues, on fixed
     sweeps (eigenvalues 0..48, flat lattice vectors with |k|^2 <= 9)."""
     from . import oracle
@@ -437,7 +442,7 @@ def run_oracle(tol: float = 1e-9):
                 cmp = oracle.compare_root_sets(
                     oracle.clustered_multiset(closed_form(ev, kappa)),
                     oracle.clustered_multiset(actual),
-                    tol,
+                    _ORACLE_TOL,
                 )
                 good = good and cmp.matched
                 worst = max(worst, cmp.max_mismatch)
@@ -455,14 +460,14 @@ def run_oracle(tol: float = 1e-9):
                 clusters = oracle.pencil_roots(oracle.flat_mode_pencil((k1, k2, k3)))
                 actual = [c.value for c in clusters]
                 r = math.sqrt(float(ksq))
-                cmp = oracle.compare_root_sets([r, -r], actual, 1e-8)
+                cmp = oracle.compare_root_sets([r, -r], actual, _PENCIL_TOL)
                 good = good and cmp.matched
                 worst = max(worst, cmp.max_mismatch)
                 jordan_ok = jordan_ok and all(c.jordan for c in clusters)
     report.append(check("flat_pencil_vs_closed_form", good and jordan_ok, worst))
 
     clusters = oracle.pencil_roots(oracle.flat_mode_pencil((0, 0, 0)))
-    zero_dim = sum(c.algebraic for c in clusters if abs(c.value) < 1e-6)
+    zero_dim = sum(c.algebraic for c in clusters if abs(c.value) < _ZERO_ROOT_TOL)
     report.append(check("flat_pencil_zero_mode_dimension_14", zero_dim == 14, abs(zero_dim - 14)))
 
     return report, all(row["pass"] for row in report)

@@ -171,7 +171,7 @@ class FourierSymTensor(_Field):
         if all(np.array_equal(d[i, j], d[j, i]) for i, j in pairs):
             return  # exactly symmetric: the asymmetry below would read 0
         asym = np.max([np.max(np.abs(d[i, j] - d[j, i])) for i, j in pairs])
-        if asym > 1e-12 * max(1.0, float(np.max(np.abs(d)))):
+        if not asym <= 1e-12 * max(1.0, float(np.max(np.abs(d)))):  # NaN fails
             raise ValueError("symmetric tensor data is not symmetric")
 
 

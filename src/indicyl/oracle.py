@@ -2,14 +2,15 @@
 
 Characteristic roots of the mode ODE systems are recomputed here by
 general-purpose eigenvalue methods (block companion linearization plus QR
-iteration, or QZ iteration when the leading block is singular), and the full
-flat-torus mode reduction of the wrapped deformation operator is solved as a
-quadratic matrix pencil.  Nothing in this module uses the closed-form root
-expressions.
+iteration, after a shift and inversion when the leading block is singular),
+and the full flat-torus mode reduction of the wrapped deformation operator
+is solved as a quadratic matrix pencil.  Nothing in this module uses the
+closed-form root expressions.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 
@@ -36,8 +37,10 @@ __all__ = [
 # Five independent rows of a trace-free symmetric 3x3 tensor.
 _TF_PICK = ((0, 0), (1, 1), (0, 1), (0, 2), (1, 2))
 
-# Generalized eigenvalues this large in modulus stand for infinite ones.
-_FINITE_BOUND = 1e8
+# Fixed shift of the singular-lead solve, off both axes, and the |mu| / max|mu|
+# below which a shifted-inverse eigenvalue mu stands for an infinite root.
+_SHIFT = 0.3 + 0.7j
+_INFINITE_TOL = 1e-8
 # Roots within this relative distance of a cluster's first root join it.
 _CLUSTER_TOL = 1e-6
 # Singular values below this fraction of the largest count toward a nullity.
@@ -75,9 +78,9 @@ class OdeSystem:
 
 def companion_roots(ode: OdeSystem) -> np.ndarray:
     """Finite roots of the matrix polynomial sum_k M_k lam^k from its block
-    companion linearization: QR iteration on the companion matrix when the
-    leading block is invertible, otherwise QZ iteration on the companion
-    pencil, discarding the infinite eigenvalues of the singular block."""
+    companion linearization: QR iteration on the companion matrix, or, when
+    the leading block is singular, on (A - s B)^-1 B for the companion pencil
+    (A, B), whose eigenvalues 1 / (lam - s) at zero are the infinite roots."""
     n, r = ode.dim, ode.order
     lead = np.asarray(ode.mats[-1], dtype=complex)
     comp = np.zeros((n * r, n * r), dtype=complex)
@@ -92,11 +95,9 @@ def companion_roots(ode: OdeSystem) -> np.ndarray:
         comp[n * (r - 1) :, n * k : n * (k + 1)] = -np.asarray(ode.mats[k], dtype=complex)
     B = np.eye(n * r, dtype=complex)
     B[n * (r - 1) :, n * (r - 1) :] = lead
-    import scipy.linalg
-
-    vals = scipy.linalg.eigvals(comp, B)
-    vals = vals[np.isfinite(vals)]
-    return vals[np.abs(vals) < _FINITE_BOUND]
+    mu = np.linalg.eigvals(np.linalg.solve(comp - _SHIFT * B, B))
+    mu = mu[np.abs(mu) > _INFINITE_TOL * np.max(np.abs(mu))]
+    return _SHIFT + 1.0 / mu
 
 
 # ---------------------------------------------------------------------------
@@ -262,12 +263,30 @@ class RootSetComparison:
     matched: bool
 
 
+def _saturates(dist, bound: float) -> bool:
+    """Whether each row of dist pairs with its own column at <= bound (Kuhn)."""
+    owner: dict[int, int] = {}
+
+    def augment(i, seen):
+        for j, d in enumerate(dist[i]):
+            if d <= bound and j not in seen:
+                seen.add(j)
+                if j not in owner or augment(owner[j], seen):
+                    owner[j] = i
+                    return True
+        return False
+
+    return all(augment(i, set()) for i in range(len(dist)))
+
+
 def compare_root_sets(expected, actual, tol: float) -> RootSetComparison:
     """Match two root multisets within tol.
 
     Matched means every expected root pairs with a distinct actual root at
-    distance < tol and no actual root is left over.  The pairing is greedy
-    with an exact bipartite fallback.
+    distance < tol and no actual root is left over.  max_mismatch is the
+    least possible largest distance of such a pairing of the expected roots,
+    infinite when there is none: an exact bottleneck matching, bisected over
+    the sorted pair distances below tol.
     """
     if tol <= 0:
         raise ValueError("tolerance must be positive")
@@ -275,33 +294,9 @@ def compare_root_sets(expected, actual, tol: float) -> RootSetComparison:
     act = [complex(z) for z in actual]
     if not exp:
         return RootSetComparison(0.0, not act)
-
-    used = [False] * len(act)
-    pairing: list[int | None] = [None] * len(exp)
-    for i, z in enumerate(exp):
-        best, best_d = None, math.inf
-        for j, w in enumerate(act):
-            if not used[j] and abs(z - w) < best_d:
-                best, best_d = j, abs(z - w)
-        if best is not None and best_d < tol:
-            used[best] = True
-            pairing[i] = best
-
-    if any(p is None for p in pairing) and act:
-        # Greedy failure does not prove mismatch; redo with exact assignment.
-        from scipy.optimize import linear_sum_assignment
-
-        cost = np.array([[abs(z - w) for w in act] for z in exp])
-        if cost.shape[0] <= cost.shape[1]:
-            rows, cols = linear_sum_assignment(cost)
-            used = [False] * len(act)
-            pairing = [None] * len(exp)
-            for r, c in zip(rows, cols):
-                if cost[r, c] < tol:
-                    pairing[r] = c
-                    used[c] = True
-
-    mismatch = 0.0
-    for i, p in enumerate(pairing):
-        mismatch = math.inf if p is None else max(mismatch, abs(exp[i] - act[p]))
-    return RootSetComparison(mismatch, None not in pairing and all(used))
+    dist = [[abs(z - w) for w in act] for z in exp]
+    levels = sorted({d for row in dist for d in row if d < tol})
+    i = bisect.bisect_left(levels, True, key=lambda d: _saturates(dist, d))
+    if i == len(levels):
+        return RootSetComparison(math.inf, False)
+    return RootSetComparison(levels[i], len(exp) == len(act))

@@ -62,7 +62,7 @@ def test_criterion_2_case2_integer_identity():
 
 def test_criterion_3_oracle_agreement():
     t0 = time.monotonic()
-    rep, ok = cli.run_oracle(tol=1e-9)
+    rep, ok = cli.run_oracle()
     by_name = {r["check"]: r for r in rep}
     for name in (
         "mixed_system_matrix_vs_closed_form",

@@ -219,6 +219,10 @@ def test_symtensor_tolerance_boundary(scale, monkeypatch):
     data[0, 1, 0, 0, 0] = np.nextafter(limit, 1.0)
     with pytest.raises(ValueError, match="symmetric tensor data is not symmetric"):
         FourierSymTensor(GRID, data)
+    # A NaN asymmetry fails the comparison rather than passing it.
+    data[0, 1, 0, 0, 0], data[1, 0, 0, 0, 0] = np.nan, 5.0
+    with pytest.raises(ValueError, match="symmetric tensor data is not symmetric"):
+        FourierSymTensor(GRID, data)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import cmath
+import itertools
 import math
 import re
 
@@ -47,11 +48,15 @@ def test_companion_drops_infinite_roots_of_singular_leading():
     # det(I + lam I + lam^2 diag(1, 0)) = (1 + lam + lam^2)(1 + lam): the
     # singular leading block leaves three finite roots and one infinite one.
     ode = OdeSystem((np.eye(2), np.eye(2), np.diag([1.0, 0.0])))
-    got = as_sorted(companion_roots(ode))
+    got = list(companion_roots(ode))
     w = cmath.exp(2j * math.pi / 3)
-    expected = as_sorted([-1.0, w, w.conjugate()])
     assert len(got) == 3
-    assert all(abs(g - e) < 1e-12 for g, e in zip(got, expected))
+    # Pair each expected root with its nearest computed one: w and its
+    # conjugate share a real part, so a sorted order can swap them.
+    for e in (-1.0, w, w.conjugate()):
+        nearest = min(got, key=lambda g: abs(g - e))
+        assert abs(nearest - e) < 1e-12
+        got.remove(nearest)
 
 
 def test_mixed_b_companion():
@@ -180,6 +185,43 @@ def test_pencil_rejects_nonpositive_lengths(lengths):
         flat_mode_pencil((1, 0, 0), lengths)
 
 
+def test_singular_lead_solve_agrees_with_qz():
+    """scipy's QZ on the companion pencil is the witness of the shift-invert
+    solve on the flat mode pencils with |k|^2 <= 9 on three tori: the same
+    clusters within 1e-12 and the same Jordan flags, and every |mu| / max|mu|
+    at least 4 decades from the dropping threshold."""
+    import scipy.linalg
+
+    ks = [k for k in itertools.product(range(-3, 4), repeat=3) if sum(x * x for x in k) <= 9]
+    tori = [(2 * math.pi,) * 3, (3.1, 4.7, 5.9), (6.0, 7.5, 9.1)]
+    pencils = [flat_mode_pencil(k, lengths) for lengths in tori for k in ks]
+    assert len(pencils) == 369
+    for ode in pencils:
+        (m0, m1, m2), n = ode.mats, ode.dim
+        assert abs(np.linalg.det(m2)) < 1e-12  # the singular-lead branch
+        A = np.block([[np.zeros((n, n)), np.eye(n)], [-m0, -m1]])
+        B = np.block([[np.eye(n), np.zeros((n, n))], [np.zeros((n, n)), m2]])
+        qz = scipy.linalg.eigvals(A, B)
+        qz = qz[np.isfinite(qz) & (np.abs(qz) < 1e8)]
+
+        mu = np.abs(np.linalg.eigvals(np.linalg.solve(A - oracle._SHIFT * B, B)))
+        ratio = mu / mu.max()
+        thr = oracle._INFINITE_TOL
+        assert np.all((ratio <= 1e-4 * thr) | (ratio >= 1e4 * thr)), ratio
+        assert np.sum(ratio > thr) == len(qz)
+
+        got = pencil_roots(ode)
+        want = oracle.cluster_roots(qz)
+        assert len(got) == len(want)
+        for center, count in want:
+            c = min(got, key=lambda c: abs(c.value - center))
+            assert abs(c.value - center) <= 1e-12 and c.algebraic == count
+            svals = np.linalg.svd(ode.eval(center), compute_uv=False)
+            geometric = int(np.sum(svals < oracle._NULL_TOL * svals[0]))
+            assert c.jordan == (count > geometric)
+            got.remove(c)
+
+
 def test_pencil_zero_mode_dimension():
     clusters = pencil_roots(flat_mode_pencil((0, 0, 0)))
     assert len(clusters) == 1
@@ -231,10 +273,41 @@ def test_compare_mixed_b_against_companion():
 
 
 def test_compare_falls_back_to_exact_assignment():
-    # Greedy pairs 0.5 with 0.3 and leaves 0.0 at distance 1; the exact
-    # assignment pairs 0.5 with 1.0 and 0.0 with 0.3, both within 0.6.
+    # Greedy would pair 0.5 with 0.3 and leave 0.0 at distance 1; the exact
+    # matching pairs 0.5 with 1.0 and 0.0 with 0.3, both within 0.6.
     cmp = compare_root_sets([0.5, 0.0], [0.3, 1.0], 0.6)
     assert cmp.matched and cmp.max_mismatch == pytest.approx(0.5)
+
+
+def test_compare_finds_every_pair_within_tolerance():
+    # Greedy and min-sum pairings both take 0 <-> 0.1 and leave z 1.0000035
+    # from -0.9; the pairing 0 <-> -0.9, z <-> 0.1 has every distance <= 0.9.
+    z = complex(-0.305, 0.80373)
+    cmp = compare_root_sets([0, z], [-0.9, 0.1], tol=1.0)
+    assert cmp == oracle.RootSetComparison(abs(z - 0.1), True)
+    assert 0.9 < cmp.max_mismatch < 0.90001
+
+
+def _brute_force_match(expected, actual, tol):
+    best = math.inf
+    for perm in itertools.permutations(range(len(actual)), len(expected)):
+        dists = [abs(z - actual[j]) for z, j in zip(expected, perm)]
+        if all(d < tol for d in dists):
+            best = min(best, max(dists, default=0.0))
+    return oracle.RootSetComparison(best, best < math.inf and len(expected) == len(actual))
+
+
+_SMALL_ROOTS = st.lists(
+    st.builds(complex, st.integers(-2, 2), st.integers(-2, 2))
+    | st.complex_numbers(max_magnitude=3, allow_nan=False, allow_infinity=False),
+    max_size=6,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_SMALL_ROOTS, _SMALL_ROOTS, st.sampled_from([1.0, 2.0, math.sqrt(2)]) | st.floats(1e-3, 6.0))
+def test_compare_is_an_exact_bottleneck_matching(expected, actual, tol):
+    assert compare_root_sets(expected, actual, tol) == _brute_force_match(expected, actual, tol)
 
 
 def test_compare_exact_assignment_keeps_a_genuine_mismatch():
