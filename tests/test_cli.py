@@ -871,12 +871,14 @@ def test_linearization_stdout_independent_of_cpu_count(argv):
     assert default.stdout == pinned.stdout
 
 
-# sha256 of the stdout of closed-form commands, of the identity suite and of
-# the root oracle: a refactor that changes a printed byte fails here.  The
-# identity suite calls no LAPACK routine.  The oracle's mismatches are LAPACK
-# rounding, so its digest holds for one numpy build and CPU family and is
-# re-pinned, with the changed numbers stated, when either changes.  The
-# linearization suite is left out.
+# sha256 of the stdout of closed-form commands, of the identity suite, of
+# the linearization battery and of the root oracle: a refactor that changes
+# a printed byte fails here.  The identity suite calls no LAPACK routine, and
+# the battery calls only numpy's bundled pocketfft, with no LAPACK and no
+# BLAS, so both digests carry the same caveat: they hold for one numpy
+# release.  The oracle's mismatches are LAPACK rounding, so its digest holds
+# for one numpy build and CPU family.  A digest is re-pinned, with the
+# changed numbers stated, when what it depends on changes.
 PINNED_SPECTRUM = """\
 b1 2
 codazzi 1
@@ -952,6 +954,14 @@ tt 3 7.25 2
         (
             "verify identities --N 8",
             "a6c647df0fd3bd0102684786b09efc0c6e6c11f07a0a166c25146a2de9f31777",
+        ),
+        (
+            "verify linearization --N 8",
+            "950a197530587991639f46986b19028ee919c6ad71010fb04121c37c0c5015b4",
+        ),
+        (
+            "verify linearization --N 16 --seed 11",
+            "4acbb2889ec72b2596cc7f4d70d7761b1f7543352470f59fea0d32690320b351",
         ),
         (
             "verify oracle",
