@@ -30,30 +30,40 @@ is linear in the metric; the pointwise stage (the inverse metric and the
 term quadratic in the first-kind symbols) is not.  The identity has zero
 derivatives, so the derivative stage of I + c s is exactly c times that of
 s: the finite-difference battery differentiates each variation s once and
-shares the result across its evaluations at c = +-eps.
+feeds it, scaled, to its evaluations at c = +-eps.  The battery holds no
+full-grid metric or curvature: it streams the grid a group of time planes
+at a time through the same module-level helpers that the public functions
+run on each slab (_metric_flags, _riemann_points, _asd_points), so every
+grid point keeps its bits, and decides the metric and defect checks once
+over the whole grid.
 
 Sampling: a cylinder field is held as a Spectrum, the half spectrum of its
 grid values on the box of the few Fourier modes it holds.  Its grid values
 are the box's pruned inverse FFT, which skips the grid lines holding no
-coefficient (_pruned_irfftn, the one routine from coefficients to grid
-values).  A variation is differentiated on its box, without a forward FFT,
-and each derivative spectrum is inverted by the same pruned transform;
-any other metric is differentiated through its full rfftn.  Every
-transform is numpy.fft's, one component at a time.
+coefficient: one pass over the time axis of the whole box
+(_time_inverse), then the rest a group of time planes at a time
+(_plane_inverse), one numpy.fft call per axis over every component.
+Sampling (_pruned_irfftn) and the battery run the same two routines.  A
+variation is differentiated on its box, without a forward FFT, and its
+61 derivative spectra are inverted with its 10 coefficients; any other
+metric is differentiated through its full rfftn, one component at a time.
 
 Threads: everything runs on every CPU the process may use, on one pool of
-threads (see _on_slabs): the transforms split the components between
-them, the pointwise stages, the metric validation and the anti-self-dual
-block split the leading grid axis.  Each grid point's values come from
-the same expressions in the same order however the work is split, so
-every result is bitwise the same for any number of CPUs.
+threads (see _on_slabs): the full-grid derivative stage splits the
+components between them; the pruned inverse, the battery, the pointwise
+stage, the metric validation and the anti-self-dual block split the
+leading grid axis.  Work on a slab runs inline on its thread and submits
+nothing to the pool, which would deadlock once every worker waits.  Each
+grid point's values come from the same expressions in the same order
+however the work is split, so every result is bitwise the same for any
+number of CPUs.
 """
 
 from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cache, cached_property
 
 import numpy as np
@@ -100,17 +110,10 @@ class CurvatureDefectError(VerificationError):
 @dataclass
 class MetricGrid4D:
     """Sampled 4-metric on a periodic grid, point-indexed (t, y1, y2, y3),
-    as its 10 components g_ab (a <= b, in _SYM order) components-first.
-
-    A metric built by identity_plus also carries the derivative stage of
-    its variation and the variation's factor; christoffel_riemann then
-    differentiates nothing.  Any other metric has none, and its factor 1.
-    """
+    as its 10 components g_ab (a <= b, in _SYM order) components-first."""
 
     periods: tuple[float, float, float, float]
     g: np.ndarray  # (10, Nt, N1, N2, N3)
-    derivatives: Derivatives | None = field(default=None, init=False, repr=False, compare=False)
-    scale: float = field(default=1.0, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.g = np.ascontiguousarray(self.g, dtype=float)
@@ -123,39 +126,36 @@ class MetricGrid4D:
         if len(self.periods) != 4 or not all(0 < p < math.inf for p in self.periods):
             raise ValueError(f"periods must be four positive finite numbers, got {self.periods}")
         chunk_points = _chunk_points(self.shape)
-
-        def check(sl):
-            # Finiteness, then Sylvester's criterion on the finite samples,
-            # on chunks of the slab's points, so that the minors' temporaries
-            # stay small whatever the grid.
-            g = self.g[:, sl].reshape(10, -1)
-            positive = True
-            for lo in range(0, g.shape[1], chunk_points):
-                chunk = g[:, lo : lo + chunk_points]
-                if not np.all(np.isfinite(chunk)):
-                    return False, False
-                positive = positive and all(np.all(d > 0) for d in _leading_minors(dict(zip(_SYM, chunk))))
-            return True, positive
-
-        finite, positive = zip(*_on_slabs(check, self.shape))
-        if not all(finite):
-            raise ValueError("metric samples must be finite")
-        if not all(positive):
-            raise ValueError("metric is not positive definite at some grid point")
-
-    @classmethod
-    def identity_plus(cls, derivatives: Derivatives, scale: float) -> MetricGrid4D:
-        """The validated metric I + scale * s of the variation s that
-        derivatives were computed from, carrying them with their factor."""
-        g = np.multiply(derivatives.sample, scale)
-        g += _IDENTITY  # the bits of I + scale * s, without its temporary
-        m = cls(derivatives.periods, g)
-        m.derivatives, m.scale = derivatives, scale
-        return m
+        flags = _on_slabs(lambda sl: _metric_flags(self.g[:, sl].reshape(10, -1), chunk_points), self.shape)
+        _check_metric(flags)
 
     @property
     def shape(self) -> tuple[int, int, int, int]:
         return self.g.shape[1:]
+
+
+def _metric_flags(g: np.ndarray, chunk_points: int) -> tuple[bool, bool]:
+    """(finite, positive definite) for the metric components g (10, n) of
+    n points: finiteness, then Sylvester's criterion on the finite samples,
+    on chunks of chunk_points points, so that the minors' temporaries stay
+    small whatever the grid."""
+    positive = True
+    for lo in range(0, g.shape[1], chunk_points):
+        chunk = g[:, lo : lo + chunk_points]
+        if not np.all(np.isfinite(chunk)):
+            return False, False
+        positive = positive and all(np.all(d > 0) for d in _leading_minors(dict(zip(_SYM, chunk))))
+    return True, positive
+
+
+def _check_metric(flags) -> None:
+    """Raises ValueError unless every (finite, positive) of flags, the
+    _metric_flags of the parts of one metric, holds."""
+    finite, positive = zip(*flags)
+    if not all(finite):
+        raise ValueError("metric samples must be finite")
+    if not all(positive):
+        raise ValueError("metric is not positive definite at some grid point")
 
 
 # Symmetric slots (a <= b) of a 4x4 field and their index table.
@@ -163,12 +163,15 @@ _SYM = tuple((a, b) for a in range(4) for b in range(a, 4))
 _SYM_INDEX = np.empty((4, 4), dtype=int)
 for _c, (_a, _b) in enumerate(_SYM):
     _SYM_INDEX[_a, _b] = _SYM_INDEX[_b, _a] = _c
-_IDENTITY = np.array([float(a == b) for a, b in _SYM]).reshape((10, 1, 1, 1, 1))
+_IDENTITY = np.array([float(a == b) for a, b in _SYM]).reshape((10, 1))
 
 # Antisymmetric index pairs, the 21 packed Riemann slots (P <= Q), and the
 # packed slot and sign of every R_abcd (sign 0 when a == b or c == d).
 _PAIRS4 = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 _PACKED = tuple((P, Q) for P in range(6) for Q in range(P, 6))
+# The derivative stage's output components: the 21 packed Riemann
+# components, then the 10 first-kind symbols of each derivative index.
+_DERIVATIVES = len(_PACKED) + 4 * len(_SYM)
 _PACKED_INDEX = np.empty((6, 6), dtype=int)
 for _c, (_P, _Q) in enumerate(_PACKED):
     _PACKED_INDEX[_P, _Q] = _PACKED_INDEX[_Q, _P] = _c
@@ -262,8 +265,7 @@ class CurvatureGrid:
 
     metric: MetricGrid4D
     riemann_packed: np.ndarray          # (21, ...) lowered R_PQ, slots _PACKED
-    first_kind: tuple[np.ndarray, ...]  # 4 x (10, ...) 2 Gam_{s,mn} / scale, slots _SYM
-    scale: float                        # the metric's factor, see MetricGrid4D
+    first_kind: tuple[np.ndarray, ...]  # 4 x (10, ...) 2 Gam_{s,mn}, slots _SYM
 
     @cached_property
     def ginv_sym(self) -> np.ndarray:
@@ -277,7 +279,7 @@ class CurvatureGrid:
     def gamma_sym(self) -> np.ndarray:
         """Gam^r_mn = g^rs Gam_{s,mn}, slots (r, _SYM)."""
         low = np.stack(self.first_kind)
-        low *= 0.5 * self.scale
+        low *= 0.5
         return np.einsum("rs...,sc...->rc...", self.ginv_sym[_SYM_INDEX], low)
 
     @cached_property
@@ -410,6 +412,12 @@ class Spectrum:
     shape: tuple[int, int, int, int]   # the grid, (Nt, N1, N2, N3)
 
 
+def _group_planes(grid_shape) -> int:
+    """Time planes per group of a streamed pass over the grid (see
+    _plane_inverse): the fewest that hold at least _SLAB_POINTS points."""
+    return -(-_SLAB_POINTS // math.prod(grid_shape[1:]))
+
+
 def _widen(x: np.ndarray, axis: int, positions, n: int) -> np.ndarray:
     """A new zero array holding x's entries at positions along the given
     axis, which it widens to n grid points; every other axis keeps x's
@@ -423,17 +431,44 @@ def _widen(x: np.ndarray, axis: int, positions, n: int) -> np.ndarray:
     return wide
 
 
-def _invert_component(box: np.ndarray, positions, grid_shape, out: np.ndarray) -> None:
-    """The pruned inverse of one component's box of coefficients (see
-    _pruned_irfftn), written to out (Nt, N1, N2, N3)."""
-    x = box
-    for axis in range(3):
-        n = grid_shape[axis]
-        if x.shape[axis] < n:
-            x = _widen(x, axis, positions[axis], n)
-        x = np.fft.ifft(x, axis=axis, norm="forward")
-    np.fft.irfft(x, n=grid_shape[3], norm="forward", out=out)
-    out *= 1.0 / math.prod(grid_shape)
+def _time_inverse(box: np.ndarray, times, nt: int) -> np.ndarray:
+    """The first pass of the pruned inverse (see _pruned_irfftn) of a box
+    of coefficients (C, m0, m1, m2, m3): its time axis, widened to the nt
+    grid points (unless it holds them all) and transformed, (C, nt, m1, m2,
+    m3)."""
+    if box.shape[1] < nt:
+        box = _widen(box, 1, times, nt)
+    return np.fft.ifft(box, axis=1, norm="forward")
+
+
+def _plane_inverse(stack: np.ndarray, positions, grid_shape, planes: int):
+    """The rest of the pruned inverse of a box whose time pass is stack
+    (see _time_inverse), a group of time planes at a time: a function
+    (lo, hi, out) that writes the grid values of the time planes lo:hi,
+    at most planes of them, to out (C, hi - lo, N1, N2, N3).
+
+    Each call widens and transforms the two complex spatial axes in turn,
+    then runs the c2r on the last, each by one numpy call over every
+    component, and scales by 1/N.  Its temporaries are one set of buffers
+    made here, sized for planes time planes and reused by every call.
+    """
+    count, _, _, m2, m3 = stack.shape
+    n1, n2, n3 = grid_shape[1:]
+    wide1 = np.zeros((count, planes, n1, m2, m3), dtype=complex)
+    wide2 = np.zeros((count, planes, n1, n2, m3), dtype=complex)
+    part1, part2 = np.empty_like(wide1), np.empty_like(wide2)
+    scale = 1.0 / math.prod(grid_shape)
+
+    def invert(lo, hi, out):
+        a, b, c, d = (x[:, : hi - lo] for x in (wide1, part1, wide2, part2))
+        a[:, :, positions[1]] = stack[:, lo:hi]
+        np.fft.ifft(a, axis=2, norm="forward", out=b)
+        c[:, :, :, positions[2]] = b
+        np.fft.ifft(c, axis=3, norm="forward", out=d)
+        np.fft.irfft(d, n=n3, axis=4, norm="forward", out=out)
+        out *= scale
+
+    return invert
 
 
 def _pruned_irfftn(coefficients: np.ndarray, positions, grid_shape) -> np.ndarray:
@@ -442,22 +477,28 @@ def _pruned_irfftn(coefficients: np.ndarray, positions, grid_shape) -> np.ndarra
     elsewhere, bit for bit.
 
     irfftn transforms the complex axes 1, 2 and 3 in that order, unscaled,
-    then runs the c2r on axis 4 and scales by 1/N in that pass.  Here each
-    component goes through the same 1-D transforms of numpy.fft, which
-    runs the same pocketfft: each complex axis is widened to its grid size
-    right before its own transform, so that only lines that hold a nonzero
+    then runs the c2r on axis 4 and scales by 1/N in that pass.  Here the
+    same 1-D transforms of numpy.fft, which runs the same pocketfft, go
+    axis by axis: each complex axis is widened to its grid size right
+    before its own transform, so that only lines that hold a nonzero
     coefficient are transformed (the transform of an all-zero line is
     zero), and the c2r pads the half spectrum itself.  The 1/N follows as
-    the same single product.  The components are split between the CPUs
-    (see _on_slabs).
+    the same single product.  The time axis is transformed once
+    (_time_inverse); the rest runs on groups of time planes (_plane_inverse)
+    on slabs of the time axis (see _on_slabs).
     """
-    out = np.empty((len(coefficients),) + tuple(grid_shape))
+    grid_shape = tuple(grid_shape)
+    stack = _time_inverse(coefficients, positions[0], grid_shape[0])
+    out = np.empty((len(coefficients),) + grid_shape)
+    planes = _group_planes(grid_shape)
 
     def slab(sl):
-        for c in range(sl.start, sl.stop):
-            _invert_component(coefficients[c], positions, grid_shape, out[c])
+        invert = _plane_inverse(stack, positions, grid_shape, min(planes, sl.stop - sl.start))
+        for lo in range(sl.start, sl.stop, planes):
+            hi = min(lo + planes, sl.stop)
+            invert(lo, hi, out[:, lo:hi])
 
-    _on_slabs(slab, out.shape)
+    _on_slabs(slab, grid_shape)
     return out
 
 
@@ -467,28 +508,46 @@ class Derivatives:
     second-derivative block of its 21 packed Riemann components and twice
     its first-kind symbols.  Both are linear in s."""
 
-    periods: tuple[float, float, float, float]
-    sample: np.ndarray                  # s, (10, Nt, N1, N2, N3)
     riemann: np.ndarray                 # (21, ...), slots _PACKED
     first_kind: tuple[np.ndarray, ...]  # 4 x (10, ...) 2 Gam_{s,mn}, slots _SYM
 
 
-def derivative_stage(periods, field: np.ndarray | Spectrum) -> Derivatives:
+def _derivative_spectrum(j: int, gk: np.ndarray, k, out: np.ndarray, term: np.ndarray) -> np.ndarray:
+    """The spectrum of the derivative stage's output component j (see
+    derivative_stage) from the spectrum gk (10, ...) of the field and the
+    i*k factors k at its positions, summed term by term into out; term is
+    scratch of the same shape."""
+    S = _SYM_INDEX
+    if j < len(_PACKED):
+        (r, s), (mm, nn) = (_PAIRS4[P] for P in _PACKED[j])
+        np.multiply(k[s] * k[mm], gk[S[r, nn]], out=out)
+        out += np.multiply(k[r] * k[nn], gk[S[s, mm]], out=term)
+        out -= np.multiply(k[s] * k[nn], gk[S[r, mm]], out=term)
+        out -= np.multiply(k[r] * k[mm], gk[S[s, nn]], out=term)
+        out *= 0.5
+    else:
+        s, c = divmod(j - len(_PACKED), len(_SYM))
+        mm, nn = _SYM[c]
+        np.multiply(k[mm], gk[S[s, nn]], out=out)
+        out += np.multiply(k[nn], gk[S[s, mm]], out=term)
+        out -= np.multiply(k[s], gk[S[mm, nn]], out=term)
+    return out
+
+
+def derivative_stage(periods, field: np.ndarray) -> Derivatives:
     """The part of the curvature engine that is linear in the metric, from
     spectral derivatives (exact for band-limited samples) of a symmetric
-    field s, given as its grid values (10, Nt, N1, N2, N3) or a Spectrum:
+    field s given as its grid values (10, Nt, N1, N2, N3):
 
         L_rsmn = 1/2 (s_rn,sm + s_sm,rn - s_rm,sn - s_sn,rm)
         2 Gam_{s,mn} = s_sn,m + s_sm,n - s_mn,s.
 
     The derivative spectra are the products of the field's spectrum with
-    the i*k factors at its grid positions.  Grid values are transformed by
-    rfftn's 1-D transforms in its order (the r2c on axis 4, then axes 1, 2
-    and 3).  A Spectrum (see cyl_tensor_spectrum) is differentiated on its
-    box alone, with no forward FFT, and its grid values are the box's
-    pruned inverse.  Each of the 61 output components (the 21 Riemann
-    components, then the 10 first-kind symbols of each derivative index)
-    has its spectrum formed and pruned-inverted (see _invert_component)
+    the i*k factors (see _derivative_spectrum).  The grid values are
+    transformed by rfftn's 1-D transforms in its order (the r2c on axis 4,
+    then axes 1, 2 and 3), and each of the 61 output components (the 21
+    Riemann components, then the 10 first-kind symbols of each derivative
+    index) has its spectrum formed and inverted by irfftn's 1-D transforms
     straight into its slot of one (61, Nt, N1, N2, N3) array, whose slices
     are the results.
 
@@ -496,50 +555,70 @@ def derivative_stage(periods, field: np.ndarray | Spectrum) -> Derivatives:
     split between the CPUs (see _on_slabs), so that the temporaries in
     flight are a few components' spectra.
     """
-    if isinstance(field, Spectrum):
-        gk, positions, grid_shape = field.coefficients, field.positions, field.shape
-        sample = _pruned_irfftn(gk, positions, grid_shape)
-    else:
-        sample, grid_shape = field, field.shape[1:]
-        gk = np.empty((10,) + grid_shape[:3] + (grid_shape[3] // 2 + 1,), dtype=complex)
+    grid_shape = field.shape[1:]
+    gk = np.empty((10,) + grid_shape[:3] + (grid_shape[3] // 2 + 1,), dtype=complex)
 
-        def forward(sl):
-            for c in range(sl.start, sl.stop):
-                x = np.fft.rfft(sample[c])
-                for axis in range(2):
-                    x = np.fft.fft(x, axis=axis)
-                np.fft.fft(x, axis=2, out=gk[c])
+    def forward(sl):
+        for c in range(sl.start, sl.stop):
+            x = np.fft.rfft(field[c])
+            for axis in range(2):
+                x = np.fft.fft(x, axis=axis)
+            np.fft.fft(x, axis=2, out=gk[c])
 
-        _on_slabs(forward, sample.shape)
-        positions = tuple(np.arange(m) for m in gk.shape[1:])
-    k = _ik_factors(periods, grid_shape, positions)
-    S = _SYM_INDEX
-    out = np.empty((len(_PACKED) + 4 * len(_SYM),) + tuple(grid_shape))
+    _on_slabs(forward, field.shape)
+    k = _ik_factors(periods, grid_shape, tuple(np.arange(m) for m in gk.shape[1:]))
+    out = np.empty((_DERIVATIVES,) + grid_shape)
 
-    def spectrum(j, term):
-        # Output component j's derivative spectrum, summed term by term.
-        if j < len(_PACKED):
-            (r, s), (mm, nn) = (_PAIRS4[P] for P in _PACKED[j])
-            acc = np.multiply(k[s] * k[mm], gk[S[r, nn]])
-            acc += np.multiply(k[r] * k[nn], gk[S[s, mm]], out=term)
-            acc -= np.multiply(k[s] * k[nn], gk[S[r, mm]], out=term)
-            acc -= np.multiply(k[r] * k[mm], gk[S[s, nn]], out=term)
-            acc *= 0.5
-        else:
-            s, c = divmod(j - len(_PACKED), len(_SYM))
-            mm, nn = _SYM[c]
-            acc = np.multiply(k[mm], gk[S[s, nn]])
-            acc += np.multiply(k[nn], gk[S[s, mm]], out=term)
-            acc -= np.multiply(k[s], gk[S[mm, nn]], out=term)
-        return acc
-
-    def slab(sl):
-        term = np.empty(gk.shape[1:], dtype=complex)
+    def inverse(sl):
+        spectrum, term = np.empty((2,) + gk.shape[1:], dtype=complex)
         for j in range(sl.start, sl.stop):
-            _invert_component(spectrum(j, term), positions, grid_shape, out[j])
+            x = _derivative_spectrum(j, gk, k, spectrum, term)
+            for axis in range(3):
+                x = np.fft.ifft(x, axis=axis, norm="forward")
+            np.fft.irfft(x, n=grid_shape[3], norm="forward", out=out[j])
+            out[j] *= 1.0 / math.prod(grid_shape)
 
-    _on_slabs(slab, out.shape)
-    return Derivatives(tuple(periods), sample, out[: len(_PACKED)], tuple(np.split(out[len(_PACKED) :], 4)))
+    _on_slabs(inverse, out.shape)
+    return Derivatives(out[: len(_PACKED)], tuple(np.split(out[len(_PACKED) :], 4)))
+
+
+def _riemann_buffers(size: int) -> tuple[np.ndarray, ...]:
+    """Scratch arrays for _riemann_points on chunks of up to size points."""
+    low, up = np.empty((2, 4, 10, size))
+    return low, up, np.empty((10, size)), np.empty((4, 4, size)), np.empty((2, size))
+
+
+def _riemann_points(g, kind, lin, c: float, out, buffers) -> None:
+    """The pointwise stage of the curvature engine on n points, in chunks
+    of the size of buffers (see _riemann_buffers): the 21 packed Riemann
+    components c lin + Q (see christoffel_riemann) written to out (21, n),
+    which may be lin itself, of the metric g (10, n) whose derivative stage
+    is c times lin (21, n) and the twice first-kind symbols kind
+    (4 x (10, n)).
+
+    Each chunk is gathered into buffers of the stacked layout that the
+    einsums read, and forms the closed-form inverse metric and the
+    second-kind symbols Gam^q_mn of its points, keeping none of them.
+    """
+    S = _SYM_INDEX
+    half_c = 0.5 * c
+    n, size = out.shape[1], buffers[0].shape[-1]
+    for lo in range(0, n, size):
+        chunk = slice(lo, min(lo + size, n))
+        w = chunk.stop - lo
+        low, up, inv, ginv, (dot, dot2) = (b[..., :w] for b in buffers)
+        _sym_inverse(g[:, chunk], inv)
+        for q, f in enumerate(kind):
+            np.multiply(f[:, chunk], half_c, out=low[q])
+        np.take(inv, S, axis=0, out=ginv, mode="clip")  # unbuffered
+        np.einsum("rs...,sc...->rc...", ginv, low, out=up)
+        for col, (P, Q) in enumerate(_PACKED):
+            r, s = _PAIRS4[P]
+            mm, nn = _PAIRS4[Q]
+            np.einsum("q...,q...->...", low[:, S[r, nn]], up[:, S[s, mm]], out=dot)
+            np.einsum("q...,q...->...", low[:, S[r, mm]], up[:, S[s, nn]], out=dot2)
+            np.subtract(dot, dot2, out=dot)
+            np.add(np.multiply(lin[col, chunk], c, out=dot2), dot, out=out[col, chunk])
 
 
 def christoffel_riemann(m: MetricGrid4D) -> CurvatureGrid:
@@ -555,64 +634,28 @@ def christoffel_riemann(m: MetricGrid4D) -> CurvatureGrid:
 
     with Gam_{q,mn} the Christoffel symbols of the first kind.  The pair
     symmetries hold by construction; the first Bianchi identity holds only
-    to rounding error.
-
-    The derivative stage (see derivative_stage) is the one the metric
-    carries, with its factor c, for g = I + c s built by
-    MetricGrid4D.identity_plus; any other metric is differentiated here,
-    with c = 1.  Then R = c L + Q, where the quadratic term Q is fed with
-    c times the first-kind symbols.  Multiplying by 1.0 is exact, so a
-    general metric's result does not depend on the split into stages.
+    to rounding error.  The first term is the metric's derivative stage
+    (see derivative_stage) and the quadratic term the pointwise stage
+    (_riemann_points, at c = 1; multiplying by 1.0 is exact).
 
     Everything runs on every CPU the process may use.  The pointwise stage
-    runs on slabs of the leading grid axis, each slab writing its part of
-    the result, and within a slab in chunks of _chunk_points points: each
-    chunk forms the closed-form inverse metric and the second-kind symbols
-    Gam^q_mn of its points and keeps none of them.  Every value is computed
-    by the same expressions in the same order whatever the split, so the
-    result does not depend on the number of CPUs.
+    runs on slabs of the leading grid axis, each slab overwriting its part
+    of the derivative stage's Riemann block, and within a slab in chunks of
+    _chunk_points points.  Every value is computed by the same expressions
+    in the same order whatever the split, so the result does not depend on
+    the number of CPUs.
     """
-    grid_shape = m.shape
-    S = _SYM_INDEX
-    c = m.scale
-    if m.derivatives is None:
-        d = derivative_stage(m.periods, m.g)
-        riemann = d.riemann  # held by nothing else, so the result overwrites it
-    else:
-        d = m.derivatives
-        riemann = np.empty_like(d.riemann)
-    half_c = 0.5 * c
-    chunk_points = _chunk_points(grid_shape)
+    d = derivative_stage(m.periods, m.g)
+    chunk_points = _chunk_points(m.shape)
 
     def pointwise(sl):
-        # Flat views of the slab's points.  Each chunk of them is gathered
-        # into buffers of the stacked layout that the einsums read.
+        riemann = d.riemann[:, sl].reshape(len(_PACKED), -1)
         kind = [f[:, sl].reshape(10, -1) for f in d.first_kind]
-        g = m.g[:, sl].reshape(10, -1)
-        lin, rie = d.riemann[:, sl].reshape(len(_PACKED), -1), riemann[:, sl].reshape(len(_PACKED), -1)
-        n = rie.shape[1]
-        size = min(n, chunk_points)
-        low_buf, up_buf = np.empty((2, 4, 10, size))
-        sym_buf, inv_buf, dot_buf = np.empty((10, size)), np.empty((4, 4, size)), np.empty((2, size))
-        for lo in range(0, n, size):
-            chunk = slice(lo, min(lo + size, n))
-            w = chunk.stop - lo
-            low, up, inv, ginv, (dot, dot2) = (b[..., :w] for b in (low_buf, up_buf, sym_buf, inv_buf, dot_buf))
-            _sym_inverse(g[:, chunk], inv)
-            for q, f in enumerate(kind):
-                np.multiply(f[:, chunk], half_c, out=low[q])
-            np.take(inv, S, axis=0, out=ginv, mode="clip")  # unbuffered
-            np.einsum("rs...,sc...->rc...", ginv, low, out=up)
-            for col, (P, Q) in enumerate(_PACKED):
-                r, s = _PAIRS4[P]
-                mm, nn = _PAIRS4[Q]
-                np.einsum("q...,q...->...", low[:, S[r, nn]], up[:, S[s, mm]], out=dot)
-                np.einsum("q...,q...->...", low[:, S[r, mm]], up[:, S[s, nn]], out=dot2)
-                np.subtract(dot, dot2, out=dot)
-                np.add(np.multiply(lin[col, chunk], c, out=dot2), dot, out=rie[col, chunk])
+        buffers = _riemann_buffers(min(riemann.shape[1], chunk_points))
+        _riemann_points(m.g[:, sl].reshape(10, -1), kind, riemann, 1.0, riemann, buffers)
 
-    _on_slabs(pointwise, grid_shape)
-    return CurvatureGrid(m, riemann, d.first_kind, c)
+    _on_slabs(pointwise, m.shape)
+    return CurvatureGrid(m, d.riemann, d.first_kind)
 
 
 # ---------------------------------------------------------------------------
@@ -642,6 +685,11 @@ _SPATIAL_RICCI = tuple(
 )
 
 
+# Largest allowed disagreement of the double-epsilon block with its
+# Ricci-contraction rewriting, relative to the curvature scale.
+_DEFECT_TOL = 1e-10
+
+
 def _max_abs(x, axis=None):
     """max |x| over axis, without the temporary |x|."""
     return np.maximum(np.max(x, axis=axis), -np.min(x, axis=axis))
@@ -661,6 +709,52 @@ def _ricci_contraction_shortcut(B: np.ndarray) -> np.ndarray:
     return out
 
 
+def _asd_chunk(Rs: np.ndarray, o: np.ndarray) -> tuple[float, float]:
+    """The anti-self-dual block (see asd_form_background) of the packed
+    components Rs (21, n) of n points, written to o (n, 3, 3); returns the
+    curvature peak max |Rs| and the shortcut defect."""
+    P, star, sign = _PACKED_INDEX, _STAR, _HODGE_SIGN
+    shortcut = _ricci_contraction_shortcut(Rs[P[3:, 3:]])  # the spatial pair block
+    defects, diagonal = [], []
+    for i, j in _SYM_PAIRS:
+        # phi - psi + gam: the time pair block, the symmetrized time-star
+        # block and the star-star block of the pair matrix.
+        psi = 0.5 * (2 * sign[i] * Rs[P[star[i], j]] + 2 * sign[j] * Rs[P[star[j], i]])
+        gam = sign[i] * sign[j] * Rs[P[star[i], star[j]]]
+        entry = Rs[P[i, j]] - psi + gam
+        defects += [_max_abs(gam - shortcut[i, j]), _max_abs(gam - shortcut[j, i])]
+        if i == j:
+            diagonal.append(entry)
+        else:
+            o[..., i, j] = o[..., j, i] = entry
+    tr = 0.0 + diagonal[0]
+    tr += diagonal[1]
+    tr += diagonal[2]
+    for i, entry in enumerate(diagonal):
+        np.subtract(entry, tr / 3.0, out=o[..., i, i])
+    return float(_max_abs(Rs)), float(np.max(defects))
+
+
+def _asd_points(R: np.ndarray, out: np.ndarray, chunk_points: int) -> tuple[float, float]:
+    """The anti-self-dual block of the packed components R (21, n) of n
+    points, written to out (n, 3, 3) in chunks of chunk_points points;
+    returns the maxima of the chunks' peaks and defects."""
+    n = R.shape[1]
+    size = min(n, chunk_points)
+    peaks, defects = zip(*(_asd_chunk(R[:, lo : lo + size], out[lo : lo + size]) for lo in range(0, n, size)))
+    return float(np.max(peaks)), float(np.max(defects))
+
+
+def _check_defect(reports) -> None:
+    """Raises CurvatureDefectError unless the largest defect of reports,
+    the (peak, defect) of the parts of one curvature tensor, is at most
+    _DEFECT_TOL times its curvature scale, the largest peak or 1."""
+    peaks, defects = zip(*reports)
+    scale, defect = max(float(np.max(peaks)), 1.0), float(np.max(defects))
+    if defect > _DEFECT_TOL * scale:
+        raise CurvatureDefectError(defect, scale)
+
+
 def asd_form_background(curv: CurvatureGrid) -> np.ndarray:
     """Anti-self-dual curvature block as a trace-free 3x3 bilinear form per
     grid point, read off the 6x6 curvature pair matrix through the Hodge
@@ -676,46 +770,17 @@ def asd_form_background(curv: CurvatureGrid) -> np.ndarray:
     so neither depends on the split.
 
     Raises CurvatureDefectError when the double-epsilon block disagrees
-    with its Ricci-contraction rewriting.
+    with its Ricci-contraction rewriting by more than _DEFECT_TOL times the
+    curvature scale.
     """
     R = curv.riemann_packed
     out = np.empty(R.shape[1:] + (3, 3))
-    P, star, sign = _PACKED_INDEX, _STAR, _HODGE_SIGN
     chunk_points = _chunk_points(R.shape[1:])
 
-    def chunk(Rs, o):
-        shortcut = _ricci_contraction_shortcut(Rs[P[3:, 3:]])  # the spatial pair block
-        defects, diagonal = [], []
-        for i, j in _SYM_PAIRS:
-            # phi - psi + gam: the time pair block, the symmetrized time-star
-            # block and the star-star block of the pair matrix.
-            psi = 0.5 * (2 * sign[i] * Rs[P[star[i], j]] + 2 * sign[j] * Rs[P[star[j], i]])
-            gam = sign[i] * sign[j] * Rs[P[star[i], star[j]]]
-            entry = Rs[P[i, j]] - psi + gam
-            defects += [_max_abs(gam - shortcut[i, j]), _max_abs(gam - shortcut[j, i])]
-            if i == j:
-                diagonal.append(entry)
-            else:
-                o[..., i, j] = o[..., j, i] = entry
-        tr = 0.0 + diagonal[0]
-        tr += diagonal[1]
-        tr += diagonal[2]
-        for i, entry in enumerate(diagonal):
-            np.subtract(entry, tr / 3.0, out=o[..., i, i])
-        return float(_max_abs(Rs)), float(np.max(defects))
-
     def slab(sl):
-        # Flat views of the slab's points, taken a chunk at a time.
-        Rs, o = R[:, sl].reshape(len(_PACKED), -1), out[sl].reshape(-1, 3, 3)
-        n = Rs.shape[1]
-        size = min(n, chunk_points)
-        peaks, defects = zip(*(chunk(Rs[:, lo : lo + size], o[lo : lo + size]) for lo in range(0, n, size)))
-        return float(np.max(peaks)), float(np.max(defects))
+        return _asd_points(R[:, sl].reshape(len(_PACKED), -1), out[sl].reshape(-1, 3, 3), chunk_points)
 
-    peaks, defects = zip(*_on_slabs(slab, R.shape[1:]))
-    scale, defect = max(float(np.max(peaks)), 1.0), float(np.max(defects))
-    if defect > 1e-10 * scale:
-        raise CurvatureDefectError(defect, scale)
+    _check_defect(_on_slabs(slab, R.shape[1:]))
     return out
 
 
@@ -840,6 +905,83 @@ def _check_sampling(grid: ModeGrid, shape, periods):
 # ---------------------------------------------------------------------------
 
 
+def _variation_stack(periods, spectrum: Spectrum) -> np.ndarray:
+    """The time pass (see _time_inverse) of the 61 derivative spectra of a
+    variation (see derivative_stage), formed on the box of its Spectrum
+    without a forward FFT, then of its 10 own coefficients: (71, Nt, m1,
+    m2, m3)."""
+    gk, positions = spectrum.coefficients, spectrum.positions
+    k = _ik_factors(periods, spectrum.shape, positions)
+    box = np.empty((_DERIVATIVES + len(gk),) + gk.shape[1:], dtype=complex)
+    term = np.empty(gk.shape[1:], dtype=complex)
+    for j in range(_DERIVATIVES):
+        _derivative_spectrum(j, gk, k, box[j], term)
+    box[_DERIVATIVES:] = gk
+    return _time_inverse(box, positions[0], spectrum.shape[0])
+
+
+def _fd_differences(periods, spectrum: Spectrum, eps_values) -> tuple[np.ndarray, list[np.ndarray]]:
+    """The sample s (10, Nt, N1, N2, N3) of the variation whose Spectrum is
+    given, and per step eps the difference m(I + eps s) - m(I - eps s) of
+    the anti-self-dual blocks (see asd_form_background), (Nt, N1, N2, N3,
+    3, 3); only these are grid-sized.
+
+    The grid is streamed a group of time planes at a time on slabs of the
+    time axis: each group's 71 components (the derivative stage, then s)
+    are inverted into buffers that the slab reuses, and each I + c s,
+    c = +-eps, is validated, curved at c times the derivative stage and
+    reduced to its block on the group alone.  The metric and defect checks
+    of each evaluation are decided once over the whole grid, in the order
+    and with the errors of MetricGrid4D and asd_form_background.
+    """
+    shape = spectrum.shape
+    stack = _variation_stack(periods, spectrum)
+    sample = np.empty((len(spectrum.coefficients),) + shape)
+    differences = [np.empty(shape + (3, 3)) for _ in eps_values]
+    steps = [(i, c) for i, eps in enumerate(eps_values) for c in (eps, -eps)]
+    planes, chunk_points = _group_planes(shape), _chunk_points(shape)
+
+    def slab(sl):
+        # Everything in here runs inline: no nested slabs.
+        width = min(planes, sl.stop - sl.start)
+        invert = _plane_inverse(stack, spectrum.positions, shape, width)
+        values_buf = np.empty((len(stack), width) + shape[1:])
+        n = values_buf[0].size
+        g_buf, R_buf, minus_buf = np.empty((10, n)), np.empty((len(_PACKED), n)), np.empty((n, 3, 3))
+        buffers = _riemann_buffers(min(n, chunk_points))
+        rows = []  # (step, (finite, positive), (peak, defect)) per group
+        for lo in range(sl.start, sl.stop, width):
+            hi = min(lo + width, sl.stop)
+            values = values_buf[:, : hi - lo]
+            invert(lo, hi, values)
+            sample[:, lo:hi] = values[_DERIVATIVES:]
+            flat = values.reshape(len(values), -1)
+            w = flat.shape[1]
+            lin, kind, s = flat[: len(_PACKED)], np.split(flat[len(_PACKED) : _DERIVATIVES], 4), flat[_DERIVATIVES:]
+            g, R, minus = g_buf[:, :w], R_buf[:, :w], minus_buf[:w]
+            for step, (i, c) in enumerate(steps):
+                np.multiply(s, c, out=g)
+                g += _IDENTITY  # the bits of I + c s, without its temporary
+                flags = _metric_flags(g, chunk_points)
+                if not all(flags):
+                    # This step fails; no later one is decided.
+                    rows.append((step, flags, (0.0, 0.0)))
+                    break
+                _riemann_points(g, kind, lin, c, R, buffers)
+                diff = differences[i][lo:hi].reshape(-1, 3, 3)
+                rows.append((step, flags, _asd_points(R, minus if step % 2 else diff, chunk_points)))
+                if step % 2:
+                    diff -= minus
+        return rows
+
+    rows = [row for slab_rows in _on_slabs(slab, shape) for row in slab_rows]
+    for step in range(len(steps)):
+        _, flags, reports = zip(*(row for row in rows if row[0] == step))
+        _check_metric(flags)
+        _check_defect(reports)
+    return sample, differences
+
+
 def fd_linearization_errors(
     ht: CylTensor,
     eps_values,
@@ -848,7 +990,7 @@ def fd_linearization_errors(
     """Relative central-difference errors of the anti-self-dual curvature
     block at the flat product metric against the exact linearized operator,
     one per step size, all sharing one sampling of the variation and its
-    one derivative stage.
+    one derivative stage (see _fd_differences).
 
     The variation must be t-periodic (purely imaginary rates, no polynomial
     factors) and real on the grid.  A degenerate direction, one the exact
@@ -858,17 +1000,9 @@ def fd_linearization_errors(
     if not all(0 < eps < 0.1 for eps in eps_values):
         raise ValueError("finite-difference step must be small and positive")
     periods = (_T_PERIOD,) + ht.grid.lengths
-    # One derivative stage of the variation serves every evaluation, and
-    # each metric is built right before its own evaluation, so that only
-    # one is alive at a time.  Each step keeps only m_+ - m_-.
-    derivatives = derivative_stage(periods, cyl_tensor_spectrum(ht, shape, periods))
-    differences = []
-    for eps in eps_values:
-        diff = asd_form_background(christoffel_riemann(MetricGrid4D.identity_plus(derivatives, eps)))
-        diff -= asd_form_background(christoffel_riemann(MetricGrid4D.identity_plus(derivatives, -eps)))
-        differences.append(diff)
-    sample_norm = _norm(derivatives.sample)
-    del derivatives
+    sample, differences = _fd_differences(periods, cyl_tensor_spectrum(ht, shape, periods), eps_values)
+    sample_norm = _norm(sample)
+    del sample
     exact = sample_cross_section_tensor(linearized_weyl(ht), shape, periods)
     den = _norm(exact)
     degenerate = den < 1e-12 * max(1.0, sample_norm)

@@ -134,3 +134,25 @@ def test_no_unreferenced_private_names():
     package = TRACER.parent.parent / "src" / "indicyl"
     sources = {path.name: path.read_text() for path in sorted(package.glob("*.py"))}
     assert _unreferenced_private_names(sources) == []
+
+
+def test_failing_property_reports_its_falsifying_example(tmp_path):
+    # Under the suite's own settings (filterwarnings = ["error"] and
+    # conftest.py), a failing hypothesis property must print its
+    # falsifying example, not end the run with INTERNALERROR.
+    root = TRACER.parent.parent
+    (tmp_path / "conftest.py").write_text((root / "tests" / "conftest.py").read_text())
+    (tmp_path / "test_property.py").write_text(
+        "from hypothesis import given, strategies as st\n\n\n"
+        "@given(st.integers())\n"
+        "def test_below_five(x):\n"
+        "    assert x < 5\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "-c", str(root / "pyproject.toml"),
+         "--rootdir", str(tmp_path), str(tmp_path / "test_property.py")],
+        cwd=tmp_path, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 1, proc.stdout + proc.stderr
+    assert "Falsifying example" in proc.stdout
+    assert "INTERNALERROR" not in proc.stdout + proc.stderr

@@ -438,37 +438,105 @@ def test_engine_matches_eager_engine_bitwise():
     assert np.array_equal(C.asd_form_background(curv), eager_asd(want[2]))
 
 
-def test_fd_battery_matches_eager_loop_bitwise():
+# One CPU streams the whole time axis as one slab; n CPUs split it into up
+# to 2n slabs.  A slab runs its time planes in groups of at least
+# _SLAB_POINTS points and each group in chunks of _chunk_points points:
+# 100 points make one-plane groups of 512-point planes in chunks of 100;
+# 1100 make three-plane groups (3, 3, 2 planes on one CPU) and chunks of
+# 1100 and 436 points.  6 time points split into uneven slabs.
+@pytest.mark.parametrize("shape", [(8, 8, 8, 8), (6, 8, 8, 8)], ids=["even", "uneven"])
+@pytest.mark.parametrize("slab_points", [None, 100, 1100], ids=["default", "100", "1100"])
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_fd_battery_matches_eager_loop_bitwise(monkeypatch, shape, slab_points, workers):
+    monkeypatch.setattr(C, "_fft_workers", lambda: workers)
+    if slab_points is not None:
+        monkeypatch.setattr(C, "_SLAB_POINTS", slab_points)
     ht = C.linearization_battery(seed=11, band=1)[5]
     eps_values = [1e-4, 5e-5]
-    got = C.fd_linearization_errors(ht, eps_values, shape=(8, 8, 8, 8))
-    assert got == eager_fd_errors(ht, eps_values, (8, 8, 8, 8))
+    got = C.fd_linearization_errors(ht, eps_values, shape=shape)
+    assert got == eager_fd_errors(ht, eps_values, shape)
 
 
 @pytest.mark.parametrize("eps", [1e-4, -1e-4, 5e-5])
 def test_shared_derivatives_match_full_engine_to_rounding(eps):
-    # I + eps s built by identity_plus takes eps times the derivative stage
-    # of s; a general metric transforms I + eps s itself, whose rounding
-    # error is relative to the identity's unit entries, about 2e-15 at 8^4
-    # against an anti-self-dual block of order 1e-4.
+    # The battery takes +-eps times the one derivative stage of s for
+    # I +- eps s; a general metric transforms I + eps s itself, whose
+    # rounding error is relative to the identity's unit entries, about
+    # 2e-15 at 8^4 against an anti-self-dual block of order 1e-4.
     ht = C.linearization_battery(seed=11, band=1)[5]
     periods = (2 * math.pi,) + ht.grid.lengths
     shape = (8, 8, 8, 8)
-    derivatives = C.derivative_stage(periods, C.sample_cyl_tensor(ht, shape, periods))
-    shared = C.asd_form_background(C.christoffel_riemann(C.MetricGrid4D.identity_plus(derivatives, eps)))
-    full_metric = C.MetricGrid4D(periods, pack(flat(shape)) + eps * derivatives.sample)
-    full = C.asd_form_background(C.christoffel_riemann(full_metric))
-    assert np.max(np.abs(full)) > 1e-5
-    assert np.max(np.abs(shared - full)) <= 1e-14
-    # Only identity_plus attaches a derivative stage.
-    with pytest.raises(TypeError):
-        C.MetricGrid4D(periods, full_metric.g, derivatives=derivatives)
+    sample, (shared,) = C._fd_differences(periods, C.cyl_tensor_spectrum(ht, shape, periods), [eps])
+    plus, minus = (
+        C.asd_form_background(C.christoffel_riemann(C.MetricGrid4D(periods, pack(flat(shape)) + c * sample)))
+        for c in (eps, -eps)
+    )
+    assert np.max(np.abs(plus)) > 1e-5
+    assert np.max(np.abs(shared - (plus - minus))) <= 1e-14
+    # A metric carries nothing but its samples.
+    assert [f.name for f in dataclasses.fields(C.MetricGrid4D)] == ["periods", "g"]
+
+
+def test_battery_decides_the_defect_once_over_the_grid(monkeypatch):
+    # With no tolerance the first evaluation, of I + eps s, fails the
+    # shortcut check.  Its defect and scale are maxima over the whole grid,
+    # however the battery splits it: those of asd_form_background on the
+    # same metric and its Riemann tensor (the eager engine's, bit for bit).
+    monkeypatch.setattr(C, "_DEFECT_TOL", 0.0)
+    monkeypatch.setattr(C, "_fft_workers", lambda: 2)
+    monkeypatch.setattr(C, "_SLAB_POINTS", 1100)
+    ht = C.linearization_battery(seed=11, band=1)[5]
+    shape, eps = (8, 8, 8, 8), 1e-4
+    periods = (2 * math.pi,) + ht.grid.lengths
+    with pytest.raises(C.CurvatureDefectError) as got:
+        C.fd_linearization_errors(ht, [eps], shape=shape)
+    derivatives = eager_spectrum_derivatives(eager_half_spectrum(ht, _E_CYL_PICKS, shape, periods), shape, periods)
+    plus = pack(flat(shape) + eps * unpack(C.sample_cyl_tensor(ht, shape, periods)))
+    curv = C.CurvatureGrid(C.MetricGrid4D(periods, plus), eager_pointwise(plus, derivatives, eps)[2], ())
+    with pytest.raises(C.CurvatureDefectError) as want:
+        C.asd_form_background(curv)
+    assert want.value.defect > 0
+    assert (got.value.defect, got.value.scale) == (want.value.defect, want.value.scale)
+
+
+def test_battery_metric_error_matches_metric_grid(monkeypatch):
+    # The battery validates each metric group by group and decides once,
+    # with the error MetricGrid4D raises on the whole metric.
+    monkeypatch.setattr(C, "_fft_workers", lambda: 2)
+    monkeypatch.setattr(C, "_SLAB_POINTS", 1100)
+    ht = C.linearization_battery(seed=11, band=1)[5] * 2000.0
+    shape, eps = (8, 8, 8, 8), 0.05
+    message = "metric is not positive definite at some grid point"
+    periods = (2 * math.pi,) + ht.grid.lengths
+    with pytest.raises(ValueError, match=message):
+        C.MetricGrid4D(periods, pack(flat(shape)) + eps * C.sample_cyl_tensor(ht, shape, periods))
+    with pytest.raises(ValueError, match=message):
+        C.fd_linearization_errors(ht, [eps], shape=shape)
+
+
+def test_fd_battery_submits_no_slab_from_a_slab(monkeypatch):
+    # A slab that waited on slabs of its own would deadlock the pool once
+    # every worker waits.
+    import threading
+
+    monkeypatch.setattr(C, "_fft_workers", lambda: 2)
+    monkeypatch.setattr(C, "_SLAB_POINTS", 100)
+    on_slabs = C._on_slabs
+
+    def checked(fn, shape):
+        assert not threading.current_thread().name.startswith("indicyl-slab")
+        return on_slabs(fn, shape)
+
+    monkeypatch.setattr(C, "_on_slabs", checked)
+    ht = C.linearization_battery(seed=11, band=1)[5]
+    (err,) = C.fd_linearization_errors(ht, [1e-4], shape=(8, 8, 8, 8))
+    assert err < 1e-4
 
 
 def test_curvature_grid_holds_no_inverse_until_asked():
     m = random_metric((8, 8, 8, 8), seed=21)
     curv = C.christoffel_riemann(m)
-    assert [f.name for f in dataclasses.fields(curv)] == ["metric", "riemann_packed", "first_kind", "scale"]
+    assert [f.name for f in dataclasses.fields(curv)] == ["metric", "riemann_packed", "first_kind"]
     assert "ginv_sym" not in vars(curv)
     assert np.array_equal(curv.ginv_sym, eager_sym_inverse(m.g))
     assert "ginv_sym" in vars(curv)
@@ -527,27 +595,26 @@ def test_curvature_working_set_is_bounded():
     assert peak - base < 8.0 * m.g.nbytes
 
 
-def test_battery_derivative_stage_working_set_is_bounded():
-    # The derivative stage of a 16^4 battery Spectrum allocates at most this
-    # many times its sample in traced arrays, with one CPU for the same
-    # reason as above.  Its results, the sample and 61 components in one
-    # array, are 7.1 samples; each component's spectrum is formed and
-    # inverted on its own, so the peak is 7.20.
+def test_battery_case_working_set_is_bounded():
+    # One 16^4 battery case allocates at most this many times its sample
+    # (10 components) in traced arrays, with one CPU for the same reason as
+    # above.  Its grid-sized arrays are the sample and the difference (1.9
+    # samples); the rest are one slab's buffers for one group of time
+    # planes.  The peak is 6.10 samples; the bound may only be tightened.
     import tracemalloc
 
     ht = C.linearization_battery(seed=11, band=2)[8]
-    periods = (2 * math.pi,) + ht.grid.lengths
-    spectrum = C.cyl_tensor_spectrum(ht, (16,) * 4, periods)
+    sample_nbytes = 10 * 16**4 * np.dtype(float).itemsize
     tracemalloc.start()
     try:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(C, "_fft_workers", lambda: 1)
             base, _ = tracemalloc.get_traced_memory()
-            d = C.derivative_stage(periods, spectrum)
+            C.fd_linearization_errors(ht, [1e-4], shape=(16,) * 4)
             _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak - base < 7.5 * d.sample.nbytes
+    assert peak - base < 6.25 * sample_nbytes
 
 
 def ifftn_evaluate_terms(field, picks, shape, periods):
@@ -570,8 +637,9 @@ def ifftn_evaluate_terms(field, picks, shape, periods):
 @pytest.mark.parametrize("workers", [1, 2])
 def test_sampling_matches_ifftn_bitwise(monkeypatch, n, band, workers):
     # A sampled field is bit for bit scipy's irfftn of its zero-padded half
-    # spectrum, built here from the coefficients alone, and the derivative
-    # stage of its Spectrum holds the same sample.  One np.fft.ifftn of the
+    # spectrum, built here from the coefficients alone, and the battery,
+    # which streams it from its Spectrum, holds the same sample.  One
+    # np.fft.ifftn of the
     # whole complex mode box agrees to rounding.
     import scipy.fft
 
@@ -590,7 +658,8 @@ def test_sampling_matches_ifftn_bitwise(monkeypatch, n, band, workers):
         got = C.sample_cyl_tensor(ht, shape, periods)
         assert got.flags.c_contiguous
         assert np.array_equal(got, want)
-        assert np.array_equal(C.derivative_stage(periods, C.cyl_tensor_spectrum(ht, shape, periods)).sample, want)
+        streamed, _ = C._fd_differences(periods, C.cyl_tensor_spectrum(ht, shape, periods), [])
+        assert np.array_equal(streamed, want)
         witness = ifftn_evaluate_terms(ht, _E_CYL_PICKS, shape, periods)
         assert np.max(np.abs(got - witness)) <= 4 * np.finfo(float).eps * np.max(np.abs(witness))
         cross, want = C.sample_cross_section_tensor(ht, shape, periods), irfftn(ht, h_picks, periods)
@@ -629,9 +698,10 @@ def test_pruned_inverse_matches_irfftn_bitwise(monkeypatch, shape, band, workers
 
 @pytest.mark.parametrize("n,band", [(8, 1), (16, 2)])
 def test_box_derivatives_match_rfftn_derivatives(n, band):
-    # The box holds the spectrum of the field the sample holds, so its
-    # derivative stage agrees with the one transformed from the sample up
-    # to the sample's rounding.
+    # The box holds the spectrum of the field the sample holds, so the
+    # derivative stage the battery forms on it agrees with the one
+    # transformed from the sample up to the sample's rounding, and its
+    # last 10 components are the sample.
     import scipy.fft
 
     shape = (n,) * 4
@@ -644,10 +714,13 @@ def test_box_derivatives_match_rfftn_derivatives(n, band):
         assert _rel(spectrum.coefficients, full[box]) <= 1e-13
         full[box] = 0.0
         assert np.max(np.abs(full)) <= 1e-13 * np.max(np.abs(spectrum.coefficients))
-        got = C.derivative_stage(periods, spectrum)
+        stack = C._variation_stack(periods, spectrum)
+        got = np.empty((len(stack),) + shape)
+        C._plane_inverse(stack, spectrum.positions, shape, n)(0, n, got)
         want = C.derivative_stage(periods, sample)
-        for a, b in zip((got.riemann,) + got.first_kind, (want.riemann,) + want.first_kind):
+        for a, b in zip([got[:21]] + np.split(got[21:61], 4), (want.riemann,) + want.first_kind):
             assert _rel(a, b) <= 1e-13
+        assert np.array_equal(got[61:], sample)
 
 
 def test_shortcut_matches_tensordot_form():
@@ -664,12 +737,18 @@ def test_fd_norm_matches_linalg_norm():
 
 def test_fd_battery_reads_no_lazy_or_unpacked_array(monkeypatch):
     # The battery needs only the packed components; Ricci, scalar curvature
-    # and the unpacked tensors are for callers that ask for them.
-    def refuse(self):
-        raise AssertionError("lazy or unpacked curvature array read by the FD battery")
+    # and the unpacked tensors are for callers that ask for them.  It
+    # streams the grid through the engine's helpers and builds no full-grid
+    # metric, derivative stage or curvature, so it calls none of the public
+    # engine functions, which a traced run wraps (and would wrap on the
+    # slab threads).
+    def refuse(*args, **kwargs):
+        raise AssertionError("lazy or unpacked curvature array or full-grid engine call in the FD battery")
 
     for name in ("ginv", "gamma", "gamma_sym", "riemann", "ricci", "ricci_sym", "scalar"):
         monkeypatch.setattr(C.CurvatureGrid, name, property(refuse))
+    for name in ("MetricGrid4D", "CurvatureGrid", "Derivatives", "derivative_stage", "christoffel_riemann", "asd_form_background"):
+        monkeypatch.setattr(C, name, refuse)
     ht = C.linearization_battery(seed=11, band=1)[7]
     (err,) = C.fd_linearization_errors(ht, [1e-4], shape=(8, 8, 8, 8))
     assert err < 1e-4
