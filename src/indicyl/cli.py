@@ -360,23 +360,28 @@ def run_identities(n: int = 8, seed: int = 7, tol: float = 1e-10):
     return report, all(r.ok for r in results)
 
 
+# Least ratio of the first case's errors at eps and eps / 2: a central
+# difference converges at second order, so halving the step divides its
+# error by about 4.
+_HALVING_RATIO = 3.5
+
+
 def run_linearization(n: int = 16, seed: int = 11, eps: float = 1e-4, tol: float = 1e-6):
     """Finite-difference battery with a step-halving convergence check on the
     first case.  The variation band limit shrinks on coarse grids so that the
     quadratic metric products stay below the Nyquist frequency."""
     from . import curvature
 
-    shape = (n,) * 4
     battery = curvature.linearization_battery(seed=seed, band=2 if n >= 16 else 1)
+    cases = [(ht, [eps, eps / 2] if i == 0 else [eps]) for i, ht in enumerate(battery)]
     report = []
-    for i, ht in enumerate(battery):
-        errs = curvature.fd_linearization_errors(ht, [eps, eps / 2] if i == 0 else [eps], shape=shape)
+    for i, errs in enumerate(curvature.fd_battery_errors(cases, (n,) * 4)):
         row = {"case": i, "relative_error": errs[0]}
         case_ok = errs[0] <= tol
         if i == 0:
             row["halved_step_error"] = errs[1]
             row["convergence_ratio"] = ratio = errs[0] / errs[1]
-            case_ok = case_ok and ratio >= 3.5
+            case_ok = case_ok and ratio >= _HALVING_RATIO
         row["tolerance"] = tol
         row["pass"] = case_ok
         report.append(row)

@@ -48,13 +48,19 @@ variation is differentiated on its box, without a forward FFT, and its
 61 derivative spectra are inverted with its 10 coefficients; any other
 metric is differentiated through its full rfftn, one component at a time.
 
-Threads: everything runs on every CPU the process may use, on one pool of
-threads (see _on_slabs): the full-grid derivative stage splits the
-components between them; the pruned inverse, the battery, the pointwise
-stage, the metric validation and the anti-self-dual block split the
-leading grid axis.  Work on a slab runs inline on its thread and submits
-nothing to the pool, which would deadlock once every worker waits.  Each
-grid point's values come from the same expressions in the same order
+Threads: the public full-grid functions run on every CPU the process may
+use, on one pool of threads (see _on_slabs): the derivative stage splits
+the components between them; the pruned inverse, the pointwise stage, the
+metric validation and the anti-self-dual block split the leading grid
+axis.  Work on a slab runs inline on its thread and submits nothing to the
+pool, which would deadlock once every worker waits.
+
+Processes: the battery (see fd_battery_errors) runs its cases, not slabs,
+in parallel, on the calling process and on workers forked from it, one
+per further CPU.  While it runs, every slab of every process runs inline,
+so a worker never touches the thread pool it inherits.
+
+Each grid point's values come from the same expressions in the same order
 however the work is split, so every result is bitwise the same for any
 number of CPUs.
 """
@@ -63,6 +69,10 @@ from __future__ import annotations
 
 import math
 import os
+import pickle
+import signal
+import warnings
+from contextvars import ContextVar
 from dataclasses import dataclass
 from functools import cache, cached_property
 
@@ -105,6 +115,9 @@ class CurvatureDefectError(VerificationError):
             f"double-epsilon contraction disagrees with the Ricci-contraction "
             f"shortcut by {defect:.3e} (curvature scale {scale:.3e})"
         )
+
+    def __reduce__(self):
+        return type(self), (self.defect, self.scale)
 
 
 @dataclass
@@ -361,6 +374,10 @@ def _slab_pool():
 # one 16^4 evaluation about 220 ms inline and 150 ms on 4 slabs.
 _SLAB_POINTS = 8192
 
+# The pid of the process running the battery (see fd_battery_errors), set
+# while it runs and inherited by the workers it forks; None otherwise.
+_BATTERY_OWNER: ContextVar[int | None] = ContextVar("battery_owner", default=None)
+
 
 def _on_slabs(fn, shape) -> list:
     """fn(slice) on slabs that split the leading axis of an array of the
@@ -370,12 +387,13 @@ def _on_slabs(fn, shape) -> list:
     NumPy releases the GIL in the pointwise loops, so the slabs run in
     parallel on threads.  Twice as many slabs as CPUs balances the load
     while keeping the temporaries in flight well below full size.  With
-    one CPU, or fewer than 2 * _SLAB_POINTS points, fn runs inline on the
-    whole axis.  Every future is waited for before an exception from any
-    slab is raised.
+    one CPU, fewer than 2 * _SLAB_POINTS points, or while the battery runs
+    (see fd_battery_errors), fn runs inline on the whole axis.  Every
+    future is waited for before an exception from any slab is raised.
     """
     n, workers = shape[0], _fft_workers()
-    count = min(n, 2 * workers, math.prod(shape) // _SLAB_POINTS) if workers > 1 else 1
+    inline = workers < 2 or _BATTERY_OWNER.get() is not None
+    count = 1 if inline else min(n, 2 * workers, math.prod(shape) // _SLAB_POINTS)
     if count < 2:
         return [fn(slice(0, n))]
     from concurrent.futures import wait
@@ -920,66 +938,74 @@ def _variation_stack(periods, spectrum: Spectrum) -> np.ndarray:
     return _time_inverse(box, positions[0], spectrum.shape[0])
 
 
+def _exit_if_orphaned() -> None:
+    """Ends this process at once if it is a battery worker (see
+    fd_battery_errors) whose parent has gone."""
+    owner = _BATTERY_OWNER.get()
+    if owner is not None and owner not in (os.getpid(), os.getppid()):
+        os._exit(1)
+
+
 def _fd_differences(periods, spectrum: Spectrum, eps_values) -> tuple[np.ndarray, list[np.ndarray]]:
     """The sample s (10, Nt, N1, N2, N3) of the variation whose Spectrum is
     given, and per step eps the difference m(I + eps s) - m(I - eps s) of
     the anti-self-dual blocks (see asd_form_background), (Nt, N1, N2, N3,
     3, 3); only these are grid-sized.
 
-    The grid is streamed a group of time planes at a time on slabs of the
-    time axis: each group's 71 components (the derivative stage, then s)
-    are inverted into buffers that the slab reuses, and each I + c s,
-    c = +-eps, is validated, curved at c times the derivative stage and
-    reduced to its block on the group alone.  The metric and defect checks
-    of each evaluation are decided once over the whole grid, in the order
-    and with the errors of MetricGrid4D and asd_form_background.
+    The grid is streamed a group of time planes at a time, inline: each
+    group's 71 components (the derivative stage, then s) are inverted into
+    one set of buffers made here, and each I + c s, c = +-eps, is
+    validated, curved at c times the derivative stage and reduced to its
+    block on the group alone.  The metric and defect checks of each
+    evaluation are decided once over the whole grid, in the order and with
+    the errors of MetricGrid4D and asd_form_background.  A battery worker
+    whose parent has gone ends between groups (see _exit_if_orphaned).
     """
     shape = spectrum.shape
     stack = _variation_stack(periods, spectrum)
     sample = np.empty((len(spectrum.coefficients),) + shape)
     differences = [np.empty(shape + (3, 3)) for _ in eps_values]
     steps = [(i, c) for i, eps in enumerate(eps_values) for c in (eps, -eps)]
-    planes, chunk_points = _group_planes(shape), _chunk_points(shape)
-
-    def slab(sl):
-        # Everything in here runs inline: no nested slabs.
-        width = min(planes, sl.stop - sl.start)
-        invert = _plane_inverse(stack, spectrum.positions, shape, width)
-        values_buf = np.empty((len(stack), width) + shape[1:])
-        n = values_buf[0].size
-        g_buf, R_buf, minus_buf = np.empty((10, n)), np.empty((len(_PACKED), n)), np.empty((n, 3, 3))
-        buffers = _riemann_buffers(min(n, chunk_points))
-        rows = []  # (step, (finite, positive), (peak, defect)) per group
-        for lo in range(sl.start, sl.stop, width):
-            hi = min(lo + width, sl.stop)
-            values = values_buf[:, : hi - lo]
-            invert(lo, hi, values)
-            sample[:, lo:hi] = values[_DERIVATIVES:]
-            flat = values.reshape(len(values), -1)
-            w = flat.shape[1]
-            lin, kind, s = flat[: len(_PACKED)], np.split(flat[len(_PACKED) : _DERIVATIVES], 4), flat[_DERIVATIVES:]
-            g, R, minus = g_buf[:, :w], R_buf[:, :w], minus_buf[:w]
-            for step, (i, c) in enumerate(steps):
-                np.multiply(s, c, out=g)
-                g += _IDENTITY  # the bits of I + c s, without its temporary
-                flags = _metric_flags(g, chunk_points)
-                if not all(flags):
-                    # This step fails; no later one is decided.
-                    rows.append((step, flags, (0.0, 0.0)))
-                    break
-                _riemann_points(g, kind, lin, c, R, buffers)
-                diff = differences[i][lo:hi].reshape(-1, 3, 3)
-                rows.append((step, flags, _asd_points(R, minus if step % 2 else diff, chunk_points)))
-                if step % 2:
-                    diff -= minus
-        return rows
-
-    rows = [row for slab_rows in _on_slabs(slab, shape) for row in slab_rows]
+    planes, chunk_points = min(_group_planes(shape), shape[0]), _chunk_points(shape)
+    invert = _plane_inverse(stack, spectrum.positions, shape, planes)
+    values_buf = np.empty((len(stack), planes) + shape[1:])
+    n = values_buf[0].size
+    g_buf, R_buf, minus_buf = np.empty((10, n)), np.empty((len(_PACKED), n)), np.empty((n, 3, 3))
+    buffers = _riemann_buffers(min(n, chunk_points))
+    rows = []  # (step, (finite, positive), (peak, defect)) per group
+    for lo in range(0, shape[0], planes):
+        _exit_if_orphaned()
+        hi = min(lo + planes, shape[0])
+        values = values_buf[:, : hi - lo]
+        invert(lo, hi, values)
+        sample[:, lo:hi] = values[_DERIVATIVES:]
+        flat = values.reshape(len(values), -1)
+        w = flat.shape[1]
+        lin, kind, s = flat[: len(_PACKED)], np.split(flat[len(_PACKED) : _DERIVATIVES], 4), flat[_DERIVATIVES:]
+        g, R, minus = g_buf[:, :w], R_buf[:, :w], minus_buf[:w]
+        for step, (i, c) in enumerate(steps):
+            np.multiply(s, c, out=g)
+            g += _IDENTITY  # the bits of I + c s, without its temporary
+            flags = _metric_flags(g, chunk_points)
+            if not all(flags):
+                # This step fails; no later one is decided.
+                rows.append((step, flags, (0.0, 0.0)))
+                break
+            _riemann_points(g, kind, lin, c, R, buffers)
+            diff = differences[i][lo:hi].reshape(-1, 3, 3)
+            rows.append((step, flags, _asd_points(R, minus if step % 2 else diff, chunk_points)))
+            if step % 2:
+                diff -= minus
     for step in range(len(steps)):
         _, flags, reports = zip(*(row for row in rows if row[0] == step))
         _check_metric(flags)
         _check_defect(reports)
     return sample, differences
+
+
+# A variation whose exact linearized block has norm below this times
+# max(1, its own norm) is degenerate (see fd_linearization_errors).
+_DEGENERATE_TOL = 1e-12
 
 
 def fd_linearization_errors(
@@ -1005,13 +1031,121 @@ def fd_linearization_errors(
     del sample
     exact = sample_cross_section_tensor(linearized_weyl(ht), shape, periods)
     den = _norm(exact)
-    degenerate = den < 1e-12 * max(1.0, sample_norm)
+    degenerate = den < _DEGENERATE_TOL * max(1.0, sample_norm)
     out = []
     for eps, diff in zip(eps_values, differences):
         diff /= 2 * eps
         diff -= exact
         out.append(math.nan if degenerate else _norm(diff) / den)
     return out
+
+
+def _run_share(cases, shape, first: int, stride: int) -> tuple[dict, tuple | None]:
+    """fd_linearization_errors of the cases first, first + stride, ... one
+    after another: {case: errors} of those that return, and (case,
+    exception) of the first that raises, or None."""
+    done = {}
+    for i in range(first, len(cases), stride):
+        ht, eps_values = cases[i]
+        try:
+            done[i] = fd_linearization_errors(ht, eps_values, shape)
+        except Exception as e:
+            return done, (i, e)
+    return done, None
+
+
+def _portable(exc: Exception) -> Exception:
+    """exc if it survives pickling, else a RuntimeError naming its type
+    and message."""
+    try:
+        pickle.loads(pickle.dumps(exc))
+        return exc
+    except Exception:
+        return RuntimeError(f"{type(exc).__name__}: {exc}")
+
+
+def _worker(cases, shape, first: int, stride: int, out_fd: int):
+    """The whole life of a forked battery worker: its share of the cases
+    (see _run_share), pickled to out_fd, then os._exit, whatever happens,
+    so that nothing of the parent's stack, buffers or exit handlers runs
+    here."""
+    code = 1
+    try:
+        done, failure = _run_share(cases, shape, first, stride)
+        if failure is not None:
+            failure = (failure[0], _portable(failure[1]))
+        payload = pickle.dumps((done, failure))
+        with os.fdopen(out_fd, "wb") as out:
+            out.write(payload)
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _read_all(fd: int) -> bytes:
+    chunks = []
+    while chunk := os.read(fd, 1 << 16):
+        chunks.append(chunk)
+    return b"".join(chunks)
+
+
+def fd_battery_errors(cases, shape) -> list[list[float]]:
+    """fd_linearization_errors(ht, eps_values, shape) of each (ht,
+    eps_values) of cases, in case order, on every CPU the process may use.
+
+    The cases are split between W = min(CPUs, cases) processes: this one
+    and W - 1 workers forked from it, or this one alone without os.fork.
+    Case i runs in process i mod W; each process runs its cases one after
+    another with every slab inline (see _on_slabs), and a worker sends its
+    errors back over a pipe.  So the result does not depend on W.  When
+    cases raise, the exception of the lowest case is raised, as a loop
+    over the cases would, with the type and message it had in its process.
+
+    No worker outlives the call: a worker ends through os._exit after its
+    share, or between groups of time planes once its parent is gone (see
+    _exit_if_orphaned), and every worker not yet reaped when this returns
+    or raises is killed and reaped.  Each process holds its own buffers,
+    so the memory of the whole battery grows with W.
+    """
+    cases = list(cases)
+    count = max(1, min(_fft_workers(), len(cases))) if hasattr(os, "fork") else 1
+    token = _BATTERY_OWNER.set(os.getpid())
+    workers = []  # (pid, read end of its pipe) of each worker not yet reaped
+    try:
+        for first in range(1, count):
+            read_fd, write_fd = os.pipe()
+            with warnings.catch_warnings():
+                # Python 3.12+ warns about forking a process that has threads
+                # (BLAS's, or the slab pool's); a worker uses neither.
+                warnings.simplefilter("ignore", DeprecationWarning)
+                pid = os.fork()
+            if pid == 0:
+                _worker(cases, shape, first, count, write_fd)
+            os.close(write_fd)
+            workers.append((pid, read_fd))
+        results, failure = _run_share(cases, shape, 0, count)
+        failures = [failure]
+        while workers:
+            pid, read_fd = workers[0]
+            payload = _read_all(read_fd)
+            os.waitpid(pid, 0)
+            os.close(read_fd)
+            workers.pop(0)
+            if not payload:
+                raise RuntimeError(f"battery worker {pid} ended without a result")
+            done, failure = pickle.loads(payload)
+            results.update(done)
+            failures.append(failure)
+    finally:
+        _BATTERY_OWNER.reset(token)
+        for pid, read_fd in workers:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            os.close(read_fd)
+    failures = [f for f in failures if f is not None]
+    if failures:
+        raise min(failures, key=lambda f: f[0])[1]
+    return [results[i] for i in range(len(cases))]
 
 
 # Component mixes and time frequencies of the fixed-seed validation battery.

@@ -2,9 +2,11 @@ import hashlib
 import json
 import math
 import os
+import signal
 import subprocess
 import sys
 import threading
+import time
 import types
 
 import numpy as np
@@ -612,6 +614,46 @@ def test_curvature_defect_exits_1(monkeypatch, capsys):
     assert "shortcut by 1.000e-03" in captured.err
 
 
+@pytest.mark.parametrize("at", [True, False], ids=["at", "below"])
+def test_halving_ratio_threshold(monkeypatch, at):
+    # The first case passes when its error at eps is at least
+    # _HALVING_RATIO times its error at eps / 2, and fails just below.
+    halved = 2.0**-24
+    first = cli._HALVING_RATIO * halved
+    if not at:
+        first = math.nextafter(first, 0.0)
+    monkeypatch.setattr(
+        curvature, "fd_battery_errors", lambda cases, shape: [[first, halved]] + [[0.0]] * (len(cases) - 1)
+    )
+    report, ok = cli.run_linearization(n=8)
+    ratio = cli._HALVING_RATIO
+    assert report[0]["convergence_ratio"] == (ratio if at else math.nextafter(ratio, 0.0))
+    assert report[0]["pass"] is ok is at
+
+
+def test_battery_failure_reads_the_same_on_any_process_count(monkeypatch, capsys):
+    # With no shortcut tolerance every case fails; the error of case 0 is
+    # printed and the exit code is 1, however many processes run the cases.
+    monkeypatch.setattr(curvature, "_DEFECT_TOL", 0.0)
+    outcomes = []
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(curvature, "_fft_workers", lambda: workers)
+        code = cli.main(["verify", "linearization", "--N", "8"])
+        outcomes.append((code, capsys.readouterr()))
+    assert outcomes[0][0] == 1 and outcomes[0][1].out == ""
+    assert "double-epsilon contraction disagrees" in outcomes[0][1].err
+    assert outcomes[1] == outcomes[0] and outcomes[2] == outcomes[0]
+
+
+@pytest.mark.parametrize("seed", [7, 123])
+def test_battery_report_is_the_same_on_any_process_count(monkeypatch, seed):
+    reports = []
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(curvature, "_fft_workers", lambda: workers)
+        reports.append(json.dumps(cli.run_linearization(n=8, seed=seed)))
+    assert reports[1] == reports[0] and reports[2] == reports[0]
+
+
 @pytest.mark.parametrize("n", ["2", "4"])
 def test_verify_linearization_rejects_coarse_grid(n, capsys):
     # The battery's time frequencies go up to 3, beyond what 2 or 4 samples hold.
@@ -773,6 +815,72 @@ def test_closed_form_commands_load_no_numpy(argv, tmp_path):
     assert json.loads((tmp_path / "out.json").read_text())["command"] == argv[0]
 
 
+def test_cli_start_up_loads_no_pickle_or_multiprocessing():
+    # Only the battery forks and pickles, inside the curvature module that
+    # verify linearization loads on demand.
+    probe = 'import sys, indicyl.cli; print(sorted({"pickle", "multiprocessing"} & set(sys.modules)))'
+    proc = run_python("-c", probe)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
+def test_linearization_runs_with_warnings_as_errors():
+    # Forking a process with threads warns on Python 3.12+; a worker's
+    # stray output would show in stdout or stderr.
+    proc = run_python("-W", "error", "-m", "indicyl.cli", "verify", "linearization", "--N", "8")
+    assert proc.returncode == 0 and proc.stderr == ""
+    assert hashlib.sha256(proc.stdout.encode()).hexdigest() == PINNED_LINEARIZATION_N8
+
+
+def _running(pid: int) -> bool:
+    """Whether the process pid exists and is not a zombie."""
+    try:
+        with open(f"/proc/{pid}/stat") as f:
+            return f.read().rsplit(")", 1)[1].split()[0] not in "ZX"
+    except FileNotFoundError:
+        return False
+
+
+# Announces each forked battery worker's pid on stdout, then runs a battery
+# whose worker has about 20 cases of 16^4 to do.
+ORPHAN_BATTERY = """
+import os
+from indicyl import curvature as C
+fork = os.fork
+def announced_fork():
+    pid = fork()
+    if pid:
+        print(pid, flush=True)
+    return pid
+os.fork = announced_fork
+C._fft_workers = lambda: 2
+C.fd_battery_errors([(ht, [1e-4]) for ht in C.linearization_battery()] * 4, (16,) * 4)
+"""
+
+
+@pytest.mark.skipif(not (hasattr(os, "fork") and os.path.isdir("/proc/self")), reason="needs fork and /proc")
+def test_battery_worker_ends_when_its_parent_is_killed():
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    parent = subprocess.Popen([sys.executable, "-c", ORPHAN_BATTERY], stdout=subprocess.PIPE, env=env)
+    worker = None
+    try:
+        worker = int(parent.stdout.readline())
+        parent.kill()
+        parent.wait()
+        deadline = time.monotonic() + 2.0
+        while _running(worker) and time.monotonic() < deadline:
+            time.sleep(0.02)
+        assert not _running(worker)
+    finally:
+        parent.kill()
+        parent.wait()
+        parent.stdout.close()
+        if worker is not None and _running(worker):
+            os.kill(worker, signal.SIGKILL)
+
+
 _SCIPY_PROBE = """
 import sys
 from indicyl import cli
@@ -846,9 +954,9 @@ def test_identities_stdout_independent_of_blas_threads():
     assert default.stdout == single.stdout
 
 
-# verify linearization --N 8 runs the curvature engine's pointwise stages
-# inline (the grid is below the slab size) and only its FFTs on several
-# CPUs; the 16^4 battery case runs the stages on slabs too.
+# verify linearization --N 8 splits its cases between processes, one per
+# CPU; one 16^4 battery case, called alone, streams its grid inline and
+# samples its exact block on slabs.
 ENGINE_16 = (
     "from indicyl import curvature as C\n"
     "ht = C.linearization_battery()[0]\n"
@@ -879,6 +987,7 @@ def test_linearization_stdout_independent_of_cpu_count(argv):
 # release.  The oracle's mismatches are LAPACK rounding, so its digest holds
 # for one numpy build and CPU family.  A digest is re-pinned, with the
 # changed numbers stated, when what it depends on changes.
+PINNED_LINEARIZATION_N8 = "950a197530587991639f46986b19028ee919c6ad71010fb04121c37c0c5015b4"
 PINNED_SPECTRUM = """\
 b1 2
 codazzi 1
@@ -955,10 +1064,7 @@ tt 3 7.25 2
             "verify identities --N 8",
             "a6c647df0fd3bd0102684786b09efc0c6e6c11f07a0a166c25146a2de9f31777",
         ),
-        (
-            "verify linearization --N 8",
-            "950a197530587991639f46986b19028ee919c6ad71010fb04121c37c0c5015b4",
-        ),
+        ("verify linearization --N 8", PINNED_LINEARIZATION_N8),
         (
             "verify linearization --N 16 --seed 11",
             "4acbb2889ec72b2596cc7f4d70d7761b1f7543352470f59fea0d32690320b351",

@@ -438,12 +438,13 @@ def test_engine_matches_eager_engine_bitwise():
     assert np.array_equal(C.asd_form_background(curv), eager_asd(want[2]))
 
 
-# One CPU streams the whole time axis as one slab; n CPUs split it into up
-# to 2n slabs.  A slab runs its time planes in groups of at least
-# _SLAB_POINTS points and each group in chunks of _chunk_points points:
-# 100 points make one-plane groups of 512-point planes in chunks of 100;
-# 1100 make three-plane groups (3, 3, 2 planes on one CPU) and chunks of
-# 1100 and 436 points.  6 time points split into uneven slabs.
+# The battery runs case i in process i mod W, W = min(workers, cases): the
+# caller and W - 1 forked workers, every case streamed inline in groups of
+# time planes of at least _SLAB_POINTS points, each group in chunks of
+# _chunk_points points: 100 points make one-plane groups of 512-point
+# planes in chunks of 100; 1100 make three-plane groups (3, 3, 2 planes of
+# 8) and chunks of 1100 and 436 points.  6 time points make a short last
+# group at every size.
 @pytest.mark.parametrize("shape", [(8, 8, 8, 8), (6, 8, 8, 8)], ids=["even", "uneven"])
 @pytest.mark.parametrize("slab_points", [None, 100, 1100], ids=["default", "100", "1100"])
 @pytest.mark.parametrize("workers", [1, 2, 3])
@@ -451,10 +452,10 @@ def test_fd_battery_matches_eager_loop_bitwise(monkeypatch, shape, slab_points, 
     monkeypatch.setattr(C, "_fft_workers", lambda: workers)
     if slab_points is not None:
         monkeypatch.setattr(C, "_SLAB_POINTS", slab_points)
-    ht = C.linearization_battery(seed=11, band=1)[5]
-    eps_values = [1e-4, 5e-5]
-    got = C.fd_linearization_errors(ht, eps_values, shape=shape)
-    assert got == eager_fd_errors(ht, eps_values, shape)
+    battery = C.linearization_battery(seed=11, band=1)
+    cases = [(battery[5], [1e-4, 5e-5]), (battery[2], [1e-4]), (battery[8], [5e-5])]
+    got = C.fd_battery_errors(cases, shape)
+    assert got == [eager_fd_errors(ht, eps_values, shape) for ht, eps_values in cases]
 
 
 @pytest.mark.parametrize("eps", [1e-4, -1e-4, 5e-5])
@@ -516,21 +517,123 @@ def test_battery_metric_error_matches_metric_grid(monkeypatch):
 
 def test_fd_battery_submits_no_slab_from_a_slab(monkeypatch):
     # A slab that waited on slabs of its own would deadlock the pool once
-    # every worker waits.
-    import threading
+    # every worker waits, and a forked battery worker has the pool's state
+    # but none of its threads: while the battery runs, no process submits
+    # to the pool, although its grids are large enough to split.
+    def refuse():
+        raise AssertionError("the battery submitted to the slab pool")
 
     monkeypatch.setattr(C, "_fft_workers", lambda: 2)
     monkeypatch.setattr(C, "_SLAB_POINTS", 100)
-    on_slabs = C._on_slabs
+    monkeypatch.setattr(C, "_slab_pool", refuse)
+    battery = C.linearization_battery(seed=11, band=1)
+    errors = C.fd_battery_errors([(ht, [1e-4]) for ht in battery[4:7]], (8, 8, 8, 8))
+    assert max(err for (err,) in errors) < 1e-4
 
-    def checked(fn, shape):
-        assert not threading.current_thread().name.startswith("indicyl-slab")
-        return on_slabs(fn, shape)
 
-    monkeypatch.setattr(C, "_on_slabs", checked)
+def test_fd_battery_finishes_beside_a_running_slab_pool(monkeypatch):
+    # The workers are forked from a process whose slab pool has live,
+    # idle threads.  A worker that submitted to its copy of the pool would
+    # wait forever; the alarm turns that into a failure, and the battery
+    # kills its workers on the way out.
+    import signal
+
+    monkeypatch.setattr(C, "_fft_workers", lambda: 2)
+    monkeypatch.setattr(C, "_SLAB_POINTS", 100)
+    C._on_slabs(lambda sl: None, (8, 8, 8, 8))
+    assert C._slab_pool()._threads
+    battery = C.linearization_battery(seed=11, band=1)
+    cases, shape = [(ht, [1e-4]) for ht in battery[:4]], (8, 8, 8, 8)
+
+    def timeout(signum, frame):
+        raise TimeoutError("the battery did not finish")
+
+    previous = signal.signal(signal.SIGALRM, timeout)
+    signal.alarm(120)
+    try:
+        got = C.fd_battery_errors(cases, shape)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert got == [C.fd_linearization_errors(ht, eps_values, shape) for ht, eps_values in cases]
+
+
+def test_fd_battery_runs_every_case_itself_without_fork(monkeypatch):
+    monkeypatch.setattr(C, "_fft_workers", lambda: 3)
+    monkeypatch.delattr(C.os, "fork")
+    battery = C.linearization_battery(seed=11, band=1)
+    cases, shape = [(ht, [1e-4]) for ht in battery[:3]], (8, 8, 8, 8)
+    assert C.fd_battery_errors(cases, shape) == [C.fd_linearization_errors(ht, e, shape) for ht, e in cases]
+
+
+def test_fd_battery_of_no_cases_is_empty():
+    assert C.fd_battery_errors([], (8, 8, 8, 8)) == []
+
+
+def test_curvature_defect_error_survives_pickling():
+    import pickle
+
+    error = pickle.loads(pickle.dumps(C.CurvatureDefectError(1.25e-3, 2.5)))
+    assert type(error) is C.CurvatureDefectError
+    assert (error.defect, error.scale) == (1.25e-3, 2.5)
+    assert str(error) == str(C.CurvatureDefectError(1.25e-3, 2.5))
+
+
+# With no shortcut tolerance every nonzero variation fails its defect
+# check, the zero variation passes it, and a large variation fails its
+# metric check first.
+def _failing_cases():
+    ht = C.linearization_battery(seed=11, band=1)[5]
+    return {"zero": (ht * 0.0, [1e-4]), "defect": (ht, [1e-4]), "metric": (ht * 2000.0, [0.05])}
+
+
+@pytest.mark.parametrize(
+    "kinds,error",
+    [
+        (("zero", "defect", "metric", "defect"), C.CurvatureDefectError),
+        (("zero", "zero", "metric", "defect"), ValueError),
+        (("zero", "zero", "zero", "defect"), C.CurvatureDefectError),
+    ],
+    ids=["worker-defect", "worker-metric-before-own-defect", "own-defect"],
+)
+@pytest.mark.parametrize("workers", [1, 3])
+def test_fd_battery_raises_the_lowest_failing_case(monkeypatch, kinds, error, workers):
+    # Three processes run cases (0, 3), (1,) and (2,), one runs them all:
+    # the lowest failing case may be a worker's, and its exception is raised with the type
+    # and message it had there, as the one-process loop raises it.
+    monkeypatch.setattr(C, "_DEFECT_TOL", 0.0)
+    monkeypatch.setattr(C, "_fft_workers", lambda: workers)
+    cases = [_failing_cases()[kind] for kind in kinds]
+    with pytest.raises(error) as got:
+        C.fd_battery_errors(cases, (8, 8, 8, 8))
+    lowest = next(i for i, kind in enumerate(kinds) if kind != "zero")
+    with pytest.raises(error) as want:
+        C.fd_linearization_errors(*cases[lowest], shape=(8, 8, 8, 8))
+    assert str(got.value) == str(want.value)
+    if error is C.CurvatureDefectError:
+        assert (got.value.defect, got.value.scale) == (want.value.defect, want.value.scale)
+
+
+@pytest.mark.parametrize("below", [False, True], ids=["at", "below"])
+def test_degenerate_threshold(monkeypatch, below):
+    # A variation is degenerate, with a nan error, when the norm of its
+    # exact block lies below _DEGENERATE_TOL max(1, |s|); at the threshold
+    # it still has a relative error.  The norm of the exact block, the
+    # second one taken, is replaced by the threshold or the float below it.
+    norm, seen = C._norm, []
+
+    def norm_at_threshold(x):
+        seen.append(norm(x))
+        if len(seen) != 2:
+            return seen[-1]
+        threshold = C._DEGENERATE_TOL * max(1.0, seen[0])
+        return math.nextafter(threshold, 0.0) if below else threshold
+
+    monkeypatch.setattr(C, "_norm", norm_at_threshold)
     ht = C.linearization_battery(seed=11, band=1)[5]
     (err,) = C.fd_linearization_errors(ht, [1e-4], shape=(8, 8, 8, 8))
-    assert err < 1e-4
+    assert len(seen) == (2 if below else 3)  # a degenerate error takes no third norm
+    assert math.isnan(err) == below
 
 
 def test_curvature_grid_holds_no_inverse_until_asked():
@@ -599,7 +702,7 @@ def test_battery_case_working_set_is_bounded():
     # One 16^4 battery case allocates at most this many times its sample
     # (10 components) in traced arrays, with one CPU for the same reason as
     # above.  Its grid-sized arrays are the sample and the difference (1.9
-    # samples); the rest are one slab's buffers for one group of time
+    # samples); the rest are the case's buffers for one group of time
     # planes.  The peak is 6.10 samples; the bound may only be tightened.
     import tracemalloc
 
