@@ -1033,6 +1033,18 @@ tt 3 7.25 2
             "a29bf7fd8b7a7e02d6789b50fb6869d3c313b93489a890d44aded5663270320c",
         ),
         (
+            "roots --sphere --jmax 1000",
+            "82409863ad9b5d3417bf3462e43e22d3db8a42200c78b0104a18fd699b7b9dc4",
+        ),
+        (
+            "roots --lens 999999937,-999999936,1999999873 --jmax 1000",
+            "a93ea7c776be16ad57e0b90958a5022525ed21a3f19df7a2995f62808d643d54",
+        ),
+        (
+            "roots --lens 7,1,3 --jmax 1000 --format csv",
+            "0485d2a2502e3a9e43ab5d3c93097569d301b23e77808ea7fa99f0aa3ee1400a",
+        ),
+        (
             "roots --hyperbolic spectrum.txt --jmax 2",
             "a8103c7eabd81fd2b49f38b1d53f8c7598aa6135b527f77021dec56e875976e9",
         ),
