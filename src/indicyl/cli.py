@@ -63,9 +63,14 @@ def _json_dict(obj) -> str:
     return "{" + ",".join(f"{_json_str(str(k))}:{_json(v)}" for k, v in obj.items()) + "}"
 
 
+class _Encoded(str):
+    """Text that is already JSON, written as it is."""
+
+
 # The exact types that documents are built of; any other type, a numpy
 # scalar or a subclass included, is refused.
 _ENCODERS = {
+    _Encoded: str,
     float: _json_float,
     str: _json_str,
     dict: _json_dict,
@@ -210,6 +215,14 @@ _ROOT_FIELDS = (
 )
 
 
+# One root record as a JSON object: the keys encoded once, a slot per value.
+_ROOT_JSON = "{" + ",".join(f"{_json_str(k)}:%s" for k in _ROOT_FIELDS) + "}"
+# One root record as a CSV line, by the column types that IndicialRoot
+# guarantees: floats to 17 significant digits, the two flags in lower case.
+_ROOT_CSV = "%.17g,%.17g,%d,%s,%d,%.17g,%s,%s,%s,%s,%d"
+_CSV_FLAG = ("false", "true")
+
+
 def _root_row(r: indicial.IndicialRoot) -> tuple:
     """The values of one root record, in _ROOT_FIELDS order."""
     return (
@@ -227,14 +240,6 @@ def _root_row(r: indicial.IndicialRoot) -> tuple:
     )
 
 
-def _csv_cell(v) -> str:
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    if isinstance(v, float):
-        return f"{v:.17g}"
-    return str(v)
-
-
 def cmd_roots(args) -> int:
     window = _parse_window(args.window) if args.window else None
     geo = _cross_section(args)
@@ -243,9 +248,11 @@ def cmd_roots(args) -> int:
     if window:
         lo, hi = window
         roots = [r for r in roots if lo < r.value.real < hi]
-    rows = [_root_row(r) for r in roots]
+    rows = map(_root_row, roots)
     if args.format == "csv":
-        lines = [",".join(_ROOT_FIELDS)] + [",".join(map(_csv_cell, row)) for row in rows]
+        lines = [",".join(_ROOT_FIELDS)] + [
+            _ROOT_CSV % (*row[:8], _CSV_FLAG[row[8]], _CSV_FLAG[row[9]], row[10]) for row in rows
+        ]
         _write("\n".join(lines) + "\n", args)
         return 0
     doc = {
@@ -258,7 +265,7 @@ def cmd_roots(args) -> int:
         "complete_below_re": catalog.complete_below_re,
         "caveats": list(geo.caveats),
         "notes": [_RATE_NOTE],
-        "roots": [dict(zip(_ROOT_FIELDS, row)) for row in rows],
+        "roots": _Encoded("[" + ",".join([_ROOT_JSON % tuple(map(_json, row)) for row in rows]) + "]"),
     }
     _emit(doc, args)
     return 0

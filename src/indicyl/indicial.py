@@ -24,8 +24,8 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from enum import Enum, IntEnum
+from typing import NamedTuple
 
 from .spectra import (
     Hyperbolic,
@@ -93,8 +93,7 @@ _FORM_FOR_CASE = {
 }
 
 
-@dataclass(frozen=True)
-class IndicialRoot:
+class IndicialRoot(NamedTuple):
     """One catalog root, on the kernel and the cokernel side alike (the two
     carry the same complex root set); the case fixes its solution form, and
     cases 0 and 1 are exactly the roots dual to conformal Killing fields."""
@@ -116,8 +115,7 @@ class IndicialRoot:
         return self.case_tag <= CaseTag.CASE1
 
 
-@dataclass(frozen=True)
-class RootCatalog:
+class RootCatalog(NamedTuple):
     """Roots of one cross-section up to j_max.  dim_at_zero counts the
     solutions at real part 0, the same on the kernel and cokernel sides."""
 
@@ -128,8 +126,7 @@ class RootCatalog:
     complete_below_re: float
 
 
-@dataclass(frozen=True)
-class SpectralGap:
+class SpectralGap(NamedTuple):
     gap: float
     gap_above_exceptional: float
 

@@ -24,10 +24,9 @@ from __future__ import annotations
 import math
 import os
 import stat
-from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import ClassVar
+from typing import NamedTuple
 
 __all__ = [
     "OperatorKind",
@@ -86,8 +85,7 @@ _HYPERBOLIC_LOWEST = {
 }
 
 
-@dataclass(frozen=True)
-class SpectrumEntry:
+class SpectrumEntry(NamedTuple):
     kind: OperatorKind
     j: int
     eigenvalue: float
@@ -97,43 +95,52 @@ class SpectrumEntry:
 # ---------------------------------------------------------------------------
 # Cross-sections: each geometry carries its curvature sign kappa
 # ---------------------------------------------------------------------------
+#
+# The value types are named tuples: immutable, hashable, and cheap to import
+# and build.  A type that validates its arguments is a thin subclass whose
+# __new__ checks them, since a NamedTuple body may not define __new__.  The
+# class attributes kappa and caveats carry no annotation, which would make
+# them fields.
 
 
-@dataclass(frozen=True)
-class GroupAction:
+class _GroupActionFields(NamedTuple):
+    p: int
+    q1: int
+    q2: int
+
+
+class GroupAction(_GroupActionFields):
     """Cyclic subgroup of SO(4) of order p generated by simultaneous rotation
     by angles 2*pi*q1/p and 2*pi*q2/p in two orthogonal planes of R^4.
 
     The coprimality conditions make the action on the unit 3-sphere free.
     """
 
-    p: int
-    q1: int
-    q2: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.p < 1:
-            raise ValueError(f"group order must be >= 1, got {self.p}")
-        if self.p > 1:
-            for q in (self.q1, self.q2):
-                if math.gcd(q, self.p) != 1:
+    def __new__(cls, p: int, q1: int, q2: int):
+        if p < 1:
+            raise ValueError(f"group order must be >= 1, got {p}")
+        if p > 1:
+            for q in (q1, q2):
+                if math.gcd(q, p) != 1:
                     raise ValueError(
-                        f"rotation parameter {q} not coprime to order {self.p}; "
+                        f"rotation parameter {q} not coprime to order {p}; "
                         "action would not be free"
                     )
+        return super().__new__(cls, p, q1, q2)
 
 
-@dataclass(frozen=True)
-class Sphere:
+class Sphere(NamedTuple):
     """Round S^3 or a cyclic quotient S^3/Gamma of curvature +1.
 
     The group fixes every multiplicity of the quotient, the Killing-field
     dimension included (see lens_scalar_multiplicity and its siblings).
     """
 
-    kappa: ClassVar[int] = 1
-    caveats: ClassVar[tuple[str, ...]] = ()
     group: GroupAction = GroupAction(1, 1, 1)
+    kappa = 1
+    caveats = ()
 
     def spectrum(self, j_max: int) -> tuple[list[SpectrumEntry], list[SpectrumEntry]]:
         """Entries with j <= j_max, multiplicities by descent to the quotient
@@ -156,8 +163,11 @@ class Sphere:
         return entries, omitted
 
 
-@dataclass(frozen=True)
-class Torus:
+class _TorusFields(NamedTuple):
+    lengths: tuple[float, float, float]
+
+
+class Torus(_TorusFields):
     """Flat torus R^3 / (L1 Z x L2 Z x L3 Z).
 
     Each side needs (2 pi / L)^2 > 1e-9, i.e. L below about 1.987e5: the
@@ -167,15 +177,15 @@ class Torus:
     the eigenvalues cannot overflow.
     """
 
-    kappa: ClassVar[int] = 0
-    caveats: ClassVar[tuple[str, ...]] = ()
-    lengths: tuple[float, float, float] = (2 * math.pi, 2 * math.pi, 2 * math.pi)
+    __slots__ = ()
+    kappa = 0
+    caveats = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "lengths", tuple(float(L) for L in self.lengths))
-        if len(self.lengths) != 3:
-            raise ValueError(f"a torus needs three side lengths, got {self.lengths}")
-        for i, L in enumerate(self.lengths):
+    def __new__(cls, lengths: tuple[float, float, float] = (2 * math.pi, 2 * math.pi, 2 * math.pi)):
+        lengths = tuple(float(L) for L in lengths)
+        if len(lengths) != 3:
+            raise ValueError(f"a torus needs three side lengths, got {lengths}")
+        for i, L in enumerate(lengths):
             if not (math.isfinite(L) and L > 0):
                 raise ValueError(f"torus side L{i + 1} must be a positive finite number, got {L}")
             step = 2 * math.pi / L
@@ -189,6 +199,7 @@ class Torus:
                     f"torus side L{i + 1} = {L} is too short: (2 pi / L)^2 must be at most "
                     f"{_LEVEL_MAX:g}, i.e. L >= {2 * math.pi / math.sqrt(_LEVEL_MAX):.4g}"
                 )
+        return super().__new__(cls, lengths)
 
     def spectrum(self, j_max: int) -> tuple[list[SpectrumEntry], list[SpectrumEntry]]:
         """Levels j <= j_max of every operator kind, and level j_max + 1
@@ -208,18 +219,17 @@ class Torus:
         return entries, omitted
 
 
-@dataclass(frozen=True)
-class Hyperbolic:
+class Hyperbolic(NamedTuple):
     """Compact hyperbolic cross-section with an externally supplied spectrum:
     its entries, first Betti number and traceless Codazzi dimension, and the
     file it was read from."""
 
-    kappa: ClassVar[int] = -1
-    caveats: ClassVar[tuple[str, ...]] = ("spectrum truncation taken from the supplied file",)
     entries: tuple[SpectrumEntry, ...]
     b1: int
     dim_codazzi: int
     source: str = "<memory>"
+    kappa = -1
+    caveats = ("spectrum truncation taken from the supplied file",)
 
     def spectrum(self, j_max: int) -> tuple[list[SpectrumEntry], list[SpectrumEntry]]:
         """The file's entries with j <= j_max, and whatever its j every entry
@@ -386,6 +396,24 @@ def torus_spectrum(lengths: tuple[float, float, float], cutoff: float) -> list[S
 # ---------------------------------------------------------------------------
 
 
+def _floor_sum(count: int, n: int, a: int, b: int) -> int:
+    """Sum of (a t + b) // n over t = 0..count-1, for n >= 1 and any signs of
+    a and b, in O(log n) steps: the Euclid-like recursion of the AtCoder
+    Library's floor_sum, with divmod folding the quotients of a and b into
+    the sum at every step."""
+    total = 0
+    while count:
+        qa, a = divmod(a, n)
+        qb, b = divmod(b, n)
+        total += qa * (count * (count - 1) // 2) + qb * count
+        top = a * count + b
+        if top < n:
+            break
+        count, b = divmod(top, n)
+        n, a = a, n
+    return total
+
+
 def _invariant_dim(g: GroupAction, two_a: int, two_b: int) -> int:
     """Dimension of the Gamma-invariants of the SO(4) representation V_a x V_b.
 
@@ -393,24 +421,37 @@ def _invariant_dim(g: GroupAction, two_a: int, two_b: int) -> int:
     two factors with half angles pi m (q1 +- q2) / p.  With s = a + b and
     d = a - b (integers: 2a + 2b is even for every caller) the weight vector
     (k, l), k = 0..2a and l = 0..2b, is then fixed exactly when
-    l (q1 - q2) = (s - k) q1 + (d - k) q2 (mod p).  For each k that needs
-    h = gcd(q1 - q2, p) to divide the right side, and then l runs through
-    one residue class mod p / h.  Exact, and O(a) whatever p is.
+    l (q1 - q2) = c_k (mod p), c_k = (s - k) q1 + (d - k) q2.  For each k that
+    needs h = gcd(q1 - q2, p) to divide c_k, and then l runs through the
+    residue class l_k mod n = p / h, 0 <= l_k < n, which holds
+    (2b - l_k) // n + 1 values of l in 0..2b (none when l_k > 2b).
+
+    The k with h | c_k are the terms k = k0 + t m, t = 0..T-1, of one
+    arithmetic progression with m = h / gcd(q1 + q2, h), and along it
+    l_t = (B + t D) mod n.  Writing x mod n = x - n (x // n) turns the count
+    into T plus two floor sums of t, each O(log n): exact integer
+    arithmetic, and O(log p) steps whatever a is.
     """
     p = g.p
     q1, q2 = g.q1 % p, g.q2 % p
     h = math.gcd(q1 - q2, p)
     n = p // h
     inverse = pow((q1 - q2) // h, -1, n)
-    rhs = (two_a + two_b) // 2 * q1 + (two_a - two_b) // 2 * q2  # at k = 0
-    count = 0
-    for _ in range(two_a + 1):
-        if rhs % h == 0:
-            l0 = rhs // h * inverse % n
-            if l0 <= two_b:
-                count += (two_b - l0) // n + 1
-        rhs -= q1 + q2
-    return count
+    c0 = (two_a + two_b) // 2 * q1 + (two_a - two_b) // 2 * q2  # c_k at k = 0
+    step = q1 + q2  # c_k falls by step per unit of k
+    gs = math.gcd(step, h)
+    if c0 % gs:
+        return 0  # no k has h | c_k
+    m = h // gs
+    k0 = c0 // gs * pow(step // gs, -1, m) % m
+    terms = (two_a - k0) // m + 1  # 0 when k0 > 2a, since k0 < m
+    start = (c0 - k0 * step) // h * inverse % n  # l_t at t = 0
+    slope = -(step // gs) * inverse % n
+    return (
+        terms
+        + _floor_sum(terms, n, slope, start)
+        + _floor_sum(terms, n, -slope, two_b - start)
+    )
 
 
 def lens_scalar_multiplicity(g: GroupAction, j: int) -> int:

@@ -781,11 +781,13 @@ def test_console_script_entrypoint():
     assert json.loads(proc.stdout)["window"] == [0.0, 2.0]
 
 
+# numpy serves only the numeric verification modules; dataclasses (and the
+# inspect it imports) would add to the start-up of every closed-form command.
 _NUMPY_PROBE = """
 import sys
 from indicyl import cli
 code = cli.main(sys.argv[1:])
-print(code, "numpy" in sys.modules)
+print(code, sorted({"numpy", "dataclasses", "inspect"} & set(sys.modules)))
 """
 
 # Stands for the spectrum file that each test writes.
@@ -811,14 +813,18 @@ def test_closed_form_commands_load_no_numpy(argv, tmp_path):
     argv = [str(spectrum) if a == HYP_FILE else a for a in argv]
     proc = run_python("-c", _NUMPY_PROBE, *argv, "--out", str(tmp_path / "out.json"))
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "0 False\n"
+    assert proc.stdout == "0 []\n"
     assert json.loads((tmp_path / "out.json").read_text())["command"] == argv[0]
 
 
 def test_cli_start_up_loads_no_pickle_or_multiprocessing():
     # Only the battery forks and pickles, inside the curvature module that
-    # verify linearization loads on demand.
-    probe = 'import sys, indicyl.cli; print(sorted({"pickle", "multiprocessing"} & set(sys.modules)))'
+    # verify linearization loads on demand.  The closed-form value types are
+    # named tuples, so start-up imports no dataclasses and no inspect either.
+    probe = (
+        "import sys, indicyl.cli; "
+        'print(sorted({"pickle", "multiprocessing", "dataclasses", "inspect"} & set(sys.modules)))'
+    )
     proc = run_python("-c", probe)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"

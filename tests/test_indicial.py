@@ -1,6 +1,5 @@
 import cmath
 import contextlib
-import dataclasses
 import io
 import json
 import math
@@ -359,8 +358,8 @@ def first_match_merge(roots):
                 and r.origin_kind == existing.origin_kind
                 and r.origin_j == existing.origin_j
             ):
-                merged[i] = dataclasses.replace(
-                    existing, multiplicity=existing.multiplicity + r.multiplicity
+                merged[i] = existing._replace(
+                    multiplicity=existing.multiplicity + r.multiplicity
                 )
                 break
         else:
@@ -599,10 +598,30 @@ def test_root_tags_derive_from_case():
         root = indicial.IndicialRoot(2 + 0j, case, OperatorKind.SCALAR_HODGE, 1, 3.0)
         assert root.solution_form is form
         assert root.conformal_killing is killing
-    stored = [f.name for f in dataclasses.fields(indicial.IndicialRoot)]
-    assert stored == [
+    assert indicial.IndicialRoot._fields == (
         "value", "case_tag", "origin_kind", "origin_j", "origin_eigenvalue", "jordan", "multiplicity"
+    )
+
+
+def test_value_types_are_immutable():
+    entry = SpectrumEntry(OperatorKind.SCALAR_HODGE, 0, 0.0, 1)
+    catalog = assemble_catalog(Sphere(), 2)
+    values = [
+        (entry, "j"),
+        (GroupAction(5, 1, 2), "p"),
+        (Sphere(), "group"),
+        (Torus(), "lengths"),
+        (Hyperbolic((entry,), 0, 0), "b1"),
+        (catalog.roots[0], "multiplicity"),
+        (catalog, "j_max"),
+        (spectral_gap(catalog), "gap"),
     ]
+    assert len({type(v) for v, _ in values}) == 8
+    for value, name in values:
+        with pytest.raises(AttributeError):
+            setattr(value, name, 1)
+        with pytest.raises(AttributeError):
+            value.extra = 1  # no instance dictionary either
 
 
 @pytest.mark.parametrize(

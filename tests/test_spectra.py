@@ -517,6 +517,43 @@ def test_invariant_dim_matches_character_sum(p, q1, q2):
         assert spectra._invariant_dim(g, two_a, two_b) == dim, (two_a, two_b)
 
 
+def _units(p: int, count: int, rng: random.Random) -> list[tuple[int, int]]:
+    """count pairs (q1, q2) of units mod p, drawn from -2p..2p."""
+    pairs = []
+    while len(pairs) < count:
+        q1, q2 = rng.randint(-2 * p, 2 * p), rng.randint(-2 * p, 2 * p)
+        if p == 1 or math.gcd(q1, p) == math.gcd(q2, p) == 1:
+            pairs.append((q1, q2))
+    return pairs
+
+
+@pytest.mark.parametrize("p", range(1, 31))
+def test_invariant_dim_matches_character_sum_at_large_spins(p):
+    # Spins up to 60 reach well past every p here, so the progression of k
+    # has many terms and the residue class of l holds several values: the
+    # term count and both offsets of the floor sums all matter.
+    groups = [(1, 1), (1, -1), *_units(p, 2, random.Random(p))]
+    for q1, q2 in groups:
+        g = GroupAction(p, q1, q2)
+        for (two_a, two_b), dim in character_sum_invariant_dims(g, 60).items():
+            assert spectra._invariant_dim(g, two_a, two_b) == dim, (g, two_a, two_b)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=80),
+    st.integers(min_value=1, max_value=10**6),
+    st.integers(min_value=-(10**7), max_value=10**7),
+    st.integers(min_value=-(10**7), max_value=10**7),
+)
+@example(0, 1, 0, 0)
+@example(1, 1, -1, -1)
+@example(5, 7, -3, 2)
+@example(80, 10**6, 10**6 - 1, 10**6 - 1)
+def test_floor_sum_matches_brute_force(count, n, a, b):
+    assert spectra._floor_sum(count, n, a, b) == sum((a * t + b) // n for t in range(count))
+
+
 def test_trivial_group_multiplicity():
     # No trivial-group shortcut: the residue count itself must give the
     # round-sphere closed forms.
