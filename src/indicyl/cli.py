@@ -215,14 +215,6 @@ _ROOT_FIELDS = (
 )
 
 
-# One root record as a JSON object: the keys encoded once, a slot per value.
-_ROOT_JSON = "{" + ",".join(f"{_json_str(k)}:%s" for k in _ROOT_FIELDS) + "}"
-# One root record as a CSV line, by the column types that IndicialRoot
-# guarantees: floats to 17 significant digits, the two flags in lower case.
-_ROOT_CSV = "%.17g,%.17g,%d,%s,%d,%.17g,%s,%s,%s,%s,%d"
-_CSV_FLAG = ("false", "true")
-
-
 def _root_row(r: indicial.IndicialRoot) -> tuple:
     """The values of one root record, in _ROOT_FIELDS order."""
     return (
@@ -240,6 +232,28 @@ def _root_row(r: indicial.IndicialRoot) -> tuple:
     )
 
 
+# One root record as a JSON object and as a CSV line.  The keys are encoded
+# once, and each value is written by the type that IndicialRoot guarantees
+# for its column: floats to 17 significant digits, the two flags in lower
+# case.
+_ROOT_JSON = "{" + ",".join(f"{_json_str(k)}:%s" for k in _ROOT_FIELDS) + "}"
+_ROOT_CSV = "%.17g,%.17g,%s,%s,%s,%.17g,%s,%s,%s,%s,%s"
+_FLAG = ("false", "true")
+
+
+def _root_json(row: tuple) -> str:
+    re, im, case, kind, j, ev, side, form, jordan, killing, mult = row
+    return _ROOT_JSON % (
+        _json_float(re), _json_float(im), case, _json_str(kind), j, _json_float(ev),
+        _json_str(side), _json_str(form), _FLAG[jordan], _FLAG[killing], mult,
+    )
+
+
+def _root_csv(row: tuple) -> str:
+    re, im, case, kind, j, ev, side, form, jordan, killing, mult = row
+    return _ROOT_CSV % (re, im, case, kind, j, ev, side, form, _FLAG[jordan], _FLAG[killing], mult)
+
+
 def cmd_roots(args) -> int:
     window = _parse_window(args.window) if args.window else None
     geo = _cross_section(args)
@@ -250,9 +264,7 @@ def cmd_roots(args) -> int:
         roots = [r for r in roots if lo < r.value.real < hi]
     rows = map(_root_row, roots)
     if args.format == "csv":
-        lines = [",".join(_ROOT_FIELDS)] + [
-            _ROOT_CSV % (*row[:8], _CSV_FLAG[row[8]], _CSV_FLAG[row[9]], row[10]) for row in rows
-        ]
+        lines = [",".join(_ROOT_FIELDS), *map(_root_csv, rows)]
         _write("\n".join(lines) + "\n", args)
         return 0
     doc = {
@@ -265,7 +277,7 @@ def cmd_roots(args) -> int:
         "complete_below_re": catalog.complete_below_re,
         "caveats": list(geo.caveats),
         "notes": [_RATE_NOTE],
-        "roots": _Encoded("[" + ",".join([_ROOT_JSON % tuple(map(_json, row)) for row in rows]) + "]"),
+        "roots": _Encoded("[" + ",".join(map(_root_json, rows)) + "]"),
     }
     _emit(doc, args)
     return 0
