@@ -124,9 +124,8 @@ def _parse_triple(text: str, kind, flag: str):
 
 # Input ceilings, far above every documented use, so that no flag value
 # can ask for an unbounded run.  A lens multiplicity is an exact residue
-# count whose number of steps does not grow with p, but its integer
-# arithmetic grows with the digits of p; at both ceilings a `roots --lens`
-# catalog takes 1-2 s.
+# count in O(log p) steps; at both ceilings a `roots --lens` catalog takes
+# well under a second.
 JMAX_CEILING = 1000
 LENS_ORDER_CEILING = 10**9
 
