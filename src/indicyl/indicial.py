@@ -241,14 +241,9 @@ def mixed_b_roots(nu: float, kappa: int) -> list[complex]:
 
 def _root(value, case, kind, j, eigenvalue, *, jordan=False, mult=1) -> IndicialRoot:
     value = complex(value)
+    # + 0.0 drops negative zeros.
     return IndicialRoot(
-        value=complex(value.real + 0.0, value.imag + 0.0),  # drop negative zeros
-        case_tag=case,
-        origin_kind=kind,
-        origin_j=j,
-        origin_eigenvalue=float(eigenvalue) + 0.0,
-        jordan=jordan,
-        multiplicity=mult,
+        complex(value.real + 0.0, value.imag + 0.0), case, kind, j, float(eigenvalue) + 0.0, jordan, mult
     )
 
 
@@ -315,9 +310,10 @@ def assemble_catalog(geo: Sphere | Torus | Hyperbolic, j_max: int) -> RootCatalo
     if j_max < 0:
         raise ValueError("j_max must be nonnegative")
     entries, omitted = geo.spectrum(j_max)
+    # CaseTag and OperatorKind members order as their int and str values.
     roots = sorted(
         (r for entry in entries for r in family_roots(entry, geo.kappa)),
-        key=lambda r: (r.value.real, r.value.imag, int(r.case_tag), r.origin_kind.value, r.origin_j),
+        key=lambda r: (r.value.real, r.value.imag, r.case_tag, r.origin_kind, r.origin_j),
     )
     # The omitted entries bound the real parts that the truncation can have
     # missed.
