@@ -522,7 +522,7 @@ def _units(p: int, count: int, rng: random.Random) -> list[tuple[int, int]]:
     pairs = []
     while len(pairs) < count:
         q1, q2 = rng.randint(-2 * p, 2 * p), rng.randint(-2 * p, 2 * p)
-        if p == 1 or math.gcd(q1, p) == math.gcd(q2, p) == 1:
+        if math.gcd(q1, p) == math.gcd(q2, p) == 1:
             pairs.append((q1, q2))
     return pairs
 
