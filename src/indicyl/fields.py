@@ -66,6 +66,25 @@ _SYM_PAIRS = ((0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2))
 # Period in t of every t-periodic cylinder field.
 _T_PERIOD = 2 * math.pi
 
+# Largest asymmetry |d_ij - d_ji| a symmetric tensor may carry, relative to
+# max(1, max |d|).
+_SYMMETRY_TOL = 1e-12
+
+# Largest dt part (h00 or alpha) of a cross-section-valued cylinder tensor,
+# and largest trace of an adjoint input's cross-section tensor, each relative
+# to max(1, the norm of the whole).
+_CROSS_SECTION_TOL = 1e-10
+_TRACE_FREE_TOL = 1e-10
+
+# Floor of the norm a relative residual divides by, so that a zero field
+# reads 0 rather than NaN.
+_NORM_FLOOR = 1e-300
+
+# Fewest modes per slab of _apply_cylinder, which evaluates the coefficient
+# images of a term one slab of whole mode planes at a time, so that its
+# temporaries are slab-sized rather than box-sized.
+_SLAB_MODES = 4096
+
 
 def _norm(x: np.ndarray) -> float:
     """Frobenius norm of a real or complex array by numpy's pairwise sums,
@@ -92,6 +111,7 @@ class ModeGrid:
         axes = [2 * math.pi * k / L for L in self.lengths]
         self.xi = np.array(np.meshgrid(*axes, indexing="ij"))  # (3, M, M, M)
         self.xi_sq = _dot(self.xi, self.xi)
+        self._zeros: dict[type, _Field] = {}  # see _Field._shared_zero
 
     def __eq__(self, other):
         return (
@@ -118,6 +138,16 @@ class _Field:
     @classmethod
     def zero(cls, grid: ModeGrid):
         return cls(grid, np.zeros(cls._comp_shape + (grid.size,) * 3, dtype=complex))
+
+    @classmethod
+    def _shared_zero(cls, grid: ModeGrid):
+        """The grid's one zero field of this type, read-only: writing into
+        its data raises."""
+        zero = grid._zeros.get(cls)
+        if zero is None:
+            zero = grid._zeros[cls] = cls.zero(grid)
+            zero.data.flags.writeable = False
+        return zero
 
     def copy(self):
         return type(self)(self.grid, self.data.copy())
@@ -171,7 +201,7 @@ class FourierSymTensor(_Field):
         if all(np.array_equal(d[i, j], d[j, i]) for i, j in pairs):
             return  # exactly symmetric: the asymmetry below would read 0
         asym = np.max([np.max(np.abs(d[i, j] - d[j, i])) for i, j in pairs])
-        if not asym <= 1e-12 * max(1.0, float(np.max(np.abs(d)))):  # NaN fails
+        if not asym <= _SYMMETRY_TOL * max(1.0, float(np.max(np.abs(d)))):  # NaN fails
             raise ValueError("symmetric tensor data is not symmetric")
 
 
@@ -361,7 +391,7 @@ class _CylField:
         if slot is None:
             slot = {"rate": rate}
             for name in self._parts:
-                slot[name] = fields.get(name) or _PART_TYPES[name].zero(self.grid)
+                slot[name] = fields.get(name) or _PART_TYPES[name]._shared_zero(self.grid)
             self.terms[key] = slot
         else:
             for name in self._parts:
@@ -418,7 +448,7 @@ class CylTensor(_CylField):
 
     _parts = ("h00", "alpha", "h")
 
-    def is_cross_section(self, tol=1e-10) -> bool:
+    def is_cross_section(self, tol=_CROSS_SECTION_TOL) -> bool:
         scale = max(self.norm(), 1.0)
         return (
             self.part_norm("h00") <= tol * scale
@@ -444,21 +474,38 @@ def _apply_cylinder(field, out_type, coefficients):
     By the Leibniz rule t^d e^{lam t} x maps to
     sum_m C(d, m) t^(d-m) e^{lam t} P^(m)(lam) x, with
     P^(m)(lam) = sum_{n >= m} n!/(n-m)! lam^(n-m) S_n.
+
+    The coefficients run on one slab of mode planes at a time (the fewest
+    planes holding _SLAB_MODES modes), and each combination is added into
+    its output term's zeroed arrays in the order the terms produce it.
+    Every kernel is elementwise in the mode, and a combination, built from
+    0 + c y, holds no -0.0 for the zeros to change, so the slabs change no
+    bit.
     """
     grid = field.grid
+    planes = -(-_SLAB_MODES // grid.size**2)
+    sums: dict[tuple, tuple[complex, dict]] = {}  # output key -> (rate, part arrays)
+    for lo in range(0, grid.size, planes):
+        sl = (..., slice(lo, lo + planes), slice(None), slice(None))
+        for (_, d), slot in field.terms.items():
+            lam = slot["rate"]
+            images = coefficients(grid.xi[sl], {name: slot[name].data[sl] for name in field._parts})
+            for m in range(min(d, len(images) - 1) + 1):
+                parts = {}
+                for n in range(m, len(images)):
+                    c = math.comb(d, m) * math.perm(n, m) * lam ** (n - m)
+                    if c == 0:
+                        continue
+                    for name, y in images[n].items():
+                        parts[name] = parts.get(name, 0) + c * y
+                _, acc = sums.setdefault((_rate_key(lam), d - m), (lam, {}))
+                for name, v in parts.items():
+                    if name not in acc:
+                        acc[name] = np.zeros(_PART_TYPES[name]._comp_shape + (grid.size,) * 3, dtype=complex)
+                    acc[name][sl] += v
     out = out_type(grid)
-    for (_, d), slot in field.terms.items():
-        lam = slot["rate"]
-        images = coefficients(grid.xi, {name: slot[name].data for name in field._parts})
-        for m in range(min(d, len(images) - 1) + 1):
-            parts = {}
-            for n in range(m, len(images)):
-                c = math.comb(d, m) * math.perm(n, m) * lam ** (n - m)
-                if c == 0:
-                    continue
-                for name, y in images[n].items():
-                    parts[name] = parts.get(name, 0) + c * y
-            out.add_term(lam, d - m, **{name: _PART_TYPES[name](grid, v) for name, v in parts.items()})
+    for (_, degree), (lam, acc) in sums.items():
+        out.add_term(lam, degree, **{name: _PART_TYPES[name](grid, v) for name, v in acc.items()})
     return out
 
 
@@ -535,7 +582,7 @@ def adjoint_D(Z: CylTensor) -> CylTensor:
         raise ValueError("adjoint input must have vanishing dt components")
     for slot in Z.terms.values():
         tr = trace(slot["h"])
-        if tr.norm() > 1e-10 * max(1.0, slot["h"].norm()):
+        if tr.norm() > _TRACE_FREE_TOL * max(1.0, slot["h"].norm()):
             raise ValueError("adjoint input must be trace-free on the cross-section")
     return _apply_cylinder(Z, CylTensor, _adjoint_coefficients)
 
@@ -649,18 +696,24 @@ class IdentityResult:
         return self.residual < self.tolerance
 
 
-def _rel_residual(parts) -> float:
-    total = parts[0]
-    for p in parts[1:]:
-        total = total + p
-    scale = max(p.norm() for p in parts)
+def _rel_residual(*makers) -> float:
+    """Norm of the sum of the parts over the largest part norm.  Each maker
+    is a zero-argument callable that builds one part; the parts are built,
+    measured and added one at a time, and each is dropped once added."""
+    total = scale = None
+    for make in makers:
+        part = make()
+        norm = part.norm()
+        scale = norm if scale is None else max(scale, norm)
+        total = part if total is None else total + part
+        del part
     if scale == 0.0:
         return 0.0
     return total.norm() / scale
 
 
 def _rel_residual_scaled(value: float, scale: float) -> float:
-    return value / max(scale, 1e-300)
+    return value / max(scale, _NORM_FLOOR)
 
 
 def identity_suite(band: int = 3, seed: int = 7, tol: float = 1e-10):
@@ -686,31 +739,33 @@ def identity_suite(band: int = 3, seed: int = 7, tol: float = 1e-10):
         "slashd_squared",
         "slashd^2 h = -4 Lap tf(h) - 2 tfHess tr(h) + 3 K(div h)",
         _rel_residual(
-            [
-                slash_d(slash_d(h)),
-                4.0 * laplacian(tf(h)),
-                2.0 * traceless_hessian(trace(h)),
-                -3.0 * conf_killing(div(h)),
-            ]
+            lambda: slash_d(slash_d(h)),
+            lambda: 4.0 * laplacian(tf(h)),
+            lambda: 2.0 * traceless_hessian(trace(h)),
+            lambda: -3.0 * conf_killing(div(h)),
         ),
     )
     # 2. Divergence intertwines slashd with star d.
     record(
         "div_slashd",
         "div(slashd h) = star_d(div h)",
-        _rel_residual([div(slash_d(h)), -1.0 * star_d(div(h))]),
+        _rel_residual(lambda: div(slash_d(h)), lambda: -1.0 * star_d(div(h))),
     )
     # 3. slashd commutes with the rough Laplacian.
     record(
         "slashd_laplacian_commute",
         "slashd(Lap h) = Lap(slashd h)",
-        _rel_residual([slash_d(laplacian(h)), -1.0 * laplacian(slash_d(h))]),
+        _rel_residual(lambda: slash_d(laplacian(h)), lambda: -1.0 * laplacian(slash_d(h))),
     )
     # 4. Commutators of the conformal Killing operator.
     r1 = _rel_residual(
-        [div(conf_killing(om)), -1.0 * laplacian(om), (-1.0 / 3.0) * grad(div(om))]
+        lambda: div(conf_killing(om)),
+        lambda: -1.0 * laplacian(om),
+        lambda: (-1.0 / 3.0) * grad(div(om)),
     )
-    r2 = _rel_residual([laplacian(conf_killing(om)), -1.0 * conf_killing(laplacian(om))])
+    r2 = _rel_residual(
+        lambda: laplacian(conf_killing(om)), lambda: -1.0 * conf_killing(laplacian(om))
+    )
     record(
         "conf_killing_commutators",
         "div K(w) = Lap w + (1/3) d div w;  Lap K(w) = K(Lap w)",
@@ -733,21 +788,20 @@ def identity_suite(band: int = 3, seed: int = 7, tol: float = 1e-10):
     record(
         "slashd_lie",
         "slashd(L w) = K(star_d w)",
-        _rel_residual([slash_d(lie(om)), -1.0 * conf_killing(star_d(om))]),
+        _rel_residual(lambda: slash_d(lie(om)), lambda: -1.0 * conf_killing(star_d(om))),
     )
     # 8. Linearized traceless Ricci from the slashd square.
     record(
         "eprime_from_slashd_squared",
         "E'(h) = (1/8) slashd^2 h - (1/4) tfHess tr(h) + (1/8) K(div h)",
         _rel_residual(
-            [
-                e_prime(h),
-                -0.125 * slash_d(slash_d(h)),
-                0.25 * traceless_hessian(trace(h)),
-                -0.125 * conf_killing(div(h)),
-            ]
+            lambda: e_prime(h),
+            lambda: -0.125 * slash_d(slash_d(h)),
+            lambda: 0.25 * traceless_hessian(trace(h)),
+            lambda: -0.125 * conf_killing(div(h)),
         ),
     )
+    del h, hp, ug
     # 9. The linearized curvature annihilates the image of the cylinder
     #    conformal Killing operator, whose divergence matches the box form.
     omt = CylOneForm(grid)
@@ -755,7 +809,8 @@ def identity_suite(band: int = 3, seed: int = 7, tol: float = 1e-10):
     omt.add_term(-0.3 + 1.1j, 1, f=random_scalar(rng, grid), omega=random_oneform(rng, grid))
     kg = cyl_killing(omt)
     r1 = _rel_residual_scaled(linearized_weyl(kg).norm(), kg.norm() * max(1.0, grid.xi_sq.max()))
-    r2 = _rel_residual([cyl_box_k(omt), -1.0 * cyl_div(kg)])
+    r2 = _rel_residual(lambda: cyl_box_k(omt), lambda: -1.0 * cyl_div(kg))
+    del kg, omt
     record(
         "killing_annihilation_and_box",
         "D(K_cyl w) = 0;  box_K w = div(K_cyl w)",
@@ -766,7 +821,7 @@ def identity_suite(band: int = 3, seed: int = 7, tol: float = 1e-10):
     record(
         "star_d_squared",
         "(star_d)^2 w = HodgeLap w on co-closed w",
-        _rel_residual([star_d(star_d(occ)), -1.0 * hodge_laplacian(occ)]),
+        _rel_residual(lambda: star_d(star_d(occ)), lambda: -1.0 * hodge_laplacian(occ)),
     )
     # 11. Parallel kernel and cokernel elements are annihilated exactly.
     record(
@@ -816,7 +871,7 @@ def _flat_element_residual(grid: ModeGrid) -> float:
         kernel.append(CylTensor.from_parts(grid, 0.0, 1, h=parallel_tt(m)))
     for ht in kernel:
         dpart, divpart = f_forward(ht)
-        worst = max(worst, (dpart.norm() + divpart.norm()) / max(ht.norm(), 1e-300))
+        worst = max(worst, (dpart.norm() + divpart.norm()) / max(ht.norm(), _NORM_FLOOR))
 
     cokernel: list[tuple[CylTensor, CylOneForm]] = []
     dt_form = CylOneForm(grid)
@@ -833,6 +888,6 @@ def _flat_element_residual(grid: ModeGrid) -> float:
             )
     for Z, w in cokernel:
         res = f_star(Z, w)
-        scale = max(Z.norm() + w.norm(), 1e-300)
+        scale = max(Z.norm() + w.norm(), _NORM_FLOOR)
         worst = max(worst, res.norm() / scale)
     return worst

@@ -308,6 +308,78 @@ def test_cyl_div_formula():
     assert slot["omega"].norm() == 0.0
 
 
+def test_shared_zero_parts_are_read_only():
+    # add_term fills every missing part with the grid's one cached zero
+    # field of that type; writing into it raises, and adding into a slot
+    # that holds it replaces the slot's part rather than the cached zero.
+    ht = CylTensor(GRID)
+    ht.add_term(0.5, 0, h=F.random_symtensor(rng(), GRID))
+    (slot,) = ht.terms.values()
+    assert slot["h00"] is FourierScalar._shared_zero(GRID)
+    assert slot["alpha"] is FourierOneForm._shared_zero(GRID)
+    with pytest.raises(ValueError, match="read-only"):
+        slot["h00"].data[(GRID.band,) * 3] = 1.0
+    with pytest.raises(ValueError, match="read-only"):
+        slot["alpha"].data += 1.0
+    omt = CylOneForm(GRID)
+    omt.add_term(0.5, 1, f=single_mode_scalar((1, 0, 0)))
+    (slot,) = omt.terms.values()
+    zero = slot["omega"]
+    assert zero is FourierOneForm._shared_zero(GRID)
+    with pytest.raises(ValueError, match="read-only"):
+        zero.data[0] = 1.0
+    w = single_mode_oneform((0, 1, 0), [1.0, 2.0, 3.0])
+    omt.add_term(0.5, 1, omega=w)
+    assert slot["omega"] is not zero and np.array_equal(slot["omega"].data, w.data)
+    assert not zero.data.any()
+    assert not FourierOneForm._shared_zero(GRID).data.any()
+
+
+# The whole cylinder-operator surface on an anisotropic grid, with terms of
+# degree 0, 1 and 2, a rate-0 term and two terms that share a rate, so that
+# several input terms add into one output term.
+_SLAB_GRID = ModeGrid((3.1, 4.7, 5.9), band=2)
+_SLAB_TERMS = ((0.0, 1), (1.3, 0), (-0.4 + 0.9j, 1), (-0.4 + 0.9j, 2))
+
+
+def _slab_input(name):
+    r = np.random.default_rng(23)
+    grid = _SLAB_GRID
+    cls = CylOneForm if name in ("cyl_killing", "cyl_box_k") else CylTensor
+    field = cls(grid)
+    for rate, degree in _SLAB_TERMS:
+        if name == "adjoint_D":
+            parts = {"h": F.random_symtensor(r, grid, traceless=True)}
+        elif cls is CylOneForm:
+            parts = {"f": F.random_scalar(r, grid), "omega": F.random_oneform(r, grid)}
+        else:
+            parts = {
+                "h00": F.random_scalar(r, grid),
+                "alpha": F.random_oneform(r, grid),
+                "h": F.random_symtensor(r, grid),
+            }
+        field.add_term(rate, degree, **parts)
+    return field
+
+
+# _SLAB_MODES of 1 makes one-plane slabs of the 5-plane box, 50 makes slabs
+# of 2, 2 and 1 planes, and 10**9 one slab holding the whole box.
+@pytest.mark.parametrize("name", ["linearized_weyl", "adjoint_D", "cyl_killing", "cyl_div", "cyl_box_k"])
+def test_cylinder_operators_do_not_depend_on_slab_size(monkeypatch, name):
+    field = _slab_input(name)
+    outs = []
+    for slab_modes in (1, 50, 10**9):
+        monkeypatch.setattr(F, "_SLAB_MODES", slab_modes)
+        outs.append(getattr(F, name)(field))
+    first = outs[0]
+    for out in outs[1:]:
+        assert type(out) is type(first) and list(out.terms) == list(first.terms)
+        for key, slot in first.terms.items():
+            assert out.terms[key]["rate"] == slot["rate"]
+            for part in first._parts:
+                assert np.array_equal(out.terms[key][part].data, slot[part].data), (key, part)
+
+
 def _leibniz_input(name, r):
     if name == "adjoint_D":
         return CylTensor, {"h": F.random_symtensor(r, GRID, traceless=True)}
@@ -348,6 +420,41 @@ def test_cylinder_operator_on_t_squared_term(name):
     for d, want in expected.items():
         have = got.get(d, want * 0.0)
         assert (have - want).norm() <= 1e-12 * scale, (name, d)
+
+
+@pytest.mark.parametrize("part", ["h00", "alpha"])
+@pytest.mark.parametrize("scale", [0.25, 8.0])
+def test_is_cross_section_tolerance_boundary(part, scale):
+    """A dt part may reach 1e-10 max(1, norm) and no further."""
+
+    def tensor(v):
+        ht = CylTensor(GRID)
+        h = single_mode_tensor((1, 0, 0), np.diag([scale, -scale, 0.0]))
+        dt = single_mode_scalar((0, 1, 0), v) if part == "h00" else single_mode_oneform((0, 1, 0), [0.0, v, 0.0])
+        ht.add_term(0.0, 0, h=h, **{part: dt})
+        return ht
+
+    limit = 1e-10 * max(1.0, tensor(0.0).norm())
+    assert tensor(np.nextafter(limit, 0.0)).is_cross_section()
+    assert tensor(limit).is_cross_section()
+    assert not tensor(np.nextafter(limit, 1.0)).is_cross_section()
+
+
+@pytest.mark.parametrize("scale", [0.25, 8.0])
+def test_adjoint_trace_free_tolerance_boundary(scale):
+    """The trace of an adjoint input may reach 1e-10 max(1, |h|) and no
+    further."""
+
+    def tensor(t):
+        ht = CylTensor(GRID)
+        ht.add_term(0.0, 0, h=single_mode_tensor((1, 0, 0), [[t, scale, 0.0], [scale, 0.0, 0.0], [0.0, 0.0, 0.0]]))
+        return ht
+
+    limit = 1e-10 * max(1.0, tensor(0.0).norm())
+    adjoint_D(tensor(np.nextafter(limit, 0.0)))
+    adjoint_D(tensor(limit))
+    with pytest.raises(ValueError, match="trace-free"):
+        adjoint_D(tensor(np.nextafter(limit, 1.0)))
 
 
 def cyl_inner(a, b):
@@ -527,6 +634,27 @@ def test_identity_suite_deterministic():
     a = identity_suite(band=2, seed=9)
     b = identity_suite(band=2, seed=9)
     assert [(r.name, r.residual) for r in a] == [(r.name, r.residual) for r in b]
+
+
+def test_identity_suite_working_set_is_bounded():
+    # The band-15 suite allocates at most this many band-15 symmetric
+    # tensors in traced arrays.  Its peak is identity 9, which holds the
+    # cylinder 1-form, its Killing image (3.3 tensors) and the curvature of
+    # that image (3 tensors) besides the fields kept for identity 10; the
+    # cylinder operators' temporaries are slab-sized.  The peak is 10.6
+    # tensors (22.0 before the operators ran by slabs and the residuals were
+    # streamed); the bound may only be tightened.
+    import tracemalloc
+
+    tensor_nbytes = 9 * 31**3 * np.dtype(complex).itemsize
+    tracemalloc.start()
+    try:
+        base, _ = tracemalloc.get_traced_memory()
+        identity_suite(band=15, seed=5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - base < 11.5 * tensor_nbytes
 
 
 _GRID = ModeGrid(band=1)
