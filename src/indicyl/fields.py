@@ -801,7 +801,7 @@ def identity_suite(band: int = 3, seed: int = 7, tol: float = 1e-10):
             lambda: -0.125 * conf_killing(div(h)),
         ),
     )
-    del h, hp, ug
+    del h, hp, ug  # unused from here on; identity 9 is the suite's peak
     # 9. The linearized curvature annihilates the image of the cylinder
     #    conformal Killing operator, whose divergence matches the box form.
     omt = CylOneForm(grid)
@@ -810,7 +810,7 @@ def identity_suite(band: int = 3, seed: int = 7, tol: float = 1e-10):
     kg = cyl_killing(omt)
     r1 = _rel_residual_scaled(linearized_weyl(kg).norm(), kg.norm() * max(1.0, grid.xi_sq.max()))
     r2 = _rel_residual(lambda: cyl_box_k(omt), lambda: -1.0 * cyl_div(kg))
-    del kg, omt
+    del kg, omt  # before identities 10 and 11 allocate
     record(
         "killing_annihilation_and_box",
         "D(K_cyl w) = 0;  box_K w = div(K_cyl w)",
