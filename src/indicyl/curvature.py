@@ -31,18 +31,20 @@ term quadratic in the first-kind symbols) is not.  The identity has zero
 derivatives, so the derivative stage of I + c s is exactly c times that of
 s: the finite-difference battery differentiates each variation s once and
 feeds it, scaled, to its evaluations at c = +-eps.  The battery holds no
-full-grid metric or curvature: it streams the grid a group of time planes
-at a time through the same module-level helpers that the public functions
-run on each slab (_metric_flags, _riemann_points, _asd_points), so every
-grid point keeps its bits, and decides the metric and defect checks once
-over the whole grid.
+grid-sized array: it streams the grid a group of at most _SLAB_POINTS
+points at a time (whole time planes, or whole rows of one plane) through
+the same module-level helpers that the public functions run on each slab
+(_metric_flags, _riemann_points, _asd_points), so every grid point keeps
+its bits; it decides the metric and defect checks once over the whole
+grid, and takes its norms by a streamed sum (_SquareSum) that keeps the
+bits of np.sum over the whole array.
 
 Sampling: a cylinder field is held as a Spectrum, the half spectrum of its
 grid values on the box of the few Fourier modes it holds.  Its grid values
 are the box's pruned inverse FFT, which skips the grid lines holding no
 coefficient: one pass over the time axis of the whole box
-(_time_inverse), then the rest a group of time planes at a time
-(_plane_inverse), one numpy.fft call per axis over every component.
+(_time_inverse), then the rest a group at a time (_plane_inverse), one
+numpy.fft call per axis over every component.
 Sampling (_pruned_irfftn) and the battery run the same two routines.  A
 variation is differentiated on its box, without a forward FFT, and its
 61 derivative spectra are inverted with its 10 coefficients; any other
@@ -74,7 +76,7 @@ import signal
 import warnings
 from contextvars import ContextVar
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cache, cached_property, lru_cache
 
 import numpy as np
 
@@ -83,7 +85,6 @@ from .fields import (
     _T_PERIOD,
     CylTensor,
     ModeGrid,
-    _norm,
     linearized_weyl,
     random_real_variation,
 )
@@ -368,11 +369,16 @@ def _slab_pool():
 
 
 # Fewest grid points per slab, and most per chunk of a pointwise stage (see
-# _chunk_points).  Each slab repeats every NumPy call of a stage, so small
-# slabs cost more in call overhead than the second CPU saves: on 2 CPUs one
-# 8^4 curvature evaluation took about 15 ms inline and 25-35 ms on 4 slabs,
-# one 16^4 evaluation about 220 ms inline and 150 ms on 4 slabs.
-_SLAB_POINTS = 8192
+# _chunk_points), and most per group of a streamed pass (see _group_planes).
+# Each slab repeats every NumPy call of a stage, so small slabs cost more in
+# call overhead than the second CPU saves: on 2 CPUs one 8^4 curvature
+# evaluation took about 15 ms inline and 25-35 ms on 4 slabs, one 16^4
+# evaluation about 220 ms inline and 150 ms on 4 slabs.  A battery group's
+# buffers hold about 300 doubles per point and a case holds nothing
+# grid-sized, so with 4096 points a case peaks at 12.5 MiB of arrays at
+# 16^4 and 16.4 MiB at 32^4; groups of 4,096 to 65,536 points ran the 16^4
+# battery equally fast.
+_SLAB_POINTS = 4096
 
 # The pid of the process running the battery (see fd_battery_errors), set
 # while it runs and inherited by the workers it forks; None otherwise.
@@ -430,10 +436,28 @@ class Spectrum:
     shape: tuple[int, int, int, int]   # the grid, (Nt, N1, N2, N3)
 
 
-def _group_planes(grid_shape) -> int:
-    """Time planes per group of a streamed pass over the grid (see
-    _plane_inverse): the fewest that hold at least _SLAB_POINTS points."""
-    return -(-_SLAB_POINTS // math.prod(grid_shape[1:]))
+def _group_planes(grid_shape) -> tuple[int, int]:
+    """(planes, rows) of each group of a streamed pass over the grid (see
+    _groups), which holds at most _SLAB_POINTS points: the most whole time
+    planes that fit, when one plane fits, and otherwise one plane's most
+    whole rows of the first spatial axis that fit (at least one row)."""
+    nt, n1 = grid_shape[:2]
+    row = math.prod(grid_shape[2:])
+    if n1 * row <= _SLAB_POINTS:
+        return min(nt, _SLAB_POINTS // (n1 * row)), n1
+    return 1, max(1, _SLAB_POINTS // row)
+
+
+def _groups(grid_shape, times: slice):
+    """The groups of a streamed pass over the time planes times of the
+    grid, in grid order: (planes, rows) slices, a block of whole time
+    planes or a block of whole rows of one plane (see _group_planes), so
+    that each group's points are consecutive in the flattened grid."""
+    planes, rows = _group_planes(grid_shape)
+    n1 = grid_shape[1]
+    for lo in range(times.start, times.stop, planes):
+        for row in range(0, n1, rows):
+            yield slice(lo, min(lo + planes, times.stop)), slice(row, min(row + rows, n1))
 
 
 def _widen(x: np.ndarray, axis: int, positions, n: int) -> np.ndarray:
@@ -459,29 +483,38 @@ def _time_inverse(box: np.ndarray, times, nt: int) -> np.ndarray:
     return np.fft.ifft(box, axis=1, norm="forward")
 
 
-def _plane_inverse(stack: np.ndarray, positions, grid_shape, planes: int):
+def _plane_inverse(stack: np.ndarray, positions, grid_shape, planes: int, rows: int):
     """The rest of the pruned inverse of a box whose time pass is stack
-    (see _time_inverse), a group of time planes at a time: a function
-    (lo, hi, out) that writes the grid values of the time planes lo:hi,
-    at most planes of them, to out (C, hi - lo, N1, N2, N3).
+    (see _time_inverse), a group (see _groups) at a time: a function
+    (times, block, out) that writes the grid values of the rows block of
+    the first spatial axis in the time planes times, at most planes planes
+    and rows rows, to out (C, planes', rows', N2, N3).
 
-    Each call widens and transforms the two complex spatial axes in turn,
-    then runs the c2r on the last, each by one numpy call over every
-    component, and scales by 1/N.  Its temporaries are one set of buffers
-    made here, sized for planes time planes and reused by every call.
+    Each call widens and transforms the first spatial axis of its time
+    planes, unless the call before had the same planes, then widens and
+    transforms the second on its rows and runs the c2r on the last, each by
+    one numpy call over every component, and scales by 1/N.  Its
+    temporaries are one set of buffers made here, sized for one group and
+    the first spatial pass of its planes, and reused by every call.
     """
     count, _, _, m2, m3 = stack.shape
     n1, n2, n3 = grid_shape[1:]
     wide1 = np.zeros((count, planes, n1, m2, m3), dtype=complex)
-    wide2 = np.zeros((count, planes, n1, n2, m3), dtype=complex)
+    wide2 = np.zeros((count, planes, rows, n2, m3), dtype=complex)
     part1, part2 = np.empty_like(wide1), np.empty_like(wide2)
     scale = 1.0 / math.prod(grid_shape)
+    passed = None  # the time planes whose first spatial pass part1 holds
 
-    def invert(lo, hi, out):
-        a, b, c, d = (x[:, : hi - lo] for x in (wide1, part1, wide2, part2))
-        a[:, :, positions[1]] = stack[:, lo:hi]
-        np.fft.ifft(a, axis=2, norm="forward", out=b)
-        c[:, :, :, positions[2]] = b
+    def invert(times, block, out):
+        nonlocal passed
+        t, r = times.stop - times.start, block.stop - block.start
+        if passed != times:
+            a = wide1[:, :t]
+            a[:, :, positions[1]] = stack[:, times]
+            np.fft.ifft(a, axis=2, norm="forward", out=part1[:, :t])
+            passed = times
+        c, d = wide2[:, :t, :r], part2[:, :t, :r]
+        c[:, :, :, positions[2]] = part1[:, :t, block]
         np.fft.ifft(c, axis=3, norm="forward", out=d)
         np.fft.irfft(d, n=n3, axis=4, norm="forward", out=out)
         out *= scale
@@ -502,19 +535,18 @@ def _pruned_irfftn(coefficients: np.ndarray, positions, grid_shape) -> np.ndarra
     coefficient are transformed (the transform of an all-zero line is
     zero), and the c2r pads the half spectrum itself.  The 1/N follows as
     the same single product.  The time axis is transformed once
-    (_time_inverse); the rest runs on groups of time planes (_plane_inverse)
-    on slabs of the time axis (see _on_slabs).
+    (_time_inverse); the rest runs a group at a time (_plane_inverse) on
+    slabs of the time axis (see _on_slabs).
     """
     grid_shape = tuple(grid_shape)
     stack = _time_inverse(coefficients, positions[0], grid_shape[0])
     out = np.empty((len(coefficients),) + grid_shape)
-    planes = _group_planes(grid_shape)
+    planes, rows = _group_planes(grid_shape)
 
     def slab(sl):
-        invert = _plane_inverse(stack, positions, grid_shape, min(planes, sl.stop - sl.start))
-        for lo in range(sl.start, sl.stop, planes):
-            hi = min(lo + planes, sl.stop)
-            invert(lo, hi, out[:, lo:hi])
+        invert = _plane_inverse(stack, positions, grid_shape, min(planes, sl.stop - sl.start), rows)
+        for times, block in _groups(grid_shape, sl):
+            invert(times, block, out[:, times, block])
 
     _on_slabs(slab, grid_shape)
     return out
@@ -877,6 +909,8 @@ def _real_part_spectrum(field, picks, shape, periods) -> Spectrum:
 _CYL_PICKS = tuple(
     ("h00", ()) if b == 0 else ("alpha", (b - 1,)) if a == 0 else ("h", (a - 1, b - 1)) for a, b in _SYM
 )
+# The components of a cross-section tensor's sample, slots _SYM_PAIRS.
+_CROSS_PICKS = tuple(("h", ij) for ij in _SYM_PAIRS)
 
 
 def sample_cyl_tensor(ht: CylTensor, shape, periods) -> np.ndarray:
@@ -896,7 +930,7 @@ def cyl_tensor_spectrum(ht: CylTensor, shape, periods) -> Spectrum:
 
 def sample_cross_section_tensor(ct: CylTensor, shape, periods) -> np.ndarray:
     """Sample a cross-section-valued cylinder tensor as (Nt,N1,N2,N3,3,3)."""
-    s = _real_part_spectrum(ct, [("h", ij) for ij in _SYM_PAIRS], shape, periods)
+    s = _real_part_spectrum(ct, _CROSS_PICKS, shape, periods)
     values = _pruned_irfftn(s.coefficients, s.positions, s.shape)
     out = np.zeros(tuple(shape) + (3, 3))
     for c, (i, j) in enumerate(_SYM_PAIRS):
@@ -946,61 +980,182 @@ def _exit_if_orphaned() -> None:
         os._exit(1)
 
 
-def _fd_differences(periods, spectrum: Spectrum, eps_values) -> tuple[np.ndarray, list[np.ndarray]]:
-    """The sample s (10, Nt, N1, N2, N3) of the variation whose Spectrum is
-    given, and per step eps the difference m(I + eps s) - m(I - eps s) of
-    the anti-self-dual blocks (see asd_form_background), (Nt, N1, N2, N3,
-    3, 3); only these are grid-sized.
+# np.sum of a contiguous float array (numpy 2) is a pairwise sum: at most
+# this many values form one leaf, summed in 8 lanes, and a longer run splits
+# at half its length rounded down to a multiple of 8 (Higham, "The accuracy
+# of floating point summation", SIAM J. Sci. Comput. 14, 1993).  So a leaf's
+# sum is np.sum of its own values, and np.sum over the rows of a (K, m)
+# array, m <= this, is K leaf sums.
+_PAIRWISE_LEAF = 128
 
-    The grid is streamed a group of time planes at a time, inline: each
-    group's 71 components (the derivative stage, then s) are inverted into
-    one set of buffers made here, and each I + c s, c = +-eps, is
-    validated, curved at c times the derivative stage and reduced to its
-    block on the group alone.  The metric and defect checks of each
-    evaluation are decided once over the whole grid, in the order and with
-    the errors of MetricGrid4D and asd_form_background.  A battery worker
-    whose parent has gone ends between groups (see _exit_if_orphaned).
+
+def _as_index(idx: np.ndarray):
+    """idx, or the slice it spells when it is a run of consecutive integers."""
+    if len(idx) and idx[-1] - idx[0] == len(idx) - 1:
+        return slice(int(idx[0]), int(idx[-1]) + 1)
+    return idx
+
+
+@lru_cache(maxsize=8)
+def _pairwise_tree(size: int) -> tuple[np.ndarray, list]:
+    """numpy's pairwise summation tree of size values: the bounds (L + 1,)
+    of its L leaves in order, and its levels from the root down, each as
+    (nodes, leaf nodes, their leaf numbers, inner nodes).  The children of
+    a level's inner nodes, in order, are the next level's nodes.  Built one
+    level at a time with numpy, once per size; a power-of-two grid gives a
+    perfect tree, each of whose levels is all leaves or all inner nodes
+    and is held as slices."""
+    starts = np.zeros(min(size, 1), dtype=np.int64)
+    lengths = np.full(len(starts), size, dtype=np.int64)
+    levels = []
+    while len(starts):
+        leaf = lengths <= _PAIRWISE_LEAF
+        levels.append((len(starts), np.flatnonzero(leaf), starts[leaf], np.flatnonzero(~leaf)))
+        half = lengths[~leaf] // 2
+        half -= half % 8
+        inner = starts[~leaf]
+        starts = np.column_stack((inner, inner + half)).ravel()
+        lengths = np.column_stack((half, lengths[~leaf] - half)).ravel()
+    leaf_starts = np.sort(np.concatenate([level[2] for level in levels] or [starts]))
+    levels = [
+        (count, _as_index(leaves), _as_index(np.searchsorted(leaf_starts, first)), _as_index(inner))
+        for count, leaves, first, inner in levels
+    ]
+    return np.append(leaf_starts, size), levels
+
+
+class _SquareSum:
+    """np.sum(np.square(x)) of a float array x of size values, bit for bit,
+    from pieces of x fed in any order (see add), holding one number per
+    leaf of numpy's summation tree (see _pairwise_tree) and the values of
+    the leaves that a piece only partly covers until they are complete."""
+
+    def __init__(self, size: int):
+        self._bounds, self._levels = _pairwise_tree(size)
+        self._sums = np.empty(len(self._bounds) - 1)
+        self._done = 0
+        self._partial: dict[int, list] = {}  # leaf -> [its values so far, count]
+
+    def add(self, offset: int, values: np.ndarray) -> None:
+        """Feeds the squares of values, x[offset : offset + values.size]
+        in C order; every value of x must be fed exactly once."""
+        x = np.square(values).reshape(-1)
+        bounds, end = self._bounds, offset + len(x)
+        first = int(np.searchsorted(bounds, offset))  # bounds[first - 1] < offset <= bounds[first]
+        last = int(np.searchsorted(bounds, end, side="right")) - 1  # bounds[last] <= end
+        if first > last:  # the piece lies inside one leaf
+            self._add_partial(last, offset, x)
+            return
+        lo, hi = int(bounds[first]), int(bounds[last])
+        if offset < lo:
+            self._add_partial(first - 1, offset, x[: lo - offset])
+        if hi < end:
+            self._add_partial(last, hi, x[hi - offset :])
+        if last > first:
+            whole = x[lo - offset : hi - offset]
+            lengths = np.diff(bounds[first : last + 1])
+            if np.all(lengths == lengths[0]):
+                self._sums[first:last] = np.sum(whole.reshape(-1, lengths[0]), axis=1)
+            else:
+                starts = bounds[first:last] - lo
+                for m in np.unique(lengths):
+                    which = np.flatnonzero(lengths == m)
+                    self._sums[first + which] = np.sum(whole[starts[which, None] + np.arange(m)], axis=1)
+            self._done += last - first
+
+    def _add_partial(self, leaf: int, at: int, x: np.ndarray) -> None:
+        lo, hi = int(self._bounds[leaf]), int(self._bounds[leaf + 1])
+        entry = self._partial.get(leaf)
+        if entry is None:
+            entry = self._partial[leaf] = [np.empty(hi - lo), 0]
+        entry[0][at - lo : at - lo + len(x)] = x
+        entry[1] += len(x)
+        if entry[1] == hi - lo:
+            self._sums[leaf] = np.sum(entry[0])
+            del self._partial[leaf]
+            self._done += 1
+
+    def norm(self) -> float:
+        """sqrt of the sum, as fields._norm takes it; every value must have
+        been fed."""
+        if self._done != len(self._sums):
+            raise RuntimeError(f"{len(self._sums) - self._done} of {len(self._sums)} leaves not fed")
+        below = np.empty(0)
+        for count, leaves, numbers, inner in reversed(self._levels):
+            level = np.empty(count)
+            level[leaves] = self._sums[numbers]
+            level[inner] = below[0::2] + below[1::2]
+            below = level
+        return math.sqrt(float(below[0])) if len(below) else 0.0
+
+
+def _fd_differences(periods, spectrum: Spectrum, exact: Spectrum, eps_values):
+    """Streams the grid a group at a time (see _groups), inline, and yields
+    per group (points, sample, block, differences): the slice of the
+    flattened grid points it covers; there, the sample s (10, w) of the
+    variation whose Spectrum is given, the grid values (w, 3, 3) of the
+    cross-section tensor whose Spectrum is exact, and per step eps the
+    difference m(I + eps s) - m(I - eps s) of the anti-self-dual blocks
+    (see asd_form_background), (w, 3, 3).  All are views of buffers made
+    here and overwritten by the next group; no array is grid-sized.
+
+    Each group's 71 components (the derivative stage, then s) and the 6 of
+    exact are inverted, and each I + c s, c = +-eps, is validated, curved
+    at c times the derivative stage and reduced to its block on the group
+    alone.  The metric and defect checks of each evaluation are decided
+    once over the whole grid, after the last group, in the order and with
+    the errors of MetricGrid4D and asd_form_background; so a group's
+    differences stop before the first step whose metric fails there.  A
+    battery worker whose parent has gone ends between groups (see
+    _exit_if_orphaned).
     """
     shape = spectrum.shape
     stack = _variation_stack(periods, spectrum)
-    sample = np.empty((len(spectrum.coefficients),) + shape)
-    differences = [np.empty(shape + (3, 3)) for _ in eps_values]
+    exact_stack = _time_inverse(exact.coefficients, exact.positions[0], shape[0])
     steps = [(i, c) for i, eps in enumerate(eps_values) for c in (eps, -eps)]
-    planes, chunk_points = min(_group_planes(shape), shape[0]), _chunk_points(shape)
-    invert = _plane_inverse(stack, spectrum.positions, shape, planes)
-    values_buf = np.empty((len(stack), planes) + shape[1:])
-    n = values_buf[0].size
-    g_buf, R_buf, minus_buf = np.empty((10, n)), np.empty((len(_PACKED), n)), np.empty((n, 3, 3))
-    buffers = _riemann_buffers(min(n, chunk_points))
-    rows = []  # (step, (finite, positive), (peak, defect)) per group
-    for lo in range(0, shape[0], planes):
+    planes, rows = _group_planes(shape)
+    invert = _plane_inverse(stack, spectrum.positions, shape, planes, rows)
+    invert_exact = _plane_inverse(exact_stack, exact.positions, shape, planes, rows)
+    n = planes * rows * math.prod(shape[2:])
+    values_buf, exact_buf = np.empty((len(stack), n)), np.empty((len(exact_stack), n))
+    g_buf, R_buf = np.empty((10, n)), np.empty((len(_PACKED), n))
+    block_buf, minus_buf = np.empty((n, 3, 3)), np.empty((n, 3, 3))
+    diff_bufs = [np.empty((n, 3, 3)) for _ in eps_values]
+    buffers = _riemann_buffers(n)  # a group is one chunk of each pointwise stage
+    evaluations = []  # (step, (finite, positive), (peak, defect)) per group
+    for times, block in _groups(shape, slice(0, shape[0])):
         _exit_if_orphaned()
-        hi = min(lo + planes, shape[0])
-        values = values_buf[:, : hi - lo]
-        invert(lo, hi, values)
-        sample[:, lo:hi] = values[_DERIVATIVES:]
-        flat = values.reshape(len(values), -1)
-        w = flat.shape[1]
+        group = (times.stop - times.start, block.stop - block.start) + shape[2:]
+        w = math.prod(group)
+        start = (times.start * shape[1] + block.start) * math.prod(shape[2:])
+        flat, cross = values_buf[:, :w], exact_buf[:, :w]
+        invert(times, block, flat.reshape((len(flat),) + group))
+        invert_exact(times, block, cross.reshape((len(cross),) + group))
+        exact_block = block_buf[:w]
+        for c, (i, j) in enumerate(_SYM_PAIRS):
+            exact_block[:, i, j] = exact_block[:, j, i] = cross[c]
         lin, kind, s = flat[: len(_PACKED)], np.split(flat[len(_PACKED) : _DERIVATIVES], 4), flat[_DERIVATIVES:]
         g, R, minus = g_buf[:, :w], R_buf[:, :w], minus_buf[:w]
+        differences = []
         for step, (i, c) in enumerate(steps):
             np.multiply(s, c, out=g)
             g += _IDENTITY  # the bits of I + c s, without its temporary
-            flags = _metric_flags(g, chunk_points)
+            flags = _metric_flags(g, n)
             if not all(flags):
                 # This step fails; no later one is decided.
-                rows.append((step, flags, (0.0, 0.0)))
+                evaluations.append((step, flags, (0.0, 0.0)))
                 break
             _riemann_points(g, kind, lin, c, R, buffers)
-            diff = differences[i][lo:hi].reshape(-1, 3, 3)
-            rows.append((step, flags, _asd_points(R, minus if step % 2 else diff, chunk_points)))
+            diff = diff_bufs[i][:w]
+            evaluations.append((step, flags, _asd_points(R, minus if step % 2 else diff, n)))
             if step % 2:
                 diff -= minus
+                differences.append(diff)
+        yield slice(start, start + w), s, exact_block, differences
     for step in range(len(steps)):
-        _, flags, reports = zip(*(row for row in rows if row[0] == step))
+        _, flags, reports = zip(*(row for row in evaluations if row[0] == step))
         _check_metric(flags)
         _check_defect(reports)
-    return sample, differences
 
 
 # A variation whose exact linearized block has norm below this times
@@ -1018,6 +1173,12 @@ def fd_linearization_errors(
     one per step size, all sharing one sampling of the variation and its
     one derivative stage (see _fd_differences).
 
+    The grid is streamed a group at a time: each group forms (m(I + eps s)
+    - m(I - eps s)) / (2 eps) - exact in place, and the squares of the
+    sample, of the exact block and of each difference go to one _SquareSum
+    each, so every norm has the bits of fields._norm over the whole array.
+    No array of the case is grid-sized.
+
     The variation must be t-periodic (purely imaginary rates, no polynomial
     factors) and real on the grid.  A degenerate direction, one the exact
     operator annihilates, has no relative error and gives math.nan.
@@ -1026,18 +1187,23 @@ def fd_linearization_errors(
     if not all(0 < eps < 0.1 for eps in eps_values):
         raise ValueError("finite-difference step must be small and positive")
     periods = (_T_PERIOD,) + ht.grid.lengths
-    sample, differences = _fd_differences(periods, cyl_tensor_spectrum(ht, shape, periods), eps_values)
-    sample_norm = _norm(sample)
-    del sample
-    exact = sample_cross_section_tensor(linearized_weyl(ht), shape, periods)
-    den = _norm(exact)
+    spectrum = cyl_tensor_spectrum(ht, shape, periods)
+    exact = _real_part_spectrum(linearized_weyl(ht), _CROSS_PICKS, shape, periods)
+    n = math.prod(shape)
+    sample_sum, exact_sum = _SquareSum(10 * n), _SquareSum(9 * n)
+    diff_sums = [_SquareSum(9 * n) for _ in eps_values]
+    for points, sample, block, differences in _fd_differences(periods, spectrum, exact, eps_values):
+        for c, component in enumerate(sample):  # the sample is components-first
+            sample_sum.add(c * n + points.start, component)
+        exact_sum.add(9 * points.start, block)
+        for eps, diff, diff_sum in zip(eps_values, differences, diff_sums):
+            diff /= 2 * eps
+            diff -= block
+            diff_sum.add(9 * points.start, diff)
+    sample_norm = sample_sum.norm()
+    den = exact_sum.norm()
     degenerate = den < _DEGENERATE_TOL * max(1.0, sample_norm)
-    out = []
-    for eps, diff in zip(eps_values, differences):
-        diff /= 2 * eps
-        diff -= exact
-        out.append(math.nan if degenerate else _norm(diff) / den)
-    return out
+    return [math.nan if degenerate else diff_sum.norm() / den for diff_sum in diff_sums]
 
 
 def _run_share(cases, shape, first: int, stride: int) -> tuple[dict, tuple | None]:
@@ -1102,7 +1268,7 @@ def fd_battery_errors(cases, shape) -> list[list[float]]:
     over the cases would, with the type and message it had in its process.
 
     No worker outlives the call: a worker ends through os._exit after its
-    share, or between groups of time planes once its parent is gone (see
+    share, or between groups once its parent is gone (see
     _exit_if_orphaned), and every worker not yet reaped when this returns
     or raises is killed and reaped.  Each process holds its own buffers,
     so the memory of the whole battery grows with W.

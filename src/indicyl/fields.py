@@ -418,16 +418,24 @@ class _CylField:
 
     __rmul__ = __mul__
 
+    # A part that is the grid's shared zero (see add_term) is skipped: its
+    # 0.0 would not change the sum's bits.
     def norm(self) -> float:
         return math.sqrt(
             sum(
-                sum(slot[n].norm() ** 2 for n in self._parts)
+                sum(slot[n].norm() ** 2 for n in self._parts if not _is_shared_zero(slot[n]))
                 for slot in self.terms.values()
             )
         )
 
     def part_norm(self, name: str) -> float:
-        return math.sqrt(sum(slot[name].norm() ** 2 for slot in self.terms.values()))
+        parts = (slot[name] for slot in self.terms.values())
+        return math.sqrt(sum(f.norm() ** 2 for f in parts if not _is_shared_zero(f)))
+
+
+def _is_shared_zero(f: _Field) -> bool:
+    """Whether f is its grid's shared read-only zero (see _Field._shared_zero)."""
+    return f is f.grid._zeros.get(type(f))
 
 
 _PART_TYPES = {

@@ -335,6 +335,29 @@ def test_shared_zero_parts_are_read_only():
     assert not FourierOneForm._shared_zero(GRID).data.any()
 
 
+def test_norms_skip_shared_zero_parts(monkeypatch):
+    # norm and part_norm leave out the parts that are the grid's shared
+    # zero, with the bits of the sum over every part: a skipped 0.0 changes
+    # no sum of squares.  Two terms, one of them all shared zeros but h.
+    ht = linearized_weyl(F.random_real_variation(rng(), GRID, kt_modes=(0, 1), parts=("h00", "alpha", "h")))
+    ht.add_term(0.25j, 0, h=F.random_symtensor(rng(), GRID))
+    assert any(F._is_shared_zero(slot[n]) for slot in ht.terms.values() for n in ht._parts)
+    want = math.sqrt(sum(sum(F._norm(slot[n].data) ** 2 for n in ht._parts) for slot in ht.terms.values()))
+    want_parts = {
+        name: math.sqrt(sum(F._norm(slot[name].data) ** 2 for slot in ht.terms.values())) for name in ht._parts
+    }
+    norm, seen = F._norm, []
+
+    def recording_norm(x):
+        seen.append(x)
+        return norm(x)
+
+    monkeypatch.setattr(F, "_norm", recording_norm)
+    assert ht.norm() == want
+    assert {name: ht.part_norm(name) for name in ht._parts} == want_parts
+    assert seen and not any(x is z.data for x in seen for z in GRID._zeros.values())
+
+
 # The whole cylinder-operator surface on an anisotropic grid, with terms of
 # degree 0, 1 and 2, a rate-0 term and two terms that share a rate, so that
 # several input terms add into one output term.
