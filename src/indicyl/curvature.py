@@ -76,13 +76,14 @@ import signal
 import warnings
 from contextvars import ContextVar
 from dataclasses import dataclass
-from functools import cache, cached_property, lru_cache
+from functools import cache, cached_property
 
 import numpy as np
 
 from .fields import (
     _SYM_PAIRS,
     _T_PERIOD,
+    _SquareSum,
     CylTensor,
     ModeGrid,
     linearized_weyl,
@@ -839,12 +840,22 @@ def asd_form_background(curv: CurvatureGrid) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+# Sampling tolerances: the largest |Re| of a term's rate; the largest
+# distance of its time frequency from an integer; the largest imaginary part
+# of a sampled field, relative to max(1, its real part); the largest mismatch
+# of a spatial period and its lattice length L, relative to max(1, L).
+_PERIODIC_RATE_TOL = 1e-12
+_RESOLVED_RATE_TOL = 1e-9
+_REALITY_TOL = 1e-9
+_LATTICE_TOL = 1e-12
+
+
 def _term_time_index(rate: complex, nt: int, t_period: float) -> int:
-    if abs(rate.real) > 1e-12:
+    if abs(rate.real) > _PERIODIC_RATE_TOL:
         raise ValueError("grid sampling requires purely imaginary rates (t-periodic fields)")
     kt = rate.imag * t_period / (2 * math.pi)
     kint = round(kt)
-    if abs(kt - kint) > 1e-9:
+    if abs(kt - kint) > _RESOLVED_RATE_TOL:
         raise ValueError(f"rate {rate} is not resolved by the period {t_period}")
     if not -nt // 2 < kint <= nt // 2:
         raise ValueError(f"time frequency {kint} not representable on {nt} samples")
@@ -857,6 +868,7 @@ def _coefficient_box(field, picks, shape, periods) -> tuple[np.ndarray, tuple[np
     size, size), and the grid position of each box index along each axis:
     the time frequencies that occur (in order of first occurrence) and the
     spatial modes -band..band (mode m at position m mod n)."""
+    field.grid._require_box("grid sampling")
     nt = shape[0]
     terms = []
     for (rk, d), slot in field.terms.items():
@@ -880,7 +892,7 @@ def _real_part_spectrum(field, picks, shape, periods) -> Spectrum:
     are their own negatives, reversed.
 
     ValueError unless the field is real on the grid: per component,
-    max |Im| <= 1e-9 max(1, max |Re|), Im being the inverse of -i N times
+    max |Im| <= _REALITY_TOL max(1, max |Re|), Im being the inverse of -i N times
     the anti-Hermitian part 1/2 (F(k) - conj F(-k)).  That part is exactly
     zero for a reality-symmetrized field, which is then not transformed.
     """
@@ -901,7 +913,7 @@ def _real_part_spectrum(field, picks, shape, periods) -> Spectrum:
             _max_abs(_pruned_irfftn(c, spectrum.positions, spectrum.shape), axis=(1, 2, 3, 4))
             for c in (anti, half)
         )
-        if np.any(imag > 1e-9 * np.maximum(1.0, real)):
+        if np.any(imag > _REALITY_TOL * np.maximum(1.0, real)):
             raise ValueError("field is not real on the grid; reality-symmetrize the input")
     return spectrum
 
@@ -945,7 +957,7 @@ def _check_sampling(grid: ModeGrid, shape, periods):
     if not all(0 < p < math.inf for p in periods):
         raise ValueError(f"periods must be four positive finite numbers, got {tuple(periods)}")
     for L, P in zip(grid.lengths, periods[1:]):
-        if not abs(L - P) <= 1e-12 * max(1.0, L):
+        if not abs(L - P) <= _LATTICE_TOL * max(1.0, L):
             raise ValueError("spatial periods must match the mode lattice")
     for n in shape:
         if n < 2 * grid.band + 2:
@@ -978,115 +990,6 @@ def _exit_if_orphaned() -> None:
     owner = _BATTERY_OWNER.get()
     if owner is not None and owner not in (os.getpid(), os.getppid()):
         os._exit(1)
-
-
-# np.sum of a contiguous float array (numpy 2) is a pairwise sum: at most
-# this many values form one leaf, summed in 8 lanes, and a longer run splits
-# at half its length rounded down to a multiple of 8 (Higham, "The accuracy
-# of floating point summation", SIAM J. Sci. Comput. 14, 1993).  So a leaf's
-# sum is np.sum of its own values, and np.sum over the rows of a (K, m)
-# array, m <= this, is K leaf sums.
-_PAIRWISE_LEAF = 128
-
-
-def _as_index(idx: np.ndarray):
-    """idx, or the slice it spells when it is a run of consecutive integers."""
-    if len(idx) and idx[-1] - idx[0] == len(idx) - 1:
-        return slice(int(idx[0]), int(idx[-1]) + 1)
-    return idx
-
-
-@lru_cache(maxsize=8)
-def _pairwise_tree(size: int) -> tuple[np.ndarray, list]:
-    """numpy's pairwise summation tree of size values: the bounds (L + 1,)
-    of its L leaves in order, and its levels from the root down, each as
-    (nodes, leaf nodes, their leaf numbers, inner nodes).  The children of
-    a level's inner nodes, in order, are the next level's nodes.  Built one
-    level at a time with numpy, once per size; a power-of-two grid gives a
-    perfect tree, each of whose levels is all leaves or all inner nodes
-    and is held as slices."""
-    starts = np.zeros(min(size, 1), dtype=np.int64)
-    lengths = np.full(len(starts), size, dtype=np.int64)
-    levels = []
-    while len(starts):
-        leaf = lengths <= _PAIRWISE_LEAF
-        levels.append((len(starts), np.flatnonzero(leaf), starts[leaf], np.flatnonzero(~leaf)))
-        half = lengths[~leaf] // 2
-        half -= half % 8
-        inner = starts[~leaf]
-        starts = np.column_stack((inner, inner + half)).ravel()
-        lengths = np.column_stack((half, lengths[~leaf] - half)).ravel()
-    leaf_starts = np.sort(np.concatenate([level[2] for level in levels] or [starts]))
-    levels = [
-        (count, _as_index(leaves), _as_index(np.searchsorted(leaf_starts, first)), _as_index(inner))
-        for count, leaves, first, inner in levels
-    ]
-    return np.append(leaf_starts, size), levels
-
-
-class _SquareSum:
-    """np.sum(np.square(x)) of a float array x of size values, bit for bit,
-    from pieces of x fed in any order (see add), holding one number per
-    leaf of numpy's summation tree (see _pairwise_tree) and the values of
-    the leaves that a piece only partly covers until they are complete."""
-
-    def __init__(self, size: int):
-        self._bounds, self._levels = _pairwise_tree(size)
-        self._sums = np.empty(len(self._bounds) - 1)
-        self._done = 0
-        self._partial: dict[int, list] = {}  # leaf -> [its values so far, count]
-
-    def add(self, offset: int, values: np.ndarray) -> None:
-        """Feeds the squares of values, x[offset : offset + values.size]
-        in C order; every value of x must be fed exactly once."""
-        x = np.square(values).reshape(-1)
-        bounds, end = self._bounds, offset + len(x)
-        first = int(np.searchsorted(bounds, offset))  # bounds[first - 1] < offset <= bounds[first]
-        last = int(np.searchsorted(bounds, end, side="right")) - 1  # bounds[last] <= end
-        if first > last:  # the piece lies inside one leaf
-            self._add_partial(last, offset, x)
-            return
-        lo, hi = int(bounds[first]), int(bounds[last])
-        if offset < lo:
-            self._add_partial(first - 1, offset, x[: lo - offset])
-        if hi < end:
-            self._add_partial(last, hi, x[hi - offset :])
-        if last > first:
-            whole = x[lo - offset : hi - offset]
-            lengths = np.diff(bounds[first : last + 1])
-            if np.all(lengths == lengths[0]):
-                self._sums[first:last] = np.sum(whole.reshape(-1, lengths[0]), axis=1)
-            else:
-                starts = bounds[first:last] - lo
-                for m in np.unique(lengths):
-                    which = np.flatnonzero(lengths == m)
-                    self._sums[first + which] = np.sum(whole[starts[which, None] + np.arange(m)], axis=1)
-            self._done += last - first
-
-    def _add_partial(self, leaf: int, at: int, x: np.ndarray) -> None:
-        lo, hi = int(self._bounds[leaf]), int(self._bounds[leaf + 1])
-        entry = self._partial.get(leaf)
-        if entry is None:
-            entry = self._partial[leaf] = [np.empty(hi - lo), 0]
-        entry[0][at - lo : at - lo + len(x)] = x
-        entry[1] += len(x)
-        if entry[1] == hi - lo:
-            self._sums[leaf] = np.sum(entry[0])
-            del self._partial[leaf]
-            self._done += 1
-
-    def norm(self) -> float:
-        """sqrt of the sum, as fields._norm takes it; every value must have
-        been fed."""
-        if self._done != len(self._sums):
-            raise RuntimeError(f"{len(self._sums) - self._done} of {len(self._sums)} leaves not fed")
-        below = np.empty(0)
-        for count, leaves, numbers, inner in reversed(self._levels):
-            level = np.empty(count)
-            level[leaves] = self._sums[numbers]
-            level[inner] = below[0::2] + below[1::2]
-            below = level
-        return math.sqrt(float(below[0])) if len(below) else 0.0
 
 
 def _fd_differences(periods, spectrum: Spectrum, exact: Spectrum, eps_values):

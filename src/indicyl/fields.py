@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -80,9 +81,9 @@ _TRACE_FREE_TOL = 1e-10
 # reads 0 rather than NaN.
 _NORM_FLOOR = 1e-300
 
-# Fewest modes per slab of _apply_cylinder, which evaluates the coefficient
-# images of a term one slab of whole mode planes at a time, so that its
-# temporaries are slab-sized rather than box-sized.
+# Fewest modes per slab of the identity suite, which evaluates every
+# identity one slab of whole mode planes at a time (see _slab_planes), so
+# that the operators' temporaries are slab-sized rather than box-sized.
 _SLAB_MODES = 4096
 
 
@@ -96,8 +97,127 @@ def _norm(x: np.ndarray) -> float:
     return math.sqrt(float(total))
 
 
+# np.sum of a contiguous float array (numpy 2) is a pairwise sum: at most
+# this many values form one leaf, summed in 8 lanes, and a longer run splits
+# at half its length rounded down to a multiple of 8 (Higham, "The accuracy
+# of floating point summation", SIAM J. Sci. Comput. 14, 1993).  So a leaf's
+# sum is np.sum of its own values, and np.sum over the rows of a (K, m)
+# array, m <= this, is K leaf sums.
+_PAIRWISE_LEAF = 128
+# Row m: which of a padded leaf row's _PAIRWISE_LEAF slots a leaf of m values fills.
+_LEAF_SLOTS = np.arange(_PAIRWISE_LEAF) < np.arange(_PAIRWISE_LEAF + 1)[:, None]
+
+
+def _as_index(idx: np.ndarray):
+    """idx, or the slice it spells when it is a run of consecutive integers."""
+    if len(idx) and idx[-1] - idx[0] == len(idx) - 1:
+        return slice(int(idx[0]), int(idx[-1]) + 1)
+    return idx
+
+
+@lru_cache(maxsize=8)
+def _pairwise_tree(size: int) -> tuple[np.ndarray, list]:
+    """numpy's pairwise summation tree of size values: the bounds (L + 1,)
+    of its L leaves in order, and its levels from the root down, each as
+    (nodes, leaf nodes, their leaf numbers, inner nodes).  The children of
+    a level's inner nodes, in order, are the next level's nodes.  Built one
+    level at a time with numpy, once per size; a power-of-two grid gives a
+    perfect tree, each of whose levels is all leaves or all inner nodes
+    and is held as slices."""
+    starts = np.zeros(min(size, 1), dtype=np.int64)
+    lengths = np.full(len(starts), size, dtype=np.int64)
+    levels = []
+    while len(starts):
+        leaf = lengths <= _PAIRWISE_LEAF
+        levels.append((len(starts), np.flatnonzero(leaf), starts[leaf], np.flatnonzero(~leaf)))
+        half = lengths[~leaf] // 2
+        half -= half % 8
+        inner = starts[~leaf]
+        starts = np.column_stack((inner, inner + half)).ravel()
+        lengths = np.column_stack((half, lengths[~leaf] - half)).ravel()
+    leaf_starts = np.sort(np.concatenate([level[2] for level in levels] or [starts]))
+    levels = [
+        (count, _as_index(leaves), _as_index(np.searchsorted(leaf_starts, first)), _as_index(inner))
+        for count, leaves, first, inner in levels
+    ]
+    return np.append(leaf_starts, size), levels
+
+
+class _SquareSum:
+    """np.sum(np.square(x)) of a float array x of size values, bit for bit,
+    from pieces of x fed in any order (see add), holding one number per
+    leaf of numpy's summation tree (see _pairwise_tree) and the values of
+    the leaves that a piece only partly covers until they are complete."""
+
+    def __init__(self, size: int):
+        self._bounds, self._levels = _pairwise_tree(size)
+        lengths = np.diff(self._bounds)
+        self._leaf = int(lengths[0]) if len(lengths) and (lengths == lengths[0]).all() else 0  # 0: they differ
+        self._sums = np.empty(len(lengths))
+        self._done = 0
+        self._partial: dict[int, list] = {}  # leaf -> [its values so far, count]
+
+    def add(self, offset: int, values: np.ndarray) -> None:
+        """Feeds the squares of values, x[offset : offset + values.size]
+        in C order; every value of x must be fed exactly once."""
+        x = np.square(values).reshape(-1)
+        bounds, end = self._bounds, offset + len(x)
+        first = int(bounds.searchsorted(offset))  # bounds[first - 1] < offset <= bounds[first]
+        last = int(bounds.searchsorted(end, side="right")) - 1  # bounds[last] <= end
+        if first > last:  # the piece lies inside one leaf
+            self._add_partial(last, offset, x)
+            return
+        lo, hi = int(bounds[first]), int(bounds[last])
+        if offset < lo:
+            self._add_partial(first - 1, offset, x[: lo - offset])
+        if hi < end:
+            self._add_partial(last, hi, x[hi - offset :])
+        if last > first:
+            whole = x[lo - offset : hi - offset]
+            if self._leaf:
+                self._sums[first:last] = whole.reshape(-1, self._leaf).sum(axis=1)
+            else:  # rows padded with zeros, which add nothing to numpy's 8 lanes
+                lengths = bounds[first + 1 : last + 1] - bounds[first:last]
+                held = _LEAF_SLOTS[lengths]
+                rows = np.zeros(held.shape)
+                rows[held] = whole
+                self._sums[first:last] = rows.sum(axis=1)
+                if lengths[-1] % 8:  # only the tree's last leaf; numpy adds its tail after the lanes
+                    self._sums[last - 1] = whole[-lengths[-1] :].sum()
+            self._done += last - first
+
+    def _add_partial(self, leaf: int, at: int, x: np.ndarray) -> None:
+        lo, hi = int(self._bounds[leaf]), int(self._bounds[leaf + 1])
+        entry = self._partial.get(leaf)
+        if entry is None:
+            entry = self._partial[leaf] = [np.empty(hi - lo), 0]
+        entry[0][at - lo : at - lo + len(x)] = x
+        entry[1] += len(x)
+        if entry[1] == hi - lo:
+            self._sums[leaf] = entry[0].sum()
+            del self._partial[leaf]
+            self._done += 1
+
+    def total(self) -> float:
+        """The sum; every value must have been fed."""
+        if self._done != len(self._sums):
+            raise RuntimeError(f"{len(self._sums) - self._done} of {len(self._sums)} leaves not fed")
+        below = np.empty(0)
+        for count, leaves, numbers, inner in reversed(self._levels):
+            level = np.empty(count)
+            level[leaves] = self._sums[numbers]
+            level[inner] = below[0::2] + below[1::2]
+            below = level
+        return below[0] if len(below) else 0.0
+
+    def norm(self) -> float:
+        """sqrt of the sum, as _norm takes it of a real array."""
+        return math.sqrt(float(self.total()))
+
+
 class ModeGrid:
-    """Fourier mode box |k_i| <= band on a rectangular lattice."""
+    """Fourier mode box |k_i| <= band on a rectangular lattice, or a view of
+    its mode planes lo:hi along the first axis (see slab)."""
 
     def __init__(self, lengths=(2 * math.pi,) * 3, band: int = 3):
         if band < 1:
@@ -111,17 +231,34 @@ class ModeGrid:
         axes = [2 * math.pi * k / L for L in self.lengths]
         self.xi = np.array(np.meshgrid(*axes, indexing="ij"))  # (3, M, M, M)
         self.xi_sq = _dot(self.xi, self.xi)
+        self.planes, self.shape = (0, self.size), (self.size,) * 3
         self._zeros: dict[type, _Field] = {}  # see _Field._shared_zero
+        self._slabs: dict[tuple[int, int], ModeGrid] = {}
 
+    def slab(self, lo: int, hi: int) -> ModeGrid:
+        """The view of this box's planes lo:hi: planes (lo, hi), the slab's
+        shape, xi and xi_sq sliced; one per slab, so its zero parts are shared."""
+        self._require_box("a slab view")
+        hi = min(hi, self.size)
+        if (lo, hi) not in self._slabs:
+            self._slabs[lo, hi] = view = object.__new__(ModeGrid)
+            sliced = {"xi": self.xi[:, lo:hi], "xi_sq": self.xi_sq[lo:hi], "shape": (hi - lo,) + self.shape[1:]}
+            view.__dict__.update(self.__dict__, **sliced, planes=(lo, hi), _zeros={}, _slabs={})
+        return self._slabs[lo, hi]
+
+    def _require_box(self, what: str) -> None:
+        if self.planes != (0, self.size):
+            raise ValueError(f"{what} needs the whole mode box, not the planes {self.planes}")
+
+    # Views of different slabs differ, so that their fields never broadcast.
     def __eq__(self, other):
-        return (
-            isinstance(other, ModeGrid)
-            and self.lengths == other.lengths
-            and self.band == other.band
-        )
+        return isinstance(other, ModeGrid) and self._key() == other._key()
 
     def __hash__(self):
-        return hash((self.lengths, self.band))
+        return hash(self._key())
+
+    def _key(self):
+        return self.lengths, self.band, self.planes
 
 
 class _Field:
@@ -129,7 +266,7 @@ class _Field:
 
     def __init__(self, grid: ModeGrid, data):
         data = np.asarray(data, dtype=complex)
-        want = self._comp_shape + (grid.size,) * 3
+        want = self._comp_shape + grid.shape
         if data.shape != want:
             raise ValueError(f"{type(self).__name__} data must have shape {want}, got {data.shape}")
         self.grid = grid
@@ -137,7 +274,7 @@ class _Field:
 
     @classmethod
     def zero(cls, grid: ModeGrid):
-        return cls(grid, np.zeros(cls._comp_shape + (grid.size,) * 3, dtype=complex))
+        return cls(grid, np.zeros(cls._comp_shape + grid.shape, dtype=complex))
 
     @classmethod
     def _shared_zero(cls, grid: ModeGrid):
@@ -151,6 +288,20 @@ class _Field:
 
     def copy(self):
         return type(self)(self.grid, self.data.copy())
+
+    @classmethod
+    def _unchecked(cls, grid: ModeGrid, data: np.ndarray):
+        """A field on data known to pass the checks of __init__."""
+        out = object.__new__(cls)
+        out.grid, out.data = grid, data
+        return out
+
+    def slab(self, lo: int, hi: int):
+        """This field on grid.slab(lo, hi): a view of its data, or the slab's shared zero."""
+        grid = self.grid.slab(lo, hi)
+        if _is_shared_zero(self):
+            return self._shared_zero(grid)
+        return self._unchecked(grid, self.data[..., lo:hi, :, :])
 
     def __add__(self, other):
         self._check(other)
@@ -173,6 +324,7 @@ class _Field:
 
     def conjugate_flip(self):
         """c(k) -> conj(c(-k)); fixed points of this map are real fields."""
+        self.grid._require_box("conjugate_flip")
         return type(self)(self.grid, np.conj(self.data[..., ::-1, ::-1, ::-1]))
 
     def reality_symmetrize(self):
@@ -352,7 +504,10 @@ def inner(a, b) -> complex:
     """L^2 pairing via mode sums, full index contraction on tensors."""
     if type(a) is not type(b) or a.grid != b.grid:
         raise ValueError("field mismatch")
-    return complex(np.sum(np.conj(a.data) * b.data))
+    a.grid._require_box("inner")
+    products = np.conj(a.data)
+    products *= b.data
+    return complex(np.sum(products))
 
 
 # ---------------------------------------------------------------------------
@@ -432,6 +587,13 @@ class _CylField:
         parts = (slot[name] for slot in self.terms.values())
         return math.sqrt(sum(f.norm() ** 2 for f in parts if not _is_shared_zero(f)))
 
+    def slab(self, lo: int, hi: int):
+        """This field on grid.slab(lo, hi), term by term (see _Field.slab)."""
+        out = type(self)(self.grid.slab(lo, hi))
+        for key, slot in self.terms.items():
+            out.terms[key] = {"rate": slot["rate"], **{n: slot[n].slab(lo, hi) for n in self._parts}}
+        return out
+
 
 def _is_shared_zero(f: _Field) -> bool:
     """Whether f is its grid's shared read-only zero (see _Field._shared_zero)."""
@@ -482,38 +644,21 @@ def _apply_cylinder(field, out_type, coefficients):
     By the Leibniz rule t^d e^{lam t} x maps to
     sum_m C(d, m) t^(d-m) e^{lam t} P^(m)(lam) x, with
     P^(m)(lam) = sum_{n >= m} n!/(n-m)! lam^(n-m) S_n.
-
-    The coefficients run on one slab of mode planes at a time (the fewest
-    planes holding _SLAB_MODES modes), and each combination is added into
-    its output term's zeroed arrays in the order the terms produce it.
-    Every kernel is elementwise in the mode, and a combination, built from
-    0 + c y, holds no -0.0 for the zeros to change, so the slabs change no
-    bit.
     """
     grid = field.grid
-    planes = -(-_SLAB_MODES // grid.size**2)
-    sums: dict[tuple, tuple[complex, dict]] = {}  # output key -> (rate, part arrays)
-    for lo in range(0, grid.size, planes):
-        sl = (..., slice(lo, lo + planes), slice(None), slice(None))
-        for (_, d), slot in field.terms.items():
-            lam = slot["rate"]
-            images = coefficients(grid.xi[sl], {name: slot[name].data[sl] for name in field._parts})
-            for m in range(min(d, len(images) - 1) + 1):
-                parts = {}
-                for n in range(m, len(images)):
-                    c = math.comb(d, m) * math.perm(n, m) * lam ** (n - m)
-                    if c == 0:
-                        continue
-                    for name, y in images[n].items():
-                        parts[name] = parts.get(name, 0) + c * y
-                _, acc = sums.setdefault((_rate_key(lam), d - m), (lam, {}))
-                for name, v in parts.items():
-                    if name not in acc:
-                        acc[name] = np.zeros(_PART_TYPES[name]._comp_shape + (grid.size,) * 3, dtype=complex)
-                    acc[name][sl] += v
     out = out_type(grid)
-    for (_, degree), (lam, acc) in sums.items():
-        out.add_term(lam, degree, **{name: _PART_TYPES[name](grid, v) for name, v in acc.items()})
+    for (_, d), slot in field.terms.items():
+        lam = slot["rate"]
+        images = coefficients(grid.xi, {name: slot[name].data for name in field._parts})
+        for m in range(min(d, len(images) - 1) + 1):
+            parts = {}
+            for n in range(m, len(images)):
+                c = math.comb(d, m) * math.perm(n, m) * lam ** (n - m)
+                if c == 0:
+                    continue
+                for name, y in images[n].items():
+                    parts[name] = parts.get(name, 0) + c * y
+            out.add_term(lam, d - m, **{name: _PART_TYPES[name](grid, v) for name, v in parts.items()})
     return out
 
 
@@ -629,7 +774,7 @@ def f_star(Z: CylTensor, omt: CylOneForm) -> CylTensor:
 
 
 def _random_coeffs(rng, grid, comp_shape):
-    shape = comp_shape + (grid.size,) * 3
+    shape = comp_shape + grid.shape
     data = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     return data
 
@@ -682,13 +827,10 @@ def random_real_variation(
 
 def coclosed_projection(omega: FourierOneForm) -> FourierOneForm:
     """Remove the exact part: on each nonzero mode project out xi (xi . c)/|xi|^2."""
-    xi = omega.grid.xi
+    xi, zero = omega.grid.xi, omega.grid.xi_sq == 0
     xs = _dot(xi, omega.data)
-    denom = omega.grid.xi_sq.copy()
-    center = (omega.grid.band,) * 3
-    denom[center] = 1.0
-    corr = xi * (xs / denom)[None]
-    corr[(slice(None),) + center] = 0.0
+    corr = xi * (xs / np.where(zero, 1.0, omega.grid.xi_sq))[None]
+    corr[:, zero] = 0.0
     return FourierOneForm(omega.grid, omega.data - corr)
 
 
@@ -704,17 +846,69 @@ class IdentityResult:
         return self.residual < self.tolerance
 
 
-def _rel_residual(*makers) -> float:
+def _slab_planes(grid: ModeGrid) -> list[tuple[int, int]]:
+    """(lo, hi) of each slab: the fewest whole mode planes holding _SLAB_MODES modes."""
+    planes = -(-_SLAB_MODES // grid.size**2)
+    return [(lo, min(lo + planes, grid.size)) for lo in range(0, grid.size, planes)]
+
+
+def _on_slabs(make, x):
+    """make(x), built into one box-sized field a slab at a time from the
+    slab views of x.  Every kernel is elementwise in the mode and its bits
+    do not depend on the shape it is given, so slabs change no bit."""
+    grid, out = x.grid, None
+    for lo, hi in _slab_planes(grid):
+        part = make(x.slab(lo, hi))
+        if out is None:  # a slab that passes the checks of __init__ passes them in the box
+            out = part._unchecked(grid, np.zeros(part.data.shape[:-3] + grid.shape, dtype=complex))
+        out.data[..., lo:hi, :, :] = part.data
+    return out
+
+
+class _SlabNorm:
+    """The norm() of a cylinder field on a box, bit for bit, from its slab
+    views fed in any order: the real and imaginary values of each part go
+    to one _SquareSum each, component run by component run, and the two
+    sums are added before the sqrt, as _norm adds them."""
+
+    def __init__(self):
+        self._sums: dict[tuple, dict[str, tuple[_SquareSum, _SquareSum]]] = {}  # term -> part -> sums
+
+    def add(self, field: _CylField) -> None:
+        grid = field.grid
+        for key, slot in field.terms.items():
+            sums = self._sums.setdefault(key, {})
+            for name in field._parts:
+                if _is_shared_zero(slot[name]):
+                    continue
+                runs = slot[name].data.reshape((-1,) + grid.shape)
+                if name not in sums:
+                    sums[name] = (_SquareSum(len(runs) * grid.size**3), _SquareSum(len(runs) * grid.size**3))
+                for c, run in enumerate(runs):
+                    offset = (c * grid.size + grid.planes[0]) * grid.size**2
+                    sums[name][0].add(offset, run.real)
+                    sums[name][1].add(offset, run.imag)
+
+    def norm(self) -> float:
+        total = 0  # summed term by term, as _CylField.norm sums
+        for parts in self._sums.values():
+            total += sum(math.sqrt(float(real.total() + imag.total())) ** 2 for real, imag in parts.values())
+        return math.sqrt(total)
+
+
+def _rel_residual(x, *makers) -> float:
     """Norm of the sum of the parts over the largest part norm.  Each maker
-    is a zero-argument callable that builds one part; the parts are built,
-    measured and added one at a time, and each is dropped once added."""
+    builds one part from the slab views of x (see _on_slabs); the parts are
+    built, measured and added in place one at a time."""
     total = scale = None
     for make in makers:
-        part = make()
+        part = _on_slabs(make, x)
         norm = part.norm()
         scale = norm if scale is None else max(scale, norm)
-        total = part if total is None else total + part
-        del part
+        if total is not None:
+            total._check(part)
+            part.data += total.data  # the bits of total + part, as addition commutes
+        total = part
     if scale == 0.0:
         return 0.0
     return total.norm() / scale
@@ -730,6 +924,8 @@ def identity_suite(band: int = 3, seed: int = 7, tol: float = 1e-10):
 
     Returns a list of IdentityResult; every identity is checked with the
     relative residual (norm of the defect over the largest term norm).
+    Identities 1-10 run their operators on slab views of the random inputs,
+    one slab of mode planes at a time (see _slab_planes).
     """
     rng = np.random.default_rng(seed)
     grid = ModeGrid(band=band)
@@ -743,100 +939,84 @@ def identity_suite(band: int = 3, seed: int = 7, tol: float = 1e-10):
         results.append(IdentityResult(name, formula, float(residual), tol))
 
     # 1. Square of the Dirac-type operator against the second-order formula.
-    record(
-        "slashd_squared",
-        "slashd^2 h = -4 Lap tf(h) - 2 tfHess tr(h) + 3 K(div h)",
-        _rel_residual(
-            lambda: slash_d(slash_d(h)),
-            lambda: 4.0 * laplacian(tf(h)),
-            lambda: 2.0 * traceless_hessian(trace(h)),
-            lambda: -3.0 * conf_killing(div(h)),
-        ),
+    residual = _rel_residual(
+        h,
+        lambda h: slash_d(slash_d(h)),
+        lambda h: 4.0 * laplacian(tf(h)),
+        lambda h: 2.0 * traceless_hessian(trace(h)),
+        lambda h: -3.0 * conf_killing(div(h)),
     )
+    record("slashd_squared", "slashd^2 h = -4 Lap tf(h) - 2 tfHess tr(h) + 3 K(div h)", residual)
     # 2. Divergence intertwines slashd with star d.
-    record(
-        "div_slashd",
-        "div(slashd h) = star_d(div h)",
-        _rel_residual(lambda: div(slash_d(h)), lambda: -1.0 * star_d(div(h))),
-    )
+    residual = _rel_residual(h, lambda h: div(slash_d(h)), lambda h: -1.0 * star_d(div(h)))
+    record("div_slashd", "div(slashd h) = star_d(div h)", residual)
     # 3. slashd commutes with the rough Laplacian.
-    record(
-        "slashd_laplacian_commute",
-        "slashd(Lap h) = Lap(slashd h)",
-        _rel_residual(lambda: slash_d(laplacian(h)), lambda: -1.0 * laplacian(slash_d(h))),
-    )
+    residual = _rel_residual(h, lambda h: slash_d(laplacian(h)), lambda h: -1.0 * laplacian(slash_d(h)))
+    record("slashd_laplacian_commute", "slashd(Lap h) = Lap(slashd h)", residual)
     # 4. Commutators of the conformal Killing operator.
     r1 = _rel_residual(
-        lambda: div(conf_killing(om)),
-        lambda: -1.0 * laplacian(om),
-        lambda: (-1.0 / 3.0) * grad(div(om)),
+        om,
+        lambda w: div(conf_killing(w)),
+        lambda w: -1.0 * laplacian(w),
+        lambda w: (-1.0 / 3.0) * grad(div(w)),
     )
-    r2 = _rel_residual(
-        lambda: laplacian(conf_killing(om)), lambda: -1.0 * conf_killing(laplacian(om))
-    )
-    record(
-        "conf_killing_commutators",
-        "div K(w) = Lap w + (1/3) d div w;  Lap K(w) = K(Lap w)",
-        max(r1, r2),
-    )
+    r2 = _rel_residual(om, lambda w: laplacian(conf_killing(w)), lambda w: -1.0 * conf_killing(laplacian(w)))
+    record("conf_killing_commutators", "div K(w) = Lap w + (1/3) d div w;  Lap K(w) = K(Lap w)", max(r1, r2))
     # 5. slashd is formally self-adjoint on the mode-sum pairing.
-    lhs = inner(slash_d(h), hp)
-    rhs = inner(h, slash_d(hp))
-    record(
-        "slashd_self_adjoint",
-        "<slashd h, h'> = <h, slashd h'>",
-        _rel_residual_scaled(abs(lhs - rhs), max(abs(lhs), abs(rhs))),
-    )
+    lhs = inner(_on_slabs(slash_d, h), hp)
+    rhs = inner(h, _on_slabs(slash_d, hp))
+    residual = _rel_residual_scaled(abs(lhs - rhs), max(abs(lhs), abs(rhs)))
+    record("slashd_self_adjoint", "<slashd h, h'> = <h, slashd h'>", residual)
     # 6. slashd is trace-free valued and kills pure-trace tensors.
-    ug = FourierSymTensor(grid, _g(u.data))
-    r1 = _rel_residual_scaled(trace(slash_d(h)).norm(), slash_d(h).norm())
-    r2 = _rel_residual_scaled(slash_d(ug).norm(), ug.norm() * max(1.0, grid.xi_sq.max()))
+    r1 = _rel_residual_scaled(_on_slabs(lambda h: trace(slash_d(h)), h).norm(), _on_slabs(slash_d, h).norm())
+    ug = _on_slabs(lambda u: FourierSymTensor(u.grid, _g(u.data)), u)
+    r2 = _rel_residual_scaled(_on_slabs(slash_d, ug).norm(), ug.norm() * max(1.0, grid.xi_sq.max()))
+    del ug
     record("slashd_trace_and_conformal", "tr(slashd h) = 0;  slashd(u g) = 0", max(r1, r2))
     # 7. slashd of a Lie derivative is the conformal Killing operator of star d.
-    record(
-        "slashd_lie",
-        "slashd(L w) = K(star_d w)",
-        _rel_residual(lambda: slash_d(lie(om)), lambda: -1.0 * conf_killing(star_d(om))),
-    )
+    residual = _rel_residual(om, lambda w: slash_d(lie(w)), lambda w: -1.0 * conf_killing(star_d(w)))
+    record("slashd_lie", "slashd(L w) = K(star_d w)", residual)
     # 8. Linearized traceless Ricci from the slashd square.
-    record(
-        "eprime_from_slashd_squared",
-        "E'(h) = (1/8) slashd^2 h - (1/4) tfHess tr(h) + (1/8) K(div h)",
-        _rel_residual(
-            lambda: e_prime(h),
-            lambda: -0.125 * slash_d(slash_d(h)),
-            lambda: 0.25 * traceless_hessian(trace(h)),
-            lambda: -0.125 * conf_killing(div(h)),
-        ),
+    residual = _rel_residual(
+        h,
+        lambda h: e_prime(h),
+        lambda h: -0.125 * slash_d(slash_d(h)),
+        lambda h: 0.25 * traceless_hessian(trace(h)),
+        lambda h: -0.125 * conf_killing(div(h)),
     )
-    del h, hp, ug  # unused from here on; identity 9 is the suite's peak
+    formula = "E'(h) = (1/8) slashd^2 h - (1/4) tfHess tr(h) + (1/8) K(div h)"
+    record("eprime_from_slashd_squared", formula, residual)
+    del h, hp, u  # unused from here on
     # 9. The linearized curvature annihilates the image of the cylinder
     #    conformal Killing operator, whose divergence matches the box form.
+    #    Only omt is box-sized: the norms are streamed slab by slab.
     omt = CylOneForm(grid)
     omt.add_term(0.7, 0, f=random_scalar(rng, grid), omega=random_oneform(rng, grid))
     omt.add_term(-0.3 + 1.1j, 1, f=random_scalar(rng, grid), omega=random_oneform(rng, grid))
-    kg = cyl_killing(omt)
-    r1 = _rel_residual_scaled(linearized_weyl(kg).norm(), kg.norm() * max(1.0, grid.xi_sq.max()))
-    r2 = _rel_residual(lambda: cyl_box_k(omt), lambda: -1.0 * cyl_div(kg))
-    del kg, omt  # before identities 10 and 11 allocate
-    record(
-        "killing_annihilation_and_box",
-        "D(K_cyl w) = 0;  box_K w = div(K_cyl w)",
-        max(r1, r2),
-    )
+    d_kg, kg_norm, box, div_kg, defect = (_SlabNorm() for _ in range(5))
+    for lo, hi in _slab_planes(grid):
+        w = omt.slab(lo, hi)
+        kg = cyl_killing(w)
+        d_kg.add(linearized_weyl(kg))
+        kg_norm.add(kg)
+        b, d = cyl_box_k(w), -1.0 * cyl_div(kg)
+        box.add(b)
+        div_kg.add(d)
+        defect.add(b + d)
+    r1 = _rel_residual_scaled(d_kg.norm(), kg_norm.norm() * max(1.0, grid.xi_sq.max()))
+    scale = max(box.norm(), div_kg.norm())
+    r2 = 0.0 if scale == 0.0 else defect.norm() / scale
+    record("killing_annihilation_and_box", "D(K_cyl w) = 0;  box_K w = div(K_cyl w)", max(r1, r2))
     # 10. Square of star d is the Hodge Laplacian on co-closed forms.
-    occ = coclosed_projection(om)
-    record(
-        "star_d_squared",
-        "(star_d)^2 w = HodgeLap w on co-closed w",
-        _rel_residual(lambda: star_d(star_d(occ)), lambda: -1.0 * hodge_laplacian(occ)),
+    residual = _rel_residual(
+        om,
+        lambda w: star_d(star_d(coclosed_projection(w))),
+        lambda w: -1.0 * hodge_laplacian(coclosed_projection(w)),
     )
+    record("star_d_squared", "(star_d)^2 w = HodgeLap w on co-closed w", residual)
     # 11. Parallel kernel and cokernel elements are annihilated exactly.
-    record(
-        "flat_kernel_cokernel",
-        "F(kernel elements) = 0;  F*(cokernel elements) = 0",
-        _flat_element_residual(ModeGrid(grid.lengths, band=1)),
-    )
+    residual = _flat_element_residual(ModeGrid(grid.lengths, band=1))
+    record("flat_kernel_cokernel", "F(kernel elements) = 0;  F*(cokernel elements) = 0", residual)
     return results
 
 
@@ -844,58 +1024,22 @@ def _flat_element_residual(grid: ModeGrid) -> float:
     """Residual of the forward/adjoint operators on the 14 + 14 parallel
     solutions at the flat cross-section.  The elements live on the zero mode
     and every operator is mode-diagonal, so a band-1 grid holds them."""
-    worst = 0.0
 
-    def parallel_scalar(value):
-        s = FourierScalar.zero(grid)
-        s.data[(grid.band,) * 3] = value
-        return s
+    def cyl(cls, degree=0, **values):
+        """A rate-0 field of cls and degree whose parts hold values at the zero mode."""
+        parts = {name: _PART_TYPES[name].zero(grid) for name in values}
+        for name, value in values.items():
+            parts[name].data[(...,) + (grid.band,) * 3] = value
+        return cls.from_parts(grid, 0.0, degree, **parts)
 
-    def parallel_oneform(i):
-        w = FourierOneForm.zero(grid)
-        w.data[(i,) + (grid.band,) * 3] = 1.0
-        return w
-
-    def parallel_tt(m):
-        h = FourierSymTensor.zero(grid)
-        h.data[(slice(None), slice(None)) + (grid.band,) * 3] = m
-        return h
-
-    tt_basis = [
-        np.diag([1.0, -1.0, 0.0]),
-        np.diag([1.0, 1.0, -2.0]) / math.sqrt(3),
-        np.array([[0, 1, 0], [1, 0, 0], [0, 0, 0]], dtype=float),
-        np.array([[0, 0, 1], [0, 0, 0], [1, 0, 0]], dtype=float),
-        np.array([[0, 0, 0], [0, 0, 1], [0, 1, 0]], dtype=float),
-    ]
-
-    kernel: list[CylTensor] = []
-    minus_g = parallel_tt(-np.eye(3))
-    kernel.append(CylTensor.from_parts(grid, 0.0, 0, h00=parallel_scalar(3.0), h=minus_g))
-    for i in range(3):
-        kernel.append(CylTensor.from_parts(grid, 0.0, 0, alpha=parallel_oneform(i)))
-    for m in tt_basis:
-        kernel.append(CylTensor.from_parts(grid, 0.0, 0, h=parallel_tt(m)))
-        kernel.append(CylTensor.from_parts(grid, 0.0, 1, h=parallel_tt(m)))
-    for ht in kernel:
-        dpart, divpart = f_forward(ht)
-        worst = max(worst, (dpart.norm() + divpart.norm()) / max(ht.norm(), _NORM_FLOOR))
-
-    cokernel: list[tuple[CylTensor, CylOneForm]] = []
-    dt_form = CylOneForm(grid)
-    dt_form.add_term(0.0, 0, f=parallel_scalar(1.0))
-    cokernel.append((CylTensor(grid), dt_form))
-    for i in range(3):
-        w = CylOneForm(grid)
-        w.add_term(0.0, 0, omega=parallel_oneform(i))
-        cokernel.append((CylTensor(grid), w))
-    for m in tt_basis:
-        for degree in (0, 1):
-            cokernel.append(
-                (CylTensor.from_parts(grid, 0.0, degree, h=parallel_tt(m)), CylOneForm(grid))
-            )
-    for Z, w in cokernel:
-        res = f_star(Z, w)
-        scale = max(Z.norm() + w.norm(), _NORM_FLOOR)
-        worst = max(worst, res.norm() / scale)
-    return worst
+    eye = np.eye(3)
+    tt_basis = [np.diag([1.0, -1.0, 0.0]), np.diag([1.0, 1.0, -2.0]) / math.sqrt(3)]
+    tt_basis += [np.outer(eye[i], eye[j]) + np.outer(eye[j], eye[i]) for i, j in ((0, 1), (0, 2), (1, 2))]
+    kernel = [cyl(CylTensor, h00=3.0, h=-eye)] + [cyl(CylTensor, alpha=e) for e in eye]
+    kernel += [cyl(CylTensor, degree, h=m) for m in tt_basis for degree in (0, 1)]
+    cokernel = [(CylTensor(grid), cyl(CylOneForm, f=1.0))]
+    cokernel += [(CylTensor(grid), cyl(CylOneForm, omega=e)) for e in eye]
+    cokernel += [(cyl(CylTensor, degree, h=m), CylOneForm(grid)) for m in tt_basis for degree in (0, 1)]
+    forward = [sum(f.norm() for f in f_forward(ht)) / max(ht.norm(), _NORM_FLOOR) for ht in kernel]
+    adjoint = [f_star(Z, w).norm() / max(Z.norm() + w.norm(), _NORM_FLOOR) for Z, w in cokernel]
+    return max([0.0, *forward, *adjoint])

@@ -1448,3 +1448,54 @@ def test_reality_symmetrized_field_is_checked_without_a_transform(monkeypatch):
     ht = C.linearization_battery(seed=11, band=1)[8]
     C.sample_cyl_tensor(ht, (8,) * 4, (2 * math.pi,) + ht.grid.lengths)
     assert len(calls) == 1
+
+
+# The sampling tolerances at their boundaries: a value at the tolerance
+# passes and the next float above it fails.  Where the tolerance times its
+# scale is no difference of two floats near the lattice length, the largest
+# difference that passes and the smallest that fails stand in for it.
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_periodic_rate_tolerance_boundary(sign):
+    assert C._term_time_index(complex(sign * 1e-12, 1.0), 8, 2 * math.pi) == 1
+    with pytest.raises(ValueError, match="requires purely imaginary rates"):
+        C._term_time_index(complex(sign * np.nextafter(1e-12, 1.0), 1.0), 8, 2 * math.pi)
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_resolved_rate_tolerance_boundary(sign):
+    # With a period of 2 pi the time frequency of the rate i y is y exactly.
+    assert C._term_time_index(complex(0.0, sign * 1e-9), 8, 2 * math.pi) == 0
+    with pytest.raises(ValueError, match="is not resolved by the period"):
+        C._term_time_index(complex(0.0, sign * np.nextafter(1e-9, 1.0)), 8, 2 * math.pi)
+
+
+@pytest.mark.parametrize("scale", [0.5, 8.0])
+def test_reality_tolerance_boundary(scale):
+    # A constant field samples to its value exactly, so its imaginary part
+    # may reach 1e-9 max(1, its real part) and no further.
+    limit = 1e-9 * max(1.0, scale)
+    for imag, real in ((limit, True), (np.nextafter(limit, 1.0), False)):
+        ht = F.CylTensor(F.ModeGrid(band=1)).add_term(0.0, 0, h00=_unit_h00(F.ModeGrid(band=1), complex(scale, imag)))
+        if real:
+            assert C.sample_cyl_tensor(ht, (8,) * 4, PERIODS)[0, 0, 0, 0, 0] == scale
+        else:
+            with pytest.raises(ValueError, match="field is not real on the grid"):
+                C.sample_cyl_tensor(ht, (8,) * 4, PERIODS)
+
+
+@pytest.mark.parametrize("length", [2.0**-41, 4.0], ids=["tiny", "above-one"])
+def test_lattice_tolerance_boundary(length):
+    limit = 1e-12 * max(1.0, length)
+    inside = length + math.floor(limit / math.ulp(length)) * math.ulp(length)
+    outside = np.nextafter(inside, math.inf)
+    assert inside - length <= limit < outside - length
+    grid = F.ModeGrid((length,) * 3, band=1)
+    C._check_sampling(grid, (8,) * 4, (1.0,) + (inside,) * 3)
+    with pytest.raises(ValueError, match="spatial periods must match the mode lattice"):
+        C._check_sampling(grid, (8,) * 4, (1.0,) + (outside,) * 3)
+
+
+def test_sampling_rejects_a_slab_view():
+    ht = F.random_real_variation(np.random.default_rng(3), F.ModeGrid(band=1), kt_modes=(1,))
+    with pytest.raises(ValueError, match=re.escape("grid sampling needs the whole mode box, not the planes (0, 2)")):
+        C.cyl_tensor_spectrum(ht.slab(0, 2), (8,) * 4, (2 * math.pi,) * 4)
