@@ -546,14 +546,7 @@ def _add_geometry_flags(p):
     p.add_argument("--out", metavar="FILE", help="write output to FILE instead of stdout")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
-        prog="indicyl",
-        description="Indicial roots of the self-dual deformation complex on cylinders",
-    )
-    sub = ap.add_subparsers(dest="cmd", required=True)
-
-    p = sub.add_parser("roots", help="root catalog table")
+def _roots_arguments(p):
     _add_geometry_flags(p)
     p.add_argument(
         "--window",
@@ -563,15 +556,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.set_defaults(func=cmd_roots)
 
-    p = sub.add_parser("gap", help="spectral gap and gluing window")
+
+def _gap_arguments(p):
     _add_geometry_flags(p)
     p.set_defaults(func=cmd_gap)
 
-    p = sub.add_parser("ks", help="vanishing of subexponential cokernel 2-tensors")
+
+def _ks_arguments(p):
     _add_geometry_flags(p)
     p.set_defaults(func=cmd_ks)
 
-    p = sub.add_parser("lens", help="scalar multiplicities on a cyclic quotient")
+
+def _lens_arguments(p):
     p.add_argument(
         "--lens", metavar="p,q1,q2", required=True, help=f"order p at most {LENS_ORDER_CEILING}"
     )
@@ -579,7 +575,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", metavar="FILE")
     p.set_defaults(func=cmd_lens)
 
-    p = sub.add_parser("verify", help="verification suites")
+
+def _verify_arguments(p):
     p.add_argument("suite", choices=("identities", "linearization", "oracle"))
     p.add_argument(
         "--N",
@@ -609,6 +606,44 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", metavar="FILE")
     p.set_defaults(func=cmd_verify)
 
+
+# Each subcommand's help line and the function that adds its arguments.
+_SUBCOMMANDS = {
+    "roots": ("root catalog table", _roots_arguments),
+    "gap": ("spectral gap and gluing window", _gap_arguments),
+    "ks": ("vanishing of subexponential cokernel 2-tensors", _ks_arguments),
+    "lens": ("scalar multiplicities on a cyclic quotient", _lens_arguments),
+    "verify": ("verification suites", _verify_arguments),
+}
+
+
+class _Subparsers(dict):
+    """The subcommand parsers by name, each built when argparse first looks
+    it up.  A run looks up only the command that argv names; usage, help and
+    the invalid-choice error need only the names, which are the keys, and
+    the help lines."""
+
+    def __init__(self, action):
+        super().__init__(dict.fromkeys(_SUBCOMMANDS))
+        self._action = action
+
+    def __getitem__(self, name):
+        parser = super().__getitem__(name)
+        if parser is None:  # as action.add_parser(name) would make it
+            parser = self[name] = self._action._parser_class(prog=f"{self._action._prog_prefix} {name}")
+            _SUBCOMMANDS[name][1](parser)
+        return parser
+
+
+def build_parser() -> argparse.ArgumentParser:
+    ap = argparse.ArgumentParser(
+        prog="indicyl",
+        description="Indicial roots of the self-dual deformation complex on cylinders",
+    )
+    sub = ap.add_subparsers(dest="cmd", required=True)
+    sub._name_parser_map = sub.choices = _Subparsers(sub)
+    for name, (help_line, _) in _SUBCOMMANDS.items():
+        sub._choices_actions.append(sub._ChoicesPseudoAction(name, (), help_line))
     return ap
 
 

@@ -100,12 +100,13 @@ def _norm(x: np.ndarray) -> float:
 # np.sum of a contiguous float array (numpy 2) is a pairwise sum: at most
 # this many values form one leaf, summed in 8 lanes, and a longer run splits
 # at half its length rounded down to a multiple of 8 (Higham, "The accuracy
-# of floating point summation", SIAM J. Sci. Comput. 14, 1993).  So a leaf's
-# sum is np.sum of its own values, and np.sum over the rows of a (K, m)
-# array, m <= this, is K leaf sums.
+# of floating point summation", SIAM J. Sci. Comput. 14, 1993).  A complex
+# array is summed the same way over its floats, real and imaginary parts
+# apart: leaves of at most half as many complex values, in 4 lanes, split
+# at multiples of 4.  So a leaf's sum is np.sum of its own values, and
+# np.sum over the rows of a (K, m) array, m at most a leaf, is K leaf sums.
 _PAIRWISE_LEAF = 128
-# Row m: which of a padded leaf row's _PAIRWISE_LEAF slots a leaf of m values fills.
-_LEAF_SLOTS = np.arange(_PAIRWISE_LEAF) < np.arange(_PAIRWISE_LEAF + 1)[:, None]
+_PAIRWISE_LANES = 8
 
 
 def _as_index(idx: np.ndarray):
@@ -115,9 +116,10 @@ def _as_index(idx: np.ndarray):
     return idx
 
 
-@lru_cache(maxsize=8)
-def _pairwise_tree(size: int) -> tuple[np.ndarray, list]:
-    """numpy's pairwise summation tree of size values: the bounds (L + 1,)
+@lru_cache(maxsize=16)
+def _pairwise_tree(size: int, leaf: int = _PAIRWISE_LEAF, lanes: int = _PAIRWISE_LANES) -> tuple[np.ndarray, list]:
+    """numpy's pairwise summation tree of size values, with leaves of at
+    most leaf values that split at multiples of lanes: the bounds (L + 1,)
     of its L leaves in order, and its levels from the root down, each as
     (nodes, leaf nodes, their leaf numbers, inner nodes).  The children of
     a level's inner nodes, in order, are the next level's nodes.  Built one
@@ -128,13 +130,13 @@ def _pairwise_tree(size: int) -> tuple[np.ndarray, list]:
     lengths = np.full(len(starts), size, dtype=np.int64)
     levels = []
     while len(starts):
-        leaf = lengths <= _PAIRWISE_LEAF
-        levels.append((len(starts), np.flatnonzero(leaf), starts[leaf], np.flatnonzero(~leaf)))
-        half = lengths[~leaf] // 2
-        half -= half % 8
-        inner = starts[~leaf]
+        is_leaf = lengths <= leaf
+        levels.append((len(starts), np.flatnonzero(is_leaf), starts[is_leaf], np.flatnonzero(~is_leaf)))
+        half = lengths[~is_leaf] // 2
+        half -= half % lanes
+        inner = starts[~is_leaf]
         starts = np.column_stack((inner, inner + half)).ravel()
-        lengths = np.column_stack((half, lengths[~leaf] - half)).ravel()
+        lengths = np.column_stack((half, lengths[~is_leaf] - half)).ravel()
     leaf_starts = np.sort(np.concatenate([level[2] for level in levels] or [starts]))
     levels = [
         (count, _as_index(leaves), _as_index(np.searchsorted(leaf_starts, first)), _as_index(inner))
@@ -143,72 +145,166 @@ def _pairwise_tree(size: int) -> tuple[np.ndarray, list]:
     return np.append(leaf_starts, size), levels
 
 
-class _SquareSum:
-    """np.sum(np.square(x)) of a float array x of size values, bit for bit,
-    from pieces of x fed in any order (see add), holding one number per
-    leaf of numpy's summation tree (see _pairwise_tree) and the values of
-    the leaves that a piece only partly covers until they are complete."""
+@lru_cache(maxsize=128)
+def _run_plan(tree: tuple[int, int, int], start: int, stride: int, count: int, length: int):
+    """How runs r = 0 .. count - 1 of length values, run r at start + r
+    stride of a tree's values, cover its leaves.  The leaves that lie whole
+    in a run come grouped by length, as (length, their starts in the runs
+    laid end to end, their leaf numbers), the starts a slice when those
+    leaves lie end to end: a tree has few leaf lengths (3 or 4 at a
+    band-15 box), but they alternate.  Then (leaf, at, run, lo, hi) for
+    each span of a leaf that a run only partly covers."""
+    bounds = _pairwise_tree(*tree)[0]
+    leaves, starts, cuts = [], [], []
+    for r in range(count):
+        lo = start + r * stride
+        hi = lo + length
+        first = int(bounds.searchsorted(lo))  # bounds[first - 1] < lo <= bounds[first]
+        last = int(bounds.searchsorted(hi, side="right")) - 1  # bounds[last] <= hi
+        if first > last:  # the run lies inside one leaf
+            cuts.append((last, lo - int(bounds[last]), r, 0, length))
+            continue
+        if lo < bounds[first]:
+            cuts.append((first - 1, lo - int(bounds[first - 1]), r, 0, int(bounds[first]) - lo))
+        if bounds[last] < hi:
+            cuts.append((last, 0, r, int(bounds[last]) - lo, length))
+        leaves.append(np.arange(first, last))
+        starts.append(bounds[first:last] - lo + r * length)
+    classes = []
+    if leaves:
+        leaves, starts = np.concatenate(leaves), np.concatenate(starts)
+        lengths = bounds[leaves + 1] - bounds[leaves]
+        for size in np.unique(lengths):
+            at = lengths == size
+            held = starts[at]
+            if held[-1] - held[0] == size * (len(held) - 1):
+                held = slice(int(held[0]), int(held[-1]) + int(size))
+            classes.append((int(size), held, _as_index(leaves[at])))
+    return tuple(classes), tuple(cuts)
 
-    def __init__(self, size: int):
-        self._bounds, self._levels = _pairwise_tree(size)
+
+class _PairwiseSum:
+    """np.sum of an array x of size values, float or complex, bit for bit,
+    from pieces of x fed in any order (see add_runs).  lead is the shape of
+    the sums carried side by side over pieces of one layout: () for one,
+    (2,) for the squares of a complex array's real and imaginary parts.
+    Holds one sum per leaf of numpy's summation tree (see _pairwise_tree)
+    and the values of the leaves that a piece only partly covers.  A piece
+    that holds all of x takes np.sum at once; leaves of one length (a
+    power-of-two size) are found by arithmetic, others by a cached plan of
+    how runs cover them (see _run_plan)."""
+
+    def __init__(self, size: int, dtype=float, lead: tuple[int, ...] = ()):
+        self._dtype, self._lead, self._size = np.dtype(dtype), lead, size
+        self._fed = 0
+        self._whole = None  # np.sum of x, when one piece held all of it
+        self._sums = None  # the leaf sums, made when a piece holds part of x (see _start_leaves)
+
+    def _start_leaves(self) -> None:
+        per_value = self._dtype.itemsize // 8  # numpy sums a complex array as pairs of floats
+        self._tree = (self._size, _PAIRWISE_LEAF // per_value, _PAIRWISE_LANES // per_value)
+        self._bounds, self._levels = _pairwise_tree(*self._tree)
         lengths = np.diff(self._bounds)
         self._leaf = int(lengths[0]) if len(lengths) and (lengths == lengths[0]).all() else 0  # 0: they differ
-        self._sums = np.empty(len(lengths))
-        self._done = 0
-        self._partial: dict[int, list] = {}  # leaf -> [its values so far, count]
+        self._sums = np.empty(self._lead + (len(lengths),), dtype=self._dtype)
+        self._partial: dict[int, list] = {}  # leaf -> [its values so far, how many it lacks]
+
+    def add_runs(self, start: int, stride: int, runs: np.ndarray) -> None:
+        """Feeds runs[..., r, :] as x[start + r stride :][:n], n the runs'
+        length, for every run r; every value of x must be fed exactly once."""
+        count, length = runs.shape[-2:]
+        if stride == length and count > 1:  # consecutive runs are one run
+            runs, count, length = runs.reshape(runs.shape[:-2] + (1, -1)), 1, count * length
+        self._fed += count * length
+        if count * length == self._size:  # one piece holds x: numpy's own sum
+            self._whole = runs[..., 0, :].sum(axis=-1)
+            return
+        if self._sums is None:
+            self._start_leaves()
+        if self._leaf:  # leaves of one length: their bounds are multiples of it
+            for r in range(count):
+                self._add_run(start + r * stride, runs[..., r, :])
+            return
+        classes, cuts = _run_plan(self._tree, start, stride, count, length)
+        self._add_leaves(np.ascontiguousarray(runs.reshape(runs.shape[:-2] + (-1,))), classes)
+        for leaf, at, r, lo, hi in cuts:
+            self._add_partial(leaf, at, runs[..., r, lo:hi])
+
+    def _add_run(self, offset: int, run: np.ndarray) -> None:
+        """Feeds one run as x[offset:][:n] when all leaves have the length _leaf."""
+        leaf, end = self._leaf, offset + run.shape[-1]
+        first, last = -(-offset // leaf), end // leaf  # the leaves first .. last - 1 lie whole in the run
+        if first > last:  # the run lies inside one leaf
+            self._add_partial(last, offset - last * leaf, run)
+            return
+        lo, hi = first * leaf - offset, last * leaf - offset
+        self._sums[..., first:last] = run[..., lo:hi].reshape(self._lead + (-1, leaf)).sum(axis=-1)
+        if lo:
+            self._add_partial(first - 1, leaf - lo, run[..., :lo])
+        if hi < run.shape[-1]:
+            self._add_partial(last, 0, run[..., hi:])
+
+    def _add_partial(self, leaf: int, at: int, values: np.ndarray) -> None:
+        """Feeds values as those of a leaf from its position at on, and sums
+        the leaf once all its values are in."""
+        entry = self._partial.get(leaf)
+        if entry is None:
+            size = int(self._bounds[leaf + 1] - self._bounds[leaf])
+            entry = self._partial[leaf] = [np.empty(self._lead + (size,), dtype=self._dtype), size]
+        entry[0][..., at : at + values.shape[-1]] = values
+        entry[1] -= values.shape[-1]
+        if not entry[1]:
+            self._sums[..., leaf] = entry[0].sum(axis=-1)
+            del self._partial[leaf]
+
+    def add(self, offset: int, values: np.ndarray) -> None:
+        """Feeds values as x[offset : offset + values.size] in C order."""
+        self.add_runs(offset, 0, values.reshape(self._lead + (1, -1)))
+
+    def add_slab(self, grid: ModeGrid, values: np.ndarray) -> None:
+        """Feeds the values (components first) of a field on the slab view
+        grid, where x is that field's type on the whole box."""
+        (lo, hi), plane = grid.planes, grid.size**2
+        self.add_runs(lo * plane, grid.size * plane, values.reshape(self._lead + (-1, (hi - lo) * plane)))
+
+    def _add_leaves(self, values: np.ndarray, classes: tuple) -> None:
+        """Sums the leaves that values (C-contiguous) holds whole, one length
+        at a time (see _run_plan): np.sum over the rows of a (K, m) array,
+        m at most a leaf, is K leaf sums."""
+        lead = values.shape[:-1]
+        for length, starts, leaves in classes:
+            if isinstance(starts, slice):
+                rows = values[..., starts].reshape(lead + (-1, length))
+            else:  # the windows of length values at every start, taken at these
+                shape, strides = lead + (values.shape[-1] - length + 1, length), values.strides + values.strides[-1:]
+                rows = np.ndarray(shape, values.dtype, values, strides=strides)[..., starts, :]
+            self._sums[..., leaves] = rows.sum(axis=-1)
+
+    def total(self):
+        """The sum (of lead shape); every value must have been fed."""
+        if self._fed != self._size:
+            raise RuntimeError(f"{self._size - self._fed} of {self._size} values not fed")
+        if self._whole is not None:
+            return self._whole
+        if self._sums is None:  # x is empty
+            self._start_leaves()
+        below = np.empty(self._lead + (0,), dtype=self._dtype)
+        for count, leaves, numbers, inner in reversed(self._levels):
+            level = np.empty(self._lead + (count,), dtype=self._dtype)
+            level[..., leaves] = self._sums[..., numbers]
+            level[..., inner] = below[..., 0::2] + below[..., 1::2]
+            below = level
+        return below[..., 0] if below.shape[-1] else np.zeros(self._lead, dtype=self._dtype)[()]
+
+
+class _SquareSum(_PairwiseSum):
+    """np.sum(np.square(x)) of a float array x of size values, bit for bit,
+    from pieces of x fed in any order (see add)."""
 
     def add(self, offset: int, values: np.ndarray) -> None:
         """Feeds the squares of values, x[offset : offset + values.size]
         in C order; every value of x must be fed exactly once."""
-        x = np.square(values).reshape(-1)
-        bounds, end = self._bounds, offset + len(x)
-        first = int(bounds.searchsorted(offset))  # bounds[first - 1] < offset <= bounds[first]
-        last = int(bounds.searchsorted(end, side="right")) - 1  # bounds[last] <= end
-        if first > last:  # the piece lies inside one leaf
-            self._add_partial(last, offset, x)
-            return
-        lo, hi = int(bounds[first]), int(bounds[last])
-        if offset < lo:
-            self._add_partial(first - 1, offset, x[: lo - offset])
-        if hi < end:
-            self._add_partial(last, hi, x[hi - offset :])
-        if last > first:
-            whole = x[lo - offset : hi - offset]
-            if self._leaf:
-                self._sums[first:last] = whole.reshape(-1, self._leaf).sum(axis=1)
-            else:  # rows padded with zeros, which add nothing to numpy's 8 lanes
-                lengths = bounds[first + 1 : last + 1] - bounds[first:last]
-                held = _LEAF_SLOTS[lengths]
-                rows = np.zeros(held.shape)
-                rows[held] = whole
-                self._sums[first:last] = rows.sum(axis=1)
-                if lengths[-1] % 8:  # only the tree's last leaf; numpy adds its tail after the lanes
-                    self._sums[last - 1] = whole[-lengths[-1] :].sum()
-            self._done += last - first
-
-    def _add_partial(self, leaf: int, at: int, x: np.ndarray) -> None:
-        lo, hi = int(self._bounds[leaf]), int(self._bounds[leaf + 1])
-        entry = self._partial.get(leaf)
-        if entry is None:
-            entry = self._partial[leaf] = [np.empty(hi - lo), 0]
-        entry[0][at - lo : at - lo + len(x)] = x
-        entry[1] += len(x)
-        if entry[1] == hi - lo:
-            self._sums[leaf] = entry[0].sum()
-            del self._partial[leaf]
-            self._done += 1
-
-    def total(self) -> float:
-        """The sum; every value must have been fed."""
-        if self._done != len(self._sums):
-            raise RuntimeError(f"{len(self._sums) - self._done} of {len(self._sums)} leaves not fed")
-        below = np.empty(0)
-        for count, leaves, numbers, inner in reversed(self._levels):
-            level = np.empty(count)
-            level[leaves] = self._sums[numbers]
-            level[inner] = below[0::2] + below[1::2]
-            below = level
-        return below[0] if len(below) else 0.0
+        super().add(offset, np.square(values))
 
     def norm(self) -> float:
         """sqrt of the sum, as _norm takes it of a real array."""
@@ -279,11 +375,12 @@ class _Field:
     @classmethod
     def _shared_zero(cls, grid: ModeGrid):
         """The grid's one zero field of this type, read-only: writing into
-        its data raises."""
+        its data raises.  Its data is one zero broadcast to the field's
+        shape, so the zero parts of every slab view hold no memory."""
         zero = grid._zeros.get(cls)
         if zero is None:
-            zero = grid._zeros[cls] = cls.zero(grid)
-            zero.data.flags.writeable = False
+            data = np.broadcast_to(np.zeros((), dtype=complex), cls._comp_shape + grid.shape)
+            zero = grid._zeros[cls] = cls._unchecked(grid, data)
         return zero
 
     def copy(self):
@@ -328,7 +425,9 @@ class _Field:
         return type(self)(self.grid, np.conj(self.data[..., ::-1, ::-1, ::-1]))
 
     def reality_symmetrize(self):
-        return type(self)(self.grid, 0.5 * (self.data + self.conjugate_flip().data))
+        """0.5 (c(k) + conj(c(-k)))."""
+        self.grid._require_box("reality_symmetrize")
+        return type(self)(self.grid, _symmetrize_reality(self.data.copy()))
 
     def _check(self, other):
         if type(other) is not type(self) or other.grid != self.grid:
@@ -773,24 +872,54 @@ def f_star(Z: CylTensor, omt: CylOneForm) -> CylTensor:
 # ---------------------------------------------------------------------------
 
 
+# Values drawn per call of the generator when a random field is drawn
+# straight into its array.
+_DRAW_CHUNK = 4096
+
+
 def _random_coeffs(rng, grid, comp_shape):
-    shape = comp_shape + grid.shape
-    data = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    """rng.standard_normal(shape) + 1j * rng.standard_normal(shape), drawn
+    straight into one complex array _DRAW_CHUNK values at a time: the same
+    draws in the same order, with no box-sized temporary, and the same bits
+    unless a draw is -0.0, whose sign that sum would drop."""
+    grid._require_box("a random field")
+    data = np.empty(comp_shape + grid.shape, dtype=complex)
+    flat = data.reshape(-1)
+    for values in (flat.real, flat.imag):
+        for lo in range(0, flat.size, _DRAW_CHUNK):
+            chunk = values[lo : lo + _DRAW_CHUNK]
+            chunk[...] = rng.standard_normal(len(chunk))
+    return data
+
+
+def _symmetrize_reality(data: np.ndarray) -> np.ndarray:
+    """data <- 0.5 (data + conj(data at -k)) in place, one mirror pair of
+    mode planes at a time: the bits of reality_symmetrize, with plane-sized
+    temporaries."""
+    size = data.shape[-3]
+    for p in range(size // 2 + 1):
+        q = size - 1 - p
+        front = 0.5 * (data[..., p, :, :] + np.conj(data[..., q, ::-1, ::-1]))
+        data[..., q, :, :] = 0.5 * (data[..., q, :, :] + np.conj(data[..., p, ::-1, ::-1]))
+        data[..., p, :, :] = front
     return data
 
 
 def random_scalar(rng, grid) -> FourierScalar:
-    return FourierScalar(grid, _random_coeffs(rng, grid, ())).reality_symmetrize()
+    return FourierScalar(grid, _symmetrize_reality(_random_coeffs(rng, grid, ())))
 
 
 def random_oneform(rng, grid) -> FourierOneForm:
-    return FourierOneForm(grid, _random_coeffs(rng, grid, (3,))).reality_symmetrize()
+    return FourierOneForm(grid, _symmetrize_reality(_random_coeffs(rng, grid, (3,))))
 
 
 def random_symtensor(rng, grid, traceless=False) -> FourierSymTensor:
     raw = _random_coeffs(rng, grid, (3, 3))
-    raw = 0.5 * (raw + raw.swapaxes(0, 1))
-    h = FourierSymTensor(grid, raw).reality_symmetrize()
+    for i, j in _SYM_PAIRS:  # raw <- 0.5 (raw + raw^T), an entry pair at a time
+        mean = raw[i, j] + raw[j, i]
+        mean *= 0.5
+        raw[i, j] = raw[j, i] = mean
+    h = FourierSymTensor(grid, _symmetrize_reality(raw))
     return tf(h) if traceless else h
 
 
@@ -846,72 +975,117 @@ class IdentityResult:
         return self.residual < self.tolerance
 
 
-def _slab_planes(grid: ModeGrid) -> list[tuple[int, int]]:
-    """(lo, hi) of each slab: the fewest whole mode planes holding _SLAB_MODES modes."""
-    planes = -(-_SLAB_MODES // grid.size**2)
+def _slab_planes(grid: ModeGrid, modes: int | None = None) -> list[tuple[int, int]]:
+    """(lo, hi) of each slab: the fewest whole mode planes holding this many
+    modes, by default _SLAB_MODES."""
+    planes = max(1, -(-(_SLAB_MODES if modes is None else modes) // grid.size**2))
     return [(lo, min(lo + planes, grid.size)) for lo in range(0, grid.size, planes)]
 
 
-def _on_slabs(make, x):
-    """make(x), built into one box-sized field a slab at a time from the
-    slab views of x.  Every kernel is elementwise in the mode and its bits
-    do not depend on the shape it is given, so slabs change no bit."""
-    grid, out = x.grid, None
-    for lo, hi in _slab_planes(grid):
-        part = make(x.slab(lo, hi))
-        if out is None:  # a slab that passes the checks of __init__ passes them in the box
-            out = part._unchecked(grid, np.zeros(part.data.shape[:-3] + grid.shape, dtype=complex))
-        out.data[..., lo:hi, :, :] = part.data
-    return out
-
-
 class _SlabNorm:
-    """The norm() of a cylinder field on a box, bit for bit, from its slab
-    views fed in any order: the real and imaginary values of each part go
-    to one _SquareSum each, component run by component run, and the two
-    sums are added before the sqrt, as _norm adds them."""
+    """The norm() of a field on a box, a Fourier field or a cylinder field,
+    bit for bit, from its slab views fed in any order: the squares of each
+    part's real and imaginary values are summed apart (see _PairwiseSum),
+    the parts of one type side by side, and each part's two sums are added
+    before the sqrt, as _norm adds them.  A cylinder field's shared zero
+    parts are skipped, as its norm() skips them; every slab must hold the
+    same terms and parts."""
 
     def __init__(self):
-        self._sums: dict[tuple, dict[str, tuple[_SquareSum, _SquareSum]]] = {}  # term -> part -> sums
+        self._sums: dict = {}  # part type -> (its sums, their (term, part) names)
+        self._names: list | None = None  # every (term, part) name in the order norm() sums them
+        self._fourier = False
 
-    def add(self, field: _CylField) -> None:
-        grid = field.grid
-        for key, slot in field.terms.items():
-            sums = self._sums.setdefault(key, {})
-            for name in field._parts:
-                if _is_shared_zero(slot[name]):
-                    continue
-                runs = slot[name].data.reshape((-1,) + grid.shape)
-                if name not in sums:
-                    sums[name] = (_SquareSum(len(runs) * grid.size**3), _SquareSum(len(runs) * grid.size**3))
-                for c, run in enumerate(runs):
-                    offset = (c * grid.size + grid.planes[0]) * grid.size**2
-                    sums[name][0].add(offset, run.real)
-                    sums[name][1].add(offset, run.imag)
+    def add(self, field) -> None:
+        if isinstance(field, _Field):
+            self._fourier, named = True, [((None, None), field)]
+        else:
+            named = [
+                ((key, name), slot[name])
+                for key, slot in field.terms.items()
+                for name in field._parts
+                if not _is_shared_zero(slot[name])
+            ]
+        if self._names is None:
+            self._names = [name for name, _ in named]
+        elif [name for name, _ in named] != self._names:
+            raise ValueError("slab views of different fields")
+        groups: dict[type, list] = {}
+        for name, f in named:
+            groups.setdefault(type(f), []).append((name, f))
+        for kind, members in groups.items():
+            first = members[0][1]
+            squares = np.empty((len(members), 2) + first.data.shape)
+            for i, (_, f) in enumerate(members):
+                np.square(f.data.real, out=squares[i, 0])
+                np.square(f.data.imag, out=squares[i, 1])
+            if kind not in self._sums:
+                self._sums[kind] = (_PairwiseSum(_box_size(first), lead=squares.shape[:2]), [n for n, _ in members])
+            self._sums[kind][0].add_slab(first.grid, squares)
 
     def norm(self) -> float:
-        total = 0  # summed term by term, as _CylField.norm sums
-        for parts in self._sums.values():
-            total += sum(math.sqrt(float(real.total() + imag.total())) ** 2 for real, imag in parts.values())
+        parts = {}
+        for sums, names in self._sums.values():
+            parts.update(zip(names, sums.total()))
+        if self._fourier:
+            real, imag = parts[None, None]
+            return math.sqrt(float(real + imag))
+        terms: dict = {}  # summed term by term, as _CylField.norm sums
+        for key, name in self._names:
+            real, imag = parts[key, name]
+            terms.setdefault(key, []).append(math.sqrt(float(real + imag)) ** 2)
+        total = 0
+        for squares in terms.values():
+            total += sum(squares)
         return math.sqrt(total)
+
+
+class _SlabInner:
+    """inner(a, b) of two Fourier fields on a box, bit for bit, from their
+    slab views fed in any order: the products conj(a) b go to one complex
+    _PairwiseSum."""
+
+    def __init__(self):
+        self._sum = None
+
+    def add(self, a: _Field, b: _Field) -> None:
+        a._check(b)
+        products = np.conj(a.data)
+        products *= b.data
+        if self._sum is None:
+            self._sum = _PairwiseSum(_box_size(a), dtype=complex)
+        self._sum.add_slab(a.grid, products)
+
+    def value(self) -> complex:
+        return complex(self._sum.total())
+
+
+def _box_size(f: _Field) -> int:
+    """The number of values of f's type on the whole box of f's grid."""
+    return math.prod(f._comp_shape) * f.grid.size**3
 
 
 def _rel_residual(x, *makers) -> float:
     """Norm of the sum of the parts over the largest part norm.  Each maker
-    builds one part from the slab views of x (see _on_slabs); the parts are
-    built, measured and added in place one at a time."""
-    total = scale = None
-    for make in makers:
-        part = _on_slabs(make, x)
-        norm = part.norm()
-        scale = norm if scale is None else max(scale, norm)
-        if total is not None:
-            total._check(part)
-            part.data += total.data  # the bits of total + part, as addition commutes
-        total = part
+    builds one part from a slab view of x; slab by slab, the parts are
+    built, measured and added in place one at a time, and every norm is
+    streamed (see _SlabNorm), so that no part is box-sized."""
+    norms = [_SlabNorm() for _ in makers]
+    total_norm = _SlabNorm()
+    for lo, hi in _slab_planes(x.grid):
+        view, total = x.slab(lo, hi), None
+        for make, norm in zip(makers, norms):
+            part = make(view)
+            norm.add(part)
+            if total is not None:
+                total._check(part)
+                part.data += total.data  # the bits of total + part, as addition commutes
+            total = part
+        total_norm.add(total)
+    scale = max(norm.norm() for norm in norms)
     if scale == 0.0:
         return 0.0
-    return total.norm() / scale
+    return total_norm.norm() / scale
 
 
 def _rel_residual_scaled(value: float, scale: float) -> float:
@@ -925,12 +1099,17 @@ def identity_suite(band: int = 3, seed: int = 7, tol: float = 1e-10):
     Returns a list of IdentityResult; every identity is checked with the
     relative residual (norm of the defect over the largest term norm).
     Identities 1-10 run their operators on slab views of the random inputs,
-    one slab of mode planes at a time (see _slab_planes).
+    one slab of mode planes at a time (see _slab_planes), and stream their
+    norms and pairings, so that only the random inputs are box-sized.  Each
+    input is dropped after its last identity: identity 5 runs as soon as h
+    and hp are drawn, and identity 10 before the inputs of identity 9.
     """
     rng = np.random.default_rng(seed)
     grid = ModeGrid(band=band)
     h = random_symtensor(rng, grid)
     hp = random_symtensor(rng, grid)
+    self_adjoint = _self_adjoint_residual(h, hp)
+    del hp
     om = random_oneform(rng, grid)
     u = random_scalar(rng, grid)
     results: list[IdentityResult] = []
@@ -963,16 +1142,9 @@ def identity_suite(band: int = 3, seed: int = 7, tol: float = 1e-10):
     r2 = _rel_residual(om, lambda w: laplacian(conf_killing(w)), lambda w: -1.0 * conf_killing(laplacian(w)))
     record("conf_killing_commutators", "div K(w) = Lap w + (1/3) d div w;  Lap K(w) = K(Lap w)", max(r1, r2))
     # 5. slashd is formally self-adjoint on the mode-sum pairing.
-    lhs = inner(_on_slabs(slash_d, h), hp)
-    rhs = inner(h, _on_slabs(slash_d, hp))
-    residual = _rel_residual_scaled(abs(lhs - rhs), max(abs(lhs), abs(rhs)))
-    record("slashd_self_adjoint", "<slashd h, h'> = <h, slashd h'>", residual)
+    record("slashd_self_adjoint", "<slashd h, h'> = <h, slashd h'>", self_adjoint)
     # 6. slashd is trace-free valued and kills pure-trace tensors.
-    r1 = _rel_residual_scaled(_on_slabs(lambda h: trace(slash_d(h)), h).norm(), _on_slabs(slash_d, h).norm())
-    ug = _on_slabs(lambda u: FourierSymTensor(u.grid, _g(u.data)), u)
-    r2 = _rel_residual_scaled(_on_slabs(slash_d, ug).norm(), ug.norm() * max(1.0, grid.xi_sq.max()))
-    del ug
-    record("slashd_trace_and_conformal", "tr(slashd h) = 0;  slashd(u g) = 0", max(r1, r2))
+    record("slashd_trace_and_conformal", "tr(slashd h) = 0;  slashd(u g) = 0", _slashd_trace_residual(h, u))
     # 7. slashd of a Lie derivative is the conformal Killing operator of star d.
     residual = _rel_residual(om, lambda w: slash_d(lie(w)), lambda w: -1.0 * conf_killing(star_d(w)))
     record("slashd_lie", "slashd(L w) = K(star_d w)", residual)
@@ -986,15 +1158,70 @@ def identity_suite(band: int = 3, seed: int = 7, tol: float = 1e-10):
     )
     formula = "E'(h) = (1/8) slashd^2 h - (1/4) tfHess tr(h) + (1/8) K(div h)"
     record("eprime_from_slashd_squared", formula, residual)
-    del h, hp, u  # unused from here on
+    del h, u  # unused from here on
+    # 10. Square of star d is the Hodge Laplacian on co-closed forms (run
+    #     before 9, recorded after it).
+    coclosed = _rel_residual(
+        om,
+        lambda w: star_d(star_d(coclosed_projection(w))),
+        lambda w: -1.0 * hodge_laplacian(coclosed_projection(w)),
+    )
+    del om
     # 9. The linearized curvature annihilates the image of the cylinder
     #    conformal Killing operator, whose divergence matches the box form.
-    #    Only omt is box-sized: the norms are streamed slab by slab.
     omt = CylOneForm(grid)
     omt.add_term(0.7, 0, f=random_scalar(rng, grid), omega=random_oneform(rng, grid))
     omt.add_term(-0.3 + 1.1j, 1, f=random_scalar(rng, grid), omega=random_oneform(rng, grid))
+    residual = _killing_residual(omt)
+    record("killing_annihilation_and_box", "D(K_cyl w) = 0;  box_K w = div(K_cyl w)", residual)
+    del omt
+    record("star_d_squared", "(star_d)^2 w = HodgeLap w on co-closed w", coclosed)
+    # 11. Parallel kernel and cokernel elements are annihilated exactly.
+    residual = _flat_element_residual(ModeGrid(grid.lengths, band=1))
+    record("flat_kernel_cokernel", "F(kernel elements) = 0;  F*(cokernel elements) = 0", residual)
+    return results
+
+
+def _self_adjoint_residual(h: FourierSymTensor, hp: FourierSymTensor) -> float:
+    """Identity 5: |<slashd h, hp> - <h, slashd hp>| over the larger
+    pairing, both pairings streamed slab by slab (see _SlabInner)."""
+    lhs, rhs = _SlabInner(), _SlabInner()
+    for lo, hi in _slab_planes(h.grid):
+        lhs.add(slash_d(h.slab(lo, hi)), hp.slab(lo, hi))
+        rhs.add(h.slab(lo, hi), slash_d(hp.slab(lo, hi)))
+    lhs, rhs = lhs.value(), rhs.value()
+    return _rel_residual_scaled(abs(lhs - rhs), max(abs(lhs), abs(rhs)))
+
+
+def _slashd_trace_residual(h: FourierSymTensor, u: FourierScalar) -> float:
+    """Identity 6: |tr slashd h| over |slashd h|, and |slashd(u g)| over
+    |u g| times the largest |xi|^2, the larger of the two, all norms
+    streamed slab by slab (see _SlabNorm)."""
+    trace_norm, slashd_norm, pure_norm, ug_norm = (_SlabNorm() for _ in range(4))
+    for lo, hi in _slab_planes(h.grid):
+        d = slash_d(h.slab(lo, hi))
+        trace_norm.add(trace(d))
+        slashd_norm.add(d)
+        us = u.slab(lo, hi)
+        ug = FourierSymTensor(us.grid, _g(us.data))
+        pure_norm.add(slash_d(ug))
+        ug_norm.add(ug)
+    r1 = _rel_residual_scaled(trace_norm.norm(), slashd_norm.norm())
+    r2 = _rel_residual_scaled(pure_norm.norm(), ug_norm.norm() * max(1.0, h.grid.xi_sq.max()))
+    return max(r1, r2)
+
+
+def _killing_residual(omt: CylOneForm) -> float:
+    """Identity 9: |D(K_cyl w)| over |K_cyl w| times the largest |xi|^2, and
+    the relative defect of box_K w = div(K_cyl w), the larger of the two,
+    all norms streamed slab by slab (see _SlabNorm).  Its cylinder fields
+    hold about four times as many values per mode as the Fourier fields of
+    the other identities (K_cyl w alone holds three terms of 13
+    components), so a box that takes more than one slab of _SLAB_MODES is
+    cut into slabs of a quarter as many modes; a smaller box stays whole."""
+    whole = omt.grid.size**3 <= _SLAB_MODES
     d_kg, kg_norm, box, div_kg, defect = (_SlabNorm() for _ in range(5))
-    for lo, hi in _slab_planes(grid):
+    for lo, hi in _slab_planes(omt.grid, _SLAB_MODES if whole else _SLAB_MODES // 4):
         w = omt.slab(lo, hi)
         kg = cyl_killing(w)
         d_kg.add(linearized_weyl(kg))
@@ -1003,21 +1230,10 @@ def identity_suite(band: int = 3, seed: int = 7, tol: float = 1e-10):
         box.add(b)
         div_kg.add(d)
         defect.add(b + d)
-    r1 = _rel_residual_scaled(d_kg.norm(), kg_norm.norm() * max(1.0, grid.xi_sq.max()))
+    r1 = _rel_residual_scaled(d_kg.norm(), kg_norm.norm() * max(1.0, omt.grid.xi_sq.max()))
     scale = max(box.norm(), div_kg.norm())
     r2 = 0.0 if scale == 0.0 else defect.norm() / scale
-    record("killing_annihilation_and_box", "D(K_cyl w) = 0;  box_K w = div(K_cyl w)", max(r1, r2))
-    # 10. Square of star d is the Hodge Laplacian on co-closed forms.
-    residual = _rel_residual(
-        om,
-        lambda w: star_d(star_d(coclosed_projection(w))),
-        lambda w: -1.0 * hodge_laplacian(coclosed_projection(w)),
-    )
-    record("star_d_squared", "(star_d)^2 w = HodgeLap w on co-closed w", residual)
-    # 11. Parallel kernel and cokernel elements are annihilated exactly.
-    residual = _flat_element_residual(ModeGrid(grid.lengths, band=1))
-    record("flat_kernel_cokernel", "F(kernel elements) = 0;  F*(cokernel elements) = 0", residual)
-    return results
+    return max(r1, r2)
 
 
 def _flat_element_residual(grid: ModeGrid) -> float:

@@ -1105,3 +1105,50 @@ def test_closed_form_stdout_is_pinned(argv, digest, tmp_path, monkeypatch, capsy
     captured = capsys.readouterr()
     assert code == 0 and captured.err == ""
     assert hashlib.sha256(captured.out.encode()).hexdigest() == digest
+
+
+# Usage, help and usage errors of every subcommand, now that build_parser
+# builds only the subparser that argv names: digests of (exit code, stdout,
+# stderr), captured with CPython 3.11's argparse at COLUMNS=80 from the
+# parser that built all five subparsers on every run.
+_PARSER_OUTPUTS = [
+    ([], "529d3804f008f35ba942935a79ac5ef009828f7ae8855a899b7a19835c62241c"),
+    (['-h'], "890354f30990c9ecb782f62eb767f8ec939ab7c4c8692631c64240f8af528677"),
+    (['--help'], "890354f30990c9ecb782f62eb767f8ec939ab7c4c8692631c64240f8af528677"),
+    (['roots', '--help'], "9c78ba7fbfca8b4a7fe5e9faacd3e481cd721a6df688b806bdb99982702c4bf0"),
+    (['gap', '--help'], "be5a0b7c3cdf0db9478ed7f76a002a62c760d5d7f464dac2724a486520f8792f"),
+    (['ks', '--help'], "e887f7fef9481055c67d19c4446a0aac617c90d4ff1cb85696735d0c1b571268"),
+    (['lens', '--help'], "2fd5ab56d53abfa4e875cf5ae26b87b6a8459233f7cb88acf39bc9af67a8160e"),
+    (['verify', '--help'], "674e3404dd88173ae18c9346391796c7e2bd7d8ff85bb8cb2dd8ed431f20eec8"),
+    (['bogus'], "25c512e7aa2450100bc54c14008983dcb9327477d2d3cc1582b4f3d01aca52af"),
+    (['verify', 'bogus'], "27f0d56baf3880969d9d09c5ad8e1d32af9beb549be71c86822909347aaa082a"),
+    (['roots', '--bogus'], "9abb5853300b413b7046a07149988202b8454e557acfa064d42f9a0e2f913447"),
+    (['--bogus', 'roots', '--sphere'], "9abb5853300b413b7046a07149988202b8454e557acfa064d42f9a0e2f913447"),
+    (['lens'], "c55b61a22e5517017f7b31e5fe6e343eeb4602526c7f439e4369810e0ac8b1dd"),
+    (['verify', 'identities', '--N', 'x'], "800c5753bb2be3cbffb196812f6479759286c28dfd4657821c2df7452cb0c90d"),
+    (['roots', '--format', 'xml'], "3f41d65db42f408a019d3ec268556f8ff1be4bfb33e915a230908de02ea4d942"),
+    (['gap', '--jmax'], "f3adbf14670bbe81b7a61c29907a6a9038b24716be1f3e0c59fcb5c6b5cdfe0d"),
+    (['ks', '--sphere', 'extra'], "184601564d4a32ea3bd2095f579d5b06b8e7243f8ae12efc8b5c1a720d70e074"),
+    (['roots', '--sph', '--jmax', '1'], "4d2383e2b06a3978803eb1e95a025336e589aee970982a70402e68b733657948"),
+    (['-x'], "529d3804f008f35ba942935a79ac5ef009828f7ae8855a899b7a19835c62241c"),
+    (['--', 'roots'], "d9ce86212c84a53156cd10d9166da4af24be77e7b452943131086242dc434ea7"),
+]
+
+
+@pytest.mark.parametrize("argv,digest", _PARSER_OUTPUTS, ids=[" ".join(a) or "no-args" for a, _ in _PARSER_OUTPUTS])
+def test_parser_output_is_unchanged(argv, digest, monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    try:
+        code = cli.main(argv)
+    except SystemExit as e:
+        code = e.code
+    captured = capsys.readouterr()
+    assert hashlib.sha256(f"{code}\n{captured.out}\0{captured.err}".encode()).hexdigest() == digest
+
+
+def test_build_parser_builds_only_the_named_subparser():
+    ap = cli.build_parser()
+    (action,) = [a for a in ap._actions if a.dest == "cmd"]
+    assert list(action.choices) == ["roots", "gap", "ks", "lens", "verify"]
+    assert ap.parse_args(["gap", "--sphere"]).func is cli.cmd_gap
+    assert [name for name, parser in dict.items(action.choices) if parser is not None] == ["gap"]
