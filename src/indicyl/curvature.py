@@ -32,12 +32,12 @@ derivatives, so the derivative stage of I + c s is exactly c times that of
 s: the finite-difference battery differentiates each variation s once and
 feeds it, scaled, to its evaluations at c = +-eps.  The battery holds no
 grid-sized array: it streams the grid a group of at most _SLAB_POINTS
-points at a time (whole time planes, or whole rows of one plane) through
-the same module-level helpers that the public functions run on each slab
-(_metric_flags, _riemann_points, _asd_points), so every grid point keeps
-its bits; it decides the metric and defect checks once over the whole
-grid, and takes its norms by a streamed sum (_SquareSum) that keeps the
-bits of np.sum over the whole array.
+points at a time (whole time planes, or whole rows of one plane; see
+_groups) through the same module-level helpers that the public functions
+run on the same groups (_metric_inverse, _riemann_points, _asd_points), so
+every grid point keeps its bits; it decides the metric and defect checks
+once over the whole grid, and takes its norms by a streamed sum
+(_SquareSum) that keeps the bits of np.sum over the whole array.
 
 Sampling: a cylinder field is held as a Spectrum, the half spectrum of its
 grid values on the box of the few Fourier modes it holds.  Its grid values
@@ -50,21 +50,13 @@ variation is differentiated on its box, without a forward FFT, and its
 61 derivative spectra are inverted with its 10 coefficients; any other
 metric is differentiated through its full rfftn, one component at a time.
 
-Threads: the public full-grid functions run on every CPU the process may
-use, on one pool of threads (see _on_slabs): the derivative stage splits
-the components between them; the pruned inverse, the pointwise stage, the
-metric validation and the anti-self-dual block split the leading grid
-axis.  Work on a slab runs inline on its thread and submits nothing to the
-pool, which would deadlock once every worker waits.
-
-Processes: the battery (see fd_battery_errors) runs its cases, not slabs,
-in parallel, on the calling process and on workers forked from it, one
-per further CPU.  While it runs, every slab of every process runs inline,
-so a worker never touches the thread pool it inherits.
-
-Each grid point's values come from the same expressions in the same order
-however the work is split, so every result is bitwise the same for any
-number of CPUs.
+Processes: everything runs in the calling process, a group at a time,
+except that the battery (see fd_battery_errors) runs its cases in
+parallel, on the calling process and on workers forked from it, one per
+further CPU.  The package starts no threads.  Each grid point's values
+come from the same expressions in the same order however the grid is
+grouped and the cases are shared out, so every result is bitwise the same
+for any number of CPUs.
 """
 
 from __future__ import annotations
@@ -76,7 +68,7 @@ import signal
 import warnings
 from contextvars import ContextVar
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cached_property
 
 import numpy as np
 
@@ -132,7 +124,7 @@ class MetricGrid4D:
 
     def __post_init__(self):
         self.g = np.ascontiguousarray(self.g, dtype=float)
-        if self.g.ndim != 5 or self.g.shape[0] != 10:
+        if self.g.ndim != 5 or self.g.shape[0] != 10 or 0 in self.g.shape:
             raise ValueError(
                 "metric samples must have shape (10, Nt, N1, N2, N3), the components "
                 f"g_ab with a <= b; got {self.g.shape}"
@@ -140,32 +132,17 @@ class MetricGrid4D:
         # The comparisons are written so that NaN fails them.
         if len(self.periods) != 4 or not all(0 < p < math.inf for p in self.periods):
             raise ValueError(f"periods must be four positive finite numbers, got {self.periods}")
-        chunk_points = _chunk_points(self.shape)
-        flags = _on_slabs(lambda sl: _metric_flags(self.g[:, sl].reshape(10, -1), chunk_points), self.shape)
-        _check_metric(flags)
+        g = self.g.reshape(10, -1)
+        _check_metric([_metric_inverse(g[:, points]) for *_, points in _groups(self.shape)])
 
     @property
     def shape(self) -> tuple[int, int, int, int]:
         return self.g.shape[1:]
 
 
-def _metric_flags(g: np.ndarray, chunk_points: int) -> tuple[bool, bool]:
-    """(finite, positive definite) for the metric components g (10, n) of
-    n points: finiteness, then Sylvester's criterion on the finite samples,
-    on chunks of chunk_points points, so that the minors' temporaries stay
-    small whatever the grid."""
-    positive = True
-    for lo in range(0, g.shape[1], chunk_points):
-        chunk = g[:, lo : lo + chunk_points]
-        if not np.all(np.isfinite(chunk)):
-            return False, False
-        positive = positive and all(np.all(d > 0) for d in _leading_minors(dict(zip(_SYM, chunk))))
-    return True, positive
-
-
 def _check_metric(flags) -> None:
     """Raises ValueError unless every (finite, positive) of flags, the
-    _metric_flags of the parts of one metric, holds."""
+    _metric_inverse flags of the parts of one metric, holds."""
     finite, positive = zip(*flags)
     if not all(finite):
         raise ValueError("metric samples must be finite")
@@ -232,20 +209,25 @@ def _minor3(a, s):
     return a[0, 2] * s[3] - a[1, 2] * s[1] + a[2, 2] * s[0]
 
 
-def _leading_minors(a) -> tuple:
-    """The four leading principal minors of a symmetric 4x4 field a[i, j]."""
-    s, c = _row_pair_minors(a)
-    return a[0, 0], s[0], _minor3(a, s), _det(s, c)
-
-
-def _sym_inverse(g: np.ndarray, out: np.ndarray) -> None:
-    """Inverse of a (10, ...) symmetric 4x4 field by 2x2 minors of the
-    upper and lower row pairs (Laplace expansion), written to out (10, ...)."""
+def _metric_inverse(g: np.ndarray, out: np.ndarray | None = None) -> tuple[bool, bool]:
+    """(finite, positive definite) for the metric components g (10, ...):
+    finiteness, then Sylvester's criterion on the finite samples.  When
+    both hold and out is given, the inverse metric, by 2x2 minors of the
+    upper and lower row pairs (Laplace expansion), is written to out (10,
+    ...).  The leading minors are read off the same row pair minors, which
+    are formed once; nothing is divided unless both flags hold."""
+    if not np.all(np.isfinite(g)):
+        return False, False
     a = {(i, j): g[c] for c, (i, j) in enumerate(_SYM)}
     s, c = _row_pair_minors(a)
+    det, minor3 = _det(s, c), _minor3(a, s)
+    if not all(np.all(d > 0) for d in (a[0, 0], s[0], minor3, det)):
+        return True, False
+    if out is None:
+        return True, True
     s0, s1, s2, s3, s4, s5 = s
     c0, c1, c2, c3, c4, c5 = c
-    inv_det = 1.0 / _det(s, c)
+    inv_det = 1.0 / det
     cof = {
         (0, 0): a[1, 1] * c5 - a[1, 2] * c4 + a[1, 3] * c3,
         (0, 1): -a[0, 1] * c5 + a[0, 2] * c4 - a[0, 3] * c3,
@@ -256,10 +238,11 @@ def _sym_inverse(g: np.ndarray, out: np.ndarray) -> None:
         (1, 3): a[0, 2] * s5 - a[2, 2] * s2 + a[2, 3] * s1,
         (2, 2): a[0, 3] * s4 - a[1, 3] * s2 + a[3, 3] * s0,
         (2, 3): -a[0, 2] * s4 + a[1, 2] * s2 - a[2, 3] * s0,
-        (3, 3): _minor3(a, s),
+        (3, 3): minor3,
     }
     for k, slot in enumerate(_SYM):
         np.multiply(cof[slot], inv_det, out=out[k])
+    return True, True
 
 
 def _unpack_sym(c10: np.ndarray) -> np.ndarray:
@@ -285,10 +268,11 @@ class CurvatureGrid:
     @cached_property
     def ginv_sym(self) -> np.ndarray:
         """g^ab, slots _SYM, by the closed-form inverse of the metric."""
-        g = self.metric.g
+        g = self.metric.g.reshape(10, -1)
         out = np.empty_like(g)
-        _on_slabs(lambda sl: _sym_inverse(g[:, sl], out[:, sl]), self.metric.shape)
-        return out
+        for *_, points in _groups(self.metric.shape):
+            _metric_inverse(g[:, points], out[:, points])
+        return out.reshape(self.metric.g.shape)
 
     @cached_property
     def gamma_sym(self) -> np.ndarray:
@@ -354,68 +338,27 @@ def _ik_factors(periods, grid_shape, positions):
 
 
 def _fft_workers() -> int:
-    """The number of CPUs this process may run on."""
+    """The number of CPUs this process may run on, and so the most
+    processes that run the battery (see fd_battery_errors)."""
     try:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity call on this platform
         return os.cpu_count() or 1
 
 
-@cache
-def _slab_pool():
-    """The threads that run the slabs of _on_slabs, started on first use."""
-    from concurrent.futures import ThreadPoolExecutor
-
-    return ThreadPoolExecutor(max_workers=_fft_workers(), thread_name_prefix="indicyl-slab")
-
-
-# Fewest grid points per slab, and most per chunk of a pointwise stage (see
-# _chunk_points), and most per group of a streamed pass (see _group_planes).
-# Each slab repeats every NumPy call of a stage, so small slabs cost more in
-# call overhead than the second CPU saves: on 2 CPUs one 8^4 curvature
-# evaluation took about 15 ms inline and 25-35 ms on 4 slabs, one 16^4
-# evaluation about 220 ms inline and 150 ms on 4 slabs.  A battery group's
-# buffers hold about 300 doubles per point and a case holds nothing
-# grid-sized, so with 4096 points a case peaks at 12.5 MiB of arrays at
-# 16^4 and 16.4 MiB at 32^4; groups of 4,096 to 65,536 points ran the 16^4
-# battery equally fast.
+# Most grid points per group of a streamed pass (see _group_planes), unless
+# one row holds more.  Each group repeats every NumPy call of a stage, so
+# small groups cost more in call overhead than they save in memory.  A
+# battery group's buffers hold about 300 doubles per point and a case holds
+# nothing grid-sized, so with 4096 points a case peaks at 12.5 MiB of
+# arrays at 16^4 and 16.4 MiB at 32^4; groups of 4,096 to 65,536 points ran
+# the 16^4 battery equally fast.
 _SLAB_POINTS = 4096
 
 # The pid of the process running the battery (see fd_battery_errors), set
-# while it runs and inherited by the workers it forks; None otherwise.
+# while it runs and inherited by the workers it forks (see
+# _exit_if_orphaned); None otherwise.
 _BATTERY_OWNER: ContextVar[int | None] = ContextVar("battery_owner", default=None)
-
-
-def _on_slabs(fn, shape) -> list:
-    """fn(slice) on slabs that split the leading axis of an array of the
-    given shape, run on every CPU the process may use; returns the results
-    in slab order.
-
-    NumPy releases the GIL in the pointwise loops, so the slabs run in
-    parallel on threads.  Twice as many slabs as CPUs balances the load
-    while keeping the temporaries in flight well below full size.  With
-    one CPU, fewer than 2 * _SLAB_POINTS points, or while the battery runs
-    (see fd_battery_errors), fn runs inline on the whole axis.  Every
-    future is waited for before an exception from any slab is raised.
-    """
-    n, workers = shape[0], _fft_workers()
-    inline = workers < 2 or _BATTERY_OWNER.get() is not None
-    count = 1 if inline else min(n, 2 * workers, math.prod(shape) // _SLAB_POINTS)
-    if count < 2:
-        return [fn(slice(0, n))]
-    from concurrent.futures import wait
-
-    bounds = [n * i // count for i in range(count + 1)]
-    futures = [_slab_pool().submit(fn, slice(lo, hi)) for lo, hi in zip(bounds, bounds[1:])]
-    wait(futures)
-    return [f.result() for f in futures]
-
-
-def _chunk_points(grid_shape) -> int:
-    """Points per chunk of a slab's pointwise work: at most _SLAB_POINTS,
-    but never less than one plane of the last two axes, which bounds the
-    number of chunks by the slab's planes."""
-    return max(_SLAB_POINTS, grid_shape[2] * grid_shape[3])
 
 
 @dataclass(frozen=True, eq=False)
@@ -437,28 +380,36 @@ class Spectrum:
     shape: tuple[int, int, int, int]   # the grid, (Nt, N1, N2, N3)
 
 
-def _group_planes(grid_shape) -> tuple[int, int]:
-    """(planes, rows) of each group of a streamed pass over the grid (see
-    _groups), which holds at most _SLAB_POINTS points: the most whole time
-    planes that fit, when one plane fits, and otherwise one plane's most
-    whole rows of the first spatial axis that fit (at least one row)."""
+def _group_planes(grid_shape) -> tuple[int, int, int]:
+    """(planes, rows, points) of each group of a streamed pass over the
+    grid (see _groups), which holds at most _SLAB_POINTS points unless one
+    row holds more: the most whole time planes that fit, when one plane
+    fits, and otherwise one plane's most whole rows of the first spatial
+    axis that fit (at least one row); points is their number of points."""
     nt, n1 = grid_shape[:2]
     row = math.prod(grid_shape[2:])
     if n1 * row <= _SLAB_POINTS:
-        return min(nt, _SLAB_POINTS // (n1 * row)), n1
-    return 1, max(1, _SLAB_POINTS // row)
+        planes, rows = min(nt, _SLAB_POINTS // (n1 * row)), n1
+    else:
+        planes, rows = 1, max(1, _SLAB_POINTS // row)
+    return planes, rows, planes * rows * row
 
 
-def _groups(grid_shape, times: slice):
-    """The groups of a streamed pass over the time planes times of the
-    grid, in grid order: (planes, rows) slices, a block of whole time
-    planes or a block of whole rows of one plane (see _group_planes), so
-    that each group's points are consecutive in the flattened grid."""
-    planes, rows = _group_planes(grid_shape)
-    n1 = grid_shape[1]
-    for lo in range(times.start, times.stop, planes):
-        for row in range(0, n1, rows):
-            yield slice(lo, min(lo + planes, times.stop)), slice(row, min(row + rows, n1))
+def _groups(grid_shape):
+    """The groups of a streamed pass over the grid, in grid order: (times,
+    block, points), the slices of a block of whole time planes or of whole
+    rows of one plane (see _group_planes), and the slice of the flattened
+    grid's points that the group covers, which are consecutive.  Every
+    pass over a grid, in or out of the battery, runs on these groups."""
+    planes, rows, _ = _group_planes(grid_shape)
+    nt, n1 = grid_shape[:2]
+    row = math.prod(grid_shape[2:])
+    for lo in range(0, nt, planes):
+        times = slice(lo, min(lo + planes, nt))
+        for r in range(0, n1, rows):
+            block = slice(r, min(r + rows, n1))
+            start = (lo * n1 + r) * row
+            yield times, block, slice(start, start + (times.stop - lo) * (block.stop - r) * row)
 
 
 def _widen(x: np.ndarray, axis: int, positions, n: int) -> np.ndarray:
@@ -536,20 +487,16 @@ def _pruned_irfftn(coefficients: np.ndarray, positions, grid_shape) -> np.ndarra
     coefficient are transformed (the transform of an all-zero line is
     zero), and the c2r pads the half spectrum itself.  The 1/N follows as
     the same single product.  The time axis is transformed once
-    (_time_inverse); the rest runs a group at a time (_plane_inverse) on
-    slabs of the time axis (see _on_slabs).
+    (_time_inverse); the rest runs a group at a time (see _plane_inverse
+    and _groups).
     """
     grid_shape = tuple(grid_shape)
     stack = _time_inverse(coefficients, positions[0], grid_shape[0])
     out = np.empty((len(coefficients),) + grid_shape)
-    planes, rows = _group_planes(grid_shape)
-
-    def slab(sl):
-        invert = _plane_inverse(stack, positions, grid_shape, min(planes, sl.stop - sl.start), rows)
-        for times, block in _groups(grid_shape, sl):
-            invert(times, block, out[:, times, block])
-
-    _on_slabs(slab, grid_shape)
+    planes, rows, _ = _group_planes(grid_shape)
+    invert = _plane_inverse(stack, positions, grid_shape, planes, rows)
+    for times, block, _ in _groups(grid_shape):
+        invert(times, block, out[:, times, block])
     return out
 
 
@@ -602,74 +549,59 @@ def derivative_stage(periods, field: np.ndarray) -> Derivatives:
     straight into its slot of one (61, Nt, N1, N2, N3) array, whose slices
     are the results.
 
-    Every transform runs one component at a time, and the components are
-    split between the CPUs (see _on_slabs), so that the temporaries in
-    flight are a few components' spectra.
+    Every transform runs one component at a time, so that the temporaries
+    in flight are one component's spectra.
     """
     grid_shape = field.shape[1:]
     gk = np.empty((10,) + grid_shape[:3] + (grid_shape[3] // 2 + 1,), dtype=complex)
-
-    def forward(sl):
-        for c in range(sl.start, sl.stop):
-            x = np.fft.rfft(field[c])
-            for axis in range(2):
-                x = np.fft.fft(x, axis=axis)
-            np.fft.fft(x, axis=2, out=gk[c])
-
-    _on_slabs(forward, field.shape)
+    for c in range(10):
+        x = np.fft.rfft(field[c])
+        for axis in range(2):
+            x = np.fft.fft(x, axis=axis)
+        np.fft.fft(x, axis=2, out=gk[c])
     k = _ik_factors(periods, grid_shape, tuple(np.arange(m) for m in gk.shape[1:]))
     out = np.empty((_DERIVATIVES,) + grid_shape)
-
-    def inverse(sl):
-        spectrum, term = np.empty((2,) + gk.shape[1:], dtype=complex)
-        for j in range(sl.start, sl.stop):
-            x = _derivative_spectrum(j, gk, k, spectrum, term)
-            for axis in range(3):
-                x = np.fft.ifft(x, axis=axis, norm="forward")
-            np.fft.irfft(x, n=grid_shape[3], norm="forward", out=out[j])
-            out[j] *= 1.0 / math.prod(grid_shape)
-
-    _on_slabs(inverse, out.shape)
+    spectrum, term = np.empty((2,) + gk.shape[1:], dtype=complex)
+    for j in range(_DERIVATIVES):
+        x = _derivative_spectrum(j, gk, k, spectrum, term)
+        for axis in range(3):
+            x = np.fft.ifft(x, axis=axis, norm="forward")
+        np.fft.irfft(x, n=grid_shape[3], norm="forward", out=out[j])
+        out[j] *= 1.0 / math.prod(grid_shape)
     return Derivatives(out[: len(_PACKED)], tuple(np.split(out[len(_PACKED) :], 4)))
 
 
 def _riemann_buffers(size: int) -> tuple[np.ndarray, ...]:
-    """Scratch arrays for _riemann_points on chunks of up to size points."""
+    """Scratch arrays for _riemann_points on up to size points."""
     low, up = np.empty((2, 4, 10, size))
-    return low, up, np.empty((10, size)), np.empty((4, 4, size)), np.empty((2, size))
+    return low, up, np.empty((4, 4, size)), np.empty((2, size))
 
 
-def _riemann_points(g, kind, lin, c: float, out, buffers) -> None:
-    """The pointwise stage of the curvature engine on n points, in chunks
-    of the size of buffers (see _riemann_buffers): the 21 packed Riemann
-    components c lin + Q (see christoffel_riemann) written to out (21, n),
-    which may be lin itself, of the metric g (10, n) whose derivative stage
-    is c times lin (21, n) and the twice first-kind symbols kind
-    (4 x (10, n)).
+def _riemann_points(inv, kind, lin, c: float, out, buffers) -> None:
+    """The pointwise stage of the curvature engine on n points: the 21
+    packed Riemann components c lin + Q (see christoffel_riemann) written
+    to out (21, n), which may be lin itself, of the metric whose inverse is
+    inv (10, n) (see _metric_inverse) and whose derivative stage is c times
+    lin (21, n) and the twice first-kind symbols kind (4 x (10, n)).
 
-    Each chunk is gathered into buffers of the stacked layout that the
-    einsums read, and forms the closed-form inverse metric and the
-    second-kind symbols Gam^q_mn of its points, keeping none of them.
+    The points are gathered into buffers (see _riemann_buffers) of the
+    stacked layout that the einsums read, which form the second-kind
+    symbols Gam^q_mn of the points and keep none of them.
     """
     S = _SYM_INDEX
     half_c = 0.5 * c
-    n, size = out.shape[1], buffers[0].shape[-1]
-    for lo in range(0, n, size):
-        chunk = slice(lo, min(lo + size, n))
-        w = chunk.stop - lo
-        low, up, inv, ginv, (dot, dot2) = (b[..., :w] for b in buffers)
-        _sym_inverse(g[:, chunk], inv)
-        for q, f in enumerate(kind):
-            np.multiply(f[:, chunk], half_c, out=low[q])
-        np.take(inv, S, axis=0, out=ginv, mode="clip")  # unbuffered
-        np.einsum("rs...,sc...->rc...", ginv, low, out=up)
-        for col, (P, Q) in enumerate(_PACKED):
-            r, s = _PAIRS4[P]
-            mm, nn = _PAIRS4[Q]
-            np.einsum("q...,q...->...", low[:, S[r, nn]], up[:, S[s, mm]], out=dot)
-            np.einsum("q...,q...->...", low[:, S[r, mm]], up[:, S[s, nn]], out=dot2)
-            np.subtract(dot, dot2, out=dot)
-            np.add(np.multiply(lin[col, chunk], c, out=dot2), dot, out=out[col, chunk])
+    low, up, ginv, (dot, dot2) = (b[..., : out.shape[1]] for b in buffers)
+    for q, f in enumerate(kind):
+        np.multiply(f, half_c, out=low[q])
+    np.take(inv, S, axis=0, out=ginv, mode="clip")  # unbuffered
+    np.einsum("rs...,sc...->rc...", ginv, low, out=up)
+    for col, (P, Q) in enumerate(_PACKED):
+        r, s = _PAIRS4[P]
+        mm, nn = _PAIRS4[Q]
+        np.einsum("q...,q...->...", low[:, S[r, nn]], up[:, S[s, mm]], out=dot)
+        np.einsum("q...,q...->...", low[:, S[r, mm]], up[:, S[s, nn]], out=dot2)
+        np.subtract(dot, dot2, out=dot)
+        np.add(np.multiply(lin[col], c, out=dot2), dot, out=out[col])
 
 
 def christoffel_riemann(m: MetricGrid4D) -> CurvatureGrid:
@@ -689,23 +621,21 @@ def christoffel_riemann(m: MetricGrid4D) -> CurvatureGrid:
     (see derivative_stage) and the quadratic term the pointwise stage
     (_riemann_points, at c = 1; multiplying by 1.0 is exact).
 
-    Everything runs on every CPU the process may use.  The pointwise stage
-    runs on slabs of the leading grid axis, each slab overwriting its part
-    of the derivative stage's Riemann block, and within a slab in chunks of
-    _chunk_points points.  Every value is computed by the same expressions
-    in the same order whatever the split, so the result does not depend on
-    the number of CPUs.
+    The pointwise stage runs a group of grid points at a time (see
+    _groups), each group overwriting its part of the derivative stage's
+    Riemann block.  Every value is computed by the same expressions in the
+    same order whatever the grouping.
     """
     d = derivative_stage(m.periods, m.g)
-    chunk_points = _chunk_points(m.shape)
-
-    def pointwise(sl):
-        riemann = d.riemann[:, sl].reshape(len(_PACKED), -1)
-        kind = [f[:, sl].reshape(10, -1) for f in d.first_kind]
-        buffers = _riemann_buffers(min(riemann.shape[1], chunk_points))
-        _riemann_points(m.g[:, sl].reshape(10, -1), kind, riemann, 1.0, riemann, buffers)
-
-    _on_slabs(pointwise, m.shape)
+    g, riemann = m.g.reshape(10, -1), d.riemann.reshape(len(_PACKED), -1)
+    kind = [f.reshape(10, -1) for f in d.first_kind]
+    size = _group_planes(m.shape)[2]
+    inv, buffers = np.empty((10, size)), _riemann_buffers(size)
+    for *_, points in _groups(m.shape):
+        group_inv = inv[:, : points.stop - points.start]
+        _metric_inverse(g[:, points], group_inv)
+        R = riemann[:, points]
+        _riemann_points(group_inv, [f[:, points] for f in kind], R, 1.0, R, buffers)
     return CurvatureGrid(m, d.riemann, d.first_kind)
 
 
@@ -760,10 +690,14 @@ def _ricci_contraction_shortcut(B: np.ndarray) -> np.ndarray:
     return out
 
 
-def _asd_chunk(Rs: np.ndarray, o: np.ndarray) -> tuple[float, float]:
+def _asd_points(Rs: np.ndarray, o: np.ndarray) -> tuple[float, float]:
     """The anti-self-dual block (see asd_form_background) of the packed
     components Rs (21, n) of n points, written to o (n, 3, 3); returns the
-    curvature peak max |Rs| and the shortcut defect."""
+    curvature peak max |Rs| and the shortcut defect.
+
+    The shortcut is bitwise symmetric (its c_kl and c_lk add the same
+    terms in the same order), so the defect of each of the six distinct
+    entries is read on one side."""
     P, star, sign = _PACKED_INDEX, _STAR, _HODGE_SIGN
     shortcut = _ricci_contraction_shortcut(Rs[P[3:, 3:]])  # the spatial pair block
     defects, diagonal = [], []
@@ -773,7 +707,7 @@ def _asd_chunk(Rs: np.ndarray, o: np.ndarray) -> tuple[float, float]:
         psi = 0.5 * (2 * sign[i] * Rs[P[star[i], j]] + 2 * sign[j] * Rs[P[star[j], i]])
         gam = sign[i] * sign[j] * Rs[P[star[i], star[j]]]
         entry = Rs[P[i, j]] - psi + gam
-        defects += [_max_abs(gam - shortcut[i, j]), _max_abs(gam - shortcut[j, i])]
+        defects.append(_max_abs(gam - shortcut[i, j]))
         if i == j:
             diagonal.append(entry)
         else:
@@ -784,16 +718,6 @@ def _asd_chunk(Rs: np.ndarray, o: np.ndarray) -> tuple[float, float]:
     for i, entry in enumerate(diagonal):
         np.subtract(entry, tr / 3.0, out=o[..., i, i])
     return float(_max_abs(Rs)), float(np.max(defects))
-
-
-def _asd_points(R: np.ndarray, out: np.ndarray, chunk_points: int) -> tuple[float, float]:
-    """The anti-self-dual block of the packed components R (21, n) of n
-    points, written to out (n, 3, 3) in chunks of chunk_points points;
-    returns the maxima of the chunks' peaks and defects."""
-    n = R.shape[1]
-    size = min(n, chunk_points)
-    peaks, defects = zip(*(_asd_chunk(R[:, lo : lo + size], out[lo : lo + size]) for lo in range(0, n, size)))
-    return float(np.max(peaks)), float(np.max(defects))
 
 
 def _check_defect(reports) -> None:
@@ -815,23 +739,19 @@ def asd_form_background(curv: CurvatureGrid) -> np.ndarray:
     background, and the scalar part is removed by the trace-free projection.
 
     The block is symmetric, and each of its six distinct entries is read
-    straight off the 21 packed components.  It is computed on slabs of the
-    leading grid axis (see _on_slabs), each in chunks of _chunk_points
-    points; the defect and the curvature scale are maxima over the chunks,
-    so neither depends on the split.
+    straight off the 21 packed components.  It is computed a group of grid
+    points at a time (see _groups); the defect and the curvature scale are
+    maxima over the groups, so neither depends on the grouping.
 
     Raises CurvatureDefectError when the double-epsilon block disagrees
     with its Ricci-contraction rewriting by more than _DEFECT_TOL times the
     curvature scale.
     """
     R = curv.riemann_packed
-    out = np.empty(R.shape[1:] + (3, 3))
-    chunk_points = _chunk_points(R.shape[1:])
-
-    def slab(sl):
-        return _asd_points(R[:, sl].reshape(len(_PACKED), -1), out[sl].reshape(-1, 3, 3), chunk_points)
-
-    _check_defect(_on_slabs(slab, R.shape[1:]))
+    grid_shape = R.shape[1:]
+    out = np.empty(grid_shape + (3, 3))
+    flat, blocks = R.reshape(len(_PACKED), -1), out.reshape(-1, 3, 3)
+    _check_defect([_asd_points(flat[:, points], blocks[points]) for *_, points in _groups(grid_shape)])
     return out
 
 
@@ -993,7 +913,7 @@ def _exit_if_orphaned() -> None:
 
 
 def _fd_differences(periods, spectrum: Spectrum, exact: Spectrum, eps_values):
-    """Streams the grid a group at a time (see _groups), inline, and yields
+    """Streams the grid a group at a time (see _groups) and yields
     per group (points, sample, block, differences): the slice of the
     flattened grid points it covers; there, the sample s (10, w) of the
     variation whose Spectrum is given, the grid values (w, 3, 3) of the
@@ -1016,21 +936,19 @@ def _fd_differences(periods, spectrum: Spectrum, exact: Spectrum, eps_values):
     stack = _variation_stack(periods, spectrum)
     exact_stack = _time_inverse(exact.coefficients, exact.positions[0], shape[0])
     steps = [(i, c) for i, eps in enumerate(eps_values) for c in (eps, -eps)]
-    planes, rows = _group_planes(shape)
+    planes, rows, n = _group_planes(shape)
     invert = _plane_inverse(stack, spectrum.positions, shape, planes, rows)
     invert_exact = _plane_inverse(exact_stack, exact.positions, shape, planes, rows)
-    n = planes * rows * math.prod(shape[2:])
     values_buf, exact_buf = np.empty((len(stack), n)), np.empty((len(exact_stack), n))
-    g_buf, R_buf = np.empty((10, n)), np.empty((len(_PACKED), n))
+    g_buf, inv_buf, R_buf = np.empty((10, n)), np.empty((10, n)), np.empty((len(_PACKED), n))
     block_buf, minus_buf = np.empty((n, 3, 3)), np.empty((n, 3, 3))
     diff_bufs = [np.empty((n, 3, 3)) for _ in eps_values]
-    buffers = _riemann_buffers(n)  # a group is one chunk of each pointwise stage
+    buffers = _riemann_buffers(n)
     evaluations = []  # (step, (finite, positive), (peak, defect)) per group
-    for times, block in _groups(shape, slice(0, shape[0])):
+    for times, block, points in _groups(shape):
         _exit_if_orphaned()
         group = (times.stop - times.start, block.stop - block.start) + shape[2:]
-        w = math.prod(group)
-        start = (times.start * shape[1] + block.start) * math.prod(shape[2:])
+        w = points.stop - points.start
         flat, cross = values_buf[:, :w], exact_buf[:, :w]
         invert(times, block, flat.reshape((len(flat),) + group))
         invert_exact(times, block, cross.reshape((len(cross),) + group))
@@ -1038,23 +956,23 @@ def _fd_differences(periods, spectrum: Spectrum, exact: Spectrum, eps_values):
         for c, (i, j) in enumerate(_SYM_PAIRS):
             exact_block[:, i, j] = exact_block[:, j, i] = cross[c]
         lin, kind, s = flat[: len(_PACKED)], np.split(flat[len(_PACKED) : _DERIVATIVES], 4), flat[_DERIVATIVES:]
-        g, R, minus = g_buf[:, :w], R_buf[:, :w], minus_buf[:w]
+        g, inv, R, minus = g_buf[:, :w], inv_buf[:, :w], R_buf[:, :w], minus_buf[:w]
         differences = []
         for step, (i, c) in enumerate(steps):
             np.multiply(s, c, out=g)
             g += _IDENTITY  # the bits of I + c s, without its temporary
-            flags = _metric_flags(g, n)
+            flags = _metric_inverse(g, inv)
             if not all(flags):
                 # This step fails; no later one is decided.
                 evaluations.append((step, flags, (0.0, 0.0)))
                 break
-            _riemann_points(g, kind, lin, c, R, buffers)
+            _riemann_points(inv, kind, lin, c, R, buffers)
             diff = diff_bufs[i][:w]
-            evaluations.append((step, flags, _asd_points(R, minus if step % 2 else diff, n)))
+            evaluations.append((step, flags, _asd_points(R, minus if step % 2 else diff)))
             if step % 2:
                 diff -= minus
                 differences.append(diff)
-        yield slice(start, start + w), s, exact_block, differences
+        yield points, s, exact_block, differences
     for step in range(len(steps)):
         _, flags, reports = zip(*(row for row in evaluations if row[0] == step))
         _check_metric(flags)
@@ -1165,8 +1083,7 @@ def fd_battery_errors(cases, shape) -> list[list[float]]:
     The cases are split between W = min(CPUs, cases) processes: this one
     and W - 1 workers forked from it, or this one alone without os.fork.
     Case i runs in process i mod W; each process runs its cases one after
-    another with every slab inline (see _on_slabs), and a worker sends its
-    errors back over a pipe.  So the result does not depend on W.  When
+    another, and a worker sends its errors back over a pipe.  So the result does not depend on W.  When
     cases raise, the exception of the lowest case is raised, as a loop
     over the cases would, with the type and message it had in its process.
 
@@ -1185,7 +1102,7 @@ def fd_battery_errors(cases, shape) -> list[list[float]]:
             read_fd, write_fd = os.pipe()
             with warnings.catch_warnings():
                 # Python 3.12+ warns about forking a process that has threads
-                # (BLAS's, or the slab pool's); a worker uses neither.
+                # (BLAS's); a worker uses none.
                 warnings.simplefilter("ignore", DeprecationWarning)
                 pid = os.fork()
             if pid == 0:

@@ -170,28 +170,6 @@ def test_shortcut_defect_is_a_typed_error(monkeypatch):
     assert abs(info.value.defect - 1e-3) < 1e-6
 
 
-def test_slab_errors_reach_the_caller(monkeypatch):
-    monkeypatch.setattr(C, "_fft_workers", lambda: 2)
-    monkeypatch.setattr(C, "_SLAB_POINTS", 1)
-    done = []
-
-    def fail_last(sl):
-        if sl.stop == 8:
-            raise RuntimeError("last slab")
-        done.append(sl)
-
-    with pytest.raises(RuntimeError, match="last slab"):
-        C._on_slabs(fail_last, (8, 8, 8, 8))
-    assert sorted(sl.start for sl in done) == [0, 2, 4]  # the other slabs finished first
-
-    curv = C.christoffel_riemann(random_metric((8, 8, 8, 8), seed=21))
-    shortcut = C._ricci_contraction_shortcut
-    monkeypatch.setattr(C, "_ricci_contraction_shortcut", lambda M: shortcut(M) + 1e-3)
-    with pytest.raises(C.CurvatureDefectError) as info:
-        C.asd_form_background(curv)
-    assert abs(info.value.defect - 1e-3) < 1e-6
-
-
 # ---------------------------------------------------------------------------
 # Bitwise oracle: the eager engine
 # ---------------------------------------------------------------------------
@@ -514,7 +492,6 @@ def test_battery_decides_the_defect_once_over_the_grid(monkeypatch):
     # however the battery splits it: those of asd_form_background on the
     # same metric and its Riemann tensor (the eager engine's, bit for bit).
     monkeypatch.setattr(C, "_DEFECT_TOL", 0.0)
-    monkeypatch.setattr(C, "_fft_workers", lambda: 2)
     monkeypatch.setattr(C, "_SLAB_POINTS", 1100)
     ht = C.linearization_battery(seed=11, band=1)[5]
     shape, eps = (8, 8, 8, 8), 1e-4
@@ -533,7 +510,6 @@ def test_battery_decides_the_defect_once_over_the_grid(monkeypatch):
 def test_battery_metric_error_matches_metric_grid(monkeypatch):
     # The battery validates each metric group by group and decides once,
     # with the error MetricGrid4D raises on the whole metric.
-    monkeypatch.setattr(C, "_fft_workers", lambda: 2)
     monkeypatch.setattr(C, "_SLAB_POINTS", 1100)
     ht = C.linearization_battery(seed=11, band=1)[5] * 2000.0
     shape, eps = (8, 8, 8, 8), 0.05
@@ -545,47 +521,37 @@ def test_battery_metric_error_matches_metric_grid(monkeypatch):
         C.fd_linearization_errors(ht, [eps], shape=shape)
 
 
-def test_fd_battery_submits_no_slab_from_a_slab(monkeypatch):
-    # A slab that waited on slabs of its own would deadlock the pool once
-    # every worker waits, and a forked battery worker has the pool's state
-    # but none of its threads: while the battery runs, no process submits
-    # to the pool, although its grids are large enough to split.
-    def refuse():
-        raise AssertionError("the battery submitted to the slab pool")
+# A fresh interpreter runs the full-grid engine on more groups than one
+# and a two-process battery, then reports its thread count before and
+# after, and whether concurrent.futures was ever imported.
+THREAD_PROBE = """
+import math, sys, threading
+from indicyl import curvature as C
+before = threading.active_count()
+C._fft_workers = lambda: 2
+C._SLAB_POINTS = 512
+battery = C.linearization_battery(seed=11, band=1)
+periods = (2 * math.pi,) + battery[0].grid.lengths
+shape = (8, 8, 8, 8)
+metric = C._IDENTITY.reshape((10, 1, 1, 1, 1)) + 0.01 * C.sample_cyl_tensor(battery[5], shape, periods)
+C.asd_form_background(C.christoffel_riemann(C.MetricGrid4D(periods, metric)))
+C.fd_battery_errors([(ht, [1e-4]) for ht in battery[:2]], shape)
+print(before, threading.active_count(), "concurrent.futures" in sys.modules)
+"""
 
-    monkeypatch.setattr(C, "_fft_workers", lambda: 2)
-    monkeypatch.setattr(C, "_SLAB_POINTS", 100)
-    monkeypatch.setattr(C, "_slab_pool", refuse)
-    battery = C.linearization_battery(seed=11, band=1)
-    errors = C.fd_battery_errors([(ht, [1e-4]) for ht in battery[4:7]], (8, 8, 8, 8))
-    assert max(err for (err,) in errors) < 1e-4
 
+def test_engine_and_battery_start_no_threads():
+    import os
+    import subprocess
+    import sys
 
-def test_fd_battery_finishes_beside_a_running_slab_pool(monkeypatch):
-    # The workers are forked from a process whose slab pool has live,
-    # idle threads.  A worker that submitted to its copy of the pool would
-    # wait forever; the alarm turns that into a failure, and the battery
-    # kills its workers on the way out.
-    import signal
-
-    monkeypatch.setattr(C, "_fft_workers", lambda: 2)
-    monkeypatch.setattr(C, "_SLAB_POINTS", 100)
-    C._on_slabs(lambda sl: None, (8, 8, 8, 8))
-    assert C._slab_pool()._threads
-    battery = C.linearization_battery(seed=11, band=1)
-    cases, shape = [(ht, [1e-4]) for ht in battery[:4]], (8, 8, 8, 8)
-
-    def timeout(signum, frame):
-        raise TimeoutError("the battery did not finish")
-
-    previous = signal.signal(signal.SIGALRM, timeout)
-    signal.alarm(120)
-    try:
-        got = C.fd_battery_errors(cases, shape)
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
-    assert got == [C.fd_linearization_errors(ht, eps_values, shape) for ht, eps_values in cases]
+    src = os.path.dirname(os.path.dirname(os.path.abspath(C.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", THREAD_PROBE], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    before, after, futures = proc.stdout.split()
+    assert after == before and futures == "False"
 
 
 def test_fd_battery_runs_every_case_itself_without_fork(monkeypatch):
@@ -678,9 +644,11 @@ def test_curvature_grid_holds_no_inverse_until_asked():
 @pytest.mark.parametrize("shape", [(8, 8, 8, 8), (6, 8, 8, 8)], ids=["even", "uneven"])
 @pytest.mark.parametrize("workers", [1, 2, 3])
 def test_engine_matches_eager_engine_for_any_cpu_count(monkeypatch, shape, workers):
-    # One CPU runs every pointwise stage inline; n CPUs split the leading
-    # axis into 2n slabs, which 6 grid points do not fill evenly.  These
-    # grids are below the slab size, which is lowered to split them.
+    # The engine runs in the calling process, on groups that do not depend
+    # on the CPU count, so whatever _fft_workers reports, its bits are the
+    # eager engine's.  A group size of one point lowers the groups, which
+    # would otherwise hold the whole grid, to the chunking rule's floor:
+    # one row of 64 points.
     monkeypatch.setattr(C, "_fft_workers", lambda: workers)
     monkeypatch.setattr(C, "_SLAB_POINTS", 1)
     m = random_metric(shape, seed=21)
@@ -693,10 +661,11 @@ def test_engine_matches_eager_engine_for_any_cpu_count(monkeypatch, shape, worke
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_quadratic_chunks_match_eager_engine_bitwise(monkeypatch, workers):
-    # 100-point chunks split the slabs of an 8^4 grid unevenly, the last
-    # chunk of each slab short.
+    # 200-point groups split each time plane of an 8^4 grid unevenly, into
+    # blocks of 3, 3 and 2 rows, the last group of each plane short; the
+    # CPU count, as above, must not matter.
     monkeypatch.setattr(C, "_fft_workers", lambda: workers)
-    monkeypatch.setattr(C, "_SLAB_POINTS", 100)
+    monkeypatch.setattr(C, "_SLAB_POINTS", 200)
     m = random_metric((8, 8, 8, 8), seed=21)
     want = eager_curvature(unpack(m.g), m.periods)
     assert np.array_equal(C.christoffel_riemann(m).riemann_packed, want[2])
@@ -704,8 +673,8 @@ def test_quadratic_chunks_match_eager_engine_bitwise(monkeypatch, workers):
 
 def test_curvature_working_set_is_bounded():
     # One 16^4 evaluation with its anti-self-dual block allocates at most
-    # this many times its metric in traced arrays.  With one CPU every
-    # stage runs inline, so the count does not depend on the machine.  The
+    # this many times its metric in traced arrays.  Every stage runs in
+    # this process, so the count does not depend on the machine.  The
     # engine keeps 61 components (the first-kind symbols and the packed
     # Riemann tensor), 6.1 metrics, and no inverse metric; at 16^4 the
     # peak is 7.77.
@@ -718,11 +687,9 @@ def test_curvature_working_set_is_bounded():
     del sample
     tracemalloc.start()
     try:
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(C, "_fft_workers", lambda: 1)
-            base, _ = tracemalloc.get_traced_memory()
-            C.asd_form_background(C.christoffel_riemann(m))
-            _, peak = tracemalloc.get_traced_memory()
+        base, _ = tracemalloc.get_traced_memory()
+        C.asd_form_background(C.christoffel_riemann(m))
+        _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak - base < 8.0 * m.g.nbytes
@@ -730,28 +697,25 @@ def test_curvature_working_set_is_bounded():
 
 def test_battery_case_working_set_is_bounded():
     # One 16^4 battery case allocates at most this many times its sample
-    # (10 components, 5 MiB) in traced arrays, with one CPU for the same
-    # reason as above.  No array of the case is grid-sized: the peak is the
-    # variation's time pass and one 4096-point group's buffers, 2.49
-    # samples, where one grid-sized exact block or difference would add
-    # 0.9.  The same case runs once untraced first, so that one-time
-    # allocations (numpy's and the summation tree's caches) are not counted
-    # and the reading does not depend on which test ran before.  The bound
-    # may only be tightened.
+    # (10 components, 5 MiB) in traced arrays.  No array of the case is
+    # grid-sized: the peak is the variation's time pass and one 4096-point
+    # group's buffers, 2.49 samples, where one grid-sized exact block or
+    # difference would add 0.9.  The same case runs once untraced first,
+    # so that one-time allocations (numpy's and the summation tree's
+    # caches) are not counted and the reading does not depend on which test
+    # ran before.  The bound may only be tightened.
     import tracemalloc
 
     ht = C.linearization_battery(seed=11, band=2)[8]
     sample_nbytes = 10 * 16**4 * np.dtype(float).itemsize
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(C, "_fft_workers", lambda: 1)
+    C.fd_linearization_errors(ht, [1e-4], shape=(16,) * 4)
+    tracemalloc.start()
+    try:
+        base, _ = tracemalloc.get_traced_memory()
         C.fd_linearization_errors(ht, [1e-4], shape=(16,) * 4)
-        tracemalloc.start()
-        try:
-            base, _ = tracemalloc.get_traced_memory()
-            C.fd_linearization_errors(ht, [1e-4], shape=(16,) * 4)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
     assert peak - base < 2.75 * sample_nbytes
 
 
@@ -773,15 +737,15 @@ def ifftn_evaluate_terms(field, picks, shape, periods):
 # (band 3 on 8 points) almost every line holds one.
 @pytest.mark.parametrize("n,band", [(8, 1), (16, 2), (8, 3)])
 @pytest.mark.parametrize("workers", [1, 2])
-def test_sampling_matches_ifftn_bitwise(monkeypatch, n, band, workers):
+def test_sampling_matches_ifftn_bitwise(n, band, workers):
     # A sampled field is bit for bit scipy's irfftn of its zero-padded half
     # spectrum, built here from the coefficients alone, and the battery,
     # which streams it from its Spectrum, holds the same sample, and the
     # same exact block as the sampled linearized_weyl.  One np.fft.ifftn of
-    # the whole complex mode box agrees to rounding.
+    # the whole complex mode box agrees to rounding.  workers is the
+    # reference's thread count.
     import scipy.fft
 
-    monkeypatch.setattr(C, "_fft_workers", lambda: workers)
     shape = (n,) * 4
     h_picks = [("h", ij) for ij in F._SYM_PAIRS]
 
@@ -813,12 +777,12 @@ def test_sampling_matches_ifftn_bitwise(monkeypatch, n, band, workers):
     ids=["16^4-band2", "8^4-band1", "8^4-band3", "6x8^3-band2"],
 )
 @pytest.mark.parametrize("workers", [1, 2])
-def test_pruned_inverse_matches_irfftn_bitwise(monkeypatch, shape, band, workers):
+def test_pruned_inverse_matches_irfftn_bitwise(shape, band, workers):
     # Only an uneven grid tells a 1/N scaling from one split between the
-    # axes; on 6 time points the two round differently.
+    # axes; on 6 time points the two round differently.  workers is the
+    # reference's thread count.
     import scipy.fft
 
-    monkeypatch.setattr(C, "_fft_workers", lambda: workers)
     rng = np.random.default_rng(17)
     modes = np.arange(-band, band + 1)
     nt = shape[0]
@@ -868,6 +832,19 @@ def test_shortcut_matches_tensordot_form():
     M = M + M.swapaxes(0, 1)
     got = C._ricci_contraction_shortcut(M[3:, 3:])
     assert np.max(np.abs(got - eager_shortcut(M))) <= 1e-14 * np.max(np.abs(M))
+
+
+def test_shortcut_is_bitwise_symmetric():
+    # The anti-self-dual block reads the defect of each off-diagonal entry
+    # against one side of the shortcut only.  That loses nothing because
+    # c_kl and c_lk add the same packed components in the same order; a
+    # shortcut that broke the symmetry would hide its other half there.
+    rng = np.random.default_rng(29)
+    for scale in 10.0 ** np.arange(-4, 5):
+        for _ in range(3):
+            Rs = scale * rng.standard_normal((21, 4096))
+            shortcut = C._ricci_contraction_shortcut(Rs[C._PACKED_INDEX[3:, 3:]])
+            assert np.array_equal(shortcut, shortcut.swapaxes(0, 1)), scale
 
 
 def test_fd_norm_matches_linalg_norm():
@@ -943,8 +920,7 @@ def test_fd_battery_reads_no_lazy_or_unpacked_array(monkeypatch):
     # and the unpacked tensors are for callers that ask for them.  It
     # streams the grid through the engine's helpers and builds no full-grid
     # metric, derivative stage or curvature, so it calls none of the public
-    # engine functions, which a traced run wraps (and would wrap on the
-    # slab threads).
+    # engine functions, which a traced run wraps.
     def refuse(*args, **kwargs):
         raise AssertionError("lazy or unpacked curvature array or full-grid engine call in the FD battery")
 
@@ -1078,8 +1054,10 @@ def _flat_with(point_value):
         (PERIODS, _flat_with(np.ones((4, 4))), "positive definite"),
         # (..., 4, 4) samples, not the 10 components.
         (PERIODS, flat((2, 2, 2, 2)), re.escape("shape (10, Nt, N1, N2, N3)")),
+        # A grid without points, which has no groups to validate.
+        (PERIODS, np.empty((10, 2, 0, 2, 2)), re.escape("shape (10, Nt, N1, N2, N3)")),
     ],
-    ids=["nan-sample", "inf-sample", "inf-period", "nan-period", "indefinite", "singular", "rank-1", "unpacked"],
+    ids=["nan-sample", "inf-sample", "inf-period", "nan-period", "indefinite", "singular", "rank-1", "unpacked", "empty"],
 )
 def test_metric_validation_rejects_bad_values(periods, g, message):
     with pytest.raises(ValueError, match=message):
@@ -1088,8 +1066,8 @@ def test_metric_validation_rejects_bad_values(periods, g, message):
 
 @pytest.mark.parametrize("t", range(6))
 def test_metric_validation_checks_every_slab(monkeypatch, t):
-    # Three CPUs split the 6 leading grid points into six slabs.
-    monkeypatch.setattr(C, "_fft_workers", lambda: 3)
+    # A group size of one point gives the chunking rule's floor: one row of
+    # 4 points per group, 12 groups over the 6 time planes.
     monkeypatch.setattr(C, "_SLAB_POINTS", 1)
     for value, message in (
         (np.diag([1.0, 1.0, 1.0, -1.0]), "positive definite"),
