@@ -358,13 +358,13 @@ def cmd_lens(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def run_identities(n: int = 8, seed: int = 7, tol: float = 1e-10):
+def run_identities(n: int = 8, seed: int = 7):
     """Operator-identity suite on fixed-seed random fields; band limit is
     n/2 - 1 so all fields are resolvable on an n-point grid."""
     from . import fields
 
     band = max(1, n // 2 - 1)
-    results = fields.identity_suite(band=band, seed=seed, tol=tol)
+    results = fields.identity_suite(band=band, seed=seed)
     report = [
         {
             "identity_name": r.name,
@@ -383,8 +383,12 @@ def run_identities(n: int = 8, seed: int = 7, tol: float = 1e-10):
 # error by about 4.
 _HALVING_RATIO = 3.5
 
+# Largest relative central-difference error of a battery case (see
+# curvature.fd_linearization_errors) that passes (error <= tolerance).
+_FD_TOL = 1e-6
 
-def run_linearization(n: int = 16, seed: int = 11, eps: float = 1e-4, tol: float = 1e-6):
+
+def run_linearization(n: int = 16, seed: int = 11, eps: float = 1e-4):
     """Finite-difference battery with a step-halving convergence check on the
     first case.  The variation band limit shrinks on coarse grids so that the
     quadratic metric products stay below the Nyquist frequency."""
@@ -395,12 +399,12 @@ def run_linearization(n: int = 16, seed: int = 11, eps: float = 1e-4, tol: float
     report = []
     for i, errs in enumerate(curvature.fd_battery_errors(cases, (n,) * 4)):
         row = {"case": i, "relative_error": errs[0]}
-        case_ok = errs[0] <= tol
+        case_ok = errs[0] <= _FD_TOL
         if i == 0:
             row["halved_step_error"] = errs[1]
             row["convergence_ratio"] = ratio = errs[0] / errs[1]
             case_ok = case_ok and ratio >= _HALVING_RATIO
-        row["tolerance"] = tol
+        row["tolerance"] = _FD_TOL
         row["pass"] = case_ok
         report.append(row)
     return report, all(row["pass"] for row in report)

@@ -25,19 +25,20 @@ curvature, and the unpacked (..., 4, 4) and (..., 4, 4, 4, 4) tensors, are
 computed only on request.
 
 Stages: the engine runs in two.  The derivative stage (the FFTs, the
-second-derivative block of the Riemann tensor and the first-kind symbols)
-is linear in the metric; the pointwise stage (the inverse metric and the
-term quadratic in the first-kind symbols) is not.  The identity has zero
-derivatives, so the derivative stage of I + c s is exactly c times that of
-s: the finite-difference battery differentiates each variation s once and
-feeds it, scaled, to its evaluations at c = +-eps.  The battery holds no
-grid-sized array: it streams the grid a group of at most _SLAB_POINTS
-points at a time (whole time planes, or whole rows of one plane; see
-_groups) through the same module-level helpers that the public functions
-run on the same groups (_metric_inverse, _riemann_points, _asd_points), so
-every grid point keeps its bits; it decides the metric and defect checks
-once over the whole grid, and takes its norms by a streamed sum
-(_SquareSum) that keeps the bits of np.sum over the whole array.
+second-derivative block of the Riemann tensor and the first-kind symbols;
+see _derivative_spectrum) is linear in the metric; the pointwise stage (the
+inverse metric and the term quadratic in the first-kind symbols) is not.
+The identity has zero derivatives, so the derivative stage of I + c s is
+exactly c times that of s: the finite-difference battery differentiates
+each variation s once and feeds it, scaled, to its evaluations at
+c = +-eps.  The battery holds no grid-sized array: it streams the grid a
+group of at most _SLAB_POINTS points at a time (whole time planes, or whole
+rows of one plane; see _groups) through the same module-level helpers that
+the public functions run on the same groups (_metric_inverse,
+_riemann_points, _asd_points), so every grid point keeps its bits; it
+decides the metric and defect checks once over the whole grid, and takes
+its norms by a streamed sum (_SquareSum) that keeps the bits of np.sum over
+the whole array.
 
 Sampling: a cylinder field is held as a Spectrum, the half spectrum of its
 grid values on the box of the few Fourier modes it holds.  Its grid values
@@ -87,9 +88,7 @@ __all__ = [
     "MetricGrid4D",
     "CurvatureGrid",
     "CurvatureDefectError",
-    "Derivatives",
     "christoffel_riemann",
-    "derivative_stage",
     "asd_form_background",
     "sample_cyl_tensor",
     "cyl_tensor_spectrum",
@@ -500,21 +499,15 @@ def _pruned_irfftn(coefficients: np.ndarray, positions, grid_shape) -> np.ndarra
     return out
 
 
-@dataclass(frozen=True, eq=False)
-class Derivatives:
-    """The derivative stage of a sampled symmetric field s (10, ...): the
-    second-derivative block of its 21 packed Riemann components and twice
-    its first-kind symbols.  Both are linear in s."""
-
-    riemann: np.ndarray                 # (21, ...), slots _PACKED
-    first_kind: tuple[np.ndarray, ...]  # 4 x (10, ...) 2 Gam_{s,mn}, slots _SYM
-
-
 def _derivative_spectrum(j: int, gk: np.ndarray, k, out: np.ndarray, term: np.ndarray) -> np.ndarray:
-    """The spectrum of the derivative stage's output component j (see
-    derivative_stage) from the spectrum gk (10, ...) of the field and the
-    i*k factors k at its positions, summed term by term into out; term is
-    scratch of the same shape."""
+    """Component j of the derivative stage of a symmetric field s, in
+    spectrum, from the spectrum gk (10, ...) of s and the i*k factors k at
+    its positions, summed term by term into out (term is scratch of its
+    shape): the 21 packed Riemann components, then the 10 first-kind
+    symbols of each derivative index,
+
+        L_rsmn = 1/2 (s_rn,sm + s_sm,rn - s_rm,sn - s_sn,rm)
+        2 Gam_{s,mn} = s_sn,m + s_sm,n - s_mn,s."""
     S = _SYM_INDEX
     if j < len(_PACKED):
         (r, s), (mm, nn) = (_PAIRS4[P] for P in _PACKED[j])
@@ -530,45 +523,6 @@ def _derivative_spectrum(j: int, gk: np.ndarray, k, out: np.ndarray, term: np.nd
         out += np.multiply(k[nn], gk[S[s, mm]], out=term)
         out -= np.multiply(k[s], gk[S[mm, nn]], out=term)
     return out
-
-
-def derivative_stage(periods, field: np.ndarray) -> Derivatives:
-    """The part of the curvature engine that is linear in the metric, from
-    spectral derivatives (exact for band-limited samples) of a symmetric
-    field s given as its grid values (10, Nt, N1, N2, N3):
-
-        L_rsmn = 1/2 (s_rn,sm + s_sm,rn - s_rm,sn - s_sn,rm)
-        2 Gam_{s,mn} = s_sn,m + s_sm,n - s_mn,s.
-
-    The derivative spectra are the products of the field's spectrum with
-    the i*k factors (see _derivative_spectrum).  The grid values are
-    transformed by rfftn's 1-D transforms in its order (the r2c on axis 4,
-    then axes 1, 2 and 3), and each of the 61 output components (the 21
-    Riemann components, then the 10 first-kind symbols of each derivative
-    index) has its spectrum formed and inverted by irfftn's 1-D transforms
-    straight into its slot of one (61, Nt, N1, N2, N3) array, whose slices
-    are the results.
-
-    Every transform runs one component at a time, so that the temporaries
-    in flight are one component's spectra.
-    """
-    grid_shape = field.shape[1:]
-    gk = np.empty((10,) + grid_shape[:3] + (grid_shape[3] // 2 + 1,), dtype=complex)
-    for c in range(10):
-        x = np.fft.rfft(field[c])
-        for axis in range(2):
-            x = np.fft.fft(x, axis=axis)
-        np.fft.fft(x, axis=2, out=gk[c])
-    k = _ik_factors(periods, grid_shape, tuple(np.arange(m) for m in gk.shape[1:]))
-    out = np.empty((_DERIVATIVES,) + grid_shape)
-    spectrum, term = np.empty((2,) + gk.shape[1:], dtype=complex)
-    for j in range(_DERIVATIVES):
-        x = _derivative_spectrum(j, gk, k, spectrum, term)
-        for axis in range(3):
-            x = np.fft.ifft(x, axis=axis, norm="forward")
-        np.fft.irfft(x, n=grid_shape[3], norm="forward", out=out[j])
-        out[j] *= 1.0 / math.prod(grid_shape)
-    return Derivatives(out[: len(_PACKED)], tuple(np.split(out[len(_PACKED) :], 4)))
 
 
 def _riemann_buffers(size: int) -> tuple[np.ndarray, ...]:
@@ -617,26 +571,46 @@ def christoffel_riemann(m: MetricGrid4D) -> CurvatureGrid:
 
     with Gam_{q,mn} the Christoffel symbols of the first kind.  The pair
     symmetries hold by construction; the first Bianchi identity holds only
-    to rounding error.  The first term is the metric's derivative stage
-    (see derivative_stage) and the quadratic term the pointwise stage
-    (_riemann_points, at c = 1; multiplying by 1.0 is exact).
+    to rounding error.  The first term and the first-kind symbols are the
+    metric's derivative stage (see _derivative_spectrum) and the quadratic
+    term the pointwise stage (_riemann_points, at c = 1; multiplying by 1.0
+    is exact).
 
-    The pointwise stage runs a group of grid points at a time (see
-    _groups), each group overwriting its part of the derivative stage's
-    Riemann block.  Every value is computed by the same expressions in the
-    same order whatever the grouping.
+    The metric goes through rfftn's 1-D transforms in its order (the r2c on
+    axis 4, then axes 1, 2 and 3) one component at a time, and each of the
+    61 derivative spectra through irfftn's straight into its slot of one
+    (61, Nt, N1, N2, N3) array.  The spectra are freed before the pointwise
+    stage, which overwrites the Riemann block a group of grid points at a
+    time (see _groups); every value is computed by the same expressions in
+    the same order whatever the grouping.
     """
-    d = derivative_stage(m.periods, m.g)
-    g, riemann = m.g.reshape(10, -1), d.riemann.reshape(len(_PACKED), -1)
-    kind = [f.reshape(10, -1) for f in d.first_kind]
-    size = _group_planes(m.shape)[2]
+    shape = m.shape
+    gk = np.empty((10,) + shape[:3] + (shape[3] // 2 + 1,), dtype=complex)
+    for c in range(10):
+        x = np.fft.rfft(m.g[c])
+        for axis in range(2):
+            x = np.fft.fft(x, axis=axis)
+        np.fft.fft(x, axis=2, out=gk[c])
+    k = _ik_factors(m.periods, shape, tuple(np.arange(n) for n in gk.shape[1:]))
+    out = np.empty((_DERIVATIVES,) + shape)
+    spectrum, term = np.empty((2,) + gk.shape[1:], dtype=complex)
+    for j in range(_DERIVATIVES):
+        x = _derivative_spectrum(j, gk, k, spectrum, term)
+        for axis in range(3):
+            x = np.fft.ifft(x, axis=axis, norm="forward")
+        np.fft.irfft(x, n=shape[3], norm="forward", out=out[j])
+        out[j] *= 1.0 / math.prod(shape)
+    del gk, x, spectrum, term
+    flat = out.reshape(_DERIVATIVES, -1)
+    g, kind = m.g.reshape(10, -1), np.split(flat[len(_PACKED) :], 4)
+    size = _group_planes(shape)[2]
     inv, buffers = np.empty((10, size)), _riemann_buffers(size)
-    for *_, points in _groups(m.shape):
+    for *_, points in _groups(shape):
         group_inv = inv[:, : points.stop - points.start]
         _metric_inverse(g[:, points], group_inv)
-        R = riemann[:, points]
+        R = flat[: len(_PACKED), points]
         _riemann_points(group_inv, [f[:, points] for f in kind], R, 1.0, R, buffers)
-    return CurvatureGrid(m, d.riemann, d.first_kind)
+    return CurvatureGrid(m, out[: len(_PACKED)], tuple(np.split(out[len(_PACKED) :], 4)))
 
 
 # ---------------------------------------------------------------------------
@@ -891,7 +865,7 @@ def _check_sampling(grid: ModeGrid, shape, periods):
 
 def _variation_stack(periods, spectrum: Spectrum) -> np.ndarray:
     """The time pass (see _time_inverse) of the 61 derivative spectra of a
-    variation (see derivative_stage), formed on the box of its Spectrum
+    variation (see _derivative_spectrum), formed on the box of its Spectrum
     without a forward FFT, then of its 10 own coefficients: (71, Nt, m1,
     m2, m3)."""
     gk, positions = spectrum.coefficients, spectrum.positions

@@ -496,14 +496,14 @@ def load_hyperbolic_spectrum(path: str | Path) -> Hyperbolic:
     """Parse and validate a hyperbolic spectrum file; the result records
     str(path) as its source.
 
-    Line-oriented format: `b1 <n>`, `codazzi <n>` headers plus data lines
-    `kind j eigenvalue multiplicity` with kind in {scalar, oneform, tt};
-    `#` starts a comment.  j is a nonnegative integer and every eigenvalue
-    a finite number.  A scalar entry at eigenvalue 0 has multiplicity 1,
-    the constants of a connected cross-section.  TT eigenvalues must be
-    >= 3, with the recorded Codazzi dimension equal to the multiplicity at
-    eigenvalue exactly 3.  Every malformed line raises SpectrumError naming
-    path:lineno.
+    Line-oriented format: one `b1 <n>` and one `codazzi <n>` header plus
+    data lines `kind j eigenvalue multiplicity` with kind in {scalar,
+    oneform, tt}; `#` starts a comment.  j is a nonnegative integer and
+    every eigenvalue a finite number.  A scalar entry at eigenvalue 0 has
+    multiplicity 1, the constants of a connected cross-section.  TT
+    eigenvalues must be >= 3, with the recorded Codazzi dimension equal to
+    the multiplicity at eigenvalue exactly 3.  Every malformed line raises
+    SpectrumError naming path:lineno.
 
     The path must name a regular file of at most SPECTRUM_FILE_CEILING
     bytes.  It is opened without blocking, and both are checked on the open
@@ -544,6 +544,8 @@ def load_hyperbolic_spectrum(path: str | Path) -> Hyperbolic:
         where = f"{path}:{lineno}"
         parts = line.split()
         if parts[0] in ("b1", "codazzi"):
+            if parts[0] in header:
+                raise SpectrumError(f"{where}: a second '{parts[0]}' header")
             try:
                 (value,) = parts[1:]
                 header[parts[0]] = int(value)

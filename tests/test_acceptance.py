@@ -118,8 +118,8 @@ def test_criterion_5_flat_pencil_end_to_end():
 
 def test_criterion_6_operator_identity_suite():
     t0 = time.monotonic()
-    results = fields.identity_suite(band=3, seed=7, tol=1e-10)
-    ok = len(results) == 11 and all(r.ok for r in results)
+    results = fields.identity_suite(band=3, seed=7)
+    ok = len(results) == 11 and all(r.ok and r.tolerance == 1e-10 for r in results)
     worst = max(r.residual for r in results)
     elapsed = time.monotonic() - t0
     ok = ok and elapsed < 5.0
@@ -128,10 +128,10 @@ def test_criterion_6_operator_identity_suite():
 
 def test_criterion_7_fd_linearization():
     t0 = time.monotonic()
-    rep, ok = cli.run_linearization(n=16, seed=11, eps=1e-4, tol=1e-6)
+    rep, ok = cli.run_linearization(n=16, seed=11, eps=1e-4)
     worst = max(r["relative_error"] for r in rep)
     ratio = rep[0]["convergence_ratio"]
-    ok = ok and len(rep) == 10 and ratio >= 3.5
+    ok = ok and len(rep) == 10 and ratio >= 3.5 and all(r["tolerance"] == 1e-6 for r in rep)
     elapsed = time.monotonic() - t0
     ok = ok and elapsed < 60.0
     report(

@@ -192,6 +192,26 @@ def test_exit_code_3_on_malformed_file(tmp_path, capsys, content, lineno):
         assert f"{path}:{lineno}: " in captured.err
 
 
+@pytest.mark.parametrize(
+    "content,lineno",
+    [
+        # Keeping the last value would report b1 = 2.
+        ("b1 0\nb1 2\ncodazzi 0\n", 2),
+        # Keeping the last value would print "H2+ nonzero" from codazzi 1.
+        ("b1 1\ncodazzi 0\ncodazzi 1\ntt 0 3.0 1\n", 3),
+    ],
+    ids=["b1", "codazzi"],
+)
+def test_repeated_header_exits_3_naming_its_line(tmp_path, capsys, content, lineno):
+    path = tmp_path / "spec.txt"
+    path.write_text(content)
+    code = cli.main(["ks", "--hyperbolic", str(path)])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {path}:{lineno}: ") and captured.err.count("\n") == 1
+
+
 @pytest.mark.parametrize("command", ["roots", "gap", "ks"])
 def test_empty_hyperbolic_path_exits_2_naming_the_flag(command, capsys):
     code = cli.main([command, "--hyperbolic", ""])
@@ -629,6 +649,21 @@ def test_halving_ratio_threshold(monkeypatch, at):
     ratio = cli._HALVING_RATIO
     assert report[0]["convergence_ratio"] == (ratio if at else math.nextafter(ratio, 0.0))
     assert report[0]["pass"] is ok is at
+
+
+@pytest.mark.parametrize("above", [False, True], ids=["at", "above"])
+def test_fd_tolerance_boundary(monkeypatch, above):
+    # A case passes when its relative error is at most _FD_TOL, and fails at
+    # the next float above; the first case's halving ratio is 4 either way.
+    assert cli._FD_TOL == 1e-6
+    error = math.nextafter(cli._FD_TOL, 1.0) if above else cli._FD_TOL
+    monkeypatch.setattr(
+        curvature, "fd_battery_errors", lambda cases, shape: [[error, error / 4]] + [[error]] * (len(cases) - 1)
+    )
+    report, ok = cli.run_linearization(n=8)
+    assert all(row["tolerance"] == cli._FD_TOL for row in report)
+    assert [row["pass"] for row in report] == [not above] * len(report)
+    assert ok is not above
 
 
 def test_battery_failure_reads_the_same_on_any_process_count(monkeypatch, capsys):

@@ -469,8 +469,8 @@ def test_complex_pairwise_sum_matches_np_sum(size):
 
 
 # Slab views fed in shuffled order, one plane, several planes and the
-# whole box per slab (the whole box takes np.sum directly): the bits of
-# inner() and norm() on the box.
+# whole box per slab (the whole box goes through the same leaves as any
+# other piece): the bits of inner() and norm() on the box.
 @pytest.mark.parametrize("band", [3, 7])
 @pytest.mark.parametrize("planes", [1, 3, 100])
 def test_slab_pairings_and_norms_match_the_box(band, planes):
@@ -623,7 +623,7 @@ def test_divergence_killing_duality_pairing():
     tracefree = CylTensor(GRID)
     for (rk, d), slot in ht.terms.items():
         v = (slot["h00"] + trace(slot["h"])) * 0.25
-        h = slot["h"].copy()
+        h = FourierSymTensor(GRID, slot["h"].data.copy())
         for i in range(3):
             h.data[i, i] -= v.data
         tracefree.add_term(slot["rate"], d, h00=slot["h00"] - v, alpha=slot["alpha"], h=h)
@@ -710,6 +710,20 @@ def test_kernels_match_index_formulas_on_mode_boxes(band):
     want = w - xi * (xs / denom)
     want[(slice(None),) + (band,) * 3] = w[(slice(None),) + (band,) * 3]
     assert coclosed_projection(FourierOneForm(grid, w)).data.tobytes() == want.tobytes()
+    # The tensor-valued operators build their results without the symmetry
+    # check of FourierSymTensor, so each must be exactly symmetric.
+    U, W, H = FourierScalar(grid, u), FourierOneForm(grid, w), FourierSymTensor(grid, h)
+    rate = 0.4 + 1.3j
+    tensors = [lie(W), conf_killing(W), slash_d(H), hessian(U), tf(H), laplacian(H), F.hodge_laplacian(H)]
+    tensors += [H + lie(W), H - slash_d(H), (0.3 - 2j) * H]
+    cylinder = [
+        linearized_weyl(CylTensor.from_parts(grid, rate, 2, h00=U, alpha=W, h=H)),
+        adjoint_D(CylTensor.from_parts(grid, rate, 2, h=tf(H))),
+        cyl_killing(CylOneForm.from_parts(grid, rate, 1, f=U, omega=W)),
+    ]
+    tensors += [slot["h"] for field in cylinder for slot in field.terms.values()]
+    for d in (t.data for t in tensors):
+        assert all(np.array_equal(d[i, j], d[j, i]) for i, j in ((0, 1), (0, 2), (1, 2)))
 
 
 def test_coclosed_projection_keeps_the_zero_mode_as_it_is():
@@ -762,6 +776,16 @@ def test_identity_suite_passes():
         assert r.residual < 1e-10
 
 
+def test_identity_tolerance_boundary():
+    # An identity passes when its residual is below _IDENTITY_TOL, and
+    # fails at it; the suite reports that tolerance for every identity.
+    tol = F._IDENTITY_TOL
+    assert tol == 1e-10
+    assert F.IdentityResult("x", "x", math.nextafter(tol, 0.0), tol).ok
+    assert not F.IdentityResult("x", "x", tol, tol).ok
+    assert all(r.tolerance == tol for r in identity_suite(band=2, seed=9))
+
+
 def test_identity_suite_deterministic():
     a = identity_suite(band=2, seed=9)
     b = identity_suite(band=2, seed=9)
@@ -770,8 +794,8 @@ def test_identity_suite_deterministic():
 
 # _SLAB_MODES of 1 makes slabs of one plane; 50 makes slabs of 2 planes at
 # bands 2 and 3 and of 1 at bands 4, 7 and 15; 100 of 4, 3, 2, 1 and 1
-# planes; 10**9 one slab holding the whole box, where every streamed sum
-# takes np.sum at once.  Bands 7 and 15 are the benchmark's.
+# planes; 10**9 one slab holding the whole box, which every streamed sum
+# takes as one piece.  Bands 7 and 15 are the benchmark's.
 @pytest.mark.parametrize(
     "seed,band", [(9, 2), (9, 3), (9, 4), (385316, 2), (385316, 3), (385316, 4), (5, 7), (5, 15)]
 )
