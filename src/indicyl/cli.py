@@ -16,9 +16,13 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import math
 import sys
+
+try:
+    from _json import encode_basestring_ascii
+except ImportError:  # an interpreter without the C accelerator
+    from json.encoder import encode_basestring_ascii
 
 from . import indicial, spectra
 
@@ -41,7 +45,8 @@ _RATE_NOTE = (
 
 @functools.lru_cache(maxsize=1024)
 def _json_str(s: str) -> str:
-    return json.dumps(s)
+    # What json.dumps(s) runs for a str, without loading the json package.
+    return encode_basestring_ascii(s)
 
 
 def _json_float(x: float) -> str:
@@ -423,6 +428,17 @@ def _coclosed_closed_form(nu: float, kappa: int) -> list:
 _ORACLE_TOL = 1e-9  # closed-form roots against companion roots
 _PENCIL_TOL = 1e-8  # flat pencil roots against +-|xi|
 _ZERO_ROOT_TOL = 1e-6  # a pencil root this near 0 is zero
+_TT_BRANCH_TOL = 1e-12  # lam + 3 kappa this near 0 makes beta = 0
+
+
+def _tt_branch_systems(lam: float, kappa: int) -> list:
+    """The TT branch ODEs whose companion roots reproduce the type-3 roots:
+    both signs, or one when beta = sqrt(lam + 3 kappa) is 0 and the two
+    coincide."""
+    from . import oracle
+
+    signs = (+1,) if lam + 3 * kappa <= _TT_BRANCH_TOL else (+1, -1)
+    return [oracle.ode_tt_branch(lam, kappa, sign) for sign in signs]
 
 
 def run_oracle():
@@ -435,8 +451,7 @@ def run_oracle():
 
     # Each companion sweep: its check, its first eigenvalue for kappa = -1,
     # 0, 1, the closed-form roots as a multiset, and the ODE systems whose
-    # companion roots together must reproduce them.  At beta = 0 the two TT
-    # branch ODEs coincide, so only one of them runs.
+    # companion roots together must reproduce them.
     sweeps = (
         (
             "mixed_system_matrix_vs_closed_form",
@@ -448,10 +463,7 @@ def run_oracle():
             "tt_branch_ode_vs_closed_form",
             (3, 0, 6),
             _tt_closed_form,
-            lambda lam, kappa: [
-                oracle.ode_tt_branch(lam, kappa, sign)
-                for sign in ((+1,) if lam + 3 * kappa <= 1e-12 else (+1, -1))
-            ],
+            _tt_branch_systems,
         ),
         (
             "coclosed_mixed_ode_vs_closed_form",

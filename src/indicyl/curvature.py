@@ -44,8 +44,9 @@ Sampling: a cylinder field is held as a Spectrum, the half spectrum of its
 grid values on the box of the few Fourier modes it holds.  Its grid values
 are the box's pruned inverse FFT, which skips the grid lines holding no
 coefficient: one pass over the time axis of the whole box
-(_time_inverse), then the rest a group at a time (_plane_inverse), one
-numpy.fft call per axis over every component.
+(_time_inverse), then the rest a group at a time (_plane_inverse), which
+transforms only the components not all +0.0, a chunk of them at a time,
+each axis laid out last and contiguous, and writes +0.0 to the others.
 Sampling (_pruned_irfftn) and the battery run the same two routines.  A
 variation is differentiated on its box, without a forward FFT, and its
 61 derivative spectra are inverted with its 10 coefficients; any other
@@ -336,7 +337,7 @@ def _ik_factors(periods, grid_shape, positions):
     return out
 
 
-def _fft_workers() -> int:
+def _battery_processes() -> int:
     """The number of CPUs this process may run on, and so the most
     processes that run the battery (see fd_battery_errors)."""
     try:
@@ -348,11 +349,20 @@ def _fft_workers() -> int:
 # Most grid points per group of a streamed pass (see _group_planes), unless
 # one row holds more.  Each group repeats every NumPy call of a stage, so
 # small groups cost more in call overhead than they save in memory.  A
-# battery group's buffers hold about 300 doubles per point and a case holds
-# nothing grid-sized, so with 4096 points a case peaks at 12.5 MiB of
-# arrays at 16^4 and 16.4 MiB at 32^4; groups of 4,096 to 65,536 points ran
-# the 16^4 battery equally fast.
+# battery group's buffers hold about 290 doubles per point and a case holds
+# nothing grid-sized, so with 4096 points a case with two steps peaks at
+# 11.0-12.0 MiB of traced arrays at 16^4 and 16.1-17.1 MiB at 32^4, the
+# more the more live components it has (see _plane_inverse).  Groups of
+# 1,024 and 2,048 points ran the 16^4 battery slower than 4,096 on one
+# CPU, and groups of 8,192 no faster.
 _SLAB_POINTS = 4096
+
+# Most components per chunk of the pruned inverse's spatial passes (see
+# _plane_inverse), which bounds their scratch.  Chunks of 12 to 71
+# components inverted the 16^4 battery equally fast; against one chunk of
+# all 71, chunks of 24 lower the traced peak of a case whose 71 components
+# are all live from 13.8 to 12.0 MiB at 16^4.
+_INVERSE_ROWS = 24
 
 # The pid of the process running the battery (see fd_battery_errors), set
 # while it runs and inherited by the workers it forks (see
@@ -441,34 +451,66 @@ def _plane_inverse(stack: np.ndarray, positions, grid_shape, planes: int, rows: 
     the first spatial axis in the time planes times, at most planes planes
     and rows rows, to out (C, planes', rows', N2, N3).
 
-    Each call widens and transforms the first spatial axis of its time
-    planes, unless the call before had the same planes, then widens and
-    transforms the second on its rows and runs the c2r on the last, each by
-    one numpy call over every component, and scales by 1/N.  Its
-    temporaries are one set of buffers made here, sized for one group and
-    the first spatial pass of its planes, and reused by every call.
+    Only the live components, those whose rows of stack hold a float
+    other than +0.0, are transformed, in chunks of at most _INVERSE_ROWS
+    consecutive ones; the other rows of out are set to +0.0, which is what
+    the transforms give for them.  (A row of -0.0 is live: irfftn maps it
+    to -0.0 at some grid points.)  Per chunk, each call widens and
+    transforms the first spatial axis of its time planes, laid out (...,
+    m2, m3, N1), unless the call before had the same planes; then widens
+    and transforms the second on its rows, laid out (..., rows, m3, N2);
+    then transposes that once to (..., rows, N2, m3), runs the c2r into
+    out and scales by 1/N.  So every transform runs along the last axis of
+    a C-contiguous array, where pocketfft copies no strided lines, and
+    each line meets the same 1-D transform as in irfftn.  The first
+    spatial pass of the live components is kept for the calls of the same
+    planes; the other temporaries are one chunk's buffers.  All are made
+    here and reused by every call.
     """
     count, _, _, m2, m3 = stack.shape
     n1, n2, n3 = grid_shape[1:]
-    wide1 = np.zeros((count, planes, n1, m2, m3), dtype=complex)
-    wide2 = np.zeros((count, planes, rows, n2, m3), dtype=complex)
-    part1, part2 = np.empty_like(wide1), np.empty_like(wide2)
+    alive = np.any(stack.reshape(count, -1).view(np.uint64), axis=1)
+    dead = np.flatnonzero(~alive)
+    chunks = []  # [lo, hi) of each chunk of consecutive live components
+    for row in np.flatnonzero(alive).tolist():
+        if chunks and chunks[-1][1] == row and row - chunks[-1][0] < _INVERSE_ROWS:
+            chunks[-1][1] += 1
+        else:
+            chunks.append([row, row + 1])
+    width = max((hi - lo for lo, hi in chunks), default=0)
+    # Flat buffers, viewed per call as C-contiguous arrays of the call's
+    # shape; the widened axis is the last one, so the zeros of each
+    # widened line stay in place whatever the leading shape.
+    wide1 = np.zeros(width * planes * m2 * m3 * n1, dtype=complex)
+    wide2 = np.zeros(width * planes * rows * m3 * n2, dtype=complex)
+    part2, flip = np.empty((2, len(wide2)), dtype=complex)
+    part1 = np.empty((int(alive.sum()), planes, m2, m3, n1), dtype=complex)
     scale = 1.0 / math.prod(grid_shape)
     passed = None  # the time planes whose first spatial pass part1 holds
 
     def invert(times, block, out):
         nonlocal passed
         t, r = times.stop - times.start, block.stop - block.start
-        if passed != times:
-            a = wide1[:, :t]
-            a[:, :, positions[1]] = stack[:, times]
-            np.fft.ifft(a, axis=2, norm="forward", out=part1[:, :t])
-            passed = times
-        c, d = wide2[:, :t, :r], part2[:, :t, :r]
-        c[:, :, :, positions[2]] = part1[:, :t, block]
-        np.fft.ifft(c, axis=3, norm="forward", out=d)
-        np.fft.irfft(d, n=n3, axis=4, norm="forward", out=out)
-        out *= scale
+        first = passed != times
+        if len(dead):
+            out[dead] = 0.0
+        j = 0  # the chunk's first row in part1
+        for lo, hi in chunks:
+            k = hi - lo
+            if first:
+                a = wide1[: k * t * m2 * m3 * n1].reshape(k, t, m2, m3, n1)
+                a[..., positions[1]] = stack[lo:hi, times].transpose(0, 1, 3, 4, 2)
+                np.fft.ifft(a, axis=-1, norm="forward", out=part1[j : j + k, :t])
+            shape = (k, t, r, m3, n2)
+            c = wide2[: math.prod(shape)].reshape(shape)
+            c[..., positions[2]] = part1[j : j + k, :t, :, :, block].transpose(0, 1, 4, 3, 2)
+            d = np.fft.ifft(c, axis=-1, norm="forward", out=part2[: c.size].reshape(shape))
+            e = flip[: c.size].reshape(k, t, r, n2, m3)
+            np.copyto(e, d.transpose(0, 1, 2, 4, 3))
+            np.fft.irfft(e, n=n3, axis=-1, norm="forward", out=out[lo:hi])
+            out[lo:hi] *= scale
+            j += k
+        passed = times
 
     return invert
 
@@ -525,10 +567,40 @@ def _derivative_spectrum(j: int, gk: np.ndarray, k, out: np.ndarray, term: np.nd
     return out
 
 
+def _quadratic_terms() -> tuple:
+    """Per packed slot (r, s, m, n) of _PACKED, the two dot products over q
+    of its quadratic term Gam_{q,rn} Gam^q_sm - Gam_{q,rm} Gam^q_sn (see
+    christoffel_riemann), each as (its first-kind column, its second-kind
+    column, its row of _riemann_points' dot buffer, whether it is formed
+    there).  A product that recurs (three do, each in two slots) is formed
+    once, in a row of its own from 2 on, and read again there; any other
+    is formed in row 0 (the first) or 1 (the second)."""
+    S = _SYM_INDEX
+    pairs = []
+    for P, Q in _PACKED:
+        (r, s), (mm, nn) = _PAIRS4[P], _PAIRS4[Q]
+        pairs.append(((int(S[r, nn]), int(S[s, mm])), (int(S[r, mm]), int(S[s, nn]))))
+    every = [p for two in pairs for p in two]
+    recurring = [p for p in dict.fromkeys(every) if every.count(p) > 1]
+    formed, terms = set(), []
+    for two in pairs:
+        slot = []
+        for i, p in enumerate(two):
+            row = 2 + recurring.index(p) if p in recurring else i
+            slot.append(p + (row, p not in formed))
+            formed.add(p)
+        terms.append(tuple(slot))
+    return tuple(terms)
+
+
+_QUADRATIC = _quadratic_terms()
+_DOT_ROWS = 1 + max(row for slot in _QUADRATIC for _, _, row, _ in slot)
+
+
 def _riemann_buffers(size: int) -> tuple[np.ndarray, ...]:
     """Scratch arrays for _riemann_points on up to size points."""
     low, up = np.empty((2, 4, 10, size))
-    return low, up, np.empty((4, 4, size)), np.empty((2, size))
+    return low, up, np.empty((4, 4, size)), np.empty((_DOT_ROWS, size))
 
 
 def _riemann_points(inv, kind, lin, c: float, out, buffers) -> None:
@@ -540,22 +612,25 @@ def _riemann_points(inv, kind, lin, c: float, out, buffers) -> None:
 
     The points are gathered into buffers (see _riemann_buffers) of the
     stacked layout that the einsums read, which form the second-kind
-    symbols Gam^q_mn of the points and keep none of them.
+    symbols Gam^q_mn of the points and keep none of them: one einsum per
+    row q, over the nine columns mn that the quadratic term reads (never
+    (0, 0)).  Its 42 dot products are 39 distinct ones, each formed once
+    (see _QUADRATIC).
     """
-    S = _SYM_INDEX
     half_c = 0.5 * c
-    low, up, ginv, (dot, dot2) = (b[..., : out.shape[1]] for b in buffers)
+    low, up, ginv, dots = (b[..., : out.shape[1]] for b in buffers)
     for q, f in enumerate(kind):
         np.multiply(f, half_c, out=low[q])
-    np.take(inv, S, axis=0, out=ginv, mode="clip")  # unbuffered
-    np.einsum("rs...,sc...->rc...", ginv, low, out=up)
-    for col, (P, Q) in enumerate(_PACKED):
-        r, s = _PAIRS4[P]
-        mm, nn = _PAIRS4[Q]
-        np.einsum("q...,q...->...", low[:, S[r, nn]], up[:, S[s, mm]], out=dot)
-        np.einsum("q...,q...->...", low[:, S[r, mm]], up[:, S[s, nn]], out=dot2)
-        np.subtract(dot, dot2, out=dot)
-        np.add(np.multiply(lin[col], c, out=dot2), dot, out=out[col])
+    np.take(inv, _SYM_INDEX, axis=0, out=ginv, mode="clip")  # unbuffered
+    for q in range(4):
+        np.einsum("s...,sc...->c...", ginv[q], low[:, 1:], out=up[q, 1:])
+    for col, ((a, b, i, new_i), (a2, b2, j, new_j)) in enumerate(_QUADRATIC):
+        if new_i:
+            np.einsum("q...,q...->...", low[:, a], up[:, b], out=dots[i])
+        if new_j:
+            np.einsum("q...,q...->...", low[:, a2], up[:, b2], out=dots[j])
+        np.subtract(dots[i], dots[j], out=dots[0])
+        np.add(np.multiply(lin[col], c, out=dots[1]), dots[0], out=out[col])
 
 
 def christoffel_riemann(m: MetricGrid4D) -> CurvatureGrid:
@@ -656,7 +731,10 @@ def _ricci_contraction_shortcut(B: np.ndarray) -> np.ndarray:
     1/4 eps eps R_klpq = -(c - 1/2 tr(c) delta)."""
     c = np.zeros_like(B)
     for k, l, P, Q, sign in _SPATIAL_RICCI:
-        c[k, l] += sign * B[P, Q]
+        if sign > 0:
+            c[k, l] += B[P, Q]
+        else:
+            c[k, l] -= B[P, Q]
     tr = np.einsum("kk...->...", c)
     out = np.negative(c, out=c)
     for i in range(3):
@@ -1068,7 +1146,7 @@ def fd_battery_errors(cases, shape) -> list[list[float]]:
     so the memory of the whole battery grows with W.
     """
     cases = list(cases)
-    count = max(1, min(_fft_workers(), len(cases))) if hasattr(os, "fork") else 1
+    count = max(1, min(_battery_processes(), len(cases))) if hasattr(os, "fork") else 1
     token = _BATTERY_OWNER.set(os.getpid())
     workers = []  # (pid, read end of its pipe) of each worker not yet reaped
     try:

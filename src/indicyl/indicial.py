@@ -57,6 +57,9 @@ __all__ = [
 ]
 
 _ZERO_TOL = 1e-12
+# The largest distance of a spherical catalog's computed gluing bound from
+# 2 that gluing_window accepts.
+_GLUING_BOUND_TOL = 1e-9
 
 
 class VerificationError(Exception):
@@ -372,6 +375,6 @@ def gluing_window(catalog: RootCatalog) -> tuple[float, float]:
     g = spectral_gap(catalog).gap_above_exceptional
     if g == math.inf:
         raise ValueError("no non-degenerate roots present; increase j_max")
-    if abs(g - 2.0) > 1e-9:
+    if abs(g - 2.0) > _GLUING_BOUND_TOL:
         raise GluingWindowError(f"spherical gluing window should be (0, 2), computed bound {g}")
     return (0.0, g)

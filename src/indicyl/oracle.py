@@ -41,6 +41,12 @@ _TF_PICK = ((0, 0), (1, 1), (0, 1), (0, 2), (1, 2))
 # below which a shifted-inverse eigenvalue mu stands for an infinite root.
 _SHIFT = 0.3 + 0.7j
 _INFINITE_TOL = 1e-8
+# The leading block counts as singular when |det| is below this times
+# max(1, its norm ** n).
+_SINGULAR_LEAD_TOL = 1e-12
+# The most an eigenvalue (for a TT branch, lam + 3 kappa) may lie below
+# zero, by rounding, and still be taken.
+_BELOW_ZERO_TOL = 1e-12
 # Roots within this relative distance of a cluster's first root join it.
 _CLUSTER_TOL = 1e-6
 # Singular values below this fraction of the largest count toward a nullity.
@@ -86,7 +92,7 @@ def companion_roots(ode: OdeSystem) -> np.ndarray:
     comp = np.zeros((n * r, n * r), dtype=complex)
     for k in range(r - 1):
         comp[n * k : n * (k + 1), n * (k + 1) : n * (k + 2)] = np.eye(n)
-    if not abs(np.linalg.det(lead)) < 1e-12 * max(1.0, np.linalg.norm(lead) ** n):
+    if not abs(np.linalg.det(lead)) < _SINGULAR_LEAD_TOL * max(1.0, np.linalg.norm(lead) ** n):
         inv = np.linalg.inv(lead)
         for k in range(r):
             comp[n * (r - 1) :, n * k : n * (k + 1)] = -inv @ ode.mats[k]
@@ -112,7 +118,7 @@ def matrix_a(mu: float, kappa: int) -> np.ndarray:
         l'' = (2/3) mu l + (mu/3) m',
         m'' = -(1/2) l' + ((3/2) mu - 4 kappa) m.
     """
-    if mu < -1e-12:
+    if mu < -_BELOW_ZERO_TOL:
         raise ValueError(f"scalar eigenvalue must be >= 0, got {mu}")
     return np.array(
         [
@@ -133,7 +139,7 @@ def matrixA_system(mu: float, kappa: int) -> OdeSystem:
 def ode_tt_branch(lam: float, kappa: int, sign: int) -> OdeSystem:
     """Scalar ODE -(1/2) f'' + s*sqrt(lam+3k) f' - (k + lam/2) f = 0 for one
     eigentensor branch of the Dirac-type operator (s = +-1)."""
-    if lam + 3 * kappa < -1e-12:
+    if lam + 3 * kappa < -_BELOW_ZERO_TOL:
         raise ValueError(f"no real branch rate for eigenvalue {lam} at kappa={kappa}")
     beta = math.sqrt(max(lam + 3 * kappa, 0.0))
     return OdeSystem(
@@ -147,7 +153,7 @@ def ode_tt_branch(lam: float, kappa: int, sign: int) -> OdeSystem:
 
 def ode_mixed_b(nu: float, kappa: int) -> OdeSystem:
     """Scalar ODE m'' - nu m + 4 kappa m = 0 of the co-closed mixed family."""
-    if nu < -1e-12:
+    if nu < -_BELOW_ZERO_TOL:
         raise ValueError(f"co-closed eigenvalue must be >= 0, got {nu}")
     return OdeSystem(
         (

@@ -11,6 +11,7 @@ import types
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from indicyl import cli, curvature, indicial, spectra
 
@@ -672,7 +673,7 @@ def test_battery_failure_reads_the_same_on_any_process_count(monkeypatch, capsys
     monkeypatch.setattr(curvature, "_DEFECT_TOL", 0.0)
     outcomes = []
     for workers in (1, 2, 3):
-        monkeypatch.setattr(curvature, "_fft_workers", lambda: workers)
+        monkeypatch.setattr(curvature, "_battery_processes", lambda: workers)
         code = cli.main(["verify", "linearization", "--N", "8"])
         outcomes.append((code, capsys.readouterr()))
     assert outcomes[0][0] == 1 and outcomes[0][1].out == ""
@@ -684,7 +685,7 @@ def test_battery_failure_reads_the_same_on_any_process_count(monkeypatch, capsys
 def test_battery_report_is_the_same_on_any_process_count(monkeypatch, seed):
     reports = []
     for workers in (1, 2, 3):
-        monkeypatch.setattr(curvature, "_fft_workers", lambda: workers)
+        monkeypatch.setattr(curvature, "_battery_processes", lambda: workers)
         reports.append(json.dumps(cli.run_linearization(n=8, seed=seed)))
     assert reports[1] == reports[0] and reports[2] == reports[0]
 
@@ -817,12 +818,13 @@ def test_console_script_entrypoint():
 
 
 # numpy serves only the numeric verification modules; dataclasses (and the
-# inspect it imports) would add to the start-up of every closed-form command.
+# inspect it imports) and the json package would add to the start-up of
+# every closed-form command.
 _NUMPY_PROBE = """
 import sys
 from indicyl import cli
 code = cli.main(sys.argv[1:])
-print(code, sorted({"numpy", "dataclasses", "inspect"} & set(sys.modules)))
+print(code, sorted({"numpy", "dataclasses", "inspect", "json"} & set(sys.modules)))
 """
 
 # Stands for the spectrum file that each test writes.
@@ -855,10 +857,11 @@ def test_closed_form_commands_load_no_numpy(argv, tmp_path):
 def test_cli_start_up_loads_no_pickle_or_multiprocessing():
     # Only the battery forks and pickles, inside the curvature module that
     # verify linearization loads on demand.  The closed-form value types are
-    # named tuples, so start-up imports no dataclasses and no inspect either.
+    # named tuples, so start-up imports no dataclasses and no inspect either,
+    # and strings are encoded by _json alone, without the json package.
     probe = (
         "import sys, indicyl.cli; "
-        'print(sorted({"pickle", "multiprocessing", "dataclasses", "inspect"} & set(sys.modules)))'
+        'print(sorted({"pickle", "multiprocessing", "dataclasses", "inspect", "json"} & set(sys.modules)))'
     )
     proc = run_python("-c", probe)
     assert proc.returncode == 0, proc.stderr
@@ -894,7 +897,7 @@ def announced_fork():
         print(pid, flush=True)
     return pid
 os.fork = announced_fork
-C._fft_workers = lambda: 2
+C._battery_processes = lambda: 2
 C.fd_battery_errors([(ht, [1e-4]) for ht in C.linearization_battery()] * 4, (16,) * 4)
 """
 
@@ -961,10 +964,46 @@ except AttributeError:
     assert proc.stdout == "ok\n"
 
 
+@pytest.mark.parametrize("above", [False, True])
+def test_tt_branch_split_boundary(above):
+    # Up to lam + 3 kappa = _TT_BRANCH_TOL the two TT branch ODEs coincide
+    # and one runs; one float above, both do (kappa = 0, so the sum is lam).
+    limit = cli._TT_BRANCH_TOL
+    lam = math.nextafter(limit, 1.0) if above else limit
+    systems = cli._tt_branch_systems(lam, 0)
+    assert len(systems) == (2 if above else 1)
+    assert [complex(s.mats[1][0, 0]).real > 0 for s in systems] == [True, False][: len(systems)]
+
+
 @pytest.mark.parametrize("value", [np.int64(3), np.float64(0.5), np.bool_(True), {1, 2}])
 def test_json_refuses_unlisted_types(value):
     with pytest.raises(TypeError, match="cannot serialize"):
         cli._json([{"x": value}])
+
+
+# Any code point, lone surrogates, controls and non-ASCII included.
+@given(st.text(st.characters(exclude_categories=())))
+@settings(max_examples=300, deadline=None)
+def test_json_str_matches_json_dumps(s):
+    # The encoder runs without the json package, with its bits.
+    assert cli._json_str(s) == json.dumps(s)
+
+
+def test_json_str_falls_back_without_the_c_encoder():
+    # An interpreter without _json encodes strings by json.encoder's
+    # pure-Python encoder, with the same output.
+    probe = (
+        "import sys; sys.modules['_json'] = None\n"
+        "import json\n"
+        "from indicyl import cli\n"
+        "assert cli.encode_basestring_ascii.__module__ == 'json.encoder'\n"
+        "for s in ('', 'a\"b\\\\c', '\\x00\\x1f\\u00e9\\u2028', '\\ud800', '\\U0001f600'):\n"
+        "    assert cli._json_str(s) == json.dumps(s), s\n"
+        "print('ok')"
+    )
+    proc = run_python("-c", probe)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "ok\n"
 
 
 def test_root_record_roundtrip(capsys):

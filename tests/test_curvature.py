@@ -429,7 +429,7 @@ def test_engine_matches_eager_engine_bitwise():
 @pytest.mark.parametrize("slab_points", [None, 100, 200, 1100, 1600], ids=["default", "100", "200", "1100", "1600"])
 @pytest.mark.parametrize("workers", [1, 2, 3])
 def test_fd_battery_matches_eager_loop_bitwise(monkeypatch, shape, slab_points, workers):
-    monkeypatch.setattr(C, "_fft_workers", lambda: workers)
+    monkeypatch.setattr(C, "_battery_processes", lambda: workers)
     if slab_points is not None:
         monkeypatch.setattr(C, "_SLAB_POINTS", slab_points)
     battery = C.linearization_battery(seed=11, band=1)
@@ -528,7 +528,7 @@ THREAD_PROBE = """
 import math, sys, threading
 from indicyl import curvature as C
 before = threading.active_count()
-C._fft_workers = lambda: 2
+C._battery_processes = lambda: 2
 C._SLAB_POINTS = 512
 battery = C.linearization_battery(seed=11, band=1)
 periods = (2 * math.pi,) + battery[0].grid.lengths
@@ -555,7 +555,7 @@ def test_engine_and_battery_start_no_threads():
 
 
 def test_fd_battery_runs_every_case_itself_without_fork(monkeypatch):
-    monkeypatch.setattr(C, "_fft_workers", lambda: 3)
+    monkeypatch.setattr(C, "_battery_processes", lambda: 3)
     monkeypatch.delattr(C.os, "fork")
     battery = C.linearization_battery(seed=11, band=1)
     cases, shape = [(ht, [1e-4]) for ht in battery[:3]], (8, 8, 8, 8)
@@ -598,7 +598,7 @@ def test_fd_battery_raises_the_lowest_failing_case(monkeypatch, kinds, error, wo
     # the lowest failing case may be a worker's, and its exception is raised with the type
     # and message it had there, as the one-process loop raises it.
     monkeypatch.setattr(C, "_DEFECT_TOL", 0.0)
-    monkeypatch.setattr(C, "_fft_workers", lambda: workers)
+    monkeypatch.setattr(C, "_battery_processes", lambda: workers)
     cases = [_failing_cases()[kind] for kind in kinds]
     with pytest.raises(error) as got:
         C.fd_battery_errors(cases, (8, 8, 8, 8))
@@ -645,11 +645,11 @@ def test_curvature_grid_holds_no_inverse_until_asked():
 @pytest.mark.parametrize("workers", [1, 2, 3])
 def test_engine_matches_eager_engine_for_any_cpu_count(monkeypatch, shape, workers):
     # The engine runs in the calling process, on groups that do not depend
-    # on the CPU count, so whatever _fft_workers reports, its bits are the
-    # eager engine's.  A group size of one point lowers the groups, which
-    # would otherwise hold the whole grid, to the chunking rule's floor:
-    # one row of 64 points.
-    monkeypatch.setattr(C, "_fft_workers", lambda: workers)
+    # on the CPU count, so whatever _battery_processes reports, its bits are
+    # the eager engine's.  A group size of one point lowers the groups,
+    # which would otherwise hold the whole grid, to the chunking rule's
+    # floor: one row of 64 points.
+    monkeypatch.setattr(C, "_battery_processes", lambda: workers)
     monkeypatch.setattr(C, "_SLAB_POINTS", 1)
     m = random_metric(shape, seed=21)
     curv = C.christoffel_riemann(m)
@@ -664,7 +664,7 @@ def test_quadratic_chunks_match_eager_engine_bitwise(monkeypatch, workers):
     # 200-point groups split each time plane of an 8^4 grid unevenly, into
     # blocks of 3, 3 and 2 rows, the last group of each plane short; the
     # CPU count, as above, must not matter.
-    monkeypatch.setattr(C, "_fft_workers", lambda: workers)
+    monkeypatch.setattr(C, "_battery_processes", lambda: workers)
     monkeypatch.setattr(C, "_SLAB_POINTS", 200)
     m = random_metric((8, 8, 8, 8), seed=21)
     want = eager_curvature(unpack(m.g), m.periods)
@@ -699,11 +699,12 @@ def test_battery_case_working_set_is_bounded():
     # One 16^4 battery case allocates at most this many times its sample
     # (10 components, 5 MiB) in traced arrays.  No array of the case is
     # grid-sized: the peak is the variation's time pass and one 4096-point
-    # group's buffers, 2.49 samples, where one grid-sized exact block or
-    # difference would add 0.9.  The same case runs once untraced first,
-    # so that one-time allocations (numpy's and the summation tree's
-    # caches) are not counted and the reading does not depend on which test
-    # ran before.  The bound may only be tightened.
+    # group's buffers, 2.33 samples (2.49 while the pruned inverse held
+    # every component's spatial passes at once), where one grid-sized
+    # exact block or difference would add 0.9.  The same case runs once
+    # untraced first, so that one-time allocations (numpy's and the
+    # summation tree's caches) are not counted and the reading does not
+    # depend on which test ran before.  The bound may only be tightened.
     import tracemalloc
 
     ht = C.linearization_battery(seed=11, band=2)[8]
@@ -716,7 +717,7 @@ def test_battery_case_working_set_is_bounded():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak - base < 2.75 * sample_nbytes
+    assert peak - base < 2.6 * sample_nbytes
 
 
 def ifftn_evaluate_terms(field, picks, shape, periods):
@@ -798,6 +799,93 @@ def test_pruned_inverse_matches_irfftn_bitwise(shape, band, workers):
         want = scipy.fft.irfftn(half, s=shape, axes=(1, 2, 3, 4), workers=workers)
         got = C._pruned_irfftn(box, positions, shape)
         assert np.array_equal(got, want), times
+
+
+def _box_with_zero_components(shape, band, seed=23):
+    """A random box of 9 components at the modes -band..band, and its
+    positions.  Rows 0 and 4 are +0.0, which the pruned inverse skips;
+    rows 3 and 8 are -0.0, as a derivative of a zero component can be,
+    which irfftn maps to -0.0 at some grid points, so the live rows run
+    1-3 and 5-8."""
+    rng = np.random.default_rng(seed)
+    nt = shape[0]
+    times = (0, 1, nt - 1)
+    modes = np.arange(-band, band + 1)
+    positions = (np.array(times),) + tuple(modes % n for n in shape[1:3]) + (np.arange(band + 1),)
+    size = (9, len(times), 2 * band + 1, 2 * band + 1, band + 1)
+    box = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+    box[[0, 4]] = 0.0
+    box[[3, 8]] = -0.0 - 0.0j
+    return box, positions
+
+
+def _bits(x):
+    """x's float bits, so that -0.0 and +0.0 differ."""
+    return np.ascontiguousarray(x).view(np.uint64)
+
+
+# Chunks of 1, 2 and 3 components split the live runs 1-3 and 5-8
+# differently, and chunks of 9 take each run whole.  On a (6, 8, 8, 10) grid,
+# groups of 1300 points are two whole time planes and groups of 200 are
+# blocks of two rows of one plane, which reuse their plane's first pass.
+@pytest.mark.parametrize("chunk", [1, 2, 3, 9])
+@pytest.mark.parametrize("slab_points", [1300, 200], ids=["planes", "row-blocks"])
+def test_pruned_inverse_skips_zero_components_bitwise(monkeypatch, chunk, slab_points):
+    # The pruned inverse transforms only the live components and sets the
+    # others to +0.0, bit for bit what irfftn gives for them, into an
+    # output that held NaN.
+    import scipy.fft
+
+    monkeypatch.setattr(C, "_INVERSE_ROWS", chunk)
+    monkeypatch.setattr(C, "_SLAB_POINTS", slab_points)
+    shape = (6, 8, 8, 10)
+    box, positions = _box_with_zero_components(shape, band=2)
+    half = np.zeros((len(box),) + shape[:3] + (shape[3] // 2 + 1,), dtype=complex)
+    half[(slice(None),) + np.ix_(*positions)] = box
+    want = scipy.fft.irfftn(half, s=shape, axes=(1, 2, 3, 4))
+    assert not np.any(np.signbit(want[[0, 4]])) and np.any(np.signbit(want[[3, 8]]))
+    stack = C._time_inverse(box, positions[0], shape[0])
+    planes, rows, _ = C._group_planes(shape)
+    assert (planes, rows) == ((2, 8) if slab_points == 1300 else (1, 2))
+    invert = C._plane_inverse(stack, positions, shape, planes, rows)
+    got = np.full(want.shape, np.nan)
+    for times, block, _ in C._groups(shape):
+        invert(times, block, got[:, times, block])
+    assert np.array_equal(_bits(got), _bits(want))
+    assert np.array_equal(_bits(C._pruned_irfftn(box, positions, shape)), _bits(want))
+
+
+def test_pruned_inverse_transforms_contiguous_last_axes(monkeypatch):
+    # Every transform of the spatial passes runs along axis -1 of a
+    # C-contiguous input, where pocketfft copies no strided lines.
+    import inspect
+
+    monkeypatch.setattr(C, "_SLAB_POINTS", 200)
+    monkeypatch.setattr(C, "_INVERSE_ROWS", 2)
+    shape = (6, 8, 8, 10)
+    box, positions = _box_with_zero_components(shape, band=2)
+    stack = C._time_inverse(box, positions[0], shape[0])
+    calls = []
+    for name in ("fft", "ifft", "rfft", "irfft", "fftn", "ifftn", "rfftn", "irfftn"):
+        transform = getattr(np.fft, name)
+
+        def spy(*args, transform=transform, name=name, **kwargs):
+            bound = inspect.signature(transform).bind(*args, **kwargs)
+            bound.apply_defaults()
+            a = bound.arguments["a"]
+            axes = bound.arguments.get("axes", bound.arguments.get("axis"))
+            calls.append((name, axes, a.ndim, a.flags.c_contiguous))
+            return transform(*args, **kwargs)
+
+        monkeypatch.setattr(np.fft, name, spy)
+    planes, rows, _ = C._group_planes(shape)
+    invert = C._plane_inverse(stack, positions, shape, planes, rows)
+    out = np.empty((len(box),) + shape)
+    for times, block, _ in C._groups(shape):
+        invert(times, block, out[:, times, block])
+    assert {name for name, *_ in calls} == {"ifft", "irfft"}
+    for name, axis, ndim, contiguous in calls:
+        assert axis in (-1, ndim - 1) and contiguous, (name, axis, ndim, contiguous)
 
 
 @pytest.mark.parametrize("n,band", [(8, 1), (16, 2)])

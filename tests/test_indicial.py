@@ -545,6 +545,27 @@ def test_gluing_window_requires_sphere():
         gluing_window(catalog)
 
 
+@pytest.mark.parametrize("direction", [1.0, -1.0], ids=["above", "below"])
+def test_gluing_window_bound_tolerance_boundary(monkeypatch, direction):
+    # A computed bound g passes while |g - 2| <= _GLUING_BOUND_TOL: the
+    # farthest float from 2 that does is accepted, the next one refused.
+    limit = indicial._GLUING_BOUND_TOL
+    g = 2.0 + direction * limit
+    while abs(g - 2.0) > limit:
+        g = math.nextafter(g, 2.0)
+    outside = math.nextafter(g, direction * math.inf)
+    assert abs(outside - 2.0) > limit
+    catalog = sphere_catalog(j_max=4)
+    for bound, ok in ((g, True), (outside, False)):
+        gap = indicial.SpectralGap(gap=1.0, gap_above_exceptional=bound)
+        monkeypatch.setattr(indicial, "spectral_gap", lambda _: gap)
+        if ok:
+            assert gluing_window(catalog) == (0.0, bound)
+        else:
+            with pytest.raises(indicial.GluingWindowError):
+                gluing_window(catalog)
+
+
 def test_gluing_window_wrong_bound_is_typed_error():
     root = indicial.IndicialRoot(
         value=complex(3.0),

@@ -59,6 +59,50 @@ def test_companion_drops_infinite_roots_of_singular_leading():
         got.remove(nearest)
 
 
+@pytest.mark.parametrize("singular", [False, True])
+def test_companion_singular_lead_boundary(monkeypatch, singular):
+    # A 1x1 leading block (d) is singular when |det| < _SINGULAR_LEAD_TOL
+    # (its norm is below 1).  LAPACK's det of it need not be d exactly, so
+    # the boundary is found by stepping d down from the tolerance: at the
+    # largest singular d the shifted pencil is solved; one float above it
+    # the companion matrix is inverted.  Either way the one root is -1/d.
+    limit = oracle._SINGULAR_LEAD_TOL
+
+    def det(x):
+        return abs(np.linalg.det(np.array([[x]], dtype=complex)))
+
+    d = limit
+    while not det(d) < limit:
+        d = math.nextafter(d, 0.0)
+    assert det(math.nextafter(d, 1.0)) >= limit
+    if not singular:
+        d = math.nextafter(d, 1.0)
+    solves = []
+    solve = np.linalg.solve
+    monkeypatch.setattr(np.linalg, "solve", lambda *a: solves.append(a) or solve(*a))
+    (root,) = companion_roots(OdeSystem((np.eye(1), np.array([[d]]))))
+    assert len(solves) == int(singular)
+    assert abs(root + 1.0 / d) <= 1e-9 / d
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda x: matrix_a(x, 1),
+        lambda x: ode_tt_branch(x, 0, +1),
+        lambda x: ode_mixed_b(x, 1),
+    ],
+    ids=["matrix-a", "tt-branch", "mixed-b"],
+)
+def test_eigenvalue_guards_accept_rounding_below_zero(build):
+    # An eigenvalue (for a TT branch at kappa = 0, lam + 3 kappa = lam) down
+    # to -_BELOW_ZERO_TOL is taken; one float below it is refused.
+    limit = -oracle._BELOW_ZERO_TOL
+    build(limit)
+    with pytest.raises(ValueError):
+        build(math.nextafter(limit, -1.0))
+
+
 def test_mixed_b_companion():
     got = as_sorted(companion_roots(ode_mixed_b(9.0, 1)))
     r5 = math.sqrt(5)
