@@ -78,6 +78,7 @@ from .fields import (
     _SYM_PAIRS,
     _T_PERIOD,
     _SquareSum,
+    _sorted_unique,
     CylTensor,
     ModeGrid,
     linearized_weyl,
@@ -209,6 +210,24 @@ def _minor3(a, s):
     return a[0, 2] * s[3] - a[1, 2] * s[1] + a[2, 2] * s[0]
 
 
+# The cofactors of the inverse metric's slots _SYM[:9] by Laplace expansion
+# in the row pair minors: each the sum of three products x u, y v, z w of a
+# metric component (i, j) and a minor (its index in s + c, see
+# _row_pair_minors), alternating in sign, and whether the first product is
+# negative.  The cofactor of (3, 3) is the leading 3x3 minor.
+_COFACTORS = (
+    (((1, 1), 11), ((1, 2), 10), ((1, 3), 9), False),
+    (((0, 1), 11), ((0, 2), 10), ((0, 3), 9), True),
+    (((1, 3), 5), ((2, 3), 4), ((3, 3), 3), False),
+    (((1, 2), 5), ((2, 2), 4), ((2, 3), 3), True),
+    (((0, 0), 11), ((0, 2), 8), ((0, 3), 7), False),
+    (((0, 3), 5), ((2, 3), 2), ((3, 3), 1), True),
+    (((0, 2), 5), ((2, 2), 2), ((2, 3), 1), False),
+    (((0, 3), 4), ((1, 3), 2), ((3, 3), 0), False),
+    (((0, 2), 4), ((1, 2), 2), ((2, 3), 0), True),
+)
+
+
 def _metric_inverse(g: np.ndarray, out: np.ndarray | None = None) -> tuple[bool, bool]:
     """(finite, positive definite) for the metric components g (10, ...):
     finiteness, then Sylvester's criterion on the finite samples.  When
@@ -225,23 +244,21 @@ def _metric_inverse(g: np.ndarray, out: np.ndarray | None = None) -> tuple[bool,
         return True, False
     if out is None:
         return True, True
-    s0, s1, s2, s3, s4, s5 = s
-    c0, c1, c2, c3, c4, c5 = c
+    minors = s + c
     inv_det = 1.0 / det
-    cof = {
-        (0, 0): a[1, 1] * c5 - a[1, 2] * c4 + a[1, 3] * c3,
-        (0, 1): -a[0, 1] * c5 + a[0, 2] * c4 - a[0, 3] * c3,
-        (0, 2): a[1, 3] * s5 - a[2, 3] * s4 + a[3, 3] * s3,
-        (0, 3): -a[1, 2] * s5 + a[2, 2] * s4 - a[2, 3] * s3,
-        (1, 1): a[0, 0] * c5 - a[0, 2] * c2 + a[0, 3] * c1,
-        (1, 2): -a[0, 3] * s5 + a[2, 3] * s2 - a[3, 3] * s1,
-        (1, 3): a[0, 2] * s5 - a[2, 2] * s2 + a[2, 3] * s1,
-        (2, 2): a[0, 3] * s4 - a[1, 3] * s2 + a[3, 3] * s0,
-        (2, 3): -a[0, 2] * s4 + a[1, 2] * s2 - a[2, 3] * s0,
-        (3, 3): minor3,
-    }
-    for k, slot in enumerate(_SYM):
-        np.multiply(cof[slot], inv_det, out=out[k])
+    for o, ((x, u), (y, v), (z, w), negative) in zip(out, _COFACTORS):
+        # Each cofactor is summed left to right in its slot of out, then
+        # scaled there; -x u + y v is y v - x u, the same IEEE operation.
+        if negative:  # -x u + y v - z w
+            np.multiply(a[y], minors[v], out=o)
+            o -= a[x] * minors[u]
+            o -= a[z] * minors[w]
+        else:  # x u - y v + z w
+            np.multiply(a[x], minors[u], out=o)
+            o -= a[y] * minors[v]
+            o += a[z] * minors[w]
+        o *= inv_det
+    np.multiply(minor3, inv_det, out=out[len(_COFACTORS)])
     return True, True
 
 
@@ -350,12 +367,15 @@ def _battery_processes() -> int:
 # one row holds more.  Each group repeats every NumPy call of a stage, so
 # small groups cost more in call overhead than they save in memory.  A
 # battery group's buffers hold about 290 doubles per point and a case holds
-# nothing grid-sized, so with 4096 points a case with two steps peaks at
-# 11.0-12.0 MiB of traced arrays at 16^4 and 16.1-17.1 MiB at 32^4, the
-# more the more live components it has (see _plane_inverse).  Groups of
-# 1,024 and 2,048 points ran the 16^4 battery slower than 4,096 on one
-# CPU, and groups of 8,192 no faster.
-_SLAB_POINTS = 4096
+# nothing grid-sized, so with 2048 points (half a 16^4 time plane, two rows
+# at 32^4) a case with two steps peaks at 6.4-7.0 MiB of traced arrays at
+# 16^4 and 11.6-12.4 MiB at 32^4, the more the more live components it
+# has (see _plane_inverse); with 4096 points it peaked at 11.0-12.0 and
+# 16.1-17.1 MiB.  On one CPU, 2048-point groups run the 16^4 battery about
+# as fast as 4096-point ones (their transforms and dot products take less
+# time per point, their other NumPy calls more), and 1024-point groups
+# run it slower.
+_SLAB_POINTS = 2048
 
 # Most components per chunk of the pruned inverse's spatial passes (see
 # _plane_inverse), which bounds their scratch.  Chunks of 12 to 71
@@ -624,13 +644,13 @@ def _riemann_points(inv, kind, lin, c: float, out, buffers) -> None:
     np.take(inv, _SYM_INDEX, axis=0, out=ginv, mode="clip")  # unbuffered
     for q in range(4):
         np.einsum("s...,sc...->c...", ginv[q], low[:, 1:], out=up[q, 1:])
+    np.multiply(lin, c, out=out)
     for col, ((a, b, i, new_i), (a2, b2, j, new_j)) in enumerate(_QUADRATIC):
         if new_i:
             np.einsum("q...,q...->...", low[:, a], up[:, b], out=dots[i])
         if new_j:
             np.einsum("q...,q...->...", low[:, a2], up[:, b2], out=dots[j])
-        np.subtract(dots[i], dots[j], out=dots[0])
-        np.add(np.multiply(lin[col], c, out=dots[1]), dots[0], out=out[col])
+        out[col] += np.subtract(dots[i], dots[j], out=dots[0])
 
 
 def christoffel_riemann(m: MetricGrid4D) -> CurvatureGrid:
@@ -735,11 +755,31 @@ def _ricci_contraction_shortcut(B: np.ndarray) -> np.ndarray:
             c[k, l] += B[P, Q]
         else:
             c[k, l] -= B[P, Q]
-    tr = np.einsum("kk...->...", c)
+    half = 0.5 * np.einsum("kk...->...", c)
     out = np.negative(c, out=c)
     for i in range(3):
-        out[i, i] += 0.5 * tr
+        out[i, i] += half
     return out
+
+
+# Per entry (i, j) of the anti-self-dual block, in _SYM_PAIRS order: the
+# packed slots of its time pair term phi, of the two time-star terms of psi
+# and of its star-star term gam, and their factors 2 sign_i, 2 sign_j and
+# sign_i sign_j (see _asd_points).
+_ASD_TERMS = tuple(
+    (
+        i,
+        j,
+        int(_PACKED_INDEX[i, j]),
+        int(_PACKED_INDEX[_STAR[i], j]),
+        int(_PACKED_INDEX[_STAR[j], i]),
+        int(_PACKED_INDEX[_STAR[i], _STAR[j]]),
+        float(2 * _HODGE_SIGN[i]),
+        float(2 * _HODGE_SIGN[j]),
+        float(_HODGE_SIGN[i] * _HODGE_SIGN[j]),
+    )
+    for i, j in _SYM_PAIRS
+)
 
 
 def _asd_points(Rs: np.ndarray, o: np.ndarray) -> tuple[float, float]:
@@ -750,16 +790,19 @@ def _asd_points(Rs: np.ndarray, o: np.ndarray) -> tuple[float, float]:
     The shortcut is bitwise symmetric (its c_kl and c_lk add the same
     terms in the same order), so the defect of each of the six distinct
     entries is read on one side."""
-    P, star, sign = _PACKED_INDEX, _STAR, _HODGE_SIGN
-    shortcut = _ricci_contraction_shortcut(Rs[P[3:, 3:]])  # the spatial pair block
-    defects, diagonal = [], []
-    for i, j in _SYM_PAIRS:
+    shortcut = _ricci_contraction_shortcut(Rs[_PACKED_INDEX[3:, 3:]])  # the spatial pair block
+    gaps = np.empty((len(_ASD_TERMS),) + Rs.shape[1:])  # gam - shortcut, per entry
+    diagonal = []
+    for gap, (i, j, phi, x, y, z, two_i, two_j, sign) in zip(gaps, _ASD_TERMS):
         # phi - psi + gam: the time pair block, the symmetrized time-star
         # block and the star-star block of the pair matrix.
-        psi = 0.5 * (2 * sign[i] * Rs[P[star[i], j]] + 2 * sign[j] * Rs[P[star[j], i]])
-        gam = sign[i] * sign[j] * Rs[P[star[i], star[j]]]
-        entry = Rs[P[i, j]] - psi + gam
-        defects.append(_max_abs(gam - shortcut[i, j]))
+        psi = two_i * Rs[x]
+        psi += two_j * Rs[y]
+        psi *= 0.5
+        gam = sign * Rs[z]
+        entry = Rs[phi] - psi
+        entry += gam
+        np.subtract(gam, shortcut[i, j], out=gap)
         if i == j:
             diagonal.append(entry)
         else:
@@ -767,9 +810,10 @@ def _asd_points(Rs: np.ndarray, o: np.ndarray) -> tuple[float, float]:
     tr = 0.0 + diagonal[0]
     tr += diagonal[1]
     tr += diagonal[2]
+    tr /= 3.0
     for i, entry in enumerate(diagonal):
-        np.subtract(entry, tr / 3.0, out=o[..., i, i])
-    return float(_max_abs(Rs)), float(np.max(defects))
+        np.subtract(entry, tr, out=o[..., i, i])
+    return float(_max_abs(Rs)), float(_max_abs(gaps))
 
 
 def _check_defect(reports) -> None:
@@ -871,7 +915,7 @@ def _real_part_spectrum(field, picks, shape, periods) -> Spectrum:
     _check_sampling(field.grid, shape, periods)
     box, positions = _coefficient_box(field, picks, shape, periods)
     nt, n = shape[0], math.prod(shape)
-    times = np.union1d(positions[0], -positions[0] % nt)
+    times = _sorted_unique(np.concatenate((positions[0], -positions[0] % nt)))
     full = _widen(box, 1, np.searchsorted(times, positions[0]), len(times))
     band = box.shape[-1] // 2
     mirror = np.conj(full[:, np.searchsorted(times, -times % nt), ::-1, ::-1, band::-1])
@@ -1066,8 +1110,7 @@ def fd_linearization_errors(
     sample_sum, exact_sum = _SquareSum(10 * n), _SquareSum(9 * n)
     diff_sums = [_SquareSum(9 * n) for _ in eps_values]
     for points, sample, block, differences in _fd_differences(periods, spectrum, exact, eps_values):
-        for c, component in enumerate(sample):  # the sample is components-first
-            sample_sum.add(c * n + points.start, component)
+        sample_sum.add_runs(points.start, n, sample)  # one run per component
         exact_sum.add(9 * points.start, block)
         for eps, diff, diff_sum in zip(eps_values, differences, diff_sums):
             diff /= 2 * eps

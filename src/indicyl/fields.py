@@ -113,6 +113,13 @@ _PAIRWISE_LEAF = 128
 _PAIRWISE_LANES = 8
 
 
+def _sorted_unique(values: np.ndarray) -> np.ndarray:
+    """np.unique(values) of a 1-D integer array: its distinct values in
+    increasing order, in its dtype.  Formed in Python because np.unique
+    imports numpy.ma, 1.3 MB that nothing else here needs."""
+    return np.array(sorted(set(values.tolist())), dtype=values.dtype)
+
+
 def _as_index(idx: np.ndarray):
     """idx, or the slice it spells when it is a run of consecutive integers."""
     if len(idx) and idx[-1] - idx[0] == len(idx) - 1:
@@ -178,7 +185,7 @@ def _run_plan(tree: tuple[int, int, int], start: int, stride: int, count: int, l
     if leaves:
         leaves, starts = np.concatenate(leaves), np.concatenate(starts)
         lengths = bounds[leaves + 1] - bounds[leaves]
-        for size in np.unique(lengths):
+        for size in _sorted_unique(lengths):
             at = lengths == size
             held = starts[at]
             if held[-1] - held[0] == size * (len(held) - 1):
@@ -289,12 +296,11 @@ class _PairwiseSum:
 
 class _SquareSum(_PairwiseSum):
     """np.sum(np.square(x)) of a float array x of size values, bit for bit,
-    from pieces of x fed in any order (see add)."""
+    from pieces of x fed in any order (see add and add_runs, which feed
+    the squares of the values they are given)."""
 
-    def add(self, offset: int, values: np.ndarray) -> None:
-        """Feeds the squares of values, x[offset : offset + values.size]
-        in C order; every value of x must be fed exactly once."""
-        super().add(offset, np.square(values))
+    def add_runs(self, start: int, stride: int, runs: np.ndarray) -> None:
+        super().add_runs(start, stride, np.square(runs))
 
     def norm(self) -> float:
         """sqrt of the sum, as _norm takes it of a real array."""

@@ -57,6 +57,9 @@ _EIG_TOL = 1e-12
 # Torus eigenvalues within this relative distance (absolute below 1) of each
 # other form one level.
 _LEVEL_TOL = 1e-9
+# torus_spectrum enumerates the lattice vectors whose eigenvalue is at most
+# the cutoff times 1 + this, so that a level straddling the cutoff is whole.
+_CUTOFF_REACH = 1e-6
 # Largest (2 pi / L)^2 of a torus side: every catalog's levels stay finite.
 _LEVEL_MAX = 1e200
 
@@ -349,8 +352,7 @@ def torus_spectrum(lengths: tuple[float, float, float], cutoff: float) -> list[S
     if not (cutoff > 0 and math.isfinite(cutoff)):
         raise ValueError(f"cutoff must be a positive finite number, got {cutoff}")
     L = Torus(lengths).lengths
-    # The box reaches past the cutoff so that a level straddling it is whole.
-    reach = cutoff * (1 + 1e-6)
+    reach = cutoff * (1 + _CUTOFF_REACH)
     a1, a2, a3 = (
         [(2 * math.pi * k / Li) ** 2 for k in range(int(Li * math.sqrt(reach) / (2 * math.pi)) + 1)]
         for Li in L

@@ -868,6 +868,20 @@ def test_cli_start_up_loads_no_pickle_or_multiprocessing():
     assert proc.stdout == "[]\n"
 
 
+@pytest.mark.parametrize("suite", ["identities", "linearization"])
+def test_verify_suites_load_no_numpy_ma(suite):
+    # np.unique and np.union1d import numpy.ma (1.3 MB); the identity
+    # suite's summation plans and the battery's sampling form their sorted
+    # integer sets without them.
+    probe = (
+        "import sys, indicyl.cli; code = indicyl.cli.main(sys.argv[1:]); "
+        'print(code, "numpy.ma" in sys.modules)'
+    )
+    proc = run_python("-c", probe, "verify", suite, "--N", "8")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.endswith("\n0 False\n")
+
+
 def test_linearization_runs_with_warnings_as_errors():
     # Forking a process with threads warns on Python 3.12+; a worker's
     # stray output would show in stdout or stderr.

@@ -3,6 +3,7 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from indicyl import fields as F
 from indicyl.fields import (
@@ -466,6 +467,18 @@ def test_complex_pairwise_sum_matches_np_sum(size):
             total.add(lo, x[lo:hi])
         got, want = complex(total.total()), complex(np.sum(x))
         assert (got.real.hex(), got.imag.hex()) == (want.real.hex(), want.imag.hex())
+
+
+# _sorted_unique replaces np.unique in the summation plans and np.union1d
+# (np.unique of the concatenation) in the sampling of a cylinder field,
+# whose time positions are joined by their negatives modulo the grid size;
+# both numpy functions import numpy.ma.  Values, order and dtype must match.
+@given(st.lists(st.integers(-40, 40), max_size=16), st.integers(1, 17))
+def test_sorted_unique_matches_np_unique_and_union1d(values, n):
+    x = np.array(values, dtype=np.int64)
+    a, b = x % n, -x % n
+    for got, want in ((F._sorted_unique(x), np.unique(x)), (F._sorted_unique(np.concatenate((a, b))), np.union1d(a, b))):
+        assert got.dtype == want.dtype and got.tolist() == want.tolist()
 
 
 # Slab views fed in shuffled order, one plane, several planes and the

@@ -267,6 +267,20 @@ def test_torus_level_grouping_is_transitive():
     assert [m for _, _, m in got] == [1, 6]
 
 
+@pytest.mark.parametrize("past,whole", [(0.99e-6, True), (1.01e-6, False)], ids=["inside", "outside"])
+def test_torus_box_reaches_cutoff_reach_past_the_cutoff(monkeypatch, past, whole):
+    # A level straddling the cutoff is kept whole only as far as the box
+    # reaches, _CUTOFF_REACH past it.  Real levels are far narrower than the
+    # reach, so levels are widened to 1e-5 here: the level {1, 1 + past}
+    # (two vectors each) has its smallest member at the cutoff, and its
+    # upper member counts only inside the reach.
+    assert spectra._CUTOFF_REACH == 1e-6
+    monkeypatch.setattr(spectra, "_LEVEL_TOL", 1e-5)
+    lengths = (2 * math.pi, 2 * math.pi / math.sqrt(1 + past), math.pi)
+    got = [(e.j, e.multiplicity) for e in torus_spectrum(lengths, 1.0)]
+    assert got == [(0, 1), (1, 4 if whole else 2)]
+
+
 @pytest.mark.parametrize("lengths", [(2e5, 1.0, 1.0), (1.0, 1.0, 1e300)])
 def test_torus_rejects_sides_past_the_grouping_floor(lengths):
     with pytest.raises(ValueError, match="too long"):
