@@ -363,11 +363,34 @@ def cmd_lens(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _import_numpy_random() -> None:
+    """Import numpy.random without OpenSSL; nothing to do once numpy.random
+    or _hashlib is loaded.
+
+    numpy.random imports secrets, whose hmac loads _hashlib and so maps
+    libcrypto (3.4 MB resident), though a seeded generator never calls it.
+    With _hashlib masked for this one import, hmac and hashlib take their
+    builtin fallbacks.  The mask is then lifted and the two fallback modules
+    leave sys.modules, so a later import of _hashlib, hashlib or hmac loads
+    them in full."""
+    if "numpy.random" in sys.modules or "_hashlib" in sys.modules:
+        return
+    fallbacks = {"hashlib", "hmac"} - sys.modules.keys()
+    sys.modules["_hashlib"] = None
+    try:
+        __import__("numpy.random")
+    finally:
+        del sys.modules["_hashlib"]
+        for name in fallbacks:
+            sys.modules.pop(name, None)
+
+
 def run_identities(n: int = 8, seed: int = 7):
     """Operator-identity suite on fixed-seed random fields; band limit is
     n/2 - 1 so all fields are resolvable on an n-point grid."""
     from . import fields
 
+    _import_numpy_random()
     band = max(1, n // 2 - 1)
     results = fields.identity_suite(band=band, seed=seed)
     report = [
@@ -399,6 +422,7 @@ def run_linearization(n: int = 16, seed: int = 11, eps: float = 1e-4):
     quadratic metric products stay below the Nyquist frequency."""
     from . import curvature
 
+    _import_numpy_random()
     battery = curvature.linearization_battery(seed=seed, band=2 if n >= 16 else 1)
     cases = [(ht, [eps, eps / 2] if i == 0 else [eps]) for i, ht in enumerate(battery)]
     report = []

@@ -196,10 +196,23 @@ def type2_roots(nu: float, kappa: int) -> list[complex]:
 
 
 def alpha_pm(mu: float, kappa: int) -> tuple[complex, complex]:
-    """The two branch rates alpha^{+-}(mu) of the scalar-driven mixed system."""
+    """The two branch rates alpha^{+-}(mu) of the scalar-driven mixed system.
+
+    Where mu - 2 kappa and +-2 sqrt(kappa^2 - mu kappa / 3) are real with
+    opposite signs, their sum cancels: alpha^- at kappa = -1 (mu >= 0) and
+    alpha^+ at kappa = +1 (0 <= mu < 2).  There the square is the difference
+    of the two squares over the conjugate sum, which loses no digits:
+    alpha^-(mu)^2 = (mu^2 + 8 mu / 3) / (mu + 2 + 2 sqrt(1 + mu / 3)) and
+    alpha^+(mu)^2 = (8 mu / 3 - mu^2) / (2 - mu + 2 sqrt((3 - mu) / 3)).  For
+    2 <= mu < 3 both terms of alpha^+ are nonnegative, and the conjugate
+    form would cancel instead (it is 0/0 at mu = 8/3)."""
     disc = _csqrt(complex(kappa * kappa - mu * kappa / 3.0))
     ap = _csqrt(complex(mu - 2 * kappa) + 2 * disc)
     am = _csqrt(complex(mu - 2 * kappa) - 2 * disc)
+    if kappa == -1 and mu >= 0:
+        am = _csqrt(complex((mu * mu + 8 * mu / 3) / (mu + 2 + 2 * math.sqrt(1 + mu / 3))))
+    elif kappa == 1 and 0 <= mu < 2:
+        ap = _csqrt(complex((8 * mu / 3 - mu * mu) / (2 - mu + 2 * math.sqrt((3 - mu) / 3))))
     return ap, am
 
 

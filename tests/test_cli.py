@@ -1,4 +1,5 @@
 import hashlib
+import hmac
 import json
 import math
 import os
@@ -868,18 +869,58 @@ def test_cli_start_up_loads_no_pickle_or_multiprocessing():
     assert proc.stdout == "[]\n"
 
 
+# Runs the command in argv, with a forked battery worker even on one CPU,
+# and prints for the command's process and for each worker as it exits:
+# whether numpy.ma and _hashlib are loaded and libcrypto is mapped.
+_LEAN_PROBE = """
+import os, sys
+from indicyl import cli, curvature
+def report(who):
+    maps = open("/proc/self/maps").read() if os.path.exists("/proc/self/maps") else ""
+    return f"{who} {'numpy.ma' in sys.modules} {'_hashlib' in sys.modules} {'libcrypto' in maps}\\n"
+exit_ = os._exit
+def reported_exit(code):
+    os.write(1, report("worker").encode())
+    exit_(code)
+os._exit = reported_exit
+curvature._battery_processes = lambda: 2
+code = cli.main(sys.argv[1:])
+print(code, report("command"), end="")
+"""
+
+
 @pytest.mark.parametrize("suite", ["identities", "linearization"])
-def test_verify_suites_load_no_numpy_ma(suite):
+def test_verify_suites_load_no_numpy_ma(suite, tmp_path):
     # np.unique and np.union1d import numpy.ma (1.3 MB); the identity
     # suite's summation plans and the battery's sampling form their sorted
-    # integer sets without them.
-    probe = (
-        "import sys, indicyl.cli; code = indicyl.cli.main(sys.argv[1:]); "
-        'print(code, "numpy.ma" in sys.modules)'
-    )
-    proc = run_python("-c", probe, "verify", suite, "--N", "8")
+    # integer sets without them.  numpy.random imports secrets, whose hmac
+    # would load _hashlib and map OpenSSL's libcrypto (3.4 MB); the suites
+    # import numpy.random with _hashlib masked, and the worker forked after
+    # that inherits the lean process.
+    proc = run_python("-c", _LEAN_PROBE, "verify", suite, "--N", "8", "--out", str(tmp_path / "out.json"))
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.endswith("\n0 False\n")
+    workers = ["worker False False False\n"] if suite == "linearization" else []
+    assert proc.stdout == "".join(workers) + "0 command False False False\n"
+    assert json.loads((tmp_path / "out.json").read_text())["pass"] is True
+
+
+def test_hashlib_works_after_a_verify_suite():
+    # The mask is lifted after numpy.random is imported, and the fallback
+    # hashlib and hmac leave sys.modules: later imports load them in full.
+    _hashlib = pytest.importorskip("_hashlib")
+    probe = (
+        "import sys\n"
+        "from indicyl import cli\n"
+        "assert cli.main(sys.argv[1:]) == 0\n"
+        "import _hashlib, hashlib, hmac\n"
+        "print(hashlib.sha256(b'm').hexdigest(), hmac.new(b'k', b'm', 'sha256').hexdigest(),\n"
+        "      hashlib.sha256 is _hashlib.openssl_sha256)"
+    )
+    proc = run_python("-c", probe, "verify", "identities", "--N", "8", "--out", os.devnull)
+    assert proc.returncode == 0, proc.stderr
+    sha = hashlib.sha256(b"m").hexdigest()
+    mac = hmac.new(b"k", b"m", "sha256").hexdigest()
+    assert proc.stdout == f"{sha} {mac} {hashlib.sha256 is _hashlib.openssl_sha256}\n"
 
 
 def test_linearization_runs_with_warnings_as_errors():
@@ -888,6 +929,14 @@ def test_linearization_runs_with_warnings_as_errors():
     proc = run_python("-W", "error", "-m", "indicyl.cli", "verify", "linearization", "--N", "8")
     assert proc.returncode == 0 and proc.stderr == ""
     assert hashlib.sha256(proc.stdout.encode()).hexdigest() == PINNED_LINEARIZATION_N8
+
+
+def test_identities_runs_with_warnings_as_errors():
+    # hashlib and hmac, imported without _hashlib under numpy.random, take
+    # their builtin fallbacks without a warning or a logged error.
+    proc = run_python("-W", "error", "-m", "indicyl.cli", "verify", "identities", "--N", "8")
+    assert proc.returncode == 0 and proc.stderr == ""
+    assert hashlib.sha256(proc.stdout.encode()).hexdigest() == PINNED_IDENTITIES_N8
 
 
 def _running(pid: int) -> bool:
@@ -1081,6 +1130,7 @@ def test_linearization_stdout_independent_of_cpu_count(argv):
 # release.  The oracle's mismatches are LAPACK rounding, so its digest holds
 # for one numpy build and CPU family.  A digest is re-pinned, with the
 # changed numbers stated, when what it depends on changes.
+PINNED_IDENTITIES_N8 = "a6c647df0fd3bd0102684786b09efc0c6e6c11f07a0a166c25146a2de9f31777"
 PINNED_LINEARIZATION_N8 = "950a197530587991639f46986b19028ee919c6ad71010fb04121c37c0c5015b4"
 PINNED_SPECTRUM = """\
 b1 2
@@ -1140,7 +1190,7 @@ tt 3 7.25 2
         ),
         (
             "roots --hyperbolic spectrum.txt --jmax 2",
-            "a8103c7eabd81fd2b49f38b1d53f8c7598aa6135b527f77021dec56e875976e9",
+            "ed42b06ad4f63fe1c08d57d081e129383b3273254ea6de85320e23c767e9b86a",
         ),
         (
             "ks --hyperbolic spectrum.txt",
@@ -1152,11 +1202,11 @@ tt 3 7.25 2
         ),
         (
             "gap --hyperbolic spectrum.txt --jmax 2",
-            "41e8b66a839541ee60dbd6a23a8a08e6020a04e8449f16c25c7d6cd317e84985",
+            "458c0ab7076297aed74d1ffcd43e2572852ed80895cb0915b14eb349bfa6dd40",
         ),
         (
             "roots --hyperbolic spectrum.txt --jmax 2 --format csv",
-            "574ea5099609d0b1afeabe9ba47c3e91799c93207b5c25f1a2a1b3fa2c885a75",
+            "7c43fac8f23b8bbf8dc40df82e3cc6d1df9bd3366293a462ccf7b4db6f5f2c76",
         ),
         (
             "verify identities --N 32 --seed 5",
@@ -1166,10 +1216,7 @@ tt 3 7.25 2
             "verify identities --N 16 --seed 77",
             "2805ffbd4e6ba51a0923df549dc3e920c91fe81bdfc8f9468a47120ca5c44473",
         ),
-        (
-            "verify identities --N 8",
-            "a6c647df0fd3bd0102684786b09efc0c6e6c11f07a0a166c25146a2de9f31777",
-        ),
+        ("verify identities --N 8", PINNED_IDENTITIES_N8),
         ("verify linearization --N 8", PINNED_LINEARIZATION_N8),
         (
             "verify linearization --N 16 --seed 11",

@@ -1,5 +1,6 @@
 import cmath
 import contextlib
+import decimal
 import io
 import json
 import math
@@ -121,6 +122,28 @@ def test_alpha_pm_imaginary_normalization():
             complex(mu - 2, (2.0 / 3.0) * math.sqrt(3.0 * (j - 1) * (j + 3)))
         )
         assert abs(ap - expected) < 1e-12
+
+
+def _decimal_alpha(mu: float, kappa: int, sign: int) -> decimal.Decimal:
+    """alpha^{sign}(mu) from the module docstring's formula, in 50-digit
+    decimal arithmetic from the exact binary value of mu (real radicands
+    only)."""
+    with decimal.localcontext(prec=50):
+        m, k = decimal.Decimal(mu), decimal.Decimal(kappa)
+        return (m - 2 * k + sign * 2 * (k * k - m * k / 3).sqrt()).sqrt()
+
+
+@pytest.mark.parametrize("mu", [1e-12, 1e-6, 1e-3, 0.7, 2.5])
+@pytest.mark.parametrize("kappa,branch", [(-1, 1), (1, 0)], ids=["alpha_minus_kappa_-1", "alpha_plus_kappa_1"])
+def test_cancelling_alpha_branch_within_two_ulps(kappa, branch, mu):
+    # Where mu - 2 kappa and the discriminant term have opposite signs,
+    # alpha_pm forms the square over the conjugate sum; the direct sum lost
+    # about eps / mu (402 ulps of alpha^- at mu = 1e-3, relative 2.7e-4 at
+    # 1e-12).  At kappa = 1 and mu = 2.5 the direct sum has no cancellation.
+    got = alpha_pm(mu, kappa)[branch]
+    exact = _decimal_alpha(mu, kappa, -1 if branch else 1)
+    assert got.imag == 0.0
+    assert abs(decimal.Decimal(got.real) - exact) <= 2 * decimal.Decimal(math.ulp(float(exact)))
 
 
 # ---------------------------------------------------------------------------
