@@ -620,7 +620,7 @@ _DOT_ROWS = 1 + max(row for slot in _QUADRATIC for _, _, row, _ in slot)
 def _riemann_buffers(size: int) -> tuple[np.ndarray, ...]:
     """Scratch arrays for _riemann_points on up to size points."""
     low, up = np.empty((2, 4, 10, size))
-    return low, up, np.empty((4, 4, size)), np.empty((_DOT_ROWS, size))
+    return low, up, np.empty((4, size)), np.empty((_DOT_ROWS, size))
 
 
 def _riemann_points(inv, kind, lin, c: float, out, buffers) -> None:
@@ -641,9 +641,9 @@ def _riemann_points(inv, kind, lin, c: float, out, buffers) -> None:
     low, up, ginv, dots = (b[..., : out.shape[1]] for b in buffers)
     for q, f in enumerate(kind):
         np.multiply(f, half_c, out=low[q])
-    np.take(inv, _SYM_INDEX, axis=0, out=ginv, mode="clip")  # unbuffered
-    for q in range(4):
-        np.einsum("s...,sc...->c...", ginv[q], low[:, 1:], out=up[q, 1:])
+    for q in range(4):  # row q of the inverse metric, then Gam^q_mn
+        np.take(inv, _SYM_INDEX[q], axis=0, out=ginv, mode="clip")  # unbuffered
+        np.einsum("s...,sc...->c...", ginv, low[:, 1:], out=up[q, 1:])
     np.multiply(lin, c, out=out)
     for col, ((a, b, i, new_i), (a2, b2, j, new_j)) in enumerate(_QUADRATIC):
         if new_i:
@@ -1036,10 +1036,15 @@ def _fd_differences(periods, spectrum: Spectrum, exact: Spectrum, eps_values):
     invert = _plane_inverse(stack, spectrum.positions, shape, planes, rows)
     invert_exact = _plane_inverse(exact_stack, exact.positions, shape, planes, rows)
     values_buf, exact_buf = np.empty((len(stack), n)), np.empty((len(exact_stack), n))
-    g_buf, inv_buf, R_buf = np.empty((10, n)), np.empty((10, n)), np.empty((len(_PACKED), n))
-    block_buf, minus_buf = np.empty((n, 3, 3)), np.empty((n, 3, 3))
+    inv_buf, R_buf = np.empty((10, n)), np.empty((len(_PACKED), n))
+    block_buf = np.empty((n, 3, 3))
     diff_bufs = [np.empty((n, 3, 3)) for _ in eps_values]
     buffers = _riemann_buffers(n)
+    # Dead buffers hold the next stage's values: the metric I + c s is read
+    # only by _metric_inverse, so it sits in R's first rows, and the scratch
+    # up of _riemann_points is free once R is formed, so it holds the block
+    # of I - eps s until that is taken from the block of I + eps s.
+    minus_buf = buffers[1].reshape(-1)[: 9 * n].reshape(n, 3, 3)
     evaluations = []  # (step, (finite, positive), (peak, defect)) per group
     for times, block, points in _groups(shape):
         _exit_if_orphaned()
@@ -1052,7 +1057,7 @@ def _fd_differences(periods, spectrum: Spectrum, exact: Spectrum, eps_values):
         for c, (i, j) in enumerate(_SYM_PAIRS):
             exact_block[:, i, j] = exact_block[:, j, i] = cross[c]
         lin, kind, s = flat[: len(_PACKED)], np.split(flat[len(_PACKED) : _DERIVATIVES], 4), flat[_DERIVATIVES:]
-        g, inv, R, minus = g_buf[:, :w], inv_buf[:, :w], R_buf[:, :w], minus_buf[:w]
+        g, inv, R, minus = R_buf[:10, :w], inv_buf[:, :w], R_buf[:, :w], minus_buf[:w]
         differences = []
         for step, (i, c) in enumerate(steps):
             np.multiply(s, c, out=g)

@@ -88,7 +88,8 @@ _IDENTITY_TOL = 1e-10
 # Fewest modes per slab of the identity suite, which evaluates every
 # identity one slab of whole mode planes at a time (see _slab_planes), so
 # that the operators' temporaries are slab-sized rather than box-sized.
-_SLAB_MODES = 4096
+# 2048 modes are 3 planes of a band-15 box and 10 of a band-7 box.
+_SLAB_MODES = 2048
 
 
 def _norm(x: np.ndarray) -> float:
@@ -156,7 +157,9 @@ def _pairwise_tree(size: int, leaf: int = _PAIRWISE_LEAF, lanes: int = _PAIRWISE
     return np.append(leaf_starts, size), levels
 
 
-@lru_cache(maxsize=128)
+# One band-15 identity suite makes 134 plans, so the cache keeps every plan
+# of a suite for the next suite in the process.
+@lru_cache(maxsize=256)
 def _run_plan(tree: tuple[int, int, int], start: int, stride: int, count: int, length: int):
     """How runs r = 0 .. count - 1 of length values, run r at start + r
     stride of a tree's values, cover its leaves.  The leaves that lie whole
@@ -320,23 +323,44 @@ class ModeGrid:
         self.band = band
         self.size = 2 * band + 1
         k = np.arange(-band, band + 1)
-        axes = [2 * math.pi * k / L for L in self.lengths]
-        self.xi = np.array(np.meshgrid(*axes, indexing="ij"))  # (3, M, M, M)
-        self.xi_sq = _dot(self.xi, self.xi)
+        self._axes = tuple(2 * math.pi * k / L for L in self.lengths)
         self.planes, self.shape = (0, self.size), (self.size,) * 3
         self._zeros: dict[type, _Field] = {}  # see _Field._shared_zero
         self._slabs: dict[tuple[int, int], ModeGrid] = {}
+        self._xi_cache: list = [None]  # see _xi_pair; shared with the slab views
 
     def slab(self, lo: int, hi: int) -> ModeGrid:
-        """The view of this box's planes lo:hi: planes (lo, hi), the slab's
-        shape, xi and xi_sq sliced; one per slab, so its zero parts are shared."""
+        """The view of this box's planes lo:hi: planes (lo, hi) and the
+        slab's shape; one per slab, so its zero parts are shared."""
         self._require_box("a slab view")
         hi = min(hi, self.size)
         if (lo, hi) not in self._slabs:
             self._slabs[lo, hi] = view = object.__new__(ModeGrid)
-            sliced = {"xi": self.xi[:, lo:hi], "xi_sq": self.xi_sq[lo:hi], "shape": (hi - lo,) + self.shape[1:]}
-            view.__dict__.update(self.__dict__, **sliced, planes=(lo, hi), _zeros={}, _slabs={})
+            view.__dict__.update(self.__dict__, shape=(hi - lo,) + self.shape[1:], planes=(lo, hi), _zeros={}, _slabs={})
         return self._slabs[lo, hi]
+
+    @property
+    def xi(self) -> np.ndarray:
+        """The lattice vectors 2 pi k / L of this grid's modes, (3,) + shape."""
+        return self._xi_pair()[0]
+
+    @property
+    def xi_sq(self) -> np.ndarray:
+        """|xi|^2 of this grid's modes, summed in index order."""
+        return self._xi_pair()[1]
+
+    def _xi_pair(self) -> tuple[np.ndarray, np.ndarray]:
+        """xi and xi_sq of this grid's planes, built on first use: the values
+        of the box's meshgrid and its _dot, bit for bit.  The box and its
+        slab views share one cache entry, which keeps the pair of the last
+        grid asked, so a slab loop holds one slab's pair and never the box's."""
+        entry = self._xi_cache[0]
+        if entry is None or entry[0] != self.planes:
+            (lo, hi), (a0, a1, a2) = self.planes, self._axes
+            xi = np.empty((3,) + self.shape)
+            xi[0], xi[1], xi[2] = a0[lo:hi, None, None], a1[:, None], a2
+            entry = self._xi_cache[0] = (self.planes, xi, _dot(xi, xi))
+        return entry[1:]
 
     def _require_box(self, what: str) -> None:
         if self.planes != (0, self.size):
@@ -511,8 +535,22 @@ def _conf_killing(xi, w):
 
 
 def _slash_d(xi, h):
-    a = 1j * _cross(xi, h)
-    return a + a.swapaxes(0, 1)
+    """Sym(1j eps_{ikl} xi_k h_{lj}) in one (3, 3, ...) array, with one
+    product temporary at a time: the rows of _cross, then 1j times them,
+    then a_ij + a_ji entry pair by entry pair, the IEEE operations of
+    a = 1j * _cross(xi, h); a + a.swapaxes(0, 1)."""
+    rows = np.broadcast_shapes(xi.shape[1:], h.shape[1:])  # (3, ...)
+    out = np.empty((3,) + rows, dtype=np.result_type(xi, h, 1j))
+    product = np.empty(rows, dtype=out.dtype)
+    for a, (k, l) in zip(out, ((1, 2), (2, 0), (0, 1))):
+        np.multiply(xi[k], h[l], out=a)
+        a -= np.multiply(xi[l], h[k], out=product)
+    out *= 1j
+    for i, j in _SYM_PAIRS:
+        out[i, j] += out[j, i]
+        if i != j:
+            out[j, i] = out[i, j]
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -1185,9 +1223,10 @@ def _self_adjoint_residual(h: FourierSymTensor, hp: FourierSymTensor) -> float:
 
 def _slashd_trace_residual(h: FourierSymTensor, u: FourierScalar) -> float:
     """Identity 6: |tr slashd h| over |slashd h|, and |slashd(u g)| over
-    |u g| times the largest |xi|^2, the larger of the two, all norms
-    streamed slab by slab (see _SlabNorm)."""
+    |u g| times the largest |xi|^2 (at least 1), the larger of the two, all
+    norms and the largest |xi|^2 streamed slab by slab (see _SlabNorm)."""
     trace_norm, slashd_norm, pure_norm, ug_norm = (_SlabNorm() for _ in range(4))
+    xi_sq_max = 1.0
     for lo, hi in _slab_planes(h.grid):
         d = slash_d(h.slab(lo, hi))
         trace_norm.add(trace(d))
@@ -1196,22 +1235,23 @@ def _slashd_trace_residual(h: FourierSymTensor, u: FourierScalar) -> float:
         ug = FourierSymTensor(us.grid, _g(us.data))
         pure_norm.add(slash_d(ug))
         ug_norm.add(ug)
+        xi_sq_max = max(xi_sq_max, float(us.grid.xi_sq.max()))
     r1 = _rel_residual_scaled(trace_norm.norm(), slashd_norm.norm())
-    r2 = _rel_residual_scaled(pure_norm.norm(), ug_norm.norm() * max(1.0, h.grid.xi_sq.max()))
+    r2 = _rel_residual_scaled(pure_norm.norm(), ug_norm.norm() * xi_sq_max)
     return max(r1, r2)
 
 
 def _killing_residual(omt: CylOneForm) -> float:
-    """Identity 9: |D(K_cyl w)| over |K_cyl w| times the largest |xi|^2, and
-    the relative defect of box_K w = div(K_cyl w), the larger of the two,
-    all norms streamed slab by slab (see _SlabNorm).  Its cylinder fields
-    hold about four times as many values per mode as the Fourier fields of
-    the other identities (K_cyl w alone holds three terms of 13
-    components), so a box that takes more than one slab of _SLAB_MODES is
-    cut into slabs of a quarter as many modes; a smaller box stays whole."""
-    whole = omt.grid.size**3 <= _SLAB_MODES
+    """Identity 9: |D(K_cyl w)| over |K_cyl w| times the largest |xi|^2 (at
+    least 1), and the relative defect of box_K w = div(K_cyl w), the larger
+    of the two, all norms and the largest |xi|^2 streamed slab by slab (see
+    _SlabNorm).  Its cylinder fields hold about four times as many values
+    per mode as the Fourier fields of the other identities (K_cyl w alone
+    holds three terms of 13 components), so its slabs hold a quarter of
+    _SLAB_MODES."""
     d_kg, kg_norm, box, div_kg, defect = (_SlabNorm() for _ in range(5))
-    for lo, hi in _slab_planes(omt.grid, _SLAB_MODES if whole else _SLAB_MODES // 4):
+    xi_sq_max = 1.0
+    for lo, hi in _slab_planes(omt.grid, _SLAB_MODES // 4):
         w = omt.slab(lo, hi)
         kg = cyl_killing(w)
         d_kg.add(linearized_weyl(kg))
@@ -1220,7 +1260,8 @@ def _killing_residual(omt: CylOneForm) -> float:
         box.add(b)
         div_kg.add(d)
         defect.add(b + d)
-    r1 = _rel_residual_scaled(d_kg.norm(), kg_norm.norm() * max(1.0, omt.grid.xi_sq.max()))
+        xi_sq_max = max(xi_sq_max, float(w.grid.xi_sq.max()))
+    r1 = _rel_residual_scaled(d_kg.norm(), kg_norm.norm() * xi_sq_max)
     scale = max(box.norm(), div_kg.norm())
     r2 = 0.0 if scale == 0.0 else defect.norm() / scale
     return max(r1, r2)

@@ -159,14 +159,18 @@ def type3_roots(lam: float, kappa: int) -> list[tuple[complex, bool]]:
 
     kappa=+1 gives {+-(beta+1), +-(beta-1)}; kappa=-1 gives {+-beta +- i}
     (the purely imaginary pair {+-i} at lam=3); kappa=0 gives double roots
-    +-sqrt(lam) carrying genuine t-terms.
+    +-sqrt(lam) carrying genuine t-terms.  beta is 0 where lam + 3 kappa is
+    at most _ZERO_TOL: at kappa=-1 that is the loader's Codazzi decision
+    |lam - 3| <= _EIG_TOL (also 1e-12, on the same exact difference), and at
+    kappa=0 the torus's parallel decision lam <= _EIG_TOL.
     """
     bound = TT_LOWER_BOUND[kappa]
     if lam < bound - _ZERO_TOL:
         raise ValueError(
             f"TT eigenvalue {lam} below the lower bound {bound} for kappa={kappa}"
         )
-    beta = math.sqrt(max(lam + 3 * kappa, 0.0))
+    shifted = lam + 3 * kappa
+    beta = math.sqrt(shifted) if shifted > _ZERO_TOL else 0.0
     if kappa == 1:
         vals = {beta + 1, beta - 1, -beta + 1, -beta - 1}
         return [(complex(v), False) for v in sorted(vals)]
@@ -179,7 +183,7 @@ def type3_roots(lam: float, kappa: int) -> list[tuple[complex, bool]]:
         }
         return [(v, False) for v in sorted(vals, key=lambda z: (z.real, z.imag))]
     # kappa == 0: each branch ODE is (d/dt -+ beta)^2, a genuine double root.
-    if beta <= _ZERO_TOL:  # parallel TT tensors: constant and t-linear solutions
+    if beta == 0.0:  # parallel TT tensors: constant and t-linear solutions
         return [(complex(0.0), True)]
     return [(complex(-beta), True), (complex(beta), True)]
 

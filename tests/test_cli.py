@@ -314,6 +314,46 @@ def test_gap_lens(capsys):
     assert doc["window"] == [0.0, 2.0]
 
 
+def _codazzi_edge():
+    """The last float above 3 that the loader counts as a Codazzi
+    eigenvalue (|lam - 3| <= _EIG_TOL), and the next float."""
+    inside = 3.0 + spectra._EIG_TOL
+    while inside - 3.0 > spectra._EIG_TOL:
+        inside = math.nextafter(inside, 3.0)
+    while math.nextafter(inside, 4.0) - 3.0 <= spectra._EIG_TOL:
+        inside = math.nextafter(inside, 4.0)
+    return inside, math.nextafter(inside, 4.0)
+
+
+# A tt line a rounding error above 3, up to _EIG_TOL, is a Codazzi line:
+# its roots are +-i, as at 3.0, so roots and ks count 1 + 2 codazzi at real
+# part 0 and gap reads the next root, 1.14.  One float further it is no
+# Codazzi line: the loader refuses it beside codazzi 2, and beside codazzi 0
+# its roots +-beta +- i, beta about 1e-6, leave real part 0 and set the gap.
+@pytest.mark.parametrize("side", ["1e-13", "inside", "outside"])
+def test_borderline_codazzi_line_on_both_sides_of_the_tolerance(side, tmp_path, capsys):
+    inside, outside = _codazzi_edge()
+    lam = {"1e-13": 3.0000000000001, "inside": inside, "outside": outside}[side]
+    path = tmp_path / "spec.txt"
+    flags = ["--hyperbolic", str(path), "--jmax", "9"]
+    path.write_text(HYP_WITH_CODAZZI.replace("tt 1 3.0 2", f"tt 1 {lam!r} 2"))
+    if side == "outside":
+        assert run_cli(["ks", *flags[:2]], capsys)[0] == 3
+        path.write_text(HYP_WITH_CODAZZI.replace("tt 1 3.0 2", f"tt 1 {lam!r} 2").replace("codazzi 2", "codazzi 0"))
+    dim, gap = (1, math.sqrt(lam - 3.0)) if side == "outside" else (5, 1.1401754250991381)
+    docs = {}
+    for command in ("roots", "ks", "gap"):
+        code, out = run_cli([command, *(flags[:2] if command == "ks" else flags)], capsys)
+        assert code == 0
+        docs[command] = json.loads(out)
+    assert docs["roots"]["kernel_dim_at_zero"] == docs["roots"]["cokernel_dim_at_zero"] == dim
+    assert docs["ks"]["cokernel_dim_at_zero"] == dim
+    assert docs["gap"]["gap"] == gap
+    tt = sorted((r["re"], r["im"]) for r in docs["roots"]["roots"] if r["j"] == 1 and r["origin_kind"] == "tt")
+    beta = math.sqrt(lam - 3.0) if side == "outside" else 0.0
+    assert tt == sorted({(s * beta, t) for s in (-1.0, 1.0) for t in (-1.0, 1.0)})
+
+
 def test_ks_both_ways(tmp_path, capsys):
     with_c = tmp_path / "c.txt"
     with_c.write_text(HYP_WITH_CODAZZI)

@@ -193,6 +193,28 @@ def test_coclosed_collapse_to_case0_is_inclusive(kappa, center, direction):
     assert _cases(OperatorKind.COCLOSED_ONEFORM_HODGE, outside, kappa) == {CaseTag.CASE3, CaseTag.CASE5}
 
 
+@pytest.mark.parametrize("kappa,center", [(-1, 3.0), (0, 0.0)], ids=["k-1-codazzi", "k0-parallel"])
+def test_tt_beta_is_zero_up_to_the_zero_tolerance(kappa, center):
+    # beta = sqrt(lam + 3 kappa) is 0 exactly where the loader counts a TT
+    # line as Codazzi (kappa = -1) and a torus level counts as parallel
+    # (kappa = 0): up to _EIG_TOL above the bound, inclusive.  Above it the
+    # roots leave real part 0 by about 1e-6.
+    inside = _last_inside(center, 1)
+    outside = math.nextafter(inside, math.inf)
+    assert spectra._EIG_TOL == indicial._ZERO_TOL
+    assert abs(inside - center) <= spectra._EIG_TOL < abs(outside - center)
+    beta = math.sqrt(outside - center)
+    assert beta == pytest.approx(1e-6, rel=1e-3)
+    if kappa == -1:
+        assert values(type3_roots(inside, -1)) == values(type3_roots(3.0, -1)) == [-1j, 1j]
+        assert values(type3_roots(3.0000000000001, -1)) == [-1j, 1j]
+        want = [complex(-beta, -1), complex(-beta, 1), complex(beta, -1), complex(beta, 1)]
+        assert values(type3_roots(outside, -1)) == want
+    else:
+        assert type3_roots(inside, 0) == type3_roots(0.0, 0) == [(0j, True)]
+        assert type3_roots(outside, 0) == [(complex(-beta), True), (complex(beta), True)]
+
+
 def test_flat_mixed_a_zero_branch():
     # Only a direct call reaches it: family_roots collapses the scalar
     # eigenvalue 0 to case 0 first.
