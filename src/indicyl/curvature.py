@@ -587,40 +587,20 @@ def _derivative_spectrum(j: int, gk: np.ndarray, k, out: np.ndarray, term: np.nd
     return out
 
 
-def _quadratic_terms() -> tuple:
-    """Per packed slot (r, s, m, n) of _PACKED, the two dot products over q
-    of its quadratic term Gam_{q,rn} Gam^q_sm - Gam_{q,rm} Gam^q_sn (see
-    christoffel_riemann), each as (its first-kind column, its second-kind
-    column, its row of _riemann_points' dot buffer, whether it is formed
-    there).  A product that recurs (three do, each in two slots) is formed
-    once, in a row of its own from 2 on, and read again there; any other
-    is formed in row 0 (the first) or 1 (the second)."""
-    S = _SYM_INDEX
-    pairs = []
-    for P, Q in _PACKED:
-        (r, s), (mm, nn) = _PAIRS4[P], _PAIRS4[Q]
-        pairs.append(((int(S[r, nn]), int(S[s, mm])), (int(S[r, mm]), int(S[s, nn]))))
-    every = [p for two in pairs for p in two]
-    recurring = [p for p in dict.fromkeys(every) if every.count(p) > 1]
-    formed, terms = set(), []
-    for two in pairs:
-        slot = []
-        for i, p in enumerate(two):
-            row = 2 + recurring.index(p) if p in recurring else i
-            slot.append(p + (row, p not in formed))
-            formed.add(p)
-        terms.append(tuple(slot))
-    return tuple(terms)
-
-
-_QUADRATIC = _quadratic_terms()
-_DOT_ROWS = 1 + max(row for slot in _QUADRATIC for _, _, row, _ in slot)
+# Per packed slot (r, s, m, n) of _PACKED, the two dot products over q of
+# its quadratic term Gam_{q,rn} Gam^q_sm - Gam_{q,rm} Gam^q_sn (see
+# christoffel_riemann), each as (its first-kind column, its second-kind
+# column).
+_QUADRATIC = tuple(
+    ((int(_SYM_INDEX[r, nn]), int(_SYM_INDEX[s, mm])), (int(_SYM_INDEX[r, mm]), int(_SYM_INDEX[s, nn])))
+    for (r, s), (mm, nn) in ((_PAIRS4[P], _PAIRS4[Q]) for P, Q in _PACKED)
+)
 
 
 def _riemann_buffers(size: int) -> tuple[np.ndarray, ...]:
     """Scratch arrays for _riemann_points on up to size points."""
     low, up = np.empty((2, 4, 10, size))
-    return low, up, np.empty((4, size)), np.empty((_DOT_ROWS, size))
+    return low, up, np.empty((4, size)), np.empty((2, size))
 
 
 def _riemann_points(inv, kind, lin, c: float, out, buffers) -> None:
@@ -634,8 +614,7 @@ def _riemann_points(inv, kind, lin, c: float, out, buffers) -> None:
     stacked layout that the einsums read, which form the second-kind
     symbols Gam^q_mn of the points and keep none of them: one einsum per
     row q, over the nine columns mn that the quadratic term reads (never
-    (0, 0)).  Its 42 dot products are 39 distinct ones, each formed once
-    (see _QUADRATIC).
+    (0, 0)), and both dot products of each slot (see _QUADRATIC).
     """
     half_c = 0.5 * c
     low, up, ginv, dots = (b[..., : out.shape[1]] for b in buffers)
@@ -645,12 +624,10 @@ def _riemann_points(inv, kind, lin, c: float, out, buffers) -> None:
         np.take(inv, _SYM_INDEX[q], axis=0, out=ginv, mode="clip")  # unbuffered
         np.einsum("s...,sc...->c...", ginv, low[:, 1:], out=up[q, 1:])
     np.multiply(lin, c, out=out)
-    for col, ((a, b, i, new_i), (a2, b2, j, new_j)) in enumerate(_QUADRATIC):
-        if new_i:
-            np.einsum("q...,q...->...", low[:, a], up[:, b], out=dots[i])
-        if new_j:
-            np.einsum("q...,q...->...", low[:, a2], up[:, b2], out=dots[j])
-        out[col] += np.subtract(dots[i], dots[j], out=dots[0])
+    for col, pair in enumerate(_QUADRATIC):
+        for dot, (a, b) in zip(dots, pair):
+            np.einsum("q...,q...->...", low[:, a], up[:, b], out=dot)
+        out[col] += np.subtract(dots[0], dots[1], out=dots[0])
 
 
 def christoffel_riemann(m: MetricGrid4D) -> CurvatureGrid:

@@ -44,7 +44,6 @@ __all__ = [
     "tf",
     "trace",
     "e_prime",
-    "inner",
     "linearized_weyl",
     "adjoint_D",
     "cyl_killing",
@@ -418,10 +417,6 @@ class _Field:
         self._check(other)
         return self._unchecked(self.grid, self.data + other.data)
 
-    def __sub__(self, other):
-        self._check(other)
-        return self._unchecked(self.grid, self.data - other.data)
-
     def __mul__(self, c):
         # complex(c) refuses an array c, which could broadcast to another
         # shape; the product has the same bits as with c itself.
@@ -488,11 +483,6 @@ def _dot(a, b):
     return out
 
 
-def _cross(a, b):
-    """eps_{ikl} a_k b_l over the leading axes: the cyclic differences."""
-    return np.stack([a[k] * b[l] - a[l] * b[k] for k, l in ((1, 2), (2, 0), (0, 1))])
-
-
 def _grad(xi, u):
     return 1j * xi * u[None]
 
@@ -506,13 +496,31 @@ def _lap(xi, x):
     return -_dot(xi, xi) * x
 
 
-def _star_d(xi, w):
-    return 1j * _cross(xi, w)
+def _curl(xi, x):
+    """1j eps_{ikl} xi_k x_l over the leading axis of x, the first of a
+    tensor: star d of a 1-form.  Formed in one array with one product
+    temporary: each row xi_k x_l - xi_l x_k, then all rows times 1j."""
+    rows = np.broadcast_shapes(xi.shape[1:], x.shape[1:])
+    out = np.empty((3,) + rows, dtype=np.result_type(xi, x, 1j))
+    product = np.empty(rows, dtype=out.dtype)
+    for a, (k, l) in zip(out, ((1, 2), (2, 0), (0, 1))):
+        np.multiply(xi[k], x[l], out=a)
+        a -= np.multiply(xi[l], x[k], out=product)
+    out *= 1j
+    return out
+
+
+def _sym(a):
+    """a_ij + a_ji over the two leading axes, in place, entry pair by entry pair."""
+    for i, j in _SYM_PAIRS:
+        a[i, j] += a[j, i]
+        if i != j:
+            a[j, i] = a[i, j]
+    return a
 
 
 def _lie(xi, w):
-    a = 1j * (xi[:, None] * w[None])
-    return a + a.swapaxes(0, 1)
+    return _sym(1j * (xi[:, None] * w[None]))
 
 
 def _trace(h):
@@ -535,22 +543,8 @@ def _conf_killing(xi, w):
 
 
 def _slash_d(xi, h):
-    """Sym(1j eps_{ikl} xi_k h_{lj}) in one (3, 3, ...) array, with one
-    product temporary at a time: the rows of _cross, then 1j times them,
-    then a_ij + a_ji entry pair by entry pair, the IEEE operations of
-    a = 1j * _cross(xi, h); a + a.swapaxes(0, 1)."""
-    rows = np.broadcast_shapes(xi.shape[1:], h.shape[1:])  # (3, ...)
-    out = np.empty((3,) + rows, dtype=np.result_type(xi, h, 1j))
-    product = np.empty(rows, dtype=out.dtype)
-    for a, (k, l) in zip(out, ((1, 2), (2, 0), (0, 1))):
-        np.multiply(xi[k], h[l], out=a)
-        a -= np.multiply(xi[l], h[k], out=product)
-    out *= 1j
-    for i, j in _SYM_PAIRS:
-        out[i, j] += out[j, i]
-        if i != j:
-            out[j, i] = out[i, j]
-    return out
+    """Sym(1j eps_{ikl} xi_k h_{lj})."""
+    return _sym(_curl(xi, h))
 
 
 # ---------------------------------------------------------------------------
@@ -582,7 +576,7 @@ def hodge_laplacian(x):
 
 def star_d(omega: FourierOneForm) -> FourierOneForm:
     """(star d omega)_i = eps_{ijk} d_j omega_k, with eps_123 = +1."""
-    return FourierOneForm(omega.grid, _star_d(omega.grid.xi, omega.data))
+    return FourierOneForm(omega.grid, _curl(omega.grid.xi, omega.data))
 
 
 def lie(omega: FourierOneForm) -> FourierSymTensor:
@@ -624,16 +618,6 @@ def e_prime(h: FourierSymTensor) -> FourierSymTensor:
         -0.5 * (laplacian(tf(h)) + traceless_hessian(trace(h)))
         + 0.5 * conf_killing(div(h))
     )
-
-
-def inner(a, b) -> complex:
-    """L^2 pairing via mode sums, full index contraction on tensors."""
-    if type(a) is not type(b) or a.grid != b.grid:
-        raise ValueError("field mismatch")
-    a.grid._require_box("inner")
-    products = np.conj(a.data)
-    products *= b.data
-    return complex(np.sum(products))
 
 
 # ---------------------------------------------------------------------------
@@ -794,7 +778,7 @@ def weyl_coefficients(xi, x):
     the 4-trace."""
     v = 0.25 * (x["h00"] + _trace(x["h"]))
     h00, alpha, h = x["h00"] - v, x["alpha"], x["h"] - _g(v)
-    theta = -0.5 * _grad(xi, h00) - _div(xi, h) + 0.5 * _grad(xi, _trace(h)) - _star_d(xi, alpha)
+    theta = -0.5 * _grad(xi, h00) - _div(xi, h) + 0.5 * _grad(xi, _trace(h)) - _curl(xi, alpha)
     return (
         {"h": 0.5 * _conf_killing(xi, theta) + 0.5 * _lap(xi, _tf(h))},
         {"h": 0.5 * _conf_killing(xi, alpha) + 0.5 * _slash_d(xi, h)},
@@ -809,7 +793,7 @@ def _adjoint_coefficients(xi, x):
     return (
         {
             "h00": -0.5 * ddz,
-            "alpha": 0.5 * _star_d(xi, dz),
+            "alpha": 0.5 * _curl(xi, dz),
             "h": 0.5 * _lap(xi, z) - 0.5 * _lie(xi, dz) + 0.5 * _g(ddz),
         },
         {"alpha": 0.5 * dz, "h": -0.5 * _slash_d(xi, z)},
@@ -1068,9 +1052,10 @@ class _SlabNorm:
 
 
 class _SlabInner:
-    """inner(a, b) of two Fourier fields on a box, bit for bit, from their
-    slab views fed in any order: the products conj(a) b go to one complex
-    _PairwiseSum."""
+    """The L^2 pairing sum conj(a) b over the modes of two Fourier fields on
+    a box, full index contraction on tensors, from their slab views fed in
+    any order: the products go to one complex _PairwiseSum, which sums them
+    as np.sum over the box would."""
 
     def __init__(self):
         self._sum = None

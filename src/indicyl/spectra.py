@@ -3,9 +3,10 @@
 A cross-section is its geometry value, Sphere, Torus or Hyperbolic.  Each
 geometry class states its curvature sign kappa and its catalog caveats as
 class attributes, and lists its spectrum: spectrum(j_max) returns the
-entries with index j <= j_max (a hyperbolic file's lowest-eigenvalue lines
-whatever their j) and, per operator kind, the omitted entries whose roots
-bound the real parts that the truncation can have missed.
+entries with index j <= j_max (a hyperbolic file's lowest-eigenvalue lines,
+and a spherical geometry's Killing fields, whatever their j) and, per
+operator kind, the omitted entries whose roots bound the real parts that
+the truncation can have missed.
 
 Provides closed-form spectra for the round 3-sphere, one-octant dual-lattice
 enumeration for flat tori, descent of the scalar, co-closed 1-form and TT
@@ -146,9 +147,11 @@ class Sphere(NamedTuple):
     caveats = ()
 
     def spectrum(self, j_max: int) -> tuple[list[SpectrumEntry], list[SpectrumEntry]]:
-        """Entries with j <= j_max, multiplicities by descent to the quotient
-        (the round sphere is the trivial group), and the first omitted entry
-        of each kind, at multiplicity 1."""
+        """Entries with j <= j_max, and whatever j_max the co-closed j = 1
+        entry, the Killing fields, whose roots lie at real part 0 (as the
+        constants' do, at j = 0); multiplicities by descent to the quotient
+        (the round sphere is the trivial group).  Also the first omitted
+        entry of each kind, at multiplicity 1."""
         kinds = (
             (OperatorKind.SCALAR_HODGE, 0, sphere_scalar_eigenvalue, lens_scalar_multiplicity),
             (OperatorKind.COCLOSED_ONEFORM_HODGE, 1, sphere_coclosed_oneform_eigenvalue,
@@ -157,11 +160,12 @@ class Sphere(NamedTuple):
         )
         entries, omitted = [], []
         for kind, j_min, eigenvalue, multiplicity in kinds:
-            for j in range(j_min, j_max + 1):
+            j_top = max(j_max, 1) if kind is OperatorKind.COCLOSED_ONEFORM_HODGE else j_max
+            for j in range(j_min, j_top + 1):
                 mult = multiplicity(self.group, j)
                 if mult > 0:
                     entries.append(SpectrumEntry(kind, j, eigenvalue(j), mult))
-            j = max(j_max + 1, j_min)
+            j = max(j_top + 1, j_min)
             omitted.append(SpectrumEntry(kind, j, eigenvalue(j), 1))
         return entries, omitted
 

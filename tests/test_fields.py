@@ -26,7 +26,6 @@ from indicyl.fields import (
     grad,
     hessian,
     identity_suite,
-    inner,
     laplacian,
     lie,
     linearized_weyl,
@@ -38,6 +37,12 @@ from indicyl.fields import (
 )
 
 GRID = ModeGrid(band=2)
+
+
+def inner(a, b) -> complex:
+    """L^2 pairing via mode sums over the whole box, full index contraction
+    on tensors: the oracle of fields._SlabInner."""
+    return complex(np.sum(np.conj(a.data) * b.data))
 
 
 def single_mode_scalar(k, value=1.0, grid=GRID):
@@ -639,7 +644,8 @@ def test_divergence_killing_duality_pairing():
         h = FourierSymTensor(GRID, slot["h"].data.copy())
         for i in range(3):
             h.data[i, i] -= v.data
-        tracefree.add_term(slot["rate"], d, h00=slot["h00"] - v, alpha=slot["alpha"], h=h)
+        h00 = FourierScalar(GRID, slot["h00"].data - v.data)
+        tracefree.add_term(slot["rate"], d, h00=h00, alpha=slot["alpha"], h=h)
     omt = CylOneForm(GRID)
     for kt in (0, 1):
         fpart = F.random_scalar(r, GRID)
@@ -688,7 +694,7 @@ def index_formulas(xi, u, w, h):
         ("_lap", (xi, u), -dot(xi, xi) * u),
         ("_lap", (xi, w), -dot(xi, xi) * w),
         ("_lap", (xi, h), -dot(xi, xi) * h),
-        ("_star_d", (xi, w), 1j * np.einsum("ijk,j...,k...->i...", EPSILON, xi, w)),
+        ("_curl", (xi, w), 1j * np.einsum("ijk,j...,k...->i...", EPSILON, xi, w)),
         ("_lie", (xi, w), lie),
         ("_conf_killing", (xi, w), lie - g((2.0 / 3.0) * (1j * dot(xi, w)))),
         ("_trace", (h,), trace),
@@ -728,7 +734,7 @@ def test_kernels_match_index_formulas_on_mode_boxes(band):
     U, W, H = FourierScalar(grid, u), FourierOneForm(grid, w), FourierSymTensor(grid, h)
     rate = 0.4 + 1.3j
     tensors = [lie(W), conf_killing(W), slash_d(H), hessian(U), tf(H), laplacian(H), F.hodge_laplacian(H)]
-    tensors += [H + lie(W), H - slash_d(H), (0.3 - 2j) * H]
+    tensors += [H + lie(W), H + -1.0 * slash_d(H), (0.3 - 2j) * H]
     cylinder = [
         linearized_weyl(CylTensor.from_parts(grid, rate, 2, h00=U, alpha=W, h=H)),
         adjoint_D(CylTensor.from_parts(grid, rate, 2, h=tf(H))),
@@ -970,17 +976,6 @@ _GRID = ModeGrid(band=1)
             "FourierScalar data must have shape (3, 3, 3), got (2, 2, 2)",
         ),
         (lambda: FourierScalar.zero(_GRID) + FourierOneForm.zero(_GRID), ValueError, "field mismatch"),
-        (
-            lambda: FourierScalar.zero(_GRID) - FourierScalar.zero(ModeGrid(band=2)),
-            ValueError,
-            "field mismatch",
-        ),
-        (lambda: inner(FourierScalar.zero(_GRID), FourierOneForm.zero(_GRID)), ValueError, "field mismatch"),
-        (
-            lambda: inner(FourierScalar.zero(_GRID), FourierScalar.zero(ModeGrid((1.0, 1.0, 1.0), band=1))),
-            ValueError,
-            "field mismatch",
-        ),
         (lambda: div(FourierScalar.zero(_GRID)), TypeError, "no divergence for FourierScalar"),
     ],
     ids=[
@@ -990,9 +985,6 @@ _GRID = ModeGrid(band=1)
         "infinite-side",
         "wrong-shape",
         "add-other-type",
-        "subtract-other-grid",
-        "inner-other-type",
-        "inner-other-grid",
         "div-of-scalar",
     ],
 )
@@ -1009,13 +1001,12 @@ _VIEW = F.random_symtensor(rng(), GRID).slab(1, 3)
     [
         lambda: _VIEW.conjugate_flip(),
         lambda: _VIEW.reality_symmetrize(),
-        lambda: inner(_VIEW, _VIEW),
         lambda: F.random_scalar(rng(), _VIEW.grid),
         lambda: F.random_oneform(rng(), _VIEW.grid),
         lambda: F.random_symtensor(rng(), _VIEW.grid),
         lambda: _VIEW.grid.slab(0, 1),
     ],
-    ids=["conjugate_flip", "reality_symmetrize", "inner", "random_scalar", "random_oneform", "random_symtensor", "slab"],
+    ids=["conjugate_flip", "reality_symmetrize", "random_scalar", "random_oneform", "random_symtensor", "slab"],
 )
 def test_whole_box_operations_reject_slab_views(call):
     with pytest.raises(ValueError, match=re.escape("needs the whole mode box, not the planes (1, 3)")):
@@ -1034,4 +1025,4 @@ def test_fields_of_different_slabs_do_not_mix():
         with pytest.raises(ValueError, match="field mismatch"):
             a + b
         with pytest.raises(ValueError, match="field mismatch"):
-            inner(a, b)
+            F._SlabInner().add(a, b)

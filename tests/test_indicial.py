@@ -348,6 +348,47 @@ def test_lens_catalog_dims_at_zero():
     assert lens.dim_at_zero == 3
 
 
+# The count at real part 0 in closed form, with no catalog code: the
+# constants and, on S^3/Gamma, the Killing fields, whose dimension is that of
+# the isometry group (SO(4)/Gamma on S^3 and RP^3, U(2)/Gamma when
+# q1 = +-q2 mod p, a 2-torus otherwise); the 14 parallel solutions on a
+# torus; on a hyperbolic cross-section the constants, the b1 harmonic
+# 1-forms and the roots +-i of each Codazzi tensor.
+def _isometry_dimension(p, q1, q2):
+    if p <= 2:
+        return 6
+    return 4 if (q1 - q2) % p == 0 or (q1 + q2) % p == 0 else 2
+
+
+def _hyperbolic(b1, codazzi, lowest_j):
+    """Lowest lines (harmonic 1-forms, Codazzi tensors) at lowest_j."""
+    entries = [
+        SpectrumEntry(OperatorKind.SCALAR_HODGE, 1, 2.1, 3),
+        SpectrumEntry(OperatorKind.COCLOSED_ONEFORM_HODGE, lowest_j, 0.0, b1),
+        SpectrumEntry(OperatorKind.COCLOSED_ONEFORM_HODGE, 2, 1.3, 4),
+        SpectrumEntry(OperatorKind.DIVFREE_TT_ROUGH, lowest_j, 3.0, codazzi),
+        SpectrumEntry(OperatorKind.DIVFREE_TT_ROUGH, 2, 5.2, 8),
+    ]
+    return Hyperbolic(tuple(e for e in entries if e.multiplicity), b1, codazzi)
+
+
+_GROUPS = [(1, 1, 1), (2, 1, 1), (5, 1, 1), (5, 1, 2), (7, 1, 3), (7, 2, 5), (8, 3, 5), (8, 1, 3)]
+_HYPERBOLIC = [(0, 2, 1), (3, 0, 4), (2, 5, 3)]
+
+
+@pytest.mark.parametrize(
+    "geo,dim",
+    [(Sphere(GroupAction(*g)), 1 + _isometry_dimension(*g)) for g in _GROUPS]
+    + [(Torus(lengths), 14) for lengths in ((2 * math.pi,) * 3, (3.1, 4.7, 5.9))]
+    + [(_hyperbolic(*h), 1 + h[0] + 2 * h[1]) for h in _HYPERBOLIC],
+    ids=[f"lens-{p}-{q1}-{q2}" for p, q1, q2 in _GROUPS] + ["torus-cube", "torus-3.1-4.7-5.9"]
+    + [f"hyperbolic-b1-{b1}-codazzi-{c}-at-j{j}" for b1, c, j in _HYPERBOLIC],
+)
+def test_dim_at_zero_is_closed_form_at_every_jmax(geo, dim):
+    for j_max in range(5):
+        assert assemble_catalog(geo, j_max).dim_at_zero == dim, j_max
+
+
 @pytest.mark.parametrize(
     "p,q1,q2",
     [(7, 9, -4), (7, -5, 10), (7, -2, 3), (7, 3, 2), (9973, -9971, 19949), (9973, -9970, -2)],
@@ -498,11 +539,11 @@ def omitted_root_values(kind, ev, kappa):
 
 def dispatch_complete_below_re(geo, j_max):
     if isinstance(geo, spectra.Sphere):
-        jtt = max(j_max + 1, 2)
+        j = max(j_max + 1, 2)  # the Killing fields (co-closed j = 1) are always listed
         omitted = [
             (OperatorKind.SCALAR_HODGE, float((j_max + 1) * (j_max + 3))),
-            (OperatorKind.COCLOSED_ONEFORM_HODGE, float((j_max + 2) ** 2)),
-            (OperatorKind.DIVFREE_TT_ROUGH, float(jtt * jtt + 2 * jtt - 2)),
+            (OperatorKind.COCLOSED_ONEFORM_HODGE, float((j + 1) ** 2)),
+            (OperatorKind.DIVFREE_TT_ROUGH, float(j * j + 2 * j - 2)),
         ]
     elif isinstance(geo, spectra.Torus):
         levels = spectra.torus_spectrum(geo.lengths, 200.0)
