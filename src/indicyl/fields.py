@@ -18,6 +18,7 @@ handled at the ODE level elsewhere.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -85,9 +86,10 @@ _NORM_FLOOR = 1e-300
 _IDENTITY_TOL = 1e-10
 
 # Fewest modes per slab of the identity suite, which evaluates every
-# identity one slab of whole mode planes at a time (see _slab_planes), so
+# identity one slab of whole mode planes at a time (see _mirror_slabs), so
 # that the operators' temporaries are slab-sized rather than box-sized.
-# 2048 modes are 3 planes of a band-15 box and 10 of a band-7 box.
+# 2048 modes are 3 planes of a band-15 box and 10 of a band-7 box, whose
+# front half holds 7.
 _SLAB_MODES = 2048
 
 
@@ -156,8 +158,8 @@ def _pairwise_tree(size: int, leaf: int = _PAIRWISE_LEAF, lanes: int = _PAIRWISE
     return np.append(leaf_starts, size), levels
 
 
-# One band-15 identity suite makes 134 plans, so the cache keeps every plan
-# of a suite for the next suite in the process.
+# One band-15 identity suite makes 134 plans and a band-7 suite 30, so the
+# cache keeps every plan of a suite for the next suite in the process.
 @lru_cache(maxsize=256)
 def _run_plan(tree: tuple[int, int, int], start: int, stride: int, count: int, length: int):
     """How runs r = 0 .. count - 1 of length values, run r at start + r
@@ -534,12 +536,20 @@ def _g(u):
     return out
 
 
+def _less_g(a, u):
+    """a <- a - _g(u) in place, on the diagonal only: off it, a_ij - 0 is
+    a_ij bit for bit, the sign of a zero included."""
+    for i in range(3):
+        a[i, i] -= u
+    return a
+
+
 def _tf(h):
-    return h - _g(_trace(h) / 3.0)
+    return _less_g(h.copy(), _trace(h) / 3.0)
 
 
 def _conf_killing(xi, w):
-    return _lie(xi, w) - _g((2.0 / 3.0) * _div(xi, w))
+    return _less_g(_lie(xi, w), (2.0 / 3.0) * _div(xi, w))
 
 
 def _slash_d(xi, h):
@@ -777,12 +787,13 @@ def weyl_coefficients(xi, x):
     Weyl curvature on the components x = {h00, alpha, h}, after removing
     the 4-trace."""
     v = 0.25 * (x["h00"] + _trace(x["h"]))
-    h00, alpha, h = x["h00"] - v, x["alpha"], x["h"] - _g(v)
+    h00, alpha, h = x["h00"] - v, x["alpha"], _less_g(x["h"].astype(np.result_type(x["h"], v)), v)
     theta = -0.5 * _grad(xi, h00) - _div(xi, h) + 0.5 * _grad(xi, _trace(h)) - _curl(xi, alpha)
+    tf_h = _tf(h)
     return (
-        {"h": 0.5 * _conf_killing(xi, theta) + 0.5 * _lap(xi, _tf(h))},
+        {"h": 0.5 * _conf_killing(xi, theta) + 0.5 * _lap(xi, tf_h)},
         {"h": 0.5 * _conf_killing(xi, alpha) + 0.5 * _slash_d(xi, h)},
-        {"h": -0.5 * _tf(h)},
+        {"h": -0.5 * tf_h},
     )
 
 
@@ -805,7 +816,7 @@ def _killing_coefficients(xi, x):
     f, w = x["f"], x["omega"]
     dw = _div(xi, w)
     return (
-        {"h00": -0.5 * dw, "alpha": _grad(xi, f), "h": _lie(xi, w) - 0.5 * _g(dw)},
+        {"h00": -0.5 * dw, "alpha": _grad(xi, f), "h": _less_g(_lie(xi, w), 0.5 * dw)},
         {"h00": 1.5 * f, "alpha": w, "h": -0.5 * _g(f)},
     )
 
@@ -883,54 +894,128 @@ def f_star(Z: CylTensor, omt: CylOneForm) -> CylTensor:
 # ---------------------------------------------------------------------------
 
 
-# Values drawn per call of the generator when a random field is drawn
-# straight into its array.
-_DRAW_CHUNK = 4096
-
-
-def _random_coeffs(rng, grid, comp_shape):
-    """rng.standard_normal(shape) + 1j * rng.standard_normal(shape), drawn
-    straight into one complex array _DRAW_CHUNK values at a time: the same
-    draws in the same order, with no box-sized temporary, and the same bits
-    unless a draw is -0.0, whose sign that sum would drop."""
-    grid._require_box("a random field")
-    data = np.empty(comp_shape + grid.shape, dtype=complex)
-    flat = data.reshape(-1)
-    for values in (flat.real, flat.imag):
-        for lo in range(0, flat.size, _DRAW_CHUNK):
-            chunk = values[lo : lo + _DRAW_CHUNK]
-            chunk[...] = rng.standard_normal(len(chunk))
-    return data
-
-
 def _symmetrize_reality(data: np.ndarray) -> np.ndarray:
     """data <- 0.5 (data + conj(data at -k)) in place, one mirror pair of
     mode planes at a time: the bits of reality_symmetrize, with plane-sized
-    temporaries."""
+    temporaries.  -k pairs plane p of the size planes with plane
+    size - 1 - p and reverses the two axes within a plane."""
     size = data.shape[-3]
     for p in range(size // 2 + 1):
         q = size - 1 - p
-        front = 0.5 * (data[..., p, :, :] + np.conj(data[..., q, ::-1, ::-1]))
-        data[..., q, :, :] = 0.5 * (data[..., q, :, :] + np.conj(data[..., p, ::-1, ::-1]))
-        data[..., p, :, :] = front
+        front = np.conj(data[..., q, ::-1, ::-1])
+        front += data[..., p, :, :]
+        front *= 0.5
+        back = np.conj(data[..., p, ::-1, ::-1])
+        back += data[..., q, :, :]
+        back *= 0.5
+        data[..., q, :, :], data[..., p, :, :] = back, front
     return data
 
 
+class _ReplayedField:
+    """A random field of kind (FourierScalar, FourierOneForm or
+    FourierSymTensor) on the box grid, held as generator states rather than
+    values: the field random_scalar, random_oneform or random_symtensor
+    draws from rng.
+
+    Those draw standard normals in C order, components first: every real
+    part, then every imaginary part.  The skim (__init__) passes over rng
+    once in that order and keeps only the generator state at the start of
+    each run of values, one part of one component over one slab of mode
+    planes: the slabs front_slabs, _mirror_slabs(grid, modes), and their
+    mirrors, so that pair(lo, hi) of a front slab replays whole runs.  Of
+    that state it keeps the word a draw moves, the 128-bit state of PCG64,
+    default_rng's bit generator.  slab and pair draw the runs they need
+    again, from their states.  standard_normal's ziggurat takes a variable
+    number of raw words per value, so no run can be reached by counting."""
+
+    def __init__(self, rng, grid: ModeGrid, kind: type, modes: int | None = None):
+        grid._require_box("a random field")
+        self.grid, self._rng, self._kind = grid, rng, kind
+        size, plane = grid.size, grid.size**2
+        self.front_slabs = _mirror_slabs(grid, modes)
+        cuts = {0, size}
+        for lo, hi in self.front_slabs:
+            cuts.update((lo, hi, size - hi, size - lo))
+        self._bounds = sorted(cuts)
+        runs = list(zip(self._bounds, self._bounds[1:]))
+        scratch = np.empty(max(hi - lo for lo, hi in runs) * plane)
+        self._start = rng.bit_generator.state
+        self._words = []  # per part, then component, then run
+        for _ in range(2 * math.prod(kind._comp_shape)):
+            for lo, hi in runs:
+                self._words.append(rng.bit_generator.state["state"]["state"])
+                rng.standard_normal(out=scratch[: (hi - lo) * plane])
+
+    def box(self) -> _Field:
+        """The field on the whole box."""
+        return self._kind(self.grid, self._coefficients(((0, self.grid.size),)))
+
+    def slab(self, lo: int, hi: int) -> _Field:
+        """The field on grid.slab(lo, hi): the bits of box().slab(lo, hi)."""
+        return self.pair(lo, hi)[0]
+
+    def pair(self, lo: int, hi: int) -> tuple[_Field, ...]:
+        """The field on the planes lo:hi, then on their mirror planes
+        size - hi : size - lo unless those are the same planes, from one
+        draw of both: the bits of box().slab of each."""
+        size = self.grid.size
+        hi = min(hi, size)
+        mirror = (size - hi, size - lo)
+        if mirror[0] < hi and lo < mirror[1]:  # they overlap: draw the planes c : size - c that hold both
+            c = min(lo, mirror[0])
+            data, at = self._coefficients(((c, size - c),)), (lo - c, mirror[0] - c)
+        else:
+            data, at = self._coefficients(((lo, hi), mirror)), (0, hi - lo)
+        slabs = [(lo, hi, at[0])] if mirror == (lo, hi) else [(lo, hi, at[0]), (*mirror, at[1])]
+        return tuple(self._kind._unchecked(self.grid.slab(a, b), data[..., s : s + b - a, :, :]) for a, b, s in slabs)
+
+    def _coefficients(self, spans) -> np.ndarray:
+        """The coefficients of the planes of spans, ranges (lo, hi) laid end
+        to end: drawn again from the runs' states, averaged over each entry
+        pair (tensors), then reality-symmetrized in place, which pairs plane
+        i of the w laid end to end with plane w - 1 - i.  So spans are a
+        range and its mirror planes, or a range that is its own mirror.
+        Leaves rng where it was."""
+        grid, bg = self.grid, self._rng.bit_generator
+        plane, runs = grid.size**2, len(self._bounds) - 1
+        width = sum(hi - lo for lo, hi in spans)
+        data = np.empty(self._kind._comp_shape + (width, grid.size, grid.size), dtype=complex)
+        rows = data.reshape(-1, width * plane)
+        pieces, at = [], 0  # (run, values drawn before the span's, where the rest go in a row, how many)
+        for lo, hi in spans:
+            for r in range(bisect.bisect_right(self._bounds, lo) - 1, bisect.bisect_left(self._bounds, hi)):
+                start, stop = max(self._bounds[r], lo), min(self._bounds[r + 1], hi)
+                pieces.append((r, (start - self._bounds[r]) * plane, (at + start - lo) * plane, (stop - start) * plane))
+            at += hi - lo
+        scratch = np.empty(max(skip + count for _, skip, _, count in pieces))
+        where, state = bg.state, {**self._start, "state": dict(self._start["state"])}
+        for k, row in enumerate([*rows.real, *rows.imag]):
+            for r, skip, to, count in pieces:
+                state["state"]["state"] = self._words[k * runs + r]
+                bg.state = state
+                drawn = scratch[: skip + count]
+                self._rng.standard_normal(out=drawn)
+                row[to : to + count] = drawn[skip:]
+        bg.state = where
+        if self._kind is FourierSymTensor:
+            for i, j in _SYM_PAIRS:  # data <- 0.5 (data + data^T), an entry pair at a time
+                mean = data[i, j] + data[j, i]
+                mean *= 0.5
+                data[i, j] = data[j, i] = mean
+        return _symmetrize_reality(data)
+
+
 def random_scalar(rng, grid) -> FourierScalar:
-    return FourierScalar(grid, _symmetrize_reality(_random_coeffs(rng, grid, ())))
+    return _ReplayedField(rng, grid, FourierScalar).box()
 
 
 def random_oneform(rng, grid) -> FourierOneForm:
-    return FourierOneForm(grid, _symmetrize_reality(_random_coeffs(rng, grid, (3,))))
+    return _ReplayedField(rng, grid, FourierOneForm).box()
 
 
 def random_symtensor(rng, grid, traceless=False) -> FourierSymTensor:
-    raw = _random_coeffs(rng, grid, (3, 3))
-    for i, j in _SYM_PAIRS:  # raw <- 0.5 (raw + raw^T), an entry pair at a time
-        mean = raw[i, j] + raw[j, i]
-        mean *= 0.5
-        raw[i, j] = raw[j, i] = mean
-    h = FourierSymTensor(grid, _symmetrize_reality(raw))
+    h = _ReplayedField(rng, grid, FourierSymTensor).box()
     return tf(h) if traceless else h
 
 
@@ -986,11 +1071,13 @@ class IdentityResult:
         return self.residual < self.tolerance
 
 
-def _slab_planes(grid: ModeGrid, modes: int | None = None) -> list[tuple[int, int]]:
-    """(lo, hi) of each slab: the fewest whole mode planes holding this many
-    modes, by default _SLAB_MODES."""
-    planes = max(1, -(-(_SLAB_MODES if modes is None else modes) // grid.size**2))
-    return [(lo, min(lo + planes, grid.size)) for lo in range(0, grid.size, planes)]
+def _mirror_slabs(grid: ModeGrid, modes: int | None = None) -> list[tuple[int, int]]:
+    """(lo, hi) of each slab of the front half of the box, planes 0 to
+    band - 1, then of the middle plane band: the fewest whole mode planes
+    holding this many modes, by default _SLAB_MODES.  With the mirror slab
+    (size - hi, size - lo) of each front slab they cut the box."""
+    planes, band = max(1, -(-(_SLAB_MODES if modes is None else modes) // grid.size**2)), grid.band
+    return [(lo, min(lo + planes, band)) for lo in range(0, band, planes)] + [(band, band + 1)]
 
 
 class _SlabNorm:
@@ -1077,31 +1164,65 @@ def _box_size(f: _Field) -> int:
     return math.prod(f._comp_shape) * f.grid.size**3
 
 
-def _rel_residual(x, *makers) -> float:
-    """Norm of the sum of the parts over the largest part norm.  Each maker
-    builds one part from a slab view of x; slab by slab, the parts are
-    built, measured and added in place one at a time, and every norm is
-    streamed (see _SlabNorm), so that no part is box-sized."""
-    norms = [_SlabNorm() for _ in makers]
-    total_norm = _SlabNorm()
-    for lo, hi in _slab_planes(x.grid):
-        view, total = x.slab(lo, hi), None
-        for make, norm in zip(makers, norms):
-            part = make(view)
+class _Residual:
+    """The relative residual of an identity whose parts sum to 0: the norm
+    of the sum of the parts over the largest part norm.  Each maker builds
+    one part from the views add is given (a slab view of the input, and
+    fields formed from it that several identities read); add builds,
+    measures and adds the parts of one slab in place, one at a time, and
+    every norm is streamed (see _SlabNorm), so that slabs come in any order
+    and no part is box-sized.  Each later part is added into, never the
+    first, so the first may be a field the caller keeps."""
+
+    def __init__(self, *makers):
+        self._makers = makers
+        self._norms = [_SlabNorm() for _ in makers]
+        self._total = _SlabNorm()
+
+    def add(self, *views) -> None:
+        total = None
+        for make, norm in zip(self._makers, self._norms):
+            part = make(*views)
             norm.add(part)
             if total is not None:
                 total._check(part)
                 part.data += total.data  # the bits of total + part, as addition commutes
             total = part
-        total_norm.add(total)
-    scale = max(norm.norm() for norm in norms)
-    if scale == 0.0:
-        return 0.0
-    return total_norm.norm() / scale
+        self._total.add(total)
+
+    def value(self) -> float:
+        scale = max(norm.norm() for norm in self._norms)
+        return 0.0 if scale == 0.0 else self._total.norm() / scale
 
 
 def _rel_residual_scaled(value: float, scale: float) -> float:
     return value / max(scale, _NORM_FLOOR)
+
+
+def _feed(identity, *pairs) -> None:
+    """Feeds identity the views of its inputs on each slab of a mirror
+    pair, one pair per input (see _ReplayedField.pair), front slab first."""
+    for views in zip(*pairs):
+        identity.add(*views)
+
+
+# The identities of the suite, in the order it reports them: name and formula.
+_IDENTITIES = (
+    ("slashd_squared", "slashd^2 h = -4 Lap tf(h) - 2 tfHess tr(h) + 3 K(div h)"),
+    ("div_slashd", "div(slashd h) = star_d(div h)"),
+    ("slashd_laplacian_commute", "slashd(Lap h) = Lap(slashd h)"),
+    ("conf_killing_commutators", "div K(w) = Lap w + (1/3) d div w;  Lap K(w) = K(Lap w)"),
+    ("slashd_self_adjoint", "<slashd h, h'> = <h, slashd h'>"),
+    ("slashd_trace_and_conformal", "tr(slashd h) = 0;  slashd(u g) = 0"),
+    ("slashd_lie", "slashd(L w) = K(star_d w)"),
+    ("eprime_from_slashd_squared", "E'(h) = (1/8) slashd^2 h - (1/4) tfHess tr(h) + (1/8) K(div h)"),
+    ("killing_annihilation_and_box", "D(K_cyl w) = 0;  box_K w = div(K_cyl w)"),
+    ("star_d_squared", "(star_d)^2 w = HodgeLap w on co-closed w"),
+    ("flat_kernel_cokernel", "F(kernel elements) = 0;  F*(cokernel elements) = 0"),
+)
+
+# Rates and degrees of the two terms of identity 9's random cylinder 1-form.
+_KILLING_TERMS = ((0.7, 0), (-0.3 + 1.1j, 1))
 
 
 def identity_suite(band: int = 3, seed: int = 7):
@@ -1111,145 +1232,203 @@ def identity_suite(band: int = 3, seed: int = 7):
     Returns a list of IdentityResult; every identity is checked with the
     relative residual (norm of the defect over the largest term norm)
     against _IDENTITY_TOL.
-    Identities 1-10 run their operators on slab views of the random inputs,
-    one slab of mode planes at a time (see _slab_planes), and stream their
-    norms and pairings, so that only the random inputs are box-sized.  Each
-    input is dropped after its last identity: identity 5 runs as soon as h
-    and hp are drawn, and identity 10 before the inputs of identity 9.
+    The random inputs are replayed fields (see _ReplayedField): one skim of
+    the generator, in the order the inputs are drawn, keeps only where each
+    run of their values starts, so that no input is ever box-sized.  Then
+    one pass per family of inputs replays them a mirror pair of slabs at a
+    time (see _ReplayedField.pair) and feeds every identity that reads
+    them, each identity running its operators on the slab and streaming
+    its norms and pairings: h, hp and u feed identities 1, 2, 3, 5, 6 and
+    8, om feeds 4, 7 and 10, and the four parts of omt feed 9.
     """
     rng = np.random.default_rng(seed)
     grid = ModeGrid(band=band)
-    h = random_symtensor(rng, grid)
-    hp = random_symtensor(rng, grid)
-    self_adjoint = _self_adjoint_residual(h, hp)
-    del hp
-    om = random_oneform(rng, grid)
-    u = random_scalar(rng, grid)
-    results: list[IdentityResult] = []
-
-    def record(name, formula, residual):
-        results.append(IdentityResult(name, formula, float(residual), _IDENTITY_TOL))
-
-    # 1. Square of the Dirac-type operator against the second-order formula.
-    residual = _rel_residual(
-        h,
-        lambda h: slash_d(slash_d(h)),
-        lambda h: 4.0 * laplacian(tf(h)),
-        lambda h: 2.0 * traceless_hessian(trace(h)),
-        lambda h: -3.0 * conf_killing(div(h)),
-    )
-    record("slashd_squared", "slashd^2 h = -4 Lap tf(h) - 2 tfHess tr(h) + 3 K(div h)", residual)
-    # 2. Divergence intertwines slashd with star d.
-    residual = _rel_residual(h, lambda h: div(slash_d(h)), lambda h: -1.0 * star_d(div(h)))
-    record("div_slashd", "div(slashd h) = star_d(div h)", residual)
-    # 3. slashd commutes with the rough Laplacian.
-    residual = _rel_residual(h, lambda h: slash_d(laplacian(h)), lambda h: -1.0 * laplacian(slash_d(h)))
-    record("slashd_laplacian_commute", "slashd(Lap h) = Lap(slashd h)", residual)
-    # 4. Commutators of the conformal Killing operator.
-    r1 = _rel_residual(
-        om,
-        lambda w: div(conf_killing(w)),
-        lambda w: -1.0 * laplacian(w),
-        lambda w: (-1.0 / 3.0) * grad(div(w)),
-    )
-    r2 = _rel_residual(om, lambda w: laplacian(conf_killing(w)), lambda w: -1.0 * conf_killing(laplacian(w)))
-    record("conf_killing_commutators", "div K(w) = Lap w + (1/3) d div w;  Lap K(w) = K(Lap w)", max(r1, r2))
-    # 5. slashd is formally self-adjoint on the mode-sum pairing.
-    record("slashd_self_adjoint", "<slashd h, h'> = <h, slashd h'>", self_adjoint)
-    # 6. slashd is trace-free valued and kills pure-trace tensors.
-    record("slashd_trace_and_conformal", "tr(slashd h) = 0;  slashd(u g) = 0", _slashd_trace_residual(h, u))
-    # 7. slashd of a Lie derivative is the conformal Killing operator of star d.
-    residual = _rel_residual(om, lambda w: slash_d(lie(w)), lambda w: -1.0 * conf_killing(star_d(w)))
-    record("slashd_lie", "slashd(L w) = K(star_d w)", residual)
-    # 8. Linearized traceless Ricci from the slashd square.
-    residual = _rel_residual(
-        h,
-        lambda h: e_prime(h),
-        lambda h: -0.125 * slash_d(slash_d(h)),
-        lambda h: 0.25 * traceless_hessian(trace(h)),
-        lambda h: -0.125 * conf_killing(div(h)),
-    )
-    formula = "E'(h) = (1/8) slashd^2 h - (1/4) tfHess tr(h) + (1/8) K(div h)"
-    record("eprime_from_slashd_squared", formula, residual)
-    del h, u  # unused from here on
-    # 10. Square of star d is the Hodge Laplacian on co-closed forms (run
-    #     before 9, recorded after it).
-    coclosed = _rel_residual(
-        om,
-        lambda w: star_d(star_d(coclosed_projection(w))),
-        lambda w: -1.0 * hodge_laplacian(coclosed_projection(w)),
-    )
-    del om
-    # 9. The linearized curvature annihilates the image of the cylinder
-    #    conformal Killing operator, whose divergence matches the box form.
-    omt = CylOneForm(grid)
-    omt.add_term(0.7, 0, f=random_scalar(rng, grid), omega=random_oneform(rng, grid))
-    omt.add_term(-0.3 + 1.1j, 1, f=random_scalar(rng, grid), omega=random_oneform(rng, grid))
-    residual = _killing_residual(omt)
-    record("killing_annihilation_and_box", "D(K_cyl w) = 0;  box_K w = div(K_cyl w)", residual)
-    del omt
-    record("star_d_squared", "(star_d)^2 w = HodgeLap w on co-closed w", coclosed)
+    # glibc's malloc gives the top of its heap back to the system whenever
+    # more than twice the largest block it has mapped and freed lies free
+    # there, and each slab's temporaries come and go by megabytes.  The
+    # box-sized inputs of an eager suite were such blocks; one block of
+    # their size, mapped and freed untouched, so that it is never resident,
+    # spares the passes 16,000 page faults and a tenth of their time at
+    # band 15.
+    np.empty((3, 3) + grid.shape, dtype=complex)
+    h, hp = _ReplayedField(rng, grid, FourierSymTensor), _ReplayedField(rng, grid, FourierSymTensor)
+    om = _ReplayedField(rng, grid, FourierOneForm)
+    u = _ReplayedField(rng, grid, FourierScalar)
+    # Identity 9's cylinder fields hold about four times as many values per
+    # mode as the Fourier fields of the others (K_cyl w alone holds three
+    # terms of 13 components), so its slabs hold a quarter of _SLAB_MODES.
+    kinds = (FourierScalar, FourierOneForm)
+    omt = [_ReplayedField(rng, grid, kind, _SLAB_MODES // 4) for _ in _KILLING_TERMS for kind in kinds]
+    residuals = {**_tensor_identities(h, hp, u), **_oneform_identities(om), **_killing_identity(omt)}
     # 11. Parallel kernel and cokernel elements are annihilated exactly.
-    residual = _flat_element_residual(ModeGrid(grid.lengths, band=1))
-    record("flat_kernel_cokernel", "F(kernel elements) = 0;  F*(cokernel elements) = 0", residual)
-    return results
+    residuals["flat_kernel_cokernel"] = _flat_element_residual(ModeGrid(grid.lengths, band=1))
+    return [IdentityResult(name, formula, float(residuals[name]), _IDENTITY_TOL) for name, formula in _IDENTITIES]
 
 
-def _self_adjoint_residual(h: FourierSymTensor, hp: FourierSymTensor) -> float:
+def _tensor_identities(h, hp, u) -> dict[str, float]:
+    """Identities 1, 2, 3, 5, 6 and 8, in one pass over h, hp and u."""
+    # The makers of identities 2 and 3 read d = slashd h of the slab, and
+    # those of 1 and 8 read a = slashd^2 h, each formed once per slab.
+    # 1. Square of the Dirac-type operator against the second-order formula.
+    slashd_squared = _Residual(
+        lambda h, a: a,
+        lambda h, a: 4.0 * laplacian(tf(h)),
+        lambda h, a: 2.0 * traceless_hessian(trace(h)),
+        lambda h, a: -3.0 * conf_killing(div(h)),
+    )
+    # 2. Divergence intertwines slashd with star d.
+    div_slashd = _Residual(lambda h, d: div(d), lambda h, d: -1.0 * star_d(div(h)))
+    # 3. slashd commutes with the rough Laplacian.
+    commute = _Residual(lambda h, d: slash_d(laplacian(h)), lambda h, d: -1.0 * laplacian(d))
+    # 5. slashd is formally self-adjoint on the mode-sum pairing.
+    self_adjoint = _SelfAdjointResidual()
+    # 6. slashd is trace-free valued and kills pure-trace tensors.
+    trace_free = _SlashdTraceResidual()
+    # 8. Linearized traceless Ricci from the slashd square.
+    eprime = _Residual(
+        lambda h, a: e_prime(h),
+        lambda h, a: -0.125 * a,
+        lambda h, a: 0.25 * traceless_hessian(trace(h)),
+        lambda h, a: -0.125 * conf_killing(div(h)),
+    )
+
+    for lo, hi in h.front_slabs:
+        pair = h.pair(lo, hi)
+        for view in pair:
+            d = slash_d(view)
+            div_slashd.add(view, d)
+            commute.add(view, d)
+            a = slash_d(d)
+            del d
+            slashd_squared.add(view, a)
+            eprime.add(view, a)
+            del a
+        # u, then hp, is drawn for the one identity that reads it, so that
+        # the pass holds the slabs of at most two inputs.
+        _feed(trace_free, pair, u.pair(lo, hi))
+        _feed(self_adjoint, pair, hp.pair(lo, hi))
+    return {
+        "slashd_squared": slashd_squared.value(),
+        "div_slashd": div_slashd.value(),
+        "slashd_laplacian_commute": commute.value(),
+        "slashd_self_adjoint": self_adjoint.value(),
+        "slashd_trace_and_conformal": trace_free.value(),
+        "eprime_from_slashd_squared": eprime.value(),
+    }
+
+
+def _oneform_identities(om) -> dict[str, float]:
+    """Identities 4, 7 and 10, in one pass over om.  The makers of
+    identity 4 read k = K(w) and l = Lap w of the slab, and those of 10
+    the co-closed part p of w, each formed once per slab."""
+    # 4. Commutators of the conformal Killing operator.
+    conf_div = _Residual(
+        lambda w, k, l: div(k),
+        lambda w, k, l: -1.0 * l,
+        lambda w, k, l: (-1.0 / 3.0) * grad(div(w)),
+    )
+    conf_lap = _Residual(lambda w, k, l: laplacian(k), lambda w, k, l: -1.0 * conf_killing(l))
+    # 7. slashd of a Lie derivative is the conformal Killing operator of star d.
+    slashd_lie = _Residual(lambda w: slash_d(lie(w)), lambda w: -1.0 * conf_killing(star_d(w)))
+    # 10. Square of star d is the Hodge Laplacian on co-closed forms.
+    coclosed = _Residual(lambda p: star_d(star_d(p)), lambda p: -1.0 * hodge_laplacian(p))
+
+    for lo, hi in om.front_slabs:
+        for w in om.pair(lo, hi):
+            k, l = conf_killing(w), laplacian(w)
+            conf_div.add(w, k, l)
+            conf_lap.add(w, k, l)
+            del k, l
+            slashd_lie.add(w)
+            coclosed.add(coclosed_projection(w))
+    return {
+        "conf_killing_commutators": max(conf_div.value(), conf_lap.value()),
+        "slashd_lie": slashd_lie.value(),
+        "star_d_squared": coclosed.value(),
+    }
+
+
+def _killing_identity(parts) -> dict[str, float]:
+    """Identity 9, in one pass over the parts f, omega of each term of
+    omt (see _KILLING_TERMS): the linearized curvature annihilates the
+    image of the cylinder conformal Killing operator, whose divergence
+    matches the box form."""
+    killing = _KillingResidual()
+    for lo, hi in parts[0].front_slabs:
+        for views in zip(*[x.pair(lo, hi) for x in parts]):
+            w = CylOneForm(views[0].grid)
+            for (rate, degree), f, omega in zip(_KILLING_TERMS, views[0::2], views[1::2]):
+                w.add_term(rate, degree, f=f, omega=omega)
+            killing.add(w)
+    return {"killing_annihilation_and_box": killing.value()}
+
+
+class _SelfAdjointResidual:
     """Identity 5: |<slashd h, hp> - <h, slashd hp>| over the larger
     pairing, both pairings streamed slab by slab (see _SlabInner)."""
-    lhs, rhs = _SlabInner(), _SlabInner()
-    for lo, hi in _slab_planes(h.grid):
-        lhs.add(slash_d(h.slab(lo, hi)), hp.slab(lo, hi))
-        rhs.add(h.slab(lo, hi), slash_d(hp.slab(lo, hi)))
-    lhs, rhs = lhs.value(), rhs.value()
-    return _rel_residual_scaled(abs(lhs - rhs), max(abs(lhs), abs(rhs)))
+
+    def __init__(self):
+        self._lhs, self._rhs = _SlabInner(), _SlabInner()
+
+    def add(self, h: FourierSymTensor, hp: FourierSymTensor) -> None:
+        self._lhs.add(slash_d(h), hp)
+        self._rhs.add(h, slash_d(hp))
+
+    def value(self) -> float:
+        lhs, rhs = self._lhs.value(), self._rhs.value()
+        return _rel_residual_scaled(abs(lhs - rhs), max(abs(lhs), abs(rhs)))
 
 
-def _slashd_trace_residual(h: FourierSymTensor, u: FourierScalar) -> float:
+class _SlashdTraceResidual:
     """Identity 6: |tr slashd h| over |slashd h|, and |slashd(u g)| over
     |u g| times the largest |xi|^2 (at least 1), the larger of the two, all
     norms and the largest |xi|^2 streamed slab by slab (see _SlabNorm)."""
-    trace_norm, slashd_norm, pure_norm, ug_norm = (_SlabNorm() for _ in range(4))
-    xi_sq_max = 1.0
-    for lo, hi in _slab_planes(h.grid):
-        d = slash_d(h.slab(lo, hi))
-        trace_norm.add(trace(d))
-        slashd_norm.add(d)
-        us = u.slab(lo, hi)
-        ug = FourierSymTensor(us.grid, _g(us.data))
-        pure_norm.add(slash_d(ug))
-        ug_norm.add(ug)
-        xi_sq_max = max(xi_sq_max, float(us.grid.xi_sq.max()))
-    r1 = _rel_residual_scaled(trace_norm.norm(), slashd_norm.norm())
-    r2 = _rel_residual_scaled(pure_norm.norm(), ug_norm.norm() * xi_sq_max)
-    return max(r1, r2)
+
+    def __init__(self):
+        self._trace, self._slashd, self._pure, self._ug = (_SlabNorm() for _ in range(4))
+        self._xi_sq_max = 1.0
+
+    def add(self, h: FourierSymTensor, u: FourierScalar) -> None:
+        d = slash_d(h)
+        self._trace.add(trace(d))
+        self._slashd.add(d)
+        del d  # before ug and its slashd are formed
+        ug = FourierSymTensor(u.grid, _g(u.data))
+        self._pure.add(slash_d(ug))
+        self._ug.add(ug)
+        self._xi_sq_max = max(self._xi_sq_max, float(u.grid.xi_sq.max()))
+
+    def value(self) -> float:
+        r1 = _rel_residual_scaled(self._trace.norm(), self._slashd.norm())
+        r2 = _rel_residual_scaled(self._pure.norm(), self._ug.norm() * self._xi_sq_max)
+        return max(r1, r2)
 
 
-def _killing_residual(omt: CylOneForm) -> float:
+class _KillingResidual:
     """Identity 9: |D(K_cyl w)| over |K_cyl w| times the largest |xi|^2 (at
     least 1), and the relative defect of box_K w = div(K_cyl w), the larger
     of the two, all norms and the largest |xi|^2 streamed slab by slab (see
-    _SlabNorm).  Its cylinder fields hold about four times as many values
-    per mode as the Fourier fields of the other identities (K_cyl w alone
-    holds three terms of 13 components), so its slabs hold a quarter of
-    _SLAB_MODES."""
-    d_kg, kg_norm, box, div_kg, defect = (_SlabNorm() for _ in range(5))
-    xi_sq_max = 1.0
-    for lo, hi in _slab_planes(omt.grid, _SLAB_MODES // 4):
-        w = omt.slab(lo, hi)
+    _SlabNorm)."""
+
+    def __init__(self):
+        self._d_kg, self._kg, self._box, self._div_kg, self._defect = (_SlabNorm() for _ in range(5))
+        self._xi_sq_max = 1.0
+
+    def add(self, w: CylOneForm) -> None:
         kg = cyl_killing(w)
-        d_kg.add(linearized_weyl(kg))
-        kg_norm.add(kg)
+        self._d_kg.add(linearized_weyl(kg))
+        self._kg.add(kg)
         b, d = cyl_box_k(w), -1.0 * cyl_div(kg)
-        box.add(b)
-        div_kg.add(d)
-        defect.add(b + d)
-        xi_sq_max = max(xi_sq_max, float(w.grid.xi_sq.max()))
-    r1 = _rel_residual_scaled(d_kg.norm(), kg_norm.norm() * xi_sq_max)
-    scale = max(box.norm(), div_kg.norm())
-    r2 = 0.0 if scale == 0.0 else defect.norm() / scale
-    return max(r1, r2)
+        self._box.add(b)
+        self._div_kg.add(d)
+        self._defect.add(b + d)
+        self._xi_sq_max = max(self._xi_sq_max, float(w.grid.xi_sq.max()))
+
+    def value(self) -> float:
+        r1 = _rel_residual_scaled(self._d_kg.norm(), self._kg.norm() * self._xi_sq_max)
+        scale = max(self._box.norm(), self._div_kg.norm())
+        r2 = 0.0 if scale == 0.0 else self._defect.norm() / scale
+        return max(r1, r2)
 
 
 def _flat_element_residual(grid: ModeGrid) -> float:

@@ -314,14 +314,21 @@ def test_gap_lens(capsys):
     assert doc["window"] == [0.0, 2.0]
 
 
+def _tolerance_edge(lowest: float, side: float) -> float:
+    """The last float on the given side of lowest (side -inf or inf) that
+    the loader takes for lowest: |lam - lowest| <= _EIG_TOL."""
+    inside = lowest + math.copysign(spectra._EIG_TOL, side)
+    while abs(inside - lowest) > spectra._EIG_TOL:
+        inside = math.nextafter(inside, lowest)
+    while abs(math.nextafter(inside, side) - lowest) <= spectra._EIG_TOL:
+        inside = math.nextafter(inside, side)
+    return inside
+
+
 def _codazzi_edge():
     """The last float above 3 that the loader counts as a Codazzi
     eigenvalue (|lam - 3| <= _EIG_TOL), and the next float."""
-    inside = 3.0 + spectra._EIG_TOL
-    while inside - 3.0 > spectra._EIG_TOL:
-        inside = math.nextafter(inside, 3.0)
-    while math.nextafter(inside, 4.0) - 3.0 <= spectra._EIG_TOL:
-        inside = math.nextafter(inside, 4.0)
+    inside = _tolerance_edge(3.0, math.inf)
     return inside, math.nextafter(inside, 4.0)
 
 
@@ -352,6 +359,70 @@ def test_borderline_codazzi_line_on_both_sides_of_the_tolerance(side, tmp_path, 
     tt = sorted((r["re"], r["im"]) for r in docs["roots"]["roots"] if r["j"] == 1 and r["origin_kind"] == "tt")
     beta = math.sqrt(lam - 3.0) if side == "outside" else 0.0
     assert tt == sorted({(s * beta, t) for s in (-1.0, 1.0) for t in (-1.0, 1.0)})
+
+
+def _near(value: float, side: float, ulps: int) -> float:
+    """value moved ulps floats toward side."""
+    for _ in range(ulps):
+        value = math.nextafter(value, side)
+    return value
+
+
+@st.composite
+def _lowest_line(draw, lowest: float) -> float:
+    """An eigenvalue a few ulps from lowest, or a few ulps inside or outside
+    _EIG_TOL of it, on either side."""
+    side, ulps = draw(st.sampled_from([-math.inf, math.inf])), draw(st.integers(0, 3))
+    edge = _tolerance_edge(lowest, side)
+    return draw(st.sampled_from([_near(lowest, side, ulps), _near(edge, lowest, ulps), _near(edge, side, ulps + 1)]))
+
+
+@st.composite
+def _borderline_spectrum(draw):
+    """A spectrum file whose lowest scalar, co-closed and TT lines, each
+    present or not, sit at the edges of _EIG_TOL from 0, 0 and 3, with
+    higher lines after them.  Multiplicities and headers mostly agree with
+    the loader's rules, so that most files load."""
+    b1, codazzi = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+    lines = []
+    for kind, lowest, mult, higher in (("scalar", 0.0, 1, 2.1), ("oneform", 0.0, b1, 1.3), ("tt", 3.0, codazzi, 5.2)):
+        if draw(st.booleans()):
+            lam = draw(_lowest_line(lowest))
+            if abs(lam - lowest) > spectra._EIG_TOL or draw(st.integers(0, 4)) == 0:
+                mult = draw(st.integers(0, 3))
+            lines.append(f"{kind} {draw(st.integers(0, 3))} {lam!r} {mult}")
+        lines.append(f"{kind} {draw(st.integers(0, 3))} {higher!r} {draw(st.integers(1, 4))}")
+    if not any(line.startswith("tt") and abs(float(line.split()[2]) - 3.0) <= spectra._EIG_TOL for line in lines):
+        codazzi = draw(st.sampled_from([0, 0, 0, codazzi]))
+    return b1, codazzi, "\n".join([f"b1 {b1}", f"codazzi {codazzi}", *lines]) + "\n"
+
+
+# Whatever the file, roots and ks exit 0 or 3 (a file the loader refuses),
+# and on exit 0 both count 1 + b1 + 2 codazzi at real part 0 at every
+# --jmax: the constants, the harmonic 1-forms and each Codazzi tensor's
+# pair of roots +-i, and no root of a line just outside a tolerance.
+@settings(max_examples=60, deadline=None)
+@given(_borderline_spectrum())
+def test_borderline_lowest_lines_keep_the_count_at_real_part_0(spectrum):
+    import contextlib
+    import io
+    import tempfile
+
+    b1, codazzi, text = spectrum
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "spectrum.txt")
+        with open(path, "w") as f:
+            f.write(text)
+        for jmax in range(5):
+            for command, key in (("roots", "kernel_dim_at_zero"), ("ks", "cokernel_dim_at_zero")):
+                out, err = io.StringIO(), io.StringIO()
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                    code = cli.main([command, "--hyperbolic", path, "--jmax", str(jmax)])
+                assert code in (0, 3), (command, jmax, text, err.getvalue())
+                if code == 0:
+                    assert json.loads(out.getvalue())[key] == 1 + b1 + 2 * codazzi, (command, jmax, text)
+                else:
+                    assert out.getvalue() == "" and err.getvalue().startswith("error: "), (command, text)
 
 
 def test_ks_both_ways(tmp_path, capsys):

@@ -600,6 +600,50 @@ def test_fd_battery_forks_under_the_multithreaded_fork_warning(monkeypatch):
     assert len(forks) == 1
 
 
+FORK_THREADS_PROBE = """
+import contextlib, io, os
+
+def threads():
+    with open("/proc/self/status") as f:
+        return int(next(line for line in f if line.startswith("Threads:")).split()[1])
+
+import numpy
+numpy_threads = threads()
+at_fork = []
+os.register_at_fork(before=lambda: at_fork.append(threads()))
+from indicyl import cli, curvature
+curvature._battery_processes = lambda: 2
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(["verify", "linearization", "--N", "8"])
+print(code, numpy_threads, *at_fork)
+"""
+
+
+# The README's count: `verify linearization` forks its battery worker with
+# the OS threads that importing numpy starts (OpenBLAS's pool) and no
+# more, so one thread when OPENBLAS_NUM_THREADS=1 is set before numpy
+# loads.  A fresh process counts Threads: in /proc/self/status right after
+# importing numpy and at every fork of a two-process battery.
+@pytest.mark.parametrize("blas_threads", [None, "1"])
+def test_verify_linearization_forks_with_only_the_threads_numpy_starts(blas_threads):
+    import subprocess
+    import sys
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(C.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    if blas_threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = blas_threads
+    proc = subprocess.run([sys.executable, "-c", FORK_THREADS_PROBE], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    code, numpy_threads, *at_fork = map(int, proc.stdout.split())
+    assert code == 0
+    assert at_fork == [numpy_threads]
+    if blas_threads is not None:
+        assert numpy_threads == 1
+
+
 def test_fd_battery_of_no_cases_is_empty():
     assert C.fd_battery_errors([], (8, 8, 8, 8)) == []
 

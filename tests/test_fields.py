@@ -811,10 +811,12 @@ def test_identity_suite_deterministic():
     assert [(r.name, r.residual) for r in a] == [(r.name, r.residual) for r in b]
 
 
+# The suite cuts the front half of the box (planes 0 .. band - 1) into
+# slabs, each visited with its mirror slab, then the middle plane.
 # _SLAB_MODES of 1 makes slabs of one plane; 50 makes slabs of 2 planes at
 # bands 2 and 3 and of 1 at bands 4, 7 and 15; 100 of 4, 3, 2, 1 and 1
-# planes; 10**9 one slab holding the whole box, which every streamed sum
-# takes as one piece.  Bands 7 and 15 are the benchmark's.
+# planes (at most the band); 10**9 one slab holding the whole front half.
+# Bands 7 and 15 are the benchmark's.
 @pytest.mark.parametrize(
     "seed,band", [(9, 2), (9, 3), (9, 4), (385316, 2), (385316, 3), (385316, 4), (5, 7), (5, 15)]
 )
@@ -851,6 +853,54 @@ def test_random_fields_drawn_in_place_match_the_old_construction(band):
     want = tf(FourierSymTensor(grid, _old_random(old, grid, (3, 3))))
     assert F.random_symtensor(new, grid, traceless=True).data.tobytes() == want.data.tobytes()
     assert new.standard_normal() == old.standard_normal()
+
+
+def _replay_partitions(grid, r):
+    """Slab partitions of grid's planes, each in a shuffled visit order: one
+    plane per slab, random cuts (some slabs hold the middle plane with
+    planes on both sides of it), and the whole box as one slab."""
+    size = grid.size
+    cuts = sorted({0, size, *r.integers(1, size, 3).tolist()})
+    partitions = [[(p, p + 1) for p in range(size)], list(zip(cuts, cuts[1:])), [(0, size)]]
+    for slabs in partitions:
+        r.shuffle(slabs)
+    return partitions
+
+
+# A replayed field draws its slabs again from the generator states its skim
+# kept: every slab, in any partition and visit order, alone or with its
+# mirror slab, has the bits of the eagerly drawn field's slab (and of the
+# old construction from whole-box temporaries), and each replay leaves the
+# generator where it found it, however it was used since the skim.
+@pytest.mark.parametrize("band", [1, 3, 7])
+def test_replayed_slabs_match_the_eager_draw(band):
+    grid, order = ModeGrid(band=band), np.random.default_rng(band)
+    kinds = (
+        (F.random_scalar, FourierScalar, ()),
+        (F.random_oneform, FourierOneForm, (3,)),
+        (F.random_symtensor, FourierSymTensor, (3, 3)),
+    )
+    for draw, kind, comp_shape in kinds:
+        eager = np.random.default_rng(band + 100)
+        want = draw(eager, grid)
+        assert want.data.tobytes() == _old_random(np.random.default_rng(band + 100), grid, comp_shape).tobytes()
+        between, after = eager.standard_normal(5), eager.standard_normal(3)
+        for modes in (None, 1, 2 * grid.size**2):  # runs of the suite's slabs, of one plane, of two planes
+            r = np.random.default_rng(band + 100)
+            replay = F._ReplayedField(r, grid, kind, modes)
+            assert r.standard_normal(5).tobytes() == between.tobytes()
+            for slabs in _replay_partitions(grid, order):
+                for lo, hi in slabs:
+                    view = replay.slab(lo, hi)
+                    assert view.grid is grid.slab(lo, hi)
+                    assert view.data.tobytes() == want.slab(lo, hi).data.tobytes(), (draw.__name__, modes, lo, hi)
+            for lo, hi in replay.front_slabs:
+                views = replay.pair(lo, hi)
+                assert len(views) == (1 if lo + hi == grid.size else 2)
+                for view, (a, b) in zip(views, ((lo, hi), (grid.size - hi, grid.size - lo))):
+                    assert view.grid is grid.slab(a, b)
+                    assert view.data.tobytes() == want.slab(a, b).data.tobytes(), (draw.__name__, modes, a, b)
+            assert r.standard_normal(3).tobytes() == after.tobytes()
 
 
 @pytest.mark.parametrize("kt_modes", [(0, 1), (1, 2), (0, 1, 2)])
@@ -895,27 +945,31 @@ def _identity_suite_peak(band: int) -> float:
 
 def test_identity_suite_working_set_is_bounded():
     # The band-15 suite allocates at most this many band-15 symmetric
-    # tensors in traced arrays: its peak, 2.35, plus 10%.  Only the random
-    # inputs are box-sized, and each lives until its last identity: h and
-    # hp (2 tensors) while identity 5 runs; then h, om and u (1.44); then
-    # om alone, and the four parts of omt (0.89).  Every identity runs its
-    # operators one slab of 3 mode planes (identity 9: one plane) at a time
-    # and streams its norms and pairings, and the mode grid holds xi and
-    # xi_sq of one slab only.  Per identity it reads 2.35 (5), 2.24
-    # (drawing h and hp), 2.06 (8), 1.99 (6), 1.96 (1), 1.89 (3, 4, 7),
-    # 1.70 (2, 9), 0.51 (10), 0.05 (11).  With slabs of 4096 modes, a
-    # box-sized xi and the slashd of a stack of temporaries it read 2.73.
-    # The bound may only be tightened.
-    assert _identity_suite_peak(15) < 2.6
+    # tensors in traced arrays: its peak, 1.076, plus 10%.  No random input
+    # is box-sized: each is skimmed for the generator states its runs start
+    # from and replayed a mirror pair of slabs (3 planes each, and the
+    # middle plane; one plane for identity 9) at a time, one pass per
+    # family of inputs, and every identity streams its norms and pairings.
+    # The pass over h, hp and u holds the slabs of h (0.19) and of one more
+    # input, and the accumulators of six identities.  Per identity it reads
+    # 1.08 (1, 3, 5, 8), 1.00 (6), 0.96 (a replay), 0.85 (2), 0.84 (9),
+    # 0.76, 0.52 (4), 0.63 (7), 0.42 (10), 0.07 (11), 0.02 (a skim); the
+    # block of box size that the suite maps and frees untouched reads 1.
+    # With h and hp drawn whole it read 2.35.  The bound may only be
+    # tightened.
+    assert _identity_suite_peak(15) < 1.18
 
 
 def test_identity_suite_working_set_is_bounded_at_band_7():
-    # The band-7 box, 3,375 modes, is cut into slabs of 10 and 5 planes
-    # (identity 9: 3 planes), so the suite's operators never take the whole
-    # box: its peak, 5.47 band-7 tensors (identity 9), plus 10%.  With
-    # slabs of 4096 modes the box was one slab, and identity 9 read 17.3.
-    # The bound may only be tightened.
-    assert _identity_suite_peak(7) < 6.0
+    # The band-7 box, 3,375 modes, is cut into front slabs of 7 planes, their
+    # mirrors and the middle plane (identity 9: 3, 3 and 1 planes and their
+    # mirrors), so the suite's operators never take the whole box: its
+    # peak, 5.05 band-7 tensors (identity 5), plus 10%.  Per identity it
+    # reads 5.06 (5), 4.72 (9), 4.63 (8), 4.60 (1), 4.58 (3), 4.55 (6),
+    # 3.95 (a replay), 3.61, 2.44 (4), 3.51 (2), 3.00 (7), 1.96 (10), 0.40
+    # (11).  With h and hp drawn whole it read 5.47 (identity 9), and with
+    # the box as one slab 17.3.  The bound may only be tightened.
+    assert _identity_suite_peak(7) < 5.56
 
 
 def test_mode_grid_xi_matches_the_box_meshgrid():
@@ -936,8 +990,9 @@ def test_mode_grid_xi_matches_the_box_meshgrid():
 
 def test_identity_suite_holds_no_box_sized_xi(monkeypatch):
     # Every xi the band-15 suite builds on its box is one slab's (3 planes,
-    # or 1 for identity 9), and afterwards the box holds at most one slab's
-    # xi and xi_sq.  Identity 11 runs on a band-1 box of its own.
+    # or 1 for the middle plane and for identity 9), and afterwards the box
+    # holds at most one slab's xi and xi_sq.  Identity 11 runs on a band-1
+    # box of its own.
     grids, built = [], []
     init, pair = ModeGrid.__init__, ModeGrid._xi_pair
 
