@@ -55,25 +55,21 @@ metric is differentiated through its full rfftn, one component at a time.
 Processes: everything runs in the calling process, a group at a time,
 except that the battery (see fd_battery_errors) runs its cases in
 parallel, on the calling process and on workers forked from it, one per
-further CPU.  The package starts no threads.  Each grid point's values
-come from the same expressions in the same order however the grid is
-grouped and the cases are shared out, so every result is bitwise the same
-for any number of CPUs.
+further CPU (see forks.run).  The package starts no threads.  Each grid
+point's values come from the same expressions in the same order however
+the grid is grouped and the cases are shared out, so every result is
+bitwise the same for any number of CPUs.
 """
 
 from __future__ import annotations
 
 import math
-import os
-import pickle
-import signal
-import warnings
-from contextvars import ContextVar
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
+from . import forks
 from .fields import (
     _SYM_PAIRS,
     _T_PERIOD,
@@ -354,15 +350,6 @@ def _ik_factors(periods, grid_shape, positions):
     return out
 
 
-def _battery_processes() -> int:
-    """The number of CPUs this process may run on, and so the most
-    processes that run the battery (see fd_battery_errors)."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
 # Most grid points per group of a streamed pass (see _group_planes), unless
 # one row holds more.  Each group repeats every NumPy call of a stage, so
 # small groups cost more in call overhead than they save in memory.  A
@@ -383,12 +370,6 @@ _SLAB_POINTS = 2048
 # all 71, chunks of 24 lower the traced peak of a case whose 71 components
 # are all live from 13.8 to 12.0 MiB at 16^4.
 _INVERSE_ROWS = 24
-
-# The pid of the process running the battery (see fd_battery_errors), set
-# while it runs and inherited by the workers it forks (see
-# _exit_if_orphaned); None otherwise.
-_BATTERY_OWNER: ContextVar[int | None] = ContextVar("battery_owner", default=None)
-
 
 @dataclass(frozen=True, eq=False)
 class Spectrum:
@@ -977,14 +958,6 @@ def _variation_stack(periods, spectrum: Spectrum) -> np.ndarray:
     return _time_inverse(box, positions[0], spectrum.shape[0])
 
 
-def _exit_if_orphaned() -> None:
-    """Ends this process at once if it is a battery worker (see
-    fd_battery_errors) whose parent has gone."""
-    owner = _BATTERY_OWNER.get()
-    if owner is not None and owner not in (os.getpid(), os.getppid()):
-        os._exit(1)
-
-
 def _fd_differences(periods, spectrum: Spectrum, exact: Spectrum, eps_values):
     """Streams the grid a group at a time (see _groups) and yields
     per group (points, sample, block, differences): the slice of the
@@ -1003,7 +976,7 @@ def _fd_differences(periods, spectrum: Spectrum, exact: Spectrum, eps_values):
     the errors of MetricGrid4D and asd_form_background; so a group's
     differences stop before the first step whose metric fails there.  A
     battery worker whose parent has gone ends between groups (see
-    _exit_if_orphaned).
+    forks.exit_if_orphaned).
     """
     shape = spectrum.shape
     stack = _variation_stack(periods, spectrum)
@@ -1024,7 +997,7 @@ def _fd_differences(periods, spectrum: Spectrum, exact: Spectrum, eps_values):
     minus_buf = buffers[1].reshape(-1)[: 9 * n].reshape(n, 3, 3)
     evaluations = []  # (step, (finite, positive), (peak, defect)) per group
     for times, block, points in _groups(shape):
-        _exit_if_orphaned()
+        forks.exit_if_orphaned()
         group = (times.stop - times.start, block.stop - block.start) + shape[2:]
         w = points.stop - points.start
         flat, cross = values_buf[:, :w], exact_buf[:, :w]
@@ -1104,111 +1077,12 @@ def fd_linearization_errors(
     return [math.nan if degenerate else diff_sum.norm() / den for diff_sum in diff_sums]
 
 
-def _run_share(cases, shape, first: int, stride: int) -> tuple[dict, tuple | None]:
-    """fd_linearization_errors of the cases first, first + stride, ... one
-    after another: {case: errors} of those that return, and (case,
-    exception) of the first that raises, or None."""
-    done = {}
-    for i in range(first, len(cases), stride):
-        ht, eps_values = cases[i]
-        try:
-            done[i] = fd_linearization_errors(ht, eps_values, shape)
-        except Exception as e:
-            return done, (i, e)
-    return done, None
-
-
-def _portable(exc: Exception) -> Exception:
-    """exc if it survives pickling, else a RuntimeError naming its type
-    and message."""
-    try:
-        pickle.loads(pickle.dumps(exc))
-        return exc
-    except Exception:
-        return RuntimeError(f"{type(exc).__name__}: {exc}")
-
-
-def _worker(cases, shape, first: int, stride: int, out_fd: int):
-    """The whole life of a forked battery worker: its share of the cases
-    (see _run_share), pickled to out_fd, then os._exit, whatever happens,
-    so that nothing of the parent's stack, buffers or exit handlers runs
-    here."""
-    code = 1
-    try:
-        done, failure = _run_share(cases, shape, first, stride)
-        if failure is not None:
-            failure = (failure[0], _portable(failure[1]))
-        payload = pickle.dumps((done, failure))
-        with os.fdopen(out_fd, "wb") as out:
-            out.write(payload)
-        code = 0
-    finally:
-        os._exit(code)
-
-
-def _read_all(fd: int) -> bytes:
-    chunks = []
-    while chunk := os.read(fd, 1 << 16):
-        chunks.append(chunk)
-    return b"".join(chunks)
-
-
 def fd_battery_errors(cases, shape) -> list[list[float]]:
     """fd_linearization_errors(ht, eps_values, shape) of each (ht,
-    eps_values) of cases, in case order, on every CPU the process may use.
-
-    The cases are split between W = min(CPUs, cases) processes: this one
-    and W - 1 workers forked from it, or this one alone without os.fork.
-    Case i runs in process i mod W; each process runs its cases one after
-    another, and a worker sends its errors back over a pipe.  So the result does not depend on W.  When
-    cases raise, the exception of the lowest case is raised, as a loop
-    over the cases would, with the type and message it had in its process.
-
-    No worker outlives the call: a worker ends through os._exit after its
-    share, or between groups once its parent is gone (see
-    _exit_if_orphaned), and every worker not yet reaped when this returns
-    or raises is killed and reaped.  Each process holds its own buffers,
-    so the memory of the whole battery grows with W.
-    """
-    cases = list(cases)
-    count = max(1, min(_battery_processes(), len(cases))) if hasattr(os, "fork") else 1
-    token = _BATTERY_OWNER.set(os.getpid())
-    workers = []  # (pid, read end of its pipe) of each worker not yet reaped
-    try:
-        for first in range(1, count):
-            read_fd, write_fd = os.pipe()
-            with warnings.catch_warnings():
-                # Python 3.12+ warns about forking a process that has threads
-                # (BLAS's); a worker uses none.
-                warnings.simplefilter("ignore", DeprecationWarning)
-                pid = os.fork()
-            if pid == 0:
-                _worker(cases, shape, first, count, write_fd)
-            os.close(write_fd)
-            workers.append((pid, read_fd))
-        results, failure = _run_share(cases, shape, 0, count)
-        failures = [failure]
-        while workers:
-            pid, read_fd = workers[0]
-            payload = _read_all(read_fd)
-            os.waitpid(pid, 0)
-            os.close(read_fd)
-            workers.pop(0)
-            if not payload:
-                raise RuntimeError(f"battery worker {pid} ended without a result")
-            done, failure = pickle.loads(payload)
-            results.update(done)
-            failures.append(failure)
-    finally:
-        _BATTERY_OWNER.reset(token)
-        for pid, read_fd in workers:
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-            os.close(read_fd)
-    failures = [f for f in failures if f is not None]
-    if failures:
-        raise min(failures, key=lambda f: f[0])[1]
-    return [results[i] for i in range(len(cases))]
+    eps_values) of cases, in case order, case i in process i mod W (see
+    forks.run); the exception of the lowest failing case is raised.  Each
+    process holds its own buffers, so the battery's memory grows with W."""
+    return forks.run(partial(fd_linearization_errors, ht, eps_values, shape) for ht, eps_values in cases)
 
 
 # Component mixes and time frequencies of the fixed-seed validation battery.

@@ -21,9 +21,11 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
+
+from . import forks
 
 __all__ = [
     "ModeGrid",
@@ -1239,7 +1241,12 @@ def identity_suite(band: int = 3, seed: int = 7):
     time (see _ReplayedField.pair) and feeds every identity that reads
     them, each identity running its operators on the slab and streaming
     its norms and pairings: h, hp and u feed identities 1, 2, 3, 5, 6 and
-    8, om feeds 4, 7 and 10, and the four parts of omt feed 9.
+    8, the four parts of omt feed 9, and om feeds 4, 7 and 10.  The three
+    passes run in that order on every CPU the process may use (see
+    forks.run): on two, this process runs the first and third and a worker
+    the second, which takes about as long as those two together.  Each
+    residual is computed whole in one process, so its bits do not depend
+    on the CPU count.
     """
     rng = np.random.default_rng(seed)
     grid = ModeGrid(band=band)
@@ -1259,7 +1266,8 @@ def identity_suite(band: int = 3, seed: int = 7):
     # terms of 13 components), so its slabs hold a quarter of _SLAB_MODES.
     kinds = (FourierScalar, FourierOneForm)
     omt = [_ReplayedField(rng, grid, kind, _SLAB_MODES // 4) for _ in _KILLING_TERMS for kind in kinds]
-    residuals = {**_tensor_identities(h, hp, u), **_oneform_identities(om), **_killing_identity(omt)}
+    passes = [partial(_tensor_identities, h, hp, u), partial(_killing_identity, omt), partial(_oneform_identities, om)]
+    residuals = {name: r for family in forks.run(passes) for name, r in family.items()}
     # 11. Parallel kernel and cokernel elements are annihilated exactly.
     residuals["flat_kernel_cokernel"] = _flat_element_residual(ModeGrid(grid.lengths, band=1))
     return [IdentityResult(name, formula, float(residuals[name]), _IDENTITY_TOL) for name, formula in _IDENTITIES]
@@ -1293,6 +1301,7 @@ def _tensor_identities(h, hp, u) -> dict[str, float]:
     )
 
     for lo, hi in h.front_slabs:
+        forks.exit_if_orphaned()
         pair = h.pair(lo, hi)
         for view in pair:
             d = slash_d(view)
@@ -1334,6 +1343,7 @@ def _oneform_identities(om) -> dict[str, float]:
     coclosed = _Residual(lambda p: star_d(star_d(p)), lambda p: -1.0 * hodge_laplacian(p))
 
     for lo, hi in om.front_slabs:
+        forks.exit_if_orphaned()
         for w in om.pair(lo, hi):
             k, l = conf_killing(w), laplacian(w)
             conf_div.add(w, k, l)
@@ -1355,6 +1365,7 @@ def _killing_identity(parts) -> dict[str, float]:
     matches the box form."""
     killing = _KillingResidual()
     for lo, hi in parts[0].front_slabs:
+        forks.exit_if_orphaned()
         for views in zip(*[x.pair(lo, hi) for x in parts]):
             w = CylOneForm(views[0].grid)
             for (rate, degree), f, omega in zip(_KILLING_TERMS, views[0::2], views[1::2]):

@@ -7,10 +7,14 @@ hypothesis reports a failing property through hypothesis.extra._patching,
 which it imports only then.  That import reaches mypy_extensions.TypedDict,
 which warns DeprecationWarning, and under filterwarnings = ["error"] the
 warning would end the run with INTERNALERROR and lose the falsifying
-example.  So the module is imported once here, that warning ignored."""
+example.  So the module is imported once here, that warning ignored.
 
+The no_child_left fixture checks that a test leaves no child process."""
+
+import os
 import warnings
 
+import pytest
 from hypothesis import settings
 
 with warnings.catch_warnings():
@@ -19,3 +23,22 @@ with warnings.catch_warnings():
 
 settings.register_profile("tier1", derandomize=True, database=None)
 settings.load_profile("tier1")
+
+
+@pytest.fixture
+def no_child_left():
+    """Fails the test if it leaves a child process of this one behind,
+    running or unreaped (read from /proc/self/task/*/children)."""
+
+    def children():
+        pids = set()
+        for tid in os.listdir("/proc/self/task"):
+            with open(f"/proc/self/task/{tid}/children") as f:
+                pids.update(f.read().split())
+        return pids
+
+    if not os.path.exists(f"/proc/self/task/{os.getpid()}/children"):
+        pytest.skip("needs /proc/self/task/*/children")
+    before = children()
+    yield
+    assert children() <= before

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from indicyl import cli, curvature, indicial, spectra
+from indicyl import cli, curvature, forks, indicial, spectra
 
 HYP_WITH_CODAZZI = """\
 b1 0
@@ -785,7 +785,7 @@ def test_battery_failure_reads_the_same_on_any_process_count(monkeypatch, capsys
     monkeypatch.setattr(curvature, "_DEFECT_TOL", 0.0)
     outcomes = []
     for workers in (1, 2, 3):
-        monkeypatch.setattr(curvature, "_battery_processes", lambda: workers)
+        monkeypatch.setattr(forks, "_processes", lambda: workers)
         code = cli.main(["verify", "linearization", "--N", "8"])
         outcomes.append((code, capsys.readouterr()))
     assert outcomes[0][0] == 1 and outcomes[0][1].out == ""
@@ -797,9 +797,22 @@ def test_battery_failure_reads_the_same_on_any_process_count(monkeypatch, capsys
 def test_battery_report_is_the_same_on_any_process_count(monkeypatch, seed):
     reports = []
     for workers in (1, 2, 3):
-        monkeypatch.setattr(curvature, "_battery_processes", lambda: workers)
+        monkeypatch.setattr(forks, "_processes", lambda: workers)
         reports.append(json.dumps(cli.run_linearization(n=8, seed=seed)))
     assert reports[1] == reports[0] and reports[2] == reports[0]
+
+
+@pytest.mark.parametrize("seed", ["7", "123"])
+def test_identities_report_is_the_same_on_any_process_count(monkeypatch, capsys, no_child_left, seed):
+    # The suite's three input families run in processes i mod W; each
+    # residual is computed whole in one of them.
+    outputs = []
+    for workers in (1, 2, 3, 4):
+        monkeypatch.setattr(forks, "_processes", lambda: workers)
+        code = cli.main(["verify", "identities", "--N", "8", "--seed", seed])
+        outputs.append((code, capsys.readouterr()))
+    assert outputs[0][0] == 0 and outputs[0][1].out and outputs[0][1].err == ""
+    assert all(output == outputs[0] for output in outputs[1:])
 
 
 @pytest.mark.parametrize("n", ["2", "4"])
@@ -967,25 +980,25 @@ def test_closed_form_commands_load_no_numpy(argv, tmp_path):
 
 
 def test_cli_start_up_loads_no_pickle_or_multiprocessing():
-    # Only the battery forks and pickles, inside the curvature module that
-    # verify linearization loads on demand.  The closed-form value types are
+    # Only the verify suites fork and pickle, through the forks module that
+    # they load on demand.  The closed-form value types are
     # named tuples, so start-up imports no dataclasses and no inspect either,
     # and strings are encoded by _json alone, without the json package.
     probe = (
         "import sys, indicyl.cli; "
-        'print(sorted({"pickle", "multiprocessing", "dataclasses", "inspect", "json"} & set(sys.modules)))'
+        'print(sorted({"pickle", "multiprocessing", "indicyl.forks", "dataclasses", "inspect", "json"} & set(sys.modules)))'
     )
     proc = run_python("-c", probe)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
 
 
-# Runs the command in argv, with a forked battery worker even on one CPU,
-# and prints for the command's process and for each worker as it exits:
+# Runs the command in argv, with a forked worker even on one CPU, and
+# prints for the command's process and for each worker as it exits:
 # whether numpy.ma and _hashlib are loaded and libcrypto is mapped.
 _LEAN_PROBE = """
 import os, sys
-from indicyl import cli, curvature
+from indicyl import cli, forks
 def report(who):
     maps = open("/proc/self/maps").read() if os.path.exists("/proc/self/maps") else ""
     return f"{who} {'numpy.ma' in sys.modules} {'_hashlib' in sys.modules} {'libcrypto' in maps}\\n"
@@ -994,7 +1007,7 @@ def reported_exit(code):
     os.write(1, report("worker").encode())
     exit_(code)
 os._exit = reported_exit
-curvature._battery_processes = lambda: 2
+forks._processes = lambda: 2
 code = cli.main(sys.argv[1:])
 print(code, report("command"), end="")
 """
@@ -1010,8 +1023,7 @@ def test_verify_suites_load_no_numpy_ma(suite, tmp_path):
     # that inherits the lean process.
     proc = run_python("-c", _LEAN_PROBE, "verify", suite, "--N", "8", "--out", str(tmp_path / "out.json"))
     assert proc.returncode == 0, proc.stderr
-    workers = ["worker False False False\n"] if suite == "linearization" else []
-    assert proc.stdout == "".join(workers) + "0 command False False False\n"
+    assert proc.stdout == "worker False False False\n0 command False False False\n"
     assert json.loads((tmp_path / "out.json").read_text())["pass"] is True
 
 
@@ -1059,11 +1071,11 @@ def _running(pid: int) -> bool:
         return False
 
 
-# Announces each forked battery worker's pid on stdout, then runs a battery
-# whose worker has about 20 cases of 16^4 to do.
-ORPHAN_BATTERY = """
+# Announces each forked worker's pid on stdout, with two processes on any
+# machine; the probes below then run a battery or an identity suite.
+_ANNOUNCED_FORK = """
 import os
-from indicyl import curvature as C
+from indicyl import forks
 fork = os.fork
 def announced_fork():
     pid = fork()
@@ -1071,17 +1083,37 @@ def announced_fork():
         print(pid, flush=True)
     return pid
 os.fork = announced_fork
-C._battery_processes = lambda: 2
+forks._processes = lambda: 2
+"""
+
+# A battery whose worker has about 20 cases of 16^4 to do.
+ORPHAN_BATTERY = _ANNOUNCED_FORK + """
+from indicyl import curvature as C
 C.fd_battery_errors([(ht, [1e-4]) for ht in C.linearization_battery()] * 4, (16,) * 4)
 """
 
+# A band-15 identity suite whose worker, running identity 9, sleeps 0.2 s
+# per slab view, 31 of them, so that it would outlive its parent by
+# seconds if it ran to its end.
+ORPHAN_SUITE = _ANNOUNCED_FORK + """
+import time
+from indicyl import fields as F
+add = F._KillingResidual.add
+def slow_add(self, w):
+    time.sleep(0.2)
+    add(self, w)
+F._KillingResidual.add = slow_add
+F.identity_suite(band=15, seed=5)
+"""
 
-@pytest.mark.skipif(not (hasattr(os, "fork") and os.path.isdir("/proc/self")), reason="needs fork and /proc")
-def test_battery_worker_ends_when_its_parent_is_killed():
+
+def _worker_ends_when_its_parent_is_killed(probe):
+    """Runs probe in a fresh process, kills it once it has forked its
+    worker, and requires the worker to end within 2 s."""
     env = dict(os.environ)
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    parent = subprocess.Popen([sys.executable, "-c", ORPHAN_BATTERY], stdout=subprocess.PIPE, env=env)
+    parent = subprocess.Popen([sys.executable, "-c", probe], stdout=subprocess.PIPE, env=env)
     worker = None
     try:
         worker = int(parent.stdout.readline())
@@ -1097,6 +1129,16 @@ def test_battery_worker_ends_when_its_parent_is_killed():
         parent.stdout.close()
         if worker is not None and _running(worker):
             os.kill(worker, signal.SIGKILL)
+
+
+@pytest.mark.skipif(not (hasattr(os, "fork") and os.path.isdir("/proc/self")), reason="needs fork and /proc")
+def test_battery_worker_ends_when_its_parent_is_killed():
+    _worker_ends_when_its_parent_is_killed(ORPHAN_BATTERY)
+
+
+@pytest.mark.skipif(not (hasattr(os, "fork") and os.path.isdir("/proc/self")), reason="needs fork and /proc")
+def test_identity_suite_worker_ends_when_its_parent_is_killed():
+    _worker_ends_when_its_parent_is_killed(ORPHAN_SUITE)
 
 
 _SCIPY_PROBE = """

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from indicyl import curvature as C
 from indicyl import fields as F
+from indicyl import forks
 
 PERIODS = (2 * math.pi,) * 4
 
@@ -433,7 +434,7 @@ def test_engine_matches_eager_engine_bitwise():
 )
 @pytest.mark.parametrize("workers", [1, 2, 3])
 def test_fd_battery_matches_eager_loop_bitwise(monkeypatch, shape, slab_points, workers):
-    monkeypatch.setattr(C, "_battery_processes", lambda: workers)
+    monkeypatch.setattr(forks, "_processes", lambda: workers)
     if slab_points is not None:
         monkeypatch.setattr(C, "_SLAB_POINTS", slab_points)
     battery = C.linearization_battery(seed=11, band=1)
@@ -530,9 +531,9 @@ def test_battery_metric_error_matches_metric_grid(monkeypatch):
 # after, and whether concurrent.futures was ever imported.
 THREAD_PROBE = """
 import math, sys, threading
-from indicyl import curvature as C
+from indicyl import curvature as C, forks
 before = threading.active_count()
-C._battery_processes = lambda: 2
+forks._processes = lambda: 2
 C._SLAB_POINTS = 512
 battery = C.linearization_battery(seed=11, band=1)
 periods = (2 * math.pi,) + battery[0].grid.lengths
@@ -559,27 +560,39 @@ def test_engine_and_battery_start_no_threads():
 
 
 def test_fd_battery_runs_every_case_itself_without_fork(monkeypatch):
-    monkeypatch.setattr(C, "_battery_processes", lambda: 3)
-    monkeypatch.delattr(C.os, "fork")
+    monkeypatch.setattr(forks, "_processes", lambda: 3)
+    monkeypatch.delattr(os, "fork")
     battery = C.linearization_battery(seed=11, band=1)
     cases, shape = [(ht, [1e-4]) for ht in battery[:3]], (8, 8, 8, 8)
     assert C.fd_battery_errors(cases, shape) == [C.fd_linearization_errors(ht, e, shape) for ht, e in cases]
 
 
+# The two suites that fork, at the sizes of `verify linearization --N 8`
+# (two cases) and `verify identities --N 8`.
+_FORKING_SUITES = {
+    "linearization": lambda: C.fd_battery_errors(
+        [(ht, [1e-4]) for ht in C.linearization_battery(seed=11, band=1)[:2]], (8, 8, 8, 8)
+    ),
+    "identities": lambda: F.identity_suite(band=3, seed=7),
+}
+
+
 # From Python 3.12, os.fork() in a process with more than one OS thread
 # (numpy's BLAS pool starts one) warns in the parent, after the child
-# exists.  Tier-1 makes warnings errors, so the battery silences exactly
-# that warning at its fork; here a patched fork issues it on any Python.
+# exists.  Tier-1 makes warnings errors, so the fork helper silences
+# exactly that warning at its fork; here a patched fork issues it on any
+# Python.
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
-def test_fd_battery_forks_under_the_multithreaded_fork_warning(monkeypatch):
+@pytest.mark.parametrize("suite", ["linearization", "identities"])
+def test_suites_fork_under_the_multithreaded_fork_warning(monkeypatch, suite):
     import warnings
 
-    fork, forks = os.fork, []
+    fork, pids = os.fork, []
 
     def warning_fork():
         pid = fork()
         if pid:
-            forks.append(pid)
+            pids.append(pid)
             warnings.warn(
                 f"This process (pid={os.getpid()}) is multi-threaded, use of fork() may lead to deadlocks in the child.",
                 DeprecationWarning,
@@ -587,21 +600,24 @@ def test_fd_battery_forks_under_the_multithreaded_fork_warning(monkeypatch):
             )
         return pid
 
-    battery = C.linearization_battery(seed=11, band=1)
-    cases, shape = [(ht, [1e-4]) for ht in battery[:2]], (8, 8, 8, 8)
-    want = [C.fd_linearization_errors(ht, e, shape) for ht, e in cases]
-    monkeypatch.setattr(C, "_battery_processes", lambda: 2)
+    run = _FORKING_SUITES[suite]
+    monkeypatch.setattr(forks, "_processes", lambda: 1)
+    want = run()
+    monkeypatch.setattr(forks, "_processes", lambda: 2)
     monkeypatch.setattr(os, "fork", warning_fork)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(DeprecationWarning, match="multi-threaded"):
             warnings.warn("This process is multi-threaded", DeprecationWarning)
-        assert C.fd_battery_errors(cases, shape) == want
-    assert len(forks) == 1
+        assert run() == want
+    assert len(pids) == 1
 
 
+# Runs the verify suite named in argv with two processes, and prints its
+# exit code, the OS threads right after importing numpy, and those at
+# every fork.
 FORK_THREADS_PROBE = """
-import contextlib, io, os
+import contextlib, io, os, sys
 
 def threads():
     with open("/proc/self/status") as f:
@@ -611,21 +627,22 @@ import numpy
 numpy_threads = threads()
 at_fork = []
 os.register_at_fork(before=lambda: at_fork.append(threads()))
-from indicyl import cli, curvature
-curvature._battery_processes = lambda: 2
+from indicyl import cli, forks
+forks._processes = lambda: 2
 with contextlib.redirect_stdout(io.StringIO()):
-    code = cli.main(["verify", "linearization", "--N", "8"])
+    code = cli.main(["verify", sys.argv[1], "--N", "8"])
 print(code, numpy_threads, *at_fork)
 """
 
 
-# The README's count: `verify linearization` forks its battery worker with
-# the OS threads that importing numpy starts (OpenBLAS's pool) and no
-# more, so one thread when OPENBLAS_NUM_THREADS=1 is set before numpy
-# loads.  A fresh process counts Threads: in /proc/self/status right after
-# importing numpy and at every fork of a two-process battery.
+# The README's count: both verify suites fork their worker with the OS
+# threads that importing numpy starts (OpenBLAS's pool) and no more, so
+# one thread when OPENBLAS_NUM_THREADS=1 is set before numpy loads.  A
+# fresh process counts Threads: in /proc/self/status right after
+# importing numpy and at every fork of a two-process run.
+@pytest.mark.parametrize("suite", ["linearization", "identities"])
 @pytest.mark.parametrize("blas_threads", [None, "1"])
-def test_verify_linearization_forks_with_only_the_threads_numpy_starts(blas_threads):
+def test_verify_suites_fork_with_only_the_threads_numpy_starts(suite, blas_threads):
     import subprocess
     import sys
 
@@ -635,7 +652,7 @@ def test_verify_linearization_forks_with_only_the_threads_numpy_starts(blas_thre
     env.pop("OPENBLAS_NUM_THREADS", None)
     if blas_threads is not None:
         env["OPENBLAS_NUM_THREADS"] = blas_threads
-    proc = subprocess.run([sys.executable, "-c", FORK_THREADS_PROBE], capture_output=True, text=True, env=env)
+    proc = subprocess.run([sys.executable, "-c", FORK_THREADS_PROBE, suite], capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     code, numpy_threads, *at_fork = map(int, proc.stdout.split())
     assert code == 0
@@ -680,7 +697,7 @@ def test_fd_battery_raises_the_lowest_failing_case(monkeypatch, kinds, error, wo
     # the lowest failing case may be a worker's, and its exception is raised with the type
     # and message it had there, as the one-process loop raises it.
     monkeypatch.setattr(C, "_DEFECT_TOL", 0.0)
-    monkeypatch.setattr(C, "_battery_processes", lambda: workers)
+    monkeypatch.setattr(forks, "_processes", lambda: workers)
     cases = [_failing_cases()[kind] for kind in kinds]
     with pytest.raises(error) as got:
         C.fd_battery_errors(cases, (8, 8, 8, 8))
@@ -727,11 +744,11 @@ def test_curvature_grid_holds_no_inverse_until_asked():
 @pytest.mark.parametrize("workers", [1, 2, 3])
 def test_engine_matches_eager_engine_for_any_cpu_count(monkeypatch, shape, workers):
     # The engine runs in the calling process, on groups that do not depend
-    # on the CPU count, so whatever _battery_processes reports, its bits are
+    # on the CPU count, so whatever forks._processes reports, its bits are
     # the eager engine's.  A group size of one point lowers the groups,
     # which would otherwise hold the whole grid, to the chunking rule's
     # floor: one row of 64 points.
-    monkeypatch.setattr(C, "_battery_processes", lambda: workers)
+    monkeypatch.setattr(forks, "_processes", lambda: workers)
     monkeypatch.setattr(C, "_SLAB_POINTS", 1)
     m = random_metric(shape, seed=21)
     curv = C.christoffel_riemann(m)
@@ -746,7 +763,7 @@ def test_quadratic_chunks_match_eager_engine_bitwise(monkeypatch, workers):
     # 200-point groups split each time plane of an 8^4 grid unevenly, into
     # blocks of 3, 3 and 2 rows, the last group of each plane short; the
     # CPU count, as above, must not matter.
-    monkeypatch.setattr(C, "_battery_processes", lambda: workers)
+    monkeypatch.setattr(forks, "_processes", lambda: workers)
     monkeypatch.setattr(C, "_SLAB_POINTS", 200)
     m = random_metric((8, 8, 8, 8), seed=21)
     want = eager_curvature(unpack(m.g), m.periods)

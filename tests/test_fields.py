@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from indicyl import fields as F
+from indicyl import forks
 from indicyl.fields import (
     CylOneForm,
     CylTensor,
@@ -828,6 +829,18 @@ def test_identity_suite_does_not_depend_on_slab_size(monkeypatch, band, seed):
     assert all(hexes == residuals[0] for hexes in residuals[1:])
 
 
+# The suite's three input families run in process i mod W of W = min(CPUs,
+# 3) (see forks.run), each residual computed whole in one process: every
+# bit is the same on 1, 2, 3 or 4 CPUs, and no worker is left.
+@pytest.mark.parametrize("seed,band", [(9, 2), (9, 3), (9, 7), (385316, 2), (385316, 3), (385316, 7), (5, 15)])
+def test_identity_suite_does_not_depend_on_process_count(monkeypatch, no_child_left, band, seed):
+    residuals = []
+    for workers in (1, 2, 3, 4):
+        monkeypatch.setattr(forks, "_processes", lambda: workers)
+        residuals.append([r.residual.hex() for r in identity_suite(band=band, seed=seed)])
+    assert all(hexes == residuals[0] for hexes in residuals[1:])
+
+
 # The random fields are drawn straight into their arrays and symmetrized in
 # place; the old construction below, which made them from whole-box
 # temporaries, gives the same bits and leaves the generator in the same
@@ -924,13 +937,16 @@ def test_random_real_variation_matches_the_old_construction(kt_modes):
             assert got.terms[key][n].data.tobytes() == slot[n].data.tobytes(), (key, n)
 
 
-def _identity_suite_peak(band: int) -> float:
+def _identity_suite_peak(monkeypatch, band: int) -> float:
     """The traced peak of identity_suite(band, seed=5), in band-sized
-    symmetric tensors.  A first run, untraced, makes the caches that later
-    runs reuse (the summation trees and how slabs cover them), so the
-    reading does not depend on the order of the tests."""
+    symmetric tensors, all of it run in this process, where tracemalloc
+    sees it: a forked worker's allocations would not be traced.  A first
+    run, untraced, makes the caches that later runs reuse (the summation
+    trees and how slabs cover them), so the reading does not depend on the
+    order of the tests."""
     import tracemalloc
 
+    monkeypatch.setattr(forks, "_processes", lambda: 1)
     tensor_nbytes = 9 * (2 * band + 1) ** 3 * np.dtype(complex).itemsize
     identity_suite(band=band, seed=5)
     tracemalloc.start()
@@ -943,7 +959,7 @@ def _identity_suite_peak(band: int) -> float:
     return (peak - base) / tensor_nbytes
 
 
-def test_identity_suite_working_set_is_bounded():
+def test_identity_suite_working_set_is_bounded(monkeypatch):
     # The band-15 suite allocates at most this many band-15 symmetric
     # tensors in traced arrays: its peak, 1.076, plus 10%.  No random input
     # is box-sized: each is skimmed for the generator states its runs start
@@ -957,10 +973,10 @@ def test_identity_suite_working_set_is_bounded():
     # block of box size that the suite maps and frees untouched reads 1.
     # With h and hp drawn whole it read 2.35.  The bound may only be
     # tightened.
-    assert _identity_suite_peak(15) < 1.18
+    assert _identity_suite_peak(monkeypatch, 15) < 1.18
 
 
-def test_identity_suite_working_set_is_bounded_at_band_7():
+def test_identity_suite_working_set_is_bounded_at_band_7(monkeypatch):
     # The band-7 box, 3,375 modes, is cut into front slabs of 7 planes, their
     # mirrors and the middle plane (identity 9: 3, 3 and 1 planes and their
     # mirrors), so the suite's operators never take the whole box: its
@@ -969,7 +985,7 @@ def test_identity_suite_working_set_is_bounded_at_band_7():
     # 3.95 (a replay), 3.61, 2.44 (4), 3.51 (2), 3.00 (7), 1.96 (10), 0.40
     # (11).  With h and hp drawn whole it read 5.47 (identity 9), and with
     # the box as one slab 17.3.  The bound may only be tightened.
-    assert _identity_suite_peak(7) < 5.56
+    assert _identity_suite_peak(monkeypatch, 7) < 5.56
 
 
 def test_mode_grid_xi_matches_the_box_meshgrid():
@@ -992,7 +1008,9 @@ def test_identity_suite_holds_no_box_sized_xi(monkeypatch):
     # Every xi the band-15 suite builds on its box is one slab's (3 planes,
     # or 1 for the middle plane and for identity 9), and afterwards the box
     # holds at most one slab's xi and xi_sq.  Identity 11 runs on a band-1
-    # box of its own.
+    # box of its own.  The suite runs in this process alone, so that the
+    # recorders see identity 9 too.
+    monkeypatch.setattr(forks, "_processes", lambda: 1)
     grids, built = [], []
     init, pair = ModeGrid.__init__, ModeGrid._xi_pair
 
