@@ -657,33 +657,14 @@ _SUBCOMMANDS = {
 }
 
 
-class _Subparsers(dict):
-    """The subcommand parsers by name, each built when argparse first looks
-    it up.  A run looks up only the command that argv names; usage, help and
-    the invalid-choice error need only the names, which are the keys, and
-    the help lines."""
-
-    def __init__(self, action):
-        super().__init__(dict.fromkeys(_SUBCOMMANDS))
-        self._action = action
-
-    def __getitem__(self, name):
-        parser = super().__getitem__(name)
-        if parser is None:  # as action.add_parser(name) would make it
-            parser = self[name] = self._action._parser_class(prog=f"{self._action._prog_prefix} {name}")
-            _SUBCOMMANDS[name][1](parser)
-        return parser
-
-
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="indicyl",
         description="Indicial roots of the self-dual deformation complex on cylinders",
     )
     sub = ap.add_subparsers(dest="cmd", required=True)
-    sub._name_parser_map = sub.choices = _Subparsers(sub)
-    for name, (help_line, _) in _SUBCOMMANDS.items():
-        sub._choices_actions.append(sub._ChoicesPseudoAction(name, (), help_line))
+    for name, (help_line, add_arguments) in _SUBCOMMANDS.items():
+        add_arguments(sub.add_parser(name, help=help_line))
     return ap
 
 

@@ -352,6 +352,14 @@ class ModeGrid:
         """|xi|^2 of this grid's modes, summed in index order."""
         return self._xi_pair()[1]
 
+    @property
+    def xi_sq_max(self) -> float:
+        """The largest |xi|^2 of the box: that of its corner mode, which
+        has the largest |xi_i| on every axis, summed as _dot sums it, so
+        float(xi_sq.max()) of the box bit for bit."""
+        x0, x1, x2 = (float(a[-1]) for a in self._axes)
+        return x0 * x0 + x1 * x1 + x2 * x2
+
     def _xi_pair(self) -> tuple[np.ndarray, np.ndarray]:
         """xi and xi_sq of this grid's planes, built on first use: the values
         of the box's meshgrid and its _dot, bit for bit.  The box and its
@@ -927,7 +935,7 @@ class _ReplayedField:
     planes: the slabs front_slabs, _mirror_slabs(grid, modes), and their
     mirrors, so that pair(lo, hi) of a front slab replays whole runs.  Of
     that state it keeps the word a draw moves, the 128-bit state of PCG64,
-    default_rng's bit generator.  slab and pair draw the runs they need
+    default_rng's bit generator.  pair and box draw the runs they need
     again, from their states.  standard_normal's ziggurat takes a variable
     number of raw words per value, so no run can be reached by counting."""
 
@@ -952,10 +960,6 @@ class _ReplayedField:
     def box(self) -> _Field:
         """The field on the whole box."""
         return self._kind(self.grid, self._coefficients(((0, self.grid.size),)))
-
-    def slab(self, lo: int, hi: int) -> _Field:
-        """The field on grid.slab(lo, hi): the bits of box().slab(lo, hi)."""
-        return self.pair(lo, hi)[0]
 
     def pair(self, lo: int, hi: int) -> tuple[_Field, ...]:
         """The field on the planes lo:hi, then on their mirror planes
@@ -1000,11 +1004,9 @@ class _ReplayedField:
                 self._rng.standard_normal(out=drawn)
                 row[to : to + count] = drawn[skip:]
         bg.state = where
-        if self._kind is FourierSymTensor:
-            for i, j in _SYM_PAIRS:  # data <- 0.5 (data + data^T), an entry pair at a time
-                mean = data[i, j] + data[j, i]
-                mean *= 0.5
-                data[i, j] = data[j, i] = mean
+        if self._kind is FourierSymTensor:  # data <- 0.5 (data + data^T)
+            _sym(data)
+            data *= 0.5
         return _symmetrize_reality(data)
 
 
@@ -1016,9 +1018,8 @@ def random_oneform(rng, grid) -> FourierOneForm:
     return _ReplayedField(rng, grid, FourierOneForm).box()
 
 
-def random_symtensor(rng, grid, traceless=False) -> FourierSymTensor:
-    h = _ReplayedField(rng, grid, FourierSymTensor).box()
-    return tf(h) if traceless else h
+def random_symtensor(rng, grid) -> FourierSymTensor:
+    return _ReplayedField(rng, grid, FourierSymTensor).box()
 
 
 def add_real_mode(ht: CylTensor, kt: int, **parts) -> CylTensor:
@@ -1193,19 +1194,12 @@ class _Residual:
         self._total.add(total)
 
     def value(self) -> float:
-        scale = max(norm.norm() for norm in self._norms)
-        return 0.0 if scale == 0.0 else self._total.norm() / scale
+        return _rel_residual_scaled(self._total.norm(), max(norm.norm() for norm in self._norms))
 
 
 def _rel_residual_scaled(value: float, scale: float) -> float:
+    """value relative to scale, which is floored at _NORM_FLOOR."""
     return value / max(scale, _NORM_FLOOR)
-
-
-def _feed(identity, *pairs) -> None:
-    """Feeds identity the views of its inputs on each slab of a mirror
-    pair, one pair per input (see _ReplayedField.pair), front slab first."""
-    for views in zip(*pairs):
-        identity.add(*views)
 
 
 # The identities of the suite, in the order it reports them: name and formula.
@@ -1288,10 +1282,12 @@ def _tensor_identities(h, hp, u) -> dict[str, float]:
     div_slashd = _Residual(lambda h, d: div(d), lambda h, d: -1.0 * star_d(div(h)))
     # 3. slashd commutes with the rough Laplacian.
     commute = _Residual(lambda h, d: slash_d(laplacian(h)), lambda h, d: -1.0 * laplacian(d))
-    # 5. slashd is formally self-adjoint on the mode-sum pairing.
-    self_adjoint = _SelfAdjointResidual()
-    # 6. slashd is trace-free valued and kills pure-trace tensors.
-    trace_free = _SlashdTraceResidual()
+    # 5. slashd is formally self-adjoint on the mode-sum pairing: the
+    # pairings <slashd h, hp> and <h, slashd hp>, streamed (see _SlabInner).
+    lhs, rhs = _SlabInner(), _SlabInner()
+    # 6. slashd is trace-free valued and kills pure-trace tensors: the norms
+    # of tr(slashd h), slashd h, slashd(u g) and u g, streamed (see _SlabNorm).
+    trace_d, norm_d, pure, ug_norm = (_SlabNorm() for _ in range(4))
     # 8. Linearized traceless Ricci from the slashd square.
     eprime = _Residual(
         lambda h, a: e_prime(h),
@@ -1307,21 +1303,36 @@ def _tensor_identities(h, hp, u) -> dict[str, float]:
             d = slash_d(view)
             div_slashd.add(view, d)
             commute.add(view, d)
+            trace_d.add(trace(d))
+            norm_d.add(d)
             a = slash_d(d)
             del d
             slashd_squared.add(view, a)
             eprime.add(view, a)
             del a
         # u, then hp, is drawn for the one identity that reads it, so that
-        # the pass holds the slabs of at most two inputs.
-        _feed(trace_free, pair, u.pair(lo, hi))
-        _feed(self_adjoint, pair, hp.pair(lo, hi))
+        # the pass holds the slabs of at most two inputs, and every view of
+        # the slab is dropped before the next slab is drawn.
+        for view in u.pair(lo, hi):
+            ug = FourierSymTensor(view.grid, _g(view.data))
+            pure.add(slash_d(ug))
+            ug_norm.add(ug)
+        del view, ug
+        for view, other in zip(pair, hp.pair(lo, hi)):
+            lhs.add(slash_d(view), other)
+            rhs.add(view, slash_d(other))
+        del pair, view, other
+    lhs, rhs = lhs.value(), rhs.value()
+    xi_sq_max = max(1.0, h.grid.xi_sq_max)
     return {
         "slashd_squared": slashd_squared.value(),
         "div_slashd": div_slashd.value(),
         "slashd_laplacian_commute": commute.value(),
-        "slashd_self_adjoint": self_adjoint.value(),
-        "slashd_trace_and_conformal": trace_free.value(),
+        "slashd_self_adjoint": _rel_residual_scaled(abs(lhs - rhs), max(abs(lhs), abs(rhs))),
+        "slashd_trace_and_conformal": max(
+            _rel_residual_scaled(trace_d.norm(), norm_d.norm()),
+            _rel_residual_scaled(pure.norm(), ug_norm.norm() * xi_sq_max),
+        ),
         "eprime_from_slashd_squared": eprime.value(),
     }
 
@@ -1362,84 +1373,32 @@ def _killing_identity(parts) -> dict[str, float]:
     """Identity 9, in one pass over the parts f, omega of each term of
     omt (see _KILLING_TERMS): the linearized curvature annihilates the
     image of the cylinder conformal Killing operator, whose divergence
-    matches the box form."""
-    killing = _KillingResidual()
+    matches the box form.  Its residual is the larger of |D(K_cyl w)| over
+    |K_cyl w| times the largest |xi|^2 (at least 1) and the relative defect
+    of box_K w = div(K_cyl w), every norm streamed (see _SlabNorm)."""
+    d_kg, kg_norm, box, div_kg, defect = (_SlabNorm() for _ in range(5))
     for lo, hi in parts[0].front_slabs:
         forks.exit_if_orphaned()
         for views in zip(*[x.pair(lo, hi) for x in parts]):
             w = CylOneForm(views[0].grid)
             for (rate, degree), f, omega in zip(_KILLING_TERMS, views[0::2], views[1::2]):
                 w.add_term(rate, degree, f=f, omega=omega)
-            killing.add(w)
-    return {"killing_annihilation_and_box": killing.value()}
-
-
-class _SelfAdjointResidual:
-    """Identity 5: |<slashd h, hp> - <h, slashd hp>| over the larger
-    pairing, both pairings streamed slab by slab (see _SlabInner)."""
-
-    def __init__(self):
-        self._lhs, self._rhs = _SlabInner(), _SlabInner()
-
-    def add(self, h: FourierSymTensor, hp: FourierSymTensor) -> None:
-        self._lhs.add(slash_d(h), hp)
-        self._rhs.add(h, slash_d(hp))
-
-    def value(self) -> float:
-        lhs, rhs = self._lhs.value(), self._rhs.value()
-        return _rel_residual_scaled(abs(lhs - rhs), max(abs(lhs), abs(rhs)))
-
-
-class _SlashdTraceResidual:
-    """Identity 6: |tr slashd h| over |slashd h|, and |slashd(u g)| over
-    |u g| times the largest |xi|^2 (at least 1), the larger of the two, all
-    norms and the largest |xi|^2 streamed slab by slab (see _SlabNorm)."""
-
-    def __init__(self):
-        self._trace, self._slashd, self._pure, self._ug = (_SlabNorm() for _ in range(4))
-        self._xi_sq_max = 1.0
-
-    def add(self, h: FourierSymTensor, u: FourierScalar) -> None:
-        d = slash_d(h)
-        self._trace.add(trace(d))
-        self._slashd.add(d)
-        del d  # before ug and its slashd are formed
-        ug = FourierSymTensor(u.grid, _g(u.data))
-        self._pure.add(slash_d(ug))
-        self._ug.add(ug)
-        self._xi_sq_max = max(self._xi_sq_max, float(u.grid.xi_sq.max()))
-
-    def value(self) -> float:
-        r1 = _rel_residual_scaled(self._trace.norm(), self._slashd.norm())
-        r2 = _rel_residual_scaled(self._pure.norm(), self._ug.norm() * self._xi_sq_max)
-        return max(r1, r2)
-
-
-class _KillingResidual:
-    """Identity 9: |D(K_cyl w)| over |K_cyl w| times the largest |xi|^2 (at
-    least 1), and the relative defect of box_K w = div(K_cyl w), the larger
-    of the two, all norms and the largest |xi|^2 streamed slab by slab (see
-    _SlabNorm)."""
-
-    def __init__(self):
-        self._d_kg, self._kg, self._box, self._div_kg, self._defect = (_SlabNorm() for _ in range(5))
-        self._xi_sq_max = 1.0
-
-    def add(self, w: CylOneForm) -> None:
-        kg = cyl_killing(w)
-        self._d_kg.add(linearized_weyl(kg))
-        self._kg.add(kg)
-        b, d = cyl_box_k(w), -1.0 * cyl_div(kg)
-        self._box.add(b)
-        self._div_kg.add(d)
-        self._defect.add(b + d)
-        self._xi_sq_max = max(self._xi_sq_max, float(w.grid.xi_sq.max()))
-
-    def value(self) -> float:
-        r1 = _rel_residual_scaled(self._d_kg.norm(), self._kg.norm() * self._xi_sq_max)
-        scale = max(self._box.norm(), self._div_kg.norm())
-        r2 = 0.0 if scale == 0.0 else self._defect.norm() / scale
-        return max(r1, r2)
+            kg = cyl_killing(w)
+            d_kg.add(linearized_weyl(kg))
+            kg_norm.add(kg)
+            b, d = cyl_box_k(w), -1.0 * cyl_div(kg)
+            box.add(b)
+            div_kg.add(d)
+            defect.add(b + d)
+            del kg, b, d
+        del views, w, f, omega
+    xi_sq_max = max(1.0, parts[0].grid.xi_sq_max)
+    return {
+        "killing_annihilation_and_box": max(
+            _rel_residual_scaled(d_kg.norm(), kg_norm.norm() * xi_sq_max),
+            _rel_residual_scaled(defect.norm(), max(box.norm(), div_kg.norm())),
+        )
+    }
 
 
 def _flat_element_residual(grid: ModeGrid) -> float:
@@ -1462,6 +1421,6 @@ def _flat_element_residual(grid: ModeGrid) -> float:
     cokernel = [(CylTensor(grid), cyl(CylOneForm, f=1.0))]
     cokernel += [(CylTensor(grid), cyl(CylOneForm, omega=e)) for e in eye]
     cokernel += [(cyl(CylTensor, degree, h=m), CylOneForm(grid)) for m in tt_basis for degree in (0, 1)]
-    forward = [sum(f.norm() for f in f_forward(ht)) / max(ht.norm(), _NORM_FLOOR) for ht in kernel]
-    adjoint = [f_star(Z, w).norm() / max(Z.norm() + w.norm(), _NORM_FLOOR) for Z, w in cokernel]
+    forward = [_rel_residual_scaled(sum(f.norm() for f in f_forward(ht)), ht.norm()) for ht in kernel]
+    adjoint = [_rel_residual_scaled(f_star(Z, w).norm(), Z.norm() + w.norm()) for Z, w in cokernel]
     return max([0.0, *forward, *adjoint])

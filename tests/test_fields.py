@@ -381,7 +381,7 @@ def _slab_input(name):
     field = cls(grid)
     for rate, degree in _SLAB_TERMS:
         if name == "adjoint_D":
-            parts = {"h": F.random_symtensor(r, grid, traceless=True)}
+            parts = {"h": F.tf(F.random_symtensor(r, grid))}
         elif cls is CylOneForm:
             parts = {"f": F.random_scalar(r, grid), "omega": F.random_oneform(r, grid)}
         else:
@@ -515,7 +515,7 @@ def test_slab_pairings_reject_fields_of_different_slabs():
 
 def _leibniz_input(name, r):
     if name == "adjoint_D":
-        return CylTensor, {"h": F.random_symtensor(r, GRID, traceless=True)}
+        return CylTensor, {"h": F.tf(F.random_symtensor(r, GRID))}
     if name in ("cyl_killing", "cyl_box_k"):
         return CylOneForm, {"f": F.random_scalar(r, GRID), "omega": F.random_oneform(r, GRID)}
     return CylTensor, {
@@ -615,7 +615,7 @@ def _random_real_cross_section(r, kt_modes):
     """Real t-periodic trace-free cross-section-valued tensor."""
     Z = CylTensor(GRID)
     for kt in kt_modes:
-        F.add_real_mode(Z, kt, h=F.random_symtensor(r, GRID, traceless=True))
+        F.add_real_mode(Z, kt, h=F.tf(F.random_symtensor(r, GRID)))
     return Z
 
 
@@ -864,7 +864,7 @@ def test_random_fields_drawn_in_place_match_the_old_construction(band):
     for draw, comp_shape in ((F.random_scalar, ()), (F.random_oneform, (3,)), (F.random_symtensor, (3, 3))):
         assert draw(new, grid).data.tobytes() == _old_random(old, grid, comp_shape).tobytes(), draw.__name__
     want = tf(FourierSymTensor(grid, _old_random(old, grid, (3, 3))))
-    assert F.random_symtensor(new, grid, traceless=True).data.tobytes() == want.data.tobytes()
+    assert F.tf(F.random_symtensor(new, grid)).data.tobytes() == want.data.tobytes()
     assert new.standard_normal() == old.standard_normal()
 
 
@@ -904,7 +904,7 @@ def test_replayed_slabs_match_the_eager_draw(band):
             assert r.standard_normal(5).tobytes() == between.tobytes()
             for slabs in _replay_partitions(grid, order):
                 for lo, hi in slabs:
-                    view = replay.slab(lo, hi)
+                    view = replay.pair(lo, hi)[0]
                     assert view.grid is grid.slab(lo, hi)
                     assert view.data.tobytes() == want.slab(lo, hi).data.tobytes(), (draw.__name__, modes, lo, hi)
             for lo, hi in replay.front_slabs:
@@ -1002,6 +1002,13 @@ def test_mode_grid_xi_matches_the_box_meshgrid():
         assert view.xi.shape == (3, hi - lo, 9, 9) and view.xi_sq.shape == (hi - lo, 9, 9)
         assert view.xi.tobytes() == xi[:, lo:hi].tobytes()
         assert view.xi_sq.tobytes() == xi_sq[lo:hi].tobytes()
+
+
+@pytest.mark.parametrize("lengths", [(2 * math.pi,) * 3, (2 * math.pi, 3.1, 0.7)])
+def test_mode_grid_xi_sq_max_is_the_largest_xi_sq_bit_for_bit(lengths):
+    for band in range(1, 16):
+        grid = ModeGrid(lengths, band=band)
+        assert grid.xi_sq_max.hex() == float(grid.xi_sq.max()).hex(), band
 
 
 def test_identity_suite_holds_no_box_sized_xi(monkeypatch):
