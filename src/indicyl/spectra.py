@@ -214,9 +214,12 @@ class Torus(_TorusFields):
         kind, so one doubling loop finds them in the scalar spectrum, starting
         at the lowest nonzero eigenvalue (2 pi / max L)^2: the lattice box
         grows with the number of levels asked for, not with the sides.
+        The sides are enumerated in increasing order, so that every
+        ordering of them gives the same levels, bit for bit.
         """
-        cutoff = (2 * math.pi / max(self.lengths)) ** 2
-        while len(levels := torus_spectrum(self.lengths, cutoff)) <= j_max + 1:
+        sides = tuple(sorted(self.lengths))
+        cutoff = (2 * math.pi / sides[-1]) ** 2
+        while len(levels := torus_spectrum(sides, cutoff)) <= j_max + 1:
             cutoff *= 2
         entries, omitted = [], []
         for kind in OperatorKind:

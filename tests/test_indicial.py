@@ -413,17 +413,104 @@ def test_lens_parameters_matter_mod_p_and_up_to_sign(p, q1, q2):
     assert b.dim_at_zero == a.dim_at_zero
 
 
-@settings(max_examples=12, deadline=None)
-@given(st.integers(min_value=2, max_value=8))
-def test_sign_symmetry(j_max):
-    for geo in (Sphere(), Torus()):
-        catalog = assemble_catalog(geo, j_max)
-        table = {}
-        for r in catalog.roots:
-            table[(r.value, r.case_tag)] = r.multiplicity
-        for (v, case), mult in table.items():
-            if abs(v) > 1e-12:
-                assert table.get((-v, case)) == mult
+# ---------------------------------------------------------------------------
+# Relations between catalogs.  Both sides of each relation run the same
+# multiplicity or torus code, so these are consistency witnesses: they catch
+# a q reduced mod the wrong order, an axis-dependent rounding or a root
+# without its mirror, not a wrong pairing (Chen et al., "Metamorphic
+# testing: a review of challenges and opportunities", ACM Comput. Surv. 51,
+# 2018).
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def _lens_groups(draw, p_max=60):
+    """L(p; q1, q2) with both q prime to p and reduced mod p."""
+    p = draw(st.integers(min_value=2, max_value=p_max))
+    units = [q for q in range(1, p) if math.gcd(q, p) == 1]
+    return GroupAction(p, draw(st.sampled_from(units)), draw(st.sampled_from(units)))
+
+
+_TORUS_SIDES = st.tuples(*[st.sampled_from([2 * math.pi, 1.3, 3.1, 4.7, 5.9, 7.25])] * 3)
+_GEOMETRIES = st.one_of(
+    st.just(Sphere()),
+    st.just(Torus()),
+    _lens_groups().map(Sphere),
+    _TORUS_SIDES.map(Torus),
+)
+
+
+def _root_table(catalog, keep_jordan=True):
+    """Multiplicity per (value, case, kind, j[, jordan]) of a catalog."""
+    table = {}
+    for r in catalog.roots:
+        key = (r.value, r.case_tag, r.origin_kind, r.origin_j) + ((r.jordan,) if keep_jordan else ())
+        table[key] = table.get(key, 0) + r.multiplicity
+    return table
+
+
+@settings(max_examples=30, deadline=None)
+@given(_GEOMETRIES, st.integers(min_value=0, max_value=12))
+def test_sign_symmetry(geo, j_max):
+    # Every root -v comes with v, at the same multiplicity, case, origin and
+    # Jordan flag: on the sphere, its lens quotients and every torus.
+    table = _root_table(assemble_catalog(geo, j_max))
+    for (v, *rest), mult in table.items():
+        assert table.get((-v, *rest)) == mult, (geo, v, rest)
+
+
+@settings(max_examples=20, deadline=None)
+@given(_lens_groups(), st.integers(min_value=1, max_value=59))
+def test_lens_multiplicities_do_not_depend_on_the_generator(g, k):
+    # g^k generates the same group when gcd(k, p) = 1: (k q1, k q2) is the
+    # same lens space.
+    if math.gcd(k, g.p) != 1:
+        k = 1
+    other = GroupAction(g.p, k * g.q1 % g.p, k * g.q2 % g.p)
+    for multiplicity, j_min in [
+        (spectra.lens_scalar_multiplicity, 0),
+        (spectra.lens_oneform_multiplicity, 1),
+        (spectra.lens_tt_multiplicity, 2),
+    ]:
+        for j in range(j_min, 16):
+            assert multiplicity(other, j) == multiplicity(g, j), (g, k, multiplicity.__name__, j)
+
+
+@settings(max_examples=15, deadline=None)
+@given(_lens_groups(), st.integers(min_value=0, max_value=12))
+def test_lens_roots_lie_in_the_sphere_catalog(g, j_max):
+    # A quotient's eigenfunctions are the sphere's invariant ones: each of
+    # its roots is a sphere root of the same case and origin, with at least
+    # its multiplicity.
+    sphere = _root_table(assemble_catalog(Sphere(), j_max), keep_jordan=False)
+    for key, mult in _root_table(assemble_catalog(Sphere(g), j_max), keep_jordan=False).items():
+        assert sphere.get(key, 0) >= mult, (g, key)
+
+
+def _csv_roots(sides, j_max):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(["roots", "--torus", ",".join(map(repr, sides)), "--jmax", str(j_max), "--format", "csv"]) == 0
+    return out.getvalue()
+
+
+@settings(max_examples=15, deadline=None)
+@given(_TORUS_SIDES, st.permutations(range(3)), st.integers(min_value=0, max_value=12))
+def test_torus_csv_does_not_depend_on_the_order_of_the_sides(sides, order, j_max):
+    # The CSV prints no lengths, and isometric tori have one catalog.
+    assert _csv_roots([sides[i] for i in order], j_max) == _csv_roots(sides, j_max)
+
+
+@settings(max_examples=15, deadline=None)
+@given(_TORUS_SIDES, st.sampled_from([0.3, 0.7, 1.3, 3.0]), st.integers(min_value=0, max_value=12))
+def test_torus_scaling_scales_the_eigenvalues(sides, c, j_max):
+    # Scaling every side by c divides each eigenvalue by c^2, to 8 ulps, and
+    # keeps the levels and their multiplicities.
+    base, scaled = (Torus(s).spectrum(j_max) for s in (sides, tuple(c * L for L in sides)))
+    for entries, scaled_entries in zip(base, scaled):
+        assert [(e.kind, e.j, e.multiplicity) for e in scaled_entries] == [(e.kind, e.j, e.multiplicity) for e in entries]
+        for e, s in zip(entries, scaled_entries):
+            assert abs(s.eigenvalue - e.eigenvalue / c**2) <= 8 * math.ulp(s.eigenvalue), (sides, c, e)
 
 
 # ---------------------------------------------------------------------------
