@@ -37,8 +37,8 @@ rows of one plane; see _groups) through the same module-level helpers that
 the public functions run on the same groups (_metric_inverse,
 _riemann_points, _asd_points), so every grid point keeps its bits; it
 decides the metric and defect checks once over the whole grid, and takes
-its norms by a streamed sum (_SquareSum) that keeps the bits of np.sum over
-the whole array.
+its norms by a streamed sum of squares (pairwise._PairwiseSum) that keeps
+the bits of np.sum over the whole array.
 
 Sampling: a cylinder field is held as a Spectrum, the half spectrum of its
 grid values on the box of the few Fourier modes it holds.  Its grid values
@@ -73,14 +73,13 @@ from . import forks
 from .fields import (
     _SYM_PAIRS,
     _T_PERIOD,
-    _SquareSum,
-    _sorted_unique,
     CylTensor,
     ModeGrid,
     linearized_weyl,
     random_real_variation,
 )
 from .indicial import VerificationError
+from .pairwise import _PairwiseSum, _sorted_unique
 
 __all__ = [
     "MetricGrid4D",
@@ -1047,8 +1046,8 @@ def fd_linearization_errors(
 
     The grid is streamed a group at a time: each group forms (m(I + eps s)
     - m(I - eps s)) / (2 eps) - exact in place, and the squares of the
-    sample, of the exact block and of each difference go to one _SquareSum
-    each, so every norm has the bits of fields._norm over the whole array.
+    sample, of the exact block and of each difference go to one _PairwiseSum
+    each, so every norm has the bits of pairwise._norm over the whole array.
     No array of the case is grid-sized.
 
     The variation must be t-periodic (purely imaginary rates, no polynomial
@@ -1062,19 +1061,24 @@ def fd_linearization_errors(
     spectrum = cyl_tensor_spectrum(ht, shape, periods)
     exact = _real_part_spectrum(linearized_weyl(ht), _CROSS_PICKS, shape, periods)
     n = math.prod(shape)
-    sample_sum, exact_sum = _SquareSum(10 * n), _SquareSum(9 * n)
-    diff_sums = [_SquareSum(9 * n) for _ in eps_values]
+    sample_sum, exact_sum = _PairwiseSum(10 * n), _PairwiseSum(9 * n)
+    diff_sums = [_PairwiseSum(9 * n) for _ in eps_values]
     for points, sample, block, differences in _fd_differences(periods, spectrum, exact, eps_values):
-        sample_sum.add_runs(points.start, n, sample)  # one run per component
-        exact_sum.add(9 * points.start, block)
+        sample_sum.add_runs(points.start, n, np.square(sample))  # one run per component
+        exact_sum.add(9 * points.start, np.square(block))
         for eps, diff, diff_sum in zip(eps_values, differences, diff_sums):
             diff /= 2 * eps
             diff -= block
-            diff_sum.add(9 * points.start, diff)
-    sample_norm = sample_sum.norm()
-    den = exact_sum.norm()
+            diff_sum.add(9 * points.start, np.square(diff))
+    sample_norm = _sum_norm(sample_sum)
+    den = _sum_norm(exact_sum)
     degenerate = den < _DEGENERATE_TOL * max(1.0, sample_norm)
-    return [math.nan if degenerate else diff_sum.norm() / den for diff_sum in diff_sums]
+    return [math.nan if degenerate else _sum_norm(diff_sum) / den for diff_sum in diff_sums]
+
+
+def _sum_norm(squares: _PairwiseSum) -> float:
+    """The sqrt of a sum of squares, as pairwise._norm takes it of a real array."""
+    return math.sqrt(float(squares.total()))
 
 
 def fd_battery_errors(cases, shape) -> list[list[float]]:

@@ -10,6 +10,8 @@ from hypothesis import given, settings, strategies as st
 from indicyl import curvature as C
 from indicyl import fields as F
 from indicyl import forks
+from indicyl import pairwise as P
+from slabs import slab
 
 PERIODS = (2 * math.pi,) * 4
 
@@ -715,16 +717,16 @@ def test_degenerate_threshold(monkeypatch, below):
     # exact block lies below _DEGENERATE_TOL max(1, |s|); at the threshold
     # it still has a relative error.  The norm of the exact block, the
     # second one taken, is replaced by the threshold or the float below it.
-    norm, seen = C._SquareSum.norm, []
+    norm, seen = C._sum_norm, []
 
-    def norm_at_threshold(self):
-        seen.append(norm(self))
+    def norm_at_threshold(squares):
+        seen.append(norm(squares))
         if len(seen) != 2:
             return seen[-1]
         threshold = C._DEGENERATE_TOL * max(1.0, seen[0])
         return math.nextafter(threshold, 0.0) if below else threshold
 
-    monkeypatch.setattr(C._SquareSum, "norm", norm_at_threshold)
+    monkeypatch.setattr(C, "_sum_norm", norm_at_threshold)
     ht = C.linearization_battery(seed=11, band=1)[5]
     (err,) = C.fd_linearization_errors(ht, [1e-4], shape=(8, 8, 8, 8))
     assert len(seen) == (2 if below else 3)  # a degenerate error takes no third norm
@@ -1039,26 +1041,26 @@ def test_shortcut_is_bitwise_symmetric():
 
 def test_fd_norm_matches_linalg_norm():
     x = np.random.default_rng(5).standard_normal((16, 16, 16, 16, 3, 3))
-    total = C._SquareSum(x.size)
-    total.add(0, x)
-    assert abs(total.norm() - np.linalg.norm(x)) <= 1e-14 * np.linalg.norm(x)
+    total = P._PairwiseSum(x.size)
+    total.add(0, np.square(x))
+    assert abs(C._sum_norm(total) - np.linalg.norm(x)) <= 1e-14 * np.linalg.norm(x)
 
 
-# _SquareSum reproduces np.sum's pairwise order, and every battery norm
+# _PairwiseSum reproduces np.sum's pairwise order, and every battery norm
 # depends on it; a numpy whose np.sum adds in another order fails here
 # before any pinned digest moves.  One value of 2**26 among values below 1
 # makes the total depend on how the values are grouped: with a square of
 # 2**52 in a partial sum, every addend below 1 is rounded to an integer.
 _SUM_ORDER = (
-    "np.sum(np.square(x)) no longer adds in numpy's pairwise order as _SquareSum reproduces it "
+    "np.sum(np.square(x)) no longer adds in numpy's pairwise order as _PairwiseSum reproduces it "
     "(leaves of at most 128 values summed in 8 lanes, inner splits at n/2 rounded down to a multiple of 8)"
 )
 
 
 def _fed_square_sum(x, pieces):
-    total = C._SquareSum(x.size)
+    total = P._PairwiseSum(x.size)
     for lo, hi in pieces:
-        total.add(lo, x.reshape(-1)[lo:hi])
+        total.add(lo, np.square(x.reshape(-1)[lo:hi]))
     return total
 
 
@@ -1080,7 +1082,7 @@ def test_square_sum_matches_np_sum_bitwise(size, big, cuts, order):
     bounds = sorted({0, size} | {c % (size + 1) for c in cuts})
     pieces = list(zip(bounds, bounds[1:]))
     order.shuffle(pieces)
-    assert _fed_square_sum(x, pieces).norm() == _np_norm(x), _SUM_ORDER
+    assert C._sum_norm(_fed_square_sum(x, pieces)) == _np_norm(x), _SUM_ORDER
 
 
 # Every grid that the CLI and the tests stream, times the 6 components of a
@@ -1098,7 +1100,7 @@ def test_square_sum_matches_np_sum_on_every_grid(grid, components):
     for at in rng.integers(0, x.size, 4):
         kept, x[at] = x[at], 2.0**26
         total = _fed_square_sum(x, pieces)
-        assert total.norm() == _np_norm(x), _SUM_ORDER
+        assert C._sum_norm(total) == _np_norm(x), _SUM_ORDER
         for leaf in rng.integers(0, len(total._sums), 64):
             lo, hi = total._bounds[leaf : leaf + 2]
             assert total._sums[leaf] == np.sum(np.square(x[lo:hi])), _SUM_ORDER
@@ -1666,4 +1668,4 @@ def test_lattice_tolerance_boundary(length):
 def test_sampling_rejects_a_slab_view():
     ht = F.random_real_variation(np.random.default_rng(3), F.ModeGrid(band=1), kt_modes=(1,))
     with pytest.raises(ValueError, match=re.escape("grid sampling needs the whole mode box, not the planes (0, 2)")):
-        C.cyl_tensor_spectrum(ht.slab(0, 2), (8,) * 4, (2 * math.pi,) * 4)
+        C.cyl_tensor_spectrum(slab(ht, 0, 2), (8,) * 4, (2 * math.pi,) * 4)

@@ -106,8 +106,6 @@ _UNREACHED = {
     "curvature.asd_form_background": _TRACER_KEPT,
     "curvature.sample_cyl_tensor": _TRACER_KEPT,
     "curvature.sample_cross_section_tensor": _TRACER_KEPT,
-    "fields._Field.slab": "test tool: a slab view of a whole-box field",
-    "fields._CylField.slab": "test tool: a slab view of a whole-box cylinder field",
     "forks._processes": "replaced by the probe's one-process count",
     "forks._portable": "worker side of forks.run",
     "forks._worker": "worker side of forks.run",
