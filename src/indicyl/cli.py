@@ -594,17 +594,6 @@ def _roots_arguments(p):
         help="keep roots with a < Re < b; write a negative a as --window=-2,2",
     )
     p.add_argument("--format", choices=("json", "csv"), default="json")
-    p.set_defaults(func=cmd_roots)
-
-
-def _gap_arguments(p):
-    _add_geometry_flags(p)
-    p.set_defaults(func=cmd_gap)
-
-
-def _ks_arguments(p):
-    _add_geometry_flags(p)
-    p.set_defaults(func=cmd_ks)
 
 
 def _lens_arguments(p):
@@ -613,7 +602,6 @@ def _lens_arguments(p):
     )
     p.add_argument("--jmax", type=int, default=10, help=f"at most {JMAX_CEILING}")
     p.add_argument("--out", metavar="FILE")
-    p.set_defaults(func=cmd_lens)
 
 
 def _verify_arguments(p):
@@ -644,16 +632,16 @@ def _verify_arguments(p):
         "sweeps (eigenvalues 0..48, flat lattice vectors with |k|^2 <= 9)",
     )
     p.add_argument("--out", metavar="FILE")
-    p.set_defaults(func=cmd_verify)
 
 
-# Each subcommand's help line and the function that adds its arguments.
+# Each subcommand's help line, the function that runs it and the function
+# that adds its arguments.
 _SUBCOMMANDS = {
-    "roots": ("root catalog table", _roots_arguments),
-    "gap": ("spectral gap and gluing window", _gap_arguments),
-    "ks": ("vanishing of subexponential cokernel 2-tensors", _ks_arguments),
-    "lens": ("scalar multiplicities on a cyclic quotient", _lens_arguments),
-    "verify": ("verification suites", _verify_arguments),
+    "roots": ("root catalog table", cmd_roots, _roots_arguments),
+    "gap": ("spectral gap and gluing window", cmd_gap, _add_geometry_flags),
+    "ks": ("vanishing of subexponential cokernel 2-tensors", cmd_ks, _add_geometry_flags),
+    "lens": ("scalar multiplicities on a cyclic quotient", cmd_lens, _lens_arguments),
+    "verify": ("verification suites", cmd_verify, _verify_arguments),
 }
 
 
@@ -663,8 +651,10 @@ def build_parser() -> argparse.ArgumentParser:
         description="Indicial roots of the self-dual deformation complex on cylinders",
     )
     sub = ap.add_subparsers(dest="cmd", required=True)
-    for name, (help_line, add_arguments) in _SUBCOMMANDS.items():
-        add_arguments(sub.add_parser(name, help=help_line))
+    for name, (help_line, func, add_arguments) in _SUBCOMMANDS.items():
+        p = sub.add_parser(name, help=help_line)
+        add_arguments(p)
+        p.set_defaults(func=func)
     return ap
 
 
