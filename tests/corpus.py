@@ -28,7 +28,7 @@ from pathlib import Path
 
 from indicyl import cli
 
-CORPUS = Path(__file__).with_name("corpus.json")
+CORPUS = Path(__file__).resolve().with_name("corpus.json")
 
 # Hyperbolic spectrum files, by the name the rows give: four good ones,
 # then those the loader refuses; None is a directory.
@@ -53,7 +53,7 @@ FILES = {
 
 _IDENTITY_SEEDS = (0, 5, 9, 77, 385316)
 _CEILING = str(cli.JMAX_CEILING)
-_LENS_CEILING = f"{cli.LENS_ORDER_CEILING - 63},1,3"  # 999999937, the largest prime below the ceiling
+_LENS_CEILING = "999999937,1,3"  # the largest prime order below the ceiling
 
 
 def _closed_form_rows():
@@ -193,22 +193,17 @@ def _main(args) -> int:
         print(__doc__, file=sys.stderr)
         return 2
     os.environ["COLUMNS"] = "80"  # argparse wraps its messages to the terminal width
-    entries = load() if args == [] else None
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)
         write_files(Path(tmp))
-        if entries is None:
+        if args:
             entries = [{"argv": argv, "slow": slow, **run(argv)} for argv, slow in rows()]
-            bad = []
-        else:
-            bad = mismatches(entries)
-        os.chdir(CORPUS.parent)
-    if args == ["write"]:
-        CORPUS.write_text("[\n" + ",\n".join(json.dumps(entry) for entry in entries) + "\n]\n")
-        print(f"wrote {len(entries)} rows to {CORPUS}")
-        return 0
-    print("\n".join(bad) or f"all {len(entries)} rows hold")
-    return 1 if bad else 0
+            CORPUS.write_text("[\n" + ",\n".join(map(json.dumps, entries)) + "\n]\n")
+            print(f"wrote {len(entries)} rows to {CORPUS}")
+            return 0
+        bad = mismatches(load())
+        print("\n".join(bad) or "every row holds")
+        return 1 if bad else 0
 
 
 if __name__ == "__main__":
