@@ -573,7 +573,8 @@ def test_stray_value_error_is_not_a_usage_error(monkeypatch):
     def broken(args):
         raise ValueError("internal")
 
-    monkeypatch.setattr(cli, "cmd_roots", broken)
+    help_line, _, add_arguments = cli._SUBCOMMANDS["roots"]
+    monkeypatch.setitem(cli._SUBCOMMANDS, "roots", (help_line, broken, add_arguments))
     with pytest.raises(ValueError, match="internal"):
         cli.main(["roots", "--sphere", "--jmax", "2"])
 
