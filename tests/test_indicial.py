@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from indicyl import cli, indicial, spectra
 from indicyl.indicial import (
@@ -496,6 +496,9 @@ def _csv_roots(sides, j_max):
 
 @settings(max_examples=15, deadline=None)
 @given(_TORUS_SIDES, st.permutations(range(3)), st.integers(min_value=0, max_value=12))
+# Enumerated in the order given, these sides printed level 6 as
+# 7.682380759234432 and 7.6823807592344329.
+@example(sides=(4.7, 4.7, 3.1), order=[2, 0, 1], j_max=12)
 def test_torus_csv_does_not_depend_on_the_order_of_the_sides(sides, order, j_max):
     # The CSV prints no lengths, and isometric tori have one catalog.
     assert _csv_roots([sides[i] for i in order], j_max) == _csv_roots(sides, j_max)
