@@ -76,7 +76,6 @@ from .fields import (
     CylTensor,
     ModeGrid,
     linearized_weyl,
-    random_real_variation,
 )
 from .indicial import VerificationError
 from .pairwise import _PairwiseSum, _sorted_unique
@@ -1088,31 +1087,3 @@ def fd_battery_errors(cases, shape) -> list[list[float]]:
     process holds its own buffers, so the battery's memory grows with W."""
     return forks.run(partial(fd_linearization_errors, ht, eps_values, shape) for ht, eps_values in cases)
 
-
-# Component mixes and time frequencies of the fixed-seed validation battery.
-_BATTERY_CASES = (
-    (("h",), (1,)),
-    (("h00",), (2,)),
-    (("alpha",), (1,)),
-    (("h",), (0, 2)),
-    (("h00", "h"), (1,)),
-    (("alpha", "h"), (1, 2)),
-    (("h00", "alpha"), (0, 1)),
-    (("h00", "alpha", "h"), (1,)),
-    (("h00", "alpha", "h"), (0, 1, 2)),
-    (("h", "alpha"), (3,)),
-)
-# Scale of every battery variation, inside the linear regime of the
-# finite differences.
-_BATTERY_AMPLITUDE = 0.02
-
-
-def linearization_battery(seed: int = 11, band: int = 2):
-    """The ten fixed-seed t-periodic variations used to validate the
-    linearized curvature operator, mixing all three component blocks."""
-    rng = np.random.default_rng(seed)
-    grid = ModeGrid(band=band)
-    return [
-        random_real_variation(rng, grid, kt_modes=kts, parts=parts) * _BATTERY_AMPLITUDE
-        for parts, kts in _BATTERY_CASES
-    ]

@@ -15,17 +15,16 @@ acts on t^d e^{lambda t} x exactly through the lambda-derivatives of P.
 The curvature sign is 0 throughout this module; curved cross-sections are
 handled at the ODE level elsewhere.
 
-The operator-identity suite at the end of the module checks the kernels
-against each other on random fields, a slab of mode planes at a time; its
-norms and pairings keep the bits of numpy's sums over the whole box
-through indicyl.pairwise.
+The operator-identity suite at the end of the module measures the kernels
+against each other on random fields, a slab of mode planes at a time, and
+indicyl.verify judges its residuals; its norms and pairings keep the bits
+of numpy's sums over the whole box through indicyl.pairwise.
 """
 
 from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
@@ -67,7 +66,6 @@ __all__ = [
     "random_symtensor",
     "coclosed_projection",
     "identity_suite",
-    "IdentityResult",
 ]
 
 _SYM_PAIRS = ((0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2))
@@ -88,10 +86,6 @@ _TRACE_FREE_TOL = 1e-10
 # Floor of the norm a relative residual divides by, so that a zero field
 # reads 0 rather than NaN.
 _NORM_FLOOR = 1e-300
-
-# Relative residual below which an identity of the identity suite passes
-# (residual < tolerance).
-_IDENTITY_TOL = 1e-10
 
 # Fewest modes per slab of the identity suite, which evaluates every
 # identity one slab of whole mode planes at a time (see _mirror_slabs), so
@@ -836,18 +830,6 @@ def coclosed_projection(omega: FourierOneForm) -> FourierOneForm:
     return FourierOneForm(omega.grid, omega.data - corr)
 
 
-@dataclass(frozen=True)
-class IdentityResult:
-    name: str
-    formula: str
-    residual: float
-    tolerance: float
-
-    @property
-    def ok(self) -> bool:
-        return self.residual < self.tolerance
-
-
 def _mirror_slabs(grid: ModeGrid, modes: int | None = None) -> list[tuple[int, int]]:
     """(lo, hi) of each slab of the front half of the box, planes 0 to
     band - 1, then of the middle plane band: the fewest whole mode planes
@@ -976,32 +958,16 @@ def _rel_residual_scaled(value: float, scale: float) -> float:
     return value / max(scale, _NORM_FLOOR)
 
 
-# The identities of the suite, in the order it reports them: name and formula.
-_IDENTITIES = (
-    ("slashd_squared", "slashd^2 h = -4 Lap tf(h) - 2 tfHess tr(h) + 3 K(div h)"),
-    ("div_slashd", "div(slashd h) = star_d(div h)"),
-    ("slashd_laplacian_commute", "slashd(Lap h) = Lap(slashd h)"),
-    ("conf_killing_commutators", "div K(w) = Lap w + (1/3) d div w;  Lap K(w) = K(Lap w)"),
-    ("slashd_self_adjoint", "<slashd h, h'> = <h, slashd h'>"),
-    ("slashd_trace_and_conformal", "tr(slashd h) = 0;  slashd(u g) = 0"),
-    ("slashd_lie", "slashd(L w) = K(star_d w)"),
-    ("eprime_from_slashd_squared", "E'(h) = (1/8) slashd^2 h - (1/4) tfHess tr(h) + (1/8) K(div h)"),
-    ("killing_annihilation_and_box", "D(K_cyl w) = 0;  box_K w = div(K_cyl w)"),
-    ("star_d_squared", "(star_d)^2 w = HodgeLap w on co-closed w"),
-    ("flat_kernel_cokernel", "F(kernel elements) = 0;  F*(cokernel elements) = 0"),
-)
-
 # Rates and degrees of the two terms of identity 9's random cylinder 1-form.
 _KILLING_TERMS = ((0.7, 0), (-0.3 + 1.1j, 1))
 
 
-def identity_suite(band: int = 3, seed: int = 7):
+def identity_suite(band: int = 3, seed: int = 7) -> dict[str, float]:
     """Run the 11 operator identities on fixed-seed random band-limited fields
     over the cube torus of side 2 pi.
 
-    Returns a list of IdentityResult; every identity is checked with the
-    relative residual (norm of the defect over the largest term norm)
-    against _IDENTITY_TOL.
+    Returns the relative residual of each identity (norm of the defect
+    over the largest term norm) by name; indicyl.verify judges them.
     The random inputs are replayed fields (see _ReplayedField): one skim of
     the generator, in the order the inputs are drawn, keeps only where each
     run of their values starts, so that no input is ever box-sized.  Then
@@ -1038,7 +1004,7 @@ def identity_suite(band: int = 3, seed: int = 7):
     residuals = {name: r for family in forks.run(passes) for name, r in family.items()}
     # 11. Parallel kernel and cokernel elements are annihilated exactly.
     residuals["flat_kernel_cokernel"] = _flat_element_residual(ModeGrid(grid.lengths, band=1))
-    return [IdentityResult(name, formula, float(residuals[name]), _IDENTITY_TOL) for name, formula in _IDENTITIES]
+    return residuals
 
 
 def _tensor_identities(h, hp, u) -> dict[str, float]:

@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from indicyl import cli, curvature, fields, indicial, oracle, spectra
+from indicyl import curvature, indicial, oracle, spectra, verify
 from indicyl.indicial import CaseTag, assemble_catalog, gluing_window, type3_roots
 from indicyl.spectra import GroupAction, OperatorKind, Sphere, SpectrumEntry, Torus
 
@@ -62,7 +62,7 @@ def test_criterion_2_case2_integer_identity():
 
 def test_criterion_3_oracle_agreement():
     t0 = time.monotonic()
-    rep, ok = cli.run_oracle()
+    rep, ok = verify.run_oracle()
     by_name = {r["check"]: r for r in rep}
     for name in (
         "mixed_system_matrix_vs_closed_form",
@@ -118,9 +118,9 @@ def test_criterion_5_flat_pencil_end_to_end():
 
 def test_criterion_6_operator_identity_suite():
     t0 = time.monotonic()
-    results = fields.identity_suite(band=3, seed=7)
-    ok = len(results) == 11 and all(r.ok and r.tolerance == 1e-10 for r in results)
-    worst = max(r.residual for r in results)
+    rep, ok = verify.run_identities(n=8, seed=7)  # band 3
+    ok = ok and len(rep) == 11 and all(r["residual"] < 1e-10 and r["tolerance"] == 1e-10 for r in rep)
+    worst = max(r["residual"] for r in rep)
     elapsed = time.monotonic() - t0
     ok = ok and elapsed < 5.0
     report(6, ok, f"11 identities, worst residual {worst:.2e}, {elapsed:.2f}s")
@@ -128,7 +128,7 @@ def test_criterion_6_operator_identity_suite():
 
 def test_criterion_7_fd_linearization():
     t0 = time.monotonic()
-    rep, ok = cli.run_linearization(n=16, seed=11, eps=1e-4)
+    rep, ok = verify.run_linearization(n=16, seed=11, eps=1e-4)
     worst = max(r["relative_error"] for r in rep)
     ratio = rep[0]["convergence_ratio"]
     ok = ok and len(rep) == 10 and ratio >= 3.5 and all(r["tolerance"] == 1e-6 for r in rep)

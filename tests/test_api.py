@@ -156,3 +156,5 @@ def test_failing_property_reports_its_falsifying_example(tmp_path):
     assert proc.returncode == 1, proc.stdout + proc.stderr
     assert "Falsifying example" in proc.stdout
     assert "INTERNALERROR" not in proc.stdout + proc.stderr
+    # hypothesis wrote the example's patch into its temporary home, not here.
+    assert sorted(set(os.listdir(tmp_path)) - {"__pycache__"}) == ["conftest.py", "test_property.py"]

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from indicyl import cli, curvature, forks, indicial, spectra
+from indicyl import cli, curvature, forks, indicial, spectra, verify
 
 HYP_WITH_CODAZZI = """\
 b1 0
@@ -710,8 +710,8 @@ def test_verify_rejects_bad_eps_and_seed_before_any_work(argv, message, monkeypa
     def refuse(**kwargs):
         raise AssertionError("suite started on a bad flag")
 
-    monkeypatch.setattr(cli, "run_linearization", refuse)
-    monkeypatch.setattr(cli, "run_identities", refuse)
+    monkeypatch.setattr(verify, "run_linearization", refuse)
+    monkeypatch.setattr(verify, "run_identities", refuse)
     code = cli.main(["verify"] + argv)
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
@@ -753,14 +753,14 @@ def test_halving_ratio_threshold(monkeypatch, at):
     # The first case passes when its error at eps is at least
     # _HALVING_RATIO times its error at eps / 2, and fails just below.
     halved = 2.0**-24
-    first = cli._HALVING_RATIO * halved
+    first = verify._HALVING_RATIO * halved
     if not at:
         first = math.nextafter(first, 0.0)
     monkeypatch.setattr(
         curvature, "fd_battery_errors", lambda cases, shape: [[first, halved]] + [[0.0]] * (len(cases) - 1)
     )
-    report, ok = cli.run_linearization(n=8)
-    ratio = cli._HALVING_RATIO
+    report, ok = verify.run_linearization(n=8)
+    ratio = verify._HALVING_RATIO
     assert report[0]["convergence_ratio"] == (ratio if at else math.nextafter(ratio, 0.0))
     assert report[0]["pass"] is ok is at
 
@@ -769,13 +769,13 @@ def test_halving_ratio_threshold(monkeypatch, at):
 def test_fd_tolerance_boundary(monkeypatch, above):
     # A case passes when its relative error is at most _FD_TOL, and fails at
     # the next float above; the first case's halving ratio is 4 either way.
-    assert cli._FD_TOL == 1e-6
-    error = math.nextafter(cli._FD_TOL, 1.0) if above else cli._FD_TOL
+    assert verify._FD_TOL == 1e-6
+    error = math.nextafter(verify._FD_TOL, 1.0) if above else verify._FD_TOL
     monkeypatch.setattr(
         curvature, "fd_battery_errors", lambda cases, shape: [[error, error / 4]] + [[error]] * (len(cases) - 1)
     )
-    report, ok = cli.run_linearization(n=8)
-    assert all(row["tolerance"] == cli._FD_TOL for row in report)
+    report, ok = verify.run_linearization(n=8)
+    assert all(row["tolerance"] == verify._FD_TOL for row in report)
     assert [row["pass"] for row in report] == [not above] * len(report)
     assert ok is not above
 
@@ -799,7 +799,7 @@ def test_battery_report_is_the_same_on_any_process_count(monkeypatch, seed):
     reports = []
     for workers in (1, 2, 3):
         monkeypatch.setattr(forks, "_processes", lambda: workers)
-        reports.append(json.dumps(cli.run_linearization(n=8, seed=seed)))
+        reports.append(json.dumps(verify.run_linearization(n=8, seed=seed)))
     assert reports[1] == reports[0] and reports[2] == reports[0]
 
 
@@ -880,7 +880,7 @@ def test_oracle_runs_every_sweep_point(monkeypatch):
             return _fn(*args, **kwargs)
 
         monkeypatch.setattr(oracle, name, counted)
-    report, ok = cli.run_oracle()
+    report, ok = verify.run_oracle()
     assert ok
     assert [row["check"] for row in report] == [
         "mixed_system_matrix_vs_closed_form",
@@ -915,7 +915,7 @@ def test_empty_out_exits_2_naming_the_flag(argv, monkeypatch, capsys):
     def refuse(*args, **kwargs):
         raise AssertionError("work started on an empty --out")
 
-    monkeypatch.setattr(cli, "run_oracle", refuse)
+    monkeypatch.setattr(verify, "run_oracle", refuse)
     monkeypatch.setattr(indicial, "assemble_catalog", refuse)
     monkeypatch.setattr(spectra, "lens_scalar_multiplicity", refuse)
     for flags in (["--out", ""], ["--out="]):
@@ -943,14 +943,14 @@ def test_console_script_entrypoint():
     assert json.loads(proc.stdout)["window"] == [0.0, 2.0]
 
 
-# numpy serves only the numeric verification modules; dataclasses (and the
-# inspect it imports) and the json package would add to the start-up of
-# every closed-form command.
+# numpy serves only the numeric verification modules, and indicyl.verify
+# only the verify command; dataclasses (and the inspect it imports) and the
+# json package would add to the start-up of every closed-form command.
 _NUMPY_PROBE = """
 import sys
 from indicyl import cli
 code = cli.main(sys.argv[1:])
-print(code, sorted({"numpy", "dataclasses", "inspect", "json"} & set(sys.modules)))
+print(code, sorted({"numpy", "indicyl.verify", "dataclasses", "inspect", "json"} & set(sys.modules)))
 """
 
 # Stands for the spectrum file that each test writes.
@@ -982,16 +982,33 @@ def test_closed_form_commands_load_no_numpy(argv, tmp_path):
 
 def test_cli_start_up_loads_no_pickle_or_multiprocessing():
     # Only the verify suites fork and pickle, through the forks module that
-    # they load on demand.  The closed-form value types are
-    # named tuples, so start-up imports no dataclasses and no inspect either,
-    # and strings are encoded by _json alone, without the json package.
+    # they load on demand, like indicyl.verify itself.  The closed-form value
+    # types are named tuples, so start-up imports no dataclasses and no
+    # inspect either, and strings are encoded by _json alone, without the
+    # json package.
     probe = (
         "import sys, indicyl.cli; "
-        'print(sorted({"pickle", "multiprocessing", "indicyl.forks", "dataclasses", "inspect", "json"} & set(sys.modules)))'
+        'print(sorted({"pickle", "multiprocessing", "indicyl.forks", "indicyl.verify", "dataclasses", "inspect", '
+        '"json"} & set(sys.modules)))'
     )
     proc = run_python("-c", probe)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+def test_verify_oracle_loads_no_numpy_random_and_no_curvature(tmp_path):
+    # The oracle suite draws no random input and runs no curvature engine;
+    # numpy.random alone would add 2.7 MB.
+    probe = (
+        "import sys\n"
+        "from indicyl import cli\n"
+        "code = cli.main(sys.argv[1:])\n"
+        'print(code, sorted({"numpy.random", "indicyl.curvature", "indicyl.verify"} & set(sys.modules)))'
+    )
+    proc = run_python("-c", probe, "verify", "oracle", "--out", str(tmp_path / "out.json"))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "0 ['indicyl.verify']\n"
+    assert json.loads((tmp_path / "out.json").read_text())["pass"] is True
 
 
 # Runs the command in argv, with a forked worker even on one CPU, and
@@ -1089,8 +1106,8 @@ forks._processes = lambda: 2
 
 # A battery whose worker has about 20 cases of 16^4 to do.
 ORPHAN_BATTERY = _ANNOUNCED_FORK + """
-from indicyl import curvature as C
-C.fd_battery_errors([(ht, [1e-4]) for ht in C.linearization_battery()] * 4, (16,) * 4)
+from indicyl import curvature as C, verify
+C.fd_battery_errors([(ht, [1e-4]) for ht in verify.linearization_battery()] * 4, (16,) * 4)
 """
 
 # A band-15 identity suite whose worker, running identity 9, sleeps 0.2 s
@@ -1185,9 +1202,9 @@ except AttributeError:
 def test_tt_branch_split_boundary(above):
     # Up to lam + 3 kappa = _TT_BRANCH_TOL the two TT branch ODEs coincide
     # and one runs; one float above, both do (kappa = 0, so the sum is lam).
-    limit = cli._TT_BRANCH_TOL
+    limit = verify._TT_BRANCH_TOL
     lam = math.nextafter(limit, 1.0) if above else limit
-    systems = cli._tt_branch_systems(lam, 0)
+    systems = verify._tt_branch_systems(lam, 0)
     assert len(systems) == (2 if above else 1)
     assert [complex(s.mats[1][0, 0]).real > 0 for s in systems] == [True, False][: len(systems)]
 
@@ -1255,8 +1272,8 @@ def test_identities_stdout_independent_of_blas_threads():
 # CPU; one 16^4 battery case, called alone, streams its grid inline and
 # samples its exact block on slabs.
 ENGINE_16 = (
-    "from indicyl import curvature as C\n"
-    "ht = C.linearization_battery()[0]\n"
+    "from indicyl import curvature as C, verify\n"
+    "ht = verify.linearization_battery()[0]\n"
     "print(repr(C.fd_linearization_errors(ht, [1e-4], shape=(16,) * 4)))\n"
 )
 

@@ -11,6 +11,7 @@ from indicyl import curvature as C
 from indicyl import fields as F
 from indicyl import forks
 from indicyl import pairwise as P
+from indicyl import verify
 from slabs import slab
 
 PERIODS = (2 * math.pi,) * 4
@@ -439,7 +440,7 @@ def test_fd_battery_matches_eager_loop_bitwise(monkeypatch, shape, slab_points, 
     monkeypatch.setattr(forks, "_processes", lambda: workers)
     if slab_points is not None:
         monkeypatch.setattr(C, "_SLAB_POINTS", slab_points)
-    battery = C.linearization_battery(seed=11, band=1)
+    battery = verify.linearization_battery(seed=11, band=1)
     cases = [(battery[5], [1e-4, 5e-5]), (battery[2], [1e-4]), (battery[8], [5e-5])]
     got = C.fd_battery_errors(cases, shape)
     assert got == [eager_fd_errors(ht, eps_values, shape) for ht, eps_values in cases]
@@ -479,7 +480,7 @@ def test_shared_derivatives_match_full_engine_to_rounding(eps):
     # rounding error is relative to the identity's unit entries, about
     # 2e-15 at 8^4 against an anti-self-dual block of order 1e-4.  The
     # battery's differences are read off its streamed groups.
-    ht = C.linearization_battery(seed=11, band=1)[5]
+    ht = verify.linearization_battery(seed=11, band=1)[5]
     periods = (2 * math.pi,) + ht.grid.lengths
     shape = (8, 8, 8, 8)
     sample, _, (shared,) = streamed_case(ht, shape, [eps])
@@ -500,7 +501,7 @@ def test_battery_decides_the_defect_once_over_the_grid(monkeypatch):
     # same metric and its Riemann tensor (the eager engine's, bit for bit).
     monkeypatch.setattr(C, "_DEFECT_TOL", 0.0)
     monkeypatch.setattr(C, "_SLAB_POINTS", 1100)
-    ht = C.linearization_battery(seed=11, band=1)[5]
+    ht = verify.linearization_battery(seed=11, band=1)[5]
     shape, eps = (8, 8, 8, 8), 1e-4
     periods = (2 * math.pi,) + ht.grid.lengths
     with pytest.raises(C.CurvatureDefectError) as got:
@@ -518,7 +519,7 @@ def test_battery_metric_error_matches_metric_grid(monkeypatch):
     # The battery validates each metric group by group and decides once,
     # with the error MetricGrid4D raises on the whole metric.
     monkeypatch.setattr(C, "_SLAB_POINTS", 1100)
-    ht = C.linearization_battery(seed=11, band=1)[5] * 2000.0
+    ht = verify.linearization_battery(seed=11, band=1)[5] * 2000.0
     shape, eps = (8, 8, 8, 8), 0.05
     message = "metric is not positive definite at some grid point"
     periods = (2 * math.pi,) + ht.grid.lengths
@@ -533,11 +534,11 @@ def test_battery_metric_error_matches_metric_grid(monkeypatch):
 # after, and whether concurrent.futures was ever imported.
 THREAD_PROBE = """
 import math, sys, threading
-from indicyl import curvature as C, forks
+from indicyl import curvature as C, forks, verify
 before = threading.active_count()
 forks._processes = lambda: 2
 C._SLAB_POINTS = 512
-battery = C.linearization_battery(seed=11, band=1)
+battery = verify.linearization_battery(seed=11, band=1)
 periods = (2 * math.pi,) + battery[0].grid.lengths
 shape = (8, 8, 8, 8)
 metric = C._IDENTITY.reshape((10, 1, 1, 1, 1)) + 0.01 * C.sample_cyl_tensor(battery[5], shape, periods)
@@ -564,7 +565,7 @@ def test_engine_and_battery_start_no_threads():
 def test_fd_battery_runs_every_case_itself_without_fork(monkeypatch):
     monkeypatch.setattr(forks, "_processes", lambda: 3)
     monkeypatch.delattr(os, "fork")
-    battery = C.linearization_battery(seed=11, band=1)
+    battery = verify.linearization_battery(seed=11, band=1)
     cases, shape = [(ht, [1e-4]) for ht in battery[:3]], (8, 8, 8, 8)
     assert C.fd_battery_errors(cases, shape) == [C.fd_linearization_errors(ht, e, shape) for ht, e in cases]
 
@@ -573,7 +574,7 @@ def test_fd_battery_runs_every_case_itself_without_fork(monkeypatch):
 # (two cases) and `verify identities --N 8`.
 _FORKING_SUITES = {
     "linearization": lambda: C.fd_battery_errors(
-        [(ht, [1e-4]) for ht in C.linearization_battery(seed=11, band=1)[:2]], (8, 8, 8, 8)
+        [(ht, [1e-4]) for ht in verify.linearization_battery(seed=11, band=1)[:2]], (8, 8, 8, 8)
     ),
     "identities": lambda: F.identity_suite(band=3, seed=7),
 }
@@ -680,7 +681,7 @@ def test_curvature_defect_error_survives_pickling():
 # check, the zero variation passes it, and a large variation fails its
 # metric check first.
 def _failing_cases():
-    ht = C.linearization_battery(seed=11, band=1)[5]
+    ht = verify.linearization_battery(seed=11, band=1)[5]
     return {"zero": (ht * 0.0, [1e-4]), "defect": (ht, [1e-4]), "metric": (ht * 2000.0, [0.05])}
 
 
@@ -727,7 +728,7 @@ def test_degenerate_threshold(monkeypatch, below):
         return math.nextafter(threshold, 0.0) if below else threshold
 
     monkeypatch.setattr(C, "_sum_norm", norm_at_threshold)
-    ht = C.linearization_battery(seed=11, band=1)[5]
+    ht = verify.linearization_battery(seed=11, band=1)[5]
     (err,) = C.fd_linearization_errors(ht, [1e-4], shape=(8, 8, 8, 8))
     assert len(seen) == (2 if below else 3)  # a degenerate error takes no third norm
     assert math.isnan(err) == below
@@ -781,7 +782,7 @@ def test_curvature_working_set_is_bounded():
     # peak is 7.77.
     import tracemalloc
 
-    ht = C.linearization_battery(seed=11, band=2)[8]
+    ht = verify.linearization_battery(seed=11, band=2)[8]
     periods = (2 * math.pi,) + ht.grid.lengths
     sample = C.sample_cyl_tensor(ht, (16,) * 4, periods)
     m = C.MetricGrid4D(periods, pack(flat((16,) * 4)) + 1e-4 * sample)
@@ -811,7 +812,7 @@ def test_battery_case_working_set_is_bounded():
     # The bound may only be tightened.
     import tracemalloc
 
-    ht = C.linearization_battery(seed=11, band=2)[8]
+    ht = verify.linearization_battery(seed=11, band=2)[8]
     sample_nbytes = 10 * 16**4 * np.dtype(float).itemsize
     C.fd_linearization_errors(ht, [1e-4], shape=(16,) * 4)
     tracemalloc.start()
@@ -859,7 +860,7 @@ def test_sampling_matches_ifftn_bitwise(n, band, workers):
         return scipy.fft.irfftn(half, s=shape, axes=(1, 2, 3, 4), workers=workers)
 
     # Case 8 mixes time frequencies 0, 1 and 2; case 9 has frequency 3.
-    for ht in C.linearization_battery(seed=11, band=band)[8:]:
+    for ht in verify.linearization_battery(seed=11, band=band)[8:]:
         periods = (2 * math.pi,) + ht.grid.lengths
         want = irfftn(ht, _E_CYL_PICKS, periods)
         got = C.sample_cyl_tensor(ht, shape, periods)
@@ -1001,7 +1002,7 @@ def test_box_derivatives_match_rfftn_derivatives(n, band):
     import scipy.fft
 
     shape = (n,) * 4
-    for ht in C.linearization_battery(seed=11, band=band):
+    for ht in verify.linearization_battery(seed=11, band=band):
         periods = (2 * math.pi,) + ht.grid.lengths
         sample = C.sample_cyl_tensor(ht, shape, periods)
         spectrum = C.cyl_tensor_spectrum(ht, shape, periods)
@@ -1120,7 +1121,7 @@ def test_fd_battery_reads_no_lazy_or_unpacked_array(monkeypatch):
         monkeypatch.setattr(C.CurvatureGrid, name, property(refuse))
     for name in ("MetricGrid4D", "CurvatureGrid", "christoffel_riemann", "asd_form_background"):
         monkeypatch.setattr(C, name, refuse)
-    ht = C.linearization_battery(seed=11, band=1)[7]
+    ht = verify.linearization_battery(seed=11, band=1)[7]
     (err,) = C.fd_linearization_errors(ht, [1e-4], shape=(8, 8, 8, 8))
     assert err < 1e-4
 
@@ -1135,7 +1136,7 @@ def test_fd_battery_makes_no_blas_calls(monkeypatch):
     for name in ("tensordot", "dot", "matmul"):
         monkeypatch.setattr(np, name, refuse)
     monkeypatch.setattr(np.linalg, "norm", refuse)
-    ht = C.linearization_battery(seed=11, band=1)[7]
+    ht = verify.linearization_battery(seed=11, band=1)[7]
     (err,) = C.fd_linearization_errors(ht, [1e-4], shape=(8, 8, 8, 8))
     assert err < 1e-4
 
@@ -1615,7 +1616,7 @@ def test_reality_symmetrized_field_is_checked_without_a_transform(monkeypatch):
     calls = []
     pruned = C._pruned_irfftn
     monkeypatch.setattr(C, "_pruned_irfftn", lambda *args: calls.append(args) or pruned(*args))
-    ht = C.linearization_battery(seed=11, band=1)[8]
+    ht = verify.linearization_battery(seed=11, band=1)[8]
     C.sample_cyl_tensor(ht, (8,) * 4, (2 * math.pi,) + ht.grid.lengths)
     assert len(calls) == 1
 

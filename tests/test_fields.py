@@ -8,6 +8,7 @@ from hypothesis import given, strategies as st
 from indicyl import fields as F
 from indicyl import forks
 from indicyl import pairwise as P
+from indicyl import verify
 from indicyl.fields import (
     CylOneForm,
     CylTensor,
@@ -791,27 +792,30 @@ def test_kernels_match_index_formulas_on_pencil_columns(k):
 
 
 def test_identity_suite_passes():
-    results = identity_suite(band=3, seed=7)
-    assert len(results) == 11
-    for r in results:
-        assert r.ok, (r.name, r.residual)
-        assert r.residual < 1e-10
+    residuals = identity_suite(band=3, seed=7)
+    assert sorted(residuals) == sorted(name for name, _ in verify._IDENTITIES)
+    for name, residual in residuals.items():
+        assert residual < 1e-10, (name, residual)
 
 
-def test_identity_tolerance_boundary():
+def test_identity_tolerance_boundary(monkeypatch):
     # An identity passes when its residual is below _IDENTITY_TOL, and
     # fails at it; the suite reports that tolerance for every identity.
-    tol = F._IDENTITY_TOL
+    tol = verify._IDENTITY_TOL
     assert tol == 1e-10
-    assert F.IdentityResult("x", "x", math.nextafter(tol, 0.0), tol).ok
-    assert not F.IdentityResult("x", "x", tol, tol).ok
-    assert all(r.tolerance == tol for r in identity_suite(band=2, seed=9))
+    names = [name for name, _ in verify._IDENTITIES]
+    for residual, passes in ((math.nextafter(tol, 0.0), True), (tol, False)):
+        monkeypatch.setattr(F, "identity_suite", lambda band, seed, r=residual: dict.fromkeys(names, r))
+        report, ok = verify.run_identities(n=8)
+        assert all(row["tolerance"] == tol for row in report)
+        assert [row["pass"] for row in report] == [passes] * len(names)
+        assert ok is passes
 
 
 def test_identity_suite_deterministic():
     a = identity_suite(band=2, seed=9)
     b = identity_suite(band=2, seed=9)
-    assert [(r.name, r.residual) for r in a] == [(r.name, r.residual) for r in b]
+    assert list(a.items()) == list(b.items())
 
 
 # The suite cuts the front half of the box (planes 0 .. band - 1) into
@@ -827,7 +831,7 @@ def test_identity_suite_does_not_depend_on_slab_size(monkeypatch, band, seed):
     residuals = []
     for slab_modes in (1, 50, 100, 10**9):
         monkeypatch.setattr(F, "_SLAB_MODES", slab_modes)
-        residuals.append([r.residual.hex() for r in identity_suite(band=band, seed=seed)])
+        residuals.append({name: r.hex() for name, r in identity_suite(band=band, seed=seed).items()})
     assert all(hexes == residuals[0] for hexes in residuals[1:])
 
 
@@ -839,7 +843,7 @@ def test_identity_suite_does_not_depend_on_process_count(monkeypatch, no_child_l
     residuals = []
     for workers in (1, 2, 3, 4):
         monkeypatch.setattr(forks, "_processes", lambda: workers)
-        residuals.append([r.residual.hex() for r in identity_suite(band=band, seed=seed)])
+        residuals.append({name: r.hex() for name, r in identity_suite(band=band, seed=seed).items()})
     assert all(hexes == residuals[0] for hexes in residuals[1:])
 
 

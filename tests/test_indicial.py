@@ -4,7 +4,10 @@ import decimal
 import io
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -459,6 +462,17 @@ def test_sign_symmetry(geo, j_max):
         assert table.get((-v, *rest)) == mult, (geo, v, rest)
 
 
+def test_a_property_run_writes_nothing_into_the_working_directory(tmp_path):
+    # hypothesis keeps the constants it collects from the sources, and a
+    # failing example's patch, in conftest's temporary home, which is
+    # removed at exit, not under .hypothesis/ where pytest was started.
+    argv = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", __file__, "-k", "test_sign_symmetry"]
+    proc = subprocess.run(argv, cwd=tmp_path, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert "1 passed" in proc.stdout
+    assert sorted(os.listdir(tmp_path)) == []
+
+
 @settings(max_examples=20, deadline=None)
 @given(_lens_groups(), st.integers(min_value=1, max_value=59))
 def test_lens_multiplicities_do_not_depend_on_the_generator(g, k):
@@ -474,6 +488,34 @@ def test_lens_multiplicities_do_not_depend_on_the_generator(g, k):
     ]:
         for j in range(j_min, 16):
             assert multiplicity(other, j) == multiplicity(g, j), (g, k, multiplicity.__name__, j)
+
+
+# The sphere's multiplicities in closed form, the cover of every quotient.
+_SPHERE_MULTIPLICITIES = {
+    spectra.lens_scalar_multiplicity: lambda j: (j + 1) ** 2,
+    spectra.lens_oneform_multiplicity: lambda j: 2 * j * (j + 2),
+    spectra.lens_tt_multiplicity: lambda j: 2 * (j - 1) * (j + 3),
+}
+
+
+@settings(max_examples=20, deadline=None)
+@given(_lens_groups(), st.integers(min_value=0, max_value=59))
+def test_lens_multiplicities_are_bounded_by_each_cover(g, k):
+    # For d | p, the (p/d)-th power of the generator generates the subgroup
+    # of order d, which acts as L(d; q1 mod d, q2 mod d).  That quotient
+    # covers L(p; q1, q2), so each multiplicity is at most its own, and at
+    # most the sphere's.
+    divisors = [d for d in range(1, g.p + 1) if g.p % d == 0]
+    d = divisors[k % len(divisors)]
+    cover = GroupAction(d, g.q1 % d, g.q2 % d)
+    for multiplicity, j_min in [
+        (spectra.lens_scalar_multiplicity, 0),
+        (spectra.lens_oneform_multiplicity, 1),
+        (spectra.lens_tt_multiplicity, 2),
+    ]:
+        sphere = _SPHERE_MULTIPLICITIES[multiplicity]
+        for j in range(j_min, 16):
+            assert multiplicity(g, j) <= multiplicity(cover, j) <= sphere(j), (g, d, multiplicity.__name__, j)
 
 
 @settings(max_examples=15, deadline=None)

@@ -24,10 +24,9 @@ _ALLOWED_EDGES = {
     ("__init__", "spectra"): "the package re-exports the geometries",
     ("cli", "indicial"): "the commands print the catalogs and the predicates",
     ("cli", "spectra"): "the commands build the geometries from their flags",
-    ("cli", "fields"): "verify identities runs the identity suite",
-    ("cli", "curvature"): "verify linearization runs the FD battery",
-    ("cli", "oracle"): "verify oracle compares the oracle's roots with the closed forms",
-    ("curvature", "fields"): "the battery's inputs and its comparand linearized_weyl, which the engine may not reach",
+    ("cli", "verify"): "the verify command runs the suites",
+    ("curvature", "fields"): "the battery's comparand linearized_weyl, which the engine may not reach, "
+    "the index tables and the annotation types",
     ("curvature", "forks"): "the battery's cases run on every CPU",
     ("curvature", "indicial"): "CurvatureDefectError is a VerificationError, exit 1",
     ("curvature", "pairwise"): "the battery's norms keep the bits of np.sum",
@@ -36,14 +35,28 @@ _ALLOWED_EDGES = {
     ("indicial", "spectra"): "a catalog holds the roots of a geometry's spectrum",
     ("oracle", "fields"): "the flat mode pencil applies the flat kernels at one lattice vector; "
     "the identity suite and the FD battery witness the kernels",
+    ("verify", "curvature"): "verify linearization runs the FD battery",
+    ("verify", "fields"): "verify identities judges the identity suite; the battery's variations are random fields",
+    ("verify", "indicial"): "verify oracle checks indicial's closed forms",
+    ("verify", "oracle"): "verify oracle compares the oracle's roots with the closed forms",
 }
+
+# Every module of the package.
+_MODULES = tuple(sorted(path.stem for path in PACKAGE.glob("*.py")))
 
 # Edges that no reason can allow.
 _FORBIDDEN_EDGES = {
     ("oracle", "indicial"): "the oracle's companion and pencil roots witness indicial's closed forms",
     **{
         ("pairwise", module): "pairwise fixes the bits that the verify suites print, and checks nothing"
-        for module in ("__init__", "cli", "curvature", "fields", "forks", "indicial", "oracle", "spectra")
+        for module in _MODULES
+        if module not in ("pairwise", "verify")
+    },
+    **{
+        (module, "verify"): "verify holds the rules that judge the witnesses and the closed forms, "
+        "which may not read them"
+        for module in _MODULES
+        if module not in ("cli", "verify")
     },
 }
 
