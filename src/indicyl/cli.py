@@ -15,7 +15,6 @@ output.
 from __future__ import annotations
 
 import argparse
-import functools
 import math
 import sys
 
@@ -43,10 +42,8 @@ _RATE_NOTE = (
 # ---------------------------------------------------------------------------
 
 
-@functools.lru_cache(maxsize=1024)
-def _json_str(s: str) -> str:
-    # What json.dumps(s) runs for a str, without loading the json package.
-    return encode_basestring_ascii(s)
+# What json.dumps(s) runs for a str, without loading the json package.
+_json_str = encode_basestring_ascii
 
 
 def _json_float(x: float) -> str:

@@ -353,10 +353,10 @@ def _ik_factors(periods, grid_shape, positions):
 # small groups cost more in call overhead than they save in memory.  A
 # battery group's buffers hold about 290 doubles per point and a case holds
 # nothing grid-sized, so with 2048 points (half a 16^4 time plane, two rows
-# at 32^4) a case with two steps peaks at 6.4-7.0 MiB of traced arrays at
-# 16^4 and 11.6-12.4 MiB at 32^4, the more the more live components it
-# has (see _plane_inverse); with 4096 points it peaked at 11.0-12.0 and
-# 16.1-17.1 MiB.  On one CPU, 2048-point groups run the 16^4 battery about
+# at 32^4) a case with two steps peaks at 5.8-6.3 MiB of traced arrays at
+# 16^4 and 11.0-11.6 MiB at 32^4, the more the more live components it
+# has (see _plane_inverse); with 4096 points it peaks at 9.8-10.7 and
+# 14.9-15.6 MiB.  On one CPU, 2048-point groups run the 16^4 battery about
 # as fast as 4096-point ones (their transforms and dot products take less
 # time per point, their other NumPy calls more), and 1024-point groups
 # run it slower.
@@ -456,15 +456,13 @@ def _plane_inverse(stack: np.ndarray, positions, grid_shape, planes: int, rows: 
     the transforms give for them.  (A row of -0.0 is live: irfftn maps it
     to -0.0 at some grid points.)  Per chunk, each call widens and
     transforms the first spatial axis of its time planes, laid out (...,
-    m2, m3, N1), unless the call before had the same planes; then widens
-    and transforms the second on its rows, laid out (..., rows, m3, N2);
-    then transposes that once to (..., rows, N2, m3), runs the c2r into
-    out and scales by 1/N.  So every transform runs along the last axis of
-    a C-contiguous array, where pocketfft copies no strided lines, and
-    each line meets the same 1-D transform as in irfftn.  The first
-    spatial pass of the live components is kept for the calls of the same
-    planes; the other temporaries are one chunk's buffers.  All are made
-    here and reused by every call.
+    m2, m3, N1); then widens and transforms the second on its rows, laid
+    out (..., rows, m3, N2); then transposes that once to (..., rows, N2,
+    m3), runs the c2r into out and scales by 1/N.  So every transform runs
+    along the last axis of a C-contiguous array, where pocketfft copies no
+    strided lines, and each line meets the same 1-D transform as in
+    irfftn.  The temporaries are one chunk's buffers, made here and reused
+    by every call, which keeps no other state.
     """
     count, _, _, m2, m3 = stack.shape
     n1, n2, n3 = grid_shape[1:]
@@ -482,34 +480,27 @@ def _plane_inverse(stack: np.ndarray, positions, grid_shape, planes: int, rows: 
     # widened line stay in place whatever the leading shape.
     wide1 = np.zeros(width * planes * m2 * m3 * n1, dtype=complex)
     wide2 = np.zeros(width * planes * rows * m3 * n2, dtype=complex)
+    part1 = np.empty(len(wide1), dtype=complex)
     part2, flip = np.empty((2, len(wide2)), dtype=complex)
-    part1 = np.empty((int(alive.sum()), planes, m2, m3, n1), dtype=complex)
     scale = 1.0 / math.prod(grid_shape)
-    passed = None  # the time planes whose first spatial pass part1 holds
 
     def invert(times, block, out):
-        nonlocal passed
         t, r = times.stop - times.start, block.stop - block.start
-        first = passed != times
         if len(dead):
             out[dead] = 0.0
-        j = 0  # the chunk's first row in part1
         for lo, hi in chunks:
             k = hi - lo
-            if first:
-                a = wide1[: k * t * m2 * m3 * n1].reshape(k, t, m2, m3, n1)
-                a[..., positions[1]] = stack[lo:hi, times].transpose(0, 1, 3, 4, 2)
-                np.fft.ifft(a, axis=-1, norm="forward", out=part1[j : j + k, :t])
+            a = wide1[: k * t * m2 * m3 * n1].reshape(k, t, m2, m3, n1)
+            a[..., positions[1]] = stack[lo:hi, times].transpose(0, 1, 3, 4, 2)
+            b = np.fft.ifft(a, axis=-1, norm="forward", out=part1[: a.size].reshape(a.shape))
             shape = (k, t, r, m3, n2)
             c = wide2[: math.prod(shape)].reshape(shape)
-            c[..., positions[2]] = part1[j : j + k, :t, :, :, block].transpose(0, 1, 4, 3, 2)
+            c[..., positions[2]] = b[..., block].transpose(0, 1, 4, 3, 2)
             d = np.fft.ifft(c, axis=-1, norm="forward", out=part2[: c.size].reshape(shape))
             e = flip[: c.size].reshape(k, t, r, n2, m3)
             np.copyto(e, d.transpose(0, 1, 2, 4, 3))
             np.fft.irfft(e, n=n3, axis=-1, norm="forward", out=out[lo:hi])
             out[lo:hi] *= scale
-            j += k
-        passed = times
 
     return invert
 

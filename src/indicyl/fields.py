@@ -112,7 +112,6 @@ class ModeGrid:
         self.planes, self.shape = (0, self.size), (self.size,) * 3
         self._zeros: dict[type, _Field] = {}  # see _Field._shared_zero
         self._slabs: dict[tuple[int, int], ModeGrid] = {}
-        self._xi_cache: list = [None]  # see _xi_pair; shared with the slab views
 
     def slab(self, lo: int, hi: int) -> ModeGrid:
         """The view of this box's planes lo:hi: planes (lo, hi) and the
@@ -143,17 +142,13 @@ class ModeGrid:
         return x0 * x0 + x1 * x1 + x2 * x2
 
     def _xi_pair(self) -> tuple[np.ndarray, np.ndarray]:
-        """xi and xi_sq of this grid's planes, built on first use: the values
-        of the box's meshgrid and its _dot, bit for bit.  The box and its
-        slab views share one cache entry, which keeps the pair of the last
-        grid asked, so a slab loop holds one slab's pair and never the box's."""
-        entry = self._xi_cache[0]
-        if entry is None or entry[0] != self.planes:
-            (lo, hi), (a0, a1, a2) = self.planes, self._axes
-            xi = np.empty((3,) + self.shape)
-            xi[0], xi[1], xi[2] = a0[lo:hi, None, None], a1[:, None], a2
-            entry = self._xi_cache[0] = (self.planes, xi, _dot(xi, xi))
-        return entry[1:]
+        """xi and xi_sq of this grid's planes, built anew on each call: the
+        values of the box's meshgrid and its _dot, bit for bit.  No grid
+        keeps them, so a slab loop holds one slab's pair and never the box's."""
+        (lo, hi), (a0, a1, a2) = self.planes, self._axes
+        xi = np.empty((3,) + self.shape)
+        xi[0], xi[1], xi[2] = a0[lo:hi, None, None], a1[:, None], a2
+        return xi, _dot(xi, xi)
 
     def _require_box(self, what: str) -> None:
         if self.planes != (0, self.size):
@@ -516,11 +511,11 @@ class CylTensor(_CylField):
 
     _parts = ("h00", "alpha", "h")
 
-    def is_cross_section(self, tol=_CROSS_SECTION_TOL) -> bool:
+    def is_cross_section(self) -> bool:
         scale = max(self.norm(), 1.0)
         return (
-            self.part_norm("h00") <= tol * scale
-            and self.part_norm("alpha") <= tol * scale
+            self.part_norm("h00") <= _CROSS_SECTION_TOL * scale
+            and self.part_norm("alpha") <= _CROSS_SECTION_TOL * scale
         )
 
 
@@ -823,9 +818,10 @@ def random_real_variation(
 
 def coclosed_projection(omega: FourierOneForm) -> FourierOneForm:
     """Remove the exact part: on each nonzero mode project out xi (xi . c)/|xi|^2."""
-    xi, zero = omega.grid.xi, omega.grid.xi_sq == 0
+    xi, xi_sq = omega.grid._xi_pair()
+    zero = xi_sq == 0
     xs = _dot(xi, omega.data)
-    corr = xi * (xs / np.where(zero, 1.0, omega.grid.xi_sq))[None]
+    corr = xi * (xs / np.where(zero, 1.0, xi_sq))[None]
     corr[:, zero] = 0.0
     return FourierOneForm(omega.grid, omega.data - corr)
 

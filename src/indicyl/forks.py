@@ -80,13 +80,6 @@ def _worker(tasks, first: int, stride: int, out_fd: int):
         os._exit(code)
 
 
-def _read_all(fd: int) -> bytes:
-    chunks = []
-    while chunk := os.read(fd, 1 << 16):
-        chunks.append(chunk)
-    return b"".join(chunks)
-
-
 def run(tasks) -> list:
     """The result of each task, in task order, each run in process i mod W
     (see the module docstring), which runs its tasks one after another; a
@@ -121,7 +114,8 @@ def run(tasks) -> list:
         failures = [failure]
         while workers:
             pid, read_fd = workers[0]
-            payload = _read_all(read_fd)
+            with os.fdopen(read_fd, "rb", closefd=False) as pipe:
+                payload = pipe.read()
             os.waitpid(pid, 0)
             os.close(read_fd)
             workers.pop(0)

@@ -1,6 +1,7 @@
 import ast
 import importlib
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -28,7 +29,8 @@ def test_public_names_resolve(module):
 
 def test_tracer_targets_exist():
     # A traced benchmark run wraps these functions and reads these arrays
-    # of every CurvatureGrid; removing one breaks the run.
+    # of every CurvatureGrid; the run lists a missing one in its
+    # missing_targets, and the benchmark's self-test fails.
     targets = tracer_constant("TARGETS")
     assert targets
     missing = [
@@ -158,3 +160,28 @@ def test_failing_property_reports_its_falsifying_example(tmp_path):
     assert "INTERNALERROR" not in proc.stdout + proc.stderr
     # hypothesis wrote the example's patch into its temporary home, not here.
     assert sorted(set(os.listdir(tmp_path)) - {"__pycache__"}) == ["conftest.py", "test_property.py"]
+
+
+# A row of README's tolerance table: | `NAME` | `module` | `value` | ...
+_TOLERANCE_ROW = re.compile(r"^\| `(\w+)` \| `(\w+)` \| `([^`]+)` \|", re.MULTILINE)
+
+
+def test_readme_tolerance_table_matches_the_sources():
+    root = TRACER.parent.parent
+    rows = _TOLERANCE_ROW.findall((root / "README.md").read_text())
+    assert len(rows) == len({name for name, _, _ in rows})
+    stale = [
+        (name, module, value)
+        for name, module, value in rows
+        if getattr(importlib.import_module(f"indicyl.{module}"), name, None) != float(value)
+    ]
+    assert stale == []
+    tolerances = {
+        name
+        for path in sorted((root / "src" / "indicyl").glob("*.py"))
+        for node in ast.parse(path.read_text()).body
+        if isinstance(node, ast.Assign)
+        for target in node.targets
+        if (name := getattr(target, "id", "")).endswith("_TOL")
+    }
+    assert tolerances and sorted(tolerances - {name for name, _, _ in rows}) == []

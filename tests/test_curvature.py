@@ -412,6 +412,45 @@ def eager_fd_errors(ht, eps_values, shape):
     return out
 
 
+# The complex step of complex_step_asd, and the largest relative error
+# between its derivative and linearized_weyl that passes.
+_COMPLEX_STEP = 1e-30
+_COMPLEX_STEP_TOL = 1e-13
+
+
+def complex_step_asd(ht, shape):
+    """The derivative at the flat product metric along the variation ht of
+    its anti-self-dual Weyl block, sampled on the grid (..., 3, 3), by the
+    complex step: Im m(I + i h s) / h with h = _COMPLEX_STEP (Squire and
+    Trapp, SIAM Review 40, 1998).  The curvature is analytic in the metric,
+    and the step subtracts nothing, so the O(h^2) truncation lies far below
+    rounding.  The identity has zero derivatives: the derivative stage of
+    I + i h s is i h times that of s, formed from the coefficients of ht."""
+    import scipy.fft
+
+    periods = (2 * math.pi,) + ht.grid.lengths
+    half = eager_half_spectrum(ht, _E_CYL_PICKS, shape, periods)
+    derivatives = eager_spectrum_derivatives(half, tuple(shape), periods)
+    sample = scipy.fft.irfftn(half, s=shape, axes=(1, 2, 3, 4), workers=1)
+    c = 1j * _COMPLEX_STEP
+    metric = unpack(sample) * c
+    metric[..., range(4), range(4)] += 1.0
+    np.linalg.cholesky(metric.real)
+    return eager_asd(eager_pointwise(pack(metric), derivatives, c)[2]).imag / _COMPLEX_STEP
+
+
+@pytest.mark.parametrize("seed", [7, 11])
+def test_complex_step_witnesses_linearized_weyl(seed):
+    # Seven digits sharper than the FD battery's 1e-6: a linearized_weyl
+    # off by 1e-9 on the h00 variations alone passes verify linearization
+    # --N 8, and fails here.
+    shape = (8, 8, 8, 8)
+    for case, ht in enumerate(verify.linearization_battery(seed=seed, band=1)):
+        exact = C.sample_cross_section_tensor(F.linearized_weyl(ht), shape, (2 * math.pi,) + ht.grid.lengths)
+        error = eager_norm(complex_step_asd(ht, shape) - exact) / eager_norm(exact)
+        assert error < _COMPLEX_STEP_TOL, (case, error)
+
+
 def test_engine_matches_eager_engine_bitwise():
     m = random_metric((8, 8, 8, 8), seed=21)
     curv = C.christoffel_riemann(m)
@@ -779,7 +818,7 @@ def test_curvature_working_set_is_bounded():
     # this process, so the count does not depend on the machine.  The
     # engine keeps 61 components (the first-kind symbols and the packed
     # Riemann tensor), 6.1 metrics, and no inverse metric; at 16^4 the
-    # peak is 7.77.
+    # peak is 7.68.
     import tracemalloc
 
     ht = verify.linearization_battery(seed=11, band=2)[8]
@@ -801,7 +840,7 @@ def test_battery_case_working_set_is_bounded():
     # One 16^4 battery case allocates at most this many times its sample
     # (10 components, 5 MiB) in traced arrays.  No array of the case is
     # grid-sized: the peak is the variation's time pass and one 2048-point
-    # group's buffers, 1.27 samples (1.37 with separate buffers for the
+    # group's buffers, 1.22 samples (1.37 with separate buffers for the
     # metric I + c s, the block of I - eps s and the whole 4x4 inverse
     # metric, 2.33 with 4096-point groups, 2.49 while the pruned inverse
     # held every component's spatial passes at once), where one grid-sized

@@ -109,7 +109,6 @@ _UNREACHED = {
     "forks._processes": "replaced by the probe's one-process count",
     "forks._portable": "worker side of forks.run",
     "forks._worker": "worker side of forks.run",
-    "forks._read_all": "caller's read of a worker's results",
 }
 
 

@@ -76,6 +76,12 @@ _WEYL = re.compile(r"linearized_weyl$|_apply_cylinder$|\w*_coefficients$")
 _WITNESSES = [
     ("src/indicyl/curvature.py", None, _WEYL, "the FD battery witnesses fields.linearized_weyl"),
     (
+        "tests/test_curvature.py",
+        ["complex_step_asd"],
+        _WEYL,
+        "the complex step witnesses fields.linearized_weyl",
+    ),
+    (
         "tests/test_spectra.py",
         ["character_sum_invariant_dims"],
         re.compile(r"_invariant_dim$|_floor_sum$"),
