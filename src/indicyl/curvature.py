@@ -638,9 +638,7 @@ def christoffel_riemann(m: MetricGrid4D) -> CurvatureGrid:
     spectrum, term = np.empty((2,) + gk.shape[1:], dtype=complex)
     for j in range(_DERIVATIVES):
         x = _derivative_spectrum(j, gk, k, spectrum, term)
-        for axis in range(3):
-            x = np.fft.ifft(x, axis=axis, norm="forward")
-        np.fft.irfft(x, n=shape[3], norm="forward", out=out[j])
+        np.fft.irfftn(x, s=shape, axes=(0, 1, 2, 3), norm="forward", out=out[j])
         out[j] *= 1.0 / math.prod(shape)
     del gk, x, spectrum, term
     flat = out.reshape(_DERIVATIVES, -1)

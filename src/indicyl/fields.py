@@ -87,6 +87,11 @@ _TRACE_FREE_TOL = 1e-10
 # reads 0 rather than NaN.
 _NORM_FLOOR = 1e-300
 
+# The one zero that every missing part of a cylinder field is a broadcast
+# of (see _Field._shared_zero).
+_ZERO = np.zeros((), dtype=complex)
+_ZERO.flags.writeable = False
+
 # Fewest modes per slab of the identity suite, which evaluates every
 # identity one slab of whole mode planes at a time (see _mirror_slabs), so
 # that the operators' temporaries are slab-sized rather than box-sized.
@@ -110,28 +115,33 @@ class ModeGrid:
         k = np.arange(-band, band + 1)
         self._axes = tuple(2 * math.pi * k / L for L in self.lengths)
         self.planes, self.shape = (0, self.size), (self.size,) * 3
-        self._zeros: dict[type, _Field] = {}  # see _Field._shared_zero
-        self._slabs: dict[tuple[int, int], ModeGrid] = {}
 
     def slab(self, lo: int, hi: int) -> ModeGrid:
-        """The view of this box's planes lo:hi: planes (lo, hi) and the
-        slab's shape; one per slab, so its zero parts are shared."""
+        """The view of this box's planes lo:hi, hi clipped to the box:
+        planes (lo, hi) and the slab's shape.  A new view on each call;
+        views of the same planes are equal, so their fields mix."""
         self._require_box("a slab view")
-        hi = min(hi, self.size)
-        if (lo, hi) not in self._slabs:
-            self._slabs[lo, hi] = view = object.__new__(ModeGrid)
-            view.__dict__.update(self.__dict__, shape=(hi - lo,) + self.shape[1:], planes=(lo, hi), _zeros={}, _slabs={})
-        return self._slabs[lo, hi]
+        clipped = min(hi, self.size)
+        if not 0 <= lo < clipped:
+            raise ValueError(f"a slab view needs planes 0 <= lo < hi <= {self.size}, got ({lo}, {hi})")
+        view = object.__new__(ModeGrid)
+        view.__dict__.update(self.__dict__, shape=(clipped - lo,) + self.shape[1:], planes=(lo, clipped))
+        return view
 
     @property
     def xi(self) -> np.ndarray:
-        """The lattice vectors 2 pi k / L of this grid's modes, (3,) + shape."""
-        return self._xi_pair()[0]
+        """The lattice vectors 2 pi k / L of this grid's modes, (3,) + shape,
+        built anew on each call, so that a slab loop never holds the box's."""
+        (lo, hi), (a0, a1, a2) = self.planes, self._axes
+        xi = np.empty((3,) + self.shape)
+        xi[0], xi[1], xi[2] = a0[lo:hi, None, None], a1[:, None], a2
+        return xi
 
     @property
     def xi_sq(self) -> np.ndarray:
         """|xi|^2 of this grid's modes, summed in index order."""
-        return self._xi_pair()[1]
+        xi = self.xi
+        return _dot(xi, xi)
 
     @property
     def xi_sq_max(self) -> float:
@@ -140,15 +150,6 @@ class ModeGrid:
         float(xi_sq.max()) of the box bit for bit."""
         x0, x1, x2 = (float(a[-1]) for a in self._axes)
         return x0 * x0 + x1 * x1 + x2 * x2
-
-    def _xi_pair(self) -> tuple[np.ndarray, np.ndarray]:
-        """xi and xi_sq of this grid's planes, built anew on each call: the
-        values of the box's meshgrid and its _dot, bit for bit.  No grid
-        keeps them, so a slab loop holds one slab's pair and never the box's."""
-        (lo, hi), (a0, a1, a2) = self.planes, self._axes
-        xi = np.empty((3,) + self.shape)
-        xi[0], xi[1], xi[2] = a0[lo:hi, None, None], a1[:, None], a2
-        return xi, _dot(xi, xi)
 
     def _require_box(self, what: str) -> None:
         if self.planes != (0, self.size):
@@ -179,14 +180,10 @@ class _Field:
 
     @classmethod
     def _shared_zero(cls, grid: ModeGrid):
-        """The grid's one zero field of this type, read-only: writing into
-        its data raises.  Its data is one zero broadcast to the field's
-        shape, so the zero parts of every slab view hold no memory."""
-        zero = grid._zeros.get(cls)
-        if zero is None:
-            data = np.broadcast_to(np.zeros((), dtype=complex), cls._comp_shape + grid.shape)
-            zero = grid._zeros[cls] = cls._unchecked(grid, data)
-        return zero
+        """A zero field of this type on grid, read-only: its data is _ZERO
+        broadcast to the field's shape, so writing into it raises and it
+        holds no memory of its own (see _is_shared_zero)."""
+        return cls._unchecked(grid, np.broadcast_to(_ZERO, cls._comp_shape + grid.shape))
 
     @classmethod
     def _unchecked(cls, grid: ModeGrid, data: np.ndarray):
@@ -473,8 +470,8 @@ class _CylField:
 
     __rmul__ = __mul__
 
-    # A part that is the grid's shared zero (see add_term) is skipped: its
-    # 0.0 would not change the sum's bits.
+    # A part that is a shared zero (see add_term) is skipped: its 0.0 would
+    # not change the sum's bits.
     def norm(self) -> float:
         return math.sqrt(
             sum(
@@ -489,8 +486,8 @@ class _CylField:
 
 
 def _is_shared_zero(f: _Field) -> bool:
-    """Whether f is its grid's shared read-only zero (see _Field._shared_zero)."""
-    return f is f.grid._zeros.get(type(f))
+    """Whether f's data is a view of _ZERO (see _Field._shared_zero)."""
+    return np.shares_memory(f.data, _ZERO)
 
 
 _PART_TYPES = {
@@ -818,7 +815,8 @@ def random_real_variation(
 
 def coclosed_projection(omega: FourierOneForm) -> FourierOneForm:
     """Remove the exact part: on each nonzero mode project out xi (xi . c)/|xi|^2."""
-    xi, xi_sq = omega.grid._xi_pair()
+    xi = omega.grid.xi
+    xi_sq = _dot(xi, xi)
     zero = xi_sq == 0
     xs = _dot(xi, omega.data)
     corr = xi * (xs / np.where(zero, 1.0, xi_sq))[None]

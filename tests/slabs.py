@@ -7,13 +7,11 @@ from indicyl import fields as F
 
 def slab(field, lo: int, hi: int):
     """field on field.grid.slab(lo, hi): a view of a Fourier field's data,
-    or the slab's shared zero; a cylinder field term by term."""
+    which is a shared zero if the field's is; a cylinder field term by term."""
     grid = field.grid.slab(lo, hi)
     if isinstance(field, F._CylField):
         out = type(field)(grid)
         for key, term in field.terms.items():
             out.terms[key] = {"rate": term["rate"], **{n: slab(term[n], lo, hi) for n in field._parts}}
         return out
-    if F._is_shared_zero(field):
-        return field._shared_zero(grid)
     return field._unchecked(grid, field.data[..., lo:hi, :, :])

@@ -319,14 +319,17 @@ def test_cyl_div_formula():
 
 
 def test_shared_zero_parts_are_read_only():
-    # add_term fills every missing part with the grid's one cached zero
-    # field of that type; writing into it raises, and adding into a slot
-    # that holds it replaces the slot's part rather than the cached zero.
+    # add_term fills every missing part with a shared zero field of that
+    # type, a broadcast of the module's one read-only zero; writing into it
+    # raises, and adding into a slot that holds it replaces the slot's part
+    # rather than the shared zero.
     ht = CylTensor(GRID)
     ht.add_term(0.5, 0, h=F.random_symtensor(rng(), GRID))
     (slot,) = ht.terms.values()
-    assert slot["h00"] is FourierScalar._shared_zero(GRID)
-    assert slot["alpha"] is FourierOneForm._shared_zero(GRID)
+    for name, kind in (("h00", FourierScalar), ("alpha", FourierOneForm)):
+        assert F._is_shared_zero(slot[name]) and type(slot[name]) is kind and slot[name].grid == GRID
+        assert not slot[name].data.flags.writeable and slot[name].data.strides == (0,) * slot[name].data.ndim
+    assert not F._is_shared_zero(slot["h"])
     with pytest.raises(ValueError, match="read-only"):
         slot["h00"].data[(GRID.band,) * 3] = 1.0
     with pytest.raises(ValueError, match="read-only"):
@@ -335,12 +338,12 @@ def test_shared_zero_parts_are_read_only():
     omt.add_term(0.5, 1, f=single_mode_scalar((1, 0, 0)))
     (slot,) = omt.terms.values()
     zero = slot["omega"]
-    assert zero is FourierOneForm._shared_zero(GRID)
+    assert F._is_shared_zero(zero) and zero.data.shape == (3,) + GRID.shape
     with pytest.raises(ValueError, match="read-only"):
         zero.data[0] = 1.0
     w = single_mode_oneform((0, 1, 0), [1.0, 2.0, 3.0])
     omt.add_term(0.5, 1, omega=w)
-    assert slot["omega"] is not zero and np.array_equal(slot["omega"].data, w.data)
+    assert not F._is_shared_zero(slot["omega"]) and np.array_equal(slot["omega"].data, w.data)
     assert not zero.data.any()
     assert not FourierOneForm._shared_zero(GRID).data.any()
     # One zero broadcast to the field's shape: no slab view's zeros hold memory.
@@ -348,9 +351,9 @@ def test_shared_zero_parts_are_read_only():
 
 
 def test_norms_skip_shared_zero_parts(monkeypatch):
-    # norm and part_norm leave out the parts that are the grid's shared
-    # zero, with the bits of the sum over every part: a skipped 0.0 changes
-    # no sum of squares.  Two terms, one of them all shared zeros but h.
+    # norm and part_norm leave out the parts that are shared zeros, with
+    # the bits of the sum over every part: a skipped 0.0 changes no sum of
+    # squares.  Two terms, one of them all shared zeros but h.
     ht = linearized_weyl(F.random_real_variation(rng(), GRID, kt_modes=(0, 1), parts=("h00", "alpha", "h")))
     ht.add_term(0.25j, 0, h=F.random_symtensor(rng(), GRID))
     assert any(F._is_shared_zero(slot[n]) for slot in ht.terms.values() for n in ht._parts)
@@ -367,7 +370,9 @@ def test_norms_skip_shared_zero_parts(monkeypatch):
     monkeypatch.setattr(F, "_norm", recording_norm)
     assert ht.norm() == want
     assert {name: ht.part_norm(name) for name in ht._parts} == want_parts
-    assert seen and not any(x is z.data for x in seen for z in GRID._zeros.values())
+    # Every array measured is writeable and holds memory of its own: none
+    # is a read-only broadcast of the shared zero.
+    assert seen and all(x.flags.writeable and 0 not in x.strides for x in seen)
 
 
 # The whole cylinder-operator surface on an anisotropic grid, with terms of
@@ -408,7 +413,7 @@ def test_cylinder_operators_on_slab_views_match_the_box(name):
     for lo, hi in ((0, 1), (1, 3), (4, 5), (0, 5)):
         out = getattr(F, name)(slab(field, lo, hi))
         assert type(out) is type(whole) and list(out.terms) == list(whole.terms)
-        assert out.grid is _SLAB_GRID.slab(lo, hi)
+        assert out.grid == _SLAB_GRID.slab(lo, hi) and out.grid.planes == (lo, hi)
         for key, slot in whole.terms.items():
             assert out.terms[key]["rate"] == slot["rate"]
             for part in whole._parts:
@@ -911,13 +916,13 @@ def test_replayed_slabs_match_the_eager_draw(band):
             for slabs in _replay_partitions(grid, order):
                 for lo, hi in slabs:
                     view = replay.pair(lo, hi)[0]
-                    assert view.grid is grid.slab(lo, hi)
+                    assert view.grid == grid.slab(lo, hi) and view.grid.planes == (lo, hi)
                     assert view.data.tobytes() == slab(want, lo, hi).data.tobytes(), (draw.__name__, modes, lo, hi)
             for lo, hi in replay.front_slabs:
                 views = replay.pair(lo, hi)
                 assert len(views) == (1 if lo + hi == grid.size else 2)
                 for view, (a, b) in zip(views, ((lo, hi), (grid.size - hi, grid.size - lo))):
-                    assert view.grid is grid.slab(a, b)
+                    assert view.grid == grid.slab(a, b) and view.grid.planes == (a, b)
                     assert view.data.tobytes() == slab(want, a, b).data.tobytes(), (draw.__name__, modes, a, b)
             assert r.standard_normal(3).tobytes() == after.tobytes()
 
@@ -972,13 +977,12 @@ def test_identity_suite_working_set_is_bounded(monkeypatch):
     # from and replayed a mirror pair of slabs (3 planes each, and the
     # middle plane; one plane for identity 9) at a time, one pass per
     # family of inputs, and every identity streams its norms and pairings.
-    # The pass over h, hp and u holds the slabs of h (0.19) and of one more
-    # input, and the accumulators of six identities.  Per identity it reads
-    # 1.06 (1, 3, 5, 8), 0.98 (6), 0.94 (a replay), 0.85 (2), 0.84 (9),
-    # 0.74, 0.52 (4), 0.61 (7), 0.40 (10), 0.07 (11), 0.02 (a skim); the
-    # block of box size that the suite maps and frees untouched reads 1.
-    # With h and hp drawn whole it read 2.35.  The bound may only be
-    # tightened.
+    # The peak falls in the pass over h, hp and u (1.04, read from
+    # tracemalloc.reset_peak before each pass to the pass's end), which
+    # holds the slabs of h (0.19) and of one more input, and the
+    # accumulators of six identities; the block of box size that the suite
+    # maps and frees untouched reads 1.  With h and hp drawn whole it read
+    # 2.35.  The bound may only be tightened.
     assert _identity_suite_peak(monkeypatch, 15) < 1.18
 
 
@@ -986,11 +990,9 @@ def test_identity_suite_working_set_is_bounded_at_band_7(monkeypatch):
     # The band-7 box, 3,375 modes, is cut into front slabs of 7 planes, their
     # mirrors and the middle plane (identity 9: 3, 3 and 1 planes and their
     # mirrors), so the suite's operators never take the whole box: its
-    # peak, 4.95 band-7 tensors (identity 5), plus 10%.  Per identity it
-    # reads 4.96 (5), 4.70 (9), 4.53 (8), 4.50 (1), 4.48 (3), 4.45 (6),
-    # 3.85 (a replay), 3.50, 2.41 (4), 3.48 (2), 2.89 (7), 1.85 (10), 0.40
-    # (11).  With h and hp drawn whole it read 5.47 (identity 9), and with
-    # the box as one slab 17.3.  The bound may only be tightened.
+    # peak, 4.95 band-7 tensors, plus 10%.  With h and hp drawn whole it
+    # read 5.47, and with the box as one slab 17.3.  The bound may only be
+    # tightened.
     assert _identity_suite_peak(monkeypatch, 7) < 5.56
 
 
@@ -1021,28 +1023,33 @@ def test_identity_suite_holds_no_box_sized_xi(monkeypatch):
     # Every xi the band-15 suite builds on its box is one slab's (3 planes,
     # or 1 for the middle plane and for identity 9), and afterwards no grid
     # of the suite, box or slab view, holds an array other than its 1-D
-    # lattice axes.  Identity 11 runs on a band-1 box of its own.  The
-    # suite runs in this process alone, so that the recorders see
+    # lattice axes, or any dict.  Identity 11 runs on a band-1 box of its
+    # own.  The suite runs in this process alone, so that the recorders see
     # identity 9 too.
     monkeypatch.setattr(forks, "_processes", lambda: 1)
-    grids, built = [], []
-    init, pair = ModeGrid.__init__, ModeGrid._xi_pair
+    boxes, views, built = [], [], []
+    init, make_view, make_xi = ModeGrid.__init__, ModeGrid.slab, ModeGrid.xi.fget
 
     def recording_init(self, *args, **kwargs):
         init(self, *args, **kwargs)
-        grids.append(self)
+        boxes.append(self)
 
-    def recording_pair(self):
-        xi, xi_sq = pair(self)
+    def recording_slab(self, lo, hi):
+        views.append(make_view(self, lo, hi))
+        return views[-1]
+
+    def recording_xi(self):
+        xi = make_xi(self)
         built.append((self.band, xi.shape[1]))
-        return xi, xi_sq
+        return xi
 
     monkeypatch.setattr(ModeGrid, "__init__", recording_init)
-    monkeypatch.setattr(ModeGrid, "_xi_pair", recording_pair)
+    monkeypatch.setattr(ModeGrid, "slab", recording_slab)
+    monkeypatch.setattr(ModeGrid, "xi", property(recording_xi))
     identity_suite(band=15, seed=5)
     planes = {n for band, n in built if band == 15}
     assert planes == {1, 3}
-    assert [g.band for g in grids] == [15, 1]
+    assert [g.band for g in boxes] == [15, 1]
 
     def arrays(value):
         if isinstance(value, np.ndarray):
@@ -1051,9 +1058,41 @@ def test_identity_suite_holds_no_box_sized_xi(monkeypatch):
             for item in value:
                 yield from arrays(item)
 
-    views = [view for g in grids for view in (g, *g._slabs.values())]
     assert len(views) > 2
-    assert all(a.ndim == 1 for view in views for a in arrays(list(vars(view).values())))
+    grids = [vars(g).values() for g in boxes + views]
+    assert not any(isinstance(value, dict) for values in grids for value in values)
+    assert all(a.ndim == 1 for values in grids for a in arrays(list(values)))
+
+
+# The flat operators on a slab view: reading xi sums nothing, so only the
+# operators that contract with xi, or square it, call _dot, once each.
+_DOT_CALLS = {
+    "grad": (FourierScalar, grad, 0),
+    "star_d": (FourierOneForm, star_d, 0),
+    "lie": (FourierOneForm, lie, 0),
+    "slash_d": (FourierSymTensor, slash_d, 0),
+    "hessian": (FourierScalar, hessian, 0),
+    "div": (FourierOneForm, div, 1),
+    "laplacian": (FourierSymTensor, laplacian, 1),
+    "conf_killing": (FourierOneForm, conf_killing, 1),
+    "hodge_laplacian": (FourierOneForm, F.hodge_laplacian, 1),
+}
+
+
+@pytest.mark.parametrize("name", list(_DOT_CALLS))
+def test_flat_operators_on_a_slab_view_make_the_fewest_dots(monkeypatch, name):
+    kind, operator, want = _DOT_CALLS[name]
+    view = slab(kind(GRID, np.ones(kind._comp_shape + GRID.shape)), 1, 3)
+    dot, calls = F._dot, []
+
+    def counting_dot(a, b):
+        calls.append(a.shape)
+        return dot(a, b)
+
+    monkeypatch.setattr(F, "_dot", counting_dot)
+    assert view.grid.xi.shape == (3, 2, 5, 5) and calls == []
+    operator(view)
+    assert len(calls) == want
 
 
 _GRID = ModeGrid(band=1)
@@ -1109,12 +1148,19 @@ def test_whole_box_operations_reject_slab_views(call):
         call()
 
 
+# At band 2 the box has planes 0 to 4; hi is clipped to 5 before the check.
+@pytest.mark.parametrize("lo,hi", [(5, 3), (7, 9), (-1, 2), (2, 2)])
+def test_slab_views_reject_an_empty_or_outside_range(lo, hi):
+    with pytest.raises(ValueError, match=re.escape(f"0 <= lo < hi <= 5, got ({lo}, {hi})")):
+        GRID.slab(lo, hi)
+
+
 def test_fields_of_different_slabs_do_not_mix():
-    # A slab view is cached per box, so fields on one slab share its grid
-    # and its zero parts; views of other planes differ even at one size, and
-    # a one-plane slab never broadcasts against a wider one.
+    # A slab view is made on each call, and views of the same planes are
+    # equal, so fields on one slab mix; views of other planes differ even at
+    # one size, and a one-plane slab never broadcasts against a wider one.
     h = F.random_symtensor(rng(), GRID)
-    assert slab(h, 0, 2).grid is GRID.slab(0, 2) and GRID.slab(0, 2) != GRID.slab(2, 4)
+    assert slab(h, 0, 2).grid == GRID.slab(0, 2) and GRID.slab(0, 2) != GRID.slab(2, 4)
     assert GRID.slab(0, 2) != GRID and GRID.slab(0, 9) == GRID
     assert np.array_equal((slab(h, 0, 2) + slab(h, 0, 2)).data, 2 * h.data[..., 0:2, :, :])
     for a, b in ((slab(h, 0, 2), slab(h, 2, 4)), (slab(h, 4, 5), slab(h, 0, 3)), (slab(h, 0, 2), h)):

@@ -103,6 +103,17 @@ def test_eigenvalue_guards_accept_rounding_below_zero(build):
         build(math.nextafter(limit, -1.0))
 
 
+@pytest.mark.parametrize("c", [0.0, 0.5, 4.0])
+def test_cluster_tolerance_boundary(c):
+    # A root at distance _CLUSTER_TOL * max(1, |c|) from a cluster's first
+    # root c joins it; one float farther it starts a cluster of its own.
+    # The offset is imaginary, so that the distance is exactly t.
+    limit = oracle._CLUSTER_TOL * max(1.0, abs(c))
+    assert oracle.cluster_roots(np.array([c, c + 1j * limit])) == [(complex(c, limit / 2), 2)]
+    t = math.nextafter(limit, math.inf)
+    assert oracle.cluster_roots(np.array([c, c + 1j * t])) == [(complex(c), 1), (complex(c, t), 1)]
+
+
 def test_mixed_b_companion():
     got = as_sorted(companion_roots(ode_mixed_b(9.0, 1)))
     r5 = math.sqrt(5)
