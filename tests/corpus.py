@@ -9,11 +9,18 @@ cli.main, in a directory that holds the input files of FILES under fixed
 relative names, since the commands print the paths they are given.
 
     PYTHONPATH=src python tests/corpus.py          check every row, the slow ones too
-    PYTHONPATH=src python tests/corpus.py write    run every row and rewrite corpus.json
+    PYTHONPATH=src python tests/corpus.py write    run every row, rewrite corpus.json and
+                                                   print what changed
 
 tests/test_corpus.py checks in tier-1 that the file lists exactly the rows
-of rows() and that every row not marked slow holds.  A change that alters a
-row's output states the command line, its old and new digests and why.
+of rows() and that every row not marked slow holds.  The file is the only
+record of pinned output: a change that alters a row's output states the
+command line, its old and new digests and why, as write reports them.
+
+The identity suite calls no LAPACK routine, and the linearization battery
+only numpy's bundled pocketfft, so their rows hold for one numpy release.
+The oracle's mismatches are LAPACK rounding, so its rows hold for one numpy
+build and CPU family.  A row is re-pinned when what it depends on changes.
 """
 
 import contextlib
@@ -22,6 +29,7 @@ import io
 import itertools
 import json
 import os
+import shlex
 import sys
 import tempfile
 from pathlib import Path
@@ -85,6 +93,51 @@ def _closed_form_rows():
     yield ["verify", "oracle"]
 
 
+def _mid_range_rows():
+    """Catalogs between the small --jmax and the ceiling: lens quotients of
+    orders 5 to 999999937, one with a negative weight, the sphere, the torus
+    and the hyperbolic file at moderate --jmax, and the oracle below its
+    default --jmax."""
+    yield from (
+        ["roots", "--sphere", "--jmax", "30"],
+        ["roots", "--lens", "7,2,3", "--jmax", "20", "--format", "csv"],
+        ["gap", "--lens", "5,1,2", "--jmax", "12"],
+        ["lens", "--lens", "12,1,5", "--jmax", "40"],
+        ["roots", "--lens", "9973,1,3", "--jmax", "30"],
+        ["roots", "--lens", "97,5,41", "--jmax", "300"],
+        ["roots", "--lens", "999999937,-999999936,1999999873", "--jmax", "1000"],
+        ["roots", "--lens", "7,1,3", "--jmax", "1000", "--format", "csv"],
+        ["gap", "--torus", "3.1,4.7,5.9", "--jmax", "60"],
+        ["roots", "--hyperbolic", "spectrum.txt", "--jmax", "2"],
+        ["roots", "--hyperbolic", "spectrum.txt", "--jmax", "2", "--format", "csv"],
+        ["gap", "--hyperbolic", "spectrum.txt", "--jmax", "2"],
+        ["verify", "oracle", "--jmax", "10"],
+    )
+
+
+def _parser_rows():
+    """Usage, help and usage errors of every subcommand, as argparse words
+    them; it wraps them to COLUMNS, which every run sets to 80."""
+    yield from (
+        [],
+        ["-h"],
+        ["--help"],
+        *([command, "--help"] for command in ("roots", "gap", "ks", "lens", "verify")),
+        ["bogus"],
+        ["verify", "bogus"],
+        ["roots", "--bogus"],
+        ["--bogus", "roots", "--sphere"],
+        ["lens"],
+        ["verify", "identities", "--N", "x"],
+        ["roots", "--format", "xml"],
+        ["gap", "--jmax"],
+        ["ks", "--sphere", "extra"],
+        ["roots", "--sph", "--jmax", "1"],
+        ["-x"],
+        ["--", "roots"],
+    )
+
+
 def _permuted_tori():
     """Isometric tori whose sides are given in every order: their CSV
     catalogs must agree, and their JSON differs only in the lengths."""
@@ -140,13 +193,18 @@ def rows():
     """(argv, slow) of every row, in corpus order."""
     fast = [
         *_closed_form_rows(),
+        *_mid_range_rows(),
         *_permuted_tori(),
         *_refused_rows(),
+        *_parser_rows(),
         *(["verify", "identities", "--N", str(n), "--seed", str(seed)] for n in (2, 4, 8) for seed in range(50)),
         *(["verify", "identities", "--N", str(n), "--seed", str(seed)] for n in (16, 32) for seed in _IDENTITY_SEEDS),
         *(["verify", "linearization", "--N", "8", "--seed", str(seed)] for seed in (7, 11)),
+        ["verify", "linearization", "--N", "16", "--seed", "11"],  # the benchmark's grid
     ]
-    slow = [["verify", "linearization", "--N", str(n), "--seed", str(seed)] for n in (16, 32) for seed in (7, 11)]
+    slow = [
+        ["verify", "linearization", "--N", n, "--seed", seed] for n, seed in (("16", "7"), ("32", "7"), ("32", "11"))
+    ]
     return [(argv, False) for argv in fast] + [(argv, True) for argv in slow]
 
 
@@ -178,14 +236,36 @@ def load() -> list[dict]:
     return json.loads(CORPUS.read_text())
 
 
+def _name(argv) -> str:
+    return shlex.join(argv) or "(no arguments)"
+
+
 def mismatches(entries) -> list[str]:
     """The rows among entries whose output differs from the recorded one,
     each run in the current directory, which must hold FILES."""
     return [
-        f"{' '.join(entry['argv'])}: recorded {want}, got {got}"
+        f"{_name(entry['argv'])}: recorded {want}, got {got}"
         for entry in entries
         if (got := run(entry["argv"])) != (want := {k: entry[k] for k in ("stdout", "stderr", "code")})
     ]
+
+
+def changes(old, new) -> list[str]:
+    """What replacing the entries old by new changes: each row whose
+    digests, exit code or slow mark differ (old -> new), then each row
+    added and each row dropped."""
+    before = {tuple(entry["argv"]): entry for entry in old}
+    after = {tuple(entry["argv"]): entry for entry in new}
+    changed = [
+        f"{_name(argv)}: {key} {before[argv][key]} -> {entry[key]}"
+        for argv, entry in after.items()
+        if argv in before
+        for key in ("stdout", "stderr", "code", "slow")
+        if before[argv][key] != entry[key]
+    ]
+    added = [f"added: {_name(argv)}" for argv in after if argv not in before]
+    dropped = [f"dropped: {_name(argv)}" for argv in before if argv not in after]
+    return changed + added + dropped or ["no row changed"]
 
 
 def _main(args) -> int:
@@ -197,8 +277,10 @@ def _main(args) -> int:
         os.chdir(tmp)
         write_files(Path(tmp))
         if args:
+            old = load()
             entries = [{"argv": argv, "slow": slow, **run(argv)} for argv, slow in rows()]
             CORPUS.write_text("[\n" + ",\n".join(map(json.dumps, entries)) + "\n]\n")
+            print("\n".join(changes(old, entries)))
             print(f"wrote {len(entries)} rows to {CORPUS}")
             return 0
         bad = mismatches(load())

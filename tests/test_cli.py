@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import corpus
 from indicyl import cli, curvature, forks, indicial, spectra, verify
 
 HYP_WITH_CODAZZI = """\
@@ -943,72 +944,77 @@ def test_console_script_entrypoint():
     assert json.loads(proc.stdout)["window"] == [0.0, 2.0]
 
 
+# Runs the command in argv[2:] through cli.main, or with no command only
+# imports indicyl.cli, and prints its exit code and which of the modules
+# named in argv[1] are loaded.
+_MODULE_PROBE = """
+import sys
+from indicyl import cli
+code = cli.main(sys.argv[2:]) if sys.argv[2:] else 0
+print(code, sorted(set(sys.argv[1].split()) & set(sys.modules)))
+"""
+
+# Stands for the spectrum file that each probe writes.
+HYP_FILE = "{hyperbolic}"
+
 # numpy serves only the numeric verification modules, and indicyl.verify
 # only the verify command; dataclasses (and the inspect it imports) and the
 # json package would add to the start-up of every closed-form command.
-_NUMPY_PROBE = """
-import sys
-from indicyl import cli
-code = cli.main(sys.argv[1:])
-print(code, sorted({"numpy", "indicyl.verify", "dataclasses", "inspect", "json"} & set(sys.modules)))
-"""
+_CLOSED_FORM_ABSENT = ("numpy", "indicyl.verify", "dataclasses", "inspect", "json")
 
-# Stands for the spectrum file that each test writes.
-HYP_FILE = "{hyperbolic}"
-
-
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["roots", "--sphere", "--jmax", "6"],
-        ["roots", "--lens", "5,1,2", "--jmax", "6"],
-        ["roots", "--torus", "3.1,4.7,5.9", "--jmax", "40"],
-        ["roots", "--hyperbolic", HYP_FILE, "--jmax", "9"],
-        ["gap", "--sphere", "--jmax", "6"],
-        ["ks", "--hyperbolic", HYP_FILE],
-        ["lens", "--lens", "7,2,3", "--jmax", "10"],
-    ],
-    ids=["roots-sphere", "roots-lens", "roots-torus", "roots-hyperbolic", "gap", "ks", "lens"],
-)
-def test_closed_form_commands_load_no_numpy(argv, tmp_path):
-    spectrum = tmp_path / "spec.txt"
-    spectrum.write_text(HYP_WITH_CODAZZI)
-    argv = [str(spectrum) if a == HYP_FILE else a for a in argv]
-    proc = run_python("-c", _NUMPY_PROBE, *argv, "--out", str(tmp_path / "out.json"))
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "0 []\n"
-    assert json.loads((tmp_path / "out.json").read_text())["command"] == argv[0]
-
-
-def test_cli_start_up_loads_no_pickle_or_multiprocessing():
+# (id, command or None for start-up alone, modules that must not load,
+# modules that must).
+_MODULE_LOADS = [
+    *(
+        (name, argv, _CLOSED_FORM_ABSENT, ())
+        for name, argv in [
+            ("roots-sphere", ["roots", "--sphere", "--jmax", "6"]),
+            ("roots-lens", ["roots", "--lens", "5,1,2", "--jmax", "6"]),
+            ("roots-torus", ["roots", "--torus", "3.1,4.7,5.9", "--jmax", "40"]),
+            ("roots-hyperbolic", ["roots", "--hyperbolic", HYP_FILE, "--jmax", "9"]),
+            ("gap", ["gap", "--sphere", "--jmax", "6"]),
+            ("ks", ["ks", "--hyperbolic", HYP_FILE]),
+            ("lens", ["lens", "--lens", "7,2,3", "--jmax", "10"]),
+        ]
+    ),
     # Only the verify suites fork and pickle, through the forks module that
     # they load on demand, like indicyl.verify itself.  The closed-form value
     # types are named tuples, so start-up imports no dataclasses and no
     # inspect either, and strings are encoded by _json alone, without the
     # json package.
-    probe = (
-        "import sys, indicyl.cli; "
-        'print(sorted({"pickle", "multiprocessing", "indicyl.forks", "indicyl.verify", "dataclasses", "inspect", '
-        '"json"} & set(sys.modules)))'
-    )
-    proc = run_python("-c", probe)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "[]\n"
-
-
-def test_verify_oracle_loads_no_numpy_random_and_no_curvature(tmp_path):
+    (
+        "start-up",
+        None,
+        ("pickle", "multiprocessing", "indicyl.forks", "indicyl.verify", "dataclasses", "inspect", "json"),
+        (),
+    ),
     # The oracle suite draws no random input and runs no curvature engine;
-    # numpy.random alone would add 2.7 MB.
-    probe = (
-        "import sys\n"
-        "from indicyl import cli\n"
-        "code = cli.main(sys.argv[1:])\n"
-        'print(code, sorted({"numpy.random", "indicyl.curvature", "indicyl.verify"} & set(sys.modules)))'
-    )
-    proc = run_python("-c", probe, "verify", "oracle", "--out", str(tmp_path / "out.json"))
+    # numpy.random alone would add 2.7 MB.  The curvature engine and the
+    # field calculus transform with numpy.fft, and the root oracle solves
+    # with numpy.linalg; no command loads scipy.
+    ("verify-oracle", ["verify", "oracle"], ("numpy.random", "indicyl.curvature", "scipy"), ("indicyl.verify",)),
+    ("verify-identities", ["verify", "identities", "--N", "8"], ("scipy",), ()),
+    ("verify-linearization", ["verify", "linearization", "--N", "8"], ("scipy",), ()),
+]
+
+
+@pytest.mark.parametrize(
+    "argv,absent,present", [row[1:] for row in _MODULE_LOADS], ids=[row[0] for row in _MODULE_LOADS]
+)
+def test_command_loads_only_what_it_needs(argv, absent, present, tmp_path):
+    watched = " ".join(absent + present)
+    if argv is None:
+        proc = run_python("-c", _MODULE_PROBE, watched)
+    else:
+        spectrum = tmp_path / "spec.txt"
+        spectrum.write_text(HYP_WITH_CODAZZI)
+        argv = [str(spectrum) if a == HYP_FILE else a for a in argv]
+        proc = run_python("-c", _MODULE_PROBE, watched, *argv, "--out", str(tmp_path / "out.json"))
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "0 ['indicyl.verify']\n"
-    assert json.loads((tmp_path / "out.json").read_text())["pass"] is True
+    assert proc.stdout == f"0 {sorted(present)}\n"
+    if argv is not None:
+        doc = json.loads((tmp_path / "out.json").read_text())
+        assert doc["command"] == argv[0] and doc.get("pass", True) is True
 
 
 # Runs the command in argv, with a forked worker even on one CPU, and
@@ -1064,12 +1070,19 @@ def test_hashlib_works_after_a_verify_suite():
     assert proc.stdout == f"{sha} {mac} {hashlib.sha256 is _hashlib.openssl_sha256}\n"
 
 
+def _corpus_stdout(command: str) -> str:
+    """The stdout digest that the corpus records for command.  Seed 7 is the
+    default, so a seed-7 row also pins its command without --seed."""
+    (digest,) = [entry["stdout"] for entry in corpus.load() if entry["argv"] == command.split()]
+    return digest
+
+
 def test_linearization_runs_with_warnings_as_errors():
     # Forking a process with threads warns on Python 3.12+; a worker's
     # stray output would show in stdout or stderr.
     proc = run_python("-W", "error", "-m", "indicyl.cli", "verify", "linearization", "--N", "8")
     assert proc.returncode == 0 and proc.stderr == ""
-    assert hashlib.sha256(proc.stdout.encode()).hexdigest() == PINNED_LINEARIZATION_N8
+    assert hashlib.sha256(proc.stdout.encode()).hexdigest() == _corpus_stdout("verify linearization --N 8 --seed 7")
 
 
 def test_identities_runs_with_warnings_as_errors():
@@ -1077,7 +1090,7 @@ def test_identities_runs_with_warnings_as_errors():
     # their builtin fallbacks without a warning or a logged error.
     proc = run_python("-W", "error", "-m", "indicyl.cli", "verify", "identities", "--N", "8")
     assert proc.returncode == 0 and proc.stderr == ""
-    assert hashlib.sha256(proc.stdout.encode()).hexdigest() == PINNED_IDENTITIES_N8
+    assert hashlib.sha256(proc.stdout.encode()).hexdigest() == _corpus_stdout("verify identities --N 8 --seed 7")
 
 
 def _running(pid: int) -> bool:
@@ -1159,23 +1172,6 @@ def test_identity_suite_worker_ends_when_its_parent_is_killed():
     _worker_ends_when_its_parent_is_killed(ORPHAN_SUITE)
 
 
-_SCIPY_PROBE = """
-import sys
-from indicyl import cli
-code = cli.main(sys.argv[1:])
-print(code, "scipy" in sys.modules)
-"""
-
-
-@pytest.mark.parametrize("suite", ["linearization", "identities", "oracle"])
-def test_engine_suites_load_no_scipy(suite, tmp_path):
-    # The curvature engine and the field calculus transform with numpy.fft,
-    # and the root oracle solves with numpy.linalg; no command loads scipy.
-    proc = run_python("-c", _SCIPY_PROBE, "verify", suite, "--N", "8", "--out", str(tmp_path / "out.json"))
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "0 False\n"
-
-
 def test_verification_modules_load_on_access():
     proc = run_python(
         "-c",
@@ -1213,6 +1209,10 @@ def test_tt_branch_split_boundary(above):
 def test_json_refuses_unlisted_types(value):
     with pytest.raises(TypeError, match="cannot serialize"):
         cli._json([{"x": value}])
+
+
+def test_json_float_writes_non_finite_values_as_strings():
+    assert [cli._json_float(x) for x in (math.nan, math.inf, -math.inf)] == ['"nan"', '"inf"', '"-inf"']
 
 
 # Any code point, lone surrogates, controls and non-ASCII included.
@@ -1291,163 +1291,6 @@ def test_linearization_stdout_independent_of_cpu_count(argv):
     pinned = run_python(*argv, preexec_fn=one_cpu)
     assert default.returncode == pinned.returncode == 0, default.stderr + pinned.stderr
     assert default.stdout == pinned.stdout
-
-
-# sha256 of the stdout of closed-form commands, of the identity suite, of
-# the linearization battery and of the root oracle: a refactor that changes
-# a printed byte fails here.  The identity suite calls no LAPACK routine, and
-# the battery calls only numpy's bundled pocketfft, with no LAPACK and no
-# BLAS, so both digests carry the same caveat: they hold for one numpy
-# release.  The oracle's mismatches are LAPACK rounding, so its digest holds
-# for one numpy build and CPU family.  A digest is re-pinned, with the
-# changed numbers stated, when what it depends on changes.
-PINNED_IDENTITIES_N8 = "a6c647df0fd3bd0102684786b09efc0c6e6c11f07a0a166c25146a2de9f31777"
-PINNED_LINEARIZATION_N8 = "950a197530587991639f46986b19028ee919c6ad71010fb04121c37c0c5015b4"
-PINNED_SPECTRUM = """\
-b1 2
-codazzi 1
-scalar 1 0.7 2
-scalar 2 2.5 4
-oneform 1 0.9 3
-oneform 2 5.5 1
-tt 1 3.0 1
-tt 2 4.1 6
-tt 3 7.25 2
-"""
-
-
-@pytest.mark.parametrize(
-    "argv,digest",
-    [
-        (
-            "roots --sphere --jmax 30",
-            "8c68e72fd8e03830c70a7a04edcef517b9ba480ed1deb150a06006a2b4c7baa0",
-        ),
-        (
-            "roots --lens 7,2,3 --jmax 20 --format csv",
-            "312764dad17de6e67d63a8d77fcdfefa9732eb61148a075e73c03f51ddc47b08",
-        ),
-        (
-            "gap --lens 5,1,2 --jmax 12",
-            "425d4f24770f1a59ef27e9b7749035b5bdceeb0a779c6d7daf0c790b6acdb443",
-        ),
-        (
-            "roots --torus 3.1,4.7,5.9 --jmax 60",
-            "0624f2761a35da1d8214afebad2f3cb39bb98e027f5ccc94c943e193ad2c8928",
-        ),
-        (
-            "lens --lens 12,1,5 --jmax 40",
-            "49b52cdba7a231bc9dd6ccc490e24ad8c04a9081042694d14e6d04080bd2af48",
-        ),
-        (
-            "roots --lens 9973,1,3 --jmax 30",
-            "1016d72cd673b360f407788c8fb125e163fd1c28c6588062d8fcc692fc54641a",
-        ),
-        (
-            "roots --lens 97,5,41 --jmax 300",
-            "a29bf7fd8b7a7e02d6789b50fb6869d3c313b93489a890d44aded5663270320c",
-        ),
-        (
-            "roots --sphere --jmax 1000",
-            "82409863ad9b5d3417bf3462e43e22d3db8a42200c78b0104a18fd699b7b9dc4",
-        ),
-        (
-            "roots --lens 999999937,-999999936,1999999873 --jmax 1000",
-            "a93ea7c776be16ad57e0b90958a5022525ed21a3f19df7a2995f62808d643d54",
-        ),
-        (
-            "roots --lens 7,1,3 --jmax 1000 --format csv",
-            "0485d2a2502e3a9e43ab5d3c93097569d301b23e77808ea7fa99f0aa3ee1400a",
-        ),
-        (
-            "roots --hyperbolic spectrum.txt --jmax 2",
-            "ed42b06ad4f63fe1c08d57d081e129383b3273254ea6de85320e23c767e9b86a",
-        ),
-        (
-            "ks --hyperbolic spectrum.txt",
-            "202de77b4505e99eb2590f659e237df0b4e876598f0300eb825bf0a1873d61d3",
-        ),
-        (
-            "gap --torus 3.1,4.7,5.9 --jmax 60",
-            "e9c7ee77f1e589b6a6b35b9206276ba23c1dac114360bb79dadf29985333f035",
-        ),
-        (
-            "gap --hyperbolic spectrum.txt --jmax 2",
-            "458c0ab7076297aed74d1ffcd43e2572852ed80895cb0915b14eb349bfa6dd40",
-        ),
-        (
-            "roots --hyperbolic spectrum.txt --jmax 2 --format csv",
-            "7c43fac8f23b8bbf8dc40df82e3cc6d1df9bd3366293a462ccf7b4db6f5f2c76",
-        ),
-        (
-            "verify identities --N 32 --seed 5",
-            "21e9fd1fb6e14ff0e1e51ca4b3a0c53253861b8e027b608d94f5a83ec3db70bd",
-        ),
-        (
-            "verify identities --N 16 --seed 77",
-            "2805ffbd4e6ba51a0923df549dc3e920c91fe81bdfc8f9468a47120ca5c44473",
-        ),
-        ("verify identities --N 8", PINNED_IDENTITIES_N8),
-        ("verify linearization --N 8", PINNED_LINEARIZATION_N8),
-        (
-            "verify linearization --N 16 --seed 11",
-            "4acbb2889ec72b2596cc7f4d70d7761b1f7543352470f59fea0d32690320b351",
-        ),
-        (
-            "verify oracle",
-            "fe7d72915d83f0caf78d57234200b46236d540f6f9d6264aaf49bafe7b94240e",
-        ),
-        (
-            "verify oracle --jmax 10",
-            "fe7d72915d83f0caf78d57234200b46236d540f6f9d6264aaf49bafe7b94240e",
-        ),
-    ],
-)
-def test_closed_form_stdout_is_pinned(argv, digest, tmp_path, monkeypatch, capsys):
-    # The file name is printed, so the spectrum sits at a fixed relative path.
-    monkeypatch.chdir(tmp_path)
-    (tmp_path / "spectrum.txt").write_text(PINNED_SPECTRUM)
-    code = cli.main(argv.split())
-    captured = capsys.readouterr()
-    assert code == 0 and captured.err == ""
-    assert hashlib.sha256(captured.out.encode()).hexdigest() == digest
-
-
-# Usage, help and usage errors of every subcommand: digests of (exit code,
-# stdout, stderr), captured with CPython 3.11's argparse at COLUMNS=80.
-_PARSER_OUTPUTS = [
-    ([], "529d3804f008f35ba942935a79ac5ef009828f7ae8855a899b7a19835c62241c"),
-    (['-h'], "890354f30990c9ecb782f62eb767f8ec939ab7c4c8692631c64240f8af528677"),
-    (['--help'], "890354f30990c9ecb782f62eb767f8ec939ab7c4c8692631c64240f8af528677"),
-    (['roots', '--help'], "9c78ba7fbfca8b4a7fe5e9faacd3e481cd721a6df688b806bdb99982702c4bf0"),
-    (['gap', '--help'], "be5a0b7c3cdf0db9478ed7f76a002a62c760d5d7f464dac2724a486520f8792f"),
-    (['ks', '--help'], "e887f7fef9481055c67d19c4446a0aac617c90d4ff1cb85696735d0c1b571268"),
-    (['lens', '--help'], "2fd5ab56d53abfa4e875cf5ae26b87b6a8459233f7cb88acf39bc9af67a8160e"),
-    (['verify', '--help'], "674e3404dd88173ae18c9346391796c7e2bd7d8ff85bb8cb2dd8ed431f20eec8"),
-    (['bogus'], "25c512e7aa2450100bc54c14008983dcb9327477d2d3cc1582b4f3d01aca52af"),
-    (['verify', 'bogus'], "27f0d56baf3880969d9d09c5ad8e1d32af9beb549be71c86822909347aaa082a"),
-    (['roots', '--bogus'], "9abb5853300b413b7046a07149988202b8454e557acfa064d42f9a0e2f913447"),
-    (['--bogus', 'roots', '--sphere'], "9abb5853300b413b7046a07149988202b8454e557acfa064d42f9a0e2f913447"),
-    (['lens'], "c55b61a22e5517017f7b31e5fe6e343eeb4602526c7f439e4369810e0ac8b1dd"),
-    (['verify', 'identities', '--N', 'x'], "800c5753bb2be3cbffb196812f6479759286c28dfd4657821c2df7452cb0c90d"),
-    (['roots', '--format', 'xml'], "3f41d65db42f408a019d3ec268556f8ff1be4bfb33e915a230908de02ea4d942"),
-    (['gap', '--jmax'], "f3adbf14670bbe81b7a61c29907a6a9038b24716be1f3e0c59fcb5c6b5cdfe0d"),
-    (['ks', '--sphere', 'extra'], "184601564d4a32ea3bd2095f579d5b06b8e7243f8ae12efc8b5c1a720d70e074"),
-    (['roots', '--sph', '--jmax', '1'], "4d2383e2b06a3978803eb1e95a025336e589aee970982a70402e68b733657948"),
-    (['-x'], "529d3804f008f35ba942935a79ac5ef009828f7ae8855a899b7a19835c62241c"),
-    (['--', 'roots'], "d9ce86212c84a53156cd10d9166da4af24be77e7b452943131086242dc434ea7"),
-]
-
-
-@pytest.mark.parametrize("argv,digest", _PARSER_OUTPUTS, ids=[" ".join(a) or "no-args" for a, _ in _PARSER_OUTPUTS])
-def test_parser_output_is_unchanged(argv, digest, monkeypatch, capsys):
-    monkeypatch.setenv("COLUMNS", "80")
-    try:
-        code = cli.main(argv)
-    except SystemExit as e:
-        code = e.code
-    captured = capsys.readouterr()
-    assert hashlib.sha256(f"{code}\n{captured.out}\0{captured.err}".encode()).hexdigest() == digest
 
 
 def test_build_parser_lists_every_subcommand():

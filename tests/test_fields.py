@@ -483,6 +483,15 @@ def test_complex_pairwise_sum_matches_np_sum(size):
         assert (got.real.hex(), got.imag.hex()) == (want.real.hex(), want.imag.hex())
 
 
+def test_pairwise_sum_has_no_total_until_every_value_is_fed():
+    total = P._PairwiseSum(10)
+    total.add(0, np.ones(4))
+    with pytest.raises(RuntimeError, match="6 of 10 values not fed"):
+        total.total()
+    total.add(4, np.ones(6))
+    assert total.total() == 10.0
+
+
 # _sorted_unique replaces np.unique in the summation plans and np.union1d
 # (np.unique of the concatenation) in the sampling of a cylinder field,
 # whose time positions are joined by their negatives modulo the grid size;
@@ -519,6 +528,13 @@ def test_slab_pairings_reject_fields_of_different_slabs():
     a = F.random_symtensor(rng(), GRID)
     with pytest.raises(ValueError, match="field mismatch"):
         F._SlabInner().add(slab(a, 0, 2), slab(a, 2, 4))
+
+
+def test_slab_norm_rejects_slab_views_of_different_fields():
+    norm = F._SlabNorm()
+    norm.add(slab(_slab_input("linearized_weyl"), 0, 1))
+    with pytest.raises(ValueError, match="slab views of different fields"):
+        norm.add(slab(_slab_input("cyl_killing"), 1, 2))
 
 
 def _leibniz_input(name, r):

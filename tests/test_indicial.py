@@ -127,6 +127,13 @@ def test_alpha_pm_imaginary_normalization():
         assert abs(ap - expected) < 1e-12
 
 
+def test_csqrt_turns_a_root_on_the_negative_imaginary_axis():
+    # Only a negative real part with a -0.0 imaginary part gives cmath.sqrt
+    # a root with negative imaginary part and no real part; _csqrt negates it.
+    assert cmath.sqrt(complex(-4.0, -0.0)) == -2j
+    assert indicial._csqrt(complex(-4.0, -0.0)) == 2j
+
+
 def _decimal_alpha(mu: float, kappa: int, sign: int) -> decimal.Decimal:
     """alpha^{sign}(mu) from the module docstring's formula, in 50-digit
     decimal arithmetic from the exact binary value of mu (real radicands

@@ -114,6 +114,20 @@ def test_cluster_tolerance_boundary(c):
     assert oracle.cluster_roots(np.array([c, c + 1j * t])) == [(complex(c), 1), (complex(c, t), 1)]
 
 
+@pytest.mark.parametrize("below", [False, True])
+def test_null_tolerance_boundary(below):
+    # A diagonal first-order pencil with roots -1, -s and s, where -s and s
+    # cluster at 0.  There the pencil is diag(s, -2 s, 1), whose singular
+    # values 1, 2 s and s are exact: s at _NULL_TOL times the largest does
+    # not count toward the nullity, and one float below it does.
+    s = math.nextafter(oracle._NULL_TOL, 0.0) if below else oracle._NULL_TOL
+    ode = oracle.OdeSystem((np.diag([s, -2 * s, 1.0]), np.diag([1.0, 2.0, 1.0])))
+    (cluster,) = [c for c in pencil_roots(ode) if c.algebraic == 2]
+    assert cluster.value == 0
+    assert np.linalg.svd(ode.eval(cluster.value), compute_uv=False).tolist() == [1.0, 2 * s, s]
+    assert cluster.geometric == (1 if below else 0)
+
+
 def test_mixed_b_companion():
     got = as_sorted(companion_roots(ode_mixed_b(9.0, 1)))
     r5 = math.sqrt(5)
