@@ -989,10 +989,11 @@ _MODULE_LOADS = [
         (),
     ),
     # The oracle suite draws no random input and runs no curvature engine;
-    # numpy.random alone would add 2.7 MB.  The curvature engine and the
-    # field calculus transform with numpy.fft, and the root oracle solves
-    # with numpy.linalg; no command loads scipy.
-    ("verify-oracle", ["verify", "oracle"], ("numpy.random", "indicyl.curvature", "scipy"), ("indicyl.verify",)),
+    # numpy.random alone would add 2.7 MB.
+    ("verify-oracle-lean", ["verify", "oracle"], ("numpy.random", "indicyl.curvature"), ("indicyl.verify",)),
+    # The curvature engine and the field calculus transform with numpy.fft,
+    # and the root oracle solves with numpy.linalg; no command loads scipy.
+    ("verify-oracle", ["verify", "oracle", "--N", "8"], ("scipy",), ()),
     ("verify-identities", ["verify", "identities", "--N", "8"], ("scipy",), ()),
     ("verify-linearization", ["verify", "linearization", "--N", "8"], ("scipy",), ()),
 ]
