@@ -38,7 +38,11 @@ the public functions run on the same groups (_metric_inverse,
 _riemann_points, _asd_points), so every grid point keeps its bits; it
 decides the metric and defect checks once over the whole grid, and takes
 its norms by a streamed sum of squares (pairwise._PairwiseSum) that keeps
-the bits of np.sum over the whole array.
+the bits of np.sum over the whole array.  It computes only the groups of
+one period of a case's time symmetry, the shortest shift of the time axis
+by whole groups under which the case's time passes repeat or change sign
+exactly (see _time_symmetry); every other plane is plus or minus a
+computed one, and enters the checks and the norms through it.
 
 Sampling: a cylinder field is held as a Spectrum, the half spectrum of its
 grid values on the box of the few Fourier modes it holds.  Its grid values
@@ -55,10 +59,13 @@ metric is differentiated through its full rfftn, one component at a time.
 Processes: everything runs in the calling process, a group at a time,
 except that the battery (see fd_battery_errors) runs its cases in
 parallel, on the calling process and on workers forked from it, one per
-further CPU (see forks.run).  The package starts no threads.  Each grid
-point's values come from the same expressions in the same order however
-the grid is grouped and the cases are shared out, so every result is
-bitwise the same for any number of CPUs.
+further CPU (see forks.run).  The package starts no threads.  Each
+computed grid point's values come from the same expressions in the same
+order however the grid is grouped and the cases are shared out, and the
+battery's copied planes hold a computed plane's values times +-1, up to
+the sign of exact zeros, which no check or squared norm reads; so every
+result is bitwise the same for any number of CPUs, and the same as over
+every grid point.
 """
 
 from __future__ import annotations
@@ -945,31 +952,77 @@ def _variation_stack(periods, spectrum: Spectrum) -> np.ndarray:
     return _time_inverse(box, positions[0], spectrum.shape[0])
 
 
+def _time_symmetry(stacks, planes: int) -> tuple[int, int]:
+    """(period, sign) of the time passes stacks (C, Nt, ...) of one grid
+    (see _time_inverse): the smallest shift d of the time axis, from Nt
+    halved while d/2 is a multiple of planes, such that every time plane
+    t + d of each stack equals sign (+1 or -1) times its plane t.  The
+    planes are compared by value, one pair at a time, so a NaN never
+    matches and -0.0 matches +0.0; (Nt, 1) when no shorter shift holds.
+    A field whose time frequencies share one parity repeats, or changes
+    sign, after half the period (the shift theorem of the DFT); whether
+    its transformed planes do so exactly is read off the data."""
+    nt = stacks[0].shape[1]
+    period, sign = nt, 1
+    while period % 2 == 0 and period // 2 % planes == 0:
+        shift = period // 2
+        for candidate in (1, -1):
+            if all(
+                np.array_equal(x[:, t + shift], x[:, t] if candidate > 0 else -x[:, t])
+                for x in stacks
+                for t in range(nt - shift)
+            ):
+                break
+        else:
+            break
+        period, sign = shift, candidate
+    return period, sign
+
+
 def _fd_differences(periods, spectrum: Spectrum, exact: Spectrum, eps_values):
-    """Streams the grid a group at a time (see _groups) and yields
-    per group (points, sample, block, differences): the slice of the
-    flattened grid points it covers; there, the sample s (10, w) of the
-    variation whose Spectrum is given, the grid values (w, 3, 3) of the
-    cross-section tensor whose Spectrum is exact, and per step eps the
-    difference m(I + eps s) - m(I - eps s) of the anti-self-dual blocks
-    (see asd_form_background), (w, 3, 3).  All are views of buffers made
-    here and overwritten by the next group; no array is grid-sized.
+    """Streams the grid a group at a time (see _groups) and yields per
+    computed group (copies, sample, block, differences): the slices of
+    the flattened grid points that the group's values stand for, each
+    with its sign (see below); the sample s (10, w) of the variation whose
+    Spectrum is given, the grid values (w, 3, 3) of the cross-section
+    tensor whose Spectrum is exact, and per step eps the difference
+    m(I + eps s) - m(I - eps s) of the anti-self-dual blocks (see
+    asd_form_background), (w, 3, 3), all on the group's own points, the
+    first slice.  All are views of buffers made here and overwritten by
+    the next group; no array is grid-sized.
+
+    Only the groups of the time planes [0, d) are computed, d and its
+    sign sigma being the time symmetry of the two time passes (see
+    _time_symmetry).  Every later pass runs on each time plane alone in
+    IEEE arithmetic, which is symmetric in sign, so the grid values on
+    plane t + j d are sigma^j times those on plane t, up to the sign of
+    exact zeros; the group at plane t stands for its copies at j = 0 ..
+    Nt/d - 1.  Where sigma^j is -1, the copy's evaluation at +eps is the
+    group's at -eps bit for bit (I + c (-s) is I + (-c) s), and its
+    difference is the group's negated.  When d = Nt every group is
+    computed and stands for itself alone.
 
     Each group's 71 components (the derivative stage, then s) and the 6 of
     exact are inverted, and each I + c s, c = +-eps, is validated, curved
     at c times the derivative stage and reduced to its block on the group
     alone.  The metric and defect checks of each evaluation are decided
     once over the whole grid, after the last group, in the order and with
-    the errors of MetricGrid4D and asd_form_background; so a group's
-    differences stop before the first step whose metric fails there.  A
-    battery worker whose parent has gone ends between groups (see
-    forks.exit_if_orphaned).
+    the errors of MetricGrid4D and asd_form_background, from the records
+    of every group and copy; a copy's records are its group's, with the
+    two steps of each pair swapped when its sign is -1.  So a group's
+    differences stop before the first step whose metric fails there, and
+    the first failing step and its error are those of the loop over every
+    plane.  A battery worker whose parent has gone ends between groups
+    (see forks.exit_if_orphaned).
     """
     shape = spectrum.shape
     stack = _variation_stack(periods, spectrum)
     exact_stack = _time_inverse(exact.coefficients, exact.positions[0], shape[0])
     steps = [(i, c) for i, eps in enumerate(eps_values) for c in (eps, -eps)]
     planes, rows, n = _group_planes(shape)
+    period, sign = _time_symmetry((stack, exact_stack), planes)
+    shift = period * math.prod(shape[1:])  # points between a group and its next copy
+    signs = [sign**j for j in range(shape[0] // period)]
     invert = _plane_inverse(stack, spectrum.positions, shape, planes, rows)
     invert_exact = _plane_inverse(exact_stack, exact.positions, shape, planes, rows)
     values_buf, exact_buf = np.empty((len(stack), n)), np.empty((len(exact_stack), n))
@@ -982,8 +1035,10 @@ def _fd_differences(periods, spectrum: Spectrum, exact: Spectrum, eps_values):
     # up of _riemann_points is free once R is formed, so it holds the block
     # of I - eps s until that is taken from the block of I + eps s.
     minus_buf = buffers[1].reshape(-1)[: 9 * n].reshape(n, 3, 3)
-    evaluations = []  # (step, (finite, positive), (peak, defect)) per group
+    evaluations = []  # (step, (finite, positive), (peak, defect)) per group and negated copy
     for times, block, points in _groups(shape):
+        if times.start >= period:
+            break
         forks.exit_if_orphaned()
         group = (times.stop - times.start, block.stop - block.start) + shape[2:]
         w = points.stop - points.start
@@ -995,22 +1050,28 @@ def _fd_differences(periods, spectrum: Spectrum, exact: Spectrum, eps_values):
             exact_block[:, i, j] = exact_block[:, j, i] = cross[c]
         lin, kind, s = flat[: len(_PACKED)], np.split(flat[len(_PACKED) : _DERIVATIVES], 4), flat[_DERIVATIVES:]
         g, inv, R, minus = R_buf[:10, :w], inv_buf[:, :w], R_buf[:, :w], minus_buf[:w]
-        differences = []
+        differences, records = [], []
         for step, (i, c) in enumerate(steps):
             np.multiply(s, c, out=g)
             g += _IDENTITY  # the bits of I + c s, without its temporary
             flags = _metric_inverse(g, inv)
             if not all(flags):
-                # This step fails; no later one is decided.
-                evaluations.append((step, flags, (0.0, 0.0)))
+                # This step fails; no later one is decided.  A negated copy
+                # lacks the other step of a failing pair, which cannot
+                # change the error: I + c s and I - c s are finite alike.
+                records.append((step, flags, (0.0, 0.0)))
                 break
             _riemann_points(inv, kind, lin, c, R, buffers)
             diff = diff_bufs[i][:w]
-            evaluations.append((step, flags, _asd_points(R, minus if step % 2 else diff)))
+            records.append((step, flags, _asd_points(R, minus if step % 2 else diff)))
             if step % 2:
                 diff -= minus
                 differences.append(diff)
-        yield points, s, exact_block, differences
+        evaluations += records
+        if -1 in signs:
+            evaluations += [(step ^ 1, flags, reports) for step, flags, reports in records]
+        copies = [(slice(points.start + j * shift, points.stop + j * shift), sigma) for j, sigma in enumerate(signs)]
+        yield copies, s, exact_block, differences
     for step in range(len(steps)):
         _, flags, reports = zip(*(row for row in evaluations if row[0] == step))
         _check_metric(flags)
@@ -1032,11 +1093,13 @@ def fd_linearization_errors(
     one per step size, all sharing one sampling of the variation and its
     one derivative stage (see _fd_differences).
 
-    The grid is streamed a group at a time: each group forms (m(I + eps s)
-    - m(I - eps s)) / (2 eps) - exact in place, and the squares of the
-    sample, of the exact block and of each difference go to one _PairwiseSum
-    each, so every norm has the bits of pairwise._norm over the whole array.
-    No array of the case is grid-sized.
+    The grid is streamed a group at a time, over one period of the case's
+    time symmetry: each computed group forms (m(I + eps s) - m(I - eps s))
+    / (2 eps) - exact in place, and the squares of the sample, of the
+    exact block and of each difference go to one _PairwiseSum each, once
+    at every copy of the group (the copies hold its values times +-1, so
+    its squares), so every norm has the bits of pairwise._norm over the
+    whole array.  No array of the case is grid-sized.
 
     The variation must be t-periodic (purely imaginary rates, no polynomial
     factors) and real on the grid.  A degenerate direction, one the exact
@@ -1051,13 +1114,20 @@ def fd_linearization_errors(
     n = math.prod(shape)
     sample_sum, exact_sum = _PairwiseSum(10 * n), _PairwiseSum(9 * n)
     diff_sums = [_PairwiseSum(9 * n) for _ in eps_values]
-    for points, sample, block, differences in _fd_differences(periods, spectrum, exact, eps_values):
-        sample_sum.add_runs(points.start, n, np.square(sample))  # one run per component
-        exact_sum.add(9 * points.start, np.square(block))
-        for eps, diff, diff_sum in zip(eps_values, differences, diff_sums):
+    for copies, sample, block, differences in _fd_differences(periods, spectrum, exact, eps_values):
+        for eps, diff in zip(eps_values, differences):
             diff /= 2 * eps
             diff -= block
-            diff_sum.add(9 * points.start, np.square(diff))
+        # A copy holds the group's values times +-1, so the group's squares,
+        # which overwrite the group's buffers.
+        starts = [points.start for points, _ in copies]
+        np.square(sample, out=sample)
+        for start in starts:
+            sample_sum.add_runs(start, n, sample)  # one run per component
+        for squares, total in zip((block, *differences), (exact_sum, *diff_sums)):
+            np.square(squares, out=squares)
+            for start in starts:
+                total.add(9 * start, squares)
     sample_norm = _sum_norm(sample_sum)
     den = _sum_norm(exact_sum)
     degenerate = den < _DEGENERATE_TOL * max(1.0, sample_norm)

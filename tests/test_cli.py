@@ -1078,10 +1078,14 @@ def _corpus_stdout(command: str) -> str:
     return digest
 
 
+# The argv of `verify linearization --N 8` under run_python.
+_LINEARIZATION_N8 = ("-m", "indicyl.cli", "verify", "linearization", "--N", "8")
+
+
 def test_linearization_runs_with_warnings_as_errors():
     # Forking a process with threads warns on Python 3.12+; a worker's
     # stray output would show in stdout or stderr.
-    proc = run_python("-W", "error", "-m", "indicyl.cli", "verify", "linearization", "--N", "8")
+    proc = run_python("-W", "error", *_LINEARIZATION_N8)
     assert proc.returncode == 0 and proc.stderr == ""
     assert hashlib.sha256(proc.stdout.encode()).hexdigest() == _corpus_stdout("verify linearization --N 8 --seed 7")
 
@@ -1252,12 +1256,11 @@ def test_root_record_roundtrip(capsys):
 
 
 def test_linearization_stdout_independent_of_blas_threads():
-    argv = ("-m", "indicyl.cli", "verify", "linearization", "--N", "8")
+    # The corpus records the output in the default environment.
     free = {k: v for k, v in os.environ.items() if not k.endswith("_NUM_THREADS")}
-    default = run_python(*argv, env=free)
-    single = run_python(*argv, env=dict(free, OPENBLAS_NUM_THREADS="1"))
-    assert default.returncode == single.returncode == 0, default.stderr + single.stderr
-    assert default.stdout == single.stdout
+    single = run_python(*_LINEARIZATION_N8, env=dict(free, OPENBLAS_NUM_THREADS="1"))
+    assert single.returncode == 0, single.stderr
+    assert hashlib.sha256(single.stdout.encode()).hexdigest() == _corpus_stdout("verify linearization --N 8 --seed 7")
 
 
 def test_identities_stdout_independent_of_blas_threads():
@@ -1270,8 +1273,9 @@ def test_identities_stdout_independent_of_blas_threads():
 
 
 # verify linearization --N 8 splits its cases between processes, one per
-# CPU; one 16^4 battery case, called alone, streams its grid inline and
-# samples its exact block on slabs.
+# CPU, and the corpus records its output on every CPU; one 16^4 battery
+# case, called alone, streams its grid inline and samples its exact block
+# on slabs, and is compared with its own run on every CPU.
 ENGINE_16 = (
     "from indicyl import curvature as C, verify\n"
     "ht = verify.linearization_battery()[0]\n"
@@ -1279,19 +1283,20 @@ ENGINE_16 = (
 )
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [("-m", "indicyl.cli", "verify", "linearization", "--N", "8"), ("-c", ENGINE_16)],
-    ids=["cli-N8", "battery-16"],
-)
+@pytest.mark.parametrize("argv", [_LINEARIZATION_N8, ("-c", ENGINE_16)], ids=["cli-N8", "battery-16"])
 def test_linearization_stdout_independent_of_cpu_count(argv):
     def one_cpu():
         os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
 
-    default = run_python(*argv)
     pinned = run_python(*argv, preexec_fn=one_cpu)
-    assert default.returncode == pinned.returncode == 0, default.stderr + pinned.stderr
-    assert default.stdout == pinned.stdout
+    assert pinned.returncode == 0, pinned.stderr
+    if argv == _LINEARIZATION_N8:
+        digest = hashlib.sha256(pinned.stdout.encode()).hexdigest()
+        assert digest == _corpus_stdout("verify linearization --N 8 --seed 7")
+    else:
+        default = run_python(*argv)
+        assert default.returncode == 0, default.stderr
+        assert default.stdout == pinned.stdout
 
 
 def test_build_parser_lists_every_subcommand():

@@ -486,11 +486,13 @@ def test_fd_battery_matches_eager_loop_bitwise(monkeypatch, shape, slab_points, 
 
 
 def streamed_case(ht, shape, eps_values):
-    """What C._fd_differences streams for the variation ht, its groups put
-    together: the sample (10, Nt, N1, N2, N3), the exact block and, per
-    step, the difference of the anti-self-dual blocks, each (Nt, N1, N2,
-    N3, 3, 3).  Every group holds at most _SLAB_POINTS points, and the
-    groups cover the grid once."""
+    """What C._fd_differences streams for the variation ht, its groups and
+    their copies put together: the sample (10, Nt, N1, N2, N3), the exact
+    block and, per step, the difference of the anti-self-dual blocks, each
+    (Nt, N1, N2, N3, 3, 3).  A copy holds its group's values times its
+    sign, so its zeros may have the other sign.  Every group holds at
+    most _SLAB_POINTS points, and the copies of the groups cover the grid
+    once."""
     periods = (2 * math.pi,) + ht.grid.lengths
     spectrum = C.cyl_tensor_spectrum(ht, shape, periods)
     exact = C._real_part_spectrum(F.linearized_weyl(ht), C._CROSS_PICKS, shape, periods)
@@ -498,13 +500,15 @@ def streamed_case(ht, shape, eps_values):
     sample, block = np.full((10, n), np.nan), np.full((n, 3, 3), np.nan)
     differences = [np.full((n, 3, 3), np.nan) for _ in eps_values]
     covered = 0
-    for points, s, b, diffs in C._fd_differences(periods, spectrum, exact, eps_values):
-        assert points.stop - points.start <= C._SLAB_POINTS and len(diffs) == len(eps_values)
-        covered += points.stop - points.start
-        sample[:, points], block[points] = s, b
-        for whole, diff in zip(differences, diffs):
-            whole[points] = diff
-    assert covered == n
+    for copies, s, b, diffs in C._fd_differences(periods, spectrum, exact, eps_values):
+        assert len(diffs) == len(eps_values)
+        for points, sign in copies:
+            assert points.stop - points.start == s.shape[1] <= C._SLAB_POINTS and sign in (1, -1)
+            covered += points.stop - points.start
+            sample[:, points], block[points] = sign * s, sign * b
+            for whole, diff in zip(differences, diffs):
+                whole[points] = sign * diff
+    assert covered == n and not np.isnan(sample).any()
     return (
         sample.reshape((10,) + tuple(shape)),
         block.reshape(tuple(shape) + (3, 3)),
@@ -518,19 +522,109 @@ def test_shared_derivatives_match_full_engine_to_rounding(eps):
     # I +- eps s; a general metric transforms I + eps s itself, whose
     # rounding error is relative to the identity's unit entries, about
     # 2e-15 at 8^4 against an anti-self-dual block of order 1e-4.  The
-    # battery's differences are read off its streamed groups.
-    ht = verify.linearization_battery(seed=11, band=1)[5]
-    periods = (2 * math.pi,) + ht.grid.lengths
+    # battery's differences are read off its streamed groups and their
+    # copies: case 0 is odd in time, so its planes 4-7 are copies of
+    # planes 0-3, negated; case 5 has none.
     shape = (8, 8, 8, 8)
-    sample, _, (shared,) = streamed_case(ht, shape, [eps])
-    plus, minus = (
-        C.asd_form_background(C.christoffel_riemann(C.MetricGrid4D(periods, pack(flat(shape)) + c * sample)))
-        for c in (eps, -eps)
-    )
-    assert np.max(np.abs(plus)) > 1e-5
-    assert np.max(np.abs(shared - (plus - minus))) <= 1e-14
+    for case in (0, 5):
+        ht = verify.linearization_battery(seed=11, band=1)[case]
+        periods = (2 * math.pi,) + ht.grid.lengths
+        sample, _, (shared,) = streamed_case(ht, shape, [eps])
+        plus, minus = (
+            C.asd_form_background(C.christoffel_riemann(C.MetricGrid4D(periods, pack(flat(shape)) + c * sample)))
+            for c in (eps, -eps)
+        )
+        assert np.max(np.abs(plus)) > 1e-5, case
+        assert np.max(np.abs(shared - (plus - minus))) <= 1e-14, case
     # A metric carries nothing but its samples.
     assert [f.name for f in dataclasses.fields(C.MetricGrid4D)] == ["periods", "g"]
+
+
+def _time_passes(ht, shape):
+    """The time passes of the variation ht's 71 battery components and of
+    its exact block on the grid, as C._fd_differences forms them."""
+    periods = (2 * math.pi,) + ht.grid.lengths
+    spectrum = C.cyl_tensor_spectrum(ht, shape, periods)
+    exact = C._real_part_spectrum(F.linearized_weyl(ht), C._CROSS_PICKS, shape, periods)
+    return C._variation_stack(periods, spectrum), C._time_inverse(exact.coefficients, exact.positions[0], shape[0])
+
+
+def test_time_symmetry_of_the_battery_cases():
+    # At 16^4 a group is half a time plane, so every halving of Nt = 16
+    # may be tried.  Case 0 has time frequency 1 (odd: sign -1 after 8
+    # planes), case 1 frequency 2 (sign -1 after 4), case 3 frequencies 0
+    # and 2 (sign +1 after 8), case 5 frequencies 1 and 2 (none).
+    shape = (16,) * 4
+    battery = verify.linearization_battery(seed=11, band=2)
+    planes = C._group_planes(shape)[0]
+    assert planes == 1
+    for case, symmetry in {0: (8, -1), 1: (4, -1), 3: (8, 1), 5: (16, 1)}.items():
+        assert C._time_symmetry(_time_passes(battery[case], shape), planes) == symmetry, case
+    # One ulp on one entry of one plane, of either stack, breaks it.
+    for which in range(2):
+        stacks = _time_passes(battery[0], shape)
+        x = stacks[which][3, 11, 1, 2, 0]
+        stacks[which][3, 11, 1, 2, 0] = complex(np.nextafter(x.real, np.inf), x.imag)
+        assert C._time_symmetry(stacks, planes) == (16, 1), which
+    # A shift is a whole number of groups: with four-plane groups case 1
+    # stops at (4, +1) on 8 planes, though (2, -1) holds.
+    stacks = _time_passes(verify.linearization_battery(seed=11, band=1)[1], (8,) * 4)
+    assert C._time_symmetry(stacks, 4) == (4, 1)
+    assert C._time_symmetry(stacks, 1) == (2, -1)
+
+
+@pytest.mark.parametrize(
+    "shape,band,slab_points",
+    [((8,) * 4, 1, None), ((16,) * 4, 2, None), ((12, 8, 8, 8), 1, 1100)],
+    ids=["8^4", "16^4", "12x8^3"],
+)
+def test_every_battery_case_matches_eager_loop_bitwise(monkeypatch, shape, band, slab_points):
+    # Each case runs on one period of its time symmetry (see
+    # C._time_symmetry), the eager loop on every grid point.  On 12 time
+    # points with two-plane groups only case 9 (time frequency 3) comes
+    # out of pocketfft's time pass exactly odd, and the other cases run
+    # on the whole grid.
+    if slab_points is not None:
+        monkeypatch.setattr(C, "_SLAB_POINTS", slab_points)
+    for case, ht in enumerate(verify.linearization_battery(seed=11, band=band)):
+        eps_values = [1e-4, 5e-5] if case == 0 else [1e-4]
+        assert C.fd_linearization_errors(ht, eps_values, shape) == eager_fd_errors(ht, eps_values, shape), case
+
+
+@pytest.mark.parametrize("scale", [25.0, -25.0], ids=["own-plane", "copied-plane"])
+def test_battery_metric_error_on_a_time_symmetric_case(monkeypatch, scale):
+    # Case 0 is odd in time: at 8^4 the battery computes planes 0-3 and
+    # copies them, negated, to planes 4-7.  Scaled by 25, I + eps s loses
+    # positivity on plane 0 alone and I - eps s on plane 4 alone; scaled by
+    # -25 the other way round, so the first failing evaluation, of
+    # I + eps s, lies on a copied plane, where the group's own I - eps s
+    # stands for it.  With no shortcut tolerance an evaluation whose
+    # metric holds everywhere fails its defect check, so the error tells
+    # which check of which step fails first.  It is the metric check of
+    # I + eps s, as in the loop over every plane, where the eager loop's
+    # Cholesky factorization fails too.
+    monkeypatch.setattr(C, "_DEFECT_TOL", 0.0)
+    ht = verify.linearization_battery(seed=11, band=1)[0] * scale
+    shape, eps = (8, 8, 8, 8), 0.05
+    periods = (2 * math.pi,) + ht.grid.lengths
+    sample = C.sample_cyl_tensor(ht, shape, periods)
+    failing = [
+        np.flatnonzero(np.linalg.eigvalsh(unpack(pack(flat(shape)) + c * sample))[..., 0].min(axis=(1, 2, 3)) <= 0)
+        for c in (eps, -eps)
+    ]
+    assert [f.tolist() for f in failing] == ([[0], [4]] if scale > 0 else [[4], [0]])
+    detect, found = C._time_symmetry, []
+    monkeypatch.setattr(C, "_time_symmetry", lambda *args: found.append(detect(*args)) or found[-1])
+    with pytest.raises(ValueError) as got:
+        C.fd_linearization_errors(ht, [eps], shape=shape)
+    assert found == [(4, -1)]
+    monkeypatch.setattr(C, "_time_symmetry", lambda stacks, planes: (shape[0], 1))  # every plane computed
+    with pytest.raises(ValueError) as want:
+        C.fd_linearization_errors(ht, [eps], shape=shape)
+    assert type(got.value) is type(want.value) is ValueError
+    assert str(got.value) == str(want.value) == "metric is not positive definite at some grid point"
+    with pytest.raises(np.linalg.LinAlgError):  # a ValueError
+        eager_fd_errors(ht, [eps], shape)
 
 
 def test_battery_decides_the_defect_once_over_the_grid(monkeypatch):
@@ -540,18 +634,21 @@ def test_battery_decides_the_defect_once_over_the_grid(monkeypatch):
     # same metric and its Riemann tensor (the eager engine's, bit for bit).
     monkeypatch.setattr(C, "_DEFECT_TOL", 0.0)
     monkeypatch.setattr(C, "_SLAB_POINTS", 1100)
-    ht = verify.linearization_battery(seed=11, band=1)[5]
     shape, eps = (8, 8, 8, 8), 1e-4
-    periods = (2 * math.pi,) + ht.grid.lengths
-    with pytest.raises(C.CurvatureDefectError) as got:
-        C.fd_linearization_errors(ht, [eps], shape=shape)
-    derivatives = eager_spectrum_derivatives(eager_half_spectrum(ht, _E_CYL_PICKS, shape, periods), shape, periods)
-    plus = pack(flat(shape) + eps * unpack(C.sample_cyl_tensor(ht, shape, periods)))
-    curv = C.CurvatureGrid(C.MetricGrid4D(periods, plus), eager_pointwise(plus, derivatives, eps)[2], ())
-    with pytest.raises(C.CurvatureDefectError) as want:
-        C.asd_form_background(curv)
-    assert want.value.defect > 0
-    assert (got.value.defect, got.value.scale) == (want.value.defect, want.value.scale)
+    for case in (5, 0):  # case 0's planes 4-7 are copies (see _time_symmetry)
+        ht = verify.linearization_battery(seed=11, band=1)[case]
+        periods = (2 * math.pi,) + ht.grid.lengths
+        with pytest.raises(C.CurvatureDefectError) as got:
+            C.fd_linearization_errors(ht, [eps], shape=shape)
+        derivatives = eager_spectrum_derivatives(
+            eager_half_spectrum(ht, _E_CYL_PICKS, shape, periods), shape, periods
+        )
+        plus = pack(flat(shape) + eps * unpack(C.sample_cyl_tensor(ht, shape, periods)))
+        curv = C.CurvatureGrid(C.MetricGrid4D(periods, plus), eager_pointwise(plus, derivatives, eps)[2], ())
+        with pytest.raises(C.CurvatureDefectError) as want:
+            C.asd_form_background(curv)
+        assert want.value.defect > 0
+        assert (got.value.defect, got.value.scale) == (want.value.defect, want.value.scale), case
 
 
 def test_battery_metric_error_matches_metric_grid(monkeypatch):

@@ -82,6 +82,13 @@ _WITNESSES = [
         "the complex step witnesses fields.linearized_weyl",
     ),
     (
+        "tests/test_curvature.py",
+        ["eager_fd_errors"],
+        re.compile(r"_time_symmetry$|_fd_differences$|fd_linearization_errors$|fd_battery_errors$"),
+        "the eager loop, which evaluates every grid point, witnesses the battery's streamed groups "
+        "and their time-symmetric copies",
+    ),
+    (
         "tests/test_spectra.py",
         ["character_sum_invariant_dims"],
         re.compile(r"_invariant_dim$|_floor_sum$"),
